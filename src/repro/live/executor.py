@@ -129,9 +129,11 @@ class SubprocessExecutor:
                             and timeout_units is not None
                             and self.clock.now - started_at >= timeout_units
                         ):
-                            proc.kill()
-                            killed = True
-                            self.killed += 1
+                            if self._signal_kill(proc):
+                                killed = True
+                                self.killed += 1
+                            # else it exited on its own: the next pass of
+                            # the loop reaps it as a normal exit
                 finally:
                     if not waiter.done():
                         waiter.cancel()
@@ -154,10 +156,25 @@ class SubprocessExecutor:
         """
         count = 0
         for proc in list(self._procs):
-            if proc.returncode is None:
-                proc.kill()
+            if proc.returncode is None and self._signal_kill(proc):
                 count += 1
         return count
+
+    @staticmethod
+    def _signal_kill(proc: asyncio.subprocess.Process) -> bool:
+        """SIGKILL *proc*; False when it had already exited.
+
+        A child shorter than one poll tick can exit, and have its
+        transport closed by the loop, between the tick that found it
+        running and this signal.  ``kill()`` then raises
+        ``ProcessLookupError``.  That is an exit, not a kill, and the
+        waiter that is already done settles it.
+        """
+        try:
+            proc.kill()
+        except ProcessLookupError:
+            return False
+        return True
 
     def __repr__(self) -> str:
         return (

@@ -18,44 +18,82 @@ pool of pending tasks at decision time ``now``:
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 
-@dataclass(frozen=True)
+class _Instant:
+    """The pool-derived vectors of one decision instant, filled on demand."""
+
+    __slots__ = ("delays", "yields", "horizons", "d_eff")
+
+    def __init__(self) -> None:
+        self.delays: Optional[np.ndarray] = None
+        self.yields: Optional[np.ndarray] = None
+        self.horizons: Optional[np.ndarray] = None
+        self.d_eff: Optional[np.ndarray] = None
+
+
 class PoolColumns:
     """Structure-of-arrays view over pending tasks.
 
     All arrays share one index space; ``remaining`` is the paper's RPT
-    (differs from ``runtime`` only for preempted tasks).
+    (differs from ``runtime`` only for preempted tasks).  A view is a
+    value: nothing rebinds or writes its columns after construction.
+
+    The view also carries a one-slot memo of the vectors derived from it
+    at one clock reading (:func:`current_delays`, :func:`current_yields`,
+    :func:`decay_horizons`, :func:`effective_decay`), so that everything
+    deciding at the same instant — the heuristic, whatever wraps it,
+    admission's Eq. 8 and the expired-task discard — shares one pass.
+    It lives here because heuristics arrive wrapped and only the *cols*
+    argument survives the call chain.  A new clock reading replaces the
+    slot; a pool mutation replaces the view.
     """
 
-    arrival: np.ndarray
-    runtime: np.ndarray
-    remaining: np.ndarray
-    value: np.ndarray
-    decay: np.ndarray
-    bound: np.ndarray  # penalty bound; inf = unbounded
+    __slots__ = ("arrival", "runtime", "remaining", "value", "decay", "bound", "_memo")
+
+    def __init__(
+        self,
+        arrival: np.ndarray,
+        runtime: np.ndarray,
+        remaining: np.ndarray,
+        value: np.ndarray,
+        decay: np.ndarray,
+        bound: np.ndarray,  # penalty bound; inf = unbounded
+    ) -> None:
+        self.arrival = arrival
+        self.runtime = runtime
+        self.remaining = remaining
+        self.value = value
+        self.decay = decay
+        self.bound = bound
+        # at most one entry, keyed by the clock reading it was derived at
+        self._memo: dict[float, _Instant] = {}
 
     def __len__(self) -> int:
         return len(self.arrival)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__[:6]
+        )
+        return f"PoolColumns({fields})"
+
+    def at(self, now: float) -> _Instant:
+        """The memo slot for clock reading *now* (emptied when *now* moves)."""
+        memo = self._memo
+        instant = memo.get(now)
+        if instant is None:
+            memo.clear()
+            instant = memo[now] = _Instant()
+        return instant
 
     @classmethod
     def empty(cls) -> "PoolColumns":
         z = np.empty(0)
         return cls(z, z, z, z, z, z)
-
-    def append(self, arrival, runtime, remaining, value, decay, bound) -> "PoolColumns":
-        """A new view with one extra row (used for candidate-schedule probes)."""
-        return PoolColumns(
-            np.append(self.arrival, arrival),
-            np.append(self.runtime, runtime),
-            np.append(self.remaining, remaining),
-            np.append(self.value, value),
-            np.append(self.decay, decay),
-            np.append(self.bound, bound),
-        )
 
     @classmethod
     def concat(cls, first: "PoolColumns", second: "PoolColumns") -> "PoolColumns":
@@ -88,15 +126,31 @@ def unit_denominator(cols: PoolColumns) -> np.ndarray:
     return np.maximum(cols.remaining, MIN_REMAINING)
 
 
+def _frozen(vector: np.ndarray) -> np.ndarray:
+    """*vector* marked read-only: a memoised result is handed to every caller."""
+    vector.flags.writeable = False
+    return vector
+
+
 def current_delays(cols: PoolColumns, now: float) -> np.ndarray:
     """Expected delay of each task if its remaining work started *now* (Eq. 2)."""
-    return np.maximum(0.0, now + cols.remaining - cols.arrival - cols.runtime)
+    instant = cols.at(now)
+    delays = instant.delays
+    if delays is None:
+        delays = instant.delays = _frozen(
+            np.maximum(0.0, now + cols.remaining - cols.arrival - cols.runtime)
+        )
+    return delays
 
 
 def current_yields(cols: PoolColumns, now: float) -> np.ndarray:
     """Expected yield of each task if started now (Eq. 1 with penalty floor)."""
-    raw = cols.value - current_delays(cols, now) * cols.decay
-    return np.maximum(raw, -cols.bound)
+    instant = cols.at(now)
+    yields = instant.yields
+    if yields is None:
+        raw = cols.value - current_delays(cols, now) * cols.decay
+        yields = instant.yields = _frozen(np.maximum(raw, -cols.bound))
+    return yields
 
 
 def decay_horizons(cols: PoolColumns, now: float) -> np.ndarray:
@@ -107,22 +161,32 @@ def decay_horizons(cols: PoolColumns, now: float) -> np.ndarray:
     still cost anything.  Unbounded tasks return ``inf``; zero-decay
     tasks return 0 (delay never costs anything).
     """
-    delays = current_delays(cols, now)
-    # inf horizons (bound=inf) and overflow for vanishing decay rates are
-    # both semantically "effectively never expires"
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        expiration = np.where(
-            cols.decay > 0.0,
-            (cols.value + cols.bound) / cols.decay,
-            0.0,
-        )
-    # unbounded (bound=inf) with positive decay -> infinite horizon
-    return np.maximum(0.0, expiration - delays)
+    instant = cols.at(now)
+    horizons = instant.horizons
+    if horizons is None:
+        delays = current_delays(cols, now)
+        # inf horizons (bound=inf) and overflow for vanishing decay rates are
+        # both semantically "effectively never expires"
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            expiration = np.where(
+                cols.decay > 0.0,
+                (cols.value + cols.bound) / cols.decay,
+                0.0,
+            )
+        # unbounded (bound=inf) with positive decay -> infinite horizon
+        horizons = instant.horizons = _frozen(np.maximum(0.0, expiration - delays))
+    return horizons
 
 
 def effective_decay(cols: PoolColumns, now: float) -> np.ndarray:
     """Decay rates with expired tasks zeroed (they cost nothing to defer)."""
-    return np.where(decay_horizons(cols, now) > 0.0, cols.decay, 0.0)
+    instant = cols.at(now)
+    d_eff = instant.d_eff
+    if d_eff is None:
+        d_eff = instant.d_eff = _frozen(
+            np.where(decay_horizons(cols, now) > 0.0, cols.decay, 0.0)
+        )
+    return d_eff
 
 
 class SchedulingHeuristic(abc.ABC):

@@ -81,18 +81,20 @@ def project_next_start(
         pos = int(np.argmax(remaining < 0))
         rpt = remaining_in_order[pos]
         raise SchedulingError(f"negative RPT {rpt!r} at position {pos}")
-    if len(free_times) == 1:
-        base = float(free_times[0])
+    # one conversion to Python floats, whatever the caller holds (the
+    # processor pool hands over a float64 array)
+    heap = np.asarray(free_times, dtype=np.float64).tolist()
+    if len(heap) == 1:
+        base = heap[0]
         if position == 0:
             return base
         acc = np.empty(position + 1)
         acc[0] = base
         acc[1:] = remaining[:position]
         return float(acc.cumsum()[-1])
-    heap = [float(t) for t in free_times]
     heapq.heapify(heap)
-    heappop, heappush = heapq.heappop, heapq.heappush
-    for pos in range(position):
-        t = heappop(heap)
-        heappush(heap, t + float(remaining[pos]))
-    return float(heap[0])
+    heapreplace = heapq.heapreplace
+    for rpt in remaining[:position].tolist():
+        # the earliest-free processor takes the next task in line
+        heapreplace(heap, heap[0] + rpt)
+    return heap[0]

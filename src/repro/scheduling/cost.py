@@ -15,6 +15,9 @@ horizons ascending; then for each i,
     Σ_j d_j · min(R_i, h_j) = Σ_{h_j ≤ R_i} d_j·h_j  +  R_i · Σ_{h_j > R_i} d_j
 
 and both partial sums are prefix-sum lookups at ``searchsorted(h, R_i)``.
+When no horizon is finite (every experiment of Fig. 3–7: unbounded
+penalties) nothing saturates and the closed form of Eq. 5,
+``R_i · Σ_j d_j − d_i · R_i``, needs no sort at all.
 """
 
 from __future__ import annotations
@@ -54,21 +57,35 @@ def opportunity_costs(
         raise SchedulingError("cost inputs must have equal length")
     if n == 0:
         return np.empty(0)
-    if np.any(remaining < 0) or np.any(decay < 0) or np.any(horizons < 0):
+    if (remaining < 0).any() or (decay < 0).any() or (horizons < 0).any():
         raise SchedulingError("cost inputs must be non-negative")
 
     finite = np.isfinite(horizons)
-    # weight of unbounded competitors: they always contribute d_j * R_i
-    w_unbounded = float(decay[~finite].sum())
+    n_finite = np.count_nonzero(finite)
+    if n_finite == 0:
+        # Eq. 5: every competitor decays for the whole run, so the sum
+        # collapses to R_i · Σ_j d_j minus the task's own d_i · R_i.  The
+        # general path below reduces to exactly these operations in this
+        # order when nothing saturates, so the bits agree.
+        return remaining * float(decay.sum()) - decay * remaining
+    if n_finite == n:
+        h_fin, d_fin, w_unbounded = horizons, decay, 0.0
+    else:
+        h_fin = horizons[finite]
+        d_fin = decay[finite]
+        # weight of unbounded competitors: they always contribute d_j * R_i
+        w_unbounded = float(decay[~finite].sum())
 
-    h_fin = horizons[finite]
-    d_fin = decay[finite]
     order = np.argsort(h_fin)
     h_sorted = h_fin[order]
     d_sorted = d_fin[order]
     # prefix sums with a leading zero so index k means "first k entries"
-    prefix_dh = np.concatenate(([0.0], np.cumsum(d_sorted * h_sorted)))
-    prefix_d = np.concatenate(([0.0], np.cumsum(d_sorted)))
+    prefix_dh = np.empty(n_finite + 1)
+    prefix_dh[0] = 0.0
+    np.cumsum(d_sorted * h_sorted, out=prefix_dh[1:])
+    prefix_d = np.empty(n_finite + 1)
+    prefix_d[0] = 0.0
+    np.cumsum(d_sorted, out=prefix_d[1:])
     total_d_fin = prefix_d[-1]
 
     k = np.searchsorted(h_sorted, remaining, side="right")

@@ -18,7 +18,10 @@ Aliasing contract: the arrays inside a :class:`PoolColumns` view are
 read-only slices of the pool's backing storage, valid until the next
 mutation.  Consumers must not hold a view across ``add``/``remove`` —
 every caller in the engine re-reads ``columns()`` after mutating, and
-the read-only flag turns accidental writes into hard errors.
+the read-only flag turns accidental writes into hard errors.  A
+``probe()`` view additionally shows a candidate written into the spare
+column after the last row; the next ``probe()`` or ``add()`` overwrites
+that column, so a probe view is valid until either.
 """
 
 from __future__ import annotations
@@ -58,6 +61,14 @@ class PendingPool:
         because a queued task's RPT only changes through preemption or a
         crash requeue, both of which re-add it — writing a fresh row.
         """
+        self._write_row(task)
+        self._tasks.append(task)
+        if task.demand > 1:
+            self._multi_node += 1
+        self._columns = None
+
+    def _write_row(self, task: Task) -> None:
+        """Write *task*'s scalars into the first spare column, growing if full."""
         n = len(self._tasks)
         data = self._data
         if n == data.shape[1]:
@@ -68,16 +79,30 @@ class PendingPool:
         data[_VALUE, n] = task.value
         data[_DECAY, n] = task.decay
         data[_BOUND, n] = task.bound
-        self._tasks.append(task)
-        if task.demand > 1:
-            self._multi_node += 1
-        self._columns = None
 
     def _grow(self, n: int) -> np.ndarray:
         grown = np.empty((6, max(_MIN_CAPACITY, 2 * n)))
         grown[:, :n] = self._data[:, :n]
         self._data = grown
         return grown
+
+    def _view(self, n: int) -> PoolColumns:
+        """Read-only view of the first *n* columns of the backing storage."""
+        block = self._data[:, :n]
+        block.flags.writeable = False
+        return PoolColumns(*block)  # six row views; they inherit the flag
+
+    def probe(self, task: Task) -> PoolColumns:
+        """The pool's columns with *task* as one extra last row; commits nothing.
+
+        Admission's candidate-schedule probe.  The candidate is written
+        into the spare column after the last row, which no ``columns()``
+        view can see, so ``columns()``, ``len()`` and the task list are
+        untouched.  It snapshots the same *believed* quantities as
+        :meth:`add`.
+        """
+        self._write_row(task)
+        return self._view(len(self._tasks) + 1)
 
     def remove_at(self, index: int) -> Task:
         """Remove and return the task at *index* (column index space)."""
@@ -146,11 +171,5 @@ class PendingPool:
         must not see ground truth.
         """
         if self._columns is None:
-            n = len(self._tasks)
-            views = []
-            for row in range(6):
-                view = self._data[row, :n]
-                view.flags.writeable = False
-                views.append(view)
-            self._columns = PoolColumns(*views)
+            self._columns = self._view(len(self._tasks))
         return self._columns

@@ -107,15 +107,22 @@ class SlackAdmission:
         now = site.clock.now
         # everything below works on declared quantities — the site cannot
         # see true runtimes when they are misestimated
-        cols = site.pool.columns().append(
-            task.arrival, task.estimate, task.estimated_remaining,
-            task.value, task.decay, task.bound,
-        )
+        cols = site.pool.probe(task)
         candidate_index = len(cols) - 1
 
         scores = site.heuristic.scores(cols, now)
+        # The candidate is the last row, so a stable descending sort puts
+        # every tie ahead of it: its position is the number of other
+        # scores >= its own.  NaN compares false both ways, which sorts
+        # NaN rows last — and the candidate last among them.
+        own = scores[candidate_index]
+        if math.isnan(own):
+            position = candidate_index
+        else:
+            position = int(np.count_nonzero(scores >= own)) - 1
+        # the order itself feeds the projection (everything ahead, in
+        # sequence) and the Eq. 8 sum (everything behind, in sequence)
         order = np.argsort(-scores, kind="stable")
-        position = int(np.nonzero(order == candidate_index)[0][0])
         # only the candidate's own start is consumed, so project just
         # that slot (early-stopped; bit-identical to the full projection)
         expected_start = project_next_start(

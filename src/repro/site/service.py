@@ -178,13 +178,18 @@ class TaskServiceSite:
         # fitting task — EASY backfilling without reservations (the §4
         # "common backfilling algorithms"; wide jobs can be delayed by a
         # stream of narrow ones, a documented simplification).
-        while self.pool and self.processors.free_count > 0:
+        while self.pool and (free := self.processors.free_count) > 0:
+            if len(self.pool) == 1:
+                # nothing to rank: a lone task starts if its gang fits
+                if self.pool.task_at(0).demand > free:
+                    break
+                self._start(self.pool.remove_at(0))
+                continue
             scores = self.heuristic.scores(self.pool.columns(), now)
             if not self.pool.has_multi_node:
                 # fast path: every task fits one free node
                 self._start(self.pool.remove_at(int(np.argmax(scores))))
                 continue
-            free = self.processors.free_count
             order = np.argsort(-scores, kind="stable")
             for index in order:
                 if self.pool.task_at(int(index)).demand <= free:
@@ -229,7 +234,6 @@ class TaskServiceSite:
     def _running_columns(self, now: float) -> tuple[list[Task], PoolColumns]:
         tasks = self.processors.running_tasks
         remaining = self.processors.remaining_times(now)
-        n = len(tasks)
         cols = PoolColumns(
             arrival=np.array([t.arrival for t in tasks]),
             runtime=np.array([t.estimate for t in tasks]),

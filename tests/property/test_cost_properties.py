@@ -1,7 +1,7 @@
 """Property tests: the opportunity-cost kernel vs its O(n²) oracle."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -64,3 +64,79 @@ class TestKernelVsOracle:
         cost = opportunity_costs(remaining, decay, horizons)
         expected = remaining * (decay.sum() - decay)
         assert np.allclose(cost, expected, rtol=1e-9, atol=1e-6)
+
+
+def pre_branch_costs(remaining, decay, horizons):
+    """The kernel as it stood before it branched on the data: every input
+    takes the mask / sort / concatenate path.  The branches must not move
+    a bit relative to it (golden figures hash these floats)."""
+    finite = np.isfinite(horizons)
+    w_unbounded = float(decay[~finite].sum())
+    h_fin = horizons[finite]
+    d_fin = decay[finite]
+    order = np.argsort(h_fin)
+    h_sorted = h_fin[order]
+    d_sorted = d_fin[order]
+    prefix_dh = np.concatenate(([0.0], np.cumsum(d_sorted * h_sorted)))
+    prefix_d = np.concatenate(([0.0], np.cumsum(d_sorted)))
+    k = np.searchsorted(h_sorted, remaining, side="right")
+    cost = prefix_dh[k] + remaining * (prefix_d[-1] - prefix_d[k] + w_unbounded)
+    return cost - decay * np.minimum(remaining, horizons)
+
+
+@st.composite
+def branch_inputs(draw):
+    """Inputs steered onto one branch: no finite horizon (Eq. 5), every
+    horizon finite, or a mix — pools of one task included."""
+    n = draw(sizes)
+    kind = draw(st.sampled_from(["eq5", "all_finite", "mixed"]))
+    remaining = draw(
+        hnp.arrays(float, n, elements=st.floats(min_value=0.0, max_value=1e3))
+    )
+    decay = draw(
+        hnp.arrays(float, n, elements=st.floats(min_value=0.0, max_value=100.0))
+    )
+    # horizon 0 is what a zero-decay (or expired) task reports; its
+    # effective decay is zeroed with it, as effective_decay() does
+    horizons = draw(
+        hnp.arrays(
+            float,
+            n,
+            elements=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e4)),
+        )
+    )
+    decay = np.where(horizons > 0.0, decay, 0.0)
+    if kind == "eq5":
+        horizons = np.full(n, np.inf)
+    elif kind == "mixed":
+        horizons = np.where(draw(hnp.arrays(bool, n)), np.inf, horizons)
+    return kind, remaining, decay, horizons
+
+
+_INF = np.inf
+
+
+def _case(kind, remaining, decay, horizons):
+    return kind, np.array(remaining), np.array(decay), np.array(horizons)
+
+
+class TestBranchesKeepTheBits:
+    @given(inputs=branch_inputs())
+    @example(inputs=_case("eq5", [5.0], [2.0], [_INF]))  # lone task
+    @example(inputs=_case("all_finite", [5.0], [2.0], [3.0]))  # lone, bounded
+    @example(inputs=_case("all_finite", [5.0], [0.0], [0.0]))  # lone, zero decay
+    @example(inputs=_case("all_finite", [5.0, 4.0], [0.0, 2.0], [0.0, 3.0]))
+    @example(inputs=_case("mixed", [5.0, 4.0, 3.0], [1.0, 0.0, 2.0], [_INF, 0.0, 3.0]))
+    @settings(max_examples=300)
+    def test_bit_equal_to_the_unbranched_kernel(self, inputs):
+        _kind, remaining, decay, horizons = inputs
+        got = opportunity_costs(remaining, decay, horizons)
+        assert got.tobytes() == pre_branch_costs(remaining, decay, horizons).tobytes()
+
+    @given(inputs=branch_inputs())
+    @settings(max_examples=120)
+    def test_every_branch_matches_naive(self, inputs):
+        _kind, remaining, decay, horizons = inputs
+        fast = opportunity_costs(remaining, decay, horizons)
+        slow = opportunity_costs_naive(remaining, decay, horizons)
+        assert np.allclose(fast, slow, rtol=1e-9, atol=1e-6)

@@ -74,12 +74,14 @@ class TestYieldArithmetic:
         assert d[0] == 0.0
         assert d[1] == 2.0
 
-    def test_append_adds_one_row(self):
-        cols = cols_of([(0.0, 10.0, 10.0, 100.0, 1.0, np.inf)])
-        grown = cols.append(5.0, 2.0, 2.0, 50.0, 3.0, 0.0)
-        assert len(grown) == 2
-        assert grown.value[1] == 50.0
-        assert len(cols) == 1  # original untouched
+    def test_one_pass_per_instant(self):
+        cols = cols_of([(0.0, 10.0, 10.0, 100.0, 2.0, 0.0)])
+        first = decay_horizons(cols, 30.0)
+        assert decay_horizons(cols, 30.0) is first  # same instant: shared
+        assert not first.flags.writeable  # shared, so nobody may write it
+        moved = decay_horizons(cols, 80.0)  # the clock moved: recomputed
+        assert moved is not first and moved[0] == 0.0
+        assert decay_horizons(cols, 30.0)[0] == pytest.approx(20.0)
 
     def test_empty(self):
         assert len(PoolColumns.empty()) == 0
@@ -102,6 +104,24 @@ class TestPendingPool:
         assert pool.columns() is first
         pool.add(make_task())
         assert pool.columns() is not first
+
+    def test_probe_adds_one_row(self):
+        pool = PendingPool()
+        pool.add(make_task(value=100.0, decay=1.0))
+        before = pool.columns()
+        grown = pool.probe(make_task(arrival=5.0, runtime=2.0, value=50.0, decay=3.0, bound=0.0))
+        assert len(grown) == 2
+        assert grown.value[1] == 50.0
+        assert grown.bound[1] == 0.0
+        assert not grown.value.flags.writeable
+        # nothing committed: the pool and its view are untouched
+        assert len(pool) == 1
+        assert pool.columns() is before and len(before) == 1
+
+    def test_probe_of_empty_pool_is_the_candidate_alone(self):
+        grown = PendingPool().probe(make_task(arrival=3.0, runtime=7.0))
+        assert len(grown) == 1
+        assert (grown.arrival[0], grown.runtime[0], grown.remaining[0]) == (3.0, 7.0, 7.0)
 
     def test_remove_at_returns_task(self):
         pool = PendingPool()

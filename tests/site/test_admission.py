@@ -2,10 +2,18 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import AdmissionError
-from repro.scheduling import FirstPrice
+from repro.scheduling import (
+    FirstPrice,
+    SchedulingHeuristic,
+    effective_decay,
+    project_next_start,
+)
 from repro.sim import Simulator
 from repro.site import SlackAdmission, TaskServiceSite
 from repro.site.admission import AcceptAll
@@ -85,6 +93,62 @@ class TestEvaluate:
         assert site.queue_length == 0
         assert site.running_count == 0
         assert t.state is TaskState.CREATED
+
+
+class PresetScores(SchedulingHeuristic):
+    """Hands back a fixed score vector, whatever the columns hold."""
+
+    name = "preset"
+
+    def __init__(self, values):
+        self.values = np.array(values, dtype=float)
+
+    def scores(self, cols, now):
+        assert len(cols) == len(self.values)
+        return self.values.copy()
+
+
+#: few distinct values, so ties with the candidate (and NaN, and the
+#: infinities) are the common case, not the rare one
+tied_scores = st.lists(
+    st.sampled_from([-math.inf, -1.0, 0.0, 1.0, math.inf, math.nan]),
+    min_size=1,
+    max_size=9,
+)
+
+
+class TestCandidatePosition:
+    """evaluate() reads the candidate's place in the candidate schedule as
+    a count of scores >= its own; that must be the place a stable
+    descending argsort gives the last row, ties and NaN included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(scores=tied_scores, processors=st.integers(min_value=1, max_value=3))
+    def test_count_equals_stable_argsort_position(self, scores, processors):
+        sim = Simulator()
+        heuristic = PresetScores(scores)
+        admission = SlackAdmission(threshold=-math.inf, discount_rate=0.0)
+        site = TaskServiceSite(sim, processors, heuristic, admission=admission)
+        # occupy every node, then queue one task per score but the last
+        for i in range(processors):
+            site.submit(make_task(0.0, 50.0 + i), force=True)
+        for i in range(len(scores) - 1):
+            site.submit(make_task(0.0, 3.0 + i, decay=0.5 + i), force=True)
+        assert site.queue_length == len(scores) - 1
+        candidate = make_task(0.0, 7.0, decay=2.0)
+
+        decision = admission.evaluate(site, candidate)
+
+        cols = site.pool.probe(candidate)
+        order = np.argsort(-heuristic.values, kind="stable")
+        position = int(np.nonzero(order == len(scores) - 1)[0][0])
+        start = project_next_start(
+            cols.remaining[order], site.processors.free_times(0.0), position
+        )
+        behind = order[position + 1 :]
+        cost = float(candidate.estimate * effective_decay(cols, 0.0)[behind].sum())
+        assert decision.expected_start == start
+        assert decision.cost == cost
 
 
 class TestAcceptReject:
