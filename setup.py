@@ -1,50 +1,9 @@
-"""Setup shim + optional mypyc build of the compiled sim-core backend.
+"""Setup shim: all project metadata lives in ``pyproject.toml``.
 
-All project metadata lives in ``pyproject.toml``; this file exists for
-two reasons:
-
-1. Legacy/offline toolchains: it lets ``pip install -e . --no-use-pep517``
-   work where PEP 660 editable installs fail.
-2. The **compiled backend** (``docs/performance.md``, "Backends"): when
-   the environment variable ``REPRO_BUILD_MYPYC=1`` is set, the build
-   generates the ``repro._c`` package (rewritten copies of the sim core;
-   see ``scripts/gen_compiled_sources.py``) and compiles it with mypyc.
-   The toolchain comes from the ``repro[compiled]`` extra::
-
-       pip install 'repro[compiled]'           # toolchain only
-       REPRO_BUILD_MYPYC=1 pip install -e .    # build the extension
-
-   Without the flag — or when mypy/mypyc is unavailable — the build is
-   a plain pure-Python install and ``repro._backend`` selects the pure
-   backend at import time.  The flag never fails the build quietly: if
-   requested and the toolchain is missing, the build errors out so CI
-   cannot silently test the wrong backend.
+Kept for legacy/offline toolchains, where ``pip install -e .
+--no-use-pep517`` works and PEP 660 editable installs do not.
 """
-
-import os
-import sys
 
 from setuptools import setup
 
-
-def _mypyc_extensions():
-    if os.environ.get("REPRO_BUILD_MYPYC", "").strip() not in ("1", "true", "yes"):
-        return {}
-    try:
-        from mypyc.build import mypycify
-    except ImportError as exc:
-        raise SystemExit(
-            "REPRO_BUILD_MYPYC=1 but mypyc is not importable "
-            f"({exc}); install the toolchain with `pip install 'repro[compiled]'`"
-        ) from exc
-    sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "scripts"))
-    import gen_compiled_sources
-
-    paths = gen_compiled_sources.generate(verbose=True)
-    # the package __init__ stays interpreted (mypyc shims import through
-    # it); everything else in the group is compiled
-    sources = [p for p in paths if not p.endswith("__init__.py")]
-    return {"ext_modules": mypycify(sources)}
-
-
-setup(**_mypyc_extensions())
+setup()

@@ -39,14 +39,6 @@ Quickstart::
     print(result.ledger.summary())
 """
 
-# Backend selection MUST precede every other repro import: it aliases
-# the canonical sim-core module names (repro.sim.kernel, …) to their
-# mypyc-compiled counterparts in sys.modules when the compiled backend
-# is available/requested (REPRO_BACKEND; see docs/performance.md).
-from repro import _backend
-
-_backend.init()
-
 from repro.errors import (
     AdmissionError,
     ContractViolation,
@@ -88,10 +80,6 @@ from repro.workload import (
     generate_trace,
     millennium_spec,
 )
-
-# with the compiled backend active, expose the aliased modules as
-# package attributes too (plain `repro.sim.kernel` traversal)
-_backend.finalize()
 
 __version__ = "1.0.0"
 

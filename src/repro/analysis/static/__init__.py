@@ -22,7 +22,7 @@ Layers:
   analysis run, suppression and rule selection.
 * :mod:`repro.analysis.static.report` — text / JSON rendering and the
   ``repro lint`` entry point (exit codes 0 clean / 1 findings /
-  2 usage error, mirroring ``scripts/bench_compare.py``).
+  2 usage error).
 """
 
 from repro.analysis.static.diagnostics import RULES, Diagnostic, Rule

@@ -87,8 +87,8 @@ RULES: dict[str, Rule] = {
             ),
             rationale=(
                 "The event queue owns all heap state in the kernel: its "
-                "head slot, lazy-cancellation counters, and pop_run batch "
-                "draining keep invariants a raw heappush/heappop bypasses. "
+                "head slot and lazy-cancellation counters keep invariants a "
+                "raw heappush/heappop bypasses. "
                 "A second heap in repro.sim silently forks the ordering "
                 "contract (stable (time, priority, seq) keys) that "
                 "byte-identical replays depend on."

@@ -1,7 +1,7 @@
 """Path → module identity and the project policy map.
 
 The analyzer's rules are scoped by *module identity* (``repro.sim.rng``,
-``repro.scheduling.pool``, ``benchmarks.bench_micro``), not by raw file
+``repro.scheduling.pool``, ``scripts.check_lint``), not by raw file
 path, so the policy survives checkouts at any directory depth and the
 fixture corpus can impersonate any module via a file-level pragma::
 
@@ -21,7 +21,7 @@ import re
 SEEDED_STREAM_MODULE = "repro.sim.rng"
 
 #: Module that owns *all* heap state in the simulation kernel (the
-#: EventQueue: head slot, lazy cancellation, pop_run batch draining).
+#: EventQueue: head slot and lazy cancellation).
 EVENT_QUEUE_MODULE = "repro.sim.queue"
 
 #: Packages whose code runs *inside* a simulation: behaviour here must be
@@ -44,8 +44,6 @@ SIM_PATH_PREFIXES = (
 #: and by the bit-identity test suite) from feeding back into sim state.
 WALL_CLOCK_ALLOWLIST_PREFIXES = (
     "repro.obs",
-    "repro.bench",
-    "benchmarks",
     # the live service mode *is* the wall clock: its clocks, executor,
     # event loop, and the retrying client (repro.live.client: request
     # timeouts, backoff sleeps, monotonic deadlines) read real time by
@@ -86,14 +84,12 @@ TIMESTAMP_PASSIVE_PREFIXES = (
 PRINT_ALLOWLIST_PREFIXES = (
     "repro.cli",
     "repro.__main__",
-    "repro.bench",
     "repro.analysis",  # ASCII gantt/curve renderers and the lint reporter
     "repro.metrics.tables",
     "repro.live.serve",  # the service CLI announces its address/drain on stdout
     "repro.audit",  # `repro audit` writes its report to stdout
     "repro.replay",  # `repro replay` writes its A/B table to stdout
     "scripts",
-    "benchmarks",
     "examples",
     "tests",
 )
@@ -101,7 +97,7 @@ PRINT_ALLOWLIST_PREFIXES = (
 _PRAGMA = re.compile(r"#\s*repro-lint:\s*module=([\w.]+)")
 
 #: Top-level directories that map straight to a pseudo-package name.
-_SCRIPT_DIRS = ("benchmarks", "scripts", "examples", "tests")
+_SCRIPT_DIRS = ("scripts", "examples", "tests")
 
 
 def module_pragma(source: str) -> str | None:
@@ -117,7 +113,7 @@ def module_name_for_path(path: str) -> str:
     """Best-effort dotted module identity for *path*.
 
     ``.../src/repro/sim/rng.py`` → ``repro.sim.rng``;
-    ``benchmarks/bench_micro.py`` → ``benchmarks.bench_micro``;
+    ``scripts/check_lint.py`` → ``scripts.check_lint``;
     a path with no recognizable root maps to its stem (so policy scoped
     to ``repro.*`` simply does not apply).
     """

@@ -1,6 +1,6 @@
 """Rendering and the ``repro lint`` entry point.
 
-Exit codes mirror ``scripts/bench_compare.py``:
+Exit codes:
 
 * 0 — analysis ran, no findings
 * 1 — analysis ran, at least one finding

@@ -90,8 +90,8 @@ def check_det002(ctx: FileContext) -> list[Diagnostic]:
     """Wall-clock reads in sim-path modules.
 
     Sim-path behaviour must be a pure function of (workload, seed,
-    config); ``repro.obs`` / ``repro.bench`` / ``benchmarks/`` are
-    allowlisted because measuring the real world is their job.
+    config); ``repro.obs`` and ``repro.live`` are allowlisted because
+    measuring the real world is their job.
     """
     if not is_sim_path(ctx.module):
         return []
@@ -396,10 +396,10 @@ def check_det004(ctx: FileContext) -> list[Diagnostic]:
 def check_det005(ctx: FileContext) -> list[Diagnostic]:
     """Direct ``heapq`` use in ``repro.sim`` outside the EventQueue.
 
-    ``repro.sim.queue`` owns every heap in the kernel; its head slot,
-    lazy-cancellation counters, and ``pop_run`` draining are invariants
-    a raw ``heappush``/``heappop`` elsewhere in the package would
-    silently bypass.  Flags both calls into ``heapq.*`` (however
+    ``repro.sim.queue`` owns every heap in the kernel; its head slot
+    and lazy-cancellation counters are invariants a raw
+    ``heappush``/``heappop`` elsewhere in the package would silently
+    bypass.  Flags both calls into ``heapq.*`` (however
     imported) and the imports themselves, so a heap smuggled in via
     ``from heapq import heappush`` is caught even before first use.
     """

@@ -294,7 +294,7 @@ def check_exp001(ctx: FileContext) -> list[Diagnostic]:
 def check_obs001(ctx: FileContext) -> list[Diagnostic]:
     """Bare ``print`` calls in library modules.
 
-    CLI / bench / analysis-rendering layers are allowlisted — print *is*
+    CLI / analysis-rendering layers are allowlisted — print *is*
     their output channel.  ``if __name__ == "__main__"`` demo blocks are
     exempt too: they only run when the module is executed as a script.
     """

@@ -159,24 +159,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seeds", type=int, nargs="+", default=[0])
     add_shared_flag(s, "--workers")
 
-    b = sub.add_parser(
-        "bench",
-        help="run the core performance benchmark suite (kernel dispatch, "
-        "select() latency, pool maintenance, cell time, parallel speedup)",
-    )
-    b.add_argument(
-        "--quick",
-        action="store_true",
-        help="reduced sizes/repeats for CI smoke runs (~seconds, noisier)",
-    )
-    b.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write the benchmark document as JSON (the committed baseline "
-        "lives at BENCH_core.json)",
-    )
-
     pr = sub.add_parser(
         "profile",
         help="wall-clock profile: per-heuristic select() cost and kernel "
@@ -464,10 +446,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     if args.command == "profile":
         return _run_profile(args)
-    if args.command == "bench":
-        from repro.bench import main as bench_main
-
-        return bench_main(quick=args.quick, out=args.out)
     if args.command == "serve":
         from repro.live.serve import run_serve
 

@@ -3,7 +3,7 @@
 Each ``figN`` module exposes ``run_figN(...) -> FigureResult`` with
 keyword knobs for scale (job count, seeds) so the same code serves quick
 CI checks and full paper-scale regeneration.  ``repro.experiments.runner``
-holds the registry the CLI and the benchmark suite share, plus the
+holds the registry the CLI and the test suite share, plus the
 expected-shape checks recorded in DESIGN.md §3.
 """
 

@@ -181,9 +181,9 @@ async def _handle(
         try:
             method, path, body, accept, idem = await _read_request(reader)
             # the fsync in this chain runs only under fsync=always — the
-            # operator's explicit durability-over-latency choice, capped
-            # by the serve_journal_overhead bench gate; interval-policy
-            # syncs are offloaded to the thread pool (LiveService.start)
+            # operator's explicit durability-over-latency choice;
+            # interval-policy syncs are offloaded to the thread pool
+            # (LiveService.start)
             status, payload, headers = _route(service, method, path, body, accept, idem)  # repro: noqa ASY001  # fsync=always is a deliberate bounded stall; interval is offloaded
         except ApiError as exc:
             status, payload = exc.status, {"error": str(exc)}

@@ -215,8 +215,8 @@ class LiveSite:
         )
         # the spawn-intent and settlement journal writes below block only
         # under fsync=always (the operator's explicit write-ahead
-        # strictness, gated by the serve_journal_overhead bench);
-        # interval-policy syncs run on the thread pool (LiveService.start)
+        # strictness); interval-policy syncs run on the thread pool
+        # (LiveService.start)
         report = await self.executor.run(
             argv, timeout, on_spawn=lambda pid: self._note_spawn(task, argv, pid)  # repro: noqa ASY001  # fsync=always is deliberate write-ahead strictness; interval is offloaded
         )

@@ -281,7 +281,8 @@ class FlightRecorder:
 
     The recorder is passive: it never reads a clock (callers pass
     ``t``), never raises into the decision path, and imposes only an
-    append per event (the ≤5% overhead pinned by ``repro bench``).
+    append per event (``obs.flight.us_per_record`` in ``python -m bench
+    run --traced``).
     """
 
     def __init__(

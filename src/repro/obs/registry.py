@@ -7,8 +7,7 @@ or any RNG stream, so an attached registry cannot perturb results.
 
 The :data:`NULL_REGISTRY` implements the same surface with no-op methods
 and shared immutable instruments; disabled-mode runs pay one attribute
-lookup and an empty call per publish site, keeping the null path within
-the <2% overhead budget asserted by ``benchmarks/bench_obs.py``.
+lookup and an empty call per publish site.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ may schedule further events; time never moves backwards.
 from __future__ import annotations
 
 import math
-import os
 import time
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
@@ -19,25 +18,8 @@ from repro.sim.events import Event, EventState
 from repro.sim.queue import EventQueue
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    # type-only on purpose: the kernel never touches SimTrace/Profiler
-    # beyond duck-typed record()/stat() calls, and keeping these out of
-    # the runtime import graph lets the compiled backend build
-    # self-contained copies of the sim core (repro._backend)
     from repro.obs.profile import Profiler
     from repro.sim.trace import SimTrace
-
-#: Default dispatch strategy for :meth:`Simulator.run`.  Batched dispatch
-#: drains runs of same-``(time, priority)`` events from the queue in one
-#: call and fires them in a tight loop; it is byte-identical to stepwise
-#: dispatch (pinned by tests/property/test_batch_dispatch.py) and
-#: substantially faster, so it is the default.  Set the environment
-#: variable ``REPRO_BATCH_DISPATCH=0`` to force the classic per-event
-#: loop, e.g. when bisecting a kernel regression.
-DEFAULT_BATCHED: bool = os.environ.get("REPRO_BATCH_DISPATCH", "1").lower() not in (
-    "0",
-    "false",
-    "off",
-)
 
 
 class Simulator:
@@ -55,13 +37,6 @@ class Simulator:
         times every event dispatch, aggregated per tag family
         (``dispatch:arrival``, ``dispatch:site``, …).  Like the trace,
         it observes only — simulated behaviour is unchanged.
-    batched:
-        Dispatch strategy for :meth:`run`.  ``True`` drains runs of
-        simultaneous events in one queue call (the fast path), ``False``
-        uses the classic one-pop-per-event loop, ``None`` (default)
-        follows module :data:`DEFAULT_BATCHED` / the
-        ``REPRO_BATCH_DISPATCH`` environment variable.  Both paths
-        produce identical event orderings, traces, and clock values.
 
     Example
     -------
@@ -78,13 +53,11 @@ class Simulator:
         start: float = 0.0,
         trace: Optional[SimTrace] = None,
         profiler: "Optional[Profiler]" = None,
-        batched: Optional[bool] = None,
     ) -> None:
         self.now = float(start)
         self._queue = EventQueue()
         self._trace = trace
         self._profiler = profiler
-        self._batched = DEFAULT_BATCHED if batched is None else bool(batched)
         self._running = False
         self._stopped = False
         self.events_fired = 0
@@ -187,132 +160,36 @@ class Simulator:
         ``until``), matching the convention that a bounded run represents
         the full interval.  Daemon events fire while essential work
         remains but never keep the run alive by themselves; with
-        ``until`` set, daemons within the horizon do fire.
+        ``until`` set, daemons within the horizon do fire.  ``max_events=0``
+        fires nothing; a negative value raises :class:`SimulationError`.
         """
+        if max_events is not None and max_events < 0:
+            raise SimulationError(f"max_events must be >= 0, got {max_events!r}")
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run call)")
         self._running = True
         self._stopped = False
+        queue = self._queue
+        fired = 0
         try:
-            if self._batched:
-                self._run_batched(until, max_events)
-            else:
-                self._run_stepwise(until, max_events)
+            while not self._stopped and (max_events is None or fired < max_events):
+                head = queue.peek()
+                if head is None:
+                    break
+                if until is None:
+                    # only daemon housekeeping remains: let daemons at the
+                    # current instant run (e.g. a monitor sampling the
+                    # final state), then stop
+                    if queue.essential_count == 0 and head.time > self.now:
+                        break
+                elif head.time > until:
+                    break
+                self.step()
+                fired += 1
         finally:
             self._running = False
         if until is not None and not self._stopped and self.now < until:
             self.now = float(until)
-
-    def _run_stepwise(self, until: Optional[float], max_events: Optional[int]) -> None:
-        """Classic one-pop-per-event dispatch loop (reference semantics)."""
-        fired = 0
-        while self._queue and not self._stopped:
-            if until is None and self._queue.essential_count == 0:
-                # only daemon housekeeping remains: let daemons at the
-                # current instant run (e.g. a monitor sampling the
-                # final state), then stop
-                head = self._queue.peek()
-                if head is None or head.time > self.now:
-                    break
-            next_time = self._queue.next_time()
-            assert next_time is not None
-            if until is not None and next_time > until:
-                break
-            self.step()
-            fired += 1
-            if max_events is not None and fired >= max_events:
-                break
-
-    def _run_batched(self, until: Optional[float], max_events: Optional[int]) -> None:
-        """Batch dispatch: drain whole same-``(time, priority)`` runs.
-
-        One :meth:`EventQueue.pop_run` call replaces the per-event
-        ``__bool__``/``essential_count``/``next_time``/``pop`` chain of
-        the stepwise loop, and the fire loop decrements the queue's
-        counters inline as each drained event fires (consume-at-fire), so
-        every observable — clock, counters, trace, ``events_fired`` —
-        matches the stepwise loop exactly.
-
-        Two mid-batch hazards are handled:
-
-        * a callback *cancels* a drained-but-unfired event: the fire loop
-          skips non-pending events without touching counters (the cancel
-          path already settled them);
-        * a callback *schedules* an event that must fire before the rest
-          of the run (same time, lower priority): detected by comparing
-          the queue's new minimum key against the next drained key, the
-          unfired tail is spilled back via :meth:`EventQueue.restore` and
-          re-drained in correct total order.
-        """
-        queue = self._queue
-        trace = self._trace
-        profiler = self._profiler
-        plain = trace is None and profiler is None
-        pop_run = queue.pop_run
-        fired_total = 0
-        batch: list[Event] = []
-        fired_state = EventState.FIRED
-        pending_state = EventState.PENDING
-        while not self._stopped:
-            limit = 0
-            if max_events is not None:
-                # stepwise fires one event before its first max_events
-                # check, so max_events <= 0 still fires a single event
-                if fired_total >= max_events and fired_total > 0:
-                    break
-                limit = max_events - fired_total
-                if limit <= 0:
-                    limit = 1
-            n = pop_run(batch, self.now, until, limit)
-            if n == 0:
-                break
-            first = batch[0]
-            assert first.time >= self.now, "event queue returned an event in the past"
-            self.now = first.time
-            fired_before = self.events_fired
-            seq_mark = queue._seq
-            i = 0
-            while i < n:
-                event = batch[i]
-                i += 1
-                if event.state is not pending_state:
-                    continue  # cancelled mid-batch by an earlier callback
-                # consume-at-fire: the queue did not decrement on drain
-                queue._live -= 1
-                if not event.daemon:
-                    queue._essential -= 1
-                event.state = fired_state
-                self.events_fired += 1
-                if plain:
-                    event.callback(*event.args)
-                else:
-                    if trace is not None:
-                        trace.record(self.now, "fire", event.tag, event)
-                    if profiler is None:
-                        event.callback(*event.args)
-                    else:
-                        tag = event.tag
-                        family = tag.split(":", 1)[0] if tag else "untagged"
-                        # wall-clock feeds only the attached profiler
-                        started = time.perf_counter()  # repro: noqa DET002
-                        event.callback(*event.args)
-                        profiler.stat(f"dispatch:{family}").add(
-                            time.perf_counter() - started  # repro: noqa DET002
-                        )
-                if self._stopped:
-                    break
-                if queue._seq != seq_mark:
-                    # the callback scheduled something; if it must fire
-                    # before the rest of this run, spill the tail back
-                    seq_mark = queue._seq
-                    if i < n:
-                        min_key = queue.min_key()
-                        if min_key is not None and min_key < batch[i].key:
-                            break
-            if i < n:
-                queue.restore(batch, i)
-            del batch[:]
-            fired_total += self.events_fired - fired_before
 
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""

@@ -18,21 +18,10 @@ Two hot-path refinements on top of the classic design:
 * **Precomputed keys.**  ``Event.key`` is rebuilt once at push time;
   every heap comparison is then a plain tuple compare instead of two
   attribute lookups, two method calls, and two tuple constructions.
-* **Run draining.**  :meth:`pop_run` removes a whole run of events that
-  share ``(time, priority)`` in one call, so the kernel's dispatch loop
-  pays one method call per *run* instead of three-plus per event
-  (``peek`` + ``next_time`` + ``pop``).  Counters are *not* touched by
-  ``pop_run`` — the kernel decrements them as each drained event
-  actually fires, which keeps ``len(queue)`` / ``essential_count``
-  during callbacks exactly what the classic pop-then-fire loop showed,
-  and keeps mid-run :meth:`cancel` of a drained-but-unfired event
-  consistent (the cancel path decrements; the fire loop then skips the
-  event without decrementing again).
 """
 
 from __future__ import annotations
 
-import heapq
 from heapq import heappop, heappush
 from typing import Iterator, Optional
 
@@ -74,7 +63,6 @@ class EventQueue:
         self._live += 1
         if not event.daemon:
             self._essential += 1
-        # placement logic mirrors _insert(), unrolled for the hot path
         head = self._head
         if head is not None and head.state is _CANCELLED:
             self._head = head = None
@@ -92,24 +80,6 @@ class EventQueue:
         else:
             heappush(heap, event)
         return event
-
-    def _insert(self, event: Event) -> None:
-        """Place an already-keyed event into the head slot or the heap."""
-        head = self._head
-        if head is not None and head.cancelled:
-            self._head = head = None
-        if head is None:
-            # take the slot only when the event precedes the whole heap —
-            # the slot invariant (head == global minimum) depends on it
-            if not self._heap or event.key < self._heap[0].key:
-                self._head = event
-            else:
-                heapq.heappush(self._heap, event)
-        elif event.key < head.key:
-            heapq.heappush(self._heap, head)
-            self._head = event
-        else:
-            heapq.heappush(self._heap, event)
 
     def cancel(self, event: Event) -> None:
         """Mark *event* cancelled; it will be skipped on pop.
@@ -133,7 +103,7 @@ class EventQueue:
             self._head = None
         heap = self._heap
         while heap and heap[0].cancelled:
-            heapq.heappop(heap)
+            heappop(heap)
 
     def peek(self) -> Optional[Event]:
         """The next event to fire, or None when empty (does not remove)."""
@@ -156,105 +126,11 @@ class EventQueue:
         else:
             if not self._heap:
                 raise SimulationError("pop from empty event queue")
-            event = heapq.heappop(self._heap)
+            event = heappop(self._heap)
         self._live -= 1
         if not event.daemon:
             self._essential -= 1
         return event
-
-    def pop_run(
-        self,
-        batch: list[Event],
-        now: float,
-        until: Optional[float] = None,
-        limit: int = 0,
-    ) -> int:
-        """Drain the next run of same-``(time, priority)`` events into *batch*.
-
-        Appends up to *limit* pending events (``limit <= 0`` means
-        unbounded) that share the minimum ``(time, priority)`` onto
-        *batch*, in seq order, and returns how many were appended.
-        Returns 0 — removing nothing — exactly when a stepwise
-        :meth:`~repro.sim.kernel.Simulator.run` loop would stop: the
-        queue is empty, only daemon events later than *now* remain and
-        *until* is None, or the next event lies beyond *until*.
-
-        Counters (``_live`` / ``_essential``) are **not** decremented
-        here — the kernel consumes them as each drained event actually
-        fires (see the module docstring for why).
-        """
-        if self._live == 0:
-            return 0
-        heap = self._heap
-        first = self._head
-        if first is not None and first.state is _CANCELLED:
-            self._head = first = None
-        if first is None:
-            while heap[0].state is _CANCELLED:
-                heappop(heap)
-            # _live > 0, so a pending event is guaranteed to surface;
-            # leaving it at heap[0] with an empty slot is the same state
-            # peek()/_drop_cancelled_head() leave, so an early return
-            # below needs no fix-up
-            first = heap[0]
-            from_slot = False
-        else:
-            from_slot = True
-        t = first.time
-        p = first.priority
-        if until is None:
-            if self._essential == 0 and t > now:
-                return 0  # only future daemon housekeeping remains
-        elif t > until:
-            return 0
-        if from_slot:
-            self._head = None
-        else:
-            heappop(heap)
-        batch.append(first)
-        n = 1
-        while limit <= 0 or n < limit:
-            while heap and heap[0].state is _CANCELLED:
-                heappop(heap)
-            if not heap:
-                break
-            nxt = heap[0]
-            # unequal floats merely end the run — never alter behaviour
-            if nxt.time != t or nxt.priority != p:  # repro: noqa DET004
-                break
-            heappop(heap)
-            batch.append(nxt)
-            n += 1
-        return n
-
-    def min_key(self) -> Optional[tuple[float, int, int]]:
-        """Ordering key of the next pending event, or None when empty.
-
-        O(1) amortised — used by the batched kernel to detect a callback
-        scheduling work that must fire before the rest of a drained run.
-        """
-        self._drop_cancelled_head()
-        head = self._head
-        if head is not None:
-            return head.key
-        return self._heap[0].key if self._heap else None
-
-    def restore(self, batch: list[Event], start: int) -> None:
-        """Re-insert the still-pending events in ``batch[start:]``.
-
-        Used by the batched kernel to spill back the unfired tail of a
-        drained run (newly scheduled work preempted it, or the run was
-        stopped mid-batch).  Keys and seq numbers are preserved, so the
-        events re-sort exactly where they were; counters are untouched
-        (they were never decremented for unfired events).  Cancelled
-        entries are dropped — their counters were already settled by
-        :meth:`cancel`.
-        """
-        for i in range(start, len(batch)):
-            event = batch[i]
-            if event.state is EventState.PENDING:
-                self._insert(event)
-        del batch[start:]
 
     @property
     def essential_count(self) -> int:

@@ -185,8 +185,8 @@ def test_module_name_for_path_variants():
     assert module_name_for_path("src/repro/sim/rng.py") == "repro.sim.rng"
     assert module_name_for_path("/abs/src/repro/market/broker.py") == "repro.market.broker"
     assert module_name_for_path("src/repro/obs/__init__.py") == "repro.obs"
-    assert module_name_for_path("benchmarks/bench_micro.py") == "benchmarks.bench_micro"
-    assert module_name_for_path("scripts/bench_compare.py") == "scripts.bench_compare"
+    assert module_name_for_path("examples/quickstart.py") == "examples.quickstart"
+    assert module_name_for_path("scripts/check_lint.py") == "scripts.check_lint"
 
 
 def test_policy_predicates():
@@ -197,7 +197,7 @@ def test_policy_predicates():
     assert is_hot_path("repro.market.broker")
     assert not is_hot_path("repro.workload.generator")
     assert is_print_allowed("repro.cli")
-    assert is_print_allowed("scripts.bench_compare")
+    assert is_print_allowed("scripts.check_lint")
     assert not is_print_allowed("repro.site.engine")
 
 

@@ -124,6 +124,23 @@ class TestRun:
         sim.run(max_events=2)
         assert fired == [0, 1]
 
+    def test_max_events_zero_fires_nothing(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, 0)
+        sim.run(max_events=0)
+        assert fired == []
+        assert sim.now == 0.0 and sim.pending_count == 1
+
+    def test_negative_max_events_raises(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.run(max_events=-1)
+        assert sim.pending_count == 1
+        sim.run()  # the refused call left the simulator runnable
+        assert sim.events_fired == 1
+
     def test_stop_from_callback(self):
         sim = Simulator()
         fired = []
@@ -157,6 +174,62 @@ class TestRun:
         sim.schedule(2.0, lambda: None)
         assert sim.pending_count == 2
         assert sim.peek_time() == 2.0
+
+
+class TestSameInstant:
+    """What callbacks may do to the rest of the instant they fire in."""
+
+    def test_lower_priority_number_scheduled_midinstant_fires_first(self):
+        sim = Simulator()
+        order = []
+
+        def first():
+            order.append("first")
+            sim.schedule(0.0, order.append, "urgent", priority=-1)
+            sim.schedule(0.0, order.append, "queued")
+
+        sim.schedule(1.0, first)
+        sim.schedule(1.0, order.append, "second")
+        sim.schedule(1.0, order.append, "third")
+        sim.run()
+        assert order == ["first", "urgent", "second", "third", "queued"]
+        assert sim.now == 1.0
+
+    def test_callback_cancels_later_event_of_same_instant(self):
+        sim = Simulator()
+        order = []
+        pending = []
+
+        def first():
+            order.append("first")
+            sim.cancel(doomed)
+            pending.append(sim.pending_count)
+
+        sim.schedule(1.0, first)
+        doomed = sim.schedule(1.0, order.append, "doomed")
+        sim.schedule(1.0, lambda: pending.append(sim.pending_count))
+        sim.schedule(1.0, order.append, "last")
+        sim.run()
+        assert order == ["first", "last"]
+        assert doomed.cancelled
+        assert pending == [2, 1]  # the cancelled event stopped counting at once
+        assert sim.pending_count == 0
+        assert sim.events_fired == 3
+
+    def test_stop_midinstant_leaves_rest_pending_in_order(self):
+        sim = Simulator()
+        order = []
+        sim.schedule(1.0, order.append, "a")
+        sim.schedule(1.0, sim.stop)
+        sim.schedule(1.0, order.append, "b", priority=1)
+        sim.schedule(1.0, order.append, "c")
+        sim.schedule(2.0, order.append, "d")
+        sim.run()
+        assert order == ["a"]
+        assert sim.now == 1.0 and sim.pending_count == 3
+        sim.run()
+        assert order == ["a", "c", "b", "d"]
+        assert sim.pending_count == 0
 
 
 class TestDaemonEvents:
