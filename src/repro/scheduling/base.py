@@ -95,24 +95,6 @@ class PoolColumns:
         z = np.empty(0)
         return cls(z, z, z, z, z, z)
 
-    @classmethod
-    def concat(cls, first: "PoolColumns", second: "PoolColumns") -> "PoolColumns":
-        """Stack two views; rows of *first* keep their indices.
-
-        Used by the preemption pass to score pending and running tasks in
-        a single space — heuristics with competitor-dependent terms
-        (FirstReward's opportunity cost) are only comparable when both
-        sets are scored against the same competitor population.
-        """
-        return cls(
-            np.concatenate([first.arrival, second.arrival]),
-            np.concatenate([first.runtime, second.runtime]),
-            np.concatenate([first.remaining, second.remaining]),
-            np.concatenate([first.value, second.value]),
-            np.concatenate([first.decay, second.decay]),
-            np.concatenate([first.bound, second.bound]),
-        )
-
 
 #: Smallest RPT used as a unit-gain denominator.  A task can legitimately
 #: have zero remaining time (its completion event is due at this very

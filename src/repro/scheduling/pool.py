@@ -19,9 +19,11 @@ read-only slices of the pool's backing storage, valid until the next
 mutation.  Consumers must not hold a view across ``add``/``remove`` —
 every caller in the engine re-reads ``columns()`` after mutating, and
 the read-only flag turns accidental writes into hard errors.  A
-``probe()`` view additionally shows a candidate written into the spare
-column after the last row; the next ``probe()`` or ``add()`` overwrites
-that column, so a probe view is valid until either.
+``probe()`` / ``probe_block()`` view additionally shows candidate rows
+written into the spare columns after the last row; the next probe or
+``add()`` overwrites those columns, so a probe view is valid until
+either.  The preemption pass scores its block view once and must not
+read the view after its first swap (the swap re-adds the victim).
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ class PendingPool:
         n = len(self._tasks)
         data = self._data
         if n == data.shape[1]:
-            data = self._grow(n)
+            data = self._grow(n, n + 1)
         data[_ARRIVAL, n] = task.arrival
         data[_RUNTIME, n] = task.estimate
         data[_REMAINING, n] = task.estimated_remaining
@@ -80,8 +82,9 @@ class PendingPool:
         data[_DECAY, n] = task.decay
         data[_BOUND, n] = task.bound
 
-    def _grow(self, n: int) -> np.ndarray:
-        grown = np.empty((6, max(_MIN_CAPACITY, 2 * n)))
+    def _grow(self, n: int, need: int) -> np.ndarray:
+        """Reallocate to at least *need* columns (doubling), keeping the first *n*."""
+        grown = np.empty((6, max(_MIN_CAPACITY, 2 * n, need)))
         grown[:, :n] = self._data[:, :n]
         self._data = grown
         return grown
@@ -103,6 +106,21 @@ class PendingPool:
         """
         self._write_row(task)
         return self._view(len(self._tasks) + 1)
+
+    def probe_block(self, rows: np.ndarray) -> PoolColumns:
+        """:meth:`probe` for a ``(6, k)`` block of rows in column-field order.
+
+        The preemption pass's pending ∪ running union: the running tasks'
+        rows land in the spare columns after the last pending row, so the
+        union is scored without copying the pool.
+        """
+        n = len(self._tasks)
+        end = n + rows.shape[1]
+        data = self._data
+        if end > data.shape[1]:
+            data = self._grow(n, end)
+        data[:, n:end] = rows
+        return self._view(end)
 
     def remove_at(self, index: int) -> Task:
         """Remove and return the task at *index* (column index space)."""

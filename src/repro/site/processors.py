@@ -234,21 +234,42 @@ class ProcessorPool:
             ]
         )
 
-    def remaining_times(self, now: float) -> dict[Task, float]:
-        """Believed RPT of each running task, measured from *now*."""
-        return {
-            t: self._believed_remaining(t, now)
-            for t in self._task_of
-            if t is not None
-        }
+    def running_rows(self, now: float) -> tuple[list[Task], np.ndarray]:
+        """The running tasks in slot order (one entry per busy node) and
+        their scheduler-visible scalars as one ``(6, k)`` block in
+        :class:`~repro.scheduling.base.PoolColumns` field order: arrival,
+        estimate, believed RPT measured from *now*, value, decay, bound.
 
-    def utilization(self, now: float, since: float = 0.0) -> float:
-        """Fraction of node-time spent busy over [since, now]."""
-        horizon = (now - since) * self.count
+        What :meth:`PendingPool.probe_block
+        <repro.scheduling.pool.PendingPool.probe_block>` takes to put
+        pending and running tasks in one scoring space.
+        """
+        tasks: list[Task] = []
+        rows: list[tuple[float, ...]] = []
+        for t in self._task_of:
+            if t is None:
+                continue
+            vf = t.linear_vf
+            tasks.append(t)
+            rows.append(
+                (
+                    t.arrival,
+                    t.estimate,
+                    self._believed_remaining(t, now),
+                    vf.value,
+                    vf.decay,
+                    vf.bound_or_inf(),
+                )
+            )
+        return tasks, np.array(rows).reshape(-1, 6).T
+
+    def utilization(self, now: float) -> float:
+        """Fraction of node-time spent busy over [0, now]."""
+        horizon = now * self.count
         if horizon <= 0:
             return 0.0
         busy = self._busy_accum + sum(
-            now - max(s, since)
+            now - s
             for t, s in zip(self._task_of, self._busy_since)
             if t is not None
         )

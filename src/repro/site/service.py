@@ -26,7 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.obs.instrument import Observability
 
 from repro.errors import SchedulingError
-from repro.scheduling.base import PoolColumns, SchedulingHeuristic, decay_horizons
+from repro.scheduling.base import SchedulingHeuristic, decay_horizons
 from repro.scheduling.pool import PendingPool
 from repro.sim.clock import Clock, SimClock
 from repro.sim.events import Event
@@ -231,56 +231,56 @@ class TaskServiceSite:
     # ------------------------------------------------------------------
     # Preemption
     # ------------------------------------------------------------------
-    def _running_columns(self, now: float) -> tuple[list[Task], PoolColumns]:
-        tasks = self.processors.running_tasks
-        remaining = self.processors.remaining_times(now)
-        cols = PoolColumns(
-            arrival=np.array([t.arrival for t in tasks]),
-            runtime=np.array([t.estimate for t in tasks]),
-            remaining=np.array([remaining[t] for t in tasks]),
-            value=np.array([t.value for t in tasks]),
-            decay=np.array([t.decay for t in tasks]),
-            bound=np.array([t.bound for t in tasks]),
-        )
-        return tasks, cols
-
     def _preemption_pass(self) -> None:
         """Swap queued tasks onto nodes while they outscore running tasks.
 
         Pending and running tasks are scored in one combined column set:
         heuristics whose scores depend on the competitor population
         (FirstReward's opportunity cost) are only comparable on a shared
-        population, and the shared set also makes each pass a simple
-        top-k selection that provably terminates.
+        population.  A swap moves one task each way, so the union — and
+        with it every score — is fixed for the whole pass: it is scored
+        once, and the swaps are replayed on that one vector, which makes
+        the pass a top-k selection that provably terminates.
         """
+        pool = self.pool
+        if not pool:
+            return
         now = self.clock.now
-        # a swap moves one task each way; the scores of a fixed task set at a
-        # fixed time are stable, so at most pool+nodes swaps can occur
-        guard = len(self.pool) + self.processors.count + 1
-        while self.pool:
-            running, run_cols = self._running_columns(now)
-            if not running:
-                return
-            n_pending = len(self.pool)
-            union = PoolColumns.concat(self.pool.columns(), run_cols)
-            scores = self.heuristic.scores(union, now)
-            pending_scores = scores[:n_pending]
-            running_scores = scores[n_pending:]
+        running, rows = self.processors.running_rows(now)
+        if not running:
+            return
+        n_pending = len(pool)
+        # an owned copy: the swaps below edit it in place, and the probe
+        # view it was scored from is dead after the first pool.add
+        scores = np.array(self.heuristic.scores(pool.probe_block(rows), now))
+        pending_scores = scores[:n_pending]  # pool order
+        running_scores = scores[n_pending:]  # slot order
+        # on fixed finite scores the worst running score only rises, so an
+        # evicted task never returns; the swap budget is for scores that do
+        # not order (NaN)
+        for _ in range(n_pending + self.processors.count + 1):
             best_pending = int(np.argmax(pending_scores))
             worst_running = int(np.argmin(running_scores))
-            margin = _PREEMPT_EPS * (1.0 + abs(running_scores[worst_running]))
-            if pending_scores[best_pending] <= running_scores[worst_running] + margin:
+            winner_score = pending_scores[best_pending]
+            victim_score = running_scores[worst_running]
+            if winner_score <= victim_score + _PREEMPT_EPS * (1.0 + abs(victim_score)):
                 return
             self._preempt(running[worst_running])
             # the vacated node goes to the pending task chosen above (the
             # preempted task was appended after it, so the index is stable)
-            self._start(self.pool.remove_at(best_pending))
-            guard -= 1
-            if guard <= 0:
-                raise SchedulingError(
-                    "preemption pass failed to converge — heuristic scores "
-                    "are unstable for a fixed task set"
-                )
+            winner = pool.remove_at(best_pending)
+            self._start(winner)
+            # the scores move with the tasks: the victim is now the pool's
+            # last row and the winner holds the victim's node
+            pending_scores[best_pending:-1] = pending_scores[best_pending + 1 :]
+            pending_scores[-1] = victim_score
+            running_scores[worst_running] = winner_score
+            running[worst_running] = winner
+            assert self.processors.running_tasks == running  # slot order breaks ties
+        raise SchedulingError(
+            "preemption pass failed to converge — heuristic scores are not "
+            "comparable (NaN?)"
+        )
 
     def _preempt(self, task: Task) -> None:
         now = self.clock.now

@@ -12,7 +12,9 @@ from repro.scheduling import (
     PresentValue,
     project_start_times,
 )
-from repro.scheduling.base import PoolColumns
+from repro.scheduling.pool import PendingPool
+from repro.tasks import Task
+from repro.valuefn import LinearDecayValueFunction
 from tests.property.strategies import pool_columns
 
 rpts = st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=50)
@@ -79,17 +81,26 @@ class TestHeuristicScores:
 
     @given(cols=pool_columns(min_size=2), now=now_values)
     @settings(max_examples=80)
-    def test_population_independent_scores_stable_under_concat(self, cols, now):
-        """FirstPrice/PV scores must not change when the pool is split and
-        re-concatenated — they depend only on the task itself."""
+    def test_population_independent_scores_stable_under_block_probe(self, cols, now):
+        """FirstPrice/PV scores must not change when the tail of the pool
+        arrives as a probed block instead (the preemption pass's pending ∪
+        running union) — they depend only on the task itself."""
         now = now + float(cols.arrival.max())
         half = len(cols) // 2
-        first = PoolColumns(*[getattr(cols, f)[:half] for f in
-                              ("arrival", "runtime", "remaining", "value", "decay", "bound")])
-        second = PoolColumns(*[getattr(cols, f)[half:] for f in
-                               ("arrival", "runtime", "remaining", "value", "decay", "bound")])
-        rebuilt = PoolColumns.concat(first, second)
+        fields = ("arrival", "runtime", "remaining", "value", "decay", "bound")
+        pool = PendingPool()
+        for i in range(half):
+            vf = LinearDecayValueFunction(
+                cols.value[i], cols.decay[i],
+                None if np.isinf(cols.bound[i]) else cols.bound[i],
+            )
+            task = Task(cols.arrival[i], cols.runtime[i], vf)
+            task.estimated_remaining = cols.remaining[i]
+            pool.add(task)
+        block = np.array([getattr(cols, f)[half:] for f in fields])
+        rebuilt = pool.probe_block(block)
+        assert len(rebuilt) == len(cols) and len(pool) == half
         for heuristic in (FirstPrice(), PresentValue(0.02)):
-            assert np.allclose(
+            assert np.array_equal(
                 heuristic.scores(cols, now), heuristic.scores(rebuilt, now)
             )

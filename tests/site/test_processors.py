@@ -86,15 +86,33 @@ class TestFreeTimes:
         pool.assign(t, 0.0, 3.0)
         assert pool.free_times(1.0)[0] == pytest.approx(20.0)
 
-    def test_remaining_times(self):
-        pool = ProcessorPool(2)
+    def test_running_rows(self):
+        pool = ProcessorPool(3)
         a = started_task(runtime=10.0, at=0.0)
-        b = started_task(runtime=4.0, at=0.0)
+        b = Task(1.0, 4.0, LinearDecayValueFunction(50.0, 2.0, penalty_bound=5.0), estimate=6.0)
+        b.submit(); b.accept(); b.start(1.0)
         pool.assign(a, 0.0, 10.0)
-        pool.assign(b, 0.0, 4.0)
-        remaining = pool.remaining_times(3.0)
-        assert remaining[a] == pytest.approx(7.0)
-        assert remaining[b] == pytest.approx(1.0)
+        pool.assign(b, 1.0, 5.0)
+        tasks, rows = pool.running_rows(3.0)
+        assert tasks == [a, b]  # slot order; the idle node has no row
+        # PoolColumns field order; the RPT is the believed one (estimate 6, ran 2)
+        assert rows.shape == (6, 2)
+        assert rows[:, 0].tolist() == [0.0, 10.0, 7.0, 100.0, 1.0, np.inf]
+        assert rows[:, 1].tolist() == [1.0, 6.0, 4.0, 50.0, 2.0, 5.0]
+
+    def test_running_rows_of_an_idle_pool(self):
+        tasks, rows = ProcessorPool(2).running_rows(3.0)
+        assert tasks == [] and rows.shape == (6, 0)
+
+    def test_running_rows_keep_the_linear_value_function_check(self):
+        from repro.valuefn import PiecewiseLinearValueFunction
+
+        pool = ProcessorPool(1)
+        t = Task(0.0, 5.0, PiecewiseLinearValueFunction([(0, 10), (3, 0)]))
+        t.submit(); t.accept(); t.start(0.0)
+        pool.assign(t, 0.0, 5.0)
+        with pytest.raises(SchedulingError, match="LinearDecayValueFunction"):
+            pool.running_rows(1.0)
 
 
 class TestElasticCapacity:
@@ -173,3 +191,17 @@ class TestUtilization:
 
     def test_zero_horizon(self):
         assert ProcessorPool(1).utilization(0.0) == 0.0
+
+    def test_busy_time_is_counted_from_time_zero(self):
+        # regression: utilization() took a ``since`` window start, but the
+        # busy accumulator covers the whole run, so a task vacated before
+        # the window (here [5, 10]) was still counted against the shorter
+        # horizon: (4 + 0) / 5 = 0.8 where the window saw no work at all.
+        # The parameter is gone; the one horizon is [0, now].
+        pool = ProcessorPool(1)
+        t = make_task()
+        pool.assign(t, 0.0, 4.0)
+        pool.vacate(t, 4.0)
+        assert pool.utilization(10.0) == pytest.approx(0.4)
+        with pytest.raises(TypeError):
+            pool.utilization(10.0, 5.0)
