@@ -187,6 +187,9 @@ class LiveSite:
         """
         if not self.pool or self.processors.free_count < 1:
             return None
+        if len(self.pool) == 1:
+            # nothing to rank: a lone task starts
+            return self.pool.remove_at(0)
         scores = self.heuristic.scores(self.pool.columns(), self.clock.now)
         return self.pool.remove_at(int(np.argmax(scores)))
 

@@ -90,6 +90,21 @@ def _jsonable(value: object) -> object:
     return value
 
 
+#: Encodes a row as it stands and refuses the floats JSON cannot carry
+#: (same separators and escaping as ``json.dumps``, so the same bytes).
+_STRICT_ENCODER = json.JSONEncoder(allow_nan=False)
+
+
+def _encode_row(row: dict) -> str:
+    """One record as its JSON line (no newline)."""
+    try:
+        return _STRICT_ENCODER.encode(row)
+    except ValueError:
+        # some field is inf/-inf/nan: spell the top-level ones as the
+        # sentinels the reader undoes
+        return json.dumps({k: _jsonable(v) for k, v in row.items()})
+
+
 def _from_jsonable(value: object) -> object:
     if value == "inf":
         return math.inf
@@ -201,8 +216,8 @@ class JournalSink:
     def write_line(self, text: str) -> None:
         """Append one line; flush always, fsync per policy."""
         assert self._file is not None, "sink is closed"
-        self._file.write(text)
-        self._file.write("\n")
+        # one write: a crash cannot leave a complete record unterminated
+        self._file.write(text + "\n")
         self._file.flush()
         self.lines += 1
         self._unsynced += 1
@@ -323,7 +338,7 @@ class FlightRecorder:
 
     def _write_line(self, row: dict) -> None:
         assert self.sink is not None
-        self.sink.write_line(json.dumps({k: _jsonable(v) for k, v in row.items()}))
+        self.sink.write_line(_encode_row(row))
 
     def close(self) -> None:
         """Flush and close the file sink (idempotent)."""

@@ -7,6 +7,9 @@ pool of pending tasks at decision time ``now``:
   now: ``max(0, now + RPT − arrival − runtime)``.
 * ``current_yields`` — Eq. 1 evaluated at those delays (with the
   penalty floor applied).
+* ``expiration_delays`` — per task, the delay at which its value function
+  stops decaying, ``(value + bound) / decay``.  No clock enters it, so
+  it is a column computed once per row, not a per-instant vector.
 * ``decay_horizons`` — per task, how much longer its value function can
   keep decaying (``inf`` for unbounded penalties; 0 once expired).  This
   is the ``expire_j`` term of Eq. 4.
@@ -35,12 +38,32 @@ class _Instant:
         self.d_eff: Optional[np.ndarray] = None
 
 
+def expiration_delays(
+    value: np.ndarray, decay: np.ndarray, bound: np.ndarray
+) -> np.ndarray:
+    """The delay at which each value function stops decaying.
+
+    ``(value + bound) / decay``: ``inf`` for an unbounded penalty, 0 for
+    a task that never decays (delay never costs it anything).
+    :class:`~repro.scheduling.pool.PendingPool` writes the same quantity
+    one row at a time (``_write_row``); a property test ties the two bit
+    for bit.
+    """
+    # inf (bound=inf) and overflow for vanishing decay rates are both
+    # semantically "effectively never expires"
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.where(decay > 0.0, (value + bound) / decay, 0.0)
+
+
 class PoolColumns:
     """Structure-of-arrays view over pending tasks.
 
     All arrays share one index space; ``remaining`` is the paper's RPT
-    (differs from ``runtime`` only for preempted tasks).  A view is a
-    value: nothing rebinds or writes its columns after construction.
+    (differs from ``runtime`` only for preempted tasks).  ``expiration``
+    is derived from ``value``/``decay``/``bound``
+    (:func:`expiration_delays`); the pool passes the column it maintains,
+    anyone else leaves it out.  A view is a value: nothing rebinds or
+    writes its columns after construction.
 
     The view also carries a one-slot memo of the vectors derived from it
     at one clock reading (:func:`current_delays`, :func:`current_yields`,
@@ -52,7 +75,16 @@ class PoolColumns:
     slot; a pool mutation replaces the view.
     """
 
-    __slots__ = ("arrival", "runtime", "remaining", "value", "decay", "bound", "_memo")
+    __slots__ = (
+        "arrival",
+        "runtime",
+        "remaining",
+        "value",
+        "decay",
+        "bound",
+        "expiration",
+        "_memo",
+    )
 
     def __init__(
         self,
@@ -62,6 +94,7 @@ class PoolColumns:
         value: np.ndarray,
         decay: np.ndarray,
         bound: np.ndarray,  # penalty bound; inf = unbounded
+        expiration: Optional[np.ndarray] = None,
     ) -> None:
         self.arrival = arrival
         self.runtime = runtime
@@ -69,6 +102,9 @@ class PoolColumns:
         self.value = value
         self.decay = decay
         self.bound = bound
+        self.expiration = (
+            expiration_delays(value, decay, bound) if expiration is None else expiration
+        )
         # at most one entry, keyed by the clock reading it was derived at
         self._memo: dict[float, _Instant] = {}
 
@@ -77,7 +113,7 @@ class PoolColumns:
 
     def __repr__(self) -> str:
         fields = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.__slots__[:6]
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__[:-1]
         )
         return f"PoolColumns({fields})"
 
@@ -146,17 +182,10 @@ def decay_horizons(cols: PoolColumns, now: float) -> np.ndarray:
     instant = cols.at(now)
     horizons = instant.horizons
     if horizons is None:
-        delays = current_delays(cols, now)
-        # inf horizons (bound=inf) and overflow for vanishing decay rates are
-        # both semantically "effectively never expires"
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            expiration = np.where(
-                cols.decay > 0.0,
-                (cols.value + cols.bound) / cols.decay,
-                0.0,
-            )
         # unbounded (bound=inf) with positive decay -> infinite horizon
-        horizons = instant.horizons = _frozen(np.maximum(0.0, expiration - delays))
+        horizons = instant.horizons = _frozen(
+            np.maximum(0.0, cols.expiration - current_delays(cols, now))
+        )
     return horizons
 
 

@@ -72,7 +72,7 @@ def project_next_start(
     projection per evaluation into O(position).
     """
     if len(free_times) == 0:
-        raise SchedulingError("project_start_times requires at least one processor")
+        raise SchedulingError("project_next_start requires at least one processor")
     remaining = np.asarray(remaining_in_order, dtype=np.float64)
     n = len(remaining)
     if not 0 <= position < n:
@@ -81,9 +81,9 @@ def project_next_start(
         pos = int(np.argmax(remaining < 0))
         rpt = remaining_in_order[pos]
         raise SchedulingError(f"negative RPT {rpt!r} at position {pos}")
-    # one conversion to Python floats, whatever the caller holds (the
-    # processor pool hands over a float64 array)
-    heap = np.asarray(free_times, dtype=np.float64).tolist()
+    # an owned list of Python floats, whatever the caller holds (the
+    # processor pool hands over a plain list)
+    heap = [float(t) for t in free_times]
     if len(heap) == 1:
         base = heap[0]
         if position == 0:
@@ -98,3 +98,18 @@ def project_next_start(
         # the earliest-free processor takes the next task in line
         heapreplace(heap, heap[0] + rpt)
     return heap[0]
+
+
+def project_lone_start(remaining: float, free_times: Sequence[float]) -> float:
+    """Projected start of a task that is the whole candidate schedule.
+
+    ``project_next_start([remaining], free_times, 0)`` in closed form:
+    with nothing ahead of it the task takes the earliest-free processor
+    (the heap's root before any walk), so no array is built.  The same
+    inputs are refused.
+    """
+    if len(free_times) == 0:
+        raise SchedulingError("project_lone_start requires at least one processor")
+    if remaining < 0:
+        raise SchedulingError(f"negative RPT {remaining!r} at position 0")
+    return float(min(free_times))

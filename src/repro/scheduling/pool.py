@@ -6,7 +6,10 @@ maintained *incrementally*: task attributes are written into
 preallocated capacity-doubling arrays on ``add`` (amortized O(1)), and
 removals shift the tail down with one vectorized move instead of
 rebuilding every column from Python attribute access.  ``columns()``
-itself is O(1) — it only slices the backing storage.
+itself is O(1) — it only slices the backing storage.  The backing array
+has seven rows: the six scalars read off the task plus ``expiration``,
+the one derived quantity no clock enters, computed once when the row is
+written instead of at every decision instant.
 
 Determinism contract: removals preserve pool order.  Swap-delete would
 be O(1) but reorders the index space, which changes ``argmax``
@@ -33,11 +36,13 @@ from typing import Iterator, Optional
 import numpy as np
 
 from repro.errors import SchedulingError
-from repro.scheduling.base import PoolColumns
+from repro.scheduling.base import PoolColumns, expiration_delays
 from repro.tasks.task import Task
 
-#: Row indices into the backing (6, capacity) array.
-_ARRIVAL, _RUNTIME, _REMAINING, _VALUE, _DECAY, _BOUND = range(6)
+#: Rows of the backing ``(_ROWS, capacity)`` array and their indices, in
+#: :class:`PoolColumns` field order.
+_ROWS = 7
+_ARRIVAL, _RUNTIME, _REMAINING, _VALUE, _DECAY, _BOUND, _EXPIRATION = range(_ROWS)
 
 #: Initial backing capacity (grows by doubling).
 _MIN_CAPACITY = 64
@@ -50,7 +55,7 @@ class PendingPool:
 
     def __init__(self) -> None:
         self._tasks: list[Task] = []
-        self._data = np.empty((6, _MIN_CAPACITY))
+        self._data = np.empty((_ROWS, _MIN_CAPACITY))
         self._columns: Optional[PoolColumns] = None
         self._multi_node = 0  # queued tasks with demand > 1
 
@@ -78,13 +83,18 @@ class PendingPool:
         data[_ARRIVAL, n] = task.arrival
         data[_RUNTIME, n] = task.estimate
         data[_REMAINING, n] = task.estimated_remaining
-        data[_VALUE, n] = task.value
-        data[_DECAY, n] = task.decay
-        data[_BOUND, n] = task.bound
+        vf = task.linear_vf
+        value, decay, bound = vf.value, vf.decay, vf.bound_or_inf()
+        data[_VALUE, n] = value
+        data[_DECAY, n] = decay
+        data[_BOUND, n] = bound
+        # the scalar twin of expiration_delays (float division overflows
+        # to inf without raising, as the vector form does)
+        data[_EXPIRATION, n] = (value + bound) / decay if decay > 0.0 else 0.0
 
     def _grow(self, n: int, need: int) -> np.ndarray:
         """Reallocate to at least *need* columns (doubling), keeping the first *n*."""
-        grown = np.empty((6, max(_MIN_CAPACITY, 2 * n, need)))
+        grown = np.empty((_ROWS, max(_MIN_CAPACITY, 2 * n, need)))
         grown[:, :n] = self._data[:, :n]
         self._data = grown
         return grown
@@ -93,7 +103,7 @@ class PendingPool:
         """Read-only view of the first *n* columns of the backing storage."""
         block = self._data[:, :n]
         block.flags.writeable = False
-        return PoolColumns(*block)  # six row views; they inherit the flag
+        return PoolColumns(*block)  # seven row views; they inherit the flag
 
     def probe(self, task: Task) -> PoolColumns:
         """The pool's columns with *task* as one extra last row; commits nothing.
@@ -119,7 +129,10 @@ class PendingPool:
         data = self._data
         if end > data.shape[1]:
             data = self._grow(n, end)
-        data[:, n:end] = rows
+        data[:_EXPIRATION, n:end] = rows
+        data[_EXPIRATION, n:end] = expiration_delays(
+            rows[_VALUE], rows[_DECAY], rows[_BOUND]
+        )
         return self._view(end)
 
     def remove_at(self, index: int) -> Task:
@@ -129,7 +142,7 @@ class PendingPool:
             raise SchedulingError(f"pool index {index} out of range (n={n})")
         task = self._tasks.pop(index)
         if index < n - 1:
-            # one vectorized tail shift across all six columns preserves
+            # one vectorized tail shift across all seven rows preserves
             # order (see the determinism contract above)
             self._data[:, index : n - 1] = self._data[:, index + 1 : n]
         if task.demand > 1:

@@ -24,14 +24,14 @@ import numpy as np
 
 from repro.errors import AdmissionError
 from repro.scheduling.base import effective_decay
-from repro.scheduling.candidate import project_next_start
+from repro.scheduling.candidate import project_lone_start, project_next_start
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.site.service import TaskServiceSite
     from repro.tasks.task import Task
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdmissionDecision:
     """Everything the slack evaluation learned about a proposed task.
 
@@ -105,8 +105,24 @@ class SlackAdmission:
             )
         # the site's clock abstracts over sim vs live mode (repro.sim.clock)
         now = site.clock.now
+        free_times = site.processors.free_times(now)
         # everything below works on declared quantities — the site cannot
         # see true runtimes when they are misestimated
+        if site.pool:
+            expected_start, cost = self._place(site, task, now, free_times)
+        else:
+            # nothing to rank against: the candidate is the whole
+            # schedule, so it takes the earliest-free node and displaces
+            # nobody (the empty Eq. 8 sum)
+            expected_start = project_lone_start(task.estimated_remaining, free_times)
+            cost = 0.0
+        return self._decide(task, expected_start, cost)
+
+    @staticmethod
+    def _place(
+        site: "TaskServiceSite", task: "Task", now: float, free_times: list[float]
+    ) -> tuple[float, float]:
+        """Where *task* starts in the candidate schedule and what it displaces."""
         cols = site.pool.probe(task)
         candidate_index = len(cols) - 1
 
@@ -125,19 +141,21 @@ class SlackAdmission:
         order = np.argsort(-scores, kind="stable")
         # only the candidate's own start is consumed, so project just
         # that slot (early-stopped; bit-identical to the full projection)
-        expected_start = project_next_start(
-            cols.remaining[order], site.processors.free_times(now), position
-        )
-        expected_completion = expected_start + task.estimated_remaining
-        expected_delay = max(0.0, expected_completion - task.arrival - task.estimate)
-        expected_yield = task.vf.yield_at(expected_delay)
-        pv = expected_yield / (1.0 + self.discount_rate * task.estimated_remaining)
-
+        expected_start = project_next_start(cols.remaining[order], free_times, position)
         # Eq. 8: the new task pushes back everything ordered behind it by
         # (roughly) its own runtime; expired tasks cost nothing (d_eff=0).
         behind = order[position + 1 :]
         d_eff = effective_decay(cols, now)
-        cost = float(task.estimate * d_eff[behind].sum())
+        return expected_start, float(task.estimate * d_eff[behind].sum())
+
+    def _decide(
+        self, task: "Task", expected_start: float, cost: float
+    ) -> AdmissionDecision:
+        """Eq. 7 on a projected start and an Eq. 8 cost: the verdict."""
+        expected_completion = expected_start + task.estimated_remaining
+        expected_delay = max(0.0, expected_completion - task.arrival - task.estimate)
+        expected_yield = task.vf.yield_at(expected_delay)
+        pv = expected_yield / (1.0 + self.discount_rate * task.estimated_remaining)
 
         if task.decay > 0:
             slack = (pv - cost) / task.decay

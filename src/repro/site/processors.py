@@ -214,7 +214,7 @@ class ProcessorPool:
         assert task.last_start is not None
         return max(0.0, task.estimated_remaining - (now - task.last_start))
 
-    def free_times(self, now: float) -> np.ndarray:
+    def free_times(self, now: float) -> list[float]:
         """Per-node next-free time as the scheduler believes it: *now*
         for idle nodes, now + the running task's estimated remaining time
         otherwise.  Seed state of every candidate-schedule projection.
@@ -225,14 +225,12 @@ class ProcessorPool:
         to the floor (admission then rejects, which is the right quote
         for a site that cannot currently run anything).
         """
-        return np.array(
-            [
-                math.inf
-                if d
-                else (now if t is None else now + self._believed_remaining(t, now))
-                for t, d in zip(self._task_of, self._down)
-            ]
-        )
+        return [
+            math.inf
+            if d
+            else (now if t is None else now + self._believed_remaining(t, now))
+            for t, d in zip(self._task_of, self._down)
+        ]
 
     def running_rows(self, now: float) -> tuple[list[Task], np.ndarray]:
         """The running tasks in slot order (one entry per busy node) and

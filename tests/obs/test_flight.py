@@ -11,6 +11,7 @@ from repro.obs.flight import (
     SETTLEMENT_OUTCOMES,
     FlightRecorder,
     Recording,
+    _jsonable,
     read_recording,
 )
 
@@ -84,6 +85,31 @@ class TestFileRoundtrip:
         # the file itself stays strict JSON (no bare Infinity tokens)
         for line in (tmp_path / "inf.jsonl").read_text().splitlines():
             json.loads(line)
+
+    def test_writer_bytes_equal_the_mapping_writer(self, tmp_path):
+        """The strict encoder, and its fallback, write what the old writer
+        wrote: every row rebuilt through ``_jsonable``, then ``json.dumps``."""
+        rows = [
+            ("bid", 0.0, {"bid_id": 7, "client_id": None, "value": 40.0, "bound": 3.5}),
+            ("bid", 0.5, {"bid_id": 8, "bound": math.inf, "released_at": None}),
+            ("quote", 1.0, {"site_id": "s\u00e9-0", "slack": -math.inf, "price": 1e-7}),
+            ("quote", 1.0, {"slack": math.nan, "verdict": "declined", "ok": True}),
+            ("intent", 2.0, {"action": "response", "doc": {"price": 2.5, "ids": [1, 2]}}),
+            # a non-finite float below the top level was never mapped
+            ("intent", 2.5, {"action": "response", "doc": {"slack": math.inf}}),
+            ("settlement", 3.0, {"on_time": False, "price": -0.0, "completion": 1e22}),
+        ]
+        path = tmp_path / "new.jsonl"
+        with FlightRecorder(str(path)) as rec:
+            for kind, t, fields in rows:
+                rec.record(kind, t, **fields)
+            events = list(rec.events)
+        header = {"kind": "header", "schema": FLIGHT_SCHEMA, "clock": "sim"}
+        old = "".join(
+            json.dumps({k: _jsonable(v) for k, v in row.items()}) + "\n"
+            for row in [header, *events]
+        )
+        assert path.read_bytes() == old.encode("utf-8")
 
     def test_torn_final_line_is_tolerated(self, tmp_path):
         path = str(tmp_path / "torn.jsonl")

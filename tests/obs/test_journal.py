@@ -55,6 +55,20 @@ def test_fsync_cadence_per_policy(tmp_path):
     assert off.syncs == 0
 
 
+def test_a_record_and_its_newline_are_one_write(tmp_path):
+    """A crash between two writes would leave a complete record unterminated."""
+    path = tmp_path / "j.jsonl"
+    sink = JournalSink(str(path), fsync="off")
+    written: list[str] = []
+    real_write = sink._file.write
+    sink._file.write = lambda text: written.append(text) or real_write(text)
+    sink.write_line('{"seq": 1}')
+    sink.write_line('{"seq": 2}')
+    sink.close()
+    assert written == ['{"seq": 1}\n', '{"seq": 2}\n']
+    assert path.read_text() == '{"seq": 1}\n{"seq": 2}\n'
+
+
 def test_close_is_idempotent_and_reported(tmp_path):
     sink = JournalSink(str(tmp_path / "j.jsonl"), fsync="always")
     assert not sink.closed

@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.scheduling import PendingPool
+from repro.scheduling import PendingPool, PoolColumns, decay_horizons
 from repro.tasks import Task
 from repro.valuefn import LinearDecayValueFunction
 
@@ -153,3 +153,96 @@ def test_columns_cached_until_mutation():
     assert pool.columns() is first
     pool.add(fresh_task(1))
     assert pool.columns() is not first
+
+
+# ----------------------------------------------------------------------
+# The expiration column: written once per row, equal to the vector form
+# ----------------------------------------------------------------------
+
+def old_expiration(cols) -> np.ndarray:
+    """The expression ``decay_horizons`` evaluated at every instant before
+    the pool carried it as a column."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.where(cols.decay > 0.0, (cols.value + cols.bound) / cols.decay, 0.0)
+
+
+def old_decay_horizons(cols, now: float) -> np.ndarray:
+    """A copy of the ``decay_horizons`` kernel the column replaced."""
+    delays = np.maximum(0.0, now + cols.remaining - cols.arrival - cols.runtime)
+    return np.maximum(0.0, old_expiration(cols) - delays)
+
+
+def assert_expiration_matches(cols, now: float = 0.0) -> None:
+    # bit for bit: array_equal would pass 0.0 for -0.0 and fail nan for nan
+    assert cols.expiration.tobytes() == old_expiration(cols).tobytes()
+    assert decay_horizons(cols, now).tobytes() == old_decay_horizons(cols, now).tobytes()
+
+
+#: decay rates at the edges: never decays, overflows the quotient, ordinary
+edge_decay = st.sampled_from([0.0, 5e-324, 1e-300, 0.05, 2.0, 100.0])
+edge_bound = st.sampled_from([None, 0.0, 25.0, 1e308])
+
+
+@st.composite
+def edge_tasks(draw) -> Task:
+    return Task(
+        arrival=draw(st.floats(min_value=0.0, max_value=50.0)),
+        runtime=draw(st.floats(min_value=0.01, max_value=500.0)),
+        vf=LinearDecayValueFunction(
+            draw(st.floats(min_value=0.1, max_value=1e308)),
+            draw(edge_decay),
+            draw(edge_bound),
+        ),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tasks=st.lists(edge_tasks(), min_size=1, max_size=150),
+    removals=st.lists(st.floats(min_value=0.0, max_value=0.999), max_size=40),
+    candidate=edge_tasks(),
+    now=st.floats(min_value=0.0, max_value=1e4),
+)
+def test_expiration_column_equals_the_vector_expression(tasks, removals, candidate, now):
+    pool = PendingPool()
+    for task in tasks:  # up to 150 rows: grows past the 64-column backing
+        pool.add(task)
+        assert_expiration_matches(pool.columns(), now)
+    for fraction in removals:
+        if len(pool) == 1:
+            break
+        pool.remove_at(int(fraction * len(pool)))
+        assert_expiration_matches(pool.columns(), now)
+    probed = pool.probe(candidate)
+    assert len(probed) == len(pool) + 1
+    assert_expiration_matches(probed, now)
+    # a block of rows in field order, as the preemption pass hands over
+    block = np.array(rebuilt_columns(tasks[:17]))
+    union = pool.probe_block(block)
+    assert len(union) == len(pool) + block.shape[1]
+    assert_expiration_matches(union, now)
+    assert_expiration_matches(pool.columns(), now)
+
+
+def test_hand_built_columns_derive_their_expiration():
+    cols = PoolColumns(*rebuilt_columns([fresh_task(i) for i in range(5)]))
+    assert_expiration_matches(cols, 3.0)
+    assert len(PoolColumns.empty().expiration) == 0
+
+
+def test_expiration_survives_growth_and_tail_shifts():
+    """Every edge (bound=inf, decay=0, an overflowing quotient) on both
+    sides of the 64-column reallocation and of a ``remove_at`` shift."""
+    decays = [0.0, 5e-324, 0.05, 2.0]
+    bounds = [None, 0.0, 25.0]
+    pool = PendingPool()
+    for i in range(200):
+        vf = LinearDecayValueFunction(10.0 + i, decays[i % 4], bounds[i % 3])
+        pool.add(Task(arrival=float(i), runtime=1.0 + i % 5, vf=vf))
+    cols = pool.columns()
+    assert np.isinf(cols.expiration[1])  # (11 + inf) / 5e-324
+    assert cols.expiration[0] == 0.0  # never decays
+    assert_expiration_matches(cols, 7.0)
+    for index in (0, 198, 63, 64, 100):
+        pool.remove_at(index)
+        assert_expiration_matches(pool.columns(), 7.0)
