@@ -105,13 +105,22 @@ def _encode_row(row: dict) -> str:
         return json.dumps({k: _jsonable(v) for k, v in row.items()})
 
 
-def _from_jsonable(value: object) -> object:
-    if value == "inf":
-        return math.inf
-    if value == "-inf":
-        return -math.inf
-    if value == "nan":
-        return math.nan
+#: The fields the typed emitters fill from floats — the only ones whose
+#: value the writer can have spelled as a sentinel, so the only ones the
+#: reader turns back.  Everything else a client can name itself
+#: (``client_id``, ``site_id``, an idempotency key) stays the string it was.
+_FLOAT_FIELDS = frozenset({
+    "t", "threshold", "discount_rate", "runtime", "value", "decay", "bound",
+    "released_at", "slack", "expected_completion", "expected_yield", "price",
+    "expires_at", "agreed_price", "promised_completion", "completion",
+    "retry_after_s", "revenue",
+})
+_SENTINELS = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
+
+
+def _from_jsonable(key: str, value: object) -> object:
+    if isinstance(value, str) and key in _FLOAT_FIELDS:
+        return _SENTINELS.get(value, value)
     return value
 
 
@@ -552,5 +561,5 @@ def read_recording(path: str) -> Recording:
             if index == len(lines):
                 break  # torn final line from an interrupted writer
             raise ValueError(f"{path}:{index}: unreadable record") from None
-        events.append({k: _from_jsonable(v) for k, v in raw.items()})
+        events.append({k: _from_jsonable(k, v) for k, v in raw.items()})
     return Recording(schema=schema, clock=clock, events=events)

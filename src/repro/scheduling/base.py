@@ -61,9 +61,12 @@ class PoolColumns:
     All arrays share one index space; ``remaining`` is the paper's RPT
     (differs from ``runtime`` only for preempted tasks).  ``expiration``
     is derived from ``value``/``decay``/``bound``
-    (:func:`expiration_delays`); the pool passes the column it maintains,
-    anyone else leaves it out.  A view is a value: nothing rebinds or
-    writes its columns after construction.
+    (:func:`expiration_delays`) and ``never_expires`` from ``expiration``
+    (every entry ``+inf``: the unbounded-penalty regime, where no horizon
+    is finite and no decay rate is ever zeroed); the pool passes the
+    column and the count it maintains, anyone else leaves both out.  A
+    view is a value: nothing rebinds or writes its columns after
+    construction.
 
     The view also carries a one-slot memo of the vectors derived from it
     at one clock reading (:func:`current_delays`, :func:`current_yields`,
@@ -83,6 +86,7 @@ class PoolColumns:
         "decay",
         "bound",
         "expiration",
+        "never_expires",
         "_memo",
     )
 
@@ -95,6 +99,7 @@ class PoolColumns:
         decay: np.ndarray,
         bound: np.ndarray,  # penalty bound; inf = unbounded
         expiration: Optional[np.ndarray] = None,
+        never_expires: bool = False,
     ) -> None:
         self.arrival = arrival
         self.runtime = runtime
@@ -102,9 +107,11 @@ class PoolColumns:
         self.value = value
         self.decay = decay
         self.bound = bound
-        self.expiration = (
-            expiration_delays(value, decay, bound) if expiration is None else expiration
-        )
+        if expiration is None:
+            expiration = expiration_delays(value, decay, bound)
+            never_expires = bool(np.isposinf(expiration).all())
+        self.expiration = expiration
+        self.never_expires = never_expires
         # at most one entry, keyed by the clock reading it was derived at
         self._memo: dict[float, _Instant] = {}
 
@@ -179,6 +186,8 @@ def decay_horizons(cols: PoolColumns, now: float) -> np.ndarray:
     still cost anything.  Unbounded tasks return ``inf``; zero-decay
     tasks return 0 (delay never costs anything).
     """
+    if cols.never_expires:
+        return cols.expiration  # inf − any delay: all inf, whatever the clock
     instant = cols.at(now)
     horizons = instant.horizons
     if horizons is None:
@@ -191,6 +200,8 @@ def decay_horizons(cols: PoolColumns, now: float) -> np.ndarray:
 
 def effective_decay(cols: PoolColumns, now: float) -> np.ndarray:
     """Decay rates with expired tasks zeroed (they cost nothing to defer)."""
+    if cols.never_expires:
+        return cols.decay  # every horizon is inf: nothing is zeroed
     instant = cols.at(now)
     d_eff = instant.d_eff
     if d_eff is None:

@@ -77,19 +77,19 @@ def project_next_start(
     n = len(remaining)
     if not 0 <= position < n:
         raise SchedulingError(f"position {position} out of range for {n} tasks")
-    if np.any(remaining < 0):
-        pos = int(np.argmax(remaining < 0))
+    negative = remaining < 0
+    if negative.any():
+        pos = int(np.argmax(negative))
         rpt = remaining_in_order[pos]
         raise SchedulingError(f"negative RPT {rpt!r} at position {pos}")
+    if position == 0:
+        return float(min(free_times))  # nothing ahead: the earliest-free processor
     # an owned list of Python floats, whatever the caller holds (the
     # processor pool hands over a plain list)
     heap = [float(t) for t in free_times]
     if len(heap) == 1:
-        base = heap[0]
-        if position == 0:
-            return base
         acc = np.empty(position + 1)
-        acc[0] = base
+        acc[0] = heap[0]
         acc[1:] = remaining[:position]
         return float(acc.cumsum()[-1])
     heapq.heapify(heap)

@@ -15,9 +15,14 @@ horizons ascending; then for each i,
     Σ_j d_j · min(R_i, h_j) = Σ_{h_j ≤ R_i} d_j·h_j  +  R_i · Σ_{h_j > R_i} d_j
 
 and both partial sums are prefix-sum lookups at ``searchsorted(h, R_i)``.
-When no horizon is finite (every experiment of Fig. 3–7: unbounded
-penalties) nothing saturates and the closed form of Eq. 5,
-``R_i · Σ_j d_j − d_i · R_i``, needs no sort at all.
+Only competitors that still weigh something (``d_j > 0``) are sorted: an
+expired one adds exactly ``+0.0`` to both sums wherever it sorts (§5.3:
+it "may be deferred to the end of the schedule with no further cost").
+When no horizon is finite (unbounded penalties: Fig. 5–7 and the market;
+Fig. 4 and the bench's ``preempt`` cell bound the penalty and take the
+sort) nothing saturates and the closed form of Eq. 5,
+``R_i · Σ_j d_j − d_i · R_i``, needs no sort at all: a view that knows it
+never expires (``PoolColumns.never_expires``) goes straight to it.
 """
 
 from __future__ import annotations
@@ -25,6 +30,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SchedulingError
+
+
+def unbounded_costs(remaining: np.ndarray, decay: np.ndarray) -> np.ndarray:
+    """Eq. 5: every competitor decays for the whole run, so Eq. 4 collapses
+    to ``R_i · Σ_j d_j`` minus the task's own ``d_i · R_i``.  The general
+    kernel reduces to exactly these operations in this order when nothing
+    saturates, so the bits agree."""
+    if (remaining < 0).any() or (decay < 0).any():
+        raise SchedulingError("cost inputs must be non-negative")
+    return remaining * float(decay.sum()) - decay * remaining
 
 
 def opportunity_costs(
@@ -63,34 +78,35 @@ def opportunity_costs(
     finite = np.isfinite(horizons)
     n_finite = np.count_nonzero(finite)
     if n_finite == 0:
-        # Eq. 5: every competitor decays for the whole run, so the sum
-        # collapses to R_i · Σ_j d_j minus the task's own d_i · R_i.  The
-        # general path below reduces to exactly these operations in this
-        # order when nothing saturates, so the bits agree.
-        return remaining * float(decay.sum()) - decay * remaining
-    if n_finite == n:
-        h_fin, d_fin, w_unbounded = horizons, decay, 0.0
+        return unbounded_costs(remaining, decay)
+    # weight of unbounded competitors: they always contribute d_j * R_i
+    w_unbounded = 0.0 if n_finite == n else float(decay[~finite].sum())
+    # the competitors that can saturate and still weigh something
+    live = finite & (decay > 0.0)
+    n_live = np.count_nonzero(live)
+    if n_live == n:
+        h_live, d_live = horizons, decay
     else:
-        h_fin = horizons[finite]
-        d_fin = decay[finite]
-        # weight of unbounded competitors: they always contribute d_j * R_i
-        w_unbounded = float(decay[~finite].sum())
+        h_live = horizons[live]
+        d_live = decay[live]
 
-    order = np.argsort(h_fin)
-    h_sorted = h_fin[order]
-    d_sorted = d_fin[order]
+    # stable, like every sort in the engine: tied horizons keep pool
+    # order, so the sums below accumulate in one order on every machine
+    order = np.argsort(h_live, kind="stable")
+    h_sorted = h_live[order]
+    d_sorted = d_live[order]
     # prefix sums with a leading zero so index k means "first k entries"
-    prefix_dh = np.empty(n_finite + 1)
+    prefix_dh = np.empty(n_live + 1)
     prefix_dh[0] = 0.0
     np.cumsum(d_sorted * h_sorted, out=prefix_dh[1:])
-    prefix_d = np.empty(n_finite + 1)
+    prefix_d = np.empty(n_live + 1)
     prefix_d[0] = 0.0
     np.cumsum(d_sorted, out=prefix_d[1:])
-    total_d_fin = prefix_d[-1]
+    total_d_live = prefix_d[-1]
 
     k = np.searchsorted(h_sorted, remaining, side="right")
     saturated = prefix_dh[k]                      # Σ d_j h_j over h_j ≤ R_i
-    linear = remaining * (total_d_fin - prefix_d[k] + w_unbounded)
+    linear = remaining * (total_d_live - prefix_d[k] + w_unbounded)
     cost = saturated + linear
 
     # remove each task's own contribution (j ≠ i)

@@ -27,7 +27,7 @@ from repro.scheduling.base import (
     effective_decay,
     unit_denominator,
 )
-from repro.scheduling.cost import opportunity_costs
+from repro.scheduling.cost import opportunity_costs, unbounded_costs
 from repro.scheduling.presentvalue import present_values
 
 
@@ -59,9 +59,12 @@ class FirstReward(SchedulingHeuristic):
         denom = unit_denominator(cols)
         if self.alpha == 1.0:
             return pv / denom
-        horizons = decay_horizons(cols, now)
-        d_eff = effective_decay(cols, now)
-        cost = opportunity_costs(cols.remaining, d_eff, horizons)
+        if cols.never_expires:
+            cost = unbounded_costs(cols.remaining, cols.decay)  # Eq. 5
+        else:
+            cost = opportunity_costs(
+                cols.remaining, effective_decay(cols, now), decay_horizons(cols, now)
+            )
         return (self.alpha * pv - (1.0 - self.alpha) * cost) / denom
 
     def __repr__(self) -> str:

@@ -11,6 +11,14 @@ has seven rows: the six scalars read off the task plus ``expiration``,
 the one derived quantity no clock enters, computed once when the row is
 written instead of at every decision instant.
 
+Regime contract: the pool counts its rows whose ``expiration`` is not
+``+inf`` (``_expiring``: up in ``add``, down in ``remove_at``, like
+``_multi_node``) and hands every view the derived ``never_expires`` —
+the count is zero and, on a probe view, the probed rows never expire
+either.  Nobody sets the flag: it restates the ``expiration`` column, so
+the kernels read the penalty regime instead of re-taking a census of
+the column at every decision instant.
+
 Determinism contract: removals preserve pool order.  Swap-delete would
 be O(1) but reorders the index space, which changes ``argmax``
 tie-breaking and therefore schedules — the experiment layer promises
@@ -31,6 +39,7 @@ read the view after its first swap (the swap re-adds the victim).
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Optional
 
 import numpy as np
@@ -51,13 +60,14 @@ _MIN_CAPACITY = 64
 class PendingPool:
     """Mutable ordered set of queued tasks with vectorized column access."""
 
-    __slots__ = ("_tasks", "_data", "_columns", "_multi_node")
+    __slots__ = ("_tasks", "_data", "_columns", "_multi_node", "_expiring")
 
     def __init__(self) -> None:
         self._tasks: list[Task] = []
         self._data = np.empty((_ROWS, _MIN_CAPACITY))
         self._columns: Optional[PoolColumns] = None
         self._multi_node = 0  # queued tasks with demand > 1
+        self._expiring = 0  # queued tasks whose expiration is not +inf
 
     # ------------------------------------------------------------------
     def add(self, task: Task) -> None:
@@ -68,14 +78,16 @@ class PendingPool:
         because a queued task's RPT only changes through preemption or a
         crash requeue, both of which re-add it — writing a fresh row.
         """
-        self._write_row(task)
+        if self._write_row(task) != math.inf:
+            self._expiring += 1
         self._tasks.append(task)
         if task.demand > 1:
             self._multi_node += 1
         self._columns = None
 
-    def _write_row(self, task: Task) -> None:
-        """Write *task*'s scalars into the first spare column, growing if full."""
+    def _write_row(self, task: Task) -> float:
+        """Write *task*'s scalars into the first spare column, growing if
+        full; returns the row's ``expiration``."""
         n = len(self._tasks)
         data = self._data
         if n == data.shape[1]:
@@ -90,7 +102,9 @@ class PendingPool:
         data[_BOUND, n] = bound
         # the scalar twin of expiration_delays (float division overflows
         # to inf without raising, as the vector form does)
-        data[_EXPIRATION, n] = (value + bound) / decay if decay > 0.0 else 0.0
+        expiration = (value + bound) / decay if decay > 0.0 else 0.0
+        data[_EXPIRATION, n] = expiration
+        return expiration
 
     def _grow(self, n: int, need: int) -> np.ndarray:
         """Reallocate to at least *need* columns (doubling), keeping the first *n*."""
@@ -99,11 +113,12 @@ class PendingPool:
         self._data = grown
         return grown
 
-    def _view(self, n: int) -> PoolColumns:
+    def _view(self, n: int, never_expires: bool) -> PoolColumns:
         """Read-only view of the first *n* columns of the backing storage."""
         block = self._data[:, :n]
         block.flags.writeable = False
-        return PoolColumns(*block)  # seven row views; they inherit the flag
+        # seven row views; they inherit the read-only flag
+        return PoolColumns(*block, never_expires)
 
     def probe(self, task: Task) -> PoolColumns:
         """The pool's columns with *task* as one extra last row; commits nothing.
@@ -114,8 +129,10 @@ class PendingPool:
         untouched.  It snapshots the same *believed* quantities as
         :meth:`add`.
         """
-        self._write_row(task)
-        return self._view(len(self._tasks) + 1)
+        expiration = self._write_row(task)
+        return self._view(
+            len(self._tasks) + 1, self._expiring == 0 and expiration == math.inf
+        )
 
     def probe_block(self, rows: np.ndarray) -> PoolColumns:
         """:meth:`probe` for a ``(6, k)`` block of rows in column-field order.
@@ -130,10 +147,11 @@ class PendingPool:
         if end > data.shape[1]:
             data = self._grow(n, end)
         data[:_EXPIRATION, n:end] = rows
-        data[_EXPIRATION, n:end] = expiration_delays(
-            rows[_VALUE], rows[_DECAY], rows[_BOUND]
+        expiration = expiration_delays(rows[_VALUE], rows[_DECAY], rows[_BOUND])
+        data[_EXPIRATION, n:end] = expiration
+        return self._view(
+            end, self._expiring == 0 and bool(np.isposinf(expiration).all())
         )
-        return self._view(end)
 
     def remove_at(self, index: int) -> Task:
         """Remove and return the task at *index* (column index space)."""
@@ -141,6 +159,8 @@ class PendingPool:
         if not 0 <= index < n:
             raise SchedulingError(f"pool index {index} out of range (n={n})")
         task = self._tasks.pop(index)
+        if self._data[_EXPIRATION, index] != math.inf:
+            self._expiring -= 1
         if index < n - 1:
             # one vectorized tail shift across all seven rows preserves
             # order (see the determinism contract above)
@@ -202,5 +222,5 @@ class PendingPool:
         must not see ground truth.
         """
         if self._columns is None:
-            self._columns = self._view(len(self._tasks))
+            self._columns = self._view(len(self._tasks), self._expiring == 0)
         return self._columns

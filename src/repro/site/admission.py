@@ -124,29 +124,23 @@ class SlackAdmission:
     ) -> tuple[float, float]:
         """Where *task* starts in the candidate schedule and what it displaces."""
         cols = site.pool.probe(task)
-        candidate_index = len(cols) - 1
-
+        last = len(cols) - 1  # the candidate's row
         scores = site.heuristic.scores(cols, now)
-        # The candidate is the last row, so a stable descending sort puts
-        # every tie ahead of it: its position is the number of other
-        # scores >= its own.  NaN compares false both ways, which sorts
-        # NaN rows last — and the candidate last among them.
-        own = scores[candidate_index]
-        if math.isnan(own):
-            position = candidate_index
-        else:
-            position = int(np.count_nonzero(scores >= own)) - 1
-        # the order itself feeds the projection (everything ahead, in
-        # sequence) and the Eq. 8 sum (everything behind, in sequence)
+        # one stable descending sort feeds everything: the candidate's
+        # rank (it is the last row, so every tie sorts ahead of it, NaN
+        # rows — which sort last — included), the projection (everything
+        # ahead, in sequence) and the Eq. 8 sum (everything behind)
         order = np.argsort(-scores, kind="stable")
+        position = order.tolist().index(last)
         # only the candidate's own start is consumed, so project just
         # that slot (early-stopped; bit-identical to the full projection)
         expected_start = project_next_start(cols.remaining[order], free_times, position)
+        if position == last:
+            return expected_start, 0.0  # nobody behind: the empty Eq. 8 sum
         # Eq. 8: the new task pushes back everything ordered behind it by
         # (roughly) its own runtime; expired tasks cost nothing (d_eff=0).
-        behind = order[position + 1 :]
-        d_eff = effective_decay(cols, now)
-        return expected_start, float(task.estimate * d_eff[behind].sum())
+        behind = effective_decay(cols, now)[order[position + 1 :]]
+        return expected_start, float(task.estimate * behind.sum())
 
     def _decide(
         self, task: "Task", expected_start: float, cost: float

@@ -354,6 +354,8 @@ class TaskServiceSite:
         if not self.pool:
             return
         cols = self.pool.columns()
+        if cols.never_expires:
+            return
         horizons = decay_horizons(cols, now)
         expired = (horizons <= 0.0) & np.isfinite(cols.bound) & (cols.decay > 0.0)
         if not expired.any():

@@ -69,6 +69,8 @@ class TaskBid:
     client_id: Optional[str] = None
     released_at: Optional[float] = None
     bid_id: int = field(default_factory=lambda: next(_bid_ids))
+    #: the value function the tuple above spells, built once (the bid is frozen)
+    _vf: LinearDecayValueFunction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.runtime) or self.runtime <= 0:
@@ -76,11 +78,12 @@ class TaskBid:
         if self.demand < 1:
             raise MarketError(f"bid demand must be >= 1, got {self.demand!r}")
         # delegate value/decay/bound validation to the value-function model
-        self.value_function()
+        vf = LinearDecayValueFunction(self.value, self.decay, self.bound)
+        object.__setattr__(self, "_vf", vf)
 
     def value_function(self) -> LinearDecayValueFunction:
-        """Materialize the bid's value function."""
-        return LinearDecayValueFunction(self.value, self.decay, self.bound)
+        """The bid's value function (built and validated once, at construction)."""
+        return self._vf
 
     def as_tuple(self) -> tuple[float, float, float, Optional[float]]:
         """The paper's ``(runtime, value, decay, bound)`` tuple."""

@@ -120,6 +120,55 @@ class TestBroker:
         assert outcome.winner.expected_price == pytest.approx(60.0)
 
 
+class TestOneValueFunctionPerBid:
+    """The bid is frozen, so the value function its tuple spells is built
+    (and validated) once, at construction — not per quote."""
+
+    def test_a_four_site_negotiation_builds_it_once(self, monkeypatch):
+        from repro.valuefn import LinearDecayValueFunction
+
+        built = []
+        real_init = LinearDecayValueFunction.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args)
+            real_init(self, *args, **kwargs)
+
+        sim = Simulator()
+        broker = Broker(
+            sites=[make_site(sim, f"s{i}", processors=2) for i in range(4)],
+            strategy=best_yield,
+        )
+        monkeypatch.setattr(LinearDecayValueFunction, "__init__", spy)
+        for n in range(1, 4):  # later bids probe populated pools too
+            bid = make_bid(runtime=40.0, value=100.0 + n)
+            outcome = broker.negotiate(bid)
+            assert len(outcome.quotes) == 4 and outcome.accepted
+            assert len(built) == n, built
+            assert outcome.contract.vf is bid.value_function()
+        assert best_surplus(bid, outcome.quotes) is not None
+        assert len(built) == 3
+
+    def test_a_bad_value_function_is_still_refused_at_construction(self):
+        from repro.errors import ValueFunctionError
+
+        for bad in ({"decay": -1.0}, {"value": math.inf}, {"decay": math.nan}):
+            with pytest.raises(ValueFunctionError):
+                TaskBid(**{"runtime": 10.0, "value": 100.0, "decay": 2.0, **bad})
+        with pytest.raises(ValueFunctionError, match="floor above"):
+            TaskBid(runtime=10.0, value=100.0, decay=2.0, bound=-200.0)
+
+    def test_the_cache_is_not_part_of_the_bid(self):
+        import dataclasses
+
+        bid = make_bid()
+        twin = dataclasses.replace(bid)
+        assert twin == bid and hash(twin) == hash(bid)
+        assert "_vf" not in repr(bid)
+        moved = dataclasses.replace(bid, value=5.0)
+        assert moved.value_function().value == 5.0
+
+
 class TestEconomy:
     def test_trace_negotiated_end_to_end(self):
         sim = Simulator()

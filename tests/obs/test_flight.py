@@ -86,6 +86,35 @@ class TestFileRoundtrip:
         for line in (tmp_path / "inf.jsonl").read_text().splitlines():
             json.loads(line)
 
+    def test_names_that_look_like_sentinels_stay_strings(self, tmp_path):
+        """The writer only spells *floats* as ``"inf"``/``"-inf"``/``"nan"``;
+        a client or site that calls itself that is not a float."""
+        from repro.tasks import TaskBid
+
+        path = str(tmp_path / "names.jsonl")
+        with FlightRecorder(path) as rec:
+            for name in ("nan", "inf", "-inf"):
+                rec.bid(0.0, TaskBid(runtime=5.0, value=10.0, decay=1.0, client_id=name))
+                rec.site_open(0.0, name, 4, "firstprice", threshold=-math.inf)
+                rec.shed(1.0, 3, 2, 0.5, client_id=name)
+                rec.intent(1.0, "response", idempotency_key=name, response={"ok": True})
+                rec.record("quote", 2.0, site_id=name, verdict="declined", slack=math.inf)
+                rec.record("quote", 2.0, site_id=name, verdict="declined", slack=-math.inf)
+                rec.record("quote", 2.0, site_id=name, verdict="declined", slack=math.nan)
+            written = list(rec.events)
+        parsed = read_recording(path)
+        assert len(parsed) == len(written)
+        for got, want in zip(parsed.events, written):
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                assert type(got[key]) is type(value), (key, got[key])
+                if isinstance(value, float) and math.isnan(value):
+                    assert math.isnan(got[key])
+                else:
+                    assert got[key] == value
+        assert {e["client_id"] for e in parsed.of_kind("bid")} == {"nan", "inf", "-inf"}
+        assert all(e["threshold"] == -math.inf for e in parsed.of_kind("site"))
+
     def test_writer_bytes_equal_the_mapping_writer(self, tmp_path):
         """The strict encoder, and its fallback, write what the old writer
         wrote: every row rebuilt through ``_jsonable``, then ``json.dumps``."""
@@ -172,6 +201,41 @@ class TestMarketIntegration:
         summaries = {e["site_id"]: e for e in flight.recording().of_kind("site_summary")}
         for site_id, revenue in result.revenue_by_site.items():
             assert summaries[site_id]["revenue"] == pytest.approx(revenue)
+
+    def test_a_client_called_nan_audits_clean_and_replays(self, tmp_path):
+        """``POST /bids`` takes any string as ``client_id``; the journal of
+        such a session must read back as the session that was recorded."""
+        from repro.audit import audit_recording
+        from repro.market import Broker, MarketSite
+        from repro.market.economy import MarketEconomy
+        from repro.replay import parse_policy, replay_recording
+        from repro.scheduling import FirstReward
+        from repro.sim import Simulator
+        from repro.site import SlackAdmission
+        from repro.workload import economy_spec, generate_trace
+
+        path = str(tmp_path / "hostile.jsonl")
+        trace = generate_trace(economy_spec(n_jobs=60, load_factor=1.5, processors=8), seed=3)
+        sim = Simulator()
+        with FlightRecorder(path) as flight:
+            sites = [
+                MarketSite(sim, site_id, 4, FirstReward(0.3, 0.01),
+                           admission=SlackAdmission(60.0), flight=flight)
+                for site_id in ("nan", "inf")
+            ]
+            for site in sites:
+                flight.site_open(0.0, site.site_id, 4, "firstreward", 60.0, 0.01)
+            economy = MarketEconomy(sim, Broker(sites=sites, flight=flight))
+            economy.schedule_trace(trace, client_id="nan")
+            result = economy.run()
+        recording = read_recording(path)
+        assert recording.events == flight.recording().events
+        assert {e["client_id"] for e in recording.of_kind("bid")} == {"nan"}
+        assert {e["site_id"] for e in recording.of_kind("quote")} == {"nan", "inf"}
+        assert audit_recording(recording).to_doc()["violations"] == []
+        doc = replay_recording(recording, [parse_policy("recorded")])
+        assert doc["divergence"]["recorded"]["changed_bids"] == 0
+        assert result.accepted > 0
 
     def test_timestamps_never_decrease(self, recorded_market):
         flight, _ = recorded_market

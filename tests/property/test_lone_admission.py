@@ -259,3 +259,96 @@ def test_empty_pool_keeps_the_input_checks():
     site.processors = type("NoNodes", (), {"free_times": lambda self, now: []})()
     with pytest.raises(SchedulingError, match="at least one processor"):
         admission.evaluate(site, make_task(40.0, 10.0, 100.0, 1.0))
+
+
+# ----------------------------------------------------------------------
+# One sort: the candidate's rank is read off the argsort that orders the
+# projection and the Eq. 8 sum.  The oracle above still derives it the old
+# way (a count of scores >= its own, NaN special-cased).
+# ----------------------------------------------------------------------
+
+class FixedScores(SchedulingHeuristic):
+    """Hands back the scores it was told to, candidate last."""
+
+    name = "fixed"
+
+    def __init__(self, scores):
+        self.vector = np.array(scores, dtype=float)
+
+    def scores(self, cols, now):
+        assert len(cols) == len(self.vector)
+        return self.vector.copy()
+
+
+_NAN = math.nan
+
+#: the last entry is the candidate's score
+RANKINGS = {
+    "rank0": [1.0, 2.0, 5.0],
+    "rank_last": [1.0, 2.0, 0.5],
+    "middle": [3.0, 1.0, 0.0, 2.0],
+    "tie_with_all": [2.0, 2.0, 2.0],
+    "tie_with_one": [3.0, 2.0, 1.0, 2.0],
+    "tie_at_the_top": [7.0, 1.0, 7.0],
+    "signed_zero_tie": [0.0, 1.0, -0.0],
+    "nan_candidate": [1.0, 2.0, _NAN],
+    "nan_queued": [_NAN, 2.0, 1.0],
+    "nan_queued_and_candidate": [_NAN, 1.0, _NAN],
+    "all_nan": [_NAN, _NAN, _NAN],
+    "infinite": [math.inf, -math.inf, math.inf],
+}
+
+
+def fixed_scores_site(scores, processors, nodes, queued):
+    site = build_site(FirstPrice(), processors, nodes, queued)
+    # a crashed node's victim is requeued ahead of *queued*: rank it first
+    requeued = len(site.pool) - len(queued)
+    site.heuristic = FixedScores([9.0] * requeued + scores)
+    return site
+
+
+@pytest.mark.parametrize("ranking", sorted(RANKINGS))
+@pytest.mark.parametrize("processors", [1, 4])
+@pytest.mark.parametrize("nodes", ["idle", "busy", "one_down"])
+def test_one_sort_places_the_candidate_where_the_count_did(ranking, processors, nodes):
+    scores = RANKINGS[ranking]
+    queued = [
+        make_task(float(i), 30.0 + 11.0 * i, 80.0 + 40.0 * i, 0.3 * (i + 1),
+                  0.0 if i % 2 else None)
+        for i in range(len(scores) - 1)
+    ]
+    site = fixed_scores_site(scores, processors, nodes, queued)
+    for decay in (0.0, 0.5):
+        candidate = make_task(40.0, 60.0, 300.0, decay)
+        got = both_decisions(site, candidate, threshold=0.0)
+        if ranking == "rank_last":
+            assert got.cost == 0.0
+        if ranking == "rank0" and len(site.pool) == len(queued):
+            assert got.expected_start == min(site.processors.free_times(40.0))
+
+
+@pytest.mark.parametrize("processors", [1, 4])
+@pytest.mark.parametrize("ranking", ["rank0", "rank_last", "middle"])
+def test_negative_rpt_is_refused_with_the_old_message(processors, ranking):
+    scores = RANKINGS[ranking]
+    queued = [make_task(float(i), 30.0, 80.0, 0.3) for i in range(len(scores) - 1)]
+    site = fixed_scores_site(scores, processors, "busy", queued)
+    candidate = make_task(40.0, 10.0, 100.0, 1.0)
+    candidate.estimated_remaining = -1.0
+    errors = []
+    for admission in (SlackAdmission(0.0), OracleAdmission(0.0)):
+        with pytest.raises(SchedulingError, match=r"negative RPT .*-1\.0.* at position \d") as info:
+            admission.evaluate(site, candidate)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    # a queued row is checked too, wherever the candidate ranks
+    queued[0].estimated_remaining = -2.0
+    site.pool.remove(queued[0])
+    site.pool.add(queued[0])
+    candidate.estimated_remaining = 10.0
+    messages = []
+    for admission in (SlackAdmission(0.0), OracleAdmission(0.0)):
+        with pytest.raises(SchedulingError, match="negative RPT") as info:
+            admission.evaluate(site, candidate)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
