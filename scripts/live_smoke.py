@@ -8,8 +8,11 @@ over HTTP the way a client would, and asserts the whole lifecycle:
 2. every contracted task runs as a subprocess, never exceeding the
    per-site slot cap, and settles through the value-function accounting;
 3. completion documents carry the full ``TASK_STATUS_KEYS`` schema;
-4. SIGTERM drains in-flight work and exits 0;
-5. the Chrome-trace and metrics artifacts are written and non-trivial.
+4. one hostile bid whose ``argv`` cannot be spawned settles as a failed
+   run and gives its slot back (it is not a service error);
+5. SIGTERM drains in-flight work and exits 0;
+6. the flight recording audits clean, and the Chrome-trace and metrics
+   artifacts are written and non-trivial.
 
 Usage::
 
@@ -31,7 +34,9 @@ import urllib.request
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
+from repro.audit import audit_recording  # noqa: E402
 from repro.live.api import TASK_STATUS_KEYS  # noqa: E402
+from repro.obs.flight import read_recording  # noqa: E402
 
 RATE = 500.0
 SLOTS = 2
@@ -57,6 +62,7 @@ def main(argv=None) -> int:
     port_file = os.path.join(args.artifacts, "serve.port")
     trace_out = os.path.join(args.artifacts, "live_trace.json")
     metrics_out = os.path.join(args.artifacts, "live_metrics.json")
+    flight_out = os.path.join(args.artifacts, "live_flight.jsonl")
 
     proc = subprocess.Popen(
         [
@@ -68,6 +74,7 @@ def main(argv=None) -> int:
             "--drain-grace", "30",
             "--trace-out", trace_out,
             "--metrics-out", metrics_out,
+            "--flight-out", flight_out,
         ],
         env={**os.environ, "PYTHONPATH": "src"},
     )
@@ -94,32 +101,43 @@ def main(argv=None) -> int:
         accepted = [r for r in results if r["accepted"]]
         print(f"live_smoke: {len(accepted)}/{len(results)} bids contracted")
         assert len(accepted) >= args.bids * 3 // 4, "too many bids declined"
+        doomed = http(port, "POST", "/bids",
+                      {**bid, "client_id": "smoke-doomed", "argv": ["/nonexistent/binary"]})
+        assert doomed["accepted"], "the unspawnable bid was declined"
 
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
             status = http(port, "GET", "/status")
-            if status["tasks"].get("completed", 0) == len(accepted):
+            if status["tasks"] == {"completed": len(accepted), "cancelled": 1}:
                 break
             time.sleep(0.2)
         else:
-            raise AssertionError(f"tasks never completed: {status['tasks']}")
+            raise AssertionError(f"tasks never settled: {status['tasks']}")
         site = status["sites"][0]
         assert site["peak_running"] == SLOTS, f"cap violated: {site['peak_running']}"
         assert status["revenue"] > 0, "no revenue settled"
         assert not status["errors"], status["errors"]
 
+        assert all(s["running"] == 0 and s["queued"] == 0 for s in status["sites"])
         tasks = http(port, "GET", "/tasks")["tasks"]
-        assert len(tasks) == len(accepted)
+        assert len(tasks) == len(accepted) + 1
         for doc in tasks:
             assert set(doc) == TASK_STATUS_KEYS, f"schema drift: {sorted(doc)}"
-            assert doc["state"] == "completed" and doc["returncode"] == 0
-        print(f"live_smoke: {len(tasks)} tasks completed, "
+            if doc["task_id"] == doomed["task_id"]:
+                # never spawned: no return code, one requeue, then settled
+                assert doc["state"] == "cancelled" and doc["returncode"] is None
+                assert doc["restarts"] == 1 and doc["price"] is not None
+            else:
+                assert doc["state"] == "completed" and doc["returncode"] == 0
+        print(f"live_smoke: {len(tasks)} tasks settled, "
               f"revenue {status['revenue']:.2f}, peak_running {site['peak_running']}")
 
         proc.send_signal(signal.SIGTERM)
         code = proc.wait(timeout=60)
         assert code == 0, f"serve exited {code} after SIGTERM"
 
+        report = audit_recording(read_recording(flight_out))
+        assert report.ok, f"recording does not audit clean: {report.violations}"
         with open(trace_out) as handle:
             trace = json.load(handle)
         events = trace["traceEvents"] if isinstance(trace, dict) else trace

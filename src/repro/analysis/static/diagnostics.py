@@ -146,7 +146,8 @@ RULES: dict[str, Rule] = {
             name="act-before-journal",
             summary=(
                 "spawn / client-response write / contract settlement in "
-                "repro.live with no preceding journal-append intent on the "
+                "repro.live or repro.market.sites (where live contracts "
+                "settle) with no preceding journal-append intent on the "
                 "intraprocedural path"
             ),
             rationale=(

@@ -5,7 +5,7 @@ detectors over its own body, then a *closure* set by propagating callee
 effects backwards over :class:`~repro.analysis.static.callgraph.ProjectGraph`
 edges to a fixpoint.  ``via`` links record one witness callee per
 (function, effect) so rules can print a human-readable chain
-(``_dispatch_loop -> site.execute -> JournalSink.write_line -> os.fsync()``).
+(``_execute -> _note_spawn -> JournalSink.write_line -> os.fsync()``).
 
 The effect alphabet:
 

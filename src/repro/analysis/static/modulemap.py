@@ -157,13 +157,22 @@ def is_print_allowed(module: str) -> bool:
 
 
 def is_live_service(module: str) -> bool:
-    """The asyncio service layer: event-loop and WAL disciplines apply.
+    """The asyncio service layer: the event-loop disciplines apply.
 
-    Scope of ASY001/ASY002/WAL001 — the only package where an event loop
-    runs on the wall clock and where PR 8's journal-before-act contract
-    is load-bearing.
+    Scope of ASY001/ASY002 — the only package where an event loop runs
+    on the wall clock.
     """
     return _under(module, ("repro.live",))
+
+
+def is_journaled_act_scope(module: str) -> bool:
+    """Where PR 8's journal-before-act contract (WAL001) is load-bearing.
+
+    The live package, and the one shared module it acts through: a
+    ``LiveSite`` is a ``MarketSite``, so the live service's contracts
+    settle in ``repro.market.sites``.
+    """
+    return is_live_service(module) or module == "repro.market.sites"
 
 
 def is_timestamp_passive(module: str) -> bool:

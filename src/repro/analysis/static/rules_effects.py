@@ -13,8 +13,9 @@ cross-module counterparts of the flow-insensitive determinism rules:
   branch test, an ``await`` opening the interleaving window, then a
   dependent mutation of the same attribute.
 * **WAL001** enforces the journal-before-act discipline from PR 8: in
-  ``repro.live``, a spawn / client-response write / settlement must be
-  preceded (lexically, within the function) by a journal-append intent.
+  ``repro.live`` and the site code it settles through, a spawn /
+  client-response write / settlement must be preceded (lexically, within
+  the function) by a journal-append intent.
 
 All four under-approximate on purpose: an unresolved call contributes no
 edge, so a finding always names a concrete witness chain.
@@ -39,6 +40,7 @@ from repro.analysis.static.effects import (
     direct_effects_of_call,
 )
 from repro.analysis.static.modulemap import (
+    is_journaled_act_scope,
     is_live_service,
     is_repro_library,
     is_sim_path,
@@ -308,7 +310,7 @@ def check_asy002(ctx: FileContext) -> list[Diagnostic]:
 
 
 # ----------------------------------------------------------------------
-# WAL001 — journal-before-act in repro.live
+# WAL001 — journal-before-act on the live service's path
 # ----------------------------------------------------------------------
 
 _ACT_LABEL = {
@@ -446,7 +448,7 @@ def check_wal001(ctx: FileContext) -> list[Diagnostic]:
     optional-recorder idiom).  The soundness trade-offs are documented in
     docs/static_analysis.md.
     """
-    if ctx.project is None or not is_live_service(ctx.module):
+    if ctx.project is None or not is_journaled_act_scope(ctx.module):
         return []
     findings = []
     for func in _file_functions(ctx):

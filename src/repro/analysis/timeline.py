@@ -61,13 +61,13 @@ class SiteTimeline:
 
     # ------------------------------------------------------------------
     def _sample(self) -> None:
-        now = self.site.sim.now
+        now = self.site.clock.now
         self.queue_samples.append((now, self.site.queue_length))
         self.busy_samples.append((now, self.site.running_count))
 
     def _on_start(self, task: "Task") -> None:
         nodes = self.site.processors.node_ids_of(task)
-        self._open[task.tid] = (nodes, self.site.sim.now)
+        self._open[task.tid] = (nodes, self.site.clock.now)
         self._sample()
 
     def _close_segment(self, task: "Task", final: bool) -> None:
@@ -82,7 +82,7 @@ class SiteTimeline:
                     tid=task.tid,
                     node=node,
                     start=start,
-                    end=self.site.sim.now,
+                    end=self.site.clock.now,
                     final=final,
                 )
             )

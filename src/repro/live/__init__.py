@@ -21,11 +21,12 @@ executor
     Real subprocess execution — concurrency throttle, status polling,
     timeout kill.
 site
-    :class:`LiveSite` — ``MarketSite``'s wall-clock twin; duck-types
-    the broker's ``quote``/``award`` surface over shared admission and
-    scheduling.
+    :class:`LiveSite` — a ``MarketSite`` built with the service's clock,
+    an executor and the live restart budget; the site code is the
+    simulator's, the executor is the one seam.
 service
-    :class:`LiveService` — broker + sites + the dispatch loop.
+    :class:`LiveService` — broker + sites, intake, write-ahead intents,
+    drain; runs each started task through the subprocess executor.
 httpd
     The stdlib asyncio HTTP/1.1 front end.
 serve

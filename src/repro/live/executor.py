@@ -4,10 +4,10 @@ The simulator "runs" a task by scheduling a completion event; the live
 executor runs it as an actual child process.  Three responsibilities:
 
 * **Throttle** — an :class:`asyncio.Semaphore` caps concurrently running
-  children at the site's slot count.  The site only dispatches when its
-  :class:`~repro.site.processors.ProcessorPool` shows a free node, so in
-  normal operation the semaphore never blocks; it is the hard backstop
-  that no scheduling bug can fork-bomb the host.
+  children at the site's slot count.  The site engine only starts a task
+  when its :class:`~repro.site.processors.ProcessorPool` shows a free
+  node, so in normal operation the semaphore never blocks; it is the
+  hard backstop that no scheduling bug can fork-bomb the host.
 * **Status polling** — the executor wakes every ``poll_interval`` wall
   seconds to check the child and the watchdog deadline, rather than
   blocking indefinitely on ``wait()``.
@@ -23,6 +23,7 @@ second) converts at dispatch.
 from __future__ import annotations
 
 import asyncio
+import signal
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -104,15 +105,29 @@ class SubprocessExecutor:
             started_at = self.clock.now
             # journaling is the caller's job via on_spawn below: the spawn
             # intent needs the child's PID, which only exists post-fork
-            proc = await asyncio.create_subprocess_exec(  # repro: noqa WAL001  # PID known only after fork; on_spawn journals it immediately
-                *argv,
-                stdout=asyncio.subprocess.DEVNULL,
-                stderr=asyncio.subprocess.DEVNULL,
-            )
+            try:
+                proc = await asyncio.create_subprocess_exec(  # repro: noqa WAL001  # PID known only after fork; on_spawn journals it immediately
+                    *argv,
+                    stdout=asyncio.subprocess.DEVNULL,
+                    stderr=asyncio.subprocess.DEVNULL,
+                )
+            except OSError:
+                # a command that cannot be spawned (no such file, not
+                # executable) is a run that failed, not a service error:
+                # report it as one, with no return code, so the task
+                # takes the restart-budget path and its contract settles
+                self.running -= 1
+                self.completed += 1
+                return ExecutionReport(
+                    returncode=None,
+                    killed=False,
+                    started_at=started_at,
+                    ended_at=self.clock.now,
+                )
             self._procs.add(proc)
             if on_spawn is not None:
                 on_spawn(proc.pid)
-            killed = False
+            signalled = False
             try:
                 waiter = asyncio.ensure_future(proc.wait())
                 try:
@@ -125,15 +140,13 @@ class SubprocessExecutor:
                         except asyncio.TimeoutError:
                             pass  # poll tick: check the watchdog below
                         if (
-                            not killed
+                            not signalled
                             and timeout_units is not None
                             and self.clock.now - started_at >= timeout_units
                         ):
-                            if self._signal_kill(proc):
-                                killed = True
-                                self.killed += 1
-                            # else it exited on its own: the next pass of
-                            # the loop reaps it as a normal exit
+                            signalled = self._signal_kill(proc)
+                            # if not, it exited on its own: the next pass
+                            # of the loop reaps it as a normal exit
                 finally:
                     if not waiter.done():
                         waiter.cancel()
@@ -141,6 +154,11 @@ class SubprocessExecutor:
                 self._procs.discard(proc)
                 self.running -= 1
             self.completed += 1
+            # the signal can also land on a child that has exited but is
+            # not reaped yet, where it changes nothing: it was a kill only
+            # if the child died of it
+            killed = signalled and proc.returncode == -signal.SIGKILL
+            self.killed += killed
             return ExecutionReport(
                 returncode=proc.returncode,
                 killed=killed,

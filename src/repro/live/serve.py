@@ -265,8 +265,12 @@ async def _serve(config: LiveConfig, args: argparse.Namespace) -> int:
           f"x {config.sites[0].slots} slot(s))")
     sys.stdout.flush()
     if args.port_file:
-        with open(args.port_file, "w") as handle:
+        # readers take "the file exists" to mean "the port is in it":
+        # write under another name and rename into place
+        partial = f"{args.port_file}.tmp"
+        with open(partial, "w") as handle:
             handle.write(f"{port}\n")
+        os.replace(partial, args.port_file)
 
     shutdown = asyncio.Event()
     loop = asyncio.get_running_loop()

@@ -1,22 +1,23 @@
-"""The live service: broker + sites + dispatch loop on one event loop.
+"""The live service: broker + sites on one event loop.
 
 :class:`LiveService` is the asyncio hub the HTTP front end talks to.
 It owns the live clock, the sites, and the unmodified
-:class:`~repro.market.broker.Broker`; a single dispatch loop moves
-queued tasks onto free slots as subprocess executions complete.
+:class:`~repro.market.broker.Broker`.  There is no dispatch loop: the
+site engine starts queued work at award and at every exit, exactly as
+in the simulator, and each start is handed to the site's executor.
 
 Lifecycle::
 
     service = LiveService(config, obs=obs)
-    await service.start()          # dispatch loop running
+    await service.start()          # journal fsyncs off the loop
     service.submit_bids(parsed)    # from the HTTP layer, any number
     ...
     await service.drain()          # 503 new bids, finish in-flight work
-    await service.stop()           # cancel the loop
+    await service.stop()
 
 Draining honours ``config.drain_grace`` (wall seconds): past the grace
-period, still-running subprocesses are killed and still-queued tasks
-abandoned, so shutdown always terminates with every contract settled.
+period, still-queued tasks are abandoned and still-running subprocesses
+killed, so shutdown always terminates with every contract settled.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ import asyncio
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import LiveServiceError
 from repro.live.api import ApiError, BidRequest, bid_result_doc
 from repro.live.clock import WallClock
-from repro.live.config import LiveConfig
-from repro.live.executor import ExecutionReport, SubprocessExecutor
+from repro.live.config import LiveConfig, LiveSiteSpec
+from repro.live.executor import ExecutionReport, SubprocessExecutor, sleep_argv
 from repro.live.site import LiveSite
 from repro.market.broker import Broker, best_surplus, best_yield, earliest_completion
 from repro.obs.flight import FlightRecorder
@@ -99,16 +100,77 @@ class LiveRecord:
     site_id: Optional[str] = None
     task: Optional[Task] = None
     contract: Optional[Contract] = None
+    #: the client's command line; ``None`` sleeps for the declared runtime
+    argv: Optional[tuple[str, ...]] = None
+    #: what the task's latest subprocess run came to
+    report: Optional[ExecutionReport] = None
 
-    @property
-    def report(self) -> Optional[ExecutionReport]:
-        return self._report
 
-    _report: Optional[ExecutionReport] = None
+class _SiteExecutor(SubprocessExecutor):
+    """One site's execution seam on the wall clock.
+
+    Where the simulator's executor schedules a completion event, this
+    one starts a child process and reports its exit — ``ok`` or not —
+    to the engine's ``on_exit``.  The rest is live-only bookkeeping with
+    no simulated meaning: the client's ``argv``, the write-ahead spawn
+    intent, the watchdog deadline and the :class:`ExecutionReport`.
+    """
+
+    def __init__(self, service: "LiveService", slots: int) -> None:
+        super().__init__(
+            service.clock,
+            rate=service.config.rate,
+            max_running=slots,
+            poll_interval=service.config.poll_interval,
+        )
+        self.service = service
+
+    def launch(self, task: Task, now: float, on_exit: Callable[..., Any]) -> asyncio.Task:
+        run = asyncio.get_running_loop().create_task(self._execute(task, on_exit))
+        self.service._inflight.add(run)
+        run.add_done_callback(self.service._run_finished)
+        return run
+
+    def cancel(self, handle: asyncio.Task) -> None:
+        raise LiveServiceError(
+            "a live run ends by exiting or at its watchdog; it cannot be taken back"
+        )
+
+    async def _execute(self, task: Task, on_exit: Callable[..., Any]) -> None:
+        # Yield once before forking.  A task is launched inside the award
+        # that contracted it, and the fork (~0.8 ms, blocking) would
+        # otherwise run ahead of the connection close that ends the
+        # awarding response — the client reads to EOF.  By the time this
+        # resumes, the negotiation has also filed the task's record.
+        await asyncio.sleep(0)
+        record = self.service._record_of_task[task.tid]
+        argv = record.argv or sleep_argv(task.remaining / self.rate)
+        factor = self.service.config.timeout_factor
+        # the spawn-intent journal write below, and the settlement's
+        # behind on_exit (a callback repro lint cannot follow —
+        # docs/static_analysis.md), block only under fsync=always (the
+        # operator's explicit write-ahead strictness); interval-policy
+        # syncs run on the thread pool (LiveService.start)
+        record.report = await self.run(
+            argv,
+            factor * task.estimate if factor > 0 else None,
+            on_spawn=lambda pid: self.service._note_spawn(record, argv, pid),  # repro: noqa ASY001  # fsync=always is deliberate write-ahead strictness; interval is offloaded
+        )
+        on_exit(task, ok=record.report.ok)
 
 
 class LiveService:
-    """Hosts the market on the wall clock."""
+    """Hosts the market on the wall clock.
+
+    *clock* and *executor* are seams for tests and for hosting the
+    service on the simulation kernel, not settings: by default the clock
+    is a :class:`~repro.live.clock.WallClock` and every site runs its
+    tasks as child processes.  *executor* is called once per site spec
+    and returns that site's executor — the engine's execution seam
+    (``launch``/``cancel``, see :mod:`repro.site.service`), of which the
+    service itself asks ``kill_all()`` when the drain grace expires and
+    ``peak_running`` for ``GET /status``.
+    """
 
     def __init__(
         self,
@@ -116,6 +178,7 @@ class LiveService:
         obs=None,
         clock: Optional[Clock] = None,
         flight: Optional[FlightRecorder] = None,
+        executor: Optional[Callable[[LiveSiteSpec], Any]] = None,
     ) -> None:
         try:
             strategy = STRATEGIES[config.strategy]
@@ -132,22 +195,14 @@ class LiveService:
         self.rates = RateWindow()
         self.sites: list[LiveSite] = []
         for spec in config.sites:
-            executor = SubprocessExecutor(
-                self.clock,
-                rate=config.rate,
-                max_running=spec.slots,
-                poll_interval=config.poll_interval,
-            )
             site = LiveSite(
                 self.clock,
                 spec,
-                executor,
-                timeout_factor=config.timeout_factor,
+                _SiteExecutor(self, spec.slots) if executor is None else executor(spec),
                 max_restarts=config.max_restarts,
                 obs=obs,
                 flight=flight,
             )
-            site.on_slot_free = self._kick
             site.settlement_listeners.append(self._note_settlement)
             self.sites.append(site)
         self.broker = Broker(self.sites, strategy=strategy, vickrey=config.vickrey)
@@ -172,8 +227,6 @@ class LiveService:
         #: exceptions raised by execution tasks (executor bugs, not task
         #: failures — those settle normally); surfaced via GET /status
         self.errors: list[str] = []
-        self._wake = asyncio.Event()
-        self._loop_task: Optional[asyncio.Task] = None
         self._inflight: set[asyncio.Task] = set()
         self._started_at = self.clock.now
 
@@ -183,7 +236,7 @@ class LiveService:
     @property
     def queued_total(self) -> int:
         """Tasks awaiting dispatch across all sites (the shed signal)."""
-        return sum(site.queued_count for site in self.sites)
+        return sum(site.engine.queue_length for site in self.sites)
 
     def _check_intake(self, client_id: Optional[str] = None) -> None:
         """Admission control: draining → 503, over the watermark → 429.
@@ -267,17 +320,17 @@ class LiveService:
             submitted_at=now,
             accepted=outcome.accepted,
             quotes=len(outcome.quotes),
+            argv=request.argv,
         )
         if outcome.accepted:
             assert outcome.contract is not None and outcome.winner is not None
             record.site_id = outcome.winner.site_id
             record.contract = outcome.contract
-            site = self._site(outcome.winner.site_id)
-            task = self._task_of_contract(site, outcome.contract)
-            record.task = task
-            self._record_of_task[task.tid] = record
-            if request.argv is not None:
-                site.set_argv(task.tid, request.argv)
+            record.task = outcome.contract.task
+            assert record.task is not None
+            # the award may already have launched the task; its run reads
+            # this record only after yielding to the loop (_SiteExecutor)
+            self._record_of_task[record.task.tid] = record
         else:
             record.reason = (
                 "no site quoted" if not outcome.quotes else "no quote selected"
@@ -291,7 +344,6 @@ class LiveService:
                 site_id=record.site_id,
             )
         self.records.append(record)
-        self._kick()
         return record
 
     def submit_bids(self, requests: list[BidRequest]) -> list[LiveRecord]:
@@ -341,53 +393,35 @@ class LiveService:
     def _note_settlement(self, contract: Contract, task: Task) -> None:
         self.rates.note_settlement(self._wall_now(), contract.actual_price)
 
-    def _site(self, site_id: str) -> LiveSite:
-        for site in self.sites:
-            if site.site_id == site_id:
-                return site
-        raise LiveServiceError(f"no such site: {site_id!r}")
-
-    @staticmethod
-    def _task_of_contract(site: LiveSite, contract: Contract) -> Task:
-        for task in site.pool:
-            if task.tid == contract.task_tid:
-                return task
-        raise LiveServiceError(
-            f"awarded task {contract.task_tid} not queued at {site.site_id!r}"
+    def _note_spawn(self, record: LiveRecord, argv: tuple[str, ...], pid: int) -> None:
+        """Journal a spawn intent: the PID (plus argv[0] to guard against
+        PID reuse) lets crash recovery find and kill orphaned children."""
+        if self.flight is None:
+            return
+        assert record.task is not None and record.contract is not None
+        self.flight.intent(
+            self.clock.now,
+            "spawn",
+            site_id=record.site_id,
+            task_tid=record.task.tid,
+            contract_id=record.contract.contract_id,
+            pid=pid,
+            argv0=argv[0],
         )
 
     # ------------------------------------------------------------------
-    # Dispatch loop
+    # Execution
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        if self._loop_task is not None:
-            raise LiveServiceError("service already started")
         if self.flight is not None and self.flight.sink is not None:
             # interval-policy journal fsyncs run on the default thread
-            # pool so the durability cadence never stalls the dispatch
+            # pool so the durability cadence never stalls the event
             # loop (fsync=always stays synchronous: that policy trades
             # latency for write-ahead strictness on purpose)
             loop = asyncio.get_running_loop()
             self.flight.sink.set_offload(
                 lambda fn: loop.run_in_executor(None, fn)
             )
-        self._loop_task = asyncio.create_task(self._dispatch_loop())
-
-    def _kick(self) -> None:
-        self._wake.set()
-
-    async def _dispatch_loop(self) -> None:
-        while True:
-            await self._wake.wait()
-            self._wake.clear()
-            for site in self.sites:
-                while (task := site.next_dispatch()) is not None:
-                    # claim the slot synchronously; the subprocess part
-                    # runs concurrently (see LiveSite.begin)
-                    site.begin(task)
-                    run = asyncio.create_task(site.execute(task))
-                    self._inflight.add(run)
-                    run.add_done_callback(self._run_finished)
 
     def _run_finished(self, run: asyncio.Task) -> None:
         self._inflight.discard(run)
@@ -401,16 +435,18 @@ class LiveService:
     # ------------------------------------------------------------------
     @property
     def idle(self) -> bool:
-        return all(site.idle for site in self.sites) and not self._inflight
+        return (
+            all(site.engine.all_work_done() for site in self.sites)
+            and not self._inflight
+        )
 
     async def drain(self) -> None:
         """Finish in-flight work; force-settle whatever outlives grace."""
         self.draining = True
-        self._kick()
-        grace = self.config.drain_grace
-        deadline = asyncio.get_running_loop().time() + grace
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.config.drain_grace
         while not self.idle:
-            remaining = deadline - asyncio.get_running_loop().time()
+            remaining = deadline - loop.time()
             if remaining <= 0:
                 break
             if self._inflight:
@@ -421,23 +457,29 @@ class LiveService:
                 )
             else:
                 await asyncio.sleep(min(remaining, self.config.poll_interval))
-            self._kick()
         if not self.idle:
-            # grace expired: halt dispatch first — a killed child's exit
-            # frees a slot and kicks the loop, which would otherwise
-            # start queued work we are about to abandon — then kill
-            # running children (their polling loops settle the breaches)
-            # and abandon everything still queued
-            await self.stop()
+            # grace expired.  An exit dispatches synchronously, so the
+            # order is: abandon the queue and spend every restart budget
+            # first, then kill — a killed child's exit then finds nothing
+            # to start and nowhere to requeue, and settles as a breach
+            # through the normal failure path.
             for site in self.sites:
-                site.executor.kill_all()
-            if self._inflight:
-                await asyncio.wait(set(self._inflight))
-            for site in self.sites:
-                # settlement journal writes during forced abandonment:
-                # drain is shutdown — stalling the loop here delays no
-                # client, and the records must be durable before exit
-                site.abandon_queued()  # repro: noqa ASY001  # shutdown path; durability beats latency once draining
+                # settlement journal writes during forced abandonment
+                # (through the engine's finish listeners, where repro
+                # lint cannot follow — docs/static_analysis.md): drain is
+                # shutdown, stalling the loop here delays no client, and
+                # the records must be durable before exit
+                site.abandon()
+            while True:
+                # again each round: a run launched just before the grace
+                # expired may not have forked yet
+                for site in self.sites:
+                    site.engine.executor.kill_all()
+                if not self._inflight:
+                    break
+                await asyncio.wait(
+                    set(self._inflight), timeout=self.config.poll_interval
+                )
         if self.flight is not None:
             # closing books per site: the audit's reconciliation anchor
             for site in self.sites:
@@ -451,31 +493,18 @@ class LiveService:
                 )
 
     async def stop(self) -> None:
-        # detach before awaiting: a concurrent stop() arriving while we
-        # sit in the await below must see _loop_task already cleared, or
-        # it would cancel/await a task the first caller is consuming
-        task, self._loop_task = self._loop_task, None
-        if task is not None:
-            task.cancel()
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
+        """Undo :meth:`start`: journal syncs run in line again."""
+        if self.flight is not None and self.flight.sink is not None:
+            self.flight.sink.set_offload(None)
 
     # ------------------------------------------------------------------
     # Introspection (GET /status, /tasks)
     # ------------------------------------------------------------------
     def record_of_task(self, task_tid: int) -> Optional[LiveRecord]:
-        record = self._record_of_task.get(task_tid)
-        if record is not None and record.task is not None:
-            record._report = self._site(record.site_id).report_of(task_tid)  # type: ignore[arg-type]
-        return record
+        return self._record_of_task.get(task_tid)
 
     def task_records(self) -> list[LiveRecord]:
-        return [
-            self.record_of_task(tid) or record
-            for tid, record in self._record_of_task.items()
-        ]
+        return list(self._record_of_task.values())
 
     def rate_snapshot(self) -> dict:
         """Windowed operational rates, evaluated at the current wall time."""
@@ -511,14 +540,14 @@ class LiveService:
             "sites": [
                 {
                     "site_id": site.site_id,
-                    "slots": site.processors.count,
-                    "queued": site.queued_count,
-                    "running": site.running_count,
+                    "slots": site.engine.processors.count,
+                    "queued": site.engine.queue_length,
+                    "running": site.engine.running_count,
                     "revenue": site.revenue,
                     "quotes_issued": site.quotes_issued,
                     "quotes_declined": site.quotes_declined,
-                    "peak_running": site.executor.peak_running,
-                    "ledger": site.ledger.summary(),
+                    "peak_running": site.engine.executor.peak_running,
+                    "ledger": site.engine.ledger.summary(),
                 }
                 for site in self.sites
             ],

@@ -14,10 +14,12 @@ procedure:
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from repro.errors import MarketError
 from repro.scheduling.base import SchedulingHeuristic
+from repro.sim.clock import Clock
 from repro.sim.kernel import Simulator
 from repro.site.admission import SlackAdmission
 from repro.site.service import TaskServiceSite
@@ -32,8 +34,10 @@ class MarketSite:
 
     Parameters
     ----------
-    sim, processors, heuristic:
-        Passed to the underlying scheduling engine.
+    sim, processors, heuristic, clock, executor:
+        Passed to the underlying scheduling engine; *sim* is ``None``
+        for a site hosted off the kernel (the live service), which
+        brings its own *clock* and *executor*.
     admission:
         The slack policy used to decide which bids are worth answering.
     pricing:
@@ -44,13 +48,14 @@ class MarketSite:
         the site refuses the award (``award`` raises) and the broker
         must re-solicit.  ``None`` (default) keeps quotes open-ended.
     restart_policy:
-        Forwarded to the engine: the fate of tasks killed by node
-        crashes (see :mod:`repro.faults.restart`).
+        Forwarded to the engine: the fate of tasks whose run died — a
+        crashed node, a failed subprocess (see
+        :mod:`repro.faults.restart`).
     """
 
     def __init__(
         self,
-        sim: Simulator,
+        sim: Optional[Simulator],
         site_id: str,
         processors: int,
         heuristic: SchedulingHeuristic,
@@ -63,6 +68,8 @@ class MarketSite:
         quote_ttl: Optional[float] = None,
         restart_policy=None,
         flight=None,
+        clock: Optional[Clock] = None,
+        executor=None,
     ) -> None:
         if quote_ttl is not None and not quote_ttl > 0:
             raise MarketError(f"quote_ttl must be > 0, got {quote_ttl!r}")
@@ -81,6 +88,8 @@ class MarketSite:
             site_id=site_id,
             restart_policy=restart_policy,
             obs=obs,
+            clock=clock,
+            executor=executor,
         )
         #: the quoting/award clock — the engine's Clock view, shared verbatim
         self.clock = self.engine.clock
@@ -158,6 +167,7 @@ class MarketSite:
         contract = Contract(bid, server_bid, signed_at=self.clock.now)
         task = self._task_for(bid)
         contract.task_tid = task.tid
+        contract.task = task
         self._contract_of[task.tid] = contract
         self.contracts.append(contract)
         self.engine.submit(task, force=True)
@@ -184,15 +194,27 @@ class MarketSite:
             return  # task not under contract (direct engine submission)
         if task.completion is None:
             raise MarketError(f"finished task {task.tid} has no completion time")
-        if task.state.value == "cancelled":
-            price = contract.settle_breach(self.clock.now)
+        now = self.clock.now
+        # settlement is self-journaling: the settlement record right
+        # below is the journal entry, and live recovery re-settles any
+        # contract whose settlement never reached the journal — the
+        # idempotent-redo half of the WAL contract (see
+        # repro.live.recovery), so no separate intent precedes the act
+        if task.state.value != "cancelled":
+            price = contract.settle(task.completion, release=task.arrival)  # repro: noqa WAL001  # self-journaling: settlement record follows; recovery re-settles on crash
+            outcome = "completed"
+        elif math.isfinite(contract.vf.floor):
+            price = contract.settle_breach(now)  # repro: noqa WAL001  # self-journaling: settlement record follows; recovery re-settles on crash
             outcome = "breached"
         else:
-            price = contract.settle(task.completion, release=task.arrival)
-            outcome = "completed"
+            # only a failing executor gets here: a run that died with an
+            # unbounded penalty is abandoned (Task.abort) — the client
+            # owes nothing, the penalty accrued so far stands
+            price = contract.settle_abandoned(now, release=task.arrival)  # repro: noqa WAL001  # self-journaling: settlement record follows; recovery re-settles on crash
+            outcome = "abandoned"
         self.revenue += price
         if self.flight is not None:
-            self.flight.settlement(self.clock.now, contract, outcome)
+            self.flight.settlement(now, contract, outcome)
         if self.price_board is not None:
             self.price_board.publish(contract)
         for listener in self.settlement_listeners:

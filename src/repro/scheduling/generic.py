@@ -360,10 +360,9 @@ class GenericTaskService:
             index = self.heuristic.best_index(self.pending, now)
             task = self.pending.pop(index)
             task.start(now)
-            completion = now + task.remaining
-            self.processors.assign(task, now, completion)
+            self.processors.assign(task, now)
             self.sim.schedule_at(
-                completion,
+                now + task.remaining,
                 self._on_completion,
                 task,
                 tag=f"{self.site_id}:complete:{task.tid}",

@@ -24,7 +24,6 @@ class ProcessorPool:
     __slots__ = (
         "count",
         "_task_of",
-        "_completion_of",
         "_busy_since",
         "_busy_accum",
         "_node_ids",
@@ -37,7 +36,6 @@ class ProcessorPool:
             raise SchedulingError(f"processor count must be >= 1, got {count}")
         self.count = count
         self._task_of: list[Optional[Task]] = [None] * count
-        self._completion_of: list[float] = [0.0] * count
         self._busy_since: list[float] = [0.0] * count
         self._busy_accum = 0.0
         # stable node identities: slots shift when an elastic pool
@@ -80,9 +78,6 @@ class ProcessorPool:
             raise SchedulingError(f"task {task.tid} is not running on any node")
         return slots
 
-    def completion_time_of(self, task: Task) -> float:
-        return self._completion_of[self.slot_of(task)]
-
     def node_id_of(self, task: Task) -> int:
         """Stable identity of the (first) node running *task* (survives shrink)."""
         return self._node_ids[self.slot_of(task)]
@@ -92,7 +87,7 @@ class ProcessorPool:
         return [self._node_ids[i] for i in self.slots_of(task)]
 
     # ------------------------------------------------------------------
-    def assign(self, task: Task, now: float, completion: float) -> int:
+    def assign(self, task: Task, now: float) -> int:
         """Gang-schedule *task* on ``task.demand`` free nodes (§4: "jobs
         are always gang-scheduled ... with the requested number of
         processors").  Returns the first slot index."""
@@ -107,7 +102,6 @@ class ProcessorPool:
             )
         for i in free[: task.demand]:
             self._task_of[i] = task
-            self._completion_of[i] = completion
             self._busy_since[i] = now
         return free[0]
 
@@ -128,7 +122,6 @@ class ProcessorPool:
         if count < 0:
             raise SchedulingError(f"grow count must be >= 0, got {count}")
         self._task_of.extend([None] * count)
-        self._completion_of.extend([0.0] * count)
         self._busy_since.extend([0.0] * count)
         self._node_ids.extend(
             range(self._next_node_id, self._next_node_id + count)
@@ -154,7 +147,6 @@ class ProcessorPool:
             # them by identity)
             if self._task_of[i] is None and not self._down[i]:
                 del self._task_of[i]
-                del self._completion_of[i]
                 del self._busy_since[i]
                 del self._node_ids[i]
                 del self._down[i]

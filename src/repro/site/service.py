@@ -9,16 +9,25 @@ Event flow:
   a running task's score evicts it ("once the system starts a task, it
   runs to completion unless preemption is enabled and a higher-priority
   task arrives to preempt it", §4).
-* completion events — credit the realized yield and trigger another
-  pass; optionally, expired tasks (bounded penalties, value at the
-  floor) are discarded, matching Millennium's free-discard semantics.
+* a run's end — a completion credits the realized yield, a failure
+  (crashed node, failed subprocess) goes to the restart policy; either
+  way another pass follows.  Optionally, expired tasks (bounded
+  penalties, value at the floor) are discarded, matching Millennium's
+  free-discard semantics.
+
+How a started task runs, and how its end comes back, is the one thing
+that differs between the simulator and the live service, so it is the
+one seam: the engine hands every started task to its *executor*
+(``launch(task, now, on_exit) -> handle``, ``cancel(handle)``) and
+takes the end back through :meth:`TaskServiceSite._on_exit`.
+:class:`KernelExecutor` is the simulator's: one completion event.
 
 All scoring is vectorized over the pending pool's columns.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 import numpy as np
 
@@ -41,13 +50,31 @@ from repro.tasks.task import Task
 _PREEMPT_EPS = 1e-9
 
 
+class KernelExecutor:
+    """Runs a started task as one completion event on the DES kernel."""
+
+    def __init__(self, sim: Simulator, site_id: str) -> None:
+        self.sim = sim
+        self.site_id = site_id
+
+    def launch(self, task: Task, now: float, on_exit: Callable[..., Any]) -> Event:
+        return self.sim.schedule_at(
+            now + task.remaining, on_exit, task, tag=f"{self.site_id}:complete:{task.tid}"
+        )
+
+    def cancel(self, handle: Event) -> None:
+        self.sim.cancel(handle)
+
+
 class TaskServiceSite:
     """A grid site selling a batch task service.
 
     Parameters
     ----------
     sim:
-        The simulation kernel the site lives on.
+        The simulation kernel the site lives on, or ``None`` for a site
+        hosted elsewhere, which then brings its own *clock* and
+        *executor*.
     processors:
         Number of interchangeable nodes.
     heuristic:
@@ -62,10 +89,11 @@ class TaskServiceSite:
         Cancel queued tasks whose value function has hit its floor
         (bounded penalties only) instead of ever running them.
     restart_policy:
-        How tasks killed by node crashes are handled (an object with
+        The fate of a task whose run died under it — a crashed node, a
+        failed subprocess (an object with
         ``on_crash(task, now) -> CrashOutcome``, see
         :mod:`repro.faults.restart`).  ``None`` defaults to
-        requeue-from-scratch on the first crash that needs it; sites
+        requeue-from-scratch on the first failure that needs it; sites
         never exposed to faults never touch this path.
     obs:
         Optional :class:`~repro.obs.instrument.Observability` receiving
@@ -76,13 +104,18 @@ class TaskServiceSite:
     clock:
         Where the engine reads "now" from (:class:`~repro.sim.clock.Clock`).
         Defaults to a :class:`~repro.sim.clock.SimClock` over *sim* —
-        exactly the kernel clock, bit for bit.  Only the live service
-        mode overrides this; event scheduling still goes through *sim*.
+        exactly the kernel clock, bit for bit.
+    executor:
+        How a started task runs: ``launch(task, now, on_exit)`` returns
+        a handle, ``cancel(handle)`` takes the run back, and the run's
+        end is reported as ``on_exit(task)`` or, when it died,
+        ``on_exit(task, ok=False)``.  Defaults to a
+        :class:`KernelExecutor` over *sim*.
     """
 
     def __init__(
         self,
-        sim: Simulator,
+        sim: Optional[Simulator],
         processors: int,
         heuristic: SchedulingHeuristic,
         admission=None,
@@ -93,9 +126,15 @@ class TaskServiceSite:
         restart_policy=None,
         obs: "Optional[Observability]" = None,
         clock: Optional[Clock] = None,
+        executor=None,
     ) -> None:
+        if sim is None and (clock is None or executor is None):
+            raise SchedulingError(
+                "a site without a simulation kernel needs its own clock and executor"
+            )
         self.sim = sim
         self.clock: Clock = SimClock(sim) if clock is None else clock
+        self.executor = KernelExecutor(sim, site_id) if executor is None else executor
         self.site_id = site_id
         self.heuristic = heuristic
         self.admission = admission
@@ -106,7 +145,7 @@ class TaskServiceSite:
         self.processors = ProcessorPool(processors)
         self.pool = PendingPool()
         self.ledger = ledger if ledger is not None else YieldLedger()
-        self._completion_events: dict[int, Event] = {}  # tid -> event
+        self._runs: dict[int, Any] = {}  # tid -> the executor's handle
         #: callbacks invoked with each task that reaches COMPLETED or
         #: CANCELLED — the market layer settles contracts through these
         self.finish_listeners: list = []
@@ -205,28 +244,57 @@ class TaskServiceSite:
     def _start(self, task: Task) -> None:
         now = self.clock.now
         task.start(now)
-        completion = now + task.remaining
-        self.processors.assign(task, now, completion)
-        event = self.sim.schedule_at(
-            completion, self._on_completion, task, tag=f"{self.site_id}:complete:{task.tid}"
-        )
-        self._completion_events[task.tid] = event
+        self.processors.assign(task, now)
+        self._runs[task.tid] = self.executor.launch(task, now, self._on_exit)
         if self.obs is not None:
             self.obs.task_started(task, now)
         for listener in self.start_listeners:
             listener(task)
 
-    def _on_completion(self, task: Task) -> None:
+    def _on_exit(self, task: Task, ok: bool = True):
+        """The run of *task* ended: it finished, or (``ok=False``) died.
+
+        A run that died — its node crashed, its subprocess failed — is
+        the restart policy's call: requeue from scratch, resume from a
+        checkpoint, or breach the contract; the ledger records the crash
+        either way.  Returns the policy's
+        :class:`~repro.faults.restart.CrashOutcome` (``None`` for a
+        completion).
+        """
         now = self.clock.now
-        self._completion_events.pop(task.tid, None)
+        self._runs.pop(task.tid, None)
         self.processors.vacate(task, now)
-        task.complete(now)
-        self.ledger.note_completion(task)
-        if self.obs is not None:
-            self.obs.task_completed(task, now)
-        for listener in self.finish_listeners:
-            listener(task)
+        outcome = None
+        if ok:
+            task.complete(now)
+            self.ledger.note_completion(task)
+            if self.obs is not None:
+                self.obs.task_completed(task, now)
+            for listener in self.finish_listeners:
+                listener(task)
+        else:
+            self.ledger.note_crash(task)
+            if self.restart_policy is None:
+                from repro.faults.restart import RequeueRestart
+
+                self.restart_policy = RequeueRestart()
+            outcome = self.restart_policy.on_crash(task, now)
+            if outcome.requeued:
+                self.pool.add(task)
+                self.ledger.note_restart(task)
+                if self.obs is not None:
+                    self.obs.task_restarted(task, now, requeued=True)
+            else:
+                self.ledger.note_breach(task, outcome.penalty)
+                if self.obs is not None:
+                    self.obs.task_restarted(task, now, requeued=False)
+                    self.obs.task_breached(task, now, outcome.penalty)
+                for listener in self.finish_listeners:
+                    listener(task)
+            for listener in self.crash_listeners:
+                listener(task, outcome)
         self._schedule_pass()
+        return outcome
 
     # ------------------------------------------------------------------
     # Preemption
@@ -284,8 +352,7 @@ class TaskServiceSite:
 
     def _preempt(self, task: Task) -> None:
         now = self.clock.now
-        event = self._completion_events.pop(task.tid)
-        self.sim.cancel(event)
+        self.executor.cancel(self._runs.pop(task.tid))
         self.processors.vacate(task, now)
         task.preempt(now)
         self.ledger.note_preempt(task)
@@ -302,43 +369,19 @@ class TaskServiceSite:
         """Take node *node_id* down, killing whatever ran on it.
 
         A crash on a gang-scheduled task's node kills the whole task
-        (gangs run in lockstep).  The victim's fate — requeue from
-        scratch, checkpoint-resume, or contract breach — is the restart
-        policy's call; the ledger records the crash either way.  Returns
-        the :class:`~repro.faults.restart.CrashOutcome` (``None`` when
-        the node was idle, unknown, or already down).
+        (gangs run in lockstep); its run is taken back from the executor
+        and ends as a failed one (:meth:`_on_exit`).  Returns the
+        :class:`~repro.faults.restart.CrashOutcome` (``None`` when the
+        node was idle, unknown, or already down).
         """
-        now = self.clock.now
         victim = self.processors.fail(node_id)
         if victim is None:
             return None
-        event = self._completion_events.pop(victim.tid)
-        self.sim.cancel(event)
-        self.processors.vacate(victim, now)
-        self.ledger.note_crash(victim)
-        if self.restart_policy is None:
-            from repro.faults.restart import RequeueRestart
-
-            self.restart_policy = RequeueRestart()
-        outcome = self.restart_policy.on_crash(victim, now)
-        if outcome.requeued:
-            self.pool.add(victim)
-            self.ledger.note_restart(victim)
-            if self.obs is not None:
-                self.obs.task_restarted(victim, now, requeued=True)
-        else:
-            self.ledger.note_breach(victim, outcome.penalty)
-            if self.obs is not None:
-                self.obs.task_restarted(victim, now, requeued=False)
-                self.obs.task_breached(victim, now, outcome.penalty)
-            for listener in self.finish_listeners:
-                listener(victim)
-        for listener in self.crash_listeners:
-            listener(victim, outcome)
+        self.executor.cancel(self._runs[victim.tid])
         # capacity shrank, but the kill may still have freed a wide
-        # task's other nodes for narrower pending work
-        self._schedule_pass()
-        return outcome
+        # task's other nodes for narrower pending work: _on_exit ends in
+        # a scheduling pass
+        return self._on_exit(victim, ok=False)
 
     def repair_node(self, node_id: int) -> bool:
         """Bring node *node_id* back up and offer it to the queue."""

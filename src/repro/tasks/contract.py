@@ -14,6 +14,7 @@ from typing import Optional
 
 from repro.errors import ContractViolation
 from repro.tasks.bid import ServerBid, TaskBid
+from repro.tasks.task import Task
 from repro.valuefn.linear import LinearDecayValueFunction
 
 _contract_ids = itertools.count()
@@ -54,6 +55,7 @@ class Contract:
         "actual_completion",
         "actual_price",
         "task_tid",
+        "task",
     )
 
     def __init__(self, bid: TaskBid, server_bid: ServerBid, signed_at: float) -> None:
@@ -75,6 +77,9 @@ class Contract:
         #: tid of the site-side task executing this contract (set at
         #: award time; links market spans to task lifecycle spans)
         self.task_tid: Optional[int] = None
+        #: the task itself, for a contract a site is executing (a
+        #: contract rebuilt from a journal knows only the tid)
+        self.task: Optional[Task] = None
 
     def price_at(self, completion: float, release: float) -> float:
         """Price owed if the task released at *release* completes at *completion*."""

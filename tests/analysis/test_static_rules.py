@@ -26,6 +26,8 @@ from repro.analysis.static.engine import (
 )
 from repro.analysis.static.modulemap import (
     is_hot_path,
+    is_journaled_act_scope,
+    is_live_service,
     is_print_allowed,
     is_sim_path,
     is_timestamp_passive,
@@ -223,6 +225,28 @@ def test_live_mode_scoping():
     assert is_timestamp_passive("repro.live.recovery")
     assert not is_timestamp_passive("repro.live.client")
     assert not is_timestamp_passive("repro.live.service")
+    # WAL001 follows the settlement: a LiveSite is a MarketSite, so live
+    # contracts settle in repro.market.sites, outside the event-loop scope
+    assert is_journaled_act_scope("repro.live.service")
+    assert is_journaled_act_scope("repro.market.sites")
+    assert not is_live_service("repro.market.sites")
+    assert not is_journaled_act_scope("repro.market.broker")
+
+
+def test_wal001_sees_the_settlements_of_the_shared_site(monkeypatch):
+    """The three settlement calls of ``MarketSite._on_task_finished`` are
+    findings — suppressed, each with its self-journaling justification;
+    they must not go unseen because settlement sits outside repro.live."""
+    monkeypatch.chdir(REPO_ROOT)
+    path = "src/repro/market/sites.py"
+    marked = [
+        s for s in collect_suppressions(Path(path).read_text()).values()
+        if "WAL001" in s.codes
+    ]
+    assert len(marked) == 3
+    # strict: a marker that suppressed nothing would itself be reported
+    run = analyze_paths(["src"], select=["WAL001"], strict_noqa=True)
+    assert not [d for d in run.diagnostics if d.path == path]
 
 
 # ----------------------------------------------------------------------

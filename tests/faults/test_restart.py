@@ -162,3 +162,78 @@ class TestMultiNode:
         # exactly one of the two restarted
         assert a.restarts + b.restarts == 1
         assert math.isclose(max(a.completion, b.completion), 30.0)
+
+
+class TestOneFailurePath:
+    """A crashed node and a failed run (the executor reporting
+    ``ok=False``, as a live subprocess does) are one code path: from the
+    same state they leave the same ledger, queue, listener calls and
+    restart count, and run to the same end."""
+
+    @staticmethod
+    def _scenario(policy):
+        sim = Simulator()
+        site = TaskServiceSite(sim, processors=2, heuristic=FCFS(), restart_policy=policy)
+        calls = []
+        site.start_listeners.append(lambda t: calls.append(("start", t.tid, sim.now)))
+        site.finish_listeners.append(lambda t: calls.append(("finish", t.tid, t.state)))
+        site.crash_listeners.append(lambda t, outcome: calls.append(("crash", t.tid, outcome)))
+        tasks = [
+            make_task(0.0, 20.0, decay=1.0, bound=40.0),
+            make_task(0.0, 30.0),
+            make_task(1.0, 10.0),  # queued behind the two above
+        ]
+        for tid, task in enumerate(tasks, start=9000):
+            task.tid = tid
+            sim.schedule_at(task.arrival, site.submit, task)
+        return sim, site, tasks, calls
+
+    @staticmethod
+    def _state(sim, site, tasks, calls):
+        return {
+            "ledger": site.ledger.summary(),
+            "records": site.ledger.records,
+            "queue": [t.tid for t in site.pool.tasks],
+            "running": [t.tid for t in site.processors.running_tasks],
+            "calls": calls,
+            "tasks": [
+                (t.state, t.restarts, t.remaining, t.estimated_remaining, t.completion)
+                for t in tasks
+            ],
+            "pending_events": sim.pending_count,
+        }
+
+    @pytest.mark.parametrize(
+        "make_policy",
+        [
+            RequeueRestart,
+            lambda: CheckpointRestart(overhead=2.0, interval=5.0),
+            AbandonRestart,
+        ],
+        ids=["requeue", "checkpoint", "abandon"],
+    )
+    def test_crash_node_and_a_failed_exit_agree(self, make_policy):
+        def crashed(site, victim):
+            node = site.processors.node_id_of(victim)
+            outcome = site.crash_node(node)
+            site.repair_node(node)  # a failed run leaves its node up
+            return outcome
+
+        def failed(site, victim):
+            site.executor.cancel(site._runs[victim.tid])
+            return site._on_exit(victim, ok=False)
+
+        states = []
+        for end_run in (crashed, failed):
+            sim, site, tasks, calls = self._scenario(make_policy())
+            outcomes = []
+            sim.schedule_at(7.0, lambda: outcomes.append(end_run(site, tasks[0])))
+            sim.run(until=7.0)
+            at_failure = self._state(sim, site, tasks, list(calls))
+            sim.run()
+            states.append((outcomes, at_failure, self._state(sim, site, tasks, calls)))
+        assert states[0] == states[1]
+        (outcome,), at_failure, at_end = states[0]
+        assert outcome.requeued == (at_failure["ledger"]["restarts"] == 1)
+        assert at_failure["ledger"]["crashes"] == 1
+        assert at_end["ledger"]["completed"] + at_end["ledger"]["breaches"] == 3

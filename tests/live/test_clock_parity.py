@@ -1,10 +1,11 @@
-"""Sim-vs-live parity of the shared decision machinery.
+"""The clock seam: decisions are a function of the reading, not the clock.
 
-The contract behind the clock seam: admission, heuristic ordering, and
-quoting are pure functions of (clock reading, queue state) — so feeding
-the *same* instant through a SimClock and a FrozenClock must produce
-bit-identical decisions.  If these tests break, live mode has drifted
-from the paper's policies.
+Admission, heuristic ordering and quoting are pure functions of (clock
+reading, queue state) — so feeding the *same* instant through a SimClock
+and a FrozenClock must produce bit-identical decisions.  (That the live
+service and the simulator run the same *site* needs no parity test:
+there is one site implementation, and ``test_parity.py`` runs it on
+both hosts.)
 """
 
 from __future__ import annotations
@@ -13,15 +14,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.live.clock import FrozenClock
-from repro.live.config import LiveSiteSpec
-from repro.live.executor import SubprocessExecutor
-from repro.live.site import LiveSite
-from repro.market.sites import MarketSite
 from repro.scheduling.firstreward import FirstReward
 from repro.sim import Simulator
 from repro.site.admission import SlackAdmission
 from repro.site.service import TaskServiceSite
-from repro.tasks.bid import TaskBid
 from repro.tasks.task import Task
 from repro.valuefn.linear import LinearDecayValueFunction
 
@@ -90,108 +86,3 @@ def test_admission_identical_with_queued_work():
     assert admission.evaluate(sim_site, probe_sim) == admission.evaluate(
         frozen_site, probe_live
     )
-
-
-def _quotes_equal(quote_market, quote_live):
-    assert (quote_market is None) == (quote_live is None)
-    if quote_market is not None:
-        assert quote_live.expected_completion == quote_market.expected_completion
-        assert quote_live.expected_price == quote_market.expected_price
-        assert quote_live.expected_slack == quote_market.expected_slack
-
-
-def test_live_site_quotes_match_market_site():
-    """An idle LiveSite and an idle MarketSite quote the same bid identically."""
-    market = MarketSite(
-        Simulator(),
-        site_id="s",
-        processors=2,
-        heuristic=FirstReward(alpha=0.3, discount_rate=0.01),
-        admission=SlackAdmission(threshold=180.0),
-    )
-    clock = FrozenClock(0.0)
-    live = LiveSite(
-        clock,
-        LiveSiteSpec(site_id="s", slots=2, threshold=180.0),
-        SubprocessExecutor(clock, rate=1.0, max_running=2),
-    )
-    for runtime, value, decay, bound in [
-        (300.0, 100.0, 0.5, None),
-        (60.0, 10.0, 0.02, 20.0),
-        (1000.0, 5.0, 3.0, None),  # hopeless slack: both must decline
-    ]:
-        bid_a = TaskBid(runtime=runtime, value=value, decay=decay, bound=bound,
-                        released_at=0.0)
-        bid_b = TaskBid(runtime=runtime, value=value, decay=decay, bound=bound,
-                        released_at=0.0)
-        _quotes_equal(market.quote(bid_a), live.quote(bid_b))
-
-
-class _CountingHeuristic(FirstReward):
-    """FirstReward that counts how often it is asked to rank."""
-
-    def __init__(self):
-        super().__init__(alpha=0.3, discount_rate=0.01)
-        self.calls = 0
-
-    def scores(self, cols, now):
-        self.calls += 1
-        return super().scores(cols, now)
-
-
-def test_empty_pool_quote_and_lone_dispatch_match_the_sim_site():
-    """Neither site ranks when there is nothing to rank against: an
-    empty-pool quote and the start of a lone queued task cost no
-    ``scores()`` call on either, and the answers are the same."""
-    market = MarketSite(
-        Simulator(),
-        site_id="s",
-        processors=2,
-        heuristic=_CountingHeuristic(),
-        admission=SlackAdmission(threshold=180.0),
-    )
-    clock = FrozenClock(0.0)
-    live = LiveSite(
-        clock,
-        LiveSiteSpec(site_id="s", slots=2, threshold=180.0),
-        SubprocessExecutor(clock, rate=1.0, max_running=2),
-    )
-    live.heuristic = _CountingHeuristic()
-
-    def bids(runtime, value, decay):
-        return [
-            TaskBid(runtime=runtime, value=value, decay=decay, released_at=0.0)
-            for _ in range(2)
-        ]
-
-    # idle nodes, empty pool
-    bid_market, bid_live = bids(300.0, 1000.0, 0.5)
-    quote_market, quote_live = market.quote(bid_market), live.quote(bid_live)
-    assert quote_market is not None
-    _quotes_equal(quote_market, quote_live)
-
-    # the award queues one task: both sites start it without ranking it
-    market.award(bid_market, quote_market)
-    live.award(bid_live, quote_live)
-    started = live.next_dispatch()
-    assert started is not None and started.runtime == 300.0
-    live.begin(started)
-    assert live.next_dispatch() is None  # nothing else queued
-    (running,) = market.engine.processors.running_tasks
-    assert running.runtime == started.runtime
-    assert not market.engine.pool and not live.pool
-
-    # one node busy, pool still empty: the closed form again, same answer
-    for shape in [(60.0, 40.0, 0.02), (1000.0, 5.0, 3.0)]:
-        _quotes_equal(*(site.quote(bid) for site, bid in zip((market, live), bids(*shape))))
-    assert market.engine.processors.free_times(0.0) == live.processors.free_times(0.0)
-
-    assert market.engine.heuristic.calls == 0
-    assert live.heuristic.calls == 0
-
-    # two queued tasks are ranked, once
-    for shape in [(50.0, 10.0, 0.01), (20.0, 90.0, 0.04)]:
-        bid = bids(*shape)[0]
-        live.award(bid, live.quote(bid))
-    assert live.next_dispatch() is not None
-    assert live.heuristic.calls == 2  # the second quote's probe, then the dispatch

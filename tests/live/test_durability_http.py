@@ -19,6 +19,8 @@ from repro.live.httpd import start_http
 from repro.live.service import IdempotencyTable, LiveService
 from repro.obs.flight import FlightRecorder
 
+from tests.live.scripted import scripted_service
+
 GOOD_BID = {"runtime": 4.0, "value": 50.0, "decay": 0.1}
 
 
@@ -69,7 +71,7 @@ def test_idempotency_table_rejects_zero_capacity():
 # ----------------------------------------------------------------------
 
 def test_handle_bids_replays_without_renegotiating():
-    service = LiveService(_config())
+    service, _ = scripted_service(_config())
     doc, replayed = service.handle_bids([_bid(0)], idempotency_key="k-1")
     assert not replayed
     negotiations = len(service.records)
@@ -81,7 +83,7 @@ def test_handle_bids_replays_without_renegotiating():
 
 def test_keyed_response_is_journaled_before_reply():
     flight = FlightRecorder(clock_domain="wall")
-    service = LiveService(_config(), flight=flight)
+    service, _ = scripted_service(_config(), flight=flight)
     doc, _ = service.handle_bids([_bid(0)], idempotency_key="k-1")
     [response_intent] = [
         e for e in flight.events
@@ -99,10 +101,11 @@ def test_keyed_response_is_journaled_before_reply():
 
 def test_watermark_sheds_with_retry_after_and_journal_record():
     flight = FlightRecorder(clock_domain="wall")
-    service = LiveService(
+    service, _ = scripted_service(
         _config(queue_watermark=2, retry_after_s=2.5), flight=flight
     )
-    # no dispatch loop: accepted tasks stay queued and push the depth up
+    # nothing ever exits: once the slots are taken, accepted tasks stay
+    # queued and push the depth up
     while service.queued_total < 2:
         service.submit_bid(_bid(service.queued_total))
     with pytest.raises(ApiError) as excinfo:
@@ -120,7 +123,7 @@ def test_batch_admission_is_atomic():
     """One intake check per request: a batch is admitted whole or not at
     all — a mid-batch 429 would discard negotiated awards and make the
     client's idempotent retry double-award them."""
-    service = LiveService(_config(queue_watermark=2))
+    service, _ = scripted_service(_config(queue_watermark=2))
     records = service.submit_bids([_bid(i) for i in range(6)])
     assert len(records) == 6, "an admitted batch negotiates every bid"
     with pytest.raises(ApiError) as excinfo:
@@ -129,7 +132,7 @@ def test_batch_admission_is_atomic():
 
 
 def test_zero_watermark_disables_shedding():
-    service = LiveService(_config(queue_watermark=0))
+    service, _ = scripted_service(_config(queue_watermark=0))
     for i in range(8):
         service.submit_bid(_bid(i))
     assert service.sheds == 0
@@ -162,11 +165,11 @@ async def _raw(port, method, path, payload=None, headers=None):
     return status_line, resp_headers, resp_body
 
 
-def _scenario(coro_fn, start=True, **config_overrides):
+def _scenario(coro_fn, scripted=False, **config_overrides):
     async def main():
-        service = LiveService(_config(**config_overrides))
-        if start:
-            await service.start()
+        config = _config(**config_overrides)
+        service = scripted_service(config)[0] if scripted else LiveService(config)
+        await service.start()
         server, port = await start_http(service, "127.0.0.1", 0)
         try:
             return await coro_fn(service, port)
@@ -179,11 +182,11 @@ def _scenario(coro_fn, start=True, **config_overrides):
     return asyncio.run(main())
 
 
-def _scenario_nostart(coro_fn, **config_overrides):
-    # without a dispatch loop, drain must abandon the queued work: keep
-    # its grace short so the scenario exits promptly
-    config_overrides.setdefault("drain_grace", 0.2)
-    return _scenario(coro_fn, start=False, **config_overrides)
+def _scenario_stuck(coro_fn, **config_overrides):
+    # on scripted executors no run ever ends, so the queue only grows and
+    # drain must abandon it: no grace, so the scenario exits at once
+    config_overrides.setdefault("drain_grace", 0.0)
+    return _scenario(coro_fn, scripted=True, **config_overrides)
 
 
 def test_idempotent_replay_is_byte_identical_with_header():
@@ -208,7 +211,7 @@ def test_idempotent_replay_is_byte_identical_with_header():
 
 def test_shed_answers_429_with_retry_after():
     async def steps(service, port):
-        # the dispatch loop is never started in this scenario, so every
+        # no run ever ends in this scenario, so past the two slots every
         # accepted bid stays queued and the depth reaches the watermark
         while service.queued_total < 2:
             service.submit_bid(_bid(service.queued_total))
@@ -217,7 +220,7 @@ def test_shed_answers_429_with_retry_after():
         assert headers["retry-after"] == "3"
         assert "watermark" in json.loads(body)["error"]
 
-    _scenario_nostart(steps, queue_watermark=2, retry_after_s=3.0)
+    _scenario_stuck(steps, queue_watermark=2, retry_after_s=3.0)
 
 
 def test_draining_503_carries_retry_after():

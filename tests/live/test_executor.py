@@ -42,6 +42,27 @@ def test_nonzero_exit_reports_failure():
     assert not report.killed
 
 
+def test_a_spawn_that_fails_is_a_run_that_failed(tmp_path):
+    not_executable = tmp_path / "data.txt"
+    not_executable.write_text("not a program\n")
+    ex = _executor(max_running=1)
+
+    async def scenario():
+        missing = await ex.run(["/nonexistent/binary"], timeout_units=None)
+        denied = await ex.run([str(not_executable)], timeout_units=None)
+        # the slot and the semaphore came back both times
+        return missing, denied, await ex.run(sleep_argv(0.0), timeout_units=None)
+
+    missing, denied, after = asyncio.run(scenario())
+    for report in (missing, denied):
+        assert not report.ok
+        assert report.returncode is None and not report.killed
+        assert report.ended_at >= report.started_at
+    assert after.ok
+    assert ex.running == 0
+    assert (ex.started, ex.completed, ex.killed) == (3, 3, 0)
+
+
 def test_watchdog_kills_overrunning_child():
     ex = _executor(rate=100.0)  # 10 units = 0.1 wall seconds
     argv = (sys.executable, "-c", "import time; time.sleep(30)")
@@ -107,6 +128,37 @@ def test_watchdog_tolerates_child_that_exits_before_the_kill():
         # or the signal really landed
         assert report.killed == (report.returncode != 0)
     assert ex.killed == sum(r.killed for r in reports)
+
+
+def test_a_signal_that_lands_on_an_exited_child_is_not_a_kill(monkeypatch):
+    """The other half of the same race: the child has exited but is not
+    reaped yet, so ``kill()`` raises nothing and changes nothing.  A clean
+    exit must stay a clean exit (the test above has been seen to fail on
+    exactly this: ``killed`` with return code 0)."""
+
+    class ExitedUnreaped:
+        pid = 4242
+        returncode = None
+
+        def __init__(self):
+            self.signalled = asyncio.Event()
+
+        async def wait(self):
+            await self.signalled.wait()  # reaped only after the watchdog's tick
+            self.returncode = 0
+            return 0
+
+        def kill(self):
+            self.signalled.set()
+
+    async def spawn(*argv, **kwargs):
+        return ExitedUnreaped()
+
+    monkeypatch.setattr(asyncio, "create_subprocess_exec", spawn)
+    ex = _executor(max_running=1, rate=1000.0, poll_interval=0.001)
+    report = asyncio.run(ex.run(["true"], timeout_units=1e-9))
+    assert report.ok and report.returncode == 0 and not report.killed
+    assert (ex.started, ex.completed, ex.killed, ex.running) == (1, 1, 0, 0)
 
 
 def test_kill_all_skips_a_child_that_already_exited():

@@ -1,8 +1,9 @@
 """Crash recovery: plan from a journal, apply to a fresh service.
 
-The unit half builds journals in-process (a service that is never
-drained or closed stands in for a crashed one — fsync="always" makes
-every record durable at write time) and checks the plan: open
+The unit half builds journals in-process (a service on a scripted
+executor whose runs never end, never drained or closed, stands in for a
+crashed one — fsync="always" makes every record durable at write time)
+and checks the plan: open
 contracts, orphan PIDs, restored responses, id-counter floors.  The
 apply half re-settles against a fresh service and asserts the books
 balance and the dedup table replays byte-identically.
@@ -32,6 +33,8 @@ from repro.tasks.bid import ServerBid, TaskBid
 from repro.tasks.contract import Contract
 from repro.tasks.task import Task
 
+from tests.live.scripted import scripted_service
+
 
 def _config(**overrides):
     overrides.setdefault("rate", 200.0)
@@ -50,14 +53,14 @@ def _bid(i, runtime=4.0):
 def _crash_a_service(path, n_bids=3):
     """Journal *n_bids* keyed negotiations, then vanish without draining.
 
-    The dispatch loop is never started, so awarded tasks stay queued:
-    every contract is open when the 'crash' happens — the same shape as
-    a SIGKILL before execution finished.
+    No run ever ends on the scripted executor, so awarded tasks are
+    still running or queued and every contract is open when the 'crash'
+    happens — the same shape as a SIGKILL before execution finished.
     """
     flight = FlightRecorder(
         sink=JournalSink(path, fsync="always"), clock_domain="wall"
     )
-    service = LiveService(_config(), flight=flight)
+    service, _ = scripted_service(_config(), flight=flight)
     docs = {}
     for i in range(n_bids):
         doc, replayed = service.handle_bids([_bid(i)], idempotency_key=f"key-{i}")

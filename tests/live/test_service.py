@@ -51,7 +51,6 @@ def _run(config, requests, settle_timeout=10.0):
             await asyncio.sleep(0.02)
         await service.drain()
         await service.stop()
-        service.task_records()  # refresh execution reports onto records
         return records
 
     records = asyncio.run(scenario())
@@ -90,12 +89,12 @@ def test_failed_run_requeues_then_breaches_at_the_floor():
     )
     task, contract = record.task, record.contract
     assert task.restarts == 1  # one requeue-from-scratch, then breach
-    assert service.sites[0].executor.started == 2
+    assert service.sites[0].engine.executor.started == 2
     assert task.state.value == "cancelled"
     assert task.realized_yield == -20.0  # the value-function floor
     assert contract.settled and contract.actual_price == -20.0
     assert service.sites[0].revenue == pytest.approx(-20.0)
-    assert service.sites[0].ledger.summary()["breaches"] == 1
+    assert service.sites[0].engine.ledger.summary()["breaches"] == 1
     assert not service.errors  # task failure is settlement, not a bug
 
 
@@ -113,6 +112,58 @@ def test_unbounded_failure_settles_abandoned_owing_nothing():
     assert service.sites[0].open_contracts == 0
 
 
+def test_unspawnable_argv_settles_and_frees_its_slot(tmp_path):
+    """A bid whose command cannot be spawned is a failed run — it takes
+    the restart-budget path and settles; it must not leak the slot or
+    leave the contract open (one such bid per slot killed a site)."""
+    from repro.audit import audit_recording
+    from repro.obs.flight import FlightRecorder, JournalSink, read_recording
+
+    path = str(tmp_path / "journal.jsonl")
+    flight = FlightRecorder(sink=JournalSink(path, fsync="off"), clock_domain="wall")
+    config = _config(
+        sites=(LiveSiteSpec(site_id="live-0", slots=1),), max_restarts=1
+    )
+    service = LiveService(config, flight=flight)
+    not_executable = tmp_path / "data.txt"
+    not_executable.write_text("not a program\n")
+    requests = [
+        _bid(bound=20.0, argv=("/nonexistent/binary",)),  # FileNotFoundError
+        _bid(bound=None, argv=(str(not_executable),)),  # PermissionError
+        _bid(),  # the one slot must still be there for this one
+    ]
+
+    async def scenario():
+        await service.start()
+        records = service.submit_bids(requests)
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + 10.0
+        while not service.idle and loop.time() < deadline:
+            await asyncio.sleep(0.02)
+        idle_before_drain = service.idle
+        await service.drain()
+        await service.stop()
+        return records, idle_before_drain
+
+    (missing, denied, good), went_idle = asyncio.run(scenario())
+    flight.close()
+    assert went_idle, "the service never went idle: a slot leaked"
+    assert not service.errors  # a task failure is a settlement, not a service bug
+    site = service.sites[0]
+    assert site.open_contracts == 0 and site.engine.running_count == 0
+    for record in (missing, denied):
+        assert record.task.state.value == "cancelled"
+        assert record.task.restarts == 1  # one requeue, then the breach
+        assert record.contract.settled
+        assert record.report.returncode is None and not record.report.killed
+    assert missing.contract.actual_price == -20.0
+    assert denied.contract.actual_price <= 0.0
+    assert good.task.state.value == "completed"
+    assert site.engine.executor.started == 5
+    report = audit_recording(read_recording(path))
+    assert report.ok, report.violations
+
+
 def test_watchdog_kills_an_overrunning_task():
     # declared runtime 2 units, timeout_factor 3 → killed at 6 units
     # (30ms wall); the process would otherwise sleep 60s
@@ -123,7 +174,7 @@ def test_watchdog_kills_an_overrunning_task():
     assert record.report is not None and record.report.killed
     assert record.task.state.value == "cancelled"
     assert record.contract.settled
-    assert service.sites[0].executor.killed == 1
+    assert service.sites[0].engine.executor.killed == 1
 
 
 def test_drain_rejects_bids_and_force_settles_everything():
@@ -141,9 +192,9 @@ def test_drain_rejects_bids_and_force_settles_everything():
     async def scenario():
         await service.start()
         records = service.submit_bids(requests)
-        await asyncio.sleep(0.1)  # let the loop dispatch onto the slot
-        assert service.sites[0].running_count == 1
-        assert service.sites[0].queued_count == 3
+        await asyncio.sleep(0.1)  # let the first child fork
+        assert service.sites[0].engine.running_count == 1
+        assert service.sites[0].engine.queue_length == 3
         await service.drain()
         with pytest.raises(ApiError) as excinfo:
             service.submit_bid(_bid())
@@ -159,7 +210,7 @@ def test_drain_rejects_bids_and_force_settles_everything():
     for record in records:
         assert record.contract.settled
         assert record.task.state.value == "cancelled"
-    assert site.ledger.summary()["breaches"] == 4
+    assert site.engine.ledger.summary()["breaches"] == 4
 
 
 def test_two_sites_share_load_and_status_reports_both():
@@ -207,21 +258,6 @@ def test_two_sites_share_load_and_status_reports_both():
 
 def test_strategy_registry_names():
     assert set(STRATEGIES) == {"best-yield", "best-surplus", "earliest"}
-
-
-def test_stop_is_idempotent_and_safe_concurrently():
-    service = LiveService(_config())
-
-    async def scenario():
-        await service.start()
-        # two concurrent stops: the first consumes the dispatch task, the
-        # second must see _loop_task already detached (not cancel/await a
-        # task mid-consumption) — then a third stop on the stopped service
-        await asyncio.gather(service.stop(), service.stop())
-        await service.stop()
-        return service._loop_task
-
-    assert asyncio.run(scenario()) is None
 
 
 def test_start_wires_journal_fsync_offload(tmp_path):

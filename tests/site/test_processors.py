@@ -28,21 +28,21 @@ class TestAssignment:
         pool = ProcessorPool(2)
         assert pool.free_count == 2
         t = make_task()
-        pool.assign(t, now=0.0, completion=10.0)
+        pool.assign(t, now=0.0)
         assert pool.free_count == 1
         assert pool.busy_count == 1
         assert pool.running_tasks == [t]
 
     def test_assign_when_full_raises(self):
         pool = ProcessorPool(1)
-        pool.assign(make_task(), 0.0, 10.0)
+        pool.assign(make_task(), 0.0)
         with pytest.raises(SchedulingError):
-            pool.assign(make_task(), 0.0, 10.0)
+            pool.assign(make_task(), 0.0)
 
     def test_vacate_frees_slot(self):
         pool = ProcessorPool(1)
         t = make_task()
-        slot = pool.assign(t, 0.0, 10.0)
+        slot = pool.assign(t, 0.0)
         assert pool.vacate(t, 10.0) == slot
         assert pool.free_count == 1
 
@@ -50,12 +50,6 @@ class TestAssignment:
         pool = ProcessorPool(1)
         with pytest.raises(SchedulingError):
             pool.vacate(make_task(), 0.0)
-
-    def test_completion_time_of(self):
-        pool = ProcessorPool(2)
-        t = make_task()
-        pool.assign(t, 0.0, 42.0)
-        assert pool.completion_time_of(t) == 42.0
 
 
 class TestFreeTimes:
@@ -66,14 +60,14 @@ class TestFreeTimes:
     def test_busy_nodes_free_at_estimated_completion(self):
         pool = ProcessorPool(2)
         t = started_task(runtime=12.0, at=0.0)
-        pool.assign(t, 0.0, 12.0)
+        pool.assign(t, 0.0)
         times = sorted(pool.free_times(5.0))
         assert times == [5.0, 12.0]
 
     def test_free_times_clamped_at_now_when_estimate_exhausted(self):
         pool = ProcessorPool(1)
         t = started_task(runtime=3.0, at=0.0)
-        pool.assign(t, 0.0, 3.0)
+        pool.assign(t, 0.0)
         # believed remaining is max(0, 3 - 8) = 0: free "now"
         assert pool.free_times(8.0)[0] == 8.0
 
@@ -83,7 +77,7 @@ class TestFreeTimes:
         pool = ProcessorPool(1)
         t = Task(0.0, 3.0, LinearDecayValueFunction(100.0, 1.0), estimate=20.0)
         t.submit(); t.accept(); t.start(0.0)
-        pool.assign(t, 0.0, 3.0)
+        pool.assign(t, 0.0)
         assert pool.free_times(1.0)[0] == pytest.approx(20.0)
 
     def test_running_rows(self):
@@ -91,8 +85,8 @@ class TestFreeTimes:
         a = started_task(runtime=10.0, at=0.0)
         b = Task(1.0, 4.0, LinearDecayValueFunction(50.0, 2.0, penalty_bound=5.0), estimate=6.0)
         b.submit(); b.accept(); b.start(1.0)
-        pool.assign(a, 0.0, 10.0)
-        pool.assign(b, 1.0, 5.0)
+        pool.assign(a, 0.0)
+        pool.assign(b, 1.0)
         tasks, rows = pool.running_rows(3.0)
         assert tasks == [a, b]  # slot order; the idle node has no row
         # PoolColumns field order; the RPT is the believed one (estimate 6, ran 2)
@@ -110,7 +104,7 @@ class TestFreeTimes:
         pool = ProcessorPool(1)
         t = Task(0.0, 5.0, PiecewiseLinearValueFunction([(0, 10), (3, 0)]))
         t.submit(); t.accept(); t.start(0.0)
-        pool.assign(t, 0.0, 5.0)
+        pool.assign(t, 0.0)
         with pytest.raises(SchedulingError, match="LinearDecayValueFunction"):
             pool.running_rows(1.0)
 
@@ -125,7 +119,7 @@ class TestElasticCapacity:
     def test_shrink_removes_only_idle(self):
         pool = ProcessorPool(3)
         t = started_task()
-        pool.assign(t, 0.0, 10.0)
+        pool.assign(t, 0.0)
         removed = pool.shrink_idle(3)
         assert removed == 2  # busy node survives
         assert pool.count == 1
@@ -148,27 +142,27 @@ class TestElasticCapacity:
         pool = ProcessorPool(1)
         pool.grow(3)  # ids 0..3
         a = started_task()
-        pool.assign(a, 0.0, 100.0)  # lands on slot 0 => id 0
+        pool.assign(a, 0.0)  # lands on slot 0 => id 0
         b = started_task()
-        pool.assign(b, 0.0, 100.0)  # id 1
+        pool.assign(b, 0.0)  # id 1
         id_b = pool.node_id_of(b)
         pool.shrink_idle(2)  # drops idle ids 2,3
         assert pool.node_id_of(b) == id_b
         assert pool.node_id_of(a) == 0
         pool.grow(1)  # new node gets a FRESH id, not a recycled one
         c = started_task()
-        pool.assign(c, 0.0, 100.0)
+        pool.assign(c, 0.0)
         assert pool.node_id_of(c) == 4
 
     def test_grow_then_assign_uses_new_capacity(self):
         pool = ProcessorPool(1)
         a = started_task()
-        pool.assign(a, 0.0, 10.0)
+        pool.assign(a, 0.0)
         with pytest.raises(SchedulingError):
-            pool.assign(started_task(), 0.0, 10.0)
+            pool.assign(started_task(), 0.0)
         pool.grow(1)
         b = started_task()
-        pool.assign(b, 0.0, 10.0)
+        pool.assign(b, 0.0)
         assert pool.busy_count == 2
 
 
@@ -176,13 +170,13 @@ class TestUtilization:
     def test_fully_busy(self):
         pool = ProcessorPool(1)
         t = make_task()
-        pool.assign(t, 0.0, 10.0)
+        pool.assign(t, 0.0)
         assert pool.utilization(10.0) == pytest.approx(1.0)
 
     def test_half_busy_after_vacate(self):
         pool = ProcessorPool(1)
         t = make_task()
-        pool.assign(t, 0.0, 5.0)
+        pool.assign(t, 0.0)
         pool.vacate(t, 5.0)
         assert pool.utilization(10.0) == pytest.approx(0.5)
 
@@ -200,7 +194,7 @@ class TestUtilization:
         # The parameter is gone; the one horizon is [0, now].
         pool = ProcessorPool(1)
         t = make_task()
-        pool.assign(t, 0.0, 4.0)
+        pool.assign(t, 0.0)
         pool.vacate(t, 4.0)
         assert pool.utilization(10.0) == pytest.approx(0.4)
         with pytest.raises(TypeError):
