@@ -8,18 +8,19 @@ This example exercises that extension:
 1. builds a grace-period value function (full value for a while, then a
    steep drop toward a bounded penalty),
 2. compares it against the linear model on the same delays, and
-3. schedules a small queue with a *generic* greedy scheduler written
-   directly against the ValueFunction interface — demonstrating how the
-   library's abstractions compose outside the vectorized engine.
+3. schedules a small queue of mixed linear and piecewise tasks with the
+   *generic* FirstPrice heuristic, which scores each task through the
+   ValueFunction interface — the extension path outside the vectorized
+   engine.
 
 Run:  python examples/custom_value_functions.py
 """
 
 from __future__ import annotations
 
-from repro import LinearDecayValueFunction, PiecewiseLinearValueFunction, Simulator, Task
+from repro import LinearDecayValueFunction, PiecewiseLinearValueFunction, Task
 from repro.metrics.tables import format_table
-from repro.sim import Process, Resource, Timeout
+from repro.scheduling.generic import GenericFirstPrice, simulate_generic
 
 
 def show_value_functions() -> None:
@@ -45,43 +46,32 @@ def show_value_functions() -> None:
 def generic_greedy_schedule() -> None:
     """Greedy unit-gain scheduling for arbitrary value functions.
 
-    The vectorized site engine requires linear functions; here we write
-    the same FirstPrice rule against the generic interface, running the
-    queue on the simulation kernel's Resource primitive.
+    The vectorized site engine requires linear functions; the generic
+    task service runs the same FirstPrice rule against the abstract
+    interface, one node, any mix of value models.
     """
-    sim = Simulator()
-    cpu = Resource(sim, capacity=1)
-
-    # four jobs, all released at t=0, mixing linear and piecewise values
-    jobs = [
-        ("etl", 30.0, LinearDecayValueFunction(90.0, 1.5, penalty_bound=0.0)),
-        ("report", 10.0, PiecewiseLinearValueFunction([(0, 80), (5, 80), (25, 0)])),
-        ("backfill", 50.0, LinearDecayValueFunction(60.0, 0.2, penalty_bound=0.0)),
-        ("alert", 5.0, PiecewiseLinearValueFunction([(0, 40), (10, -10), (30, -10)])),
+    # four jobs released at t=0, mixing linear and piecewise values; the
+    # first submission finds the node idle and starts at once, the rest
+    # are ranked against each other at every completion
+    jobs = {
+        "report": Task(
+            0.0, 10.0, PiecewiseLinearValueFunction([(0, 80), (5, 80), (25, 0)])
+        ),
+        "etl": Task(0.0, 30.0, LinearDecayValueFunction(90.0, 1.5, penalty_bound=0.0)),
+        "backfill": Task(
+            0.0, 50.0, LinearDecayValueFunction(60.0, 0.2, penalty_bound=0.0)
+        ),
+        "alert": Task(
+            0.0, 5.0, PiecewiseLinearValueFunction([(0, 40), (10, -10), (30, -10)])
+        ),
+    }
+    ledger = simulate_generic(list(jobs.values()), GenericFirstPrice(), processors=1)
+    log = [
+        {"job": name, "started": task.first_start, "earned": task.realized_yield}
+        for name, task in sorted(jobs.items(), key=lambda item: item[1].first_start)
     ]
-    pending = list(jobs)
-    log = []
-
-    def unit_gain(job) -> float:
-        name, runtime, vf = job
-        return vf.yield_at(sim.now) / runtime  # delay == waiting time here
-
-    def scheduler():
-        while pending:
-            yield cpu.request()
-            pending.sort(key=unit_gain, reverse=True)
-            name, runtime, vf = pending.pop(0)
-            started = sim.now
-            yield Timeout(runtime)
-            earned = vf.yield_at(started)  # value locked in at start+runtime
-            log.append({"job": name, "started": started, "earned": earned})
-            cpu.release()
-
-    Process(sim, scheduler())
-    sim.run()
     print(format_table(log, title="generic greedy schedule (mixed value models)"))
-    total = sum(r["earned"] for r in log)
-    print(f"total earned: {total:.1f}")
+    print(f"total earned: {ledger.total_yield:.1f}")
 
 
 def main() -> None:

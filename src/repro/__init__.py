@@ -44,7 +44,6 @@ from repro.errors import (
     ContractViolation,
     ExperimentError,
     MarketError,
-    ProcessError,
     ReproError,
     SchedulingError,
     SimulationError,
@@ -101,7 +100,6 @@ __all__ = [
     "Observability",
     "PiecewiseLinearValueFunction",
     "PresentValue",
-    "ProcessError",
     "ReproError",
     "SRPT",
     "SWPT",

@@ -20,10 +20,6 @@ class SimulationError(ReproError):
     """
 
 
-class ProcessError(SimulationError):
-    """A simulation process misbehaved (bad yield value, dead interrupt)."""
-
-
 class ValueFunctionError(ReproError):
     """An ill-formed value function (non-positive runtime, negative decay)."""
 

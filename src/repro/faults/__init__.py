@@ -6,8 +6,8 @@ the risk model:
 
 * :class:`FaultSpec` — configuration: MTTF/MTTR distributions, restart
   policy, failure-aware pricing knobs (all off by default).
-* :class:`FaultInjector` — per-node crash/repair cycles as daemon DES
-  processes on seeded RNG streams.
+* :class:`FaultInjector` — per-node crash/repair cycles as daemon kernel
+  coroutines on seeded RNG streams.
 * :class:`RestartPolicy` and friends — requeue-from-scratch,
   checkpoint-resume, or abandon (contract breach at the penalty floor).
 * :class:`ExponentialSurvival` / :class:`WeibullSurvival` — P(node

@@ -1,6 +1,6 @@
-"""The fault injector: per-node crash/repair cycles as DES processes.
+"""The fault injector: per-node crash/repair cycles as kernel coroutines.
 
-One daemon :class:`~repro.sim.process.Process` per node alternates
+One daemon :class:`~repro.sim.coroutine.Coroutine` per node alternates
 
     up for TTF  →  crash  →  down for TTR  →  repair  →  up for TTF …
 
@@ -11,10 +11,10 @@ removing nodes never perturbs another node's fault trace, and the same
 
 Event-liveness semantics matter here:
 
-* *Crash* timeouts are **daemon** events — a pending crash never keeps
+* *Crash* sleeps are **daemon** events — a pending crash never keeps
   the simulation alive, so a run still ends when the real work drains
   (faults only strike while there is work to disrupt).
-* *Repair* timeouts are **essential** — once a node is down, the repair
+* *Repair* sleeps are **essential** — once a node is down, the repair
   always lands.  Otherwise a run could end with the queue non-empty and
   every node dead: the repair event is precisely what un-wedges it.
 
@@ -30,8 +30,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from repro.faults.spec import FaultSpec
 from repro.faults.stats import FaultStats
+from repro.sim.coroutine import Coroutine, Sleep
 from repro.sim.kernel import Simulator
-from repro.sim.process import Interrupt, Process, Timeout
 from repro.sim.rng import RandomStreams
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -85,11 +85,11 @@ class FaultInjector:
         self.stream_prefix = stream_prefix
         self.obs = obs
         self._down_count = 0
-        self.processes: list[Process] = []
+        self.loops: list[Coroutine] = []
         if spec.enabled:
             for node_id in node_ids:
-                self.processes.append(
-                    Process(
+                self.loops.append(
+                    Coroutine(
                         sim,
                         self._node_loop(int(node_id)),
                         name=f"fault:{node_id}",
@@ -97,48 +97,80 @@ class FaultInjector:
                     )
                 )
 
+    @classmethod
+    def on_site(
+        cls,
+        sim: Simulator,
+        spec: FaultSpec,
+        site,
+        streams: RandomStreams,
+        stats: Optional[FaultStats] = None,
+        stream_prefix: str = "fault",
+        obs: "Optional[Observability]" = None,
+    ) -> "FaultInjector":
+        """An injector over every node of one site engine: crashes and
+        repairs drive ``site.crash_node``/``repair_node``, and each task
+        a crash kills is booked on the injector's stats."""
+        injector = cls(
+            sim,
+            spec,
+            node_ids=range(site.processors.count),
+            streams=streams,
+            on_crash=site.crash_node,
+            on_repair=site.repair_node,
+            stats=stats,
+            stream_prefix=stream_prefix,
+            obs=obs,
+        )
+        site.crash_listeners.append(injector.stats.note_kill)
+        return injector
+
     # ------------------------------------------------------------------
-    def _node_loop(self, node_id: int):
+    async def _node_loop(self, node_id: int) -> None:
         rng = self.streams.get(f"{self.stream_prefix}:node:{node_id}")
-        try:
-            while True:
-                ttf = self.spec.draw_ttf(rng)
-                if math.isinf(ttf):
-                    return  # crashes disabled (mttf=inf): nothing to do
-                yield Timeout(ttf, daemon=True)
-                self.stats.note_down(node_id, self.sim.now)
-                if self.obs is not None:
-                    self._down_count += 1
-                    self.obs.node_crashed(node_id, self.sim.now, self._down_count)
-                self.on_crash(node_id)
-                ttr = self.spec.draw_ttr(rng)
-                # essential: a down node's repair must fire even if it is
-                # the only future event — it may be what unblocks the queue
-                yield Timeout(ttr)
-                self.stats.note_up(node_id, self.sim.now)
-                if self.obs is not None:
-                    self._down_count -= 1
-                    self.obs.node_repaired(node_id, self.sim.now, self._down_count)
-                self.on_repair(node_id)
-        except Interrupt:
-            return  # stop() shuts the loop down cleanly
+        while True:
+            ttf = self.spec.draw_ttf(rng)
+            if math.isinf(ttf):
+                return  # crashes disabled (mttf=inf): nothing to do
+            await Sleep(ttf, daemon=True)
+            self.stats.note_down(node_id, self.sim.now)
+            if self.obs is not None:
+                self._down_count += 1
+                self.obs.node_crashed(node_id, self.sim.now, self._down_count)
+            self.on_crash(node_id)
+            ttr = self.spec.draw_ttr(rng)
+            # essential: a down node's repair must fire even if it is
+            # the only future event — it may be what unblocks the queue
+            await Sleep(ttr)
+            self.stats.note_up(node_id, self.sim.now)
+            if self.obs is not None:
+                self._down_count -= 1
+                self.obs.node_repaired(node_id, self.sim.now, self._down_count)
+            self.on_repair(node_id)
 
     # ------------------------------------------------------------------
     def stop(self) -> int:
-        """Interrupt every live node loop; returns how many were stopped."""
-        stopped = 0
-        for process in self.processes:
-            if process.alive:
-                process.interrupt("injector shutdown")
-                stopped += 1
+        """Stop every live node loop where it sleeps (its pending crash
+        or repair event is cancelled); returns how many were stopped."""
+        stopped = self.active_count
+        for loop in self.loops:
+            loop.stop()
         return stopped
+
+    def shutdown(self) -> None:
+        """End of run: stop the loops and charge the downtime of nodes
+        still dead.  Once :meth:`~repro.sim.kernel.Simulator.run` has
+        returned, only daemon crash timers are pending, so there is
+        nothing left to run afterwards."""
+        self.stop()
+        self.stats.close(self.sim.now)
 
     @property
     def active_count(self) -> int:
-        return sum(1 for p in self.processes if p.alive)
+        return sum(1 for loop in self.loops if loop.alive)
 
     def __repr__(self) -> str:
         return (
-            f"<FaultInjector nodes={len(self.processes)} "
+            f"<FaultInjector nodes={len(self.loops)} "
             f"crashes={self.stats.crashes} repairs={self.stats.repairs}>"
         )

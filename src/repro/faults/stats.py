@@ -46,6 +46,17 @@ class FaultStats:
             del self._down_since[node_id]
 
     # ------------------------------------------------------------------
+    def note_kill(self, task, outcome) -> None:
+        """A running task died with its node (a site crash listener;
+        *outcome* is the restart policy's ``CrashOutcome``)."""
+        self.tasks_killed += 1
+        self.work_lost += outcome.work_lost
+        if outcome.requeued:
+            self.restarts += 1
+        else:
+            self.abandoned += 1
+
+    # ------------------------------------------------------------------
     def summary(self) -> dict:
         return {
             "crashes": self.crashes,

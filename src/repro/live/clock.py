@@ -23,8 +23,10 @@ code paths.
 
 from __future__ import annotations
 
+import asyncio
 import math
 import time
+from typing import Awaitable
 
 from repro.errors import LiveServiceError
 
@@ -68,6 +70,10 @@ class WallClock:
         """Current time in market units since service start."""
         return self.start + (time.monotonic() - self._epoch) * self.rate
 
+    def sleep(self, delay: float) -> Awaitable[None]:
+        """``asyncio.sleep`` for *delay* market units of wall time."""
+        return asyncio.sleep(self.to_seconds(delay))
+
     def to_seconds(self, units: float) -> float:
         """Convert a duration in market units to wall-clock seconds."""
         return units / self.rate
@@ -101,6 +107,10 @@ class FrozenClock:
             raise LiveServiceError(f"clock advance must be >= 0, got {delta!r}")
         self.now += delta
         return self.now
+
+    async def sleep(self, delay: float) -> None:
+        """Sleeping is being told to move: advance by *delay*, at once."""
+        self.advance(delay)
 
     def __repr__(self) -> str:
         return f"<FrozenClock now={self.now:g}>"

@@ -441,22 +441,20 @@ class LiveService:
         )
 
     async def drain(self) -> None:
-        """Finish in-flight work; force-settle whatever outlives grace."""
+        """Finish in-flight work; force-settle whatever outlives grace.
+
+        Waits only through :attr:`clock` — ``idle`` is polled every
+        ``poll_interval`` until the grace deadline — so the same
+        coroutine drains on the event loop and on the simulation kernel.
+        """
         self.draining = True
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.config.drain_grace
+        poll = self.config.poll_interval * self.config.rate
+        deadline = self.clock.now + self.config.drain_grace * self.config.rate
         while not self.idle:
-            remaining = deadline - loop.time()
+            remaining = deadline - self.clock.now
             if remaining <= 0:
                 break
-            if self._inflight:
-                await asyncio.wait(
-                    set(self._inflight),
-                    timeout=min(remaining, 0.5),
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-            else:
-                await asyncio.sleep(min(remaining, self.config.poll_interval))
+            await self.clock.sleep(min(remaining, poll))
         if not self.idle:
             # grace expired.  An exit dispatches synchronously, so the
             # order is: abandon the queue and spend every restart budget
@@ -477,9 +475,7 @@ class LiveService:
                     site.engine.executor.kill_all()
                 if not self._inflight:
                     break
-                await asyncio.wait(
-                    set(self._inflight), timeout=self.config.poll_interval
-                )
+                await self.clock.sleep(poll)
         if self.flight is not None:
             # closing books per site: the audit's reconciliation anchor
             for site in self.sites:

@@ -7,8 +7,8 @@ reflects the site's candidate schedule *at quote time*, so by the time
 the award lands the schedule may have moved (quotes go stale and
 promised completions get missed).
 
-:class:`LatentNegotiator` runs the same two-phase exchange as simulation
-*processes* on the DES kernel: request → (latency) → quotes →
+:class:`LatentNegotiator` runs the same two-phase exchange as
+coroutines on the DES kernel: request → (latency) → quotes →
 (selection) → (latency) → award.  Message dataclasses make the exchange
 inspectable; tests assert both the happy path and the stale-quote
 effect.
@@ -40,8 +40,9 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from repro.errors import MarketError
 from repro.market.broker import SelectionStrategy, best_yield
 from repro.market.sites import MarketSite
+from repro.sim.clock import SimClock
+from repro.sim.coroutine import Coroutine
 from repro.sim.kernel import Simulator
-from repro.sim.process import Process, Timeout
 from repro.tasks.bid import ServerBid, TaskBid
 from repro.tasks.contract import Contract
 
@@ -108,7 +109,7 @@ class NegotiationRecord:
 class LatentNegotiator:
     """Two-phase negotiation with symmetric one-way message latency.
 
-    Each ``negotiate`` call spawns a process: the request takes
+    Each ``negotiate`` call spawns a coroutine: the request takes
     ``latency`` to reach the sites, quotes take ``latency`` to return,
     and the award another ``latency`` to land — 3 one-way hops before
     the task enters the winner's schedule.
@@ -129,6 +130,7 @@ class LatentNegotiator:
         if latency < 0:
             raise MarketError(f"latency must be >= 0, got {latency!r}")
         self.sim = sim
+        self.clock = SimClock(sim)
         self.sites = list(sites)
         self.latency = float(latency)
         self.strategy = strategy
@@ -155,7 +157,9 @@ class LatentNegotiator:
         self.records.append(record)
         if self.obs is not None:
             self.obs.negotiation_started(record.negotiation_id, self.sim.now)
-        Process(self.sim, self._run(bid, record), name=f"negotiation-{record.negotiation_id}")
+        Coroutine(
+            self.sim, self._run(bid, record), name=f"negotiation-{record.negotiation_id}"
+        )
         return record
 
     def _lost(self, record: NegotiationRecord) -> bool:
@@ -189,7 +193,7 @@ class LatentNegotiator:
             self.resilience.note_negotiation_failure(record, self)
         return record
 
-    def _run(self, bid: TaskBid, record: NegotiationRecord):
+    async def _run(self, bid: TaskBid, record: NegotiationRecord) -> NegotiationRecord:
         record.request = BidRequest(record.negotiation_id, bid, self.sim.now)
         attempt = 0  # one retry budget across the whole negotiation
 
@@ -197,7 +201,7 @@ class LatentNegotiator:
         while True:
             request_lost = self._lost(record)
             if self.latency:
-                yield Timeout(self.latency)  # request in flight
+                await self.clock.sleep(self.latency)  # request in flight
 
             quotes: list[ServerBid] = []
             quote_sites: list[MarketSite] = []
@@ -220,14 +224,14 @@ class LatentNegotiator:
                         quote_sites.append(site)
 
             if self.latency:
-                yield Timeout(self.latency)  # responses in flight
+                await self.clock.sleep(self.latency)  # responses in flight
 
             if request_lost or not any_response:
                 # silence: the client cannot tell a lost request from
                 # lost responses — wait out the timeout and retransmit
                 if self.faults is None or attempt >= self.faults.max_retries:
                     return self._finish(record, reason="retries-exhausted")
-                yield Timeout(self.faults.retry_delay(attempt))
+                await self.clock.sleep(self.faults.retry_delay(attempt))
                 self.faults.note_retry()
                 record.retries += 1
                 if self.obs is not None:
@@ -246,7 +250,7 @@ class LatentNegotiator:
         while True:
             award_lost = self._lost(record)
             if self.latency:
-                yield Timeout(self.latency)  # award in flight
+                await self.clock.sleep(self.latency)  # award in flight
 
             if not award_lost:
                 if winner.expired(self.sim.now):
@@ -280,7 +284,7 @@ class LatentNegotiator:
             # quote goes staler with every round trip)
             if attempt >= self.faults.max_retries:
                 return self._finish(record, reason="retries-exhausted")
-            yield Timeout(self.faults.retry_delay(attempt))
+            await self.clock.sleep(self.faults.retry_delay(attempt))
             self.faults.note_retry()
             record.retries += 1
             if self.obs is not None:

@@ -129,40 +129,23 @@ def simulate_resilient_market(
 
         stats = FaultStats()
         streams = RandomStreams(fault_seed)
-        for site in sites:
-
-            def on_crash_listener(task, outcome, _stats=stats):
-                _stats.tasks_killed += 1
-                _stats.work_lost += outcome.work_lost
-                if outcome.requeued:
-                    _stats.restarts += 1
-                else:
-                    _stats.abandoned += 1
-
-            site.engine.crash_listeners.append(on_crash_listener)
-            injectors.append(
-                FaultInjector(
-                    sim,
-                    faults,
-                    node_ids=list(range(processors_per_site)),
-                    streams=streams,
-                    stream_prefix=f"fault:{site.site_id}",
-                    on_crash=site.engine.crash_node,
-                    on_repair=site.engine.repair_node,
-                    stats=stats,
-                    obs=live_obs,
-                )
+        injectors = [
+            FaultInjector.on_site(
+                sim,
+                faults,
+                site.engine,
+                streams,
+                stats,
+                stream_prefix=f"fault:{site.site_id}",
+                obs=live_obs,
             )
+            for site in sites
+        ]
 
     sim.run()
-    if injectors:
-        # deliver shutdown interrupts to the injector loops, then run the
-        # resulting events (repairs in flight, failover re-bids) to drain
-        for injector in injectors:
-            injector.stop()
-        sim.run()
-    if stats is not None:
-        stats.close(sim.now)
+    # only daemon crash timers are left: cancel them, close the downtime books
+    for injector in injectors:
+        injector.shutdown()
     manager.finalize(sim.now)
 
     for site in sites:

@@ -14,73 +14,13 @@ from __future__ import annotations
 import abc
 from typing import Optional, Sequence
 
-import numpy as np
-from numpy.typing import NDArray
-
 from repro.errors import SchedulingError
 from repro.sim.kernel import Simulator
 from repro.site.accounting import YieldLedger
 from repro.site.processors import ProcessorPool
 from repro.tasks.task import Task
-from repro.valuefn.linear import LinearDecayValueFunction
 
 _MIN_REMAINING = 1e-9
-
-#: below this pool size a vectorized pass loses to the scalar loop — the
-#: array gathering dominates.  The cutoff is purely a performance knob:
-#: both paths produce bit-identical scores (pinned by tests).
-_VECTOR_MIN_TASKS = 4
-
-
-def _linear_columns(
-    tasks: Sequence[Task],
-) -> Optional[tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]]:
-    """``(value, decay, bound)`` columns when every task's value function
-    is exactly :class:`LinearDecayValueFunction`, else None.
-
-    Exact-type check, not ``isinstance``: a subclass may override
-    ``yield_at``, and the vectorized pass must only stand in for the
-    scalar methods it is bit-identical to.
-    """
-    for task in tasks:
-        if type(task.vf) is not LinearDecayValueFunction:
-            return None
-    value = np.array([t.vf.value for t in tasks])
-    decay = np.array([t.vf.decay for t in tasks])
-    bound = np.array([t.vf.bound_or_inf() for t in tasks])
-    return value, decay, bound
-
-
-def _pass_arrays(
-    tasks: Sequence[Task], now: float
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """``(delays, rpt)`` columns for one scoring pass.
-
-    Same expression and associativity as :func:`task_delay_now` /
-    the per-task ``max(estimated_remaining, _MIN_REMAINING)``, so the
-    results are bit-identical element-wise.
-    """
-    remaining = np.array([t.estimated_remaining for t in tasks])
-    arrival = np.array([t.arrival for t in tasks])
-    estimate = np.array([t.estimate for t in tasks])
-    delays = np.maximum(0.0, now + remaining - arrival - estimate)
-    rpt = np.maximum(remaining, _MIN_REMAINING)
-    return delays, rpt
-
-
-def _linear_yields(
-    value: NDArray[np.float64],
-    decay: NDArray[np.float64],
-    bound: NDArray[np.float64],
-    delays: NDArray[np.float64],
-) -> NDArray[np.float64]:
-    """Column version of ``LinearDecayValueFunction.yield_at``.
-
-    ``max(raw, -inf)`` is exact for the unbounded case, so one floored
-    expression covers both regimes bit-identically.
-    """
-    floored: NDArray[np.float64] = np.maximum(value - delays * decay, -bound)
-    return floored
 
 
 def task_delay_now(task: Task, now: float) -> float:
@@ -121,25 +61,9 @@ class GenericHeuristic(abc.ABC):
     def end_pass(self) -> None:
         """Hook: drop per-pass state (see :meth:`begin_pass`)."""
 
-    def vector_scores(
-        self, tasks: Sequence[Task], now: float
-    ) -> Optional[list[float]]:
-        """One vectorized scoring pass, or None when unsupported.
-
-        Concrete heuristics override this with a NumPy column evaluation
-        that is *bit-identical* to calling :meth:`score` per task (the
-        contract tests pin this); the base returns None so any heuristic
-        falls back to the scalar loop.
-        """
-        return None
-
     def best_index(self, tasks: Sequence[Task], now: float) -> int:
         if not tasks:
             raise SchedulingError("no tasks to score")
-        if len(tasks) >= _VECTOR_MIN_TASKS:
-            vector = self.vector_scores(tasks, now)
-            if vector is not None:
-                return max(range(len(tasks)), key=vector.__getitem__)
         scores = self._scores
         scores.clear()
         self.begin_pass(tasks, now)
@@ -158,17 +82,6 @@ class GenericFirstPrice(GenericHeuristic):
     def score(self, task: Task, competitors: Sequence[Task], now: float) -> float:
         return task_yield_now(task, now) / max(task.estimated_remaining, _MIN_REMAINING)
 
-    def vector_scores(
-        self, tasks: Sequence[Task], now: float
-    ) -> Optional[list[float]]:
-        columns = _linear_columns(tasks)
-        if columns is None:
-            return None
-        value, decay, bound = columns
-        delays, rpt = _pass_arrays(tasks, now)
-        result: list[float] = (_linear_yields(value, decay, bound, delays) / rpt).tolist()
-        return result
-
 
 class GenericPresentValue(GenericHeuristic):
     """Discounted unit gain (Eq. 3) for any value-function model."""
@@ -185,18 +98,6 @@ class GenericPresentValue(GenericHeuristic):
         rpt = max(task.estimated_remaining, _MIN_REMAINING)
         pv = task_yield_now(task, now) / (1.0 + self.discount_rate * rpt)
         return pv / rpt
-
-    def vector_scores(
-        self, tasks: Sequence[Task], now: float
-    ) -> Optional[list[float]]:
-        columns = _linear_columns(tasks)
-        if columns is None:
-            return None
-        value, decay, bound = columns
-        delays, rpt = _pass_arrays(tasks, now)
-        pv = _linear_yields(value, decay, bound, delays) / (1.0 + self.discount_rate * rpt)
-        result: list[float] = (pv / rpt).tolist()
-        return result
 
 
 class GenericFirstReward(GenericHeuristic):
@@ -240,61 +141,6 @@ class GenericFirstReward(GenericHeuristic):
         self._pass_key = None
         self._pass_terms.clear()
 
-    def vector_scores(
-        self, tasks: Sequence[Task], now: float
-    ) -> Optional[list[float]]:
-        columns = _linear_columns(tasks)
-        if columns is None:
-            return None
-        value, decay, bound = columns
-        delays, rpt = _pass_arrays(tasks, now)
-        pv = _linear_yields(value, decay, bound, delays) / (1.0 + self.discount_rate * rpt)
-        alpha = self.alpha
-        one_minus = 1.0 - alpha
-        pv_list: list[float] = pv.tolist()
-        rpt_list: list[float] = rpt.tolist()
-        if alpha >= 1.0:
-            return [
-                (alpha * pv_list[i] - one_minus * 0.0) / rpt_list[i]
-                for i in range(len(tasks))
-            ]
-        # column versions of decay_at / remaining_decay_horizon: the
-        # masks reproduce the scalar is_expired / decay>0 guards exactly
-        with np.errstate(divide="ignore", invalid="ignore"):
-            raw_expiration = (value + bound) / decay
-        d_col = np.where(
-            (delays >= raw_expiration) & (decay > 0.0) & np.isfinite(bound),
-            0.0,
-            decay,
-        )
-        expiration = np.where(
-            np.isfinite(bound), np.where(decay == 0.0, 0.0, raw_expiration), np.inf
-        )
-        horizon_col = np.where(
-            np.isinf(expiration), np.inf, np.maximum(0.0, expiration - delays)
-        )
-        d_list: list[float] = d_col.tolist()
-        horizon_list: list[float] = horizon_col.tolist()
-        # the Eq. 4 opportunity-cost accumulation stays a sequential
-        # Python loop on purpose: numpy's pairwise summation would not
-        # be bit-identical to the scalar j-order accumulation
-        scores: list[float] = []
-        n = len(tasks)
-        for i in range(n):
-            task = tasks[i]
-            rpt_i = rpt_list[i]
-            cost = 0.0
-            for j in range(n):
-                if tasks[j] is task:
-                    continue
-                d = d_list[j]
-                if d <= 0.0:
-                    continue
-                horizon = horizon_list[j]
-                cost += d * (rpt_i if rpt_i < horizon else horizon)
-            scores.append((alpha * pv_list[i] - one_minus * cost) / rpt_i)
-        return scores
-
     def score(self, task: Task, competitors: Sequence[Task], now: float) -> float:
         rpt = max(task.estimated_remaining, _MIN_REMAINING)
         pv = task_yield_now(task, now) / (1.0 + self.discount_rate * rpt)
@@ -323,7 +169,9 @@ class GenericTaskService:
 
     Mirrors :class:`~repro.site.service.TaskServiceSite`'s submit/dispatch
     /complete cycle and shares its :class:`YieldLedger` accounting, but
-    scores tasks one at a time through the abstract interface.
+    scores tasks one at a time through the abstract interface.  It stays
+    its own small service because the engine's ``PendingPool`` reads
+    ``task.linear_vf`` into its columns.  Single-node tasks only.
     """
 
     def __init__(
@@ -346,6 +194,11 @@ class GenericTaskService:
         if task.arrival > now + 1e-9:
             raise SchedulingError(
                 f"task {task.tid} submitted at {now} before its arrival {task.arrival}"
+            )
+        if task.demand > 1:
+            raise SchedulingError(
+                f"task {task.tid} needs {task.demand} nodes; the generic task "
+                "service is single-node (gang tasks run on TaskServiceSite)"
             )
         task.submit()
         self.ledger.note_submission(task, now)

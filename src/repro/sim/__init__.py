@@ -11,11 +11,12 @@ Layers, lowest to highest:
   cancellation.
 * :mod:`repro.sim.kernel` — the :class:`Simulator`: clock, scheduling
   primitives, run loop, monitors.
-* :mod:`repro.sim.process` — generator-based cooperative processes
-  (``yield Timeout(d)`` style) for protocol-flavoured code such as the
-  market negotiation layer.
-* :mod:`repro.sim.resources` — counted resources and object stores built
-  on processes, used by examples and the multi-site economy.
+* :mod:`repro.sim.coroutine` — ``async def`` code on the kernel: the one
+  awaitable (:class:`Sleep`, one event per sleep) and the one driver
+  (:class:`Coroutine`) behind the fault injector, the latent negotiation
+  protocol and a kernel-hosted ``LiveService.drain``.
+* :mod:`repro.sim.clock` — the :class:`Clock` seam (``now``, ``sleep``)
+  shared code reads time and waits through, on either host.
 * :mod:`repro.sim.rng` — named, independently-seeded random streams so
   experiments are reproducible and components draw from decoupled
   streams.
@@ -24,39 +25,23 @@ Layers, lowest to highest:
 """
 
 from repro.sim.clock import Clock, SimClock
+from repro.sim.coroutine import Coroutine, Sleep
 from repro.sim.events import Event, EventState
 from repro.sim.kernel import Simulator
-from repro.sim.process import (
-    AllOf,
-    AnyOf,
-    Interrupt,
-    Process,
-    ProcessExit,
-    Signal,
-    Timeout,
-)
 from repro.sim.queue import EventQueue
-from repro.sim.resources import Resource, Store
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import SimTrace, TraceRecord
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Clock",
+    "Coroutine",
     "Event",
     "EventQueue",
     "EventState",
-    "Interrupt",
-    "Process",
-    "ProcessExit",
     "RandomStreams",
-    "Resource",
-    "Signal",
     "SimClock",
     "SimTrace",
     "Simulator",
-    "Store",
-    "Timeout",
+    "Sleep",
     "TraceRecord",
 ]

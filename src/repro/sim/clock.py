@@ -1,4 +1,4 @@
-"""The clock abstraction: where "now" comes from.
+"""The clock abstraction: where "now" comes from, and how to wait.
 
 The scheduling, admission, and market layers never read time directly —
 they ask a :class:`Clock`.  In simulation the clock is the DES kernel's
@@ -7,7 +7,9 @@ they ask a :class:`Clock`.  In simulation the clock is the DES kernel's
 (:class:`repro.live.clock.WallClock`).  Shared code thereby becomes a
 pure function of the clock handed to it, and the same admission /
 scheduling / settlement code drives both the simulated and the real-time
-service.
+service.  Coroutines wait the same way: ``await clock.sleep(delay)`` is
+one kernel event on a :class:`SimClock` (:mod:`repro.sim.coroutine`) and
+an ``asyncio.sleep`` on the wall clock.
 
 Two invariants keep the split safe:
 
@@ -21,7 +23,9 @@ Two invariants keep the split safe:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Awaitable, Protocol, runtime_checkable
+
+from repro.sim.coroutine import Sleep
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.sim.kernel import Simulator
@@ -29,11 +33,16 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 
 @runtime_checkable
 class Clock(Protocol):
-    """Anything with a ``now`` — the only time interface shared code sees."""
+    """A ``now`` to read and a ``sleep`` to await — the only time
+    interface shared code sees."""
 
     @property
     def now(self) -> float:
         """The current time in simulation time units."""
+        ...  # pragma: no cover - protocol stub
+
+    def sleep(self, delay: float) -> Awaitable[None]:
+        """Awaitable that resumes the caller *delay* time units from now."""
         ...  # pragma: no cover - protocol stub
 
 
@@ -58,6 +67,11 @@ class SimClock:
     @property
     def now(self) -> float:
         return self._sim.now
+
+    def sleep(self, delay: float) -> Sleep:
+        """One essential kernel event *delay* from now (the awaiting
+        coroutine must be driven by a :class:`~repro.sim.coroutine.Coroutine`)."""
+        return Sleep(delay)
 
     def __repr__(self) -> str:
         return f"<SimClock now={self._sim.now:g}>"

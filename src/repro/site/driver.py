@@ -7,6 +7,7 @@ completed all jobs."
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
@@ -14,6 +15,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.errors import SimulationError
 from repro.scheduling.base import SchedulingHeuristic
 from repro.sim.kernel import Simulator
+from repro.sim.rng import RandomStreams
 from repro.sim.trace import SimTrace
 from repro.site.accounting import YieldLedger
 from repro.site.service import TaskServiceSite
@@ -110,25 +112,21 @@ def simulate_site(
     it on, off, or null.
     """
     obs = _resolve_obs(obs)
-    if faults is not None and faults.enabled:
-        return _simulate_site_with_faults(
-            trace,
-            heuristic,
-            processors,
-            faults,
-            fault_seed,
-            admission=admission,
-            preemption=preemption,
-            discard_expired=discard_expired,
-            keep_records=keep_records,
-            sim_trace=sim_trace,
-            obs=obs,
-        )
+    if faults is not None and not faults.enabled:
+        faults = None
+    label = heuristic.name
+    restart_policy = None
+    if faults is not None:
+        from repro.faults.restart import make_restart_policy
+
+        heuristic, admission = _price_failure(faults, heuristic, admission, obs)
+        label = f"{heuristic.name}+faults"
+        restart_policy = make_restart_policy(faults)
     profiler = None
     engine_obs = None
     if obs is not None:
         heuristic, sim_trace, profiler, engine_obs = _wire_obs(
-            obs, heuristic, admission, sim_trace, heuristic.name
+            obs, heuristic, admission, sim_trace, label
         )
     sim = Simulator(trace=sim_trace, profiler=profiler)
     ledger = YieldLedger(keep_records=keep_records)
@@ -140,14 +138,27 @@ def simulate_site(
         preemption=preemption,
         discard_expired=discard_expired,
         ledger=ledger,
+        restart_policy=restart_policy,
         obs=engine_obs,
     )
+    injector = None
+    if faults is not None:
+        from repro.faults.injector import FaultInjector
+
+        injector = FaultInjector.on_site(
+            sim, faults, site, RandomStreams(fault_seed), obs=engine_obs
+        )
     tasks = trace.to_tasks()
     for task in tasks:
         sim.schedule_at(task.arrival, site.submit, task, tag="arrival")
     # wall-clock brackets the run for obs reporting only (wall_s below)
     started = time.perf_counter()  # repro: noqa DET002
     sim.run()
+    stats = None
+    if injector is not None:
+        # only daemon crash timers are left; cancel them, close the books
+        injector.shutdown()
+        stats = injector.stats
     if obs is not None:
         obs.end_run(
             sim.now,
@@ -156,11 +167,31 @@ def simulate_site(
             events=sim.events_fired,
             sim_time=sim.now,
             total_yield=ledger.total_yield,
+            **({} if stats is None else {"crashes": stats.crashes}),
             wall_s=time.perf_counter() - started,  # repro: noqa DET002
         )
 
     _check_drained(site, tasks)
-    return SiteResult(ledger=ledger, site=site, sim=sim, tasks=tasks)
+    return SiteResult(
+        ledger=ledger, site=site, sim=sim, tasks=tasks, fault_stats=stats
+    )
+
+
+def _price_failure(faults: "FaultSpec", heuristic, admission, obs):
+    """The spec's pricing knobs: survival discount on the heuristic,
+    slack inflation on a *copy* of the admission policy — the caller's
+    object is never written, and a policy without the knob, or with it
+    set explicitly, is passed through."""
+    from repro.faults.survival import survival_for
+    from repro.scheduling.survival import SurvivalDiscount
+
+    if faults.survival_discount:
+        registry = obs.registry if obs is not None and obs.live else None
+        heuristic = SurvivalDiscount(heuristic, survival_for(faults), registry=registry)
+    if faults.slack_inflation > 0 and getattr(admission, "slack_inflation", None) == 0.0:
+        admission = copy.copy(admission)
+        admission.slack_inflation = faults.slack_inflation
+    return heuristic, admission
 
 
 def _check_drained(site: TaskServiceSite, tasks: list[Task]) -> None:
@@ -172,107 +203,3 @@ def _check_drained(site: TaskServiceSite, tasks: list[Task]) -> None:
     unfinished = [t for t in tasks if not t.finished]
     if unfinished:
         raise SimulationError(f"{len(unfinished)} tasks not in a terminal state")
-
-
-def _simulate_site_with_faults(
-    trace: Trace,
-    heuristic: SchedulingHeuristic,
-    processors: int,
-    faults: "FaultSpec",
-    fault_seed: int,
-    admission=None,
-    preemption: bool = False,
-    discard_expired: bool = False,
-    keep_records: bool = True,
-    sim_trace: Optional[SimTrace] = None,
-    obs: "Optional[Observability]" = None,
-) -> SiteResult:
-    """The fault-injected variant of :func:`simulate_site`."""
-    from repro.faults.injector import FaultInjector
-    from repro.faults.restart import make_restart_policy
-    from repro.faults.stats import FaultStats
-    from repro.faults.survival import survival_for
-    from repro.scheduling.survival import SurvivalDiscount
-    from repro.sim.rng import RandomStreams
-
-    if faults.survival_discount:
-        registry = obs.registry if obs is not None and obs.live else None
-        heuristic = SurvivalDiscount(heuristic, survival_for(faults), registry=registry)
-    if (
-        admission is not None
-        and faults.slack_inflation > 0
-        # the knob lives on the admission policy; respect an explicit
-        # setting, otherwise apply the spec's
-        and getattr(admission, "slack_inflation", 0.0) == 0.0
-    ):
-        admission.slack_inflation = faults.slack_inflation
-
-    profiler = None
-    engine_obs = None
-    if obs is not None:
-        heuristic, sim_trace, profiler, engine_obs = _wire_obs(
-            obs, heuristic, admission, sim_trace, f"{heuristic.name}+faults"
-        )
-    sim = Simulator(trace=sim_trace, profiler=profiler)
-    ledger = YieldLedger(keep_records=keep_records)
-    site = TaskServiceSite(
-        sim,
-        processors=processors,
-        heuristic=heuristic,
-        admission=admission,
-        preemption=preemption,
-        discard_expired=discard_expired,
-        ledger=ledger,
-        restart_policy=make_restart_policy(faults),
-        obs=engine_obs,
-    )
-    stats = FaultStats()
-    stats.tasks_killed = 0  # explicit: updated via the crash listener below
-
-    def on_crash_listener(task, outcome):
-        stats.tasks_killed += 1
-        stats.work_lost += outcome.work_lost
-        if outcome.requeued:
-            stats.restarts += 1
-        else:
-            stats.abandoned += 1
-
-    site.crash_listeners.append(on_crash_listener)
-    injector = FaultInjector(
-        sim,
-        faults,
-        node_ids=list(range(processors)),
-        streams=RandomStreams(fault_seed),
-        on_crash=site.crash_node,
-        on_repair=site.repair_node,
-        stats=stats,
-        obs=engine_obs,
-    )
-
-    tasks = trace.to_tasks()
-    for task in tasks:
-        sim.schedule_at(task.arrival, site.submit, task, tag="arrival")
-    # wall-clock brackets the run for obs reporting only (wall_s below)
-    started = time.perf_counter()  # repro: noqa DET002
-    sim.run()
-    # deliver shutdown interrupts to the injector loops (daemon events at
-    # the current instant still fire), then close the downtime books
-    injector.stop()
-    sim.run()
-    stats.close(sim.now)
-    if obs is not None:
-        obs.end_run(
-            sim.now,
-            heuristic=heuristic.name,
-            tasks=len(tasks),
-            events=sim.events_fired,
-            sim_time=sim.now,
-            total_yield=ledger.total_yield,
-            crashes=stats.crashes,
-            wall_s=time.perf_counter() - started,  # repro: noqa DET002
-        )
-
-    _check_drained(site, tasks)
-    return SiteResult(
-        ledger=ledger, site=site, sim=sim, tasks=tasks, fault_stats=stats
-    )

@@ -57,7 +57,7 @@ class TestCycles:
         inj = make_injector(
             sim, FaultSpec(mttf=50.0, mttr=10.0, enabled=False), node_ids=[0, 1]
         )
-        assert inj.processes == []
+        assert inj.loops == []
         sim.run()
         assert sim.now == 0.0
 
@@ -100,9 +100,11 @@ class TestCycles:
         sim.schedule_at(120.0, lambda: None, tag="horizon")
         sim.run()
         assert inj.active_count > 0
-        inj.stop()
-        sim.run()  # deliver the interrupts queued at the current instant
+        pending = sim.pending_count
+        assert inj.stop() == 2
+        # a cancel, not a delivery: nothing is left to run
         assert inj.active_count == 0
+        assert sim.pending_count == pending - 2
 
 
 class TestLiveness:

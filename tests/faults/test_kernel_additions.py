@@ -1,11 +1,12 @@
 """Kernel-layer changes that rode along with the faults subsystem:
-rich stale-cancel diagnostics and daemon processes/timeouts."""
+rich stale-cancel diagnostics and daemon sleeps (ported from the
+generator-process layer to the kernel's coroutine driver; the rest of
+the driver's contract is in ``tests/sim/test_coroutine.py``)."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Simulator
-from repro.sim.process import Process, Timeout
+from repro.sim import Coroutine, Simulator, Sleep
 
 
 class TestCancelDiagnostics:
@@ -45,11 +46,11 @@ class TestDaemonTimeouts:
         sim = Simulator()
         reached = []
 
-        def proc():
-            yield Timeout(100.0, daemon=True)
+        async def proc():
+            await Sleep(100.0, daemon=True)
             reached.append(sim.now)  # pragma: no cover - must not happen
 
-        Process(sim, proc())
+        Coroutine(sim, proc())
         sim.run()
         assert sim.now == 0.0
         assert reached == []
@@ -58,11 +59,11 @@ class TestDaemonTimeouts:
         sim = Simulator()
         reached = []
 
-        def proc():
-            yield Timeout(10.0, daemon=True)
+        async def proc():
+            await Sleep(10.0, daemon=True)
             reached.append(sim.now)
 
-        Process(sim, proc())
+        Coroutine(sim, proc())
         sim.schedule_at(50.0, lambda: None, tag="essential")
         sim.run()
         assert reached == [10.0]
@@ -71,27 +72,27 @@ class TestDaemonTimeouts:
         sim = Simulator()
         reached = []
 
-        def proc():
-            yield Timeout(100.0)
+        async def proc():
+            await Sleep(100.0)
             reached.append(sim.now)
 
-        Process(sim, proc())
+        Coroutine(sim, proc())
         sim.run()
         assert reached == [100.0]
 
     def test_daemon_process_does_not_extend_the_run(self):
-        """A daemon process alone never advances the clock: the kernel
+        """A daemon coroutine alone never advances the clock: the kernel
         fires daemons at the final instant (so the start lands at t=0)
-        but a later daemon timeout cannot keep the run alive."""
+        but a later daemon sleep cannot keep the run alive."""
         sim = Simulator()
         seen = []
 
-        def proc():
+        async def proc():
             seen.append(sim.now)
-            yield Timeout(5.0, daemon=True)
+            await Sleep(5.0, daemon=True)
             seen.append(sim.now)  # pragma: no cover - must not happen
 
-        Process(sim, proc(), daemon=True)
+        Coroutine(sim, proc(), daemon=True)
         sim.run()
         assert seen == [0.0]
         assert sim.now == 0.0
@@ -100,12 +101,12 @@ class TestDaemonTimeouts:
         sim = Simulator()
         ticks = []
 
-        def daemon_loop():
+        async def daemon_loop():
             while True:
-                yield Timeout(3.0, daemon=True)
+                await Sleep(3.0, daemon=True)
                 ticks.append(sim.now)
 
-        Process(sim, daemon_loop())
+        Coroutine(sim, daemon_loop())
         sim.schedule_at(10.0, lambda: None, tag="essential")
         sim.run()
         assert ticks == [3.0, 6.0, 9.0]

@@ -93,3 +93,15 @@ def test_frozen_clock_advances_manually():
     assert clock.now == 105.5
     with pytest.raises(LiveServiceError):
         clock.advance(-1.0)
+
+
+def test_frozen_clock_sleeps_by_advancing():
+    """The test double's ``sleep`` is one more way of telling it to move:
+    no loop, no wait — so a drain polling a ``FrozenClock`` walks straight
+    to its grace deadline."""
+    clock = FrozenClock(10.0)
+    waiting = clock.sleep(2.5)
+    assert clock.now == 10.0  # nothing moves until it is awaited
+    with pytest.raises(StopIteration):
+        waiting.send(None)
+    assert clock.now == 12.5

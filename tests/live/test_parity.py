@@ -5,13 +5,13 @@ generated trace through ``handle_bids`` at each arrival, is the
 simulator's market run — same contracts, same revenue to the last bit,
 same settlements in the same order — because both are ``MarketSite``
 over ``TaskServiceSite`` and differ in nothing but who hosts them.  No
-subprocess, no sleep; the only ``await`` is the drain of an already
-idle service, which writes the closing books.
+subprocess, no sleep, no event loop: the drain that writes the closing
+books is stepped by the kernel too (``test_drain_on_kernel.py`` drains
+with work outstanding).
 """
 
 from __future__ import annotations
 
-import asyncio
 import math
 
 from repro.audit import audit_recording
@@ -21,8 +21,7 @@ from repro.live.service import LiveService
 from repro.market import MarketSite, run_market
 from repro.obs.flight import FlightRecorder, read_recording
 from repro.scheduling.registry import make_heuristic
-from repro.sim import Simulator
-from repro.sim.clock import SimClock
+from repro.sim import Coroutine, SimClock, Simulator
 from repro.site.admission import SlackAdmission
 from repro.site.service import KernelExecutor
 from repro.workload import economy_spec, generate_trace
@@ -88,7 +87,8 @@ def _served(journal):
         sim.schedule_at(float(arrival), service.handle_bids, [request], tag="bid")
     sim.run()
     assert service.idle and not service.errors
-    asyncio.run(service.drain())
+    Coroutine(sim, service.drain())
+    sim.run()
     flight.close()
     return _books(service.sites, flight)
 

@@ -59,6 +59,21 @@ class TestZeroLatency:
         assert negotiator.stale_promise_rate == 0.0
 
 
+    def test_zero_latency_negotiation_completes_inside_its_start_event(self):
+        """No latency, no faults: the coroutine never sleeps, so the one
+        event ``negotiate`` schedules carries the whole exchange."""
+        sim = Simulator()
+        negotiator = LatentNegotiator(sim, [make_site(sim)], latency=0.0)
+        record = negotiator.negotiate(make_bid())
+        assert sim.pending_count == 1 and record.request is None
+        sim.step()
+        assert record.accepted and record.award.sent_at == 0.0
+        # what is pending now is the task's completion, not the protocol
+        assert sim.pending_count == 1 and sim.events_fired == 1
+        sim.run()
+        assert record.contract.settled and sim.events_fired == 2
+
+
 class TestLatency:
     def test_messages_take_time_and_latency_decays_price(self):
         sim = Simulator()

@@ -168,3 +168,21 @@ class TestEnabledDeterminism:
         # the run exercised the machinery at all (guards against a
         # vacuously-deterministic no-op chaos configuration)
         assert first.manager.stats.breaches > 0
+
+
+class TestChaosSweepGolden:
+    """The fault-*on* fixed point for the market: ``repro resilience
+    --n-jobs 300 --seeds 0`` as written by ``--out``, captured before the
+    injector and the latent negotiator moved onto the kernel's coroutine
+    driver."""
+
+    def test_resilience_sweep_byte_identical(self, tmp_path, capsys):
+        from repro.cli import main
+
+        golden = pathlib.Path(__file__).parent / "golden" / "resilience_n300_s0.json"
+        for workers in (1, 2):
+            out = tmp_path / f"resilience-w{workers}.json"
+            argv = ["resilience", "--n-jobs", "300", "--seeds", "0"]
+            assert main([*argv, "--workers", str(workers), "--out", str(out)]) == 0
+            capsys.readouterr()
+            assert out.read_bytes() == golden.read_bytes(), f"workers={workers}"

@@ -153,3 +153,25 @@ class TestGenericService:
         service = GenericTaskService(sim, 1, GenericFirstPrice())
         with pytest.raises(SchedulingError):
             service.submit(linear_task(5.0, 1.0))
+
+    def test_gang_task_refused_at_submit(self):
+        """The generic service is single-node: a ``demand > 1`` task used
+        to be accepted, popped from ``pending`` and marked started, then
+        lost to ``SchedulingError: task 1 needs 2 nodes, only 1 free`` out
+        of ``sim.run()``.  It is refused at the door instead, untouched."""
+        from repro.sim import Simulator
+
+        vf = LinearDecayValueFunction(100.0, 1.0)
+        gang = Task(1.0, 5.0, vf, demand=2)
+        with pytest.raises(SchedulingError, match="single-node"):
+            simulate_generic(
+                [Task(0.0, 10.0, vf), gang, Task(2.0, 5.0, vf)],
+                GenericFirstPrice(),
+                processors=2,
+            )
+        assert gang.state is TaskState.CREATED
+
+        service = GenericTaskService(Simulator(), 2, GenericFirstPrice())
+        with pytest.raises(SchedulingError, match="single-node"):
+            service.submit(Task(0.0, 5.0, vf, demand=2))
+        assert not service.pending and service.ledger.submitted == 0

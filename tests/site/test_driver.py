@@ -120,3 +120,43 @@ class TestMillenniumMix:
         result = simulate_site(trace, FirstPrice(), processors=16)
         for record in result.ledger.records:
             assert record.realized_yield >= -1e-9
+
+
+class TestFaultRunLeavesTheCallersPolicyAlone:
+    """A fault run applies the spec's slack inflation to its *own* copy of
+    the admission policy.  It used to write the caller's object and never
+    restore it: fault-free 29 289.54, one faulted run, and the same
+    fault-free call returned 20 932.41."""
+
+    FAULTS = dict(mttf=2000.0, mttr=50.0, slack_inflation=0.5)
+
+    def _run(self, admission, **kwargs):
+        trace = generate_trace(economy_spec(n_jobs=300, load_factor=1.5), seed=1)
+        return simulate_site(
+            trace, FirstReward(0.3, 0.01), processors=16, admission=admission, **kwargs
+        ).total_yield
+
+    def test_fault_free_yield_is_the_same_before_and_after_a_fault_run(self):
+        from repro.faults import FaultSpec
+
+        admission = SlackAdmission(180.0)
+        before = self._run(admission)
+        faulted = self._run(admission, faults=FaultSpec(**self.FAULTS))
+        after = self._run(admission)
+        assert faulted != before, "the inflation never took effect"
+        assert after == before == pytest.approx(29289.54, abs=0.01)
+        assert admission.slack_inflation == 0.0
+
+    def test_explicit_inflation_wins_and_knobless_policies_stay_knobless(self):
+        from repro.faults import FaultSpec
+        from repro.site import AcceptAll
+
+        spec = FaultSpec(**self.FAULTS)
+        explicit = SlackAdmission(180.0, slack_inflation=0.1)
+        assert self._run(explicit, faults=spec) == self._run(
+            SlackAdmission(180.0, slack_inflation=0.1),
+            faults=FaultSpec(mttf=2000.0, mttr=50.0),
+        )
+        accept_all = AcceptAll()
+        self._run(accept_all, faults=spec)
+        assert not hasattr(accept_all, "slack_inflation")
