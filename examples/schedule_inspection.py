@@ -2,7 +2,7 @@
 """Inspecting a schedule: timelines, gantt charts, and run reports.
 
 Runs a small contended mix under FCFS and under FirstReward with
-preemption, records both execution timelines through the analysis layer,
+preemption, reads both execution timelines off the observer's spans,
 and prints per-node ASCII gantt charts side by side — the clearest way
 to *see* what value-based scheduling changes.
 
@@ -16,6 +16,7 @@ import numpy as np
 from repro import FCFS, FirstReward, Simulator, Task, TaskServiceSite
 from repro.analysis import SiteTimeline, render_gantt, run_report
 from repro.analysis.report import format_report
+from repro.obs import MetricsRegistry, Observability
 from repro.valuefn import LinearDecayValueFunction
 
 
@@ -46,16 +47,19 @@ def build_tasks() -> list[Task]:
 
 def run_and_render(label: str, heuristic, preemption: bool) -> None:
     sim = Simulator()
-    site = TaskServiceSite(sim, processors=2, heuristic=heuristic, preemption=preemption)
-    timeline = SiteTimeline(site)
+    obs = Observability(registry=MetricsRegistry())
+    site = TaskServiceSite(
+        sim, processors=2, heuristic=heuristic, preemption=preemption, obs=obs
+    )
     for template in build_tasks():
         task = Task(template.arrival, template.runtime, template.vf)
         sim.schedule_at(task.arrival, site.submit, task)
     sim.run()
+    timeline = SiteTimeline(obs.spans.finished, nodes=site.processors.count)
     timeline.verify_no_overlap()
     print(f"=== {label} ===")
     print(render_gantt(timeline, width=72))
-    print(format_report(run_report(site.ledger, timeline)))
+    print(format_report(run_report(site.ledger, timeline, obs)))
     print()
 
 

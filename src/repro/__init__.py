@@ -19,7 +19,7 @@ The library implements the paper's full system from scratch:
 * an **experiment harness** regenerating every evaluation figure
   (:mod:`repro.experiments`, ``repro`` CLI), and
 * an **observability layer**: lifecycle span trees, a metrics registry,
-  scheduler profiling, and Chrome-trace export (:mod:`repro.obs`,
+  and Chrome-trace export (:mod:`repro.obs`,
   ``docs/observability.md``).
 
 Quickstart::

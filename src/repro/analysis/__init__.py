@@ -1,12 +1,12 @@
 """Post-hoc analysis of site runs: timelines, gantt charts, reports.
 
-The site engine exposes observer hooks (start/preempt/finish); a
-:class:`SiteTimeline` subscribes to them and records every execution
-segment, queue-length change, and outcome.  On top of that:
+The site engine reports what it does to its observer
+(:class:`repro.obs.Observability`); a :class:`SiteTimeline` reads the
+observer's ``running`` spans back as execution segments.  On top of that:
 
 * :mod:`repro.analysis.gantt` renders per-node ASCII gantt charts,
 * :mod:`repro.analysis.report` summarizes a run (delay distributions,
-  per-class earnings, utilization/queue time series).
+  per-class earnings, utilization, the observer's telemetry).
 """
 
 from repro.analysis.curves import render_curves

@@ -1,4 +1,4 @@
-"""ASCII gantt rendering of a recorded site timeline.
+"""ASCII gantt rendering of a site timeline.
 
 One row per node, one character per time bucket; each segment prints the
 last two digits (or letter code) of its task id, idle time prints ``.``.
@@ -74,5 +74,5 @@ def render_gantt(
                 + ", ".join(f"{g}->{sorted(t)}" for g, t in sorted(collisions.items()))
                 + ")"
             )
-        lines.append("('~' marks a preemption; '.' is idle)")
+        lines.append("('~' marks a preemption or crash; '.' is idle)")
     return "\n".join(lines)

@@ -1,9 +1,10 @@
 """Run reports: ledger + timeline rolled into one summary dict/table.
 
 ``run_report`` combines the accounting view (yields, rejections,
-penalties) with the execution view (utilization, queue depths,
-preemptions) and a per-value-class breakdown — the numbers a site
-operator would actually watch.
+penalties) with the execution view (utilization, preemptions), the
+observer's telemetry (queue depth and busy nodes per site among it) and
+a per-value-class breakdown — the numbers a site operator would
+actually watch.
 """
 
 from __future__ import annotations
@@ -57,10 +58,10 @@ def run_report(
     """Structured summary of one site run.
 
     Returns a dict with up to five sections: ``accounting`` (ledger
-    summary), ``execution`` (timeline stats, when a timeline was
-    attached), ``by_class`` (per-value-class earnings), ``telemetry``
-    (the attached observer's full snapshot — metrics, per-run rows, span
-    retention, profile) when *obs* is given, and ``resilience`` (the
+    summary), ``execution`` (timeline stats, when a timeline is given),
+    ``by_class`` (per-value-class earnings), ``telemetry`` (the
+    observer's full snapshot — metrics, per-run rows, span retention)
+    when *obs* is given, and ``resilience`` (the
     recovery books — failovers attempted/succeeded, value recovered vs
     lost, per-site breaker open time) when a
     :class:`~repro.resilience.manager.ResilienceManager` is given.
@@ -73,7 +74,6 @@ def run_report(
         report["execution"] = {
             "makespan": timeline.makespan,
             "utilization": timeline.utilization(),
-            "queue_length": timeline.queue_length_stats(),
             "preemptions": timeline.preemption_count(),
             "segments": len(timeline.segments),
         }
@@ -99,10 +99,8 @@ def format_report(report: dict) -> str:
     )
     execution = report.get("execution")
     if execution:
-        q = execution["queue_length"]
         lines.append(
             f"execution: utilization {execution['utilization']:.1%}, "
-            f"queue mean {q['mean']:.1f} / max {q['max']}, "
             f"{execution['preemptions']} preemptions, "
             f"{execution['segments']} segments, makespan {execution['makespan']:.1f}"
         )
@@ -137,4 +135,10 @@ def format_report(report: dict) -> str:
         }
         shown = ", ".join(f"{k}={v:g}" for k, v in sorted(counters.items())[:6])
         lines.append(f"telemetry: {len(metrics)} metrics ({shown}, ...)")
+        for name, snap in sorted(metrics.items()):
+            if name.startswith("site.queue_depth.") and snap["writes"]:
+                lines.append(
+                    f"  queue at {name.removeprefix('site.queue_depth.')}: "
+                    f"mean {snap['mean']:.1f} / max {snap['max']:g}"
+                )
     return "\n".join(lines)

@@ -1,25 +1,22 @@
-"""Execution timelines recorded from a live site.
+"""Execution timelines: one site's ``running`` spans, read as segments.
 
-A :class:`SiteTimeline` attaches to a
-:class:`~repro.site.service.TaskServiceSite` before the run and records
-one :class:`ExecutionSegment` per contiguous stretch a task spends on a
-node — preempted tasks produce several segments.  From the segments it
-derives the per-node occupancy (gantt rows), the queue-length time
-series, and busy-node counts over time.
+A :class:`SiteTimeline` is a view of the span list an attached
+:class:`~repro.obs.instrument.Observability` kept for a site: every
+finished ``running`` span becomes one :class:`ExecutionSegment` per node
+it held — preempted and crash-killed tasks produce several.  From the
+segments it derives the per-node occupancy (gantt rows), utilization and
+the preemption count; queue depth and busy nodes over time are the
+observer's ``site.queue_depth.<site_id>`` / ``site.busy_nodes.<site_id>``
+gauges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
-
-import numpy as np
+from typing import Iterable, Optional
 
 from repro.errors import SchedulingError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.site.service import TaskServiceSite
-    from repro.tasks.task import Task
+from repro.obs.spans import Span
 
 
 @dataclass(frozen=True)
@@ -30,7 +27,15 @@ class ExecutionSegment:
     node: int
     start: float
     end: float
-    final: bool  # True when the segment ends in completion (not preemption)
+    #: what cut the run short — ``"preempted"``, ``"crashed"`` or
+    #: ``"truncated"`` (still running when the observed run was closed);
+    #: ``None`` when it ended in completion
+    ended_by: Optional[str] = None
+
+    @property
+    def final(self) -> bool:
+        """True when the segment ends in completion."""
+        return self.ended_by is None
 
     @property
     def length(self) -> float:
@@ -38,74 +43,78 @@ class ExecutionSegment:
 
 
 class SiteTimeline:
-    """Observer recording the full execution history of one site run.
+    """The execution history of one site run, built from its spans.
 
-    Attach *before* feeding tasks::
+    Run the site under an observer that keeps spans, then read them::
 
-        site = TaskServiceSite(sim, 4, FirstPrice())
-        timeline = SiteTimeline(site)
+        obs = Observability()
+        site = TaskServiceSite(sim, 4, FirstPrice(), obs=obs)
         ...run...
+        timeline = SiteTimeline(obs.spans.finished, nodes=site.processors.count)
         print(render_gantt(timeline))
+
+    Parameters
+    ----------
+    spans:
+        Finished spans, typically ``obs.spans.finished``; only the
+        ``running`` ones are read.  A run still on its node has no
+        finished span yet and so no segment.
+    nodes:
+        The site's node count.  A node that never ran anything is not in
+        the stream, so this is what gives it a (blank) gantt row and its
+        share of the utilization denominator.
+    site_id, run:
+        Which site's spans and which replication (``span.run``) to read,
+        when the observer watched several — the sites of a market, a
+        sweep of ``simulate_site`` calls.  Node ids and simulated time
+        restart per site and per run, so a timeline is one of each:
+        leaving either out is fine when the spans hold only one, and an
+        error when they hold more.
     """
 
-    def __init__(self, site: "TaskServiceSite") -> None:
-        self.site = site
-        self._initial_nodes = site.processors.count
+    def __init__(
+        self,
+        spans: Iterable[Span],
+        nodes: int = 0,
+        site_id: Optional[str] = None,
+        run: Optional[int] = None,
+    ) -> None:
+        self.nodes = nodes
         self.segments: list[ExecutionSegment] = []
-        self._open: dict[int, tuple[list[int], float]] = {}  # tid -> (nodes, start)
-        self.queue_samples: list[tuple[float, int]] = []
-        self.busy_samples: list[tuple[float, int]] = []
-        site.start_listeners.append(self._on_start)
-        site.preempt_listeners.append(self._on_preempt)
-        site.finish_listeners.append(self._on_finish)
-
-    # ------------------------------------------------------------------
-    def _sample(self) -> None:
-        now = self.site.clock.now
-        self.queue_samples.append((now, self.site.queue_length))
-        self.busy_samples.append((now, self.site.running_count))
-
-    def _on_start(self, task: "Task") -> None:
-        nodes = self.site.processors.node_ids_of(task)
-        self._open[task.tid] = (nodes, self.site.clock.now)
-        self._sample()
-
-    def _close_segment(self, task: "Task", final: bool) -> None:
-        entry = self._open.pop(task.tid, None)
-        if entry is None:
-            return  # finished without running (cancelled while queued)
-        nodes, start = entry
-        # gang-scheduled tasks occupy several nodes: one segment per node
-        for node in nodes:
-            self.segments.append(
-                ExecutionSegment(
-                    tid=task.tid,
-                    node=node,
-                    start=start,
-                    end=self.site.clock.now,
-                    final=final,
+        site_runs: set[tuple[str, int]] = set()
+        for span in spans:
+            if span.name != "running" or span.end is None or span.task_id is None:
+                continue
+            if site_id is not None and span.args["site"] != site_id:
+                continue
+            if run is not None and span.run != run:
+                continue
+            site_runs.add((span.args["site"], span.run))
+            ended_by = span.args.get("ended_by")
+            if ended_by is None and span.args.get("truncated"):
+                ended_by = "truncated"
+            # gang-scheduled tasks occupy several nodes: one segment per node
+            for node in span.args["nodes"]:
+                self.segments.append(
+                    ExecutionSegment(span.task_id, node, span.start, span.end, ended_by)
                 )
+        if len(site_runs) > 1:
+            raise ValueError(
+                "one timeline is one site in one run; these spans hold "
+                f"{sorted(site_runs)} as (site, run) - pick with site_id= and run="
             )
-
-    def _on_preempt(self, task: "Task") -> None:
-        self._close_segment(task, final=False)
-        self._sample()
-
-    def _on_finish(self, task: "Task") -> None:
-        self._close_segment(task, final=(task.state.value == "completed"))
-        self._sample()
 
     # ------------------------------------------------------------------
     @property
     def node_count(self) -> int:
-        """Widest node-id range the timeline has seen.
+        """Widest node-id range the timeline covers.
 
-        Elastic sites grow and shrink their pool; segments key on stable
-        node ids, so the gantt's row range spans every id ever observed
-        (retired nodes keep their rows).
+        The site's size, or more where a run held a higher node id:
+        elastic sites grow and shrink their pool and segments key on
+        stable node ids, so the gantt's row range spans every id ever
+        observed (retired nodes keep their rows).
         """
-        observed = max((s.node + 1 for s in self.segments), default=0)
-        return max(self._initial_nodes, self.site.processors.count, observed)
+        return max(self.nodes, max((s.node + 1 for s in self.segments), default=0))
 
     @property
     def makespan(self) -> float:
@@ -142,16 +151,8 @@ class SiteTimeline:
         busy = sum(s.length for s in self.segments)
         return busy / (span * self.node_count)
 
-    def queue_length_stats(self) -> dict:
-        """Time-weighted mean and max of the queue length."""
-        if len(self.queue_samples) < 2:
-            return {"mean": 0.0, "max": 0}
-        times = np.array([t for t, _ in self.queue_samples])
-        depths = np.array([q for _, q in self.queue_samples])
-        widths = np.diff(times)
-        horizon = times[-1] - times[0]
-        mean = float((depths[:-1] * widths).sum() / horizon) if horizon > 0 else 0.0
-        return {"mean": mean, "max": int(depths.max())}
-
     def preemption_count(self) -> int:
-        return sum(1 for s in self.segments if not s.final)
+        """Runs a preemption cut short (a gang's run counts once, not per node)."""
+        return len(
+            {(s.tid, s.start) for s in self.segments if s.ended_by == "preempted"}
+        )

@@ -43,7 +43,7 @@ SHARED_FLAGS: dict[str, dict] = {
     "--metrics-out": dict(
         default=None,
         metavar="PATH",
-        help="write the metrics registry + profiling snapshot as JSON",
+        help="write the metrics registry snapshot and per-run rows as JSON",
     ),
 }
 
@@ -52,9 +52,6 @@ def add_shared_flag(parser, name: str) -> None:
     """Install one :data:`SHARED_FLAGS` entry on *parser*."""
     parser.add_argument(name, **SHARED_FLAGS[name])
 
-
-#: Heuristics ``repro profile`` times (factories resolved lazily).
-PROFILE_HEURISTICS = ("fcfs", "srpt", "firstprice", "pv", "firstreward")
 
 #: (x, y, line, log_x) axes for `--plot`, matching the paper's figures.
 PLOT_SPECS = {
@@ -159,26 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seeds", type=int, nargs="+", default=[0])
     add_shared_flag(s, "--workers")
 
-    pr = sub.add_parser(
-        "profile",
-        help="wall-clock profile: per-heuristic select() cost and kernel "
-        "event dispatch over a standard workload",
-    )
-    pr.add_argument("--n-jobs", type=int, default=1000)
-    pr.add_argument("--seed", type=int, default=0)
-    pr.add_argument(
-        "--heuristics",
-        nargs="+",
-        default=None,
-        choices=sorted(PROFILE_HEURISTICS),
-        help="subset of heuristics to profile (default: all)",
-    )
-    pr.add_argument(
-        "--detail",
-        action="store_true",
-        help="also print each heuristic's full timer table (dispatch families)",
-    )
-
     sv = sub.add_parser(
         "serve",
         help="run the market as a live HTTP service: real subprocess "
@@ -222,7 +199,6 @@ def _make_obs(args):
     return Observability(
         registry=MetricsRegistry(),
         spans=args.trace_out is not None,
-        profiler=args.metrics_out is not None,
     )
 
 
@@ -231,9 +207,7 @@ def _write_obs(obs, args) -> None:
         from repro.obs import write_chrome_trace
 
         spans = obs.spans
-        write_chrome_trace(
-            spans.finished, args.trace_out, run_of=obs.run_of, dropped=spans.dropped
-        )
+        write_chrome_trace(spans.finished, args.trace_out, dropped=spans.dropped)
         suffix = f", {spans.dropped} dropped" if spans.dropped else ""
         print(f"  wrote {args.trace_out} ({len(spans)} spans{suffix})")
     if args.metrics_out:
@@ -335,81 +309,6 @@ def _write_json(result, path: str, obs=None) -> None:
         handle.write("\n")
 
 
-def _run_profile(args) -> int:
-    """Time each heuristic's select() hot path over one standard workload."""
-    from repro.metrics.tables import format_table
-    from repro.obs import Observability, profile_summary
-    from repro.site.driver import simulate_site
-    from repro.workload import economy_spec, generate_trace
-
-    def _factory(name: str):
-        if name == "fcfs":
-            from repro.scheduling.baselines import FCFS
-
-            return FCFS()
-        if name == "srpt":
-            from repro.scheduling.baselines import SRPT
-
-            return SRPT()
-        if name == "firstprice":
-            from repro.scheduling.firstprice import FirstPrice
-
-            return FirstPrice()
-        if name == "pv":
-            from repro.scheduling.presentvalue import PresentValue
-
-            return PresentValue()
-        from repro.scheduling.firstreward import FirstReward
-
-        return FirstReward()
-
-    names = args.heuristics or list(PROFILE_HEURISTICS)
-    spec = economy_spec(n_jobs=args.n_jobs)
-    trace = generate_trace(spec, seed=args.seed)
-    print(
-        f"profiling {len(names)} heuristic(s): {spec.n_jobs} jobs, "
-        f"{spec.processors} processors, seed {args.seed}"
-    )
-    rows = []
-    details = []
-    for name in names:
-        obs = Observability(registry=None, spans=False, profiler=True)
-        started = time.time()
-        simulate_site(
-            trace, _factory(name), processors=spec.processors,
-            keep_records=False, obs=obs,
-        )
-        wall = time.time() - started
-        profiler = obs.profiler
-        select = profiler.stats.get(f"select:{name}")
-        scored = profiler.rows.get(f"select:{name}:rows")
-        row = {"heuristic": name, "wall_s": wall}
-        if select is not None:
-            snap = select.snapshot()
-            row.update(
-                select_calls=snap["count"],
-                select_total_ms=snap["total_s"] * 1e3,
-                select_mean_us=snap["mean_us"],
-                select_max_us=snap["max_us"],
-            )
-        if scored is not None:
-            row["mean_pool"] = scored.mean
-        rows.append(row)
-        if args.detail:
-            details.append(profile_summary(profiler, title=f"{name}: all timers"))
-    columns = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
-    print(format_table(rows, columns=columns, title="select() hot path per heuristic"))
-    for block in details:
-        print()
-        print(block)
-    print()
-    return 0
-
-
 def _print_trace(args) -> None:
     from repro.metrics.tables import format_table
     from repro.workload import economy_spec, generate_trace, millennium_spec
@@ -444,8 +343,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "trace":
         _print_trace(args)
         return 0
-    if args.command == "profile":
-        return _run_profile(args)
     if args.command == "serve":
         from repro.live.serve import run_serve
 

@@ -460,7 +460,7 @@ def run_experiment(
 
     With *obs* given, the whole sweep runs under that observability
     attachment: every ``simulate_site`` replication brackets itself as
-    one observed run (spans, metrics, profiling), and the observer's
+    one observed run (spans, metrics), and the observer's
     per-run summary rows plus span/drop bookkeeping are folded into the
     result's notes so exported JSON carries its own telemetry summary.
 

@@ -158,7 +158,7 @@ def _route(
         if "text/plain" in accept.lower():
             gauges = {f"service.{key}": value for key, value in rates.items()}
             # The obs snapshot nests instruments under "metrics" next to
-            # runs/spans/profile sections; the exposition wants instruments only.
+            # runs/spans sections; the exposition wants instruments only.
             instruments = snapshot.get("metrics", snapshot)
             return 200, _PlainText(prometheus_text(instruments, extra_gauges=gauges)), {}
         return 200, {"metrics": snapshot, "rates": rates}, {}

@@ -177,10 +177,11 @@ def config_from_args(args: argparse.Namespace) -> LiveConfig:
 def _make_obs(args):
     from repro.obs import MetricsRegistry, Observability
 
+    # spans only when asked for: a server kept no trace would otherwise
+    # hold every span of every bid it ever served until shutdown
     return Observability(
         registry=MetricsRegistry(),
-        spans=True,
-        profiler=False,
+        spans=args.trace_out is not None,
     )
 
 
@@ -189,9 +190,7 @@ def _write_artifacts(obs, args) -> None:
         from repro.obs import write_chrome_trace
 
         spans = obs.spans
-        write_chrome_trace(
-            spans.finished, args.trace_out, run_of=obs.run_of, dropped=spans.dropped
-        )
+        write_chrome_trace(spans.finished, args.trace_out, dropped=spans.dropped)
         print(f"wrote {args.trace_out} ({len(spans)} spans)")
     if getattr(args, "metrics_out", None):
         directory = os.path.dirname(args.metrics_out)
@@ -292,7 +291,7 @@ async def _serve(config: LiveConfig, args: argparse.Namespace) -> int:
         # shutdown-time final sync: the HTTP server is closed and the
         # service drained — the loop has nothing left to serve
         flight.close()  # repro: noqa ASY001  # final sync after drain; no clients left to stall
-        print(f"wrote {flight_path} ({len(flight.events)} flight records)")
+        print(f"wrote {flight_path} ({flight.seq} flight records)")
     _write_artifacts(obs, args)
 
     status = service.status()

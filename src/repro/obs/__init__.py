@@ -1,23 +1,24 @@
-"""End-to-end observability: spans, metrics, profiling, and exporters.
+"""End-to-end observability: spans, metrics, and exporters.
 
 The telemetry layer (DESIGN.md S27) answers *why* a run produced its
 numbers — which tasks were admitted, preempted, crashed, or allowed to
-decay — without perturbing the run:
+decay — without perturbing the run.  The hook methods of one
+:class:`Observability` are the only channel the site engine reports
+through, and its span list is the only store of what a site did:
 
 * **Causal spans** (:mod:`repro.obs.spans`): every task gets a lifecycle
   span tree (submitted → queued → running ⇄ preempted/crashed →
   completed | aborted | breached) with parent links across the
-  market/site boundary, mirrored into the kernel's ``SimTrace``.
+  market/site boundary; ``running`` spans carry their site and the node
+  ids they held, and every span its run, so
+  :class:`repro.analysis.SiteTimeline` is a view of them.
 * **Metrics registry** (:mod:`repro.obs.registry`): counters, gauges,
-  histograms, and time-weighted gauges published by the kernel, site,
-  admission, scheduling, market, and fault layers; a shared null
-  registry keeps the disabled path free and bit-inert.
-* **Profiling hooks** (:mod:`repro.obs.profile`): ``perf_counter``
-  timers around the scheduler ``select()`` hot path (per heuristic) and
-  kernel event dispatch (per tag family).
+  histograms, and time-weighted gauges published by the hooks for the
+  site, admission, market, and fault layers; a shared null registry
+  keeps the disabled path free and bit-inert.
 * **Exporters** (:mod:`repro.obs.export`): Chrome/Perfetto
-  ``trace_event`` JSON, JSONL streams with explicit drop counters, and
-  human summary tables.
+  ``trace_event`` JSON, a JSONL stream with an explicit drop counter,
+  and a human summary table.
 * **Flight recorder** (:mod:`repro.obs.flight`): schema-versioned
   append-only JSONL log of every market decision (bid, quote, award,
   settlement, breaker transition) for ``repro audit`` / ``repro replay``.
@@ -25,11 +26,14 @@ decay — without perturbing the run:
   rendering of metrics snapshots plus windowed service rates for the
   live ``/metrics`` route.
 
+Wall-clock cost is not measured here: ``python -m bench run --traced``
+is the one profiler (layer budget, per-call scoring and kernel cost).
+
 Attach with the ambient context::
 
-    from repro.obs import Observability, observing
+    from repro.obs import MetricsRegistry, Observability, observing
 
-    obs = Observability(registry=MetricsRegistry(), profiler=True)
+    obs = Observability(registry=MetricsRegistry())
     with observing(obs):
         run_experiment("fig3", scale="quick")
     print(metrics_summary(obs.registry))
@@ -37,10 +41,8 @@ Attach with the ambient context::
 
 from repro.obs.export import (
     metrics_summary,
-    profile_summary,
     spans_to_chrome,
     spans_to_jsonl,
-    trace_to_jsonl,
     write_chrome_trace,
 )
 from repro.obs.flight import (
@@ -52,7 +54,6 @@ from repro.obs.flight import (
 )
 from repro.obs.instrument import Observability, current, null_observability, observing
 from repro.obs.prom import PROMETHEUS_CONTENT_TYPE, RateWindow, prometheus_text
-from repro.obs.profile import Profiler, TimerStat
 from repro.obs.registry import (
     NULL_REGISTRY,
     Counter,
@@ -76,22 +77,18 @@ __all__ = [
     "MetricsRegistry",
     "NullRegistry",
     "Observability",
-    "Profiler",
     "RateWindow",
     "Recording",
     "Span",
     "SpanTracker",
     "TimeWeightedGauge",
-    "TimerStat",
     "current",
     "metrics_summary",
     "null_observability",
     "observing",
-    "profile_summary",
     "prometheus_text",
     "read_recording",
     "spans_to_chrome",
     "spans_to_jsonl",
-    "trace_to_jsonl",
     "write_chrome_trace",
 ]

@@ -1,4 +1,4 @@
-"""Exporters: Chrome/Perfetto ``trace_event`` JSON, JSONL streams, tables.
+"""Exporters: Chrome/Perfetto ``trace_event`` JSON, a JSONL stream, a table.
 
 Three consumers, three formats:
 
@@ -8,27 +8,24 @@ Three consumers, three formats:
   ``"ph": "i"`` marks, and each run/track pair gets thread-name metadata
   so lifecycle trees nest per task lane.  Simulated time maps to
   microseconds (1 sim time unit = 1 "µs").
-* machine post-processing — :func:`spans_to_jsonl` /
-  :func:`trace_to_jsonl` stream one JSON object per line, ending with a
-  ``{"meta": ...}`` line that carries retention counters (``dropped``)
-  so truncated exports are detectable.
-* humans — :func:`metrics_summary` / :func:`profile_summary` render
-  registry and profiler snapshots through the repo's plain-text tables.
+* machine post-processing — :func:`spans_to_jsonl` streams one JSON
+  object per line, ending with a ``{"meta": ...}`` line that carries the
+  retention counter (``dropped``) so a truncated export is detectable.
+* humans — :func:`metrics_summary` renders a registry snapshot through
+  the repo's plain-text tables.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable
 
 from repro.metrics.tables import format_table
 from repro.obs.spans import Span
 
-if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from repro.obs.profile import Profiler
+if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.obs.registry import MetricsRegistry
-    from repro.sim.trace import SimTrace
 
 #: Simulated time units per Chrome-trace microsecond tick.
 TIME_SCALE = 1.0
@@ -44,13 +41,13 @@ def _ensure_parent(path: str) -> None:
 # Chrome trace_event format
 # ----------------------------------------------------------------------
 
-def span_to_event(span: Span, pid: int = 0) -> dict:
+def span_to_event(span: Span) -> dict:
     """One span as a ``trace_event`` dict (complete or instant)."""
     tid_label = span.track or (f"task:{span.task_id}" if span.task_id is not None else "run")
     event = {
         "name": span.name,
         "cat": span.category,
-        "pid": pid,
+        "pid": span.run,
         "tid": tid_label,
         "ts": span.start / TIME_SCALE,
         "args": {"span_id": span.span_id, **span.args},
@@ -68,24 +65,20 @@ def span_to_event(span: Span, pid: int = 0) -> dict:
     return event
 
 
-def spans_to_chrome(
-    spans: Iterable[Span],
-    run_of: Optional[dict[int, int]] = None,
-    dropped: int = 0,
-) -> dict:
+def spans_to_chrome(spans: Iterable[Span], dropped: int = 0) -> dict:
     """All *spans* as a Chrome ``trace_event`` JSON object.
 
-    ``run_of`` maps span ids to run (replication) indices; each run
-    becomes one trace "process" so multi-replication exports stay
-    navigable.  Chrome's JSON numbers ``tid`` fields, so string tracks
-    are registered via ``thread_name`` metadata and numbered per run.
+    Each run (replication, ``span.run``) becomes one trace "process" so
+    multi-replication exports stay navigable.  Chrome's JSON numbers
+    ``tid`` fields, so string tracks are registered via ``thread_name``
+    metadata and numbered per run.
     """
     events: list[dict] = []
     track_ids: dict[tuple[int, str], int] = {}
     pids: set[int] = set()
     for span in spans:
-        pid = run_of.get(span.span_id, 0) if run_of else 0
-        event = span_to_event(span, pid=pid)
+        pid = span.run
+        event = span_to_event(span)
         key = (pid, event["tid"])
         if key not in track_ids:
             track_ids[key] = len(track_ids)
@@ -118,20 +111,15 @@ def spans_to_chrome(
     }
 
 
-def write_chrome_trace(
-    spans: Iterable[Span],
-    path: str,
-    run_of: Optional[dict[int, int]] = None,
-    dropped: int = 0,
-) -> None:
+def write_chrome_trace(spans: Iterable[Span], path: str, dropped: int = 0) -> None:
     _ensure_parent(path)
     with open(path, "w") as handle:
-        json.dump(spans_to_chrome(spans, run_of=run_of, dropped=dropped), handle)
+        json.dump(spans_to_chrome(spans, dropped=dropped), handle)
         handle.write("\n")
 
 
 # ----------------------------------------------------------------------
-# JSONL streams
+# JSONL stream
 # ----------------------------------------------------------------------
 
 def spans_to_jsonl(spans: Iterable[Span], path: str, dropped: int = 0) -> int:
@@ -148,34 +136,6 @@ def spans_to_jsonl(spans: Iterable[Span], path: str, dropped: int = 0) -> int:
     return written
 
 
-def trace_to_jsonl(trace: "SimTrace", path: str) -> int:
-    """Stream a :class:`SimTrace` as JSONL; payloads are stringified.
-
-    The trailing meta line surfaces the ring buffer's ``dropped``
-    counter — a truncated chronological log is detectable, never silent.
-    """
-    _ensure_parent(path)
-    written = 0
-    with open(path, "w") as handle:
-        for record in trace:
-            handle.write(
-                json.dumps(
-                    {
-                        "time": record.time,
-                        "kind": record.kind,
-                        "tag": record.tag,
-                        "payload": None if record.payload is None else str(record.payload),
-                    },
-                    sort_keys=True,
-                )
-            )
-            handle.write("\n")
-        written = len(trace)
-        handle.write(json.dumps({"meta": {"records": written, "dropped": trace.dropped}}))
-        handle.write("\n")
-    return written
-
-
 # ----------------------------------------------------------------------
 # Human summaries
 # ----------------------------------------------------------------------
@@ -185,15 +145,3 @@ def metrics_summary(registry: "MetricsRegistry", title: str = "metrics") -> str:
     if not rows:
         return f"{title}\n(no metrics recorded)"
     return format_table(rows, title=title)
-
-
-def profile_summary(profiler: "Profiler", title: str = "profile (wall clock)") -> str:
-    rows = profiler.summary_rows()
-    if not rows:
-        return f"{title}\n(no timings recorded)"
-    columns: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
-    return format_table(rows, columns=columns, title=title)

@@ -292,8 +292,9 @@ class FlightRecorder:
     path:
         When given, every record is streamed to this file as one JSON
         line (the directory is created; the header line is written
-        immediately).  Records are always retained in memory too, so
-        ``recording()`` works with or without a file.
+        immediately) and nothing is kept in memory: the file is the
+        record, and ``recording()`` reads it back.  Without a file (and
+        without a *sink*) records are buffered in :attr:`events`.
     clock_domain:
         ``"sim"`` (simulated time) or ``"wall"`` (live service time) —
         a header-level tag; every record's ``t`` is in this domain.
@@ -325,6 +326,8 @@ class FlightRecorder:
             sink = JournalSink(path, fsync="off")
         self.sink = sink
         self.path = sink.path if sink is not None else None
+        #: the memory-only recorder's buffer; a recorder with a sink
+        #: keeps no second copy of what it streamed
         self.events: list[dict] = []
         self.seq = 0
         if sink is not None and not sink.appending:
@@ -340,8 +343,9 @@ class FlightRecorder:
         self.seq += 1
         row: dict = {"seq": self.seq, "kind": kind, "t": float(t)}
         row.update(fields)
-        self.events.append(row)
-        if self.sink is not None and not self.sink.closed:
+        if self.sink is None:
+            self.events.append(row)
+        elif not self.sink.closed:
             self._write_line(row)
         return row
 
@@ -361,7 +365,9 @@ class FlightRecorder:
         self.close()
 
     def recording(self) -> Recording:
-        """The in-memory events as a :class:`Recording`."""
+        """Everything recorded so far: the buffer, or the journal read back."""
+        if self.sink is not None:
+            return read_recording(self.sink.path)
         return Recording(
             schema=FLIGHT_SCHEMA, clock=self.clock_domain, events=list(self.events)
         )

@@ -1,11 +1,13 @@
 """The observability facade and ambient attachment context.
 
-One :class:`Observability` object bundles the three instruments of the
-telemetry layer — the metrics registry, the lifecycle span tracker, and
-the wall-clock profiler — behind the hook methods the substrate calls:
-the site engine reports task transitions, the market layer reports
-negotiation phases, the fault injector reports node state flips, and the
-driver brackets each simulation run.
+One :class:`Observability` object bundles the two instruments of the
+telemetry layer — the metrics registry and the lifecycle span tracker —
+behind the hook methods the substrate calls: the site engine reports
+task transitions, the market layer reports negotiation phases, the fault
+injector reports node state flips, and the driver brackets each
+simulation run.  The hooks are the engine's only telemetry channel and
+the span list is the only store of what a site did; everything else
+(:class:`repro.analysis.SiteTimeline`, the Chrome export) is a view of it.
 
 Attachment is ambient: experiment harnesses sweep dozens of
 ``simulate_site`` calls through code that never mentions telemetry, so
@@ -22,12 +24,10 @@ import contextlib
 import math
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from repro.obs.profile import Profiler
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.obs.spans import Span, SpanTracker
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from repro.sim.trace import SimTrace
     from repro.site.admission import AdmissionDecision
     from repro.tasks.task import Task
 
@@ -44,28 +44,18 @@ class Observability:
     spans:
         ``True`` (default) builds lifecycle span trees; ``False`` skips
         span bookkeeping entirely.
-    profiler:
-        ``True`` attaches a :class:`~repro.obs.profile.Profiler` that the
-        driver wires around the scheduler hot path and kernel dispatch.
     span_capacity:
         Retention cap for finished spans (oldest dropped and counted).
-    trace:
-        Optional :class:`~repro.sim.trace.SimTrace` mirror so span
-        open/close marks interleave with kernel events in one log.
     """
 
     def __init__(
         self,
         registry: Optional[MetricsRegistry] = None,
         spans: bool = True,
-        profiler: bool = False,
         span_capacity: Optional[int] = None,
-        trace: "Optional[SimTrace]" = None,
     ) -> None:
         self.registry = registry if registry is not None else NULL_REGISTRY
-        self.spans = SpanTracker(capacity=span_capacity, trace=trace) if spans else None
-        self.profiler = Profiler() if profiler else None
-        self.trace = trace
+        self.spans = SpanTracker(capacity=span_capacity) if spans else None
         #: open root/segment spans per live task id (current run only)
         self._roots: dict[int, Span] = {}
         self._segments: dict[int, Span] = {}
@@ -73,8 +63,6 @@ class Observability:
         self._negotiations: dict[int, Span] = {}
         #: closed negotiation spans awaiting their task root, by task id
         self._adoptable: dict[int, Span] = {}
-        #: span_id -> run index, for multi-replication Chrome exports
-        self.run_of: dict[int, int] = {}
         self.run_index = -1
         self.runs: list[dict] = []
         self._run_open = False
@@ -83,13 +71,13 @@ class Observability:
     def live(self) -> bool:
         """Whether any instrument would record anything.
 
-        The driver hands a dead observer (null registry, spans and
-        profiler off) to nobody: the substrate keeps ``obs=None`` and a
+        The driver hands a dead observer (null registry, spans off) to
+        nobody: the substrate keeps ``obs=None`` and a
         fully disabled attachment costs exactly as much as no attachment
         — run bracketing aside, which stays so ``obs.runs`` still counts
         replications.
         """
-        return self.registry.enabled or self.spans is not None or self.profiler is not None
+        return self.registry.enabled or self.spans is not None
 
     # ------------------------------------------------------------------
     # Run bracketing (one run == one simulate_site replication)
@@ -127,8 +115,9 @@ class Observability:
         self._run_open = False
 
     def _mark(self, span: Span) -> Span:
+        """Stamp *span* with the run it belongs to (0 outside any run)."""
         if self.run_index >= 0:
-            self.run_of[span.span_id] = self.run_index
+            span.run = self.run_index
         return span
 
     # ------------------------------------------------------------------
@@ -159,9 +148,18 @@ class Observability:
             negotiation.task_id = task.tid
         self._mark(self.spans.instant("submitted", "task", now, parent=root))
 
+    def _evaluated(self, decision: "AdmissionDecision") -> None:
+        """What one admission evaluation learned, off its decision."""
+        self.registry.counter("admission.evaluations").inc()
+        if math.isfinite(decision.slack):
+            self.registry.histogram("admission.evaluated_slack").observe(decision.slack)
+        self.registry.histogram("admission.present_value").observe(decision.present_value)
+        self.registry.histogram("admission.displacement_cost").observe(decision.cost)
+
     def task_admitted(self, task: "Task", decision: "Optional[AdmissionDecision]", now: float) -> None:
         self.registry.counter("tasks.accepted").inc()
         if decision is not None:
+            self._evaluated(decision)
             if math.isfinite(decision.slack):
                 self.registry.histogram("admission.slack").observe(decision.slack)
             self.registry.histogram("admission.expected_yield").observe(
@@ -181,6 +179,7 @@ class Observability:
 
     def task_rejected(self, task: "Task", decision: "AdmissionDecision", now: float) -> None:
         self.registry.counter("tasks.rejected").inc()
+        self._evaluated(decision)
         if math.isfinite(decision.slack):
             self.registry.histogram("admission.rejected_slack").observe(decision.slack)
         if self.spans is None:
@@ -191,7 +190,7 @@ class Observability:
         self._mark(self.spans.instant("rejected", "task", now, parent=root, slack=decision.slack))
         self.spans.close(root, now, outcome="rejected")
 
-    def task_started(self, task: "Task", now: float) -> None:
+    def task_started(self, task: "Task", now: float, site_id: str, nodes: list[int]) -> None:
         self.registry.counter("tasks.dispatched").inc()
         self.registry.histogram("queue.wait").observe(now - task.arrival)
         if self.spans is None:
@@ -203,49 +202,40 @@ class Observability:
         if segment is not None:
             self.spans.close(segment, now)
         self._segments[task.tid] = self._mark(
-            self.spans.open("running", "task", now, parent=root, remaining=task.remaining)
+            self.spans.open(
+                "running", "task", now, parent=root,
+                remaining=task.remaining, site=site_id, nodes=nodes,
+            )
         )
 
     def task_preempted(self, task: "Task", now: float) -> None:
         self.registry.counter("tasks.preemptions").inc()
-        if self.spans is None:
-            self._requeue_segment(task, now, "preempted")
-            return
-        root = self._roots.get(task.tid)
-        if root is not None:
-            self._mark(
-                self.spans.instant(
-                    "preempted", "task", now, parent=root, preemptions=task.preemptions
-                )
-            )
-        self._requeue_segment(task, now, "preempted")
+        self._run_cut_short(task, now, "preempted", True, preemptions=task.preemptions)
 
     def task_restarted(self, task: "Task", now: float, requeued: bool) -> None:
         self.registry.counter("tasks.crashed").inc()
         if requeued:
             self.registry.counter("tasks.restarts").inc()
+        self._run_cut_short(
+            task, now, "crashed", requeued, requeued=requeued, restarts=task.restarts
+        )
+
+    def _run_cut_short(
+        self, task: "Task", now: float, why: str, waits_again: bool, **args
+    ) -> None:
+        """A run ended short of completion: mark the instant, close the
+        ``running`` span as ``ended_by=why`` (what tells a timeline the
+        segment is not final) and, when the task goes back to the queue,
+        open its next wait."""
         if self.spans is None:
-            self._requeue_segment(task, now, "crashed")
             return
         root = self._roots.get(task.tid)
         if root is not None:
-            self._mark(
-                self.spans.instant(
-                    "crashed", "task", now, parent=root, requeued=requeued,
-                    restarts=task.restarts,
-                )
-            )
-        if requeued:
-            self._requeue_segment(task, now, "crashed")
-
-    def _requeue_segment(self, task: "Task", now: float, why: str) -> None:
-        if self.spans is None:
-            return
-        root = self._roots.get(task.tid)
+            self._mark(self.spans.instant(why, "task", now, parent=root, **args))
         segment = self._segments.pop(task.tid, None)
         if segment is not None:
             self.spans.close(segment, now, ended_by=why)
-        if root is not None:
+        if waits_again and root is not None:
             self._segments[task.tid] = self._mark(
                 self.spans.open("queued", "task", now, parent=root, after=why)
             )
@@ -281,9 +271,11 @@ class Observability:
         self.registry.histogram("tasks.breach_penalty").observe(penalty)
         self._terminal(task, now, "breached", penalty=penalty)
 
-    def queue_depth(self, depth: int, running: int, now: float) -> None:
-        self.registry.time_weighted("site.queue_depth").observe(depth, now)
-        self.registry.time_weighted("site.busy_nodes").observe(running, now)
+    def queue_depth(self, site_id: str, depth: int, running: int, now: float) -> None:
+        """One site's level after a scheduling pass: a series per site, so
+        the sites of a market never write each other's gauge."""
+        self.registry.time_weighted(f"site.queue_depth.{site_id}").observe(depth, now)
+        self.registry.time_weighted(f"site.busy_nodes.{site_id}").observe(running, now)
 
     # ------------------------------------------------------------------
     # Scheduling hooks
@@ -444,26 +436,23 @@ class Observability:
                 "open": self.spans.open_count,
                 "dropped": self.spans.dropped,
             }
-        if self.profiler is not None:
-            out["profile"] = self.profiler.snapshot()
         return out
 
     def __repr__(self) -> str:
         spans = len(self.spans) if self.spans is not None else "off"
-        prof = len(self.profiler) if self.profiler is not None else "off"
         return (
             f"<Observability metrics={len(self.registry)} spans={spans} "
-            f"profile={prof} runs={self.run_index + 1}>"
+            f"runs={self.run_index + 1}>"
         )
 
 
 def null_observability() -> Observability:
-    """A fully disabled instance: null registry, no spans, no profiler.
+    """A fully disabled instance: null registry, no spans.
 
     Attaching this must leave every result byte-identical — the golden
     regression in ``tests/faults/test_determinism.py`` pins it.
     """
-    return Observability(registry=None, spans=False, profiler=False)
+    return Observability(registry=None, spans=False)
 
 
 # ----------------------------------------------------------------------

@@ -3,17 +3,18 @@
 A :class:`Span` is a named interval of simulated time with a parent
 link; instants (zero-duration marks such as a preemption or a node
 crash) share the same record with ``end == start``.  The
-:class:`SpanTracker` hands out ids, keeps the finished-span list under a
-capacity bound (counting drops, like :class:`~repro.sim.trace.SimTrace`),
-and mirrors every open/close/instant into an attached ``SimTrace`` so
-the chronological kernel log stays the one authoritative record of a run.
+:class:`SpanTracker` hands out ids and keeps the finished-span list —
+the one store of what a site did — under an optional capacity bound,
+counting what it drops.
 
 The task lifecycle tree built by :class:`~repro.obs.instrument.Observability`:
 
     task:<tid>                      root, submission -> terminal state
     ├─ negotiation:<id>             (market runs only) request -> contract
     ├─ queued                       accept -> dispatch, one per wait
-    ├─ running                      dispatch -> completion/preemption/crash
+    ├─ running                      dispatch -> completion/preemption/crash,
+    │   │                           with its site and the ids of the nodes
+    │   │                           it held
     │   └─ preempted / crashed      instant, closes the running span
     └─ completed|aborted|breached   instant, closes the root
 
@@ -26,10 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from repro.sim.trace import SimTrace
+from typing import Optional
 
 
 @dataclass
@@ -45,6 +43,7 @@ class Span:
     task_id: Optional[int] = None
     track: Optional[str] = None  # display lane (chrome "tid"): task/node/negotiation
     args: dict = field(default_factory=dict)
+    run: int = 0  # replication the span belongs to (chrome "pid")
 
     @property
     def closed(self) -> bool:
@@ -74,6 +73,8 @@ class Span:
             out["track"] = self.track
         if self.args:
             out["args"] = self.args
+        if self.run:
+            out["run"] = self.run
         return out
 
     def __repr__(self) -> str:
@@ -88,19 +89,14 @@ class SpanTracker:
     ----------
     capacity:
         Optional cap on *finished* spans retained; the oldest are dropped
-        first and counted in :attr:`dropped` (mirrors ``SimTrace``).
-    trace:
-        Optional :class:`~repro.sim.trace.SimTrace` that receives a
-        ``span`` record for every open/close/instant, keeping the
-        kernel's chronological log authoritative.
+        first and counted in :attr:`dropped`.
     """
 
-    def __init__(self, capacity: Optional[int] = None, trace: "Optional[SimTrace]" = None) -> None:
+    def __init__(self, capacity: Optional[int] = None) -> None:
         if capacity is not None and capacity <= 0:
             raise ValueError("capacity must be positive or None")
         self._ids = itertools.count()
         self._capacity = capacity
-        self.trace = trace
         self.finished: list[Span] = []
         self.open_count = 0
         self.dropped = 0
@@ -127,8 +123,6 @@ class SpanTracker:
             args=args,
         )
         self.open_count += 1
-        if self.trace is not None:
-            self.trace.record(start, "span", f"open:{category}:{name}", span.span_id)
         return span
 
     def close(self, span: Span, end: float, **args) -> Span:
@@ -143,8 +137,6 @@ class SpanTracker:
             span.args.update(args)
         self.open_count -= 1
         self._retain(span)
-        if self.trace is not None:
-            self.trace.record(end, "span", f"close:{span.category}:{span.name}", span.span_id)
         return span
 
     def instant(
@@ -161,8 +153,6 @@ class SpanTracker:
         span.end = ts
         self.open_count -= 1
         self._retain(span)
-        if self.trace is not None:
-            self.trace.record(ts, "span", f"instant:{category}:{name}", span.span_id)
         return span
 
     def _retain(self, span: Span) -> None:

@@ -10,7 +10,7 @@ Layers, lowest to highest:
   and a heap-ordered pending-event set with O(log n) insert/pop and lazy
   cancellation.
 * :mod:`repro.sim.kernel` — the :class:`Simulator`: clock, scheduling
-  primitives, run loop, monitors.
+  primitives, run loop.
 * :mod:`repro.sim.coroutine` — ``async def`` code on the kernel: the one
   awaitable (:class:`Sleep`, one event per sleep) and the one driver
   (:class:`Coroutine`) behind the fault injector, the latent negotiation
@@ -20,8 +20,9 @@ Layers, lowest to highest:
 * :mod:`repro.sim.rng` — named, independently-seeded random streams so
   experiments are reproducible and components draw from decoupled
   streams.
-* :mod:`repro.sim.trace` — structured event tracing for debugging and
-  for the test suite's observability hooks.
+
+The kernel records nothing about a run: what a site did is the span list
+of an attached :class:`~repro.obs.instrument.Observability`.
 """
 
 from repro.sim.clock import Clock, SimClock
@@ -30,7 +31,6 @@ from repro.sim.events import Event, EventState
 from repro.sim.kernel import Simulator
 from repro.sim.queue import EventQueue
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import SimTrace, TraceRecord
 
 __all__ = [
     "Clock",
@@ -40,8 +40,6 @@ __all__ = [
     "EventState",
     "RandomStreams",
     "SimClock",
-    "SimTrace",
     "Simulator",
     "Sleep",
-    "TraceRecord",
 ]

@@ -74,7 +74,7 @@ class Event:
         self.args = args
         self.state = EventState.PENDING
         self.tag = tag
-        #: daemon events (periodic recharges, monitors) do not keep the
+        #: daemon events (periodic recharges, crash timers) do not keep the
         #: simulation alive: run() stops once only daemons remain
         self.daemon = daemon
 

@@ -10,16 +10,11 @@ may schedule further events; time never moves backwards.
 from __future__ import annotations
 
 import math
-import time
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
 from repro.sim.events import Event, EventState
 from repro.sim.queue import EventQueue
-
-if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from repro.obs.profile import Profiler
-    from repro.sim.trace import SimTrace
 
 
 class Simulator:
@@ -29,14 +24,6 @@ class Simulator:
     ----------
     start:
         Initial clock value (default 0.0).
-    trace:
-        Optional :class:`~repro.sim.trace.SimTrace` that records every
-        fired event; cheap to leave off (the default) for production runs.
-    profiler:
-        Optional :class:`~repro.obs.profile.Profiler` that wall-clock
-        times every event dispatch, aggregated per tag family
-        (``dispatch:arrival``, ``dispatch:site``, …).  Like the trace,
-        it observes only — simulated behaviour is unchanged.
 
     Example
     -------
@@ -48,16 +35,9 @@ class Simulator:
     (5.0, ['hello'])
     """
 
-    def __init__(
-        self,
-        start: float = 0.0,
-        trace: Optional[SimTrace] = None,
-        profiler: "Optional[Profiler]" = None,
-    ) -> None:
+    def __init__(self, start: float = 0.0) -> None:
         self.now = float(start)
         self._queue = EventQueue()
-        self._trace = trace
-        self._profiler = profiler
         self._running = False
         self._stopped = False
         self.events_fired = 0
@@ -77,7 +57,7 @@ class Simulator:
         """Schedule ``callback(*args)`` to run *delay* time units from now.
 
         ``daemon=True`` marks housekeeping events (periodic recharges,
-        monitors) that should not keep :meth:`run` alive on their own.
+        crash timers) that should not keep :meth:`run` alive on their own.
         """
         # mirrors schedule_at, unrolled: this is the hottest scheduling
         # entry point, and the extra frame + keyword re-packing showed up
@@ -137,19 +117,7 @@ class Simulator:
         self.now = event.time
         event.state = EventState.FIRED
         self.events_fired += 1
-        if self._trace is not None:
-            self._trace.record(self.now, "fire", event.tag, event)
-        if self._profiler is None:
-            event.callback(*event.args)
-        else:
-            tag = event.tag
-            family = tag.split(":", 1)[0] if tag else "untagged"
-            # wall-clock feeds only the attached profiler, never sim state
-            started = time.perf_counter()  # repro: noqa DET002
-            event.callback(*event.args)
-            self._profiler.stat(f"dispatch:{family}").add(
-                time.perf_counter() - started  # repro: noqa DET002
-            )
+        event.callback(*event.args)
         return event
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
@@ -178,8 +146,7 @@ class Simulator:
                     break
                 if until is None:
                     # only daemon housekeeping remains: let daemons at the
-                    # current instant run (e.g. a monitor sampling the
-                    # final state), then stop
+                    # current instant run, then stop
                     if queue.essential_count == 0 and head.time > self.now:
                         break
                 elif head.time > until:
@@ -206,11 +173,3 @@ class Simulator:
     def peek_time(self) -> Optional[float]:
         """Time of the next event, or None when the queue is empty."""
         return self._queue.next_time()
-
-    @property
-    def trace(self) -> Optional[SimTrace]:
-        return self._trace
-
-    @property
-    def profiler(self) -> "Optional[Profiler]":
-        return self._profiler

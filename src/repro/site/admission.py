@@ -68,12 +68,9 @@ class SlackAdmission:
         behind the re-run — so an unreliable site should demand extra
         slack in proportion to that exposure.  0 (the default) is the
         paper's fault-free rule, bit for bit.
-    registry:
-        Optional :class:`~repro.obs.registry.MetricsRegistry` receiving
-        per-evaluation slack/PV/cost distributions.  The site driver
-        attaches the active observability registry automatically; the
-        default publishes nothing.  Metrics are observers only — the
-        decision is identical with or without one.
+
+    The policy publishes nothing itself: the engine hands each decision
+    to its observer, which reads the evaluation metrics off it.
     """
 
     def __init__(
@@ -81,7 +78,6 @@ class SlackAdmission:
         threshold: float = 180.0,
         discount_rate: float = 0.01,
         slack_inflation: float = 0.0,
-        registry=None,
     ) -> None:
         if math.isnan(threshold):
             raise AdmissionError("slack threshold must not be NaN")
@@ -94,7 +90,6 @@ class SlackAdmission:
         self.threshold = float(threshold)
         self.discount_rate = float(discount_rate)
         self.slack_inflation = float(slack_inflation)
-        self.registry = registry
 
     def evaluate(self, site: "TaskServiceSite", task: "Task") -> AdmissionDecision:
         """Probe the candidate schedule with *task* added; no state changes."""
@@ -159,12 +154,6 @@ class SlackAdmission:
             slack = math.inf if pv - cost >= 0 else -math.inf
 
         required = self.threshold + self.slack_inflation * task.estimated_remaining
-        if self.registry is not None:
-            self.registry.counter("admission.evaluations").inc()
-            if math.isfinite(slack):
-                self.registry.histogram("admission.evaluated_slack").observe(slack)
-            self.registry.histogram("admission.present_value").observe(pv)
-            self.registry.histogram("admission.displacement_cost").observe(cost)
         return AdmissionDecision(
             accept=bool(slack >= required),
             slack=slack,

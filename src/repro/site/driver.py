@@ -16,7 +16,6 @@ from repro.errors import SimulationError
 from repro.scheduling.base import SchedulingHeuristic
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import SimTrace
 from repro.site.accounting import YieldLedger
 from repro.site.service import TaskServiceSite
 from repro.tasks.task import Task
@@ -37,24 +36,12 @@ def _resolve_obs(obs: "Optional[Observability]") -> "Optional[Observability]":
     return current()
 
 
-def _wire_obs(obs: "Observability", heuristic, admission, sim_trace, label: str):
-    """Begin a run under *obs*; returns the (possibly wrapped) heuristic,
-    the kernel trace to use, the profiler, and the observer to hand the
-    engine — ``None`` when nothing would record, so a fully disabled
-    attachment costs the substrate exactly as much as no attachment."""
+def _wire_obs(obs: "Observability", label: str) -> "Optional[Observability]":
+    """Begin a run under *obs*; returns the observer to hand the engine —
+    ``None`` when nothing would record, so a fully disabled attachment
+    costs the substrate exactly as much as no attachment."""
     obs.begin_run(label)
-    if not obs.live:
-        return heuristic, sim_trace, None, None
-    profiler = obs.profiler
-    if profiler is not None:
-        from repro.scheduling.profiled import ProfiledHeuristic
-
-        heuristic = ProfiledHeuristic(heuristic, profiler)
-    if admission is not None and getattr(admission, "registry", None) is None:
-        admission.registry = obs.registry
-    if sim_trace is None:
-        sim_trace = obs.trace
-    return heuristic, sim_trace, profiler, obs
+    return obs if obs.live else None
 
 
 @dataclass
@@ -84,7 +71,6 @@ def simulate_site(
     preemption: bool = False,
     discard_expired: bool = False,
     keep_records: bool = True,
-    sim_trace: Optional[SimTrace] = None,
     faults: "Optional[FaultSpec]" = None,
     fault_seed: int = 0,
     obs: "Optional[Observability]" = None,
@@ -105,8 +91,7 @@ def simulate_site(
 
     With ``obs`` given — or an ambient :func:`repro.obs.observing`
     attachment active — the run is bracketed as one observability
-    *replication*: lifecycle spans, site/admission metrics, and (when
-    the observer carries a profiler) ``select()``/dispatch timings are
+    *replication*: lifecycle spans and site/admission metrics are
     published, and a per-run summary row is folded into ``obs.runs``.
     Observability is strictly read-only: results are byte-identical with
     it on, off, or null.
@@ -122,13 +107,8 @@ def simulate_site(
         heuristic, admission = _price_failure(faults, heuristic, admission, obs)
         label = f"{heuristic.name}+faults"
         restart_policy = make_restart_policy(faults)
-    profiler = None
-    engine_obs = None
-    if obs is not None:
-        heuristic, sim_trace, profiler, engine_obs = _wire_obs(
-            obs, heuristic, admission, sim_trace, label
-        )
-    sim = Simulator(trace=sim_trace, profiler=profiler)
+    engine_obs = None if obs is None else _wire_obs(obs, label)
+    sim = Simulator()
     ledger = YieldLedger(keep_records=keep_records)
     site = TaskServiceSite(
         sim,

@@ -96,11 +96,12 @@ class TaskServiceSite:
         requeue-from-scratch on the first failure that needs it; sites
         never exposed to faults never touch this path.
     obs:
-        Optional :class:`~repro.obs.instrument.Observability` receiving
-        task lifecycle spans and site metrics.  ``None`` (the default)
-        publishes nothing; every hook is guarded by one ``is not None``
-        check, and instruments never touch the clock or any RNG, so an
-        attached observer cannot change results.
+        Optional :class:`~repro.obs.instrument.Observability` — the one
+        channel the engine reports what it did through (task lifecycle
+        spans, site metrics).  ``None`` (the default) publishes nothing;
+        every hook is guarded by one ``is not None`` check, and
+        instruments never touch the clock or any RNG, so an attached
+        observer cannot change results.
     clock:
         Where the engine reads "now" from (:class:`~repro.sim.clock.Clock`).
         Defaults to a :class:`~repro.sim.clock.SimClock` over *sim* —
@@ -149,11 +150,9 @@ class TaskServiceSite:
         #: callbacks invoked with each task that reaches COMPLETED or
         #: CANCELLED — the market layer settles contracts through these
         self.finish_listeners: list = []
-        #: observability hooks: called as fn(task) at dispatch/preemption.
-        #: The analysis layer builds execution timelines from these.
-        self.start_listeners: list = []
-        self.preempt_listeners: list = []
-        #: called as fn(task, outcome) when a crash kills a running task
+        #: called as fn(task, outcome) when a crash kills a running task —
+        #: how fault books close.  Neither list is telemetry: what the
+        #: site did is reported through ``obs`` and nowhere else
         self.crash_listeners: list = []
 
     # ------------------------------------------------------------------
@@ -239,7 +238,9 @@ class TaskServiceSite:
         if self.preemption:
             self._preemption_pass()
         if self.obs is not None:
-            self.obs.queue_depth(len(self.pool), self.processors.busy_count, now)
+            self.obs.queue_depth(
+                self.site_id, len(self.pool), self.processors.busy_count, now
+            )
 
     def _start(self, task: Task) -> None:
         now = self.clock.now
@@ -247,9 +248,9 @@ class TaskServiceSite:
         self.processors.assign(task, now)
         self._runs[task.tid] = self.executor.launch(task, now, self._on_exit)
         if self.obs is not None:
-            self.obs.task_started(task, now)
-        for listener in self.start_listeners:
-            listener(task)
+            self.obs.task_started(
+                task, now, self.site_id, self.processors.node_ids_of(task)
+            )
 
     def _on_exit(self, task: Task, ok: bool = True):
         """The run of *task* ended: it finished, or (``ok=False``) died.
@@ -359,8 +360,6 @@ class TaskServiceSite:
         self.pool.add(task)
         if self.obs is not None:
             self.obs.task_preempted(task, now)
-        for listener in self.preempt_listeners:
-            listener(task)
 
     # ------------------------------------------------------------------
     # Node failure / repair (driven by repro.faults.FaultInjector)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis import SiteTimeline, render_gantt, run_report
 from repro.analysis.report import format_report
+from repro.obs import MetricsRegistry, Observability
 from repro.scheduling import FCFS, FirstPrice
 from repro.sim import Simulator
 from repro.site import TaskServiceSite
@@ -17,12 +18,12 @@ def make_task(arrival, runtime, value=100.0, decay=1.0, bound=None):
 
 def run(tasks, heuristic=None, processors=1, **kwargs):
     sim = Simulator()
-    site = TaskServiceSite(sim, processors, heuristic or FCFS(), **kwargs)
-    timeline = SiteTimeline(site)
+    obs = Observability(registry=MetricsRegistry())
+    site = TaskServiceSite(sim, processors, heuristic or FCFS(), obs=obs, **kwargs)
     for t in tasks:
         sim.schedule_at(t.arrival, site.submit, t)
     sim.run()
-    return timeline, site
+    return SiteTimeline(obs.spans.finished, nodes=processors), site
 
 
 class TestGantt:
@@ -43,11 +44,21 @@ class TestGantt:
         timeline, _ = run([low, high], FirstPrice(), preemption=True)
         assert "~" in render_gantt(timeline, width=40, legend=False)
 
-    def test_empty_timeline(self):
+    def test_crash_marker(self):
         sim = Simulator()
-        site = TaskServiceSite(sim, 1, FCFS())
-        timeline = SiteTimeline(site)
-        assert render_gantt(timeline) == "(empty timeline)"
+        obs = Observability()
+        site = TaskServiceSite(sim, 1, FCFS(), obs=obs)
+        sim.schedule_at(0.0, site.submit, make_task(0.0, 10.0))
+        sim.schedule_at(4.0, site.crash_node, 0)
+        sim.schedule_at(6.0, site.repair_node, 0)
+        sim.run()
+        row = render_gantt(
+            SiteTimeline(obs.spans.finished, nodes=1), width=16, legend=False
+        ).splitlines()[1].split("|")[1]
+        assert row[3] == "~" and row[4:6] == ".."  # killed at 4, down until 6
+
+    def test_empty_timeline(self):
+        assert render_gantt(SiteTimeline([])) == "(empty timeline)"
 
     def test_legend_lists_tasks(self):
         t = make_task(0.0, 5.0)
@@ -94,6 +105,14 @@ class TestRunReport:
         timeline, site = run([make_task(0.0, 5.0)])
         text = format_report(run_report(site.ledger, timeline))
         assert "accounting:" in text and "execution:" in text
+
+    def test_queue_depth_is_reported_from_the_observers_gauge(self):
+        timeline, site = run([make_task(0.0, 5.0) for _ in range(3)])
+        report = run_report(site.ledger, timeline, obs=site.obs)
+        assert "queue_length" not in report["execution"]
+        gauge = report["telemetry"]["metrics"][f"site.queue_depth.{site.site_id}"]
+        assert gauge["max"] == 2
+        assert f"queue at {site.site_id}: mean" in format_report(report)
 
     def test_empty_ledger_report(self):
         from repro.site import YieldLedger

@@ -194,7 +194,7 @@ def test_module_name_for_path_variants():
 def test_policy_predicates():
     assert is_sim_path("repro.sim.kernel")
     assert is_sim_path("repro.scheduling.firstreward")
-    assert not is_sim_path("repro.obs.profile")  # allowlisted
+    assert not is_sim_path("repro.obs.instrument")  # allowlisted
     assert not is_sim_path("repro.cli")
     assert is_hot_path("repro.market.broker")
     assert not is_hot_path("repro.workload.generator")

@@ -135,21 +135,21 @@ class TestObservabilityGuard:
     def test_workers_with_ambient_obs_fails_fast(self):
         from repro.obs import MetricsRegistry, Observability, observing
 
-        obs = Observability(registry=MetricsRegistry(), spans=True, profiler=False)
+        obs = Observability(registry=MetricsRegistry(), spans=True)
         with observing(obs), pytest.raises(ExperimentError, match="observability"):
             CellExecutor(2)
 
     def test_run_experiment_obs_plus_workers_fails_fast(self):
         from repro.obs import MetricsRegistry, Observability
 
-        obs = Observability(registry=MetricsRegistry(), spans=True, profiler=False)
+        obs = Observability(registry=MetricsRegistry(), spans=True)
         with pytest.raises(ExperimentError, match="observability"):
             run_experiment("fig6", obs=obs, workers=2, **TINY_FIG6)
 
     def test_serial_obs_still_works(self):
         from repro.obs import MetricsRegistry, Observability
 
-        obs = Observability(registry=MetricsRegistry(), spans=True, profiler=False)
+        obs = Observability(registry=MetricsRegistry(), spans=True)
         result = run_experiment("fig6", obs=obs, workers=1, **TINY_FIG6)
         assert any("observability" in note for note in result.notes)
 

@@ -175,7 +175,13 @@ class TestOneFailurePath:
         sim = Simulator()
         site = TaskServiceSite(sim, processors=2, heuristic=FCFS(), restart_policy=policy)
         calls = []
-        site.start_listeners.append(lambda t: calls.append(("start", t.tid, sim.now)))
+        start = site._start
+
+        def logged_start(task):
+            start(task)
+            calls.append(("start", task.tid, sim.now))
+
+        site._start = logged_start
         site.finish_listeners.append(lambda t: calls.append(("finish", t.tid, t.state)))
         site.crash_listeners.append(lambda t, outcome: calls.append(("crash", t.tid, outcome)))
         tasks = [

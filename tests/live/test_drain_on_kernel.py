@@ -107,7 +107,8 @@ def _drained(journal, drain_grace, runtimes, drain_at=50.0):
     with pytest.raises(ApiError) as refused:
         service.submit_bid(_bid(1.0, None))
     assert refused.value.status == 503
-    settlements = [e for e in flight.events if e["kind"] == "settlement"]
+    recording = flight.recording()  # a journaled recorder: read back
+    settlements = recording.of_kind("settlement")
     books = {
         "revenue": [site.revenue for site in service.sites],
         "contracts": [len(site.contracts) for site in service.sites],
@@ -117,8 +118,7 @@ def _drained(journal, drain_grace, runtimes, drain_at=50.0):
         ],
         "summaries": [
             (e["site_id"], e["revenue"], e["contracts"], e["t"])
-            for e in flight.events
-            if e["kind"] == "site_summary"
+            for e in recording.of_kind("site_summary")
         ],
         "end": sim.now,
     }

@@ -86,16 +86,14 @@ def test_keyed_response_is_journaled_before_reply():
     service, _ = scripted_service(_config(), flight=flight)
     doc, _ = service.handle_bids([_bid(0)], idempotency_key="k-1")
     [response_intent] = [
-        e for e in flight.events
-        if e["kind"] == "intent" and e["action"] == "response"
+        e for e in flight.recording().of_kind("intent") if e["action"] == "response"
     ]
     assert response_intent["idempotency_key"] == "k-1"
     assert response_intent["response"] == doc
     # the unkeyed path stays journal-quiet: no response intent
     service.handle_bids([_bid(1)])
     assert len([
-        e for e in flight.events
-        if e["kind"] == "intent" and e["action"] == "response"
+        e for e in flight.recording().of_kind("intent") if e["action"] == "response"
     ]) == 1
 
 
@@ -113,7 +111,7 @@ def test_watermark_sheds_with_retry_after_and_journal_record():
     assert excinfo.value.status == 429
     assert excinfo.value.retry_after == 2.5
     assert service.sheds == 1
-    [shed] = [e for e in flight.events if e["kind"] == "shed"]
+    [shed] = flight.recording().of_kind("shed")
     assert shed["queued"] == 2 and shed["watermark"] == 2
     assert shed["retry_after_s"] == 2.5
     assert service.status()["sheds"] == 1

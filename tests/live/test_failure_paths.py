@@ -42,7 +42,7 @@ def _service(slots=1, **overrides):
 
 def _settlements(flight):
     return [
-        (e["outcome"], e["price"]) for e in flight.events if e["kind"] == "settlement"
+        (e["outcome"], e["price"]) for e in flight.recording().of_kind("settlement")
     ]
 
 
@@ -148,10 +148,10 @@ def test_grace_expiry_abandons_the_queue_before_it_kills():
         assert record.contract.settled and record.contract.actual_price == -20.0
     assert site.engine.ledger.summary()["breaches"] == 4
     # the queue went first, the running task when it was killed
-    assert [e["contract_id"] for e in flight.events if e["kind"] == "settlement"] == [
+    assert [e["contract_id"] for e in flight.recording().of_kind("settlement")] == [
         r.contract.contract_id for r in records[1:] + records[:1]
     ]
-    [summary] = [e for e in flight.events if e["kind"] == "site_summary"]
+    [summary] = flight.recording().of_kind("site_summary")
     assert summary["revenue"] == -80.0 and summary["contracts"] == 4
     with pytest.raises(ApiError) as excinfo:
         service.submit_bid(_bid())

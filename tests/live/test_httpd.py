@@ -196,7 +196,7 @@ def test_metrics_prometheus_with_obs_attached():
     from repro.obs import MetricsRegistry, Observability
 
     async def main():
-        obs = Observability(registry=MetricsRegistry(), spans=True, profiler=False)
+        obs = Observability(registry=MetricsRegistry(), spans=True)
         obs.begin_run("live")
         config = default_config(
             rate=200.0,

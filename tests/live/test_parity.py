@@ -7,16 +7,20 @@ same settlements in the same order — because both are ``MarketSite``
 over ``TaskServiceSite`` and differ in nothing but who hosts them.  No
 subprocess, no sleep, no event loop: the drain that writes the closing
 books is stepped by the kernel too (``test_drain_on_kernel.py`` drains
-with work outstanding).
+with work outstanding).  The served side runs the way ``repro serve
+--journal`` does with no ``--trace-out``: the journal is the only copy of
+the flight record and the observer builds no span.
 """
 
 from __future__ import annotations
 
+import argparse
 import math
 
 from repro.audit import audit_recording
 from repro.live.api import BidRequest
 from repro.live.config import LiveConfig, LiveSiteSpec
+from repro.live.serve import _make_obs
 from repro.live.service import LiveService
 from repro.market import MarketSite, run_market
 from repro.obs.flight import FlightRecorder, read_recording
@@ -41,8 +45,7 @@ def _books(sites, flight):
         "quotes": [(site.quotes_issued, site.quotes_declined) for site in sites],
         "settlements": [
             (e["site_id"], e["outcome"], e["price"], e["t"])
-            for e in flight.events
-            if e["kind"] == "settlement"
+            for e in flight.recording().of_kind("settlement")
         ],
     }
 
@@ -69,8 +72,10 @@ def _simulated():
 def _served(journal):
     sim = Simulator()
     flight = FlightRecorder(journal, clock_domain="wall")
+    obs = _make_obs(argparse.Namespace(trace_out=None, metrics_out=None))
     service = LiveService(
         LiveConfig(sites=SPECS),
+        obs=obs,
         clock=SimClock(sim),
         flight=flight,
         executor=lambda spec: KernelExecutor(sim, spec.site_id),
@@ -90,6 +95,10 @@ def _served(journal):
     Coroutine(sim, service.drain())
     sim.run()
     flight.close()
+    # what a long-lived server must not accumulate per bid
+    assert obs.spans is None
+    assert flight.events == [] and flight.seq > 400
+    assert obs.registry.counter("tasks.completed").value > 50
     return _books(service.sites, flight)
 
 

@@ -75,6 +75,21 @@ class TestFileRoundtrip:
         assert len(parsed) == 2
         assert parsed.events[0]["bid_id"] == 11
 
+    def test_a_journaled_recorder_keeps_no_second_copy(self, tmp_path):
+        """The journal is the record: a recorder with a sink buffers
+        nothing (a server would hold its whole journal in RAM), and
+        ``recording()`` reads the file back, mid-run included."""
+        path = str(tmp_path / "flight.jsonl")
+        memory = FlightRecorder(clock_domain="wall")
+        with FlightRecorder(path, clock_domain="wall") as journaled:
+            for rec in (journaled, memory):
+                row = rec.record("bid", 2.0, bid_id=11, value=40.0)
+                assert row == {"seq": 1, "kind": "bid", "t": 2.0, "bid_id": 11, "value": 40.0}
+                rec.breaker(3.0, "s0", "closed", "open")
+            assert journaled.events == [] and len(memory.events) == 2
+            assert journaled.recording() == memory.recording()
+        assert journaled.recording() == read_recording(path)
+
     def test_infinities_survive_the_json_roundtrip(self, tmp_path):
         path = str(tmp_path / "inf.jsonl")
         with FlightRecorder(path) as rec:
@@ -92,16 +107,25 @@ class TestFileRoundtrip:
         from repro.tasks import TaskBid
 
         path = str(tmp_path / "names.jsonl")
-        with FlightRecorder(path) as rec:
-            for name in ("nan", "inf", "-inf"):
-                rec.bid(0.0, TaskBid(runtime=5.0, value=10.0, decay=1.0, client_id=name))
-                rec.site_open(0.0, name, 4, "firstprice", threshold=-math.inf)
-                rec.shed(1.0, 3, 2, 0.5, client_id=name)
-                rec.intent(1.0, "response", idempotency_key=name, response={"ok": True})
-                rec.record("quote", 2.0, site_id=name, verdict="declined", slack=math.inf)
-                rec.record("quote", 2.0, site_id=name, verdict="declined", slack=-math.inf)
-                rec.record("quote", 2.0, site_id=name, verdict="declined", slack=math.nan)
-            written = list(rec.events)
+        bids = {
+            name: TaskBid(runtime=5.0, value=10.0, decay=1.0, client_id=name)
+            for name in ("nan", "inf", "-inf")
+        }
+        # a journaled recorder keeps no copy: a memory-only twin fed the
+        # same calls holds the rows as they were before encoding
+        memory = FlightRecorder()
+        with FlightRecorder(path) as journaled:
+            for rec in (journaled, memory):
+                for name, bid in bids.items():
+                    rec.bid(0.0, bid)
+                    rec.site_open(0.0, name, 4, "firstprice", threshold=-math.inf)
+                    rec.shed(1.0, 3, 2, 0.5, client_id=name)
+                    rec.intent(1.0, "response", idempotency_key=name, response={"ok": True})
+                    rec.record("quote", 2.0, site_id=name, verdict="declined", slack=math.inf)
+                    rec.record("quote", 2.0, site_id=name, verdict="declined", slack=-math.inf)
+                    rec.record("quote", 2.0, site_id=name, verdict="declined", slack=math.nan)
+            assert journaled.events == []
+        written = memory.events
         parsed = read_recording(path)
         assert len(parsed) == len(written)
         for got, want in zip(parsed.events, written):
@@ -130,9 +154,7 @@ class TestFileRoundtrip:
         ]
         path = tmp_path / "new.jsonl"
         with FlightRecorder(str(path)) as rec:
-            for kind, t, fields in rows:
-                rec.record(kind, t, **fields)
-            events = list(rec.events)
+            events = [rec.record(kind, t, **fields) for kind, t, fields in rows]
         header = {"kind": "header", "schema": FLIGHT_SCHEMA, "clock": "sim"}
         old = "".join(
             json.dumps({k: _jsonable(v) for k, v in row.items()}) + "\n"

@@ -84,7 +84,7 @@ class TestRunBracketing:
         for row in obs.runs:
             assert row["heuristic"] == "firstprice"
             assert row["tasks"] > 0 and row["wall_s"] > 0
-        assert set(obs.run_of.values()) == {0, 1}
+        assert {s.run for s in obs.spans.finished} == {0, 1}
 
     def test_end_run_truncates_stragglers(self):
         obs = Observability(registry=MetricsRegistry())
@@ -196,6 +196,40 @@ class TestMarketBoundary:
         assert neg_root.args["outcome"] == "failed"
         assert neg_root.parent_id is None
         assert obs.registry.counter("market.failed").value == 1
+
+
+class TestPerSiteGauges:
+    """``site.queue_depth`` / ``site.busy_nodes`` are one series per site:
+    two sites of a market sharing an observer used to write the same two
+    gauges, whose mean was neither site's level nor the market's."""
+
+    def test_two_sites_of_a_market_never_share_a_series(self):
+        from repro.market import run_market
+
+        obs = Observability(registry=MetricsRegistry(), spans=False)
+        sim = Simulator()
+        slots = {"small": 1, "big": 8}
+        sites = [
+            MarketSite(sim, site_id, count, FirstPrice(), obs=obs)
+            for site_id, count in slots.items()
+        ]
+        peak_queue = dict.fromkeys(slots, 0)
+        for site in sites:
+            def watched(engine=site.engine, schedule_pass=site.engine._schedule_pass):
+                schedule_pass()
+                peak_queue[engine.site_id] = max(
+                    peak_queue[engine.site_id], engine.queue_length
+                )
+            site.engine._schedule_pass = watched
+        trace = generate_trace(economy_spec(n_jobs=400, load_factor=2.0, processors=9), seed=2)
+        run_market(trace, sites)
+
+        gauges = obs.registry.snapshot()
+        assert "site.queue_depth" not in gauges and "site.busy_nodes" not in gauges
+        for site_id, count in slots.items():
+            assert gauges[f"site.busy_nodes.{site_id}"]["max"] == count
+            assert gauges[f"site.busy_nodes.{site_id}"]["mean"] <= count
+            assert gauges[f"site.queue_depth.{site_id}"]["max"] == peak_queue[site_id] > 0
 
 
 class TestFaultHooks:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.obs import Span, SpanTracker
-from repro.sim.trace import SimTrace
 
 
 class TestSpan:
@@ -82,37 +81,3 @@ class TestTrackerRetention:
         tree = t.tree(root)
         assert [s.span_id for s in tree] == sorted(s.span_id for s in tree)
         assert {s.name for s in tree} == {"task:1", "queued", "running", "preempted"}
-
-
-class TestSimTraceMirror:
-    def test_span_marks_interleave_with_kernel_log(self):
-        trace = SimTrace()
-        t = SpanTracker(trace=trace)
-        s = t.open("running", "task", 1.0)
-        trace.record(1.5, "event", "site")
-        t.close(s, 2.0)
-        kinds = [r.kind for r in trace]
-        assert kinds == ["span", "event", "span"]
-        assert trace[0].tag == "open:task:running"
-        assert trace[2].tag == "close:task:running"
-
-
-class TestSimTraceDroppedSurface:
-    def test_str_surfaces_dropped(self):
-        trace = SimTrace(capacity=2)
-        for i in range(5):
-            trace.record(float(i), "event", None)
-        assert "3 dropped" in str(trace)
-        assert "2 records" in str(trace)
-
-    def test_str_quiet_when_nothing_dropped(self):
-        trace = SimTrace()
-        trace.record(0.0, "event", None)
-        assert "dropped" not in str(trace)
-
-    def test_dump_headers_truncation(self):
-        trace = SimTrace(capacity=1)
-        trace.record(0.0, "event", None)
-        trace.record(1.0, "event", None)
-        dump = trace.dump()
-        assert dump.splitlines()[0].startswith("... 1 older record(s) dropped")

@@ -37,13 +37,13 @@ class LoggedSite(TaskServiceSite):
         super().__init__(*args, **kwargs)
         self.log = []
         self._victim = None
-        self.preempt_listeners.append(self._note_victim)
-        self.start_listeners.append(self._note_start)
 
-    def _note_victim(self, task):
+    def _preempt(self, task):
+        super()._preempt(task)
         self._victim = task.tid
 
-    def _note_start(self, task):
+    def _start(self, task):
+        super()._start(task)
         if self._victim is not None:  # a start inside a swap: the winner
             self.log.append(("swap", self.clock.now, self._victim, task.tid))
             self._victim = None

@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import SiteTimeline
+from repro.faults import FaultSpec
+from repro.obs import Observability
 from repro.scheduling import FirstPrice, FirstReward
-from repro.sim import Simulator
-from repro.site import TaskServiceSite
+from repro.site import simulate_site
 from repro.tasks import TaskState
 from repro.workload import Trace
 from tests.property.strategies import trace_rows
@@ -29,17 +30,14 @@ def preemptive_cases(draw):
     return rows, processors, heuristic()
 
 
-def run_case(rows, processors, heuristic):
+def run_case(rows, processors, heuristic, faults=None):
     cols = list(zip(*rows))
     trace = Trace(*[np.array(c, dtype=float) for c in cols])
-    sim = Simulator()
-    site = TaskServiceSite(sim, processors, heuristic, preemption=True)
-    timeline = SiteTimeline(site)
-    tasks = trace.to_tasks()
-    for t in tasks:
-        sim.schedule_at(t.arrival, site.submit, t)
-    sim.run()
-    return timeline, tasks
+    obs = Observability()
+    result = simulate_site(
+        trace, heuristic, processors, preemption=True, faults=faults, obs=obs
+    )
+    return SiteTimeline(obs.spans.finished, nodes=processors), result.tasks
 
 
 class TestTimelineInvariants:
@@ -48,6 +46,13 @@ class TestTimelineInvariants:
     def test_nodes_never_double_book(self, case):
         timeline, _ = run_case(*case)
         timeline.verify_no_overlap()
+        # and with nodes crashing under the tasks: a killed execution is
+        # a segment too, and its node stays empty until the repair
+        crashing, tasks = run_case(*case, faults=FaultSpec(mttf=40.0, mttr=5.0))
+        crashing.verify_no_overlap()
+        assert crashing.preemption_count() == sum(t.preemptions for t in tasks)
+        crashed = [s for s in crashing.segments if s.ended_by == "crashed"]
+        assert len(crashed) == sum(t.restarts for t in tasks)
 
     @given(case=preemptive_cases())
     @settings(max_examples=50, deadline=None)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import SimTrace, Simulator
+from repro.sim import Simulator
 
 
 class TestScheduling:
@@ -286,14 +286,3 @@ class TestDaemonEvents:
         sim.cancel(keeper)
         sim.run()
         assert sim.now == 0.0  # nothing essential remained
-
-
-class TestTraceIntegration:
-    def test_fired_events_recorded(self):
-        trace = SimTrace()
-        sim = Simulator(trace=trace)
-        sim.schedule(1.0, lambda: None, tag="alpha")
-        sim.schedule(2.0, lambda: None, tag="beta")
-        sim.run()
-        assert [r.tag for r in trace.of_kind("fire")] == ["alpha", "beta"]
-        assert [r.time for r in trace] == [1.0, 2.0]

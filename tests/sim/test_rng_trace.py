@@ -1,9 +1,9 @@
-"""Unit tests for RandomStreams and SimTrace."""
+"""Unit tests for RandomStreams."""
 
 import numpy as np
 import pytest
 
-from repro.sim import RandomStreams, SimTrace
+from repro.sim import RandomStreams
 
 
 class TestRandomStreams:
@@ -62,57 +62,3 @@ class TestRandomStreams:
     def test_spawn_negative_count_rejected(self):
         with pytest.raises(ValueError):
             RandomStreams(0).spawn("x", -1)
-
-
-class TestSimTrace:
-    def test_records_in_order(self):
-        t = SimTrace()
-        t.record(1.0, "a", None, 1)
-        t.record(2.0, "b", "tag", 2)
-        assert len(t) == 2
-        assert [r.kind for r in t] == ["a", "b"]
-        assert t[1].tag == "tag"
-
-    def test_of_kind_filters(self):
-        t = SimTrace()
-        t.record(1.0, "x", None)
-        t.record(2.0, "y", None)
-        t.record(3.0, "x", None)
-        assert [r.time for r in t.of_kind("x")] == [1.0, 3.0]
-
-    def test_kinds_histogram(self):
-        t = SimTrace()
-        for kind in ["a", "b", "a"]:
-            t.record(0.0, kind, None)
-        assert t.kinds() == {"a": 2, "b": 1}
-
-    def test_capacity_drops_oldest(self):
-        t = SimTrace(capacity=3)
-        for i in range(5):
-            t.record(float(i), "k", None, i)
-        assert len(t) == 3
-        assert [r.payload for r in t] == [2, 3, 4]
-        assert t.dropped == 2
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            SimTrace(capacity=0)
-
-    def test_filter_predicate(self):
-        t = SimTrace(filter=lambda kind, tag: kind == "keep")
-        t.record(0.0, "keep", None)
-        t.record(0.0, "drop", None)
-        assert [r.kind for r in t] == ["keep"]
-
-    def test_clear(self):
-        t = SimTrace(capacity=1)
-        t.record(0.0, "a", None)
-        t.record(0.0, "b", None)
-        t.clear()
-        assert len(t) == 0 and t.dropped == 0
-
-    def test_dump_renders_lines(self):
-        t = SimTrace()
-        t.record(1.5, "fire", "tag", "payload")
-        out = t.dump()
-        assert "fire" in out and "tag" in out

@@ -160,3 +160,34 @@ class TestFaultRunLeavesTheCallersPolicyAlone:
         accept_all = AcceptAll()
         self._run(accept_all, faults=spec)
         assert not hasattr(accept_all, "slack_inflation")
+
+
+class TestObservedRunLeavesTheCallersPolicyAlone:
+    """The admission metrics are published from the decision the engine
+    hands its observer.  The driver used to plant the first observer's
+    registry on the caller's policy, which then published into it for
+    ever: three runs (observer A, none, observer B) left A with 600
+    evaluations and B with none."""
+
+    def test_each_observer_sees_its_own_run_and_the_policy_is_untouched(self):
+        from repro.obs import MetricsRegistry, Observability
+
+        trace = generate_trace(economy_spec(n_jobs=200, load_factor=1.5), seed=1)
+        admission = SlackAdmission(180.0)
+        before = dict(vars(admission))
+        first = Observability(registry=MetricsRegistry(), spans=False)
+        second = Observability(registry=MetricsRegistry(), spans=False)
+        for obs in (first, None, second):
+            simulate_site(
+                trace, FirstReward(0.3, 0.01), processors=16, admission=admission, obs=obs
+            )
+        for obs in (first, second):
+            snap = obs.registry.snapshot()
+            assert snap["admission.evaluations"]["value"] == 200
+            assert snap["admission.present_value"]["count"] == 200
+            assert snap["admission.displacement_cost"]["count"] == 200
+            assert (
+                snap["tasks.accepted"]["value"] + snap["tasks.rejected"]["value"] == 200
+            )
+        assert first.registry.snapshot() == second.registry.snapshot()
+        assert vars(admission) == before

@@ -9,6 +9,7 @@ import pytest
 
 from repro.analysis import SiteTimeline
 from repro.errors import AdmissionError, SchedulingError
+from repro.obs import Observability
 from repro.scheduling import FCFS, FirstPrice
 from repro.sim import Simulator
 from repro.site import SlackAdmission, TaskServiceSite
@@ -24,12 +25,12 @@ def make_task(arrival, runtime, demand=1, value=100.0, decay=1.0):
 
 def run_site(tasks, heuristic=None, processors=4, **kwargs):
     sim = Simulator()
-    site = TaskServiceSite(sim, processors, heuristic or FCFS(), **kwargs)
-    timeline = SiteTimeline(site)
+    obs = Observability()
+    site = TaskServiceSite(sim, processors, heuristic or FCFS(), obs=obs, **kwargs)
     for t in tasks:
         sim.schedule_at(t.arrival, site.submit, t)
     sim.run()
-    return site, timeline
+    return site, SiteTimeline(obs.spans.finished, nodes=processors)
 
 
 class TestGangDispatch:

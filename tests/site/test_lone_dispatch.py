@@ -74,7 +74,13 @@ def run(site_class, heuristic, tasks, processors, **kwargs):
     sim = Simulator()
     site = site_class(sim, processors, heuristic, **kwargs)
     started = []
-    site.start_listeners.append(lambda task: started.append((sim.now, tasks.index(task))))
+    start = site._start
+
+    def logged_start(task):
+        start(task)
+        started.append((sim.now, tasks.index(task)))
+
+    site._start = logged_start
     for task in tasks:
         sim.schedule_at(task.arrival, site.submit, task)
     sim.run()

@@ -19,9 +19,9 @@ from repro import (
 )
 from repro.analysis import SiteTimeline, run_report
 from repro.market import Broker, BudgetedClient, MarketSite, PriceBoard
+from repro.obs import MetricsRegistry, Observability
 from repro.resource import ElasticSite, ProvisioningPolicy, ResourceProvider
 from repro.scheduling import FirstPrice
-from repro.sim.monitor import monitor_site
 from repro.workload import parse_swf, dump_swf
 
 
@@ -84,7 +84,7 @@ class TestMarketWithBudgetsAndSignals:
 
 
 class TestSwfThroughElasticReseller:
-    """SWF round-trip feeding an elastic reseller with live monitoring."""
+    """SWF round-trip feeding an elastic reseller under an observer."""
 
     @pytest.fixture(scope="class")
     def outcome(self):
@@ -99,16 +99,17 @@ class TestSwfThroughElasticReseller:
             sim, provider, FirstPrice(),
             policy=ProvisioningPolicy(min_nodes=2, review_interval=30.0),
         )
-        timeline = SiteTimeline(site.engine)
-        monitor = monitor_site(site.engine, interval=100.0)
+        obs = site.engine.obs = Observability(registry=MetricsRegistry())
+        initial_nodes = site.engine.processors.count
         for task in trace.to_tasks():
             sim.schedule_at(task.arrival, site.submit, task)
         sim.run()
         site.settle()
-        return site, provider, timeline, monitor, trace
+        timeline = SiteTimeline(obs.spans.finished, nodes=initial_nodes)
+        return site, provider, timeline, obs, trace
 
     def test_everything_completes(self, outcome):
-        site, provider, timeline, monitor, trace = outcome
+        site, provider, timeline, obs, trace = outcome
         assert site.engine.ledger.completed == len(trace)
         timeline.verify_no_overlap()
 
@@ -121,14 +122,15 @@ class TestSwfThroughElasticReseller:
         )
 
     def test_monitor_observed_the_run(self, outcome):
-        site, provider, timeline, monitor, trace = outcome
-        assert monitor.sample_count > 0
-        # the last sample precedes (or coincides with) the final
-        # completions; yield only grows, so it is a lower bound
-        final = site.engine.ledger.total_yield
-        samples = monitor.values("total_yield")
-        assert 0.0 < samples[-1] <= final + 1e-9
-        assert (np.diff(samples) >= -1e-9).all()
+        site, provider, timeline, obs, trace = outcome
+        engine = site.engine
+        busy = obs.registry.time_weighted(f"site.busy_nodes.{engine.site_id}")
+        depth = obs.registry.time_weighted(f"site.queue_depth.{engine.site_id}")
+        assert busy.writes == depth.writes > 0
+        # the gauges saw the elastic pool at work and the site end empty
+        assert 0 < busy.max <= provider.capacity
+        assert (busy.value, depth.value) == (0, 0)
+        assert obs.registry.counter("tasks.completed").value == len(trace)
 
     def test_report_coheres_with_timeline(self, outcome):
         site, provider, timeline, *_ = outcome
