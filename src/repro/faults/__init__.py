@@ -13,8 +13,6 @@ the risk model:
 * :class:`ExponentialSurvival` / :class:`WeibullSurvival` — P(node
   survives t), feeding the survival-discount scheduling hook and the
   admission slack-inflation knob.
-* :class:`MessageFaults` — protocol message loss with bounded
-  exponential-backoff retry for the two-phase negotiation.
 * :class:`FaultStats` — one shared counter object per run.
 
 See ``docs/faults.md`` for the model and `repro.experiments.faults`
@@ -22,7 +20,6 @@ See ``docs/faults.md`` for the model and `repro.experiments.faults`
 """
 
 from repro.faults.injector import FaultInjector
-from repro.faults.messages import MessageFaults
 from repro.faults.restart import (
     AbandonRestart,
     CheckpointRestart,
@@ -45,7 +42,6 @@ __all__ = [
     "FaultInjector",
     "FaultSpec",
     "FaultStats",
-    "MessageFaults",
     "RequeueRestart",
     "RestartPolicy",
     "WeibullSurvival",

@@ -1,9 +1,9 @@
 """Counters for everything the reliability subsystem observes.
 
-One :class:`FaultStats` instance is shared by the injector, the site's
-crash handling, and (optionally) the market protocol, so a single object
-summarizes the disruption a run experienced.  The experiment harness
-serializes :meth:`summary` next to the yield metrics.
+One :class:`FaultStats` instance is shared by the injector and the
+site's crash handling, so a single object summarizes the disruption a
+run experienced.  The experiment harness serializes :meth:`summary`
+next to the yield metrics.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ class FaultStats:
     abandoned: int = 0  # killed tasks whose contract was breached
     work_lost: float = 0.0  # node-time of completed work thrown away
     downtime: float = 0.0  # cumulative node-down time (node-time units)
-    messages_lost: int = 0  # protocol messages dropped in flight
-    retries: int = 0  # protocol retransmissions after a timeout
     _down_since: dict = field(default_factory=dict, repr=False)
 
     # ------------------------------------------------------------------
@@ -66,6 +64,4 @@ class FaultStats:
             "abandoned": self.abandoned,
             "work_lost": self.work_lost,
             "downtime": self.downtime,
-            "messages_lost": self.messages_lost,
-            "retries": self.retries,
         }

@@ -8,8 +8,7 @@ stamps every submission with a fresh key, so a retry after a dropped
 connection, a 429 shed, a 503 drain, or even a server crash-and-recover
 replays the *original* response instead of buying a second award.
 
-Retry cadence reuses the fault layer's discipline
-(:class:`~repro.faults.messages.MessageFaults`): retry *k* (0-based)
+Retry cadence is bounded exponential backoff: retry *k* (0-based)
 waits ``base_delay * backoff**k``, bounded by an overall deadline.  A
 ``Retry-After`` header on a backpressure answer overrides the computed
 delay — the server knows its queue better than the client's exponential
@@ -53,8 +52,7 @@ class ClientGaveUp(LiveServiceError):
 class RetryPolicy:
     """Bounded exponential backoff with an overall deadline.
 
-    Parameters mirror :class:`~repro.faults.messages.MessageFaults`:
-    ``backoff`` is the exponential base, retry *k* (0-based) waits
+    ``backoff`` is the exponential base: retry *k* (0-based) waits
     ``base_delay * backoff**k`` seconds.  ``deadline`` caps the whole
     conversation (wall seconds, connection time included); ``attempts``
     caps the number of tries regardless of time left.

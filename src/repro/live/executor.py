@@ -23,6 +23,7 @@ second) converts at dispatch.
 from __future__ import annotations
 
 import asyncio
+import os
 import signal
 import sys
 from dataclasses import dataclass
@@ -172,24 +173,33 @@ class SubprocessExecutor:
         The polling loops observe the exits and settle each task through
         the normal failure path — this only delivers the signal.
         """
-        count = 0
-        for proc in list(self._procs):
-            if proc.returncode is None and self._signal_kill(proc):
-                count += 1
-        return count
+        return sum(self._signal_kill(proc) for proc in self._procs)
 
     @staticmethod
     def _signal_kill(proc: asyncio.subprocess.Process) -> bool:
         """SIGKILL *proc*; False when it had already exited.
 
-        A child shorter than one poll tick can exit, and have its
-        transport closed by the loop, between the tick that found it
-        running and this signal.  ``kill()`` then raises
-        ``ProcessLookupError``.  That is an exit, not a kill, and the
-        waiter that is already done settles it.
+        The signal goes to the pid directly, not through ``proc.kill()``:
+        that is ``Popen.send_signal``, which ``poll()``s first and so
+        *reaps* a child that has exited but that asyncio's child watcher
+        has not reaped yet — the watcher then finds no child, reports
+        return code 255, and a run that exited 0 beside its deadline is
+        booked as failed.  The watcher stays the only reaper.
+
+        The pid cannot name another process: an exited child keeps its
+        pid (as a zombie) until it is reaped, only the watcher reaps, and
+        the watcher hands the exit to this loop, which sets
+        ``returncode`` — checked first — before this runs again.  In the
+        instant between the watcher's ``waitpid`` and that hand-over the
+        pid is free but not reusable in practice (Linux allocates pids
+        upwards, so reuse takes a wrap of the whole pid space), and the
+        signal raises ``ProcessLookupError``: an exit, not a kill, which
+        the waiter that is already done settles.
         """
+        if proc.returncode is not None:
+            return False
         try:
-            proc.kill()
+            os.kill(proc.pid, signal.SIGKILL)
         except ProcessLookupError:
             return False
         return True

@@ -22,7 +22,6 @@ from repro.market.broker import (
 from repro.market.client import BudgetedClient
 from repro.market.economy import EconomyResult, MarketEconomy, run_market
 from repro.market.pricing import BidValuePricing, DiscountedPricing, PricingPolicy
-from repro.market.protocol import LatentNegotiator, NegotiationRecord
 from repro.market.signals import PriceBoard, PricePoint
 from repro.market.sites import MarketSite
 
@@ -32,11 +31,9 @@ __all__ = [
     "BudgetedClient",
     "DiscountedPricing",
     "EconomyResult",
-    "LatentNegotiator",
     "MarketEconomy",
     "MarketSite",
     "NegotiationOutcome",
-    "NegotiationRecord",
     "PriceBoard",
     "PricePoint",
     "PricingPolicy",

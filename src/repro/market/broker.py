@@ -121,28 +121,23 @@ class Broker:
         if len(set(ids)) != len(ids):
             raise MarketError(f"duplicate site ids: {ids}")
 
-    def negotiate(self, bid: TaskBid) -> NegotiationOutcome:
-        """Run one sealed-bid round for *bid* and award the winner (if any)."""
+    def negotiate(
+        self, bid: TaskBid, sites: Optional[Sequence[MarketSite]] = None
+    ) -> NegotiationOutcome:
+        """Run one sealed-bid round for *bid* and award the winner (if any).
+
+        *sites* restricts the round to a subset of the broker's sites
+        (default: all of them) — the resilience layer's circuit breakers
+        skip unhealthy sites this way.  This is the market's only
+        negotiation: every quote is gathered, every award made and every
+        ``bid``/``award`` record written here.
+        """
         self.negotiations += 1
         if self.flight is not None:
             self.flight.bid(self.sites[0].clock.now, bid)
-        outcome = self._negotiate_over(bid, self.sites)
-        if not outcome.accepted:
-            self.rejections += 1
-        return outcome
-
-    def _negotiate_over(
-        self, bid: TaskBid, sites: Sequence[MarketSite]
-    ) -> NegotiationOutcome:
-        """One sealed-bid round restricted to *sites* (no counter updates).
-
-        Subclasses that filter the candidate set — e.g. the resilience
-        layer's circuit breakers skipping unhealthy sites — negotiate
-        through this helper so selection/award semantics stay identical.
-        """
         quotes: list[ServerBid] = []
         quote_sites: list[MarketSite] = []
-        for site in sites:
+        for site in self.sites if sites is None else sites:
             quote = site.quote(bid)
             if quote is not None:
                 quotes.append(quote)
@@ -150,6 +145,7 @@ class Broker:
 
         index = self.strategy(bid, quotes)
         if index is None:
+            self.rejections += 1
             return NegotiationOutcome(bid=bid, quotes=quotes, winner=None, contract=None)
 
         winner = quotes[index]
@@ -163,7 +159,6 @@ class Broker:
                 expected_completion=winner.expected_completion,
                 expected_price=min(winner.expected_price, second),
                 expected_slack=winner.expected_slack,
-                expires_at=winner.expires_at,
             )
         contract = quote_sites[index].award(bid, winner)
         if self.flight is not None:

@@ -104,7 +104,7 @@ class MarketEconomy:
         for site in self.sites:
             if not site.engine.all_work_done():
                 raise MarketError(f"site {site.site_id!r} drained with work outstanding")
-        flight = getattr(self.broker, "flight", None)
+        flight = self.broker.flight
         if flight is not None:
             # closing books per site: the audit's reconciliation anchor
             for site in self.sites:

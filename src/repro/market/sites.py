@@ -42,11 +42,6 @@ class MarketSite:
         The slack policy used to decide which bids are worth answering.
     pricing:
         Pricing policy for quotes (default: bid-value pricing).
-    quote_ttl:
-        Time-to-live stamped on every quote (sim time units).  A quote
-        reflects the candidate schedule at quote time; past its expiry
-        the site refuses the award (``award`` raises) and the broker
-        must re-solicit.  ``None`` (default) keeps quotes open-ended.
     restart_policy:
         Forwarded to the engine: the fate of tasks whose run died — a
         crashed node, a failed subprocess (see
@@ -65,19 +60,15 @@ class MarketSite:
         discard_expired: bool = False,
         price_board=None,
         obs=None,
-        quote_ttl: Optional[float] = None,
         restart_policy=None,
         flight=None,
         clock: Optional[Clock] = None,
         executor=None,
     ) -> None:
-        if quote_ttl is not None and not quote_ttl > 0:
-            raise MarketError(f"quote_ttl must be > 0, got {quote_ttl!r}")
         self.sim = sim
         self.site_id = site_id
         self.admission = admission if admission is not None else SlackAdmission()
         self.pricing = pricing if pricing is not None else BidValuePricing()
-        self.quote_ttl = quote_ttl
         self.engine = TaskServiceSite(
             sim,
             processors=processors,
@@ -108,7 +99,6 @@ class MarketSite:
         self.revenue = 0.0
         self.quotes_issued = 0
         self.quotes_declined = 0
-        self.expired_awards_refused = 0
 
     # ------------------------------------------------------------------
     # Phase 1: quoting
@@ -135,7 +125,6 @@ class MarketSite:
             expected_completion=decision.expected_completion,
             expected_price=self.pricing.quote(bid, decision),
             expected_slack=decision.slack,
-            expires_at=None if self.quote_ttl is None else self.clock.now + self.quote_ttl,
         )
         if self.flight is not None:
             self.flight.quote(self.clock.now, self.site_id, bid, decision, server_bid)
@@ -145,24 +134,10 @@ class MarketSite:
     # Phase 2: award and execution
     # ------------------------------------------------------------------
     def award(self, bid: TaskBid, server_bid: ServerBid) -> Contract:
-        """Form the contract and start executing the task.
-
-        An expired quote is refused: its terms were computed against a
-        schedule that has since changed, so the broker must revalidate
-        (re-solicit a fresh quote) rather than hold the site to it.
-        """
+        """Form the contract and start executing the task."""
         if server_bid.site_id != self.site_id:
             raise MarketError(
                 f"server bid for site {server_bid.site_id!r} awarded to {self.site_id!r}"
-            )
-        if server_bid.expired(self.clock.now):
-            self.expired_awards_refused += 1
-            if self.flight is not None:
-                self.flight.quote_expired(self.clock.now, self.site_id, server_bid)
-            raise MarketError(
-                f"quote for bid {server_bid.bid_id} expired at "
-                f"{server_bid.expires_at:g} (now {self.clock.now:g}); "
-                "re-solicit before awarding"
             )
         contract = Contract(bid, server_bid, signed_at=self.clock.now)
         task = self._task_for(bid)

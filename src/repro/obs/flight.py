@@ -2,7 +2,7 @@
 
 A :class:`FlightRecorder` captures the market's decision chain — bid
 arrival, per-site quote (admission verdict, slack, price), award,
-settlement, quote expiry, breaker transition — as schema-versioned,
+settlement, breaker transition — as schema-versioned,
 append-only JSONL.  The same record schema serves both clock domains:
 simulation runs tag records with the sim clock, the live service with
 its wall clock (``Recording.clock`` says which).
@@ -43,7 +43,6 @@ RECORD_KINDS = (
     "quote",
     "award",
     "settlement",
-    "quote_expired",
     "breaker",
     "site_summary",
     # durability layer (live service write-ahead journal)
@@ -422,7 +421,9 @@ class FlightRecorder:
         }
         if server_bid is not None:
             row["price"] = server_bid.expected_price
-            row["expires_at"] = server_bid.expires_at
+            # always null (quotes carry no TTL); the key leaves with the
+            # schema bump of ROADMAP item 4(a)
+            row["expires_at"] = None
         self.record("quote", t, **row)
 
     def award(self, t: float, bid, winner, contract) -> None:
@@ -453,16 +454,6 @@ class FlightRecorder:
             on_time=contract.on_time,
             runtime=contract.bid.runtime,
             value=contract.bid.value,
-        )
-
-    def quote_expired(self, t: float, site_id: str, server_bid) -> None:
-        """An award arrived after the quote's TTL; the site refused it."""
-        self.record(
-            "quote_expired",
-            t,
-            site_id=site_id,
-            bid_id=server_bid.bid_id,
-            expires_at=server_bid.expires_at,
         )
 
     def breaker(self, t: float, site_id: str, old: str, new: str) -> None:

@@ -341,16 +341,6 @@ class Observability:
             args["site"] = site_id
         self.spans.close(span, now, **args)
 
-    def message_lost(self) -> None:
-        self.registry.counter("market.messages_lost").inc()
-
-    def message_retry(self) -> None:
-        self.registry.counter("market.retries").inc()
-
-    def quote_expired(self) -> None:
-        """A quote's TTL lapsed in flight and the award was revalidated."""
-        self.registry.counter("market.quotes.expired").inc()
-
     # ------------------------------------------------------------------
     # Resilience hooks
     # ------------------------------------------------------------------
@@ -401,9 +391,6 @@ class Observability:
         """A failover re-run settled by completion: value clawed back."""
         self.registry.counter("resilience.recovered").inc()
         self.registry.histogram("resilience.recovered_value").observe(value)
-
-    def hedge_solicited(self) -> None:
-        self.registry.counter("resilience.hedges").inc()
 
     # ------------------------------------------------------------------
     # Fault hooks

@@ -2,11 +2,11 @@
 
 A breaker wraps broker→site negotiation the way a serving stack wraps a
 flaky backend: CLOSED passes bids through; K consecutive hard failures
-(contract breaches, negotiation timeouts) or an EWMA breach rate over
-the threshold OPENs it, and the broker stops soliciting quotes from the
-site; after a cooldown the next bid transitions it to HALF_OPEN and a
-bounded number of probe contracts go through — one success re-CLOSEs,
-one failure re-OPENs with a fresh cooldown.
+(contract breaches) or an EWMA breach rate over the threshold OPENs it,
+and the broker stops soliciting quotes from the site; after a cooldown
+the next bid transitions it to HALF_OPEN and a bounded number of probe
+contracts go through — one success re-CLOSEs, one failure re-OPENs with
+a fresh cooldown.
 
 Everything runs on simulated time and pure event order, so for a fixed
 seed the transition log is deterministic — the regression tests pin
@@ -96,7 +96,7 @@ class CircuitBreaker:
     def record_failure(
         self, now: float, breach_rate: float = 0.0, events: int = 0
     ) -> None:
-        """A hard failure (breach / negotiation timeout) was observed."""
+        """A hard failure (a contract breach) was observed."""
         self.consecutive_failures += 1
         if self.state is BreakerState.HALF_OPEN:
             self._move(BreakerState.OPEN, now)

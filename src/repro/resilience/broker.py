@@ -5,17 +5,20 @@ that consults a :class:`~repro.resilience.manager.ResilienceManager`
 before each sealed-bid round: sites whose breaker is OPEN are not
 solicited, HALF_OPEN sites admit a bounded number of probe contracts,
 and every award is registered with the manager so breaches can fail
-over.  Without a manager (or with resilience disabled) it negotiates
-exactly like the plain broker — same counters, same selection, same
-pricing — which is what keeps the layer bit-inert when off.
+over.  The round itself is :meth:`Broker.negotiate` — the broker here
+only chooses who is asked — so counters, selection, pricing and the
+flight journal are the plain broker's by construction; without a
+manager (or with resilience disabled) every site is asked, which is what
+keeps the layer bit-inert when off.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.market.broker import Broker, NegotiationOutcome
+from repro.market.sites import MarketSite
 from repro.resilience.manager import ResilienceManager
 from repro.tasks.bid import TaskBid
 
@@ -32,12 +35,11 @@ class ResilientBroker(Broker):
             # failover re-bids route back through this broker
             self.manager.broker = self
 
-    @property
-    def _active(self) -> bool:
-        return self.manager is not None and self.manager.config.enabled
-
     def negotiate(
-        self, bid: TaskBid, exclude: frozenset = frozenset()
+        self,
+        bid: TaskBid,
+        sites: Optional[Sequence[MarketSite]] = None,
+        exclude: frozenset = frozenset(),
     ) -> NegotiationOutcome:
         """One sealed-bid round over the currently eligible sites.
 
@@ -45,15 +47,13 @@ class ResilientBroker(Broker):
         path uses it to keep a re-bid away from the site that just
         failed the task.
         """
-        if not self._active:
-            return super().negotiate(bid)
         manager = self.manager
-        assert manager is not None
-        self.negotiations += 1
-        eligible = manager.eligible_sites(self.sites, manager.sim.now, exclude=exclude)
-        outcome = self._negotiate_over(bid, eligible)
+        if manager is None or not manager.config.enabled:
+            return super().negotiate(bid, sites)
+        eligible = manager.eligible_sites(
+            self.sites if sites is None else sites, manager.sim.now, exclude=exclude
+        )
+        outcome = super().negotiate(bid, eligible)
         if outcome.accepted:
             manager.note_award(bid, outcome)
-        else:
-            self.rejections += 1
         return outcome

@@ -2,18 +2,16 @@
 
 One frozen :class:`ResilienceConfig` is the switchboard for everything
 ``repro.resilience`` does: per-site health tracking, circuit breakers
-around broker→site negotiation, failover re-bidding of breached or
-abandoned tasks, standby-quote hedging, and quote TTLs.  Everything
-defaults to *off* — a market built without a config (or with
-``enabled=False``) behaves bit-identically to the resilience-free
-market, which the golden regression tests pin.
+around broker→site negotiation, and failover re-bidding of breached or
+abandoned tasks.  Everything defaults to *off* — a market built without
+a config (or with ``enabled=False``) behaves bit-identically to the
+resilience-free market, which the golden regression tests pin.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import MarketError
 
@@ -34,8 +32,8 @@ class ResilienceConfig:
     initial_health:
         Score a site starts with before any outcome is observed.
     breaker_failures:
-        Consecutive hard failures (breaches / negotiation timeouts) that
-        trip a site's breaker from CLOSED to OPEN.
+        Consecutive hard failures (breaches) that trip a site's breaker
+        from CLOSED to OPEN.
     breach_rate_threshold:
         Alternative trip wire: the site's EWMA breach rate at or above
         this opens the breaker (once ``breaker_min_events`` outcomes
@@ -50,25 +48,15 @@ class ResilienceConfig:
         Contracts allowed in flight while HALF_OPEN; one success closes
         the breaker, one failure re-opens it.
     failover_budget:
-        Re-bids allowed per task lineage after a breach, mid-task crash
-        abandonment, or dried-up negotiation retry budget.  0 disables
-        failover while keeping health/breakers active.
+        Re-bids allowed per task lineage after a breach or mid-task
+        crash abandonment.  0 disables failover while keeping
+        health/breakers active.
     failover_delay:
         Sim-time delay before a failover re-bid is issued (0 = the same
         instant, as a separately scheduled event).
     exclude_failed_site:
         Whether the immediate re-bid skips the site that just failed the
         task (it still participates in later rounds).
-    hedge:
-        When True, awards whose penalty exposure meets
-        ``hedge_penalty_threshold`` also record the runner-up quote's
-        site as a *standby*; failover tries the standby first.
-    hedge_penalty_threshold:
-        Minimum penalty exposure (the bid's bound, ``inf`` when
-        unbounded) for a task to be hedged.
-    quote_ttl:
-        When set, sites run by the resilience driver stamp this TTL on
-        their quotes (see :class:`repro.market.sites.MarketSite`).
     """
 
     enabled: bool = False
@@ -85,11 +73,6 @@ class ResilienceConfig:
     failover_budget: int = 2
     failover_delay: float = 0.0
     exclude_failed_site: bool = True
-    # -- hedging --------------------------------------------------------
-    hedge: bool = False
-    hedge_penalty_threshold: float = 0.0
-    # -- quoting --------------------------------------------------------
-    quote_ttl: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.health_alpha <= 1.0:
@@ -129,10 +112,3 @@ class ResilienceConfig:
             raise MarketError(
                 f"failover_delay must be finite and >= 0, got {self.failover_delay!r}"
             )
-        if self.hedge_penalty_threshold < 0:
-            raise MarketError(
-                "hedge_penalty_threshold must be >= 0, got "
-                f"{self.hedge_penalty_threshold!r}"
-            )
-        if self.quote_ttl is not None and not self.quote_ttl > 0:
-            raise MarketError(f"quote_ttl must be > 0, got {self.quote_ttl!r}")

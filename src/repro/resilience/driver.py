@@ -110,7 +110,6 @@ def simulate_resilient_market(
             heuristic=heuristic_factory(),
             admission=None if admission_factory is None else admission_factory(),
             discard_expired=True,
-            quote_ttl=config.quote_ttl,
             restart_policy=restart_policy,
             obs=live_obs,
         )
@@ -142,21 +141,14 @@ def simulate_resilient_market(
             for site in sites
         ]
 
-    sim.run()
+    result = economy.run()
     # only daemon crash timers are left: cancel them, close the downtime books
     for injector in injectors:
         injector.shutdown()
     manager.finalize(sim.now)
 
-    for site in sites:
-        if not site.engine.all_work_done():
-            raise MarketError(
-                f"site {site.site_id!r} drained with work outstanding: "
-                f"queue={site.engine.queue_length} running={site.engine.running_count}"
-            )
-
     return ResilientMarketResult(
-        economy=EconomyResult(outcomes=economy.outcomes, sites=sites, sim=sim),
+        economy=result,
         manager=manager,
         sites=sites,
         sim=sim,

@@ -2,7 +2,7 @@
 
 The client side of the market can only judge a site by what it sees:
 contracts settled on time, settled late, breached; tasks killed by
-crashes and restarted; negotiations that timed out.  Each outcome maps
+crashes and restarted.  Each outcome maps
 to a score in [0, 1] and folds into an exponentially weighted moving
 average per site — deterministic by construction (no randomness: the
 score is a pure function of the outcome sequence, which is itself fixed
@@ -24,12 +24,11 @@ OUTCOME_SCORES = {
     "completed": 1.0,  # contract settled at or before the promise
     "late": 0.6,  # settled, but past the promised completion
     "restart": 0.3,  # crash killed the task; the site is re-running it
-    "timeout": 0.0,  # negotiation never completed (messages lost)
     "breach": 0.0,  # contract settled at the penalty floor
 }
 
 #: Outcomes that count as *hard* failures for the circuit breaker.
-HARD_FAILURES = frozenset({"breach", "timeout"})
+HARD_FAILURES = frozenset({"breach"})
 
 
 class SiteHealth:
@@ -43,7 +42,6 @@ class SiteHealth:
         "completions",
         "late",
         "restarts",
-        "timeouts",
         "breaches",
     )
 
@@ -55,7 +53,6 @@ class SiteHealth:
         self.completions = 0
         self.late = 0
         self.restarts = 0
-        self.timeouts = 0
         self.breaches = 0
 
     def observe(self, outcome: str, alpha: float) -> float:
@@ -74,7 +71,6 @@ class SiteHealth:
             "completed": "completions",
             "late": "late",
             "restart": "restarts",
-            "timeout": "timeouts",
             "breach": "breaches",
         }[outcome]
         setattr(self, counter, getattr(self, counter) + 1)
@@ -88,7 +84,6 @@ class SiteHealth:
             "completions": self.completions,
             "late": self.late,
             "restarts": self.restarts,
-            "timeouts": self.timeouts,
             "breaches": self.breaches,
         }
 

@@ -7,15 +7,11 @@ One :class:`ResilienceManager` coordinates recovery for a whole market:
   scores and :class:`~repro.resilience.breaker.CircuitBreaker` states;
 * the :class:`~repro.resilience.broker.ResilientBroker` asks it which
   sites are currently eligible (breaker CLOSED, or HALF_OPEN with probe
-  slots) before soliciting quotes;
+  slots) before soliciting quotes; and
 * when a contract is *breached* — a crash abandoned the task, or an
   expired-task discard cancelled it — the manager re-bids the task to
   the surviving sites with its decayed remaining value, bounded by a
-  per-lineage failover budget;
-* a :class:`~repro.market.protocol.LatentNegotiator` whose retry budget
-  runs dry reports the failure here for the same treatment; and
-* optionally, high-penalty awards are *hedged*: the runner-up quote's
-  site is recorded as a standby, and failover tries it first.
+  per-lineage failover budget.
 
 Conservation invariants the manager preserves (and the property tests
 assert): a task lineage never runs to completion on two sites — the
@@ -30,7 +26,6 @@ registers no listeners and the broker falls back to the plain
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -44,7 +39,6 @@ from repro.tasks.contract import Contract
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.market.broker import NegotiationOutcome
-    from repro.market.protocol import LatentNegotiator, NegotiationRecord
     from repro.obs.instrument import Observability
     from repro.tasks.task import Task
 
@@ -54,28 +48,22 @@ class ResilienceStats:
     """Aggregate recovery counters for one market run."""
 
     breaches: int = 0
-    negotiation_failures: int = 0
     failovers_attempted: int = 0
     failovers_contracted: int = 0
     failovers_completed: int = 0
     value_recovered: float = 0.0  # settled price of completed re-runs
     value_lost_to_breach: float = 0.0  # penalties paid on breaches
     lineages_exhausted: int = 0  # failures with no failover budget left
-    hedges: int = 0
-    hedge_hits: int = 0  # failovers served by the standby site
 
     def summary(self) -> dict:
         return {
             "breaches": self.breaches,
-            "negotiation_failures": self.negotiation_failures,
             "failovers_attempted": self.failovers_attempted,
             "failovers_contracted": self.failovers_contracted,
             "failovers_completed": self.failovers_completed,
             "value_recovered": self.value_recovered,
             "value_lost_to_breach": self.value_lost_to_breach,
             "lineages_exhausted": self.lineages_exhausted,
-            "hedges": self.hedges,
-            "hedge_hits": self.hedge_hits,
         }
 
 
@@ -90,14 +78,9 @@ class Lineage:
 
     root_bid: TaskBid
     attempts: int = 0  # failover re-bids issued
-    standby: Optional[str] = None  # hedged standby site id
     contracts: list[Contract] = field(default_factory=list)
     completed: int = 0  # contracts settled by completion
     done: bool = False
-
-    @property
-    def is_failover(self) -> bool:
-        return self.attempts > 0
 
 
 class ResilienceManager:
@@ -155,8 +138,7 @@ class ResilienceManager:
         self._emitted_transitions[breaker.site_id] = len(breaker.transitions)
         if not fresh:
             return
-        site = self.sites.get(breaker.site_id)
-        flight = getattr(site, "flight", None)
+        flight = self.sites[breaker.site_id].flight
         for when, old, new in fresh:
             if self.obs is not None:
                 self.obs.breaker_transition(breaker.site_id, old, new, when)
@@ -182,34 +164,6 @@ class ResilienceManager:
         breaker = self.breakers.get(outcome.contract.site_id)
         if breaker is not None:
             breaker.note_probe()
-        if (
-            self.config.hedge
-            and not lineage.is_failover
-            and lineage.standby is None
-            and self._penalty_exposure(bid) >= self.config.hedge_penalty_threshold
-        ):
-            standby = self._runner_up(bid, outcome)
-            if standby is not None:
-                lineage.standby = standby
-                self.stats.hedges += 1
-                if self.obs is not None:
-                    self.obs.hedge_solicited()
-
-    @staticmethod
-    def _penalty_exposure(bid: TaskBid) -> float:
-        """Worst-case payout the client can extract: the penalty bound."""
-        return math.inf if bid.bound is None else float(bid.bound)
-
-    def _runner_up(
-        self, bid: TaskBid, outcome: "NegotiationOutcome"
-    ) -> Optional[str]:
-        """The standby: best quote not from the winning site."""
-        assert outcome.winner is not None
-        others = [q for q in outcome.quotes if q.site_id != outcome.winner.site_id]
-        if not others or self.broker is None:
-            return None
-        index = self.broker.strategy(bid, others)
-        return None if index is None else others[index].site_id
 
     # ------------------------------------------------------------------
     # Outcome listeners (wired per site when enabled)
@@ -240,8 +194,8 @@ class ResilienceManager:
         lineage = self._lineage_of.get(contract.bid.bid_id)
         if task.state.value == "cancelled":
             if lineage is None:
-                # contract formed outside the resilient broker (e.g. a
-                # latent negotiation); adopt it so failover still applies
+                # contract formed outside the resilient broker; adopt it
+                # so failover still applies
                 lineage = self.lineage_for(contract.bid)
             self.stats.breaches += 1
             price = contract.actual_price if contract.actual_price is not None else 0.0
@@ -272,59 +226,6 @@ class ResilienceManager:
                 self.stats.value_recovered += max(0.0, price)
                 if self.obs is not None:
                     self.obs.task_recovered(max(0.0, price), now)
-
-    # ------------------------------------------------------------------
-    # Negotiation failures (reported by LatentNegotiator)
-    # ------------------------------------------------------------------
-    def note_negotiation_failure(
-        self, record: "NegotiationRecord", negotiator: "LatentNegotiator"
-    ) -> None:
-        """A latent negotiation ended without a contract.
-
-        Sites that never answered are charged a *timeout* (health +
-        breaker); a dried-up retry budget triggers a failover re-bid
-        through the same negotiator, within the lineage's budget.
-        """
-        if not self.config.enabled or record.request is None:
-            return
-        self.stats.negotiation_failures += 1
-        now = self.sim.now
-        responded = {r.site_id for r in record.responses}
-        for site in negotiator.sites:
-            if site.site_id in responded:
-                continue
-            self.health.observe(site.site_id, "timeout")
-            breaker = self.breakers.get(site.site_id)
-            if breaker is not None:
-                breaker.record_failure(
-                    now,
-                    breach_rate=self.health.breach_rate(site.site_id),
-                    events=self.health.events(site.site_id),
-                )
-                self._publish_breaker(breaker)
-            self._publish_health(site.site_id)
-        if record.failure_reason != "retries-exhausted":
-            return  # "no quotes" is a market verdict, not a fault
-        bid = record.request.bid
-        lineage = self.lineage_for(bid)
-        if lineage.attempts >= self.config.failover_budget:
-            self.stats.lineages_exhausted += 1
-            return
-        lineage.attempts += 1
-        self.stats.failovers_attempted += 1
-        rebid = self._rebid(lineage)
-        if self.obs is not None:
-            self.obs.failover_started(lineage.root_bid.bid_id, lineage.attempts, now)
-        self.sim.schedule(
-            self.config.failover_delay,
-            self._renegotiate,
-            rebid,
-            negotiator,
-            tag="resilience:failover",
-        )
-
-    def _renegotiate(self, rebid: TaskBid, negotiator: "LatentNegotiator") -> None:
-        negotiator.negotiate(rebid)
 
     # ------------------------------------------------------------------
     # Failover re-bidding
@@ -372,21 +273,10 @@ class ResilienceManager:
 
     def _run_failover(self, lineage: Lineage, failed_site: str) -> None:
         rebid = self._rebid(lineage)
-        contract = None
-        # hedged lineages try their standby quote first
-        standby = lineage.standby
-        if standby is not None and standby != failed_site:
-            contract = self._award_on_standby(rebid, standby)
-            if contract is not None:
-                self.stats.hedge_hits += 1
-        if contract is None:
-            exclude = (
-                frozenset({failed_site})
-                if self.config.exclude_failed_site
-                else frozenset()
-            )
-            outcome = self.broker.negotiate(rebid, exclude=exclude)
-            contract = outcome.contract
+        exclude = (
+            frozenset({failed_site}) if self.config.exclude_failed_site else frozenset()
+        )
+        contract = self.broker.negotiate(rebid, exclude=exclude).contract
         if contract is not None:
             self.stats.failovers_contracted += 1
         if self.obs is not None:
@@ -396,22 +286,6 @@ class ResilienceManager:
                 contract.site_id if contract is not None else None,
                 self.sim.now,
             )
-
-    def _award_on_standby(self, rebid: TaskBid, standby: str) -> Optional[Contract]:
-        site = self.sites.get(standby)
-        breaker = self.breakers.get(standby)
-        if site is None or (breaker is not None and not breaker.allow(self.sim.now)):
-            return None
-        quote = site.quote(rebid)
-        if quote is None:
-            return None
-        contract = site.award(rebid, quote)
-        lineage = self._lineage_of[rebid.bid_id]
-        lineage.contracts.append(contract)
-        if breaker is not None:
-            breaker.note_probe()
-            self._publish_breaker(breaker)
-        return contract
 
     # ------------------------------------------------------------------
     # End-of-run accounting

@@ -13,8 +13,8 @@ Layers, lowest to highest:
   primitives, run loop.
 * :mod:`repro.sim.coroutine` — ``async def`` code on the kernel: the one
   awaitable (:class:`Sleep`, one event per sleep) and the one driver
-  (:class:`Coroutine`) behind the fault injector, the latent negotiation
-  protocol and a kernel-hosted ``LiveService.drain``.
+  (:class:`Coroutine`) behind the fault injector and a kernel-hosted
+  ``LiveService.drain``.
 * :mod:`repro.sim.clock` — the :class:`Clock` seam (``now``, ``sleep``)
   shared code reads time and waits through, on either host.
 * :mod:`repro.sim.rng` — named, independently-seeded random streams so

@@ -57,8 +57,9 @@ class TaskBid:
     released_at:
         Simulated time the client released the task — the anchor the
         value function decays from.  ``None`` means "anchor at award
-        time" (instant-negotiation semantics); brokers fill it in with
-        the negotiation start time so protocol latency counts as delay.
+        time" (instant-negotiation semantics); the trace driver fills in
+        the arrival time and the live service its intake time, so
+        negotiation and queueing count as delay.
     """
 
     runtime: float
@@ -99,12 +100,6 @@ class ServerBid:
     guarantees — later arrivals may delay the task, in which case the
     contract's value function determines the reduced price or penalty
     (§2).
-
-    ``expires_at`` is the quote's time-to-live deadline in sim time: the
-    schedule the quote was computed against keeps moving, so a site may
-    refuse to honour the quoted terms past this instant and the broker
-    must revalidate (re-solicit) before awarding.  ``None`` — the
-    default everywhere — is the original open-ended-quote semantics.
     """
 
     site_id: str
@@ -112,16 +107,9 @@ class ServerBid:
     expected_completion: float
     expected_price: float
     expected_slack: float
-    expires_at: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.expected_completion):
             raise MarketError(
                 f"expected_completion must be finite, got {self.expected_completion!r}"
             )
-        if self.expires_at is not None and not math.isfinite(self.expires_at):
-            raise MarketError(f"expires_at must be finite, got {self.expires_at!r}")
-
-    def expired(self, now: float) -> bool:
-        """Whether the quote's TTL has lapsed at sim time *now*."""
-        return self.expires_at is not None and now > self.expires_at + 1e-9

@@ -84,7 +84,7 @@ def test_exponential_backoff_on_retryable_statuses():
     client, _, sleeps = _client([503, 503, 503, 200], backoff=2.0)
     result = client.request("GET", "/status")
     assert result.status == 200
-    # retry k waits base_delay * backoff**k — the MessageFaults cadence
+    # retry k waits base_delay * backoff**k
     assert sleeps == [1.0, 2.0, 4.0]
 
 

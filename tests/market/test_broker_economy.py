@@ -120,6 +120,60 @@ class TestBroker:
         assert outcome.winner.expected_price == pytest.approx(60.0)
 
 
+class TestRoundOverASubset:
+    """``negotiate(bid, sites)`` is the same round over fewer sites: it
+    counts, prices and journals exactly like a full one."""
+
+    def _market(self):
+        from repro.obs.flight import FlightRecorder
+
+        sim = Simulator()
+        flight = FlightRecorder()
+        sites = [
+            make_site(sim, "a", processors=2, flight=flight),
+            make_site(sim, "b", pricing=DiscountedPricing(fraction=0.6), flight=flight),
+            make_site(sim, "c", threshold=1e9, flight=flight),  # always declines
+        ]
+        broker = Broker(
+            sites=sites, strategy=earliest_completion, vickrey=True, flight=flight
+        )
+        return sites, broker, flight
+
+    def test_only_the_named_sites_are_asked(self):
+        sites, broker, flight = self._market()
+        outcome = broker.negotiate(make_bid(), sites[1:])
+        assert outcome.winner.site_id == "b"
+        assert [q.site_id for q in outcome.quotes] == ["b"]
+        assert sites[0].quotes_issued == sites[0].quotes_declined == 0
+        assert (broker.negotiations, broker.rejections) == (1, 0)
+        kinds = [e["kind"] for e in flight.events]
+        assert kinds == ["bid", "quote", "quote", "award"]
+        assert [e["site_id"] for e in flight.events[1:3]] == ["b", "c"]
+
+    def test_a_subset_round_journals_like_a_full_one(self):
+        from repro.audit import audit_recording
+
+        sites, broker, flight = self._market()
+        full = broker.negotiate(make_bid())
+        subset = broker.negotiate(make_bid(), sites[:2])
+        # same selection, same second-price rule either way
+        assert full.winner.site_id == subset.winner.site_id == "a"
+        assert full.winner.expected_price == pytest.approx(60.0)
+        assert (broker.negotiations, broker.rejections) == (2, 0)
+        sites[0].sim.run()
+        recording = flight.recording()
+        assert len(recording.of_kind("bid")) == len(recording.of_kind("award")) == 2
+        assert audit_recording(recording).ok
+
+    def test_a_subset_nobody_quotes_from_is_one_rejection(self):
+        sites, broker, flight = self._market()
+        for candidates in ([sites[2]], []):
+            outcome = broker.negotiate(make_bid(), candidates)
+            assert not outcome.accepted
+        assert (broker.negotiations, broker.rejections) == (2, 2)
+        assert [e["kind"] for e in flight.events] == ["bid", "quote", "bid"]
+
+
 class TestOneValueFunctionPerBid:
     """The bid is frozen, so the value function its tuple spells is built
     (and validated) once, at construction — not per quote."""

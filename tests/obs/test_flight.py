@@ -259,6 +259,51 @@ class TestMarketIntegration:
         assert doc["divergence"]["recorded"]["changed_bids"] == 0
         assert result.accepted > 0
 
+    def test_a_schema_1_journal_with_quote_ttl_rows_still_reads(
+        self, tmp_path, recorded_market, capsys
+    ):
+        """Quote TTLs are gone from the writer, not from the schema: a
+        schema-1 journal written while sites could stamp ``expires_at``
+        and refuse an award with a ``quote_expired`` row stays readable
+        by every consumer."""
+        from repro.audit import audit_recording
+        from repro.cli import main
+        from repro.live.recovery import plan_recovery
+        from repro.replay import parse_policy, replay_recording
+
+        flight, _ = recorded_market
+        lines = [json.dumps({"kind": "header", "schema": 1, "clock": "wall"})]
+        refused = False
+        for event in flight.recording().events:
+            row = {k: ("inf" if v == math.inf else v) for k, v in event.items()}
+            if row["kind"] == "quote" and row["verdict"] == "issued":
+                row["expires_at"] = row["t"] + 5.0
+                if not refused:
+                    refused = True
+                    lines.append(json.dumps(row))
+                    row = {
+                        "seq": 0, "kind": "quote_expired", "t": row["t"] + 6.0,
+                        "site_id": row["site_id"], "bid_id": row["bid_id"],
+                        "expires_at": row["expires_at"],
+                    }
+            lines.append(json.dumps(row))
+        path = tmp_path / "ttl.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+
+        recording = read_recording(str(path))
+        assert len(recording.of_kind("quote_expired")) == 1
+        assert all(
+            q["expires_at"] == q["t"] + 5.0
+            for q in recording.of_kind("quote") if q["verdict"] == "issued"
+        )
+        assert audit_recording(recording).to_doc()["violations"] == []
+        doc = replay_recording(recording, [parse_policy("recorded")])
+        assert doc["divergence"]["recorded"]["changed_bids"] == 0
+        assert plan_recovery(recording).open_contracts == []
+        assert main(["audit", str(path)]) == 0
+        assert main(["replay", str(path)]) == 0
+        capsys.readouterr()
+
     def test_timestamps_never_decrease(self, recorded_market):
         flight, _ = recorded_market
         times = [e["t"] for e in flight.recording().events]

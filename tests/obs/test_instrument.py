@@ -3,8 +3,7 @@ the ambient attachment, and the market/site boundary link."""
 
 import math
 
-from repro.market import MarketSite
-from repro.market.protocol import LatentNegotiator
+from repro.market import Broker, MarketSite
 from repro.obs import (
     MetricsRegistry,
     Observability,
@@ -134,37 +133,48 @@ class TestAmbientAttachment:
 
 
 class TestMarketBoundary:
-    def _negotiate(self, obs):
+    """The negotiation hooks, called the way ``LiveService`` calls them:
+    started → the broker's one round → quoted per site → finished."""
+
+    def _negotiate(self, obs, threshold):
         sim = Simulator()
         site = MarketSite(
             sim,
             site_id="s",
             processors=1,
             heuristic=FirstPrice(),
-            admission=SlackAdmission(threshold=-math.inf, discount_rate=0.0),
+            admission=SlackAdmission(threshold=threshold, discount_rate=0.0),
             obs=obs,
         )
-        negotiator = LatentNegotiator(sim, [site], latency=1.0, obs=obs)
         obs.begin_run("market")
-        record = negotiator.negotiate(
+        obs.negotiation_started(0, sim.now)
+        outcome = Broker(sites=[site]).negotiate(
             TaskBid(runtime=10.0, value=100.0, decay=1.0, client_id="c")
+        )
+        obs.negotiation_quoted(0, "s", declined=not outcome.quotes, now=sim.now)
+        obs.negotiation_finished(
+            0,
+            sim.now,
+            contracted=outcome.accepted,
+            task_id=outcome.contract.task_tid if outcome.accepted else None,
+            site_id="s" if outcome.accepted else None,
         )
         sim.run()
         obs.end_run(sim.now)
-        return record
+        return outcome
 
     def test_negotiation_span_links_under_task_root(self):
         obs = Observability(registry=MetricsRegistry())
-        record = self._negotiate(obs)
-        assert record.accepted
+        outcome = self._negotiate(obs, threshold=-math.inf)
+        assert outcome.accepted
         neg = obs.spans.of_category("market")
         neg_root = next(s for s in neg if s.name.startswith("negotiation:"))
         assert neg_root.args["outcome"] == "contracted"
-        assert neg_root.task_id == record.contract.task_tid
+        assert neg_root.task_id == outcome.contract.task_tid
         task_root = next(
             s
             for s in obs.spans.finished
-            if s.name == f"task:{record.contract.task_tid}"
+            if s.name == f"task:{outcome.contract.task_tid}"
         )
         # the negotiation hangs under the task's lifecycle tree
         assert neg_root.parent_id == task_root.span_id
@@ -175,23 +185,8 @@ class TestMarketBoundary:
 
     def test_failed_negotiation_closes_unlinked(self):
         obs = Observability(registry=MetricsRegistry())
-        sim = Simulator()
-        site = MarketSite(
-            sim,
-            site_id="s",
-            processors=1,
-            heuristic=FirstPrice(),
-            admission=SlackAdmission(threshold=1e12, discount_rate=0.0),  # declines
-            obs=obs,
-        )
-        negotiator = LatentNegotiator(sim, [site], obs=obs)
-        obs.begin_run("market")
-        record = negotiator.negotiate(
-            TaskBid(runtime=10.0, value=100.0, decay=1.0, client_id="c")
-        )
-        sim.run()
-        obs.end_run(sim.now)
-        assert not record.accepted
+        outcome = self._negotiate(obs, threshold=1e12)  # the site declines
+        assert not outcome.accepted
         neg_root = next(s for s in obs.spans.of_category("market") if s.name.startswith("negotiation:"))
         assert neg_root.args["outcome"] == "failed"
         assert neg_root.parent_id is None

@@ -167,8 +167,6 @@ class TestConfigValidation:
             dict(half_open_probes=0),
             dict(failover_budget=-1),
             dict(failover_delay=-1.0),
-            dict(hedge_penalty_threshold=-1.0),
-            dict(quote_ttl=0.0),
         ],
     )
     def test_bad_knobs_rejected(self, overrides):
@@ -178,4 +176,3 @@ class TestConfigValidation:
     def test_defaults_are_disabled_and_valid(self):
         config = ResilienceConfig()
         assert not config.enabled
-        assert config.quote_ttl is None

@@ -1,13 +1,11 @@
-"""Failover re-bidding, quote TTLs, breaker gating, hedging, and the
-budgeted client's breach reconciliation — the recovery paths end to end."""
+"""Failover re-bidding, breaker gating, and the budgeted client's
+breach reconciliation — the recovery paths end to end."""
 
 import pytest
 
-from repro.errors import MarketError
 from repro.faults.restart import AbandonRestart
 from repro.market import Broker, MarketSite
 from repro.market.client import BudgetedClient
-from repro.market.protocol import LatentNegotiator
 from repro.resilience import ResilienceConfig, ResilienceManager, ResilientBroker
 from repro.scheduling import FirstPrice
 from repro.sim import Simulator
@@ -36,58 +34,6 @@ def make_bid(runtime=10.0, value=100.0, decay=2.0, bound=20.0, released_at=0.0):
         runtime=runtime, value=value, decay=decay, bound=bound,
         client_id="c", released_at=released_at,
     )
-
-
-class TestQuoteTTL:
-    def test_quotes_carry_expiry_when_ttl_set(self):
-        sim = Simulator()
-        site = make_site(sim, "s0", quote_ttl=5.0)
-        quote = site.quote(make_bid())
-        assert quote.expires_at == pytest.approx(5.0)
-        assert not quote.expired(5.0)
-        assert quote.expired(5.1)
-
-    def test_quotes_open_ended_without_ttl(self):
-        sim = Simulator()
-        quote = make_site(sim, "s0").quote(make_bid())
-        assert quote.expires_at is None
-        assert not quote.expired(1e9)
-
-    def test_award_refuses_expired_quote(self):
-        sim = Simulator()
-        site = make_site(sim, "s0", quote_ttl=5.0)
-        bid = make_bid()
-        quote = site.quote(bid)
-        sim.schedule(10.0, lambda: None)
-        sim.run()
-        with pytest.raises(MarketError, match="expired"):
-            site.award(bid, quote)
-        assert site.expired_awards_refused == 1
-        assert site.engine.queue_length == 0  # nothing was submitted
-
-    def test_latent_negotiator_revalidates_expired_winner(self):
-        """With one-way latency beyond the TTL, the quote is stale by the
-        time the award lands; the negotiator re-solicits instead of
-        failing (satellite fix: stale-quote exposure)."""
-        sim = Simulator()
-        site = make_site(sim, "s0", quote_ttl=1.0)
-        negotiator = LatentNegotiator(sim, [site], latency=2.0)
-        record = negotiator.negotiate(make_bid(released_at=None))
-        sim.run()
-        assert record.contract is not None
-        assert record.requotes == 1
-        assert negotiator.total_requotes == 1
-        # the award honoured the *fresh* quote, stamped at award time
-        assert record.award.quote.expires_at == pytest.approx(record.award.sent_at + 1.0)
-
-    def test_ttl_covering_protocol_latency_never_requotes(self):
-        sim = Simulator()
-        site = make_site(sim, "s0", quote_ttl=100.0)
-        negotiator = LatentNegotiator(sim, [site], latency=2.0)
-        record = negotiator.negotiate(make_bid(released_at=None))
-        sim.run()
-        assert record.contract is not None
-        assert record.requotes == 0
 
 
 class TestFailoverRebid:
@@ -196,6 +142,24 @@ class TestBreakerGating:
         assert outcome.contract is None
         assert broker.rejections == 1
 
+    def test_a_gated_rejection_is_counted_and_journaled_once(self):
+        from repro.obs.flight import FlightRecorder
+
+        sim = Simulator()
+        flight = FlightRecorder()
+        sites, manager, broker = make_market(
+            sim, config=ResilienceConfig(enabled=True, breaker_failures=1),
+            flight=flight,
+        )
+        broker.flight = flight
+        for breaker in manager.breakers.values():
+            breaker.record_failure(0.0)
+        assert broker.negotiate(make_bid()).contract is None
+        assert (broker.negotiations, broker.rejections) == (1, 1)
+        # the breakers opening, then a bid nobody was asked to quote on
+        kinds = [e["kind"] for e in flight.events]
+        assert kinds == ["breaker", "breaker", "bid"]
+
     def test_half_open_probe_accounted_on_award(self):
         sim = Simulator()
         config = ResilienceConfig(
@@ -214,46 +178,6 @@ class TestBreakerGating:
         second = broker.negotiate(make_bid())
         assert second.contract is not None
         assert second.contract.site_id == other
-
-
-class TestHedging:
-    def test_high_penalty_award_records_standby(self):
-        sim = Simulator()
-        config = ResilienceConfig(enabled=True, hedge=True, hedge_penalty_threshold=10.0)
-        _, manager, broker = make_market(sim, config=config)
-        broker.negotiate(make_bid(bound=20.0))
-        (lineage,) = manager.lineages
-        assert lineage.standby is not None
-        assert lineage.standby != lineage.contracts[0].site_id
-        assert manager.stats.hedges == 1
-
-    def test_low_penalty_award_not_hedged(self):
-        sim = Simulator()
-        config = ResilienceConfig(enabled=True, hedge=True, hedge_penalty_threshold=50.0)
-        _, manager, broker = make_market(sim, config=config)
-        broker.negotiate(make_bid(bound=20.0))
-        (lineage,) = manager.lineages
-        assert lineage.standby is None
-        assert manager.stats.hedges == 0
-
-    def test_failover_tries_standby_first(self):
-        sim = Simulator()
-        config = ResilienceConfig(
-            enabled=True, hedge=True, hedge_penalty_threshold=0.0, failover_budget=1
-        )
-        sites, manager, broker = make_market(
-            sim, n_sites=3, config=config, restart_policy=AbandonRestart()
-        )
-        outcome = broker.negotiate(make_bid())
-        (lineage,) = manager.lineages
-        standby = lineage.standby
-        winner = next(s for s in sites if s.site_id == outcome.contract.site_id)
-        sim.schedule(5.0, winner.engine.crash_node, 0)
-        sim.run()
-        assert manager.stats.hedge_hits == 1
-        standby_site = next(s for s in sites if s.site_id == standby)
-        assert len(standby_site.contracts) == 1
-        assert manager.stats.failovers_completed == 1
 
 
 class TestBudgetedClientBreachReconciliation:

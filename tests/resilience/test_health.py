@@ -50,19 +50,18 @@ class TestSiteHealth:
         assert health.breach_rate == 0.0
         health.observe("breach", alpha=0.5)
         assert health.breach_rate == pytest.approx(0.5)
-        health.observe("timeout", alpha=0.5)  # a failure, but not a breach
+        health.observe("restart", alpha=0.5)  # a failure, but not a breach
         assert health.breach_rate == pytest.approx(0.25)
 
     def test_counters_partition_events(self):
         health = SiteHealth("s", initial=1.0)
-        for outcome in ("completed", "late", "restart", "timeout", "breach", "breach"):
+        for outcome in ("completed", "late", "restart", "breach", "breach"):
             health.observe(outcome, alpha=0.2)
         summary = health.summary()
-        assert summary["events"] == 6
+        assert summary["events"] == 5
         assert summary["completions"] == 1
         assert summary["late"] == 1
         assert summary["restarts"] == 1
-        assert summary["timeouts"] == 1
         assert summary["breaches"] == 2
 
     def test_unknown_outcome_raises(self):

@@ -1,0 +1,69 @@
+"""A resilient market journals exactly like a plain one.
+
+``ResilientBroker`` used to re-type the broker's round when resilience
+was on and, in the copy, dropped the ``bid`` and ``award`` flight
+records: every quote and award of a journaled chaos market referenced a
+bid the journal had never seen.  The round is now ``Broker.negotiate``
+alone, so the same market audits clean — failover re-bids included, each
+one a ``bid`` row of its own.
+"""
+
+from collections import Counter
+
+import pytest
+
+from repro.audit import audit_recording
+from repro.obs.flight import FlightRecorder
+from repro.resilience import simulate_resilient_market
+
+from tests.resilience.chaos_cell import (
+    N_JOBS,
+    N_SITES,
+    SLOTS,
+    admission,
+    cell_inputs,
+    heuristic,
+    journaled_chaos_cell,
+)
+
+#: (seed, failover budget) -> total revenue of the cell, unchanged since
+#: before the round was unified
+REVENUE = {
+    (0, 0): 13161.021, (0, 1): 15259.447, (0, 3): 15248.264,
+    (1, 0): 12278.246, (1, 1): 10621.552, (1, 3): 7299.062,
+}
+
+
+@pytest.mark.parametrize("seed,budget", sorted(REVENUE))
+def test_a_journaled_chaos_market_audits_clean(seed, budget):
+    flight = FlightRecorder()
+    result, manager = journaled_chaos_cell(seed, budget, flight)
+    recording = flight.recording()
+
+    report = audit_recording(recording)
+    assert report.ok, Counter(v["code"] for v in report.violations)
+
+    kinds = Counter(event["kind"] for event in recording.events)
+    assert kinds["breaker"] > 0
+    # every round is on the record: the trace's bids plus one per re-bid
+    assert kinds["bid"] == N_JOBS + manager.stats.failovers_attempted
+    assert kinds["bid"] == manager.broker.negotiations
+    assert kinds["award"] == sum(len(site.contracts) for site in result.sites)
+    if budget:
+        assert manager.stats.failovers_attempted > 0
+
+    # journaling changes nothing: same books as the unjournaled driver
+    trace, faults, config = cell_inputs(seed, budget)
+    reference = simulate_resilient_market(
+        trace,
+        heuristic_factory=heuristic,
+        n_sites=N_SITES,
+        processors_per_site=SLOTS,
+        admission_factory=admission,
+        config=config,
+        faults=faults,
+        fault_seed=seed,
+    )
+    assert result.total_revenue == reference.total_revenue
+    assert result.total_revenue == pytest.approx(REVENUE[seed, budget], abs=1e-3)
+    assert manager.stats.summary() == reference.manager.stats.summary()

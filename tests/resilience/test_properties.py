@@ -91,7 +91,7 @@ class TestHealthProperties:
         summary = tracker.snapshot()["s"]
         counted = sum(
             summary[key]
-            for key in ("completions", "late", "restarts", "timeouts", "breaches")
+            for key in ("completions", "late", "restarts", "breaches")
         )
         assert counted == len(outcomes)
 
@@ -114,10 +114,9 @@ class TestConservationUnderChaos:
         seed=st.integers(min_value=0, max_value=2**16),
         mttf=st.sampled_from([250.0, 500.0, 1000.0]),
         budget=st.integers(min_value=0, max_value=3),
-        hedge=st.booleans(),
     )
     def test_no_lineage_completes_twice_and_value_settles_once(
-        self, seed, mttf, budget, hedge
+        self, seed, mttf, budget
     ):
         spec = economy_spec(
             n_jobs=80, value_skew=3.0, decay_skew=5.0, load_factor=1.5,
@@ -130,7 +129,7 @@ class TestConservationUnderChaos:
             n_sites=2,
             processors_per_site=4,
             admission_factory=lambda: SlackAdmission(180.0, 0.01),
-            config=ResilienceConfig(enabled=True, failover_budget=budget, hedge=hedge),
+            config=ResilienceConfig(enabled=True, failover_budget=budget),
             faults=FaultSpec(mttf=mttf, mttr=100.0, restart="abandon"),
             fault_seed=seed,
         )
