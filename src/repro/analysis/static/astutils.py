@@ -39,12 +39,6 @@ def enclosing(
     return None
 
 
-def enclosing_function(
-    node: ast.AST, parents: dict[ast.AST, ast.AST]
-) -> Optional[ast.AST]:
-    return enclosing(node, parents, (ast.FunctionDef, ast.AsyncFunctionDef))
-
-
 def enclosing_class(
     node: ast.AST, parents: dict[ast.AST, ast.AST]
 ) -> Optional[ast.ClassDef]:
@@ -119,10 +113,8 @@ class FileContext:
     module: str
     source: str
     tree: ast.Module
-    frozen_classes: frozenset[str]  # project-wide, from the engine's pre-pass
-    #: Call graph + effect index over the whole analyzed file set; None
-    #: unless the selection includes an interprocedural rule.
-    project: Optional["ProjectContext"] = None
+    #: Call graph + effect index over the whole analyzed file set.
+    project: "ProjectContext"
     _parents: Optional[dict[ast.AST, ast.AST]] = field(default=None, repr=False)
     _imports: Optional[ImportMap] = field(default=None, repr=False)
 
@@ -140,30 +132,3 @@ class FileContext:
 
     def walk(self) -> Iterator[ast.AST]:
         return ast.walk(self.tree)
-
-
-def call_name(node: ast.Call) -> Optional[str]:
-    """The bare callee name for ``foo(...)`` / terminal attr for ``a.foo(...)``."""
-    func = node.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
-
-def nested_function_names(tree: ast.AST) -> frozenset[str]:
-    """Names of functions defined *inside another function* anywhere in the file.
-
-    Used by EXP001: referencing one of these as an executor cell is a
-    pickle hazard, because only module-level callables pickle by
-    reference.
-    """
-    parents = build_parents(tree)
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
-            enclosing_function(node, parents) is not None
-        ):
-            names.add(node.name)
-    return frozenset(names)

@@ -1,8 +1,8 @@
 """Diagnostic records and the rule catalog.
 
 A :class:`Rule` is pure metadata — code, one-line summary, rationale —
-used by ``repro lint --help``-style listings, the JSON output schema,
-and the documentation generator in ``docs/static_analysis.md``.  The
+used by ``repro lint --list-rules``, the JSON output schema, and the
+rule table in ``docs/static_analysis.md`` (generated from it).  The
 checking logic lives in the ``rules_*`` modules; keeping the catalog
 separate means the CLI can validate ``--select`` arguments without
 importing any AST machinery.
@@ -156,32 +156,6 @@ RULES: dict[str, Rule] = {
                 "An act with no prior intent record is invisible to "
                 "recovery — an orphan process or unaccounted settlement "
                 "after a crash."
-            ),
-        ),
-        Rule(
-            code="CFG001",
-            name="frozen-config-mutation",
-            summary=(
-                "attribute assignment (or object.__setattr__) on a frozen "
-                "config dataclass outside its own constructor"
-            ),
-            rationale=(
-                "Feature configs are frozen so an off-by-default config "
-                "is provably bit-inert; mutating one after construction "
-                "re-opens the door to mid-run behaviour drift."
-            ),
-        ),
-        Rule(
-            code="EXP001",
-            name="unpicklable-cell",
-            summary=(
-                "lambda / nested function passed into a CellExecutor cell "
-                "(pickle hazard at workers > 1)"
-            ),
-            rationale=(
-                "Experiment cells must be module-level callables with "
-                "picklable arguments: a closure runs fine inline but "
-                "explodes (or worse, desyncs) under the process pool."
             ),
         ),
         Rule(

@@ -43,7 +43,7 @@ import ast
 from typing import Optional
 
 from repro.analysis.static.callgraph import CallRecord, ProjectGraph, iter_body_nodes
-from repro.analysis.static.rules_determinism import _RNG_PREFIXES, _WALL_CLOCK_CALLS
+from repro.analysis.static.modulemap import is_wall_clock_allowed, seeds_purity_hazard
 
 WALL_CLOCK = "WALL_CLOCK"
 RNG = "RNG"
@@ -64,6 +64,33 @@ ALL_EFFECTS = (
     SETTLEMENT,
     SHARED_MUTATION,
 )
+
+#: The clock/RNG purity effects DET001/DET002/OBS002/DET006 police.  Their
+#: closure is *gated* (see :meth:`EffectIndex._propagate`); every other
+#: effect propagates freely.
+PURITY_EFFECTS = (WALL_CLOCK, RNG)
+
+#: Qualified calls that read the machine clock.
+WALL_CLOCK_CALLS = frozenset(
+    {
+        "time.time",
+        "time.time_ns",
+        "time.monotonic",
+        "time.monotonic_ns",
+        "time.perf_counter",
+        "time.perf_counter_ns",
+        "time.process_time",
+        "time.process_time_ns",
+        "time.clock_gettime",
+        "datetime.datetime.now",
+        "datetime.datetime.utcnow",
+        "datetime.datetime.today",
+        "datetime.date.today",
+    }
+)
+
+#: Qualified-name prefixes whose *calls* constitute an RNG entry point.
+RNG_PREFIXES = ("random.", "numpy.random.")
 
 #: Qualified calls that block the calling thread.  ``subprocess.Popen``
 #: itself is excluded (fork+exec returns promptly); its ``.wait()`` /
@@ -114,15 +141,30 @@ SETTLE_ATTRS = frozenset({"settle", "settle_breach", "settle_abandoned"})
 RESPONSE_CALLS = frozenset({"asyncio.StreamWriter.write"})
 
 
+def purity_effect(qualified: Optional[str]) -> Optional[str]:
+    """``WALL_CLOCK`` / ``RNG`` if calling *qualified* is one, else None.
+
+    The analyzer's only clock/RNG detector: function bodies reach it
+    through :func:`direct_effects_of_call`, module- and class-level code
+    through the purity checker's file scan.
+    """
+    if qualified is None:
+        return None
+    if qualified in WALL_CLOCK_CALLS:
+        return WALL_CLOCK
+    if qualified.startswith(RNG_PREFIXES):
+        return RNG
+    return None
+
+
 def direct_effects_of_call(record: CallRecord) -> dict[str, str]:
     """Effects a single call site triggers *directly*: effect → leaf label."""
     out: dict[str, str] = {}
     q = record.qualified
     if q is not None:
-        if q in _WALL_CLOCK_CALLS:
-            out[WALL_CLOCK] = f"{q}()"
-        if q.startswith(_RNG_PREFIXES):
-            out[RNG] = f"{q}()"
+        purity = purity_effect(q)
+        if purity is not None:
+            out[purity] = f"{q}()"
         if q in BLOCKING_CALLS:
             out[BLOCKING_IO] = f"{q}()"
         if q in SPAWN_CALLS:
@@ -137,7 +179,17 @@ def direct_effects_of_call(record: CallRecord) -> dict[str, str]:
 
 
 class EffectIndex:
-    """Direct + transitive effect sets for every function in a graph."""
+    """Direct + transitive effect sets for every function in a graph.
+
+    ``direct[fid]`` is what the function's own body does.  ``closure[fid]``
+    is what a *caller* of it answers for — everything reachable, except
+    that the purity effects are gated by the project's scope policy
+    (:mod:`~repro.analysis.static.modulemap`): a direct clock/RNG hit
+    enters the closure only where no per-module rule already reports it
+    at the source, and nothing in a wall-clock-allowed module
+    (``repro.obs``, ``repro.live``) carries one — reaching the sanctioned
+    boundary is fine, whatever lies behind it.
+    """
 
     def __init__(self, graph: ProjectGraph) -> None:
         self.graph = graph
@@ -173,10 +225,21 @@ class EffectIndex:
                             (fid, SHARED_MUTATION), f"self.{target.attr} = ..."
                         )
             self.direct[fid] = effects
-            self.closure[fid] = set(effects)
+            module = self.graph.functions[fid].module
+            self.closure[fid] = {
+                effect
+                for effect in effects
+                if effect not in PURITY_EFFECTS or seeds_purity_hazard(effect, module)
+            }
 
     def _propagate(self) -> None:
         order = sorted(self.graph.functions)
+        # the sanctioned boundary: nothing in a wall-clock-allowed module
+        # answers for a purity effect, so none crosses it to a caller
+        gated = {
+            fid: PURITY_EFFECTS if is_wall_clock_allowed(info.module) else ()
+            for fid, info in self.graph.functions.items()
+        }
         changed = True
         while changed:
             changed = False
@@ -184,7 +247,7 @@ class EffectIndex:
                 mine = self.closure[fid]
                 for callee in self.graph.edges.get(fid, []):
                     for effect in sorted(self.closure.get(callee, ())):
-                        if effect not in mine:
+                        if effect not in mine and effect not in gated[fid]:
                             mine.add(effect)
                             self.via[(fid, effect)] = callee
                             changed = True

@@ -1,8 +1,8 @@
 """File discovery and the two-pass analysis run.
 
-Pass 1 parses every file once and collects project-wide facts (today:
-the frozen-dataclass name registry CFG001 matches against).  Pass 2 runs
-the selected rule checkers per file, then applies ``# repro: noqa``
+Pass 1 parses every file once and builds the project-wide facts every
+effect rule reads: the call graph and the effect index over it.  Pass 2
+runs the selected rule checkers per file, then applies ``# repro: noqa``
 suppressions.  Everything is deterministic: files are visited in sorted
 order and diagnostics are reported in (path, line, col, code) order.
 """
@@ -21,8 +21,6 @@ from repro.analysis.static.effects import EffectIndex
 from repro.analysis.static.modulemap import module_name_for_path, module_pragma
 from repro.analysis.static.noqa import apply_suppressions, collect_suppressions
 from repro.analysis.static.rules_determinism import (
-    check_det001,
-    check_det002,
     check_det003,
     check_det004,
     check_det005,
@@ -30,42 +28,28 @@ from repro.analysis.static.rules_determinism import (
 from repro.analysis.static.rules_effects import (
     check_asy001,
     check_asy002,
-    check_det006,
+    check_purity,
     check_wal001,
 )
-from repro.analysis.static.rules_hygiene import (
-    check_cfg001,
-    check_exp001,
-    check_obs001,
-    check_obs002,
-    frozen_dataclass_names,
-)
+from repro.analysis.static.rules_hygiene import check_obs001
 
 
 class LintUsageError(Exception):
     """Bad invocation (unknown rule, missing path) — exit code 2."""
 
 
-#: Rule code → checker.  Report order follows the RULES catalog.
+#: Rule code → checker, for the rules that are one query each.  The four
+#: purity codes (DET001/DET002/OBS002/DET006) are rows of one table and
+#: share :func:`check_purity`, which takes the selection.
 CHECKS: dict[str, Callable[[FileContext], list[Diagnostic]]] = {
-    "DET001": check_det001,
-    "DET002": check_det002,
     "DET003": check_det003,
     "DET004": check_det004,
     "DET005": check_det005,
-    "DET006": check_det006,
     "ASY001": check_asy001,
     "ASY002": check_asy002,
     "WAL001": check_wal001,
-    "CFG001": check_cfg001,
-    "EXP001": check_exp001,
     "OBS001": check_obs001,
-    "OBS002": check_obs002,
 }
-
-#: Rules that need the project-wide call graph / effect index.  The
-#: engine only pays for graph construction when the selection asks.
-INTERPROCEDURAL_RULES = frozenset({"DET006", "ASY001", "ASY002", "WAL001"})
 
 #: Pseudo-codes emitted by the engine itself (not selectable, never
 #: suppressible): parse failures and stale noqa comments.
@@ -75,27 +59,10 @@ STALE_NOQA = "NQA000"
 
 @dataclass
 class ProjectContext:
-    """Call graph + effect index over one analyzed file set (pass 1).
-
-    ``caches`` / ``hazard_via`` are scratch space for rule-level derived
-    structures (today: DET006's gated hazard closure), computed once per
-    run on first use and shared across files.
-    """
+    """Call graph + effect index over one analyzed file set (pass 1)."""
 
     graph: ProjectGraph
     effects: EffectIndex
-    caches: dict[str, dict] = field(default_factory=dict)
-    hazard_via: dict[tuple[str, str], str] = field(default_factory=dict)
-
-
-def build_project(parsed: Sequence[tuple[str, str, ast.Module]]) -> ProjectContext:
-    """Build the interprocedural context from (path, module, tree) triples."""
-    modules = [
-        ParsedModule(path=path, module=module, tree=tree)
-        for path, module, tree in parsed
-    ]
-    graph = ProjectGraph(modules)
-    return ProjectContext(graph=graph, effects=EffectIndex(graph))
 
 
 @dataclass
@@ -184,35 +151,21 @@ def _parse(path: str) -> tuple[str, Optional[ast.Module], Optional[Diagnostic]]:
 
 
 def analyze_file(
-    path: str,
-    frozen_classes: frozenset[str],
+    parsed: ParsedModule,
+    source: str,
+    project: ProjectContext,
     select: tuple[str, ...],
-    strict_noqa: bool = False,
-    source: Optional[str] = None,
-    tree: Optional[ast.Module] = None,
-    project: Optional[ProjectContext] = None,
+    strict_noqa: bool,
 ) -> list[Diagnostic]:
-    """Run the selected rules over one file and apply suppressions."""
-    if source is None or tree is None:
-        source, tree, failure = _parse(path)
-        if failure is not None:
-            return [failure]
-        assert tree is not None
-    module = module_pragma(source) or module_name_for_path(path)
-    if project is None and INTERPROCEDURAL_RULES.intersection(select):
-        # standalone single-file analysis still gets a (degenerate) graph
-        project = build_project([(path, module, tree)])
+    """Run the selected rules over one parsed file and apply suppressions."""
+    path, module = parsed.path, parsed.module
     ctx = FileContext(
-        path=path,
-        module=module,
-        source=source,
-        tree=tree,
-        frozen_classes=frozen_classes,
-        project=project,
+        path=path, module=module, source=source, tree=parsed.tree, project=project
     )
-    raw: list[Diagnostic] = []
+    raw = check_purity(ctx, select)
     for code in select:
-        raw.extend(CHECKS[code](ctx))
+        if code in CHECKS:
+            raw.extend(CHECKS[code](ctx))
     suppressions = collect_suppressions(source)
     kept = apply_suppressions(raw, suppressions)
     if strict_noqa:
@@ -258,46 +211,23 @@ def analyze_paths(
     selection = resolve_selection(select)
     files = discover_files(paths)
 
-    # Pass 1: parse everything, build the project-wide frozen-class index
-    # (and, when an interprocedural rule is selected, the call graph +
-    # effect index over the same file set).
-    parsed: list[tuple[str, str, Optional[ast.Module]]] = []
-    failures: list[Diagnostic] = []
-    frozen: set[str] = set()
+    # Pass 1: parse everything under its module identity, then build the
+    # call graph + effect index over the whole file set.
+    run = LintRun(files_checked=len(files))
+    parsed: list[tuple[ParsedModule, str]] = []
     for path in files:
         source, tree, failure = _parse(path)
         if failure is not None:
-            failures.append(failure)
+            run.diagnostics.append(failure)
             continue
         assert tree is not None
-        frozen.update(frozen_dataclass_names(tree))
-        parsed.append((path, source, tree))
-
-    project: Optional[ProjectContext] = None
-    if INTERPROCEDURAL_RULES.intersection(selection):
-        project = build_project(
-            [
-                (path, module_pragma(source) or module_name_for_path(path), tree)
-                for path, source, tree in parsed
-                if tree is not None
-            ]
-        )
+        module = module_pragma(source) or module_name_for_path(path)
+        parsed.append((ParsedModule(path=path, module=module, tree=tree), source))
+    graph = ProjectGraph([pm for pm, _source in parsed])
+    project = ProjectContext(graph=graph, effects=EffectIndex(graph))
 
     # Pass 2: rules + suppression per file.
-    run = LintRun(files_checked=len(files))
-    run.diagnostics.extend(failures)
-    frozen_index = frozenset(frozen)
-    for path, source, tree in parsed:
-        run.diagnostics.extend(
-            analyze_file(
-                path,
-                frozen_index,
-                selection,
-                strict_noqa=strict_noqa,
-                source=source,
-                tree=tree,
-                project=project,
-            )
-        )
+    for pm, source in parsed:
+        run.diagnostics.extend(analyze_file(pm, source, project, selection, strict_noqa))
     run.diagnostics.sort(key=sort_key)
     return run

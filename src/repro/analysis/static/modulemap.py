@@ -1,7 +1,7 @@
 """Path → module identity and the project policy map.
 
 The analyzer's rules are scoped by *module identity* (``repro.sim.rng``,
-``repro.scheduling.pool``, ``scripts.check_lint``), not by raw file
+``repro.scheduling.pool``, ``scripts.unreached``), not by raw file
 path, so the policy survives checkouts at any directory depth and the
 fixture corpus can impersonate any module via a file-level pragma::
 
@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import os
 import re
+from dataclasses import dataclass
+from typing import Callable
 
 #: Module whose whole point is to own the project's RNG entry points.
 SEEDED_STREAM_MODULE = "repro.sim.rng"
@@ -113,9 +115,12 @@ def module_name_for_path(path: str) -> str:
     """Best-effort dotted module identity for *path*.
 
     ``.../src/repro/sim/rng.py`` → ``repro.sim.rng``;
-    ``scripts/check_lint.py`` → ``scripts.check_lint``;
+    ``scripts/unreached.py`` → ``scripts.unreached``;
     a path with no recognizable root maps to its stem (so policy scoped
-    to ``repro.*`` simply does not apply).
+    to ``repro.*`` simply does not apply).  The anchor is the *last*
+    component that names a root, so a checkout that is itself called
+    ``repro`` (``~/repro/src/repro/site/driver.py``,
+    ``~/repro/scripts/unreached.py``) keeps its identity.
     """
     normalized = os.path.normpath(path).replace(os.sep, "/")
     parts = [p for p in normalized.split("/") if p not in ("", ".")]
@@ -123,10 +128,9 @@ def module_name_for_path(path: str) -> str:
         parts[-1] = parts[-1][: -len(".py")]
     if parts and parts[-1] == "__init__":
         parts.pop()
-    for root in ("repro", *_SCRIPT_DIRS):
-        if root in parts:
-            tail = parts[parts.index(root):]
-            return ".".join(tail) if tail else root
+    anchors = [i for i, part in enumerate(parts) if part in ("repro", *_SCRIPT_DIRS)]
+    if anchors:
+        return ".".join(parts[anchors[-1]:])
     return parts[-1] if parts else path
 
 
@@ -178,3 +182,91 @@ def is_journaled_act_scope(module: str) -> bool:
 def is_timestamp_passive(module: str) -> bool:
     """Observability code that takes timestamps as arguments, never reads them."""
     return _under(module, TIMESTAMP_PASSIVE_PREFIXES)
+
+
+# ----------------------------------------------------------------------
+# The clock/RNG scope table
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PurityScope:
+    """One row: rule *code* forbids *effects* in the *forbidden* modules.
+
+    ``effects`` are names from the effect alphabet
+    (:mod:`repro.analysis.static.effects`).  A direct row reports the
+    offending call itself; a ``transitive`` row reports a call whose
+    resolved callee carries the effect in its gated closure.  ``message``
+    is the finding's template: ``{call}`` and ``{module}`` for direct
+    rows; ``{function}``, ``{hazard}``, ``{via}`` and ``{chain}`` for
+    transitive ones.
+    """
+
+    code: str
+    effects: tuple[str, ...]
+    forbidden: Callable[[str], bool]
+    message: str
+    transitive: bool = False
+
+
+def _rng_forbidden(module: str) -> bool:
+    return is_repro_library(module) and module != SEEDED_STREAM_MODULE
+
+
+#: Which module family forbids which purity effect — the whole policy of
+#: DET001 / DET002 / OBS002 / DET006, answered by one checker
+#: (:func:`repro.analysis.static.rules_effects.check_purity`).
+PURITY_SCOPES = (
+    PurityScope(
+        code="DET001",
+        effects=("RNG",),
+        forbidden=_rng_forbidden,
+        message=(
+            f"RNG call {{call}} outside {SEEDED_STREAM_MODULE}; "
+            "draw from a named RandomStreams stream instead"
+        ),
+    ),
+    PurityScope(
+        code="DET002",
+        effects=("WALL_CLOCK",),
+        forbidden=is_sim_path,
+        message=(
+            "wall-clock read {call} in sim-path module {module}; use the "
+            "sim clock (sim.now), or move the measurement into repro.obs"
+        ),
+    ),
+    PurityScope(
+        code="OBS002",
+        effects=("WALL_CLOCK",),
+        forbidden=is_timestamp_passive,
+        message=(
+            "wall-clock read {call} in timestamp-passive module {module}; "
+            "accept t as a parameter from the caller's clock.now (wall "
+            "time belongs to repro.live)"
+        ),
+    ),
+    PurityScope(
+        code="DET006",
+        effects=("WALL_CLOCK", "RNG"),
+        forbidden=is_sim_path,
+        message=(
+            "sim-path function {function} reaches a {hazard} effect via "
+            "{via}: {chain}"
+        ),
+        transitive=True,
+    ),
+)
+
+
+def seeds_purity_hazard(effect: str, module: str) -> bool:
+    """Does a direct *effect* hit in *module* taint its callers (DET006)?
+
+    Only where no per-module rule already reports it at the source: a
+    wall-clock read outside sim-path code (DET002's beat) and outside the
+    sanctioned boundary, or an RNG draw outside the ``repro`` package
+    (DET001's beat).  The other half of the boundary — nothing in a
+    wall-clock-allowed module inherits a purity effect either — is
+    :func:`is_wall_clock_allowed`, applied by the effect propagation.
+    """
+    if effect == "WALL_CLOCK":
+        return not is_sim_path(module) and not is_wall_clock_allowed(module)
+    return not is_repro_library(module)

@@ -54,8 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro lint",
         description=(
             "AST-based determinism & invariant analyzer: seeded-RNG "
-            "discipline, sim-clock purity, ordered iteration, frozen "
-            "configs, picklable experiment cells."
+            "discipline, sim-clock purity, ordered iteration, event-loop "
+            "and journal-before-act discipline in the live service."
         ),
     )
     parser.add_argument(
@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=["text", "json", "sarif"],
+        choices=["text", "json"],
         default="text",
         dest="fmt",
         help="report format (default: text)",
@@ -112,10 +112,6 @@ def run_lint(
         return 2
     if fmt == "json":
         sys.stdout.write(render_json(run))
-    elif fmt == "sarif":
-        from repro.analysis.static.sarif import render_sarif
-
-        sys.stdout.write(render_sarif(run))
     else:
         print(render_text(run))
     return 0 if run.clean else 1

@@ -1,9 +1,11 @@
-"""Determinism rules DET001–DET005.
+"""Determinism rules DET003–DET005: the per-file, syntactic ones.
 
-Each checker takes a :class:`~repro.analysis.static.astutils.FileContext`
-and returns diagnostics; scoping (which modules a rule applies to) is
-decided here via :mod:`repro.analysis.static.modulemap` so the engine
-stays policy-free.
+(Clock and RNG purity — DET001, DET002, DET006 — are effect queries and
+live in :mod:`repro.analysis.static.rules_effects`.)  Each checker takes
+a :class:`~repro.analysis.static.astutils.FileContext` and returns
+diagnostics; scoping (which modules a rule applies to) is decided here
+via :mod:`repro.analysis.static.modulemap` so the engine stays
+policy-free.
 """
 
 from __future__ import annotations
@@ -15,108 +17,9 @@ from repro.analysis.static.astutils import FileContext, enclosing_class
 from repro.analysis.static.diagnostics import Diagnostic
 from repro.analysis.static.modulemap import (
     EVENT_QUEUE_MODULE,
-    SEEDED_STREAM_MODULE,
     is_hot_path,
-    is_repro_library,
     is_sim_path,
 )
-
-# ----------------------------------------------------------------------
-# DET001 — unseeded RNG entry points
-# ----------------------------------------------------------------------
-
-#: Qualified-name prefixes whose *calls* constitute an RNG entry point.
-_RNG_PREFIXES = ("random.", "numpy.random.")
-
-
-def check_det001(ctx: FileContext) -> list[Diagnostic]:
-    """RNG calls outside the seeded-stream module ``repro.sim.rng``.
-
-    All randomness must flow through :class:`repro.sim.rng.RandomStreams`
-    named streams; a direct ``random.random()`` / ``np.random.normal()``
-    / ``default_rng()`` call creates a stream the root seed does not
-    control.
-    """
-    if not is_repro_library(ctx.module) or ctx.module == SEEDED_STREAM_MODULE:
-        return []
-    findings = []
-    for node in ctx.walk():
-        if not isinstance(node, ast.Call):
-            continue
-        qualified = ctx.imports.resolve(node.func)
-        if qualified is None:
-            continue
-        if qualified.startswith(_RNG_PREFIXES):
-            findings.append(
-                Diagnostic(
-                    path=ctx.path,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    code="DET001",
-                    message=(
-                        f"RNG call {qualified}() outside {SEEDED_STREAM_MODULE}; "
-                        "draw from a named RandomStreams stream instead"
-                    ),
-                    module=ctx.module,
-                )
-            )
-    return findings
-
-
-# ----------------------------------------------------------------------
-# DET002 — wall-clock reads in sim-path code
-# ----------------------------------------------------------------------
-
-_WALL_CLOCK_CALLS = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.process_time",
-        "time.process_time_ns",
-        "time.clock_gettime",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-    }
-)
-
-
-def check_det002(ctx: FileContext) -> list[Diagnostic]:
-    """Wall-clock reads in sim-path modules.
-
-    Sim-path behaviour must be a pure function of (workload, seed,
-    config); ``repro.obs`` and ``repro.live`` are allowlisted because
-    measuring the real world is their job.
-    """
-    if not is_sim_path(ctx.module):
-        return []
-    findings = []
-    for node in ctx.walk():
-        if not isinstance(node, ast.Call):
-            continue
-        qualified = ctx.imports.resolve(node.func)
-        if qualified in _WALL_CLOCK_CALLS:
-            findings.append(
-                Diagnostic(
-                    path=ctx.path,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    code="DET002",
-                    message=(
-                        f"wall-clock read {qualified}() in sim-path module "
-                        f"{ctx.module}; use the sim clock (sim.now), or move "
-                        "the measurement into repro.obs"
-                    ),
-                    module=ctx.module,
-                )
-            )
-    return findings
-
 
 # ----------------------------------------------------------------------
 # DET003 — unordered iteration in hot paths

@@ -1,12 +1,13 @@
-"""Interprocedural rules DET006 / ASY001 / ASY002 / WAL001.
+"""Effect rules: DET001 / DET002 / OBS002 / DET006, ASY001, ASY002, WAL001.
 
 These checkers consume the project-wide :class:`ProjectContext`
-(call graph + effect index) the engine builds in pass 1.  They are the
-cross-module counterparts of the flow-insensitive determinism rules:
+(call graph + effect index) the engine builds in pass 1:
 
-* **DET006** closes the DET001/DET002 blind spot — sim-path code calling
-  a helper *in another module* that reads the wall clock or draws from a
-  global RNG.
+* **DET001 / DET002 / OBS002 / DET006** — clock and RNG purity — are the
+  four rows of :data:`~repro.analysis.static.modulemap.PURITY_SCOPES`,
+  answered by :func:`check_purity`: the direct rows from one scan of the
+  file's calls (module- and class-level code included), DET006 from the
+  gated effect closure of each resolved callee.
 * **ASY001** finds blocking syscalls reachable from ``async def`` bodies
   in ``repro.live`` (event-loop stalls).
 * **ASY002** finds check-then-act races: shared ``self`` state read in a
@@ -17,14 +18,15 @@ cross-module counterparts of the flow-insensitive determinism rules:
   client-response write / settlement must be preceded (lexically, within
   the function) by a journal-append intent.
 
-All four under-approximate on purpose: an unresolved call contributes no
-edge, so a finding always names a concrete witness chain.
+The interprocedural ones under-approximate on purpose: an unresolved
+call contributes no edge, so a finding always names a concrete witness
+chain.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Collection, Iterator
 
 from repro.analysis.static.astutils import FileContext
 from repro.analysis.static.callgraph import FunctionInfo, iter_body_nodes
@@ -38,139 +40,86 @@ from repro.analysis.static.effects import (
     SPAWN,
     WALL_CLOCK,
     direct_effects_of_call,
+    purity_effect,
 )
 from repro.analysis.static.modulemap import (
+    PURITY_SCOPES,
+    PurityScope,
     is_journaled_act_scope,
     is_live_service,
-    is_repro_library,
-    is_sim_path,
-    is_wall_clock_allowed,
 )
 
 
 def _file_functions(ctx: FileContext) -> list[FunctionInfo]:
-    project = ctx.project
-    if project is None:
-        return []
-    graph = project.graph
+    graph = ctx.project.graph
     return [graph.functions[fid] for fid in graph.functions_by_path.get(ctx.path, [])]
 
 
 # ----------------------------------------------------------------------
-# DET006 — sim-path code transitively reaching wall-clock / RNG effects
+# DET001 / DET002 / OBS002 / DET006 — clock and RNG purity
 # ----------------------------------------------------------------------
 
-_HAZARDS = (WALL_CLOCK, RNG)
 _HAZARD_LABEL = {WALL_CLOCK: "wall-clock", RNG: "unseeded-RNG"}
 
 
-def _det006_closure(ctx: FileContext) -> dict[str, set[str]]:
-    """fid → hazard effects it reaches through *unsanctioned* modules.
+def check_purity(ctx: FileContext, codes: Collection[str]) -> list[Diagnostic]:
+    """Every selected purity row that forbids an effect in this module.
 
-    Seeds are direct hazards that the single-module rules do NOT already
-    own: a wall-clock read in a module that is neither sim-path (DET002's
-    beat) nor allowlisted, or an RNG draw outside the ``repro`` package
-    (DET001's beat).  Propagation is cut at wall-clock-allowed modules —
-    reaching ``repro.obs`` is sanctioned, whatever ``repro.obs`` does
-    downstream.  Cached on the ProjectContext (one computation per run).
+    Direct rows report the offending call itself, wherever in the file
+    it sits.  The transitive row (DET006) reports sim-path call sites
+    whose resolved callee carries the effect in its closure — which the
+    effect index gates at the sanctioned boundary and seeds only with
+    hits no direct row already owns, so a finding here is never a
+    duplicate of one at the source.
     """
-    project = ctx.project
-    assert project is not None
-    cached = project.caches.get("det006")
-    if cached is not None:
-        return cached
-    graph, effects = project.graph, project.effects
-    hazard: dict[str, set[str]] = {}
-    for fid in sorted(graph.functions):
-        info = graph.functions[fid]
-        direct = effects.direct[fid]
-        seeds: set[str] = set()
-        if (
-            WALL_CLOCK in direct
-            and not is_sim_path(info.module)
-            and not is_wall_clock_allowed(info.module)
-        ):
-            seeds.add(WALL_CLOCK)
-        if RNG in direct and not is_repro_library(info.module):
-            seeds.add(RNG)
-        if seeds:
-            hazard[fid] = seeds
-    changed = True
-    while changed:
-        changed = False
-        for fid in sorted(graph.functions):
-            if is_wall_clock_allowed(graph.functions[fid].module):
-                continue  # sanctioned boundary: do not carry hazards across
-            mine = hazard.setdefault(fid, set())
-            for callee in graph.edges.get(fid, []):
-                callee_info = graph.functions.get(callee)
-                if callee_info is None:
-                    continue
-                if is_wall_clock_allowed(callee_info.module):
-                    continue
-                incoming = hazard.get(callee, set()) - mine
-                if incoming:
-                    for effect in sorted(incoming):
-                        mine.add(effect)
-                        project.hazard_via.setdefault((fid, effect), callee)
-                    changed = True
-    project.caches["det006"] = hazard
-    return hazard
-
-
-def _hazard_chain(ctx: FileContext, fid: str, effect: str) -> str:
-    """Witness chain through the hazard closure (falls back to effect via)."""
-    project = ctx.project
-    assert project is not None
-    graph, effects = project.graph, project.effects
-    parts: list[str] = []
-    current: Optional[str] = fid
-    seen: set[str] = set()
-    while current is not None and current not in seen:
-        seen.add(current)
-        info = graph.functions.get(current)
-        parts.append(info.qualname if info is not None else current)
-        witness = project.hazard_via.get((current, effect))
-        if witness is None:
-            # seed function: finish with the direct leaf label
-            leaf = effects.via.get((current, effect))
-            if leaf is not None and leaf not in graph.functions:
-                parts.append(leaf)
-            break
-        current = witness
-    return " -> ".join(parts)
-
-
-def check_det006(ctx: FileContext) -> list[Diagnostic]:
-    """Sim-path call sites whose resolved callee reaches a hazard."""
-    if ctx.project is None or not is_sim_path(ctx.module):
-        return []
-    hazard = _det006_closure(ctx)
-    graph = ctx.project.graph
+    scopes = [
+        scope
+        for scope in PURITY_SCOPES
+        if scope.code in codes and scope.forbidden(ctx.module)
+    ]
     findings = []
-    for func in _file_functions(ctx):
-        for record in graph.calls.get(func.fid, []):
-            if record.target is None:
+
+    def report(scope: PurityScope, node: ast.AST, **fields: str) -> None:
+        findings.append(
+            Diagnostic(
+                path=ctx.path,
+                line=node.lineno,
+                col=node.col_offset,
+                code=scope.code,
+                message=scope.message.format(**fields),
+                module=ctx.module,
+            )
+        )
+
+    direct = [scope for scope in scopes if not scope.transitive]
+    if direct:
+        for node in ctx.walk():
+            if not isinstance(node, ast.Call):
                 continue
-            for effect in _HAZARDS:
-                if effect not in hazard.get(record.target, ()):
+            qualified = ctx.imports.resolve(node.func)
+            effect = purity_effect(qualified)
+            for scope in direct:
+                if effect in scope.effects:
+                    report(scope, node, call=f"{qualified}()", module=ctx.module)
+
+    graph, effects = ctx.project.graph, ctx.project.effects
+    for scope in scopes:
+        if not scope.transitive:
+            continue
+        for func in _file_functions(ctx):
+            for record in graph.calls.get(func.fid, []):
+                if record.target is None:
                     continue
-                callee = graph.functions[record.target]
-                chain = _hazard_chain(ctx, record.target, effect)
-                findings.append(
-                    Diagnostic(
-                        path=ctx.path,
-                        line=record.node.lineno,
-                        col=record.node.col_offset,
-                        code="DET006",
-                        message=(
-                            f"sim-path function {func.qualname} reaches a "
-                            f"{_HAZARD_LABEL[effect]} effect via "
-                            f"{callee.module}: {chain}"
-                        ),
-                        module=ctx.module,
-                    )
-                )
+                for effect in scope.effects:
+                    if effect in effects.closure[record.target]:
+                        report(
+                            scope,
+                            record.node,
+                            function=func.qualname,
+                            hazard=_HAZARD_LABEL[effect],
+                            via=graph.functions[record.target].module,
+                            chain=effects.chain(record.target, effect),
+                        )
     return findings
 
 
@@ -188,10 +137,9 @@ def check_asy001(ctx: FileContext) -> list[Diagnostic]:
     call sites, so the finding lands where the blocking actually enters
     the loop.
     """
-    project = ctx.project
-    if project is None or not is_live_service(ctx.module):
+    if not is_live_service(ctx.module):
         return []
-    graph, effects = project.graph, project.effects
+    graph, effects = ctx.project.graph, ctx.project.effects
     findings = []
     for func in _file_functions(ctx):
         if not func.is_async:
@@ -268,8 +216,7 @@ def check_asy002(ctx: FileContext) -> list[Diagnostic]:
     attribute between the check and the act.  Purely intraprocedural and
     line-ordered — a mutation *before* the first await is fine.
     """
-    project = ctx.project
-    if project is None or not is_live_service(ctx.module):
+    if not is_live_service(ctx.module):
         return []
     findings = []
     for func in _file_functions(ctx):
@@ -361,10 +308,8 @@ class _WalChecker:
     def __init__(self, ctx: FileContext, func: FunctionInfo) -> None:
         self.ctx = ctx
         self.func = func
-        project = ctx.project
-        assert project is not None
-        self.graph = project.graph
-        self.effects = project.effects
+        self.graph = ctx.project.graph
+        self.effects = ctx.project.effects
         self.records = {
             id(record.node): record for record in self.graph.calls.get(func.fid, [])
         }
@@ -448,7 +393,7 @@ def check_wal001(ctx: FileContext) -> list[Diagnostic]:
     optional-recorder idiom).  The soundness trade-offs are documented in
     docs/static_analysis.md.
     """
-    if ctx.project is None or not is_journaled_act_scope(ctx.module):
+    if not is_journaled_act_scope(ctx.module):
         return []
     findings = []
     for func in _file_functions(ctx):

@@ -11,12 +11,6 @@ dispatching/preempting accordingly, and records every outcome in a
 from repro.site.accounting import TaskRecord, YieldLedger
 from repro.site.admission import AcceptAll, AdmissionDecision, SlackAdmission
 from repro.site.driver import SiteResult, simulate_site
-from repro.site.policies import (
-    SitePolicy,
-    economy_policy,
-    millennium_policy,
-    run_all_policy,
-)
 from repro.site.processors import ProcessorPool
 from repro.site.service import TaskServiceSite
 
@@ -24,14 +18,10 @@ __all__ = [
     "AcceptAll",
     "AdmissionDecision",
     "ProcessorPool",
-    "SitePolicy",
     "SiteResult",
     "SlackAdmission",
     "TaskRecord",
     "TaskServiceSite",
     "YieldLedger",
-    "economy_policy",
-    "millennium_policy",
-    "run_all_policy",
     "simulate_site",
 ]

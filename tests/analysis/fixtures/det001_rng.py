@@ -37,3 +37,12 @@ def good_draws(streams: RandomStreams, n: int) -> list[float]:
 def annotations_only(generator: np.random.Generator) -> np.random.Generator:
     # referencing numpy.random types without calling them is fine
     return generator
+
+
+# module-level and class-body code is scanned too: the rule reads every
+# call in the file, not only those inside a function the call graph indexes
+random.seed(0)  # expect: DET001
+
+
+class SeededAtImport:
+    random.seed(0)  # expect: DET001

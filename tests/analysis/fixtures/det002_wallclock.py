@@ -22,3 +22,11 @@ def good_timestamps(sim: Simulator) -> list[float]:
     stamps.append(sim.now + 5.0)
     # time.sleep is not a *read* (and would be its own kind of bug)
     return stamps
+
+
+# module-level and class-body reads run at import time — still sim-path
+IMPORTED_AT = time.time()  # expect: DET002
+
+
+class StampedAtImport:
+    created = time.time()  # expect: DET002

@@ -2,6 +2,8 @@
 
 import json
 import os
+import pickle
+from concurrent.futures import wait
 
 import pytest
 
@@ -19,7 +21,7 @@ from repro.experiments.parallel import (
     resolve_workers,
     run_site_cell,
 )
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import EXPERIMENTS, run_experiment
 
 #: Small enough to keep the process-pool tests in seconds.
 TINY_FIG6 = dict(
@@ -123,12 +125,44 @@ class TestByteIdentity:
         parallel = run_experiment("resilience", workers=4, **TINY_RESILIENCE)
         assert payload_bytes(parallel) == payload_bytes(serial)
 
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_every_experiment_workers2_identical_to_serial(self, name):
+        """Every registered experiment crosses the process boundary: a
+        cell that does not pickle fails here, whatever it closes over."""
+        tiny = dict(n_jobs=60, seeds=(0,))
+        serial = run_experiment(name, **tiny)
+        parallel = run_experiment(name, workers=2, **tiny)
+        assert payload_bytes(parallel) == payload_bytes(serial)
+
     def test_workers_env_is_honoured(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "2")
         via_env = run_experiment("fig6", **TINY_FIG6)
         monkeypatch.delenv(WORKERS_ENV)
         serial = run_experiment("fig6", **TINY_FIG6)
         assert payload_bytes(via_env) == payload_bytes(serial)
+
+
+class TestUnpicklableCells:
+    """At workers > 1 a cell that cannot pickle raises — callable or
+    argument — instead of running inline or hanging the pool."""
+
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            pytest.param(lambda ex: ex.submit(lambda: 41), id="lambda-callable"),
+            pytest.param(
+                lambda ex: ex.submit(sorted, [2, 1], key=lambda v: v),
+                id="lambda-argument",
+            ),
+        ],
+    )
+    def test_raises_rather_than_hangs(self, cell):
+        with CellExecutor(2) as ex:
+            handle = cell(ex)
+            done, _pending = wait([handle._future], timeout=60)
+            assert done, "unpicklable cell hung the pool"
+            with pytest.raises((pickle.PicklingError, AttributeError), match="pickle"):
+                handle.result()
 
 
 class TestObservabilityGuard:

@@ -1,5 +1,6 @@
 """FaultSpec validation, sampling, and the survival models."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from repro.faults import (
     WeibullSurvival,
     survival_for,
 )
+from repro.resilience import ResilienceConfig
 from repro.sim.rng import RandomStreams
 
 
@@ -50,6 +52,17 @@ class TestValidation:
 
     def test_infinite_mttf_is_legal(self):
         assert spec(mttf=math.inf).mttf == math.inf
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [(spec(), "mttf"), (ResilienceConfig(), "enabled")],
+        ids=["FaultSpec", "ResilienceConfig"],
+    )
+    def test_configs_refuse_assignment(self, config, field):
+        """Frozen configs fail loudly on the offending line — the runtime
+        guard the removed lint rule CFG001 duplicated."""
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, field, getattr(config, field))
 
 
 class TestSampling:
