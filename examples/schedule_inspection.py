@@ -16,7 +16,7 @@ import numpy as np
 from repro import FCFS, FirstReward, Simulator, Task, TaskServiceSite
 from repro.analysis import SiteTimeline, render_gantt, run_report
 from repro.analysis.report import format_report
-from repro.obs import MetricsRegistry, Observability
+from repro.obs import Observability
 from repro.valuefn import LinearDecayValueFunction
 
 
@@ -47,7 +47,7 @@ def build_tasks() -> list[Task]:
 
 def run_and_render(label: str, heuristic, preemption: bool) -> None:
     sim = Simulator()
-    obs = Observability(registry=MetricsRegistry())
+    obs = Observability()
     site = TaskServiceSite(
         sim, processors=2, heuristic=heuristic, preemption=preemption, obs=obs
     )

@@ -10,9 +10,15 @@ over HTTP the way a client would, and asserts the whole lifecycle:
 3. completion documents carry the full ``TASK_STATUS_KEYS`` schema;
 4. one hostile bid whose ``argv`` cannot be spawned settles as a failed
    run and gives its slot back (it is not a service error);
-5. SIGTERM drains in-flight work and exits 0;
-6. the flight recording audits clean, and the Chrome-trace and metrics
-   artifacts are written and non-trivial.
+5. SIGTERM drains in-flight work and exits 0, and the Chrome-trace and
+   metrics artifacts are written and non-trivial;
+6. the journal (``--journal … --fsync off``, the best-effort recording)
+   closes the loop offline: ``repro audit`` exits 0 on it — wall-clock
+   header, every bid and settlement on the record, every conservation
+   law held — and exits 1 on a deliberately corrupted copy;
+7. ``repro replay`` re-runs the recorded workload under the recorded
+   policy plus a risk-seeking alternative and writes the A/B table
+   artifact.
 
 Usage::
 
@@ -32,11 +38,11 @@ import sys
 import time
 import urllib.request
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ENV = {**os.environ, "PYTHONPATH": os.path.join(REPO, "src")}
+sys.path.insert(0, ENV["PYTHONPATH"])
 
-from repro.audit import audit_recording  # noqa: E402
 from repro.live.api import TASK_STATUS_KEYS  # noqa: E402
-from repro.obs.flight import read_recording  # noqa: E402
 
 RATE = 500.0
 SLOTS = 2
@@ -52,6 +58,15 @@ def http(port: int, method: str, path: str, payload=None):
         return json.loads(response.read())
 
 
+def repro(*argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        env=ENV,
+        capture_output=True,
+        text=True,
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--bids", type=int, default=24)
@@ -62,7 +77,9 @@ def main(argv=None) -> int:
     port_file = os.path.join(args.artifacts, "serve.port")
     trace_out = os.path.join(args.artifacts, "live_trace.json")
     metrics_out = os.path.join(args.artifacts, "live_metrics.json")
-    flight_out = os.path.join(args.artifacts, "live_flight.jsonl")
+    journal = os.path.join(args.artifacts, "live_flight.jsonl")
+    audit_out = os.path.join(args.artifacts, "audit_report.json")
+    replay_out = os.path.join(args.artifacts, "replay_ab.json")
 
     proc = subprocess.Popen(
         [
@@ -74,9 +91,10 @@ def main(argv=None) -> int:
             "--drain-grace", "30",
             "--trace-out", trace_out,
             "--metrics-out", metrics_out,
-            "--flight-out", flight_out,
+            "--journal", journal,
+            "--fsync", "off",
         ],
-        env={**os.environ, "PYTHONPATH": "src"},
+        env=ENV,
     )
     try:
         deadline = time.monotonic() + 20
@@ -136,15 +154,55 @@ def main(argv=None) -> int:
         code = proc.wait(timeout=60)
         assert code == 0, f"serve exited {code} after SIGTERM"
 
-        report = audit_recording(read_recording(flight_out))
-        assert report.ok, f"recording does not audit clean: {report.violations}"
         with open(trace_out) as handle:
             trace = json.load(handle)
         events = trace["traceEvents"] if isinstance(trace, dict) else trace
         assert len(events) >= len(accepted), "trace has fewer spans than tasks"
         with open(metrics_out) as handle:
             assert json.load(handle), "metrics snapshot is empty"
-        print(f"live_smoke: ok — clean drain, {len(events)} trace events")
+        print(f"live_smoke: clean drain, {len(events)} trace events")
+
+        # --- audit: the live ledger must be clean --------------------
+        audit = repro("audit", journal, "--out", audit_out)
+        print(audit.stdout, end="")
+        assert audit.returncode == 0, f"repro audit exited {audit.returncode}"
+        with open(audit_out) as handle:
+            report = json.load(handle)
+        assert report["ok"] and report["clock"] == "wall"
+        assert report["counts"]["bids"] == len(results) + 1
+        assert report["counts"]["settlements"] == len(accepted) + 1
+
+        # --- audit must also CATCH a cooked ledger -------------------
+        corrupted = os.path.join(args.artifacts, "flight_corrupted.jsonl")
+        with open(journal) as handle:
+            lines = handle.read().splitlines()
+        duplicate = next(l for l in lines if '"settlement"' in l)
+        with open(corrupted, "w") as handle:
+            handle.write("\n".join(lines + [duplicate]) + "\n")
+        cooked = repro("audit", corrupted)
+        assert cooked.returncode == 1, (
+            f"audit missed the cooked ledger (exit {cooked.returncode})"
+        )
+        assert "duplicate_settlement" in cooked.stdout
+        print("live_smoke: corrupted ledger correctly rejected")
+
+        # --- replay: A/B the recorded policy vs a risk-seeker --------
+        replay = repro(
+            "replay", journal,
+            "--policy", "recorded",
+            "--policy", "risky:threshold=0",
+            "--out", replay_out,
+        )
+        print(replay.stdout, end="")
+        assert replay.returncode == 0, f"repro replay exited {replay.returncode}"
+        with open(replay_out) as handle:
+            doc = json.load(handle)
+        rows = {row["policy"] for row in doc["table"]}
+        assert rows == {"recorded", "risky"}, rows
+        assert doc["divergence"]["recorded"]["changed_bids"] == 0, (
+            "same-policy replay diverged from the recording"
+        )
+        print("live_smoke: ok — recording audited clean and replayed under 2 policies")
         return 0
     except AssertionError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)

@@ -156,7 +156,7 @@ def _live_session(scratch: str) -> None:
     from repro.live.api import ApiError, parse_bid_body
     from repro.live.config import LiveSiteSpec, default_config
     from repro.live.recovery import apply_recovery, plan_recovery
-    from repro.obs import MetricsRegistry, Observability
+    from repro.obs import Observability
     from repro.obs.flight import FlightRecorder, JournalSink, read_recording
     from repro.sim import Coroutine, SimClock, Simulator
     from tests.live.scripted import scripted_service
@@ -177,7 +177,7 @@ def _live_session(scratch: str) -> None:
         )
         service, executors = scripted_service(
             config, clock=SimClock(sim), flight=flight,
-            obs=Observability(registry=MetricsRegistry()),
+            obs=Observability(),
         )
         return service, executors, flight
 

@@ -20,6 +20,7 @@ import time
 from typing import Optional, Sequence
 
 from repro import __version__
+from repro.errors import ReproError
 from repro.experiments.runner import EXPERIMENTS, run_experiment, shape_report
 
 #: Flags shared by several subcommands, defined once so every parser
@@ -194,33 +195,16 @@ def _make_obs(args):
     """Build the observability attachment the output flags ask for."""
     if not (args.trace_out or args.metrics_out):
         return None
-    from repro.obs import MetricsRegistry, Observability
+    from repro.obs import Observability
 
-    return Observability(
-        registry=MetricsRegistry(),
-        spans=args.trace_out is not None,
-    )
+    return Observability(spans=args.trace_out is not None)
 
 
 def _write_obs(obs, args) -> None:
-    if args.trace_out:
-        from repro.obs import write_chrome_trace
+    from repro.obs import write_artifacts
 
-        spans = obs.spans
-        write_chrome_trace(spans.finished, args.trace_out, dropped=spans.dropped)
-        suffix = f", {spans.dropped} dropped" if spans.dropped else ""
-        print(f"  wrote {args.trace_out} ({len(spans)} spans{suffix})")
-    if args.metrics_out:
-        import json
-        import os
-
-        directory = os.path.dirname(args.metrics_out)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(args.metrics_out, "w") as handle:
-            json.dump(obs.snapshot(), handle, sort_keys=True, indent=1)
-            handle.write("\n")
-        print(f"  wrote {args.metrics_out}")
+    for line in write_artifacts(obs, args.trace_out, args.metrics_out):
+        print(f"  {line}")
 
 
 def _run_one(name: str, args) -> int:
@@ -336,6 +320,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         return lint_main(argv[1:])
     args = _build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ReproError as exc:
+        # a bad flag value the library refused: a usage error, like
+        # argparse's own (exit 2), not a traceback
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args) -> int:
     if args.command == "list":
         for name, definition in EXPERIMENTS.items():
             print(f"{name}: {definition.description}")

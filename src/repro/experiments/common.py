@@ -1,16 +1,12 @@
-"""Shared experiment plumbing: result container and replication helpers."""
+"""Shared experiment plumbing: the figure result container."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from typing import Optional, Sequence
 
 from repro.errors import ExperimentError
 from repro.metrics.tables import format_table
-from repro.scheduling.base import SchedulingHeuristic
-from repro.workload.spec import WorkloadSpec
 
 
 @dataclass
@@ -50,29 +46,3 @@ class FigureResult:
         if len(matches) != 1:
             raise ExperimentError(f"lookup{coords} matched {len(matches)} rows")
         return matches[0]
-
-
-def mean_yield(
-    spec: WorkloadSpec,
-    heuristic_factory: Callable[[], SchedulingHeuristic],
-    seeds: Sequence[int],
-    metric: str = "total_yield",
-    **site_kwargs,
-) -> float:
-    """Average a site metric over per-seed traces of *spec*.
-
-    ``heuristic_factory`` is called per run so heuristics never share
-    mutable state across replications.  Each seed runs the same
-    :func:`repro.experiments.parallel.simulate_cell_metric` core the
-    worker-process cells use, so this serial helper and the ``--workers``
-    fan-out are numerically one code path.
-    """
-    from repro.experiments.parallel import simulate_cell_metric
-
-    if not seeds:
-        raise ExperimentError("at least one seed is required")
-    values = [
-        simulate_cell_metric(spec, heuristic_factory(), seed, metric, **site_kwargs)
-        for seed in seeds
-    ]
-    return float(np.mean(values))

@@ -9,10 +9,11 @@ discounts) still pay off?
 Two policies run over a common MTTF sweep:
 
 ``firstreward-ac``
-    FirstReward(α) with slack admission control *plus* the
-    ``repro.faults`` risk-pricing knobs: candidate scores discounted by
-    P(node survives the RPT) and the required slack inflated per unit of
-    believed RPT.  This is the "risk-aware" site.
+    FirstReward(α) wrapped in a
+    :class:`~repro.scheduling.survival.SurvivalDiscount` (candidate
+    scores discounted by P(node survives the RPT)) under
+    ``SlackAdmission(slack_inflation=…)`` (the required slack inflated
+    per unit of believed RPT).  This is the "risk-aware" site.
 ``firstprice-noac``
     Plain FirstPrice with no admission control and no failure awareness
     — the "risk-oblivious" site the paper's Figure 6 also uses as its
@@ -91,14 +92,6 @@ def _one_run(
 def run_faults(
     n_jobs: int = 600,
     seeds: Sequence[int] = (0, 1),
-    mttfs: Sequence[float] = MTTFS,
-    alpha: float = ALPHA,
-    mttr: float = MTTR,
-    restart: str = "requeue",
-    processors: int = 16,
-    load_factor: float = LOAD_FACTOR,
-    slack_threshold: float = SLACK_THRESHOLD,
-    slack_inflation: float = SLACK_INFLATION,
     workers: Optional[int] = None,
 ) -> FigureResult:
     """Sweep MTTF; one row per (policy, mttf) averaged over *seeds*."""
@@ -107,13 +100,13 @@ def run_faults(
         title="Total yield vs node MTTF: risk-aware vs risk-oblivious pricing",
         notes=[
             f"economy mix: value skew {VALUE_SKEW}, decay skew {DECAY_SKEW}, "
-            f"unbounded penalties, load factor {load_factor:g}, "
+            f"unbounded penalties, load factor {LOAD_FACTOR:g}, "
             f"n={n_jobs}, seeds={list(seeds)}",
-            f"faults: mttr={mttr:g}, restart={restart}, exponential TTF/TTR, "
+            f"faults: mttr={MTTR:g}, restart=requeue, exponential TTF/TTR, "
             f"common random numbers across the MTTF axis",
-            f"firstreward-ac: alpha={alpha:g}, slack threshold "
-            f"{slack_threshold:g}, survival discount on, slack inflation "
-            f"{slack_inflation:g}/unit RPT; firstprice-noac: no admission, "
+            f"firstreward-ac: alpha={ALPHA:g}, slack threshold "
+            f"{SLACK_THRESHOLD:g}, survival discount on, slack inflation "
+            f"{SLACK_INFLATION:g}/unit RPT; firstprice-noac: no admission, "
             f"no failure awareness",
         ],
     )
@@ -121,35 +114,30 @@ def run_faults(
         n_jobs=n_jobs,
         value_skew=VALUE_SKEW,
         decay_skew=DECAY_SKEW,
-        load_factor=load_factor,
-        processors=processors,
+        load_factor=LOAD_FACTOR,
+        processors=16,
         penalty_bound=None,
+    )
+    firstreward = ("firstreward", {"alpha": ALPHA, "discount_rate": DISCOUNT_RATE})
+    slack = (
+        "slack",
+        {
+            "threshold": SLACK_THRESHOLD,
+            "discount_rate": DISCOUNT_RATE,
+            "slack_inflation": SLACK_INFLATION,
+        },
     )
     with CellExecutor(workers) as ex:
         cells = {}
-        for mttf in mttfs:
-            aware = FaultSpec(
-                mttf=mttf,
-                mttr=mttr,
-                restart=restart,
-                survival_discount=True,
-                slack_inflation=slack_inflation,
-            )
-            oblivious = FaultSpec(mttf=mttf, mttr=mttr, restart=restart)
-            for policy, faults, heuristic, admission in (
+        for mttf in MTTFS:
+            faults = FaultSpec(mttf=mttf, mttr=MTTR, restart="requeue")
+            for policy, heuristic, admission in (
                 (
                     "firstreward-ac",
-                    aware,
-                    ("firstreward", {"alpha": alpha, "discount_rate": DISCOUNT_RATE}),
-                    (
-                        "slack",
-                        {
-                            "threshold": slack_threshold,
-                            "discount_rate": DISCOUNT_RATE,
-                        },
-                    ),
+                    ("survival", {"inner": firstreward, "mttf": mttf}),
+                    slack,
                 ),
-                ("firstprice-noac", oblivious, ("firstprice", {}), None),
+                ("firstprice-noac", ("firstprice", {}), None),
             ):
                 cells[mttf, policy] = mean_rows_of(
                     [
@@ -157,7 +145,7 @@ def run_faults(
                         for seed in seeds
                     ]
                 )
-        for mttf in mttfs:
+        for mttf in MTTFS:
             for policy in ("firstreward-ac", "firstprice-noac"):
                 result.rows.append(
                     {"policy": policy, "mttf": mttf, **cells[mttf, policy].result()}

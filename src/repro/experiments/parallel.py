@@ -175,10 +175,22 @@ class CellExecutor:
 # ----------------------------------------------------------------------
 
 def build_heuristic(descriptor: Descriptor):
-    """Resolve a ``(name, params)`` heuristic descriptor via the registry."""
+    """Resolve a ``(name, params)`` heuristic descriptor via the registry.
+
+    ``("survival", {"inner": descriptor, "mttf": m})`` names the
+    failure-aware wrapper: the inner heuristic's scores discounted by an
+    exponential node lifetime of mean *m*.
+    """
     from repro.scheduling.registry import make_heuristic
 
     name, params = descriptor
+    if name == "survival":
+        from repro.faults.survival import ExponentialSurvival
+        from repro.scheduling.survival import SurvivalDiscount
+
+        return SurvivalDiscount(
+            build_heuristic(params["inner"]), ExponentialSurvival(params["mttf"])
+        )
     return make_heuristic(name, **params)
 
 
@@ -194,38 +206,6 @@ def build_admission(descriptor: Optional[Descriptor]):
     return SlackAdmission(**params)
 
 
-def simulate_cell_metric(
-    spec,
-    heuristic,
-    seed: int,
-    metric: str = "total_yield",
-    admission=None,
-    **site_kwargs,
-) -> float:
-    """The per-seed core every figure cell runs: fresh trace, one site
-    simulation, one scalar metric.
-
-    *heuristic* and *admission* are constructed objects here;
-    :func:`run_site_cell` is the descriptor-taking picklable wrapper and
-    :func:`repro.experiments.common.mean_yield` the serial factory-taking
-    one — both funnel through this function, so the serial and parallel
-    paths cannot drift apart.
-    """
-    from repro.site.driver import simulate_site
-    from repro.workload.generator import generate_trace
-
-    trace = generate_trace(spec, seed=seed)
-    result = simulate_site(
-        trace,
-        heuristic,
-        processors=spec.processors,
-        admission=admission,
-        keep_records=False,
-        **site_kwargs,
-    )
-    return getattr(result, metric)
-
-
 def run_site_cell(
     spec,
     heuristic: Descriptor,
@@ -234,15 +214,21 @@ def run_site_cell(
     admission: Optional[Descriptor] = None,
     **site_kwargs,
 ) -> float:
-    """One seeded trace-through-site simulation; the universal figure cell."""
-    return simulate_cell_metric(
-        spec,
+    """The universal figure cell: fresh seeded trace, one site
+    simulation, one scalar metric."""
+    from repro.site.driver import simulate_site
+    from repro.workload.generator import generate_trace
+
+    trace = generate_trace(spec, seed=seed)
+    result = simulate_site(
+        trace,
         build_heuristic(heuristic),
-        seed,
-        metric,
-        build_admission(admission),
+        processors=spec.processors,
+        admission=build_admission(admission),
+        keep_records=False,
         **site_kwargs,
     )
+    return getattr(result, metric)
 
 
 def submit_mean_yield(
@@ -254,11 +240,7 @@ def submit_mean_yield(
     admission: Optional[Descriptor] = None,
     **site_kwargs,
 ) -> FoldHandle:
-    """Fan one figure cell's seeds out through *ex*; resolves to the mean.
-
-    The executor-routed analogue of
-    :func:`repro.experiments.common.mean_yield`.
-    """
+    """Fan one figure cell's seeds out through *ex*; resolves to the mean."""
     if not seeds:
         raise ExperimentError("at least one seed is required")
     return mean_of(

@@ -4,8 +4,8 @@ One daemon :class:`~repro.sim.coroutine.Coroutine` per node alternates
 
     up for TTF  →  crash  →  down for TTR  →  repair  →  up for TTF …
 
-with TTF/TTR drawn from the :class:`~repro.faults.FaultSpec`'s
-distributions on a dedicated named RNG stream per node (so adding or
+with exponential TTF/TTR of the :class:`~repro.faults.FaultSpec`'s
+means drawn on a dedicated named RNG stream per node (so adding or
 removing nodes never perturbs another node's fault trace, and the same
 (seed, node) pair always crashes at the same times).
 
@@ -46,7 +46,7 @@ class FaultInjector:
     sim:
         The simulation kernel.
     spec:
-        Fault model configuration (MTTF/MTTR, distributions).
+        Fault model configuration (MTTF/MTTR).
     node_ids:
         Stable node identities to inject faults on (see
         :meth:`repro.site.processors.ProcessorPool.node_ids_of`).
@@ -85,17 +85,10 @@ class FaultInjector:
         self.stream_prefix = stream_prefix
         self.obs = obs
         self._down_count = 0
-        self.loops: list[Coroutine] = []
-        if spec.enabled:
-            for node_id in node_ids:
-                self.loops.append(
-                    Coroutine(
-                        sim,
-                        self._node_loop(int(node_id)),
-                        name=f"fault:{node_id}",
-                        daemon=True,
-                    )
-                )
+        self.loops = [
+            Coroutine(sim, self._node_loop(int(node_id)), name=f"fault:{node_id}", daemon=True)
+            for node_id in node_ids
+        ]
 
     @classmethod
     def on_site(

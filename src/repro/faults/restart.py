@@ -5,8 +5,6 @@ completion event, then delegates the task's fate to a policy:
 
 * :class:`RequeueRestart` — run again from scratch; all completed work
   is lost (the classic no-checkpoint model).
-* :class:`CheckpointRestart` — completed work up to the last checkpoint
-  survives; resuming costs a configurable reload overhead.
 * :class:`AbandonRestart` — breach the contract: the task is cancelled
   and the site pays the value function's floor.  A task with unbounded
   penalties cannot legally be breached (an infinite payout), so abandon
@@ -22,9 +20,8 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
-from repro.errors import SimulationError
 from repro.faults.spec import FaultSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -40,17 +37,15 @@ class CrashOutcome:
     penalty: float = 0.0  # breach penalty paid (positive magnitude)
 
 
-def _progress(task: "Task", now: float) -> tuple[float, float]:
-    """(total completed work, believed completed work) at crash time *now*.
+def _progress(task: "Task", now: float) -> float:
+    """Total completed work at crash time *now*.
 
     ``task.remaining`` is the true remaining as of the last dispatch, so
     total progress = runtime − (remaining − executed-since-start).
     """
     assert task.last_start is not None
     executed = max(0.0, now - task.last_start)
-    done_true = task.runtime - max(0.0, task.remaining - executed)
-    done_believed = task.estimate - max(0.0, task.estimated_remaining - executed)
-    return max(0.0, done_true), max(0.0, done_believed)
+    return max(0.0, task.runtime - max(0.0, task.remaining - executed))
 
 
 class RestartPolicy(abc.ABC):
@@ -72,53 +67,9 @@ class RequeueRestart(RestartPolicy):
     name = "requeue"
 
     def on_crash(self, task: "Task", now: float) -> CrashOutcome:
-        done, _ = _progress(task, now)
-        task.crash(now, remaining=task.runtime, estimated_remaining=task.estimate)
+        done = _progress(task, now)
+        task.crash(now)
         return CrashOutcome(requeued=True, work_lost=done)
-
-
-class CheckpointRestart(RestartPolicy):
-    """Resume from the last checkpoint, paying a reload overhead.
-
-    Parameters
-    ----------
-    overhead:
-        Extra processing time added when the task resumes (state reload).
-    interval:
-        Checkpoint cadence; progress past the last full interval is
-        lost.  ``None`` models continuous checkpointing.
-    """
-
-    name = "checkpoint"
-
-    def __init__(self, overhead: float = 0.0, interval: Optional[float] = None) -> None:
-        if overhead < 0:
-            raise SimulationError(f"checkpoint overhead must be >= 0, got {overhead!r}")
-        if interval is not None and not interval > 0:
-            raise SimulationError(f"checkpoint interval must be > 0, got {interval!r}")
-        self.overhead = float(overhead)
-        self.interval = None if interval is None else float(interval)
-
-    def _retained(self, done: float) -> float:
-        if self.interval is None:
-            return done
-        return math.floor(done / self.interval) * self.interval
-
-    def on_crash(self, task: "Task", now: float) -> CrashOutcome:
-        done_true, done_believed = _progress(task, now)
-        keep_true = self._retained(done_true)
-        # the believed view retains the same wall-clock checkpoint
-        keep_believed = min(done_believed, keep_true)
-        task.crash(
-            now,
-            remaining=task.runtime - keep_true + self.overhead,
-            estimated_remaining=max(0.0, task.estimate - keep_believed) + self.overhead,
-        )
-        return CrashOutcome(requeued=True, work_lost=done_true - keep_true + self.overhead)
-
-    def __repr__(self) -> str:
-        interval = "continuous" if self.interval is None else f"{self.interval:g}"
-        return f"<CheckpointRestart overhead={self.overhead:g} interval={interval}>"
 
 
 class AbandonRestart(RestartPolicy):
@@ -136,17 +87,11 @@ class AbandonRestart(RestartPolicy):
     def on_crash(self, task: "Task", now: float) -> CrashOutcome:
         if math.isinf(task.vf.floor):
             return self._fallback.on_crash(task, now)
-        done, _ = _progress(task, now)
+        done = _progress(task, now)
         floor = task.cancel(now)
         return CrashOutcome(requeued=False, work_lost=done, penalty=max(0.0, -floor))
 
 
 def make_restart_policy(spec: FaultSpec) -> RestartPolicy:
     """Build the restart policy a :class:`FaultSpec` names."""
-    if spec.restart == "requeue":
-        return RequeueRestart()
-    if spec.restart == "checkpoint":
-        return CheckpointRestart(spec.checkpoint_overhead, spec.checkpoint_interval)
-    if spec.restart == "abandon":
-        return AbandonRestart()
-    raise SimulationError(f"unknown restart policy {spec.restart!r}")
+    return {"requeue": RequeueRestart, "abandon": AbandonRestart}[spec.restart]()

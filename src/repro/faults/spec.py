@@ -1,12 +1,12 @@
 """Fault-model configuration.
 
-A :class:`FaultSpec` is the single switchboard for the reliability
-subsystem: per-node crash/repair cycles (MTTF/MTTR and their
-distributions), the restart policy applied to tasks killed by a crash,
-and the failure-aware pricing knobs (survival discount, slack
-inflation).  Everything defaults to *off* — a site built without a
-FaultSpec (or with ``enabled=False``) behaves bit-identically to the
-fault-free engine.
+A :class:`FaultSpec` describes failures and nothing else: per-node
+crash/repair cycles (exponential, means MTTF/MTTR) and the restart
+policy applied to tasks a crash kills.  How a site *prices* that risk is
+policy, named where every other policy is named — a
+:class:`~repro.scheduling.survival.SurvivalDiscount`-wrapped heuristic,
+``SlackAdmission(slack_inflation=…)``.  "No faults" is ``faults=None``:
+a site built without a FaultSpec is the fault-free engine, bit for bit.
 
 Crash and repair times are drawn by inverse-transform sampling on the
 seeded per-node RNG streams, so two runs that differ only in MTTF
@@ -19,17 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from repro.errors import SimulationError
 
 #: Restart policy names accepted by :func:`repro.faults.restart.make_restart_policy`.
-RESTART_POLICIES = ("requeue", "checkpoint", "abandon")
-
-#: Time-to-failure / time-to-repair distribution families.
-FAULT_DISTRIBUTIONS = ("exponential", "weibull")
+RESTART_POLICIES = ("requeue", "abandon")
 
 
 @dataclass(frozen=True)
@@ -39,81 +35,30 @@ class FaultSpec:
     Parameters
     ----------
     mttf:
-        Mean time to failure per node (time units of the simulation).
+        Mean time to failure per node (time units of the simulation),
+        exponentially distributed — the memoryless availability model.
         ``math.inf`` disables crashes while keeping the wiring active.
     mttr:
-        Mean time to repair per node.
-    enabled:
-        Master switch; ``False`` is exactly the fault-free engine.
-    ttf_distribution / ttr_distribution:
-        ``"exponential"`` (memoryless, the classic availability model) or
-        ``"weibull"`` (shape ``weibull_shape``; >1 models wear-out).
-    weibull_shape:
-        Shape parameter used when either distribution is Weibull.
+        Mean time to repair per node (exponential).
     restart:
-        What happens to a task killed by a node crash — one of
-        ``"requeue"`` (from scratch: all progress lost),
-        ``"checkpoint"`` (progress up to the last checkpoint survives,
-        plus ``checkpoint_overhead`` to reload), or ``"abandon"``
-        (breach the contract and pay the value-function floor; falls
-        back to requeue for unbounded-penalty tasks, which cannot
-        legally be breached).
-    checkpoint_overhead:
-        Extra work (time units) added on resume under ``"checkpoint"``.
-    checkpoint_interval:
-        Checkpoint cadence; progress since the last multiple of this
-        interval is lost on a crash.  ``None`` checkpoints continuously
-        (only the overhead is paid).
-    survival_discount:
-        When True, the driver wraps the site heuristic in
-        :class:`repro.scheduling.survival.SurvivalDiscount` so candidate
-        scores are multiplied by P(node survives the task's RPT).
-    slack_inflation:
-        Per-RPT-unit inflation of the admission slack requirement
-        (see :class:`repro.site.admission.SlackAdmission`); 0 is off.
+        What happens to a task killed by a node crash — ``"requeue"``
+        (from scratch: all progress lost) or ``"abandon"`` (breach the
+        contract and pay the value-function floor; falls back to requeue
+        for unbounded-penalty tasks, which cannot legally be breached).
     """
 
     mttf: float
     mttr: float
-    enabled: bool = True
-    ttf_distribution: str = "exponential"
-    ttr_distribution: str = "exponential"
-    weibull_shape: float = 1.5
     restart: str = "requeue"
-    checkpoint_overhead: float = 0.0
-    checkpoint_interval: Optional[float] = None
-    survival_discount: bool = False
-    slack_inflation: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.mttf > 0 or math.isnan(self.mttf):
             raise SimulationError(f"mttf must be > 0, got {self.mttf!r}")
         if not (math.isfinite(self.mttr) and self.mttr >= 0):
             raise SimulationError(f"mttr must be finite and >= 0, got {self.mttr!r}")
-        for kind in (self.ttf_distribution, self.ttr_distribution):
-            if kind not in FAULT_DISTRIBUTIONS:
-                raise SimulationError(
-                    f"unknown fault distribution {kind!r}; options: {FAULT_DISTRIBUTIONS}"
-                )
-        if not self.weibull_shape > 0:
-            raise SimulationError(
-                f"weibull_shape must be > 0, got {self.weibull_shape!r}"
-            )
         if self.restart not in RESTART_POLICIES:
             raise SimulationError(
                 f"unknown restart policy {self.restart!r}; options: {RESTART_POLICIES}"
-            )
-        if self.checkpoint_overhead < 0:
-            raise SimulationError(
-                f"checkpoint_overhead must be >= 0, got {self.checkpoint_overhead!r}"
-            )
-        if self.checkpoint_interval is not None and not self.checkpoint_interval > 0:
-            raise SimulationError(
-                f"checkpoint_interval must be > 0, got {self.checkpoint_interval!r}"
-            )
-        if self.slack_inflation < 0:
-            raise SimulationError(
-                f"slack_inflation must be >= 0, got {self.slack_inflation!r}"
             )
 
     # ------------------------------------------------------------------
@@ -124,28 +69,20 @@ class FaultSpec:
         if math.isinf(self.mttf):
             rng.random()  # keep stream alignment with finite-MTTF runs
             return math.inf
-        return _inverse_sample(self.ttf_distribution, self.mttf, self.weibull_shape, rng)
+        return _inverse_sample(self.mttf, rng)
 
     def draw_ttr(self, rng: np.random.Generator) -> float:
         """One time-to-repair draw (0 for instant repair)."""
         if self.mttr == 0.0:
             rng.random()
             return 0.0
-        return _inverse_sample(self.ttr_distribution, self.mttr, self.weibull_shape, rng)
+        return _inverse_sample(self.mttr, rng)
 
 
-def _inverse_sample(
-    kind: str, mean: float, shape: float, rng: np.random.Generator
-) -> float:
-    """Draw from *kind* with the given mean via inverse-transform on one
+def _inverse_sample(mean: float, rng: np.random.Generator) -> float:
+    """Exponential draw with the given mean via inverse-transform on one
     uniform variate — the uniform sequence is invariant to the mean, so
     sweeps over MTTF/MTTR stay coupled draw-for-draw."""
-    u = rng.random()
     # guard the log against u == 0 (rng.random() is in [0, 1))
-    u = max(u, 1e-300)
-    if kind == "exponential":
-        return -mean * math.log(u)
-    # Weibull with mean calibrated via the gamma function:
-    # mean = scale * Gamma(1 + 1/shape)  =>  scale = mean / Gamma(1 + 1/shape)
-    scale = mean / math.gamma(1.0 + 1.0 / shape)
-    return scale * (-math.log(u)) ** (1.0 / shape)
+    u = max(rng.random(), 1e-300)
+    return -mean * math.log(u)

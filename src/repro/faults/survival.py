@@ -1,13 +1,10 @@
-"""Survival models: P(a node stays up for the next *t* time units).
+"""The survival model: P(a node stays up for the next *t* time units).
 
-The failure-aware pricing hooks weigh a candidate's expected yield by
-the probability that the node it would occupy survives the task's
-remaining processing time (see
-:class:`repro.scheduling.survival.SurvivalDiscount` and the
-``slack_inflation`` knob in :class:`repro.site.admission.SlackAdmission`).
-
-Models are vectorized: ``p_survive`` accepts scalars or NumPy arrays of
-horizons and returns probabilities of the same shape.
+:class:`repro.scheduling.survival.SurvivalDiscount` weighs a candidate's
+expected yield by the probability that the node it would occupy survives
+the task's remaining processing time.  ``p_survive`` is vectorized: it
+accepts scalars or NumPy arrays of horizons and returns probabilities of
+the same shape.
 """
 
 from __future__ import annotations
@@ -42,40 +39,3 @@ class ExponentialSurvival:
 
     def __repr__(self) -> str:
         return f"<ExponentialSurvival mttf={self.mttf:g}>"
-
-
-class WeibullSurvival:
-    """Weibull node lifetime: ``P(survive t) = exp(−(t/scale)^shape)``.
-
-    A *fresh-node* approximation: it ignores accumulated uptime, which
-    is exact for shape 1 (exponential) and conservative for shape > 1
-    (wear-out makes an aged node weaker, not stronger).
-    """
-
-    def __init__(self, mttf: float, shape: float = 1.5) -> None:
-        if not mttf > 0 or math.isnan(mttf):
-            raise SimulationError(f"mttf must be > 0, got {mttf!r}")
-        if not shape > 0:
-            raise SimulationError(f"shape must be > 0, got {shape!r}")
-        self.mttf = float(mttf)
-        self.shape = float(shape)
-        self.scale = (
-            math.inf if math.isinf(mttf) else mttf / math.gamma(1.0 + 1.0 / shape)
-        )
-
-    def p_survive(self, horizon):
-        h = np.maximum(np.asarray(horizon, dtype=float), 0.0)
-        if math.isinf(self.scale):
-            return np.ones_like(h)
-        return np.exp(-((h / self.scale) ** self.shape))
-
-    def __repr__(self) -> str:
-        return f"<WeibullSurvival mttf={self.mttf:g} shape={self.shape:g}>"
-
-
-def survival_for(spec) -> "ExponentialSurvival | WeibullSurvival":
-    """The survival model matching a :class:`~repro.faults.FaultSpec`'s
-    TTF distribution."""
-    if spec.ttf_distribution == "weibull":
-        return WeibullSurvival(spec.mttf, spec.weibull_shape)
-    return ExponentialSurvival(spec.mttf)

@@ -56,7 +56,6 @@ class LiveConfig:
     rate: float = 60.0  # time units per wall second
     sites: tuple[LiveSiteSpec, ...] = (LiveSiteSpec(),)
     strategy: str = "best-yield"
-    vickrey: bool = False
     #: kill a subprocess once it has run for timeout_factor × the task's
     #: declared runtime (units); 0 disables the watchdog
     timeout_factor: float = 10.0
@@ -73,10 +72,6 @@ class LiveConfig:
     queue_watermark: int = 0
     #: Retry-After hint (wall seconds) on 429 shed and 503 drain answers
     retry_after_s: float = 1.0
-    #: most-recent Idempotency-Key responses retained for replay; the
-    #: dedup table is bounded FIFO, so a retry older than this many
-    #: distinct keys can no longer be deduplicated
-    idempotency_capacity: int = 1024
 
     def __post_init__(self) -> None:
         if not 0 <= self.port <= 65535:
@@ -111,10 +106,6 @@ class LiveConfig:
         if not self.retry_after_s > 0:
             raise LiveServiceError(
                 f"retry_after_s must be > 0, got {self.retry_after_s!r}"
-            )
-        if self.idempotency_capacity < 1:
-            raise LiveServiceError(
-                f"idempotency_capacity must be >= 1, got {self.idempotency_capacity!r}"
             )
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import os
 import signal
 import sys
@@ -102,26 +101,20 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         "(for scripts driving an ephemeral --port 0)",
     )
     parser.add_argument(
-        "--flight-out",
-        default=None,
-        metavar="PATH",
-        help="stream a flight recording (JSONL) of every market decision "
-        "to PATH; feed it to `repro audit` / `repro replay` afterwards",
-    )
-    parser.add_argument(
         "--journal",
         default=None,
         metavar="PATH",
-        help="write-ahead journal: a flight recording with a durable "
-        "fsync policy (see --fsync) that also records intents before "
-        "the service acts, enabling --recover after a crash",
+        help="write-ahead journal: a flight recording (JSONL) of every "
+        "market decision, intents first, under the --fsync policy; feed "
+        "it to `repro audit` / `repro replay` afterwards, or to "
+        "--recover after a crash",
     )
     parser.add_argument(
         "--fsync",
         choices=("always", "interval", "off"),
         default="interval",
         help="journal fsync policy (default %(default)s: sync every few "
-        "records and at close)",
+        "records and at close; off: a best-effort recording)",
     )
     parser.add_argument(
         "--recover",
@@ -169,47 +162,27 @@ def config_from_args(args: argparse.Namespace) -> LiveConfig:
         timeout_factor=args.timeout_factor,
         max_restarts=args.max_restarts,
         drain_grace=args.drain_grace,
-        queue_watermark=getattr(args, "queue_watermark", 0),
-        retry_after_s=getattr(args, "retry_after", 1.0),
+        queue_watermark=args.queue_watermark,
+        retry_after_s=args.retry_after,
     )
-
-
-def _make_obs(args):
-    from repro.obs import MetricsRegistry, Observability
-
-    # spans only when asked for: a server kept no trace would otherwise
-    # hold every span of every bid it ever served until shutdown
-    return Observability(
-        registry=MetricsRegistry(),
-        spans=args.trace_out is not None,
-    )
-
-
-def _write_artifacts(obs, args) -> None:
-    if getattr(args, "trace_out", None):
-        from repro.obs import write_chrome_trace
-
-        spans = obs.spans
-        write_chrome_trace(spans.finished, args.trace_out, dropped=spans.dropped)
-        print(f"wrote {args.trace_out} ({len(spans)} spans)")
-    if getattr(args, "metrics_out", None):
-        directory = os.path.dirname(args.metrics_out)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(args.metrics_out, "w") as handle:
-            json.dump(obs.snapshot(), handle, sort_keys=True, indent=1)
-            handle.write("\n")
-        print(f"wrote {args.metrics_out}")
 
 
 async def _serve(config: LiveConfig, args: argparse.Namespace) -> int:
-    from repro.obs import FlightRecorder, JournalSink, read_recording
+    from repro.obs import (
+        FlightRecorder,
+        JournalSink,
+        Observability,
+        read_recording,
+        write_artifacts,
+    )
 
-    obs = _make_obs(args)
+    # spans only when asked for: a server kept no trace would otherwise
+    # hold every span of every bid it ever served until shutdown
+    obs = Observability(spans=args.trace_out is not None)
     obs.begin_run("live")
 
-    recover_path = getattr(args, "recover", None)
-    journal_path = getattr(args, "journal", None) or recover_path
+    recover_path = args.recover
+    journal_path = args.journal or recover_path
     plan = None
     if recover_path:
         from repro.live.recovery import plan_recovery
@@ -217,11 +190,10 @@ async def _serve(config: LiveConfig, args: argparse.Namespace) -> int:
         plan = plan_recovery(read_recording(recover_path))
 
     flight = None
-    flight_path = None
     if journal_path:
         sink = JournalSink(
             journal_path,
-            fsync=getattr(args, "fsync", "interval"),
+            fsync=args.fsync,
             # recovery appends: post-crash records stitch onto the
             # pre-crash journal in one auditable file
             append=recover_path is not None and journal_path == recover_path,
@@ -229,12 +201,8 @@ async def _serve(config: LiveConfig, args: argparse.Namespace) -> int:
         # boot-time header write, before the server socket exists: no
         # client is waiting on this loop iteration yet
         flight = FlightRecorder(sink=sink, clock_domain="wall")  # repro: noqa ASY001  # boot-time header write; nothing is being served yet
-        flight_path = journal_path
         if plan is not None:
             flight.seq = plan.next_seq
-    elif getattr(args, "flight_out", None):
-        flight = FlightRecorder(args.flight_out, clock_domain="wall")  # repro: noqa ASY001  # boot-time header write; nothing is being served yet
-        flight_path = args.flight_out
 
     clock = None
     if plan is not None:
@@ -291,8 +259,9 @@ async def _serve(config: LiveConfig, args: argparse.Namespace) -> int:
         # shutdown-time final sync: the HTTP server is closed and the
         # service drained — the loop has nothing left to serve
         flight.close()  # repro: noqa ASY001  # final sync after drain; no clients left to stall
-        print(f"wrote {flight_path} ({flight.seq} flight records)")
-    _write_artifacts(obs, args)
+        print(f"wrote {journal_path} ({flight.seq} flight records)")
+    for line in write_artifacts(obs, args.trace_out, args.metrics_out):
+        print(line)
 
     status = service.status()
     settled = sum(1 for r in service.records if r.contract is not None)

@@ -50,6 +50,12 @@ STRATEGIES = {
 }
 
 
+#: Most-recent ``Idempotency-Key`` responses the service retains for
+#: replay: a retry older than this many distinct keys can no longer be
+#: deduplicated.
+IDEMPOTENCY_CAPACITY = 1024
+
+
 class IdempotencyTable:
     """Bounded FIFO map from ``Idempotency-Key`` to the stored response.
 
@@ -61,7 +67,7 @@ class IdempotencyTable:
     retry degrades to a fresh negotiation rather than unbounded memory.
     """
 
-    def __init__(self, capacity: int = 1024) -> None:
+    def __init__(self, capacity: int = IDEMPOTENCY_CAPACITY) -> None:
         if capacity < 1:
             raise LiveServiceError(f"capacity must be >= 1, got {capacity!r}")
         self.capacity = capacity
@@ -205,7 +211,7 @@ class LiveService:
             )
             site.settlement_listeners.append(self._note_settlement)
             self.sites.append(site)
-        self.broker = Broker(self.sites, strategy=strategy, vickrey=config.vickrey)
+        self.broker = Broker(self.sites, strategy=strategy)
         self.broker.flight = flight
         if flight is not None:
             for site, spec in zip(self.sites, config.sites):
@@ -220,7 +226,7 @@ class LiveService:
         self.records: list[LiveRecord] = []
         self._record_of_task: dict[int, LiveRecord] = {}
         self._negotiation_ids = itertools.count()
-        self.idempotency = IdempotencyTable(config.idempotency_capacity)
+        self.idempotency = IdempotencyTable()
         #: bids refused at the queue watermark (429 answers)
         self.sheds = 0
         self.draining = False

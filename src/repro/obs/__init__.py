@@ -14,11 +14,12 @@ through, and its span list is the only store of what a site did:
   :class:`repro.analysis.SiteTimeline` is a view of them.
 * **Metrics registry** (:mod:`repro.obs.registry`): counters, gauges,
   histograms, and time-weighted gauges published by the hooks for the
-  site, admission, market, and fault layers; a shared null registry
-  keeps the disabled path free and bit-inert.
+  site, admission, market, and fault layers.  "Not observed" is
+  ``obs=None``: the substrate guards each publish with one ``is not
+  None`` check, so the disabled path is free and bit-inert.
 * **Exporters** (:mod:`repro.obs.export`): Chrome/Perfetto
-  ``trace_event`` JSON, a JSONL stream with an explicit drop counter,
-  and a human summary table.
+  ``trace_event`` JSON (the span file format) and a human summary
+  table.
 * **Flight recorder** (:mod:`repro.obs.flight`): schema-versioned
   append-only JSONL log of every market decision (bid, quote, award,
   settlement, breaker transition) for ``repro audit`` / ``repro replay``.
@@ -31,9 +32,9 @@ is the one profiler (layer budget, per-call scoring and kernel cost).
 
 Attach with the ambient context::
 
-    from repro.obs import MetricsRegistry, Observability, observing
+    from repro.obs import Observability, metrics_summary, observing
 
-    obs = Observability(registry=MetricsRegistry())
+    obs = Observability()
     with observing(obs):
         run_experiment("fig3", scale="quick")
     print(metrics_summary(obs.registry))
@@ -42,7 +43,7 @@ Attach with the ambient context::
 from repro.obs.export import (
     metrics_summary,
     spans_to_chrome,
-    spans_to_jsonl,
+    write_artifacts,
     write_chrome_trace,
 )
 from repro.obs.flight import (
@@ -52,22 +53,19 @@ from repro.obs.flight import (
     Recording,
     read_recording,
 )
-from repro.obs.instrument import Observability, current, null_observability, observing
+from repro.obs.instrument import Observability, current, observing
 from repro.obs.prom import PROMETHEUS_CONTENT_TYPE, RateWindow, prometheus_text
 from repro.obs.registry import (
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
     TimeWeightedGauge,
 )
 from repro.obs.spans import Span, SpanTracker
 
 __all__ = [
     "FLIGHT_SCHEMA",
-    "NULL_REGISTRY",
     "PROMETHEUS_CONTENT_TYPE",
     "Counter",
     "FlightRecorder",
@@ -75,7 +73,6 @@ __all__ = [
     "Histogram",
     "JournalSink",
     "MetricsRegistry",
-    "NullRegistry",
     "Observability",
     "RateWindow",
     "Recording",
@@ -84,11 +81,10 @@ __all__ = [
     "TimeWeightedGauge",
     "current",
     "metrics_summary",
-    "null_observability",
     "observing",
     "prometheus_text",
     "read_recording",
     "spans_to_chrome",
-    "spans_to_jsonl",
+    "write_artifacts",
     "write_chrome_trace",
 ]

@@ -1,6 +1,6 @@
-"""Exporters: Chrome/Perfetto ``trace_event`` JSON, a JSONL stream, a table.
+"""Exporters: Chrome/Perfetto ``trace_event`` JSON and a table.
 
-Three consumers, three formats:
+Two consumers, two formats:
 
 * ``chrome://tracing`` / https://ui.perfetto.dev — :func:`spans_to_chrome`
   emits the ``trace_event`` JSON object format (``{"traceEvents": [...]}``);
@@ -8,9 +8,6 @@ Three consumers, three formats:
   ``"ph": "i"`` marks, and each run/track pair gets thread-name metadata
   so lifecycle trees nest per task lane.  Simulated time maps to
   microseconds (1 sim time unit = 1 "µs").
-* machine post-processing — :func:`spans_to_jsonl` streams one JSON
-  object per line, ending with a ``{"meta": ...}`` line that carries the
-  retention counter (``dropped``) so a truncated export is detectable.
 * humans — :func:`metrics_summary` renders a registry snapshot through
   the repo's plain-text tables.
 """
@@ -19,12 +16,13 @@ from __future__ import annotations
 
 import json
 import os
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.metrics.tables import format_table
 from repro.obs.spans import Span
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.obs.instrument import Observability
     from repro.obs.registry import MetricsRegistry
 
 #: Simulated time units per Chrome-trace microsecond tick.
@@ -118,22 +116,26 @@ def write_chrome_trace(spans: Iterable[Span], path: str, dropped: int = 0) -> No
         handle.write("\n")
 
 
-# ----------------------------------------------------------------------
-# JSONL stream
-# ----------------------------------------------------------------------
-
-def spans_to_jsonl(spans: Iterable[Span], path: str, dropped: int = 0) -> int:
-    """Write one JSON object per span plus a trailing meta line."""
-    _ensure_parent(path)
-    written = 0
-    with open(path, "w") as handle:
-        for span in spans:
-            handle.write(json.dumps(span.to_dict(), sort_keys=True))
+def write_artifacts(
+    obs: "Observability", trace_out: Optional[str], metrics_out: Optional[str]
+) -> list[str]:
+    """What ``--trace-out`` / ``--metrics-out`` ask for, on every
+    subcommand that takes them: the Chrome trace of *obs*'s spans and
+    the metrics JSON of its snapshot.  Returns one ``wrote …`` line per
+    file for the caller to print."""
+    wrote = []
+    if trace_out:
+        spans = obs.spans
+        write_chrome_trace(spans.finished, trace_out, dropped=spans.dropped)
+        suffix = f", {spans.dropped} dropped" if spans.dropped else ""
+        wrote.append(f"wrote {trace_out} ({len(spans)} spans{suffix})")
+    if metrics_out:
+        _ensure_parent(metrics_out)
+        with open(metrics_out, "w") as handle:
+            json.dump(obs.snapshot(), handle, sort_keys=True, indent=1)
             handle.write("\n")
-            written += 1
-        handle.write(json.dumps({"meta": {"spans": written, "dropped": dropped}}))
-        handle.write("\n")
-    return written
+        wrote.append(f"wrote {metrics_out}")
+    return wrote
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ import contextlib
 import math
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import Span, SpanTracker
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -37,25 +37,18 @@ class Observability:
 
     Parameters
     ----------
-    registry:
-        A :class:`~repro.obs.registry.MetricsRegistry`, or the shared
-        :data:`~repro.obs.registry.NULL_REGISTRY` (the default) for a
-        no-op metrics path.
     spans:
         ``True`` (default) builds lifecycle span trees; ``False`` skips
-        span bookkeeping entirely.
-    span_capacity:
-        Retention cap for finished spans (oldest dropped and counted).
+        span bookkeeping entirely (a long-lived server asked for no
+        trace would otherwise hold every span until shutdown).
+
+    ``registry`` is the :class:`~repro.obs.registry.MetricsRegistry` the
+    hooks publish into, one per observer.
     """
 
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        spans: bool = True,
-        span_capacity: Optional[int] = None,
-    ) -> None:
-        self.registry = registry if registry is not None else NULL_REGISTRY
-        self.spans = SpanTracker(capacity=span_capacity) if spans else None
+    def __init__(self, spans: bool = True) -> None:
+        self.registry = MetricsRegistry()
+        self.spans = SpanTracker() if spans else None
         #: open root/segment spans per live task id (current run only)
         self._roots: dict[int, Span] = {}
         self._segments: dict[int, Span] = {}
@@ -66,18 +59,6 @@ class Observability:
         self.run_index = -1
         self.runs: list[dict] = []
         self._run_open = False
-
-    @property
-    def live(self) -> bool:
-        """Whether any instrument would record anything.
-
-        The driver hands a dead observer (null registry, spans off) to
-        nobody: the substrate keeps ``obs=None`` and a
-        fully disabled attachment costs exactly as much as no attachment
-        — run bracketing aside, which stays so ``obs.runs`` still counts
-        replications.
-        """
-        return self.registry.enabled or self.spans is not None
 
     # ------------------------------------------------------------------
     # Run bracketing (one run == one simulate_site replication)
@@ -278,12 +259,6 @@ class Observability:
         self.registry.time_weighted(f"site.busy_nodes.{site_id}").observe(running, now)
 
     # ------------------------------------------------------------------
-    # Scheduling hooks
-    # ------------------------------------------------------------------
-    def survival_discount(self, factor: float) -> None:
-        self.registry.histogram("scheduling.survival_discount").observe(factor)
-
-    # ------------------------------------------------------------------
     # Market hooks
     # ------------------------------------------------------------------
     def negotiation_started(self, negotiation_id: int, now: float, task_id: Optional[int] = None) -> None:
@@ -431,15 +406,6 @@ class Observability:
             f"<Observability metrics={len(self.registry)} spans={spans} "
             f"runs={self.run_index + 1}>"
         )
-
-
-def null_observability() -> Observability:
-    """A fully disabled instance: null registry, no spans.
-
-    Attaching this must leave every result byte-identical — the golden
-    regression in ``tests/faults/test_determinism.py`` pins it.
-    """
-    return Observability(registry=None, spans=False)
 
 
 # ----------------------------------------------------------------------

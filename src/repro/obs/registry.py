@@ -4,10 +4,8 @@ Every instrumented layer (kernel, site, admission, scheduling, market,
 faults) publishes into one :class:`MetricsRegistry` per run.  Metrics are
 pure observers — they never touch the simulation clock, the event queue,
 or any RNG stream, so an attached registry cannot perturb results.
-
-The :data:`NULL_REGISTRY` implements the same surface with no-op methods
-and shared immutable instruments; disabled-mode runs pay one attribute
-lookup and an empty call per publish site.
+"Not observed" is ``obs=None`` at the substrate, not a registry that
+discards what it is handed.
 """
 
 from __future__ import annotations
@@ -173,8 +171,6 @@ class MetricsRegistry:
     site and the driver bumping ``tasks.completed``).
     """
 
-    enabled = True
-
     def __init__(self) -> None:
         self._instruments: dict[str, object] = {}
 
@@ -229,77 +225,3 @@ class MetricsRegistry:
 
     def __repr__(self) -> str:
         return f"<MetricsRegistry {len(self)} instruments>"
-
-
-class _NullInstrument:
-    """One shared do-nothing instrument standing in for every type."""
-
-    __slots__ = ()
-    name = "null"
-    value = 0.0
-    count = 0
-    total = 0.0
-    writes = 0
-    min = math.inf
-    max = -math.inf
-    mean = 0.0
-    time_weighted_mean = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float, now: float = 0.0) -> None:
-        pass
-
-    def snapshot(self) -> dict:
-        return {"type": "null"}
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullRegistry:
-    """No-op registry: same surface as :class:`MetricsRegistry`, zero state.
-
-    Attaching this (rather than ``None``) keeps call sites branch-free
-    while guaranteeing the disabled path allocates nothing per event.
-    """
-
-    enabled = False
-
-    def counter(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def time_weighted(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def __len__(self) -> int:
-        return 0
-
-    def __contains__(self, name: str) -> bool:
-        return False
-
-    def names(self) -> list[str]:
-        return []
-
-    def snapshot(self) -> dict:
-        return {}
-
-    def summary_rows(self) -> list[dict]:
-        return []
-
-    def __repr__(self) -> str:
-        return "<NullRegistry>"
-
-
-#: Shared null registry — the default everywhere observability is optional.
-NULL_REGISTRY = NullRegistry()

@@ -94,10 +94,9 @@ def simulate_resilient_market(
         raise MarketError(f"n_sites must be >= 1, got {n_sites!r}")
     config = config if config is not None else ResilienceConfig()
     sim = Simulator()
-    live_obs = obs if obs is not None and obs.live else None
 
     restart_policy = None
-    if faults is not None and faults.enabled:
+    if faults is not None:
         from repro.faults.restart import make_restart_policy
 
         restart_policy = make_restart_policy(faults)
@@ -111,18 +110,18 @@ def simulate_resilient_market(
             admission=None if admission_factory is None else admission_factory(),
             discard_expired=True,
             restart_policy=restart_policy,
-            obs=live_obs,
+            obs=obs,
         )
         for i in range(n_sites)
     ]
-    manager = ResilienceManager(sim, config, sites, obs=live_obs)
+    manager = ResilienceManager(sim, config, sites, obs=obs)
     broker = ResilientBroker(sites=sites, vickrey=vickrey, manager=manager)
     economy = MarketEconomy(sim, broker)
     economy.schedule_trace(trace)
 
     injectors: list["FaultInjector"] = []
     stats: "Optional[FaultStats]" = None
-    if faults is not None and faults.enabled:
+    if faults is not None:
         from repro.faults.injector import FaultInjector
         from repro.faults.stats import FaultStats
 
@@ -136,7 +135,7 @@ def simulate_resilient_market(
                 streams,
                 stats,
                 stream_prefix=f"fault:{site.site_id}",
-                obs=live_obs,
+                obs=obs,
             )
             for site in sites
         ]

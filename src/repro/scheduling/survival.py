@@ -14,8 +14,7 @@ while a negative score is already a cost/penalty statement — shrinking
 it toward zero would perversely *promote* risky long tasks.
 
 The wrapper preserves the base heuristic's ordering exactly when the
-survival model reports no risk (``mttf=inf`` gives S ≡ 1), so wiring it
-in with faults disabled is bit-identical to the unwrapped heuristic.
+survival model reports no risk (``mttf=inf`` gives S ≡ 1).
 """
 
 from __future__ import annotations
@@ -36,33 +35,23 @@ class SurvivalDiscount(SchedulingHeuristic):
     survival:
         Any object with a vectorized ``p_survive(horizons) -> probs``
         method, e.g. :class:`repro.faults.survival.ExponentialSurvival`.
-    registry:
-        Optional :class:`~repro.obs.registry.MetricsRegistry`; when
-        attached, the mean survival factor applied per scoring pass is
-        published as ``scheduling.survival_discount`` (an observer only —
-        scores are identical either way).
     """
 
     name = "survival"
 
-    def __init__(self, inner: SchedulingHeuristic, survival, registry=None) -> None:
+    def __init__(self, inner: SchedulingHeuristic, survival) -> None:
         if not hasattr(survival, "p_survive"):
             raise SchedulingError(
                 f"survival model {survival!r} lacks a p_survive method"
             )
         self.inner = inner
         self.survival = survival
-        self.registry = registry
 
     def scores(self, cols: PoolColumns, now: float) -> np.ndarray:
         base = self.inner.scores(cols, now)
         if len(base) == 0:
             return base
         p = self.survival.p_survive(cols.remaining)
-        if self.registry is not None:
-            self.registry.histogram("scheduling.survival_discount").observe(
-                float(p.mean())
-            )
         return np.where(base > 0.0, base * p, base)
 
     def __repr__(self) -> str:

@@ -74,7 +74,7 @@ class YieldLedger:
         self.crashes += 1
 
     def note_restart(self, task: Task) -> None:
-        """A killed task went back to the queue (requeue/checkpoint)."""
+        """A killed task went back to the queue (requeued from scratch)."""
         self.restarts += 1
 
     def note_breach(self, task: Task, penalty: float) -> None:

@@ -7,7 +7,6 @@ completed all jobs."
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
@@ -34,14 +33,6 @@ def _resolve_obs(obs: "Optional[Observability]") -> "Optional[Observability]":
     from repro.obs.instrument import current
 
     return current()
-
-
-def _wire_obs(obs: "Observability", label: str) -> "Optional[Observability]":
-    """Begin a run under *obs*; returns the observer to hand the engine —
-    ``None`` when nothing would record, so a fully disabled attachment
-    costs the substrate exactly as much as no attachment."""
-    obs.begin_run(label)
-    return obs if obs.live else None
 
 
 @dataclass
@@ -81,33 +72,30 @@ def simulate_site(
     arrivals submit in trace order at the same instant.  The simulation
     runs until all accepted work completes (the event queue drains).
 
-    With ``faults`` given (and enabled), a
-    :class:`~repro.faults.FaultInjector` drives per-node crash/repair
-    cycles seeded by ``fault_seed``, tasks killed mid-run follow the
-    spec's restart policy, and the spec's pricing knobs (survival
-    discount on the heuristic, admission slack inflation) take effect.
-    ``faults=None`` — the default everywhere — is the fault-free engine,
-    bit for bit.
+    With ``faults`` given, a :class:`~repro.faults.FaultInjector` drives
+    per-node crash/repair cycles seeded by ``fault_seed`` and tasks
+    killed mid-run follow the spec's restart policy; pricing that risk
+    is the caller's *heuristic* and *admission*, which are used as given
+    and never written.  ``faults=None`` — the default everywhere — is
+    the fault-free engine, bit for bit.
 
     With ``obs`` given — or an ambient :func:`repro.obs.observing`
     attachment active — the run is bracketed as one observability
     *replication*: lifecycle spans and site/admission metrics are
     published, and a per-run summary row is folded into ``obs.runs``.
     Observability is strictly read-only: results are byte-identical with
-    it on, off, or null.
+    it on or off.
     """
     obs = _resolve_obs(obs)
-    if faults is not None and not faults.enabled:
-        faults = None
     label = heuristic.name
     restart_policy = None
     if faults is not None:
         from repro.faults.restart import make_restart_policy
 
-        heuristic, admission = _price_failure(faults, heuristic, admission, obs)
         label = f"{heuristic.name}+faults"
         restart_policy = make_restart_policy(faults)
-    engine_obs = None if obs is None else _wire_obs(obs, label)
+    if obs is not None:
+        obs.begin_run(label)
     sim = Simulator()
     ledger = YieldLedger(keep_records=keep_records)
     site = TaskServiceSite(
@@ -119,14 +107,14 @@ def simulate_site(
         discard_expired=discard_expired,
         ledger=ledger,
         restart_policy=restart_policy,
-        obs=engine_obs,
+        obs=obs,
     )
     injector = None
     if faults is not None:
         from repro.faults.injector import FaultInjector
 
         injector = FaultInjector.on_site(
-            sim, faults, site, RandomStreams(fault_seed), obs=engine_obs
+            sim, faults, site, RandomStreams(fault_seed), obs=obs
         )
     tasks = trace.to_tasks()
     for task in tasks:
@@ -155,23 +143,6 @@ def simulate_site(
     return SiteResult(
         ledger=ledger, site=site, sim=sim, tasks=tasks, fault_stats=stats
     )
-
-
-def _price_failure(faults: "FaultSpec", heuristic, admission, obs):
-    """The spec's pricing knobs: survival discount on the heuristic,
-    slack inflation on a *copy* of the admission policy — the caller's
-    object is never written, and a policy without the knob, or with it
-    set explicitly, is passed through."""
-    from repro.faults.survival import survival_for
-    from repro.scheduling.survival import SurvivalDiscount
-
-    if faults.survival_discount:
-        registry = obs.registry if obs is not None and obs.live else None
-        heuristic = SurvivalDiscount(heuristic, survival_for(faults), registry=registry)
-    if faults.slack_inflation > 0 and getattr(admission, "slack_inflation", None) == 0.0:
-        admission = copy.copy(admission)
-        admission.slack_inflation = faults.slack_inflation
-    return heuristic, admission
 
 
 def _check_drained(site: TaskServiceSite, tasks: list[Task]) -> None:

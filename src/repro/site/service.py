@@ -256,9 +256,9 @@ class TaskServiceSite:
         """The run of *task* ended: it finished, or (``ok=False``) died.
 
         A run that died — its node crashed, its subprocess failed — is
-        the restart policy's call: requeue from scratch, resume from a
-        checkpoint, or breach the contract; the ledger records the crash
-        either way.  Returns the policy's
+        the restart policy's call: requeue from scratch or breach the
+        contract; the ledger records the crash either way.  Returns the
+        policy's
         :class:`~repro.faults.restart.CrashOutcome` (``None`` for a
         completion).
         """

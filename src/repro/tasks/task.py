@@ -239,28 +239,17 @@ class Task:
         self.estimated_remaining = max(0.0, self.estimated_remaining - executed)
         self.preemptions += 1
 
-    def crash(self, now: float, remaining: float, estimated_remaining: float) -> None:
-        """Requeue after a node crash with the given residual work.
+    def crash(self, now: float) -> None:
+        """Requeue from scratch after a node crash: all progress is lost.
 
-        The restart policy decides how much progress survives (all of it
-        lost for requeue-from-scratch, checkpointed work retained plus a
-        reload overhead for checkpoint-resume); this primitive applies
-        the transition and the residuals.  Unlike :meth:`preempt`, the
-        residual can exceed the work outstanding at the crash (overhead)
-        or the original runtime is restored wholesale.
+        Unlike :meth:`preempt`, nothing is credited — the full runtime
+        and the declared estimate are restored.
         """
         if self.last_start is None:
             raise SchedulingError(f"task {self.tid}: crash before start")
-        if remaining < 0 or estimated_remaining < 0:
-            raise SchedulingError(
-                f"task {self.tid}: crash residuals must be >= 0, got "
-                f"remaining={remaining!r} estimated={estimated_remaining!r}"
-            )
         self._transition(TaskState.QUEUED)
-        self.remaining = float(remaining)
-        # the believed view never hits exactly 0 for unfinished work: a
-        # zero-RPT entry would quote an instant completion it cannot meet
-        self.estimated_remaining = max(float(estimated_remaining), 1e-9)
+        self.remaining = self.runtime
+        self.estimated_remaining = self.estimate
         self.restarts += 1
 
     def complete(self, now: float) -> float:

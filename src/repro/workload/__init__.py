@@ -6,24 +6,22 @@ distributed inter-arrival times and durations, with *bimodal* high/low
 classes for unit value and decay rate parameterized by skew ratios, and a
 *load factor* that fixes total requested work relative to capacity.
 
-* :mod:`repro.workload.distributions` — the distribution toolkit.
+* :mod:`repro.workload.distributions` — exponential and normal.
 * :mod:`repro.workload.spec` — declarative workload specifications,
   including the bimodal class model and load-factor calibration.
 * :mod:`repro.workload.generator` — turns a spec + seed into a trace.
 * :mod:`repro.workload.trace` — the trace container (SoA arrays +
-  Task materialization + CSV round-trip + summary statistics).
+  Task materialization + summary statistics).
+* :mod:`repro.workload.swf` — the trace file format (Standard Workload
+  Format, read and written).
 * :mod:`repro.workload.millennium` — canned specs for the Millennium
   task mixes used in Figures 3–7.
 """
 
 from repro.workload.distributions import (
-    ConstantDist,
     Distribution,
     ExponentialDist,
-    LognormalDist,
     NormalDist,
-    ParetoDist,
-    UniformDist,
 )
 from repro.workload.generator import generate_trace
 from repro.workload.millennium import millennium_spec, economy_spec
@@ -33,14 +31,10 @@ from repro.workload.trace import Trace
 
 __all__ = [
     "BimodalSpec",
-    "ConstantDist",
     "Distribution",
     "ExponentialDist",
-    "LognormalDist",
     "NormalDist",
-    "ParetoDist",
     "Trace",
-    "UniformDist",
     "WorkloadSpec",
     "dump_swf",
     "economy_spec",

@@ -1,10 +1,8 @@
-"""Distribution toolkit for workload generation.
+"""The two distributions §4.1 names: exponential and normal.
 
-Each distribution knows its configured mean, can sample a vector given a
-``numpy.random.Generator``, and can be rescaled to a different mean —
-the operation load-factor calibration needs (§4.1: "the magnitude of all
-results is dependent on the load factor, i.e., the total requested work
-over any interval, divided by total capacity").
+Each knows its configured mean (load-factor calibration derives the
+inter-arrival mean from the duration mean) and samples a vector given a
+``numpy.random.Generator``.
 
 Positive-support distributions (durations, inter-arrival gaps) clip away
 non-positive samples by resampling, so a ``NormalDist`` with a small mean
@@ -15,7 +13,6 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -33,10 +30,6 @@ class Distribution(abc.ABC):
     @abc.abstractmethod
     def mean(self) -> float:
         """The distribution's configured mean."""
-
-    @abc.abstractmethod
-    def with_mean(self, mean: float) -> "Distribution":
-        """A copy rescaled to the given mean (shape preserved)."""
 
     def _check_size(self, size: int) -> None:
         if size < 0:
@@ -80,9 +73,6 @@ class ExponentialDist(Distribution):
     def mean(self) -> float:
         return self._mean
 
-    def with_mean(self, mean: float) -> "ExponentialDist":
-        return ExponentialDist(mean)
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         self._check_size(size)
         return rng.exponential(self._mean, size)
@@ -113,9 +103,6 @@ class NormalDist(Distribution):
     def mean(self) -> float:
         return self._mean
 
-    def with_mean(self, mean: float) -> "NormalDist":
-        return NormalDist(mean, self.cv)
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         self._check_size(size)
         if self.cv == 0:
@@ -129,125 +116,9 @@ class NormalDist(Distribution):
         return f"NormalDist(mean={self._mean:g}, cv={self.cv:g})"
 
 
-class ConstantDist(Distribution):
-    """Degenerate distribution (every sample equals the mean)."""
-
-    def __init__(self, value: float) -> None:
-        if not math.isfinite(value):
-            raise WorkloadError(f"constant value must be finite, got {value!r}")
-        self._value = float(value)
-
-    @property
-    def mean(self) -> float:
-        return self._value
-
-    def with_mean(self, mean: float) -> "ConstantDist":
-        return ConstantDist(mean)
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        self._check_size(size)
-        return np.full(size, self._value)
-
-    def __repr__(self) -> str:
-        return f"ConstantDist({self._value:g})"
-
-
-class UniformDist(Distribution):
-    """Uniform on [low, high]."""
-
-    def __init__(self, low: float, high: float) -> None:
-        if not (math.isfinite(low) and math.isfinite(high)) or high < low:
-            raise WorkloadError(f"invalid uniform range [{low!r}, {high!r}]")
-        self.low = float(low)
-        self.high = float(high)
-
-    @property
-    def mean(self) -> float:
-        return 0.5 * (self.low + self.high)
-
-    def with_mean(self, mean: float) -> "UniformDist":
-        if self.mean == 0:
-            raise WorkloadError("cannot rescale a zero-mean uniform distribution")
-        scale = mean / self.mean
-        return UniformDist(self.low * scale, self.high * scale)
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        self._check_size(size)
-        return rng.uniform(self.low, self.high, size)
-
-    def __repr__(self) -> str:
-        return f"UniformDist({self.low:g}, {self.high:g})"
-
-
-class LognormalDist(Distribution):
-    """Lognormal with given mean and shape ``sigma`` (log-space std).
-
-    Batch-workload trace studies often report long-tailed durations; this
-    is the standard long-tailed alternative for sensitivity ablations.
-    """
-
-    def __init__(self, mean: float, sigma: float = 1.0) -> None:
-        if not math.isfinite(mean) or mean <= 0:
-            raise WorkloadError(f"lognormal mean must be finite and > 0, got {mean!r}")
-        if not math.isfinite(sigma) or sigma < 0:
-            raise WorkloadError(f"sigma must be finite and >= 0, got {sigma!r}")
-        self._mean = float(mean)
-        self.sigma = float(sigma)
-        # E[lognormal(mu, sigma)] = exp(mu + sigma^2/2)
-        self._mu = math.log(self._mean) - 0.5 * self.sigma**2
-
-    @property
-    def mean(self) -> float:
-        return self._mean
-
-    def with_mean(self, mean: float) -> "LognormalDist":
-        return LognormalDist(mean, self.sigma)
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        self._check_size(size)
-        return rng.lognormal(self._mu, self.sigma, size)
-
-    def __repr__(self) -> str:
-        return f"LognormalDist(mean={self._mean:g}, sigma={self.sigma:g})"
-
-
-class ParetoDist(Distribution):
-    """Pareto (heavy tail) with shape ``alpha`` > 1 and the given mean."""
-
-    def __init__(self, mean: float, alpha: float = 2.5) -> None:
-        if not math.isfinite(mean) or mean <= 0:
-            raise WorkloadError(f"pareto mean must be finite and > 0, got {mean!r}")
-        if not math.isfinite(alpha) or alpha <= 1:
-            raise WorkloadError(f"pareto alpha must be > 1 (finite mean), got {alpha!r}")
-        self._mean = float(mean)
-        self.alpha = float(alpha)
-        # mean of x_m * (1 + Pareto(alpha)) is x_m * alpha/(alpha-1)
-        self._xm = self._mean * (self.alpha - 1.0) / self.alpha
-
-    @property
-    def mean(self) -> float:
-        return self._mean
-
-    def with_mean(self, mean: float) -> "ParetoDist":
-        return ParetoDist(mean, self.alpha)
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        self._check_size(size)
-        return self._xm * (1.0 + rng.pareto(self.alpha, size))
-
-    def __repr__(self) -> str:
-        return f"ParetoDist(mean={self._mean:g}, alpha={self.alpha:g})"
-
-
 def make_distribution(kind: str, mean: float, **kwargs) -> Distribution:
-    """Factory by name: exponential | normal | constant | lognormal | pareto."""
-    kinds = {
-        "exponential": ExponentialDist,
-        "normal": NormalDist,
-        "constant": ConstantDist,
-        "lognormal": LognormalDist,
-        "pareto": ParetoDist,
-    }
+    """Factory by name: exponential | normal."""
+    kinds = {"exponential": ExponentialDist, "normal": NormalDist}
     try:
         cls = kinds[kind]
     except KeyError:

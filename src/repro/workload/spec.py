@@ -24,7 +24,7 @@ delay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -33,7 +33,6 @@ from repro.errors import WorkloadError
 from repro.workload.distributions import (
     Distribution,
     ExponentialDist,
-    NormalDist,
     make_distribution,
 )
 
@@ -192,23 +191,6 @@ class WorkloadSpec:
     @property
     def bound_or_inf(self) -> float:
         return math.inf if self.penalty_bound is None else self.penalty_bound
-
-    # ------------------------------------------------------------------
-    def with_load_factor(self, load_factor: float) -> "WorkloadSpec":
-        """Same mix at a different load (the Figure 6/7 sweep operation)."""
-        return replace(self, load_factor=load_factor)
-
-    def with_value_skew(self, skew: float) -> "WorkloadSpec":
-        return replace(self, value=replace(self.value, skew=skew))
-
-    def with_decay_skew(self, skew: float) -> "WorkloadSpec":
-        return replace(self, decay=replace(self.decay, skew=skew))
-
-    def with_penalty_bound(self, bound: Optional[float]) -> "WorkloadSpec":
-        return replace(self, penalty_bound=bound)
-
-    def with_n_jobs(self, n_jobs: int) -> "WorkloadSpec":
-        return replace(self, n_jobs=n_jobs)
 
     def describe(self) -> str:
         """One-line summary used by the CLI and experiment logs."""

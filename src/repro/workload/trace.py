@@ -2,15 +2,13 @@
 
 A :class:`Trace` holds parallel NumPy columns (arrival, runtime, value,
 decay, bound) — the layout the vectorized site engine consumes directly —
-plus materialization into :class:`~repro.tasks.task.Task` objects, CSV
-round-trip, slicing, and summary statistics used by tests and the
-experiment harness.
+plus materialization into :class:`~repro.tasks.task.Task` objects,
+slicing, and summary statistics used by tests and the experiment
+harness.  The trace *file* format is SWF (:mod:`repro.workload.swf`).
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from typing import Iterator, Optional, Sequence, Union
 
@@ -19,8 +17,6 @@ import numpy as np
 from repro.errors import WorkloadError
 from repro.tasks.task import Task
 from repro.valuefn.linear import LinearDecayValueFunction
-
-_COLUMNS = ("arrival", "runtime", "value", "decay", "bound", "estimate")
 
 
 class Trace:
@@ -178,38 +174,6 @@ class Trace:
             "mean_decay": float(self.decay.mean()) if len(self) else 0.0,
             "bounded_fraction": float(np.isfinite(self.bound).mean()) if len(self) else 0.0,
         }
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(_COLUMNS)
-        for row in self.iter_rows():
-            writer.writerow([repr(float(x)) for x in row])
-        return buf.getvalue()
-
-    def save_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as f:
-            f.write(self.to_csv())
-
-    @classmethod
-    def from_csv(cls, text: str, name: str = "trace") -> "Trace":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader, None)
-        if header is None or tuple(header) != _COLUMNS:
-            raise WorkloadError(f"bad trace CSV header: {header!r}; expected {_COLUMNS}")
-        rows = [[float(x) for x in row] for row in reader if row]
-        if not rows:
-            return cls.empty(name=name)
-        cols = list(zip(*rows))
-        return cls(*[np.array(c) for c in cols], name=name)
-
-    @classmethod
-    def load_csv(cls, path: str, name: Optional[str] = None) -> "Trace":
-        with open(path) as f:
-            return cls.from_csv(f.read(), name=name or path)
 
     @classmethod
     def empty(cls, name: str = "empty") -> "Trace":

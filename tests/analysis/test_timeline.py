@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis import SiteTimeline
-from repro.obs import MetricsRegistry, Observability
+from repro.obs import Observability
 from repro.scheduling import FCFS, FirstPrice
 from repro.sim import Simulator
 from repro.site import TaskServiceSite
@@ -18,7 +18,7 @@ def make_task(arrival, runtime, value=100.0, decay=1.0, bound=None):
 
 def run_with_timeline(tasks, heuristic=None, processors=1, **kwargs):
     sim = Simulator()
-    obs = Observability(registry=MetricsRegistry())
+    obs = Observability()
     site = TaskServiceSite(sim, processors, heuristic or FCFS(), obs=obs, **kwargs)
     for t in tasks:
         sim.schedule_at(t.arrival, site.submit, t)

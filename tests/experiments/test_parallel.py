@@ -19,7 +19,6 @@ from repro.experiments.parallel import (
     mean_rows,
     mean_rows_of,
     resolve_workers,
-    run_site_cell,
 )
 from repro.experiments.runner import EXPERIMENTS, run_experiment
 
@@ -101,15 +100,14 @@ class TestDescriptors:
         with pytest.raises(ExperimentError, match="unknown admission"):
             build_admission(("vip-queue", {}))
 
-    def test_site_cell_matches_mean_yield(self):
-        from repro.experiments.common import mean_yield
-        from repro.scheduling.firstprice import FirstPrice
-        from repro.workload.millennium import economy_spec
+    def test_survival_descriptor_wraps_the_inner_heuristic(self):
+        from repro.scheduling import SurvivalDiscount
 
-        spec = economy_spec(n_jobs=80)
-        via_cell = run_site_cell(spec, ("firstprice", {}), 0)
-        via_factory = mean_yield(spec, FirstPrice, (0,))
-        assert via_cell == via_factory
+        h = build_heuristic(
+            ("survival", {"inner": ("firstreward", {"alpha": 0.2}), "mttf": 500.0})
+        )
+        assert isinstance(h, SurvivalDiscount)
+        assert h.inner.alpha == 0.2 and h.survival.mttf == 500.0
 
 
 class TestByteIdentity:
@@ -167,23 +165,23 @@ class TestUnpicklableCells:
 
 class TestObservabilityGuard:
     def test_workers_with_ambient_obs_fails_fast(self):
-        from repro.obs import MetricsRegistry, Observability, observing
+        from repro.obs import Observability, observing
 
-        obs = Observability(registry=MetricsRegistry(), spans=True)
+        obs = Observability(spans=True)
         with observing(obs), pytest.raises(ExperimentError, match="observability"):
             CellExecutor(2)
 
     def test_run_experiment_obs_plus_workers_fails_fast(self):
-        from repro.obs import MetricsRegistry, Observability
+        from repro.obs import Observability
 
-        obs = Observability(registry=MetricsRegistry(), spans=True)
+        obs = Observability(spans=True)
         with pytest.raises(ExperimentError, match="observability"):
             run_experiment("fig6", obs=obs, workers=2, **TINY_FIG6)
 
     def test_serial_obs_still_works(self):
-        from repro.obs import MetricsRegistry, Observability
+        from repro.obs import Observability
 
-        obs = Observability(registry=MetricsRegistry(), spans=True)
+        obs = Observability(spans=True)
         result = run_experiment("fig6", obs=obs, workers=1, **TINY_FIG6)
         assert any("observability" in note for note in result.notes)
 

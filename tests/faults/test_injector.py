@@ -52,15 +52,6 @@ class TestCycles:
         assert inj.stats.crashes >= 2
         assert inj.stats.repairs in (inj.stats.crashes, inj.stats.crashes - 1)
 
-    def test_disabled_spec_spawns_nothing(self):
-        sim = Simulator()
-        inj = make_injector(
-            sim, FaultSpec(mttf=50.0, mttr=10.0, enabled=False), node_ids=[0, 1]
-        )
-        assert inj.loops == []
-        sim.run()
-        assert sim.now == 0.0
-
     def test_infinite_mttf_never_crashes(self):
         sim = Simulator()
         log = []

@@ -13,21 +13,14 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import AbandonRestart, CheckpointRestart, RequeueRestart
+from repro.faults import AbandonRestart, RequeueRestart
 from repro.scheduling import FCFS, FirstPrice
 from repro.sim import Simulator
 from repro.site import TaskServiceSite
 from repro.tasks import Task
 from repro.valuefn import LinearDecayValueFunction
 
-policies = st.sampled_from(
-    [
-        RequeueRestart(),
-        CheckpointRestart(overhead=0.0, interval=None),
-        CheckpointRestart(overhead=1.5, interval=4.0),
-        AbandonRestart(),
-    ]
-)
+policies = st.sampled_from([RequeueRestart(), AbandonRestart()])
 
 task_params = st.tuples(
     st.floats(min_value=0.0, max_value=30.0),  # arrival

@@ -4,10 +4,9 @@ import math
 
 import pytest
 
-from repro.errors import SchedulingError, SimulationError
+from repro.errors import SchedulingError
 from repro.faults import (
     AbandonRestart,
-    CheckpointRestart,
     FaultSpec,
     RequeueRestart,
     make_restart_policy,
@@ -59,34 +58,6 @@ class TestRequeue:
         assert site.ledger.completed == 1
 
 
-class TestCheckpoint:
-    def test_continuous_checkpoint_keeps_all_progress(self):
-        policy = CheckpointRestart(overhead=0.0, interval=None)
-        sim, site, t, outcome = crash_scenario(20.0, 15.0, 30.0, policy)
-        assert outcome.work_lost == pytest.approx(0.0)
-        # resumes with 5 units left: 30 + 5
-        assert t.completion == pytest.approx(35.0)
-
-    def test_interval_floors_retained_progress(self):
-        policy = CheckpointRestart(overhead=0.0, interval=6.0)
-        sim, site, t, outcome = crash_scenario(20.0, 15.0, 30.0, policy)
-        # 15 units done, last checkpoint at 12: lose 3, resume with 8
-        assert outcome.work_lost == pytest.approx(3.0)
-        assert t.completion == pytest.approx(38.0)
-
-    def test_overhead_added_on_resume(self):
-        policy = CheckpointRestart(overhead=2.0, interval=None)
-        sim, site, t, outcome = crash_scenario(20.0, 15.0, 30.0, policy)
-        assert outcome.work_lost == pytest.approx(2.0)
-        assert t.completion == pytest.approx(37.0)
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(SimulationError):
-            CheckpointRestart(overhead=-1.0)
-        with pytest.raises(SimulationError):
-            CheckpointRestart(interval=-2.0)
-
-
 class TestAbandon:
     def test_bounded_task_breaches_at_floor(self):
         t = make_task(0.0, 20.0, value=100.0, decay=1.0, bound=40.0)
@@ -114,17 +85,6 @@ class TestFactoryAndMisestimation:
         assert isinstance(
             make_restart_policy(FaultSpec(mttf=1.0, mttr=1.0)), RequeueRestart
         )
-        cp = make_restart_policy(
-            FaultSpec(
-                mttf=1.0,
-                mttr=1.0,
-                restart="checkpoint",
-                checkpoint_overhead=3.0,
-                checkpoint_interval=7.0,
-            )
-        )
-        assert isinstance(cp, CheckpointRestart)
-        assert (cp.overhead, cp.interval) == (3.0, 7.0)
         assert isinstance(
             make_restart_policy(FaultSpec(mttf=1.0, mttr=1.0, restart="abandon")),
             AbandonRestart,
@@ -142,7 +102,7 @@ class TestFactoryAndMisestimation:
     def test_crash_requires_running_task(self):
         t = make_task(0.0, 10.0)
         with pytest.raises(SchedulingError):
-            t.crash(5.0, remaining=10.0, estimated_remaining=10.0)
+            t.crash(5.0)
 
 
 class TestMultiNode:
@@ -211,12 +171,8 @@ class TestOneFailurePath:
 
     @pytest.mark.parametrize(
         "make_policy",
-        [
-            RequeueRestart,
-            lambda: CheckpointRestart(overhead=2.0, interval=5.0),
-            AbandonRestart,
-        ],
-        ids=["requeue", "checkpoint", "abandon"],
+        [RequeueRestart, AbandonRestart],
+        ids=["requeue", "abandon"],
     )
     def test_crash_node_and_a_failed_exit_agree(self, make_policy):
         def crashed(site, victim):

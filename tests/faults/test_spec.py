@@ -1,4 +1,4 @@
-"""FaultSpec validation, sampling, and the survival models."""
+"""FaultSpec validation, sampling, and the survival model."""
 
 import dataclasses
 import math
@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
-from repro.faults import (
-    ExponentialSurvival,
-    FaultSpec,
-    WeibullSurvival,
-    survival_for,
-)
+from repro.faults import ExponentialSurvival, FaultSpec
 from repro.resilience import ResilienceConfig
 from repro.sim.rng import RandomStreams
 
@@ -25,9 +20,15 @@ def spec(**kwargs):
 
 class TestValidation:
     def test_defaults_are_valid(self):
-        s = spec()
-        assert s.enabled and s.restart == "requeue"
-        assert s.survival_discount is False and s.slack_inflation == 0.0
+        assert spec().restart == "requeue"
+
+    def test_describes_failures_and_nothing_else(self):
+        """Pricing is policy (a wrapped heuristic, an admission
+        parameter), "no faults" is ``faults=None``: the spec has no
+        switch for either."""
+        assert [f.name for f in dataclasses.fields(FaultSpec)] == [
+            "mttf", "mttr", "restart",
+        ]
 
     @pytest.mark.parametrize(
         "bad",
@@ -37,13 +38,13 @@ class TestValidation:
             dict(mttf=math.nan),
             dict(mttr=-1.0),
             dict(mttr=math.inf),
-            dict(ttf_distribution="pareto"),
-            dict(ttr_distribution="uniform"),
-            dict(weibull_shape=0.0),
+            dict(mttr=math.nan),
+            dict(mttr=-math.inf),
+            dict(mttf=-math.inf),
             dict(restart="reboot"),
-            dict(checkpoint_overhead=-1.0),
-            dict(checkpoint_interval=0.0),
-            dict(slack_inflation=-0.1),
+            dict(restart="checkpoint"),  # gone with its policy
+            dict(restart=""),
+            dict(restart=None),
         ],
     )
     def test_rejects_bad_values(self, bad):
@@ -68,12 +69,6 @@ class TestValidation:
 class TestSampling:
     def test_exponential_mean_roughly_mttf(self):
         s = spec(mttf=100.0)
-        rng = np.random.default_rng(0)
-        draws = [s.draw_ttf(rng) for _ in range(4000)]
-        assert np.mean(draws) == pytest.approx(100.0, rel=0.1)
-
-    def test_weibull_mean_roughly_mttf(self):
-        s = spec(mttf=100.0, ttf_distribution="weibull", weibull_shape=1.5)
         rng = np.random.default_rng(0)
         draws = [s.draw_ttf(rng) for _ in range(4000)]
         assert np.mean(draws) == pytest.approx(100.0, rel=0.1)
@@ -121,19 +116,6 @@ class TestSurvival:
     def test_infinite_mttf_never_fails(self):
         s = ExponentialSurvival(math.inf)
         assert np.all(s.p_survive(np.array([1.0, 1e12])) == 1.0)
-
-    def test_weibull_mean_consistency(self):
-        """The Weibull scale is calibrated so its mean equals the MTTF."""
-        s = WeibullSurvival(100.0, shape=2.0)
-        # integrate S(t) dt = E[T] for a nonnegative variable
-        ts = np.linspace(0, 2000, 400000)
-        mean = np.trapezoid(s.p_survive(ts), ts)
-        assert mean == pytest.approx(100.0, rel=1e-3)
-
-    def test_survival_for_matches_spec(self):
-        assert isinstance(survival_for(spec()), ExponentialSurvival)
-        weib = survival_for(spec(ttf_distribution="weibull", weibull_shape=2.0))
-        assert isinstance(weib, WeibullSurvival)
 
     def test_rejects_bad_mttf(self):
         with pytest.raises((SimulationError, SchedulingError)):

@@ -193,10 +193,10 @@ def test_metrics_prometheus_with_obs_attached():
     instrument map under "metrics" next to non-instrument sections
     ("runs", "spans") — regression test for the 500 this once caused.
     """
-    from repro.obs import MetricsRegistry, Observability
+    from repro.obs import Observability
 
     async def main():
-        obs = Observability(registry=MetricsRegistry(), spans=True)
+        obs = Observability(spans=True)
         obs.begin_run("live")
         config = default_config(
             rate=200.0,

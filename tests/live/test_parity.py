@@ -14,15 +14,14 @@ the flight record and the observer builds no span.
 
 from __future__ import annotations
 
-import argparse
 import math
 
 from repro.audit import audit_recording
 from repro.live.api import BidRequest
 from repro.live.config import LiveConfig, LiveSiteSpec
-from repro.live.serve import _make_obs
 from repro.live.service import LiveService
 from repro.market import MarketSite, run_market
+from repro.obs import Observability
 from repro.obs.flight import FlightRecorder, read_recording
 from repro.scheduling.registry import make_heuristic
 from repro.sim import Coroutine, SimClock, Simulator
@@ -72,7 +71,7 @@ def _simulated():
 def _served(journal):
     sim = Simulator()
     flight = FlightRecorder(journal, clock_domain="wall")
-    obs = _make_obs(argparse.Namespace(trace_out=None, metrics_out=None))
+    obs = Observability(spans=False)  # what `repro serve` builds with no --trace-out
     service = LiveService(
         LiveConfig(sites=SPECS),
         obs=obs,

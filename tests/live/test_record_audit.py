@@ -1,9 +1,9 @@
 """Record→audit over the live service: the wall-clock half of the loop.
 
-A live run with ``--flight-out`` must produce a recording that (a) tags
-the wall clock domain, (b) passes the economic audit, and (c) replays
-through the sim-side tooling — the same pipeline CI's audit-smoke job
-exercises over a real subprocess serve.
+A live run with a flight recorder (``repro serve --journal``) must
+produce a recording that (a) tags the wall clock domain, (b) passes the
+economic audit, and (c) replays through the sim-side tooling — the same
+pipeline CI's live-smoke job exercises over a real subprocess serve.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Tests for the exporters: Chrome trace_event JSON, JSONL, summaries."""
+"""Tests for the exporters: Chrome trace_event JSON, summaries."""
 
 import json
 
@@ -8,7 +8,6 @@ from repro.obs import (
     SpanTracker,
     metrics_summary,
     spans_to_chrome,
-    spans_to_jsonl,
     write_chrome_trace,
 )
 
@@ -77,18 +76,6 @@ class TestChromeTrace:
         assert len(loaded["traceEvents"]) > 0
 
 
-class TestJsonl:
-    def test_spans_jsonl_with_meta_tail(self, tmp_path):
-        t = _sample_tracker()
-        path = tmp_path / "spans.jsonl"
-        written = spans_to_jsonl(t.finished, str(path), dropped=2)
-        lines = path.read_text().splitlines()
-        assert written == len(t.finished)
-        assert len(lines) == written + 1
-        meta = json.loads(lines[-1])["meta"]
-        assert meta == {"spans": written, "dropped": 2}
-
-
 class TestSummaries:
     def test_metrics_summary_renders_table(self):
         reg = MetricsRegistry()
@@ -106,7 +93,7 @@ class TestSnapshotExport:
         from repro.site.driver import simulate_site
         from repro.workload import generate_trace, millennium_spec
 
-        obs = Observability(registry=MetricsRegistry())
+        obs = Observability()
         spec = millennium_spec(n_jobs=40)
         trace = generate_trace(spec, seed=0)
         simulate_site(

@@ -4,13 +4,7 @@ the ambient attachment, and the market/site boundary link."""
 import math
 
 from repro.market import Broker, MarketSite
-from repro.obs import (
-    MetricsRegistry,
-    Observability,
-    current,
-    null_observability,
-    observing,
-)
+from repro.obs import Observability, current, observing
 from repro.scheduling import FirstPrice
 from repro.sim import Simulator
 from repro.site import SlackAdmission
@@ -34,7 +28,7 @@ def _observed_run(obs, n_jobs=60, mix=millennium_spec, **site_kwargs):
 
 class TestLifecycleTrees:
     def test_complete_tree_for_every_task(self):
-        obs = Observability(registry=MetricsRegistry())
+        obs = Observability()
         _observed_run(obs)
         roots = [s for s in obs.spans.finished if s.name.startswith("task:")]
         assert roots, "no task root spans recorded"
@@ -48,7 +42,7 @@ class TestLifecycleTrees:
                 assert "queued" in names and "running" in names
 
     def test_preemption_appears_inside_the_tree(self):
-        obs = Observability(registry=MetricsRegistry())
+        obs = Observability()
         # millennium burst mix with preemption: bursts force preemptions
         _observed_run(obs, n_jobs=120, preemption=True)
         preempted = obs.spans.of_name("preempted")
@@ -67,7 +61,7 @@ class TestLifecycleTrees:
         assert obs.registry.counter("tasks.preemptions").value >= 1
 
     def test_spans_disabled_leaves_metrics_working(self):
-        obs = Observability(registry=MetricsRegistry(), spans=False)
+        obs = Observability(spans=False)
         _observed_run(obs)
         assert obs.spans is None
         assert obs.registry.counter("tasks.completed").value > 0
@@ -75,7 +69,7 @@ class TestLifecycleTrees:
 
 class TestRunBracketing:
     def test_each_run_summary_and_span_attribution(self):
-        obs = Observability(registry=MetricsRegistry())
+        obs = Observability()
         _observed_run(obs)
         _observed_run(obs)
         assert obs.run_index == 1
@@ -86,7 +80,7 @@ class TestRunBracketing:
         assert {s.run for s in obs.spans.finished} == {0, 1}
 
     def test_end_run_truncates_stragglers(self):
-        obs = Observability(registry=MetricsRegistry())
+        obs = Observability()
         from repro.tasks import Task
         from repro.valuefn.linear import LinearDecayValueFunction
 
@@ -98,18 +92,10 @@ class TestRunBracketing:
         assert len(roots) == 1
         assert roots[0].closed and roots[0].args.get("truncated") is True
 
-    def test_null_observability_still_counts_runs(self):
-        obs = null_observability()
-        assert not obs.live
-        _observed_run(obs)
-        assert obs.run_index == 0
-        assert obs.runs[0]["heuristic"] == "firstprice"
-        assert obs.spans is None and len(obs.registry) == 0
-
 
 class TestAmbientAttachment:
     def test_observing_scopes_the_attachment(self):
-        obs = null_observability()
+        obs = Observability(spans=False)
         assert current() is None
         with observing(obs):
             assert current() is obs
@@ -118,14 +104,14 @@ class TestAmbientAttachment:
         assert current() is None
 
     def test_driver_picks_up_ambient_observer(self):
-        obs = Observability(registry=MetricsRegistry())
+        obs = Observability()
         with observing(obs):
             _observed_run(None)
         assert obs.registry.counter("tasks.completed").value > 0
 
     def test_explicit_argument_beats_ambient(self):
-        ambient = Observability(registry=MetricsRegistry())
-        explicit = Observability(registry=MetricsRegistry())
+        ambient = Observability()
+        explicit = Observability()
         with observing(ambient):
             _observed_run(explicit)
         assert explicit.run_index == 0
@@ -164,7 +150,7 @@ class TestMarketBoundary:
         return outcome
 
     def test_negotiation_span_links_under_task_root(self):
-        obs = Observability(registry=MetricsRegistry())
+        obs = Observability()
         outcome = self._negotiate(obs, threshold=-math.inf)
         assert outcome.accepted
         neg = obs.spans.of_category("market")
@@ -184,7 +170,7 @@ class TestMarketBoundary:
         assert obs.registry.counter("market.quotes").value == 1
 
     def test_failed_negotiation_closes_unlinked(self):
-        obs = Observability(registry=MetricsRegistry())
+        obs = Observability()
         outcome = self._negotiate(obs, threshold=1e12)  # the site declines
         assert not outcome.accepted
         neg_root = next(s for s in obs.spans.of_category("market") if s.name.startswith("negotiation:"))
@@ -201,7 +187,7 @@ class TestPerSiteGauges:
     def test_two_sites_of_a_market_never_share_a_series(self):
         from repro.market import run_market
 
-        obs = Observability(registry=MetricsRegistry(), spans=False)
+        obs = Observability(spans=False)
         sim = Simulator()
         slots = {"small": 1, "big": 8}
         sites = [
@@ -231,7 +217,7 @@ class TestFaultHooks:
     def test_crash_restart_breach_instrumented(self):
         from repro.faults import FaultSpec
 
-        obs = Observability(registry=MetricsRegistry())
+        obs = Observability()
         spec = economy_spec(n_jobs=80, load_factor=1.0)
         trace = generate_trace(spec, seed=0)
         simulate_site(

@@ -1,11 +1,8 @@
 """Tests for the metrics registry and its instruments."""
 
-import math
-
 import pytest
 
 from repro.obs import (
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
@@ -87,22 +84,3 @@ class TestMetricsRegistry:
         rows = reg.summary_rows()
         assert {r["metric"] for r in rows} == {"tasks", "wait"}
         assert "tasks" in format_table(rows)
-
-
-class TestNullRegistry:
-    def test_disabled_flag_and_empty_surface(self):
-        assert NULL_REGISTRY.enabled is False
-        assert MetricsRegistry.enabled is True
-        assert len(NULL_REGISTRY) == 0
-        assert NULL_REGISTRY.snapshot() == {}
-        assert NULL_REGISTRY.summary_rows() == []
-
-    def test_all_instruments_are_shared_no_ops(self):
-        c = NULL_REGISTRY.counter("anything")
-        c.inc()
-        c.inc(100.0)
-        assert c.value == 0.0
-        assert NULL_REGISTRY.histogram("h") is NULL_REGISTRY.time_weighted("t")
-        NULL_REGISTRY.gauge("g").set(9.0)
-        NULL_REGISTRY.time_weighted("t").observe(3.0, 1.0)
-        assert "anything" not in NULL_REGISTRY

@@ -14,7 +14,7 @@ from repro.scheduling import FCFS, FirstPrice
 from repro.site import SlackAdmission, simulate_site
 from repro.tasks import Task
 from repro.valuefn import LinearDecayValueFunction
-from repro.workload import Trace, economy_spec, generate_trace
+from repro.workload import economy_spec, generate_trace
 
 
 def make_task(arrival, runtime, estimate, value=100.0, decay=1.0):
@@ -153,11 +153,3 @@ class TestWorkloadGeneration:
 
         with pytest.raises(WorkloadError):
             replace(economy_spec(), estimate_error_cv=-0.1)
-
-    def test_csv_roundtrip_preserves_estimates(self):
-        from dataclasses import replace
-
-        spec = replace(economy_spec(n_jobs=30), estimate_error_cv=0.5)
-        trace = generate_trace(spec, seed=4)
-        rebuilt = Trace.from_csv(trace.to_csv())
-        assert np.array_equal(rebuilt.estimate, trace.estimate)

@@ -73,3 +73,61 @@ class TestExtensionCommands:
     def test_sensitivity_load_horizon(self, capsys):
         assert main(["sensitivity", "--grid", "load-horizon", "--n-jobs", "150"]) == 0
         assert "decay_horizon" in capsys.readouterr().out
+
+
+class TestBadFlagValues:
+    """A value the library refuses is a usage error: one ``repro: …``
+    line on stderr and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["trace", "--n-jobs", "0"], "n_jobs must be >= 1"),
+            (["fig6", "--n-jobs", "0"], "n_jobs must be >= 1"),
+            (["serve", "--rate", "0"], "rate must be finite and > 0"),
+            (["serve", "--slots", "0"], "slots must be >= 1"),
+            (["serve", "--heuristic", "nosuch"], "unknown heuristic 'nosuch'"),
+        ],
+        ids=["trace-n-jobs-0", "fig6-n-jobs-0", "serve-rate-0", "serve-slots-0",
+             "serve-heuristic-nosuch"],
+    )
+    def test_one_line_on_stderr_and_exit_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro: ") and message in line
+        assert "Traceback" not in captured.out + captured.err
+
+
+class TestDocumentedServeFlags:
+    """Every ``--flag`` docs/live.md and README's "Run it as a service"
+    section name exists: on ``repro serve``, or on the other command the
+    sentence is about."""
+
+    #: flags those pages name that belong to another command
+    ELSEWHERE = {
+        "--policy": "repro replay",
+        "--traced": "python -m bench run",
+        "--workload": "python -m bench run",
+    }
+
+    def test_every_documented_flag_is_accepted(self):
+        import pathlib
+        import re
+
+        from repro.cli import _build_parser
+
+        root = pathlib.Path(__file__).parent.parent
+        readme = (root / "README.md").read_text()
+        section = readme[readme.index("## Run it as a service"):]
+        section = section[: section.index("\n## ", 1)]
+        text = (root / "docs" / "live.md").read_text() + section
+        documented = set(re.findall(r"(?<![-\w])--[a-z][a-z-]*", text))
+
+        subparsers = next(
+            action for action in _build_parser()._actions if action.dest == "command"
+        )
+        accepted = set(subparsers.choices["serve"]._option_string_actions)
+        assert "--journal" in documented & accepted  # the scan finds flags at all
+        assert documented - accepted - set(self.ELSEWHERE) == set()
+        assert "--policy" in subparsers.choices["replay"]._option_string_actions

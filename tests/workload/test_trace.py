@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.tasks import TaskState
-from repro.workload import Trace, economy_spec, generate_trace
+from repro.workload import Trace
 
 
 def small_trace():
@@ -110,29 +110,3 @@ class TestTasks:
         assert np.allclose(rebuilt.arrival, original.arrival)
         assert np.allclose(rebuilt.value, original.value)
         assert np.array_equal(np.isinf(rebuilt.bound), np.isinf(original.bound))
-
-
-class TestCsv:
-    def test_roundtrip_exact(self):
-        original = generate_trace(economy_spec(n_jobs=50), seed=9)
-        rebuilt = Trace.from_csv(original.to_csv())
-        assert np.array_equal(rebuilt.arrival, original.arrival)
-        assert np.array_equal(rebuilt.runtime, original.runtime)
-        assert np.array_equal(rebuilt.value, original.value)
-        assert np.array_equal(rebuilt.decay, original.decay)
-        assert np.array_equal(rebuilt.bound, original.bound)
-
-    def test_file_roundtrip(self, tmp_path):
-        original = small_trace()
-        path = tmp_path / "trace.csv"
-        original.save_csv(str(path))
-        rebuilt = Trace.load_csv(str(path))
-        assert np.allclose(rebuilt.runtime, original.runtime)
-
-    def test_bad_header_rejected(self):
-        with pytest.raises(WorkloadError):
-            Trace.from_csv("a,b,c\n1,2,3\n")
-
-    def test_empty_csv_gives_empty_trace(self):
-        text = small_trace().to_csv().splitlines()[0] + "\n"
-        assert len(Trace.from_csv(text)) == 0
