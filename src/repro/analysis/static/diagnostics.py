@@ -87,7 +87,7 @@ RULES: dict[str, Rule] = {
             ),
             rationale=(
                 "The event queue owns all heap state in the kernel: its "
-                "head slot and lazy-cancellation counters keep invariants a "
+                "sorted lane and lazy-cancellation counters keep invariants a "
                 "raw heappush/heappop bypasses. "
                 "A second heap in repro.sim silently forks the ordering "
                 "contract (stable (time, priority, seq) keys) that "

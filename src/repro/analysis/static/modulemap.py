@@ -23,7 +23,7 @@ from typing import Callable
 SEEDED_STREAM_MODULE = "repro.sim.rng"
 
 #: Module that owns *all* heap state in the simulation kernel (the
-#: EventQueue: head slot and lazy cancellation).
+#: EventQueue: sorted lane and lazy cancellation).
 EVENT_QUEUE_MODULE = "repro.sim.queue"
 
 #: Packages whose code runs *inside* a simulation: behaviour here must be

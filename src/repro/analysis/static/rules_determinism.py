@@ -299,7 +299,7 @@ def check_det004(ctx: FileContext) -> list[Diagnostic]:
 def check_det005(ctx: FileContext) -> list[Diagnostic]:
     """Direct ``heapq`` use in ``repro.sim`` outside the EventQueue.
 
-    ``repro.sim.queue`` owns every heap in the kernel; its head slot
+    ``repro.sim.queue`` owns every heap in the kernel; its sorted lane
     and lazy-cancellation counters are invariants a raw
     ``heappush``/``heappop`` elsewhere in the package would silently
     bypass.  Flags both calls into ``heapq.*`` (however

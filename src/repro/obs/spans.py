@@ -57,26 +57,6 @@ class Span:
     def is_instant(self) -> bool:
         return self.end == self.start
 
-    def to_dict(self) -> dict:
-        out = {
-            "span_id": self.span_id,
-            "name": self.name,
-            "category": self.category,
-            "start": self.start,
-            "end": self.end,
-        }
-        if self.parent_id is not None:
-            out["parent_id"] = self.parent_id
-        if self.task_id is not None:
-            out["task_id"] = self.task_id
-        if self.track is not None:
-            out["track"] = self.track
-        if self.args:
-            out["args"] = self.args
-        if self.run:
-            out["run"] = self.run
-        return out
-
     def __repr__(self) -> str:
         end = f"{self.end:g}" if self.end is not None else "open"
         return f"<Span #{self.span_id} {self.category}:{self.name} [{self.start:g}, {end}]>"

@@ -65,11 +65,10 @@ class Event:
     ) -> None:
         self.time = float(time)
         self.priority = priority
-        self.seq = -1  # assigned by the queue on push
-        #: precomputed ordering key — rebuilt by the queue when ``seq`` is
-        #: assigned, so heap comparisons are plain tuple compares instead
-        #: of two method calls and two tuple constructions each
-        self.key = (self.time, priority, -1)
+        #: ``seq`` and ``key`` — the ``(time, priority, seq)`` ordering
+        #: tuple, so queue comparisons are plain tuple compares — are
+        #: assigned by the queue on push
+        self.seq = -1
         self.callback = callback
         self.args = args
         self.state = EventState.PENDING
@@ -90,9 +89,6 @@ class Event:
     @property
     def fired(self) -> bool:
         return self.state is EventState.FIRED
-
-    def sort_key(self) -> tuple[float, int, int]:
-        return (self.time, self.priority, self.seq)
 
     def __lt__(self, other: "Event") -> bool:
         return self.key < other.key

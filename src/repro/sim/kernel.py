@@ -141,16 +141,20 @@ class Simulator:
         fired = 0
         try:
             while not self._stopped and (max_events is None or fired < max_events):
-                head = queue.peek()
-                if head is None:
-                    break
-                if until is None:
-                    # only daemon housekeeping remains: let daemons at the
-                    # current instant run, then stop
-                    if queue.essential_count == 0 and head.time > self.now:
+                # the head is looked at only when its time decides whether
+                # to go on: while essential work remains and no horizon is
+                # set, step() finds it once
+                if until is not None or queue.essential_count == 0:
+                    head = queue.peek()
+                    if head is None:
                         break
-                elif head.time > until:
-                    break
+                    if until is None:
+                        # only daemon housekeeping remains: let daemons at
+                        # the current instant run, then stop
+                        if head.time > self.now:
+                            break
+                    elif head.time > until:
+                        break
                 self.step()
                 fired += 1
         finally:
@@ -169,7 +173,3 @@ class Simulator:
     def pending_count(self) -> int:
         """Number of live scheduled events."""
         return len(self._queue)
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next event, or None when the queue is empty."""
-        return self._queue.next_time()

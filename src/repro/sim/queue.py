@@ -1,29 +1,34 @@
-"""Heap-ordered pending-event set with lazy cancellation and a head slot.
+"""Pending-event set: a sorted lane beside a heap, with lazy cancellation.
 
-The queue is a binary heap of :class:`~repro.sim.events.Event` objects.
-Cancellation marks the event and leaves it in the heap; cancelled entries
-are skipped (and discarded) on pop/peek.  This keeps both ``push`` and
-``cancel`` O(log n) / O(1) while preserving heap integrity — the standard
-technique for DES kernels and priority-queue based schedulers.
+Events fire in ``(time, priority, seq)`` order.  The classic structure is
+a binary heap of :class:`~repro.sim.events.Event` objects with lazy
+cancellation — ``cancel`` marks the event and leaves it where it is, and
+cancelled entries are skipped (and discarded) on pop/peek — and that is
+what holds every event pushed *out of order*.  Two refinements:
 
-Two hot-path refinements on top of the classic design:
+* **Sorted lane.**  Most events are pushed in order: a workload's
+  arrivals are scheduled up front by ascending time, a completion chain
+  or a daemon tick schedules its successor and is popped next.  An event
+  whose key is greater than the lane's tail — or that finds the lane
+  spent — is appended to a plain list consumed by a cursor: O(1) push
+  and pop, no comparison below the tail.  Everything else goes to the
+  heap, and ``peek``/``pop`` take the smaller of the two heads.  Sequence
+  numbers are assigned exactly as without the lane, so the firing order
+  is the heap's total order by construction; with the arrivals in the
+  lane the heap holds only the in-flight completions.
+* **Precomputed keys.**  ``Event.key`` is built once at push time; every
+  comparison is then a plain tuple compare instead of two attribute
+  lookups, two method calls, and two tuple constructions.
 
-* **Head slot.**  Discrete-event kernels overwhelmingly push an event and
-  pop it next (completion chains, daemon ticks, cascades).  A pushed
-  event that precedes everything already queued parks in a one-element
-  slot instead of the heap, so the push and the following pop are O(1)
-  with a single comparison instead of O(log n) heap sifts.  The slot
-  always holds the global minimum of the live set when occupied, so
-  ordering is exactly the heap's ``(time, priority, seq)`` total order.
-* **Precomputed keys.**  ``Event.key`` is rebuilt once at push time;
-  every heap comparison is then a plain tuple compare instead of two
-  attribute lookups, two method calls, and two tuple constructions.
+The lane drops its reference to an entry as the cursor passes it: a
+fired event keeps its ``args`` (a task, a bid) alive, and a lane that
+held them until it was spent would hold a whole run's worth.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.errors import SimulationError
 from repro.sim.events import Event, EventState
@@ -33,15 +38,20 @@ from repro.sim.events import Event, EventState
 _PENDING = EventState.PENDING
 _CANCELLED = EventState.CANCELLED
 
+# consumed lane prefix from which an append may first compact the list
+_COMPACT_AT = 64
+
 
 class EventQueue:
     """Priority queue of pending events ordered by ``(time, priority, seq)``."""
 
-    __slots__ = ("_heap", "_head", "_seq", "_live", "_essential")
+    __slots__ = ("_heap", "_lane", "_pos", "_seq", "_live", "_essential")
 
     def __init__(self) -> None:
         self._heap: list[Event] = []
-        self._head: Optional[Event] = None  # fast slot; minimum when set
+        # ascending by key; entries before _pos are consumed (set to None)
+        self._lane: list[Optional[Event]] = []
+        self._pos = 0
         self._seq = 0
         self._live = 0  # number of non-cancelled events in the queue
         self._essential = 0  # live non-daemon events
@@ -63,22 +73,18 @@ class EventQueue:
         self._live += 1
         if not event.daemon:
             self._essential += 1
-        head = self._head
-        if head is not None and head.state is _CANCELLED:
-            self._head = head = None
-        heap = self._heap
-        if head is None:
-            # take the slot only when the event precedes the whole heap —
-            # the slot invariant (head == global minimum) depends on it
-            if not heap or key < heap[0].key:
-                self._head = event
-            else:
-                heappush(heap, event)
-        elif key < head.key:
-            heappush(heap, head)
-            self._head = event
+        lane = self._lane
+        pos = self._pos
+        if pos < len(lane) and key < lane[-1].key:
+            heappush(self._heap, event)
         else:
-            heappush(heap, event)
+            # follows the tail, or finds the lane spent and starts the next.
+            # A lane fed as fast as it drains is never spent, so a long
+            # consumed prefix is dropped here too
+            if pos == len(lane) or (pos >= _COMPACT_AT and 2 * pos >= len(lane)):
+                del lane[:pos]
+                self._pos = 0
+            lane.append(event)
         return event
 
     def cancel(self, event: Event) -> None:
@@ -97,21 +103,28 @@ class EventQueue:
         if not event.daemon:
             self._essential -= 1
 
-    def _drop_cancelled_head(self) -> None:
-        head = self._head
-        if head is not None and head.cancelled:
-            self._head = None
+    def _drop_cancelled(self) -> int:
+        """Discard cancelled entries at both heads; returns the lane cursor."""
+        lane = self._lane
+        pos = self._pos
+        end = len(lane)
+        while pos < end and lane[pos].state is _CANCELLED:
+            lane[pos] = None
+            pos += 1
+        self._pos = pos
         heap = self._heap
-        while heap and heap[0].cancelled:
+        while heap and heap[0].state is _CANCELLED:
             heappop(heap)
+        return pos
 
     def peek(self) -> Optional[Event]:
         """The next event to fire, or None when empty (does not remove)."""
-        self._drop_cancelled_head()
-        head = self._head
-        if head is not None:
-            return head
-        return self._heap[0] if self._heap else None
+        pos = self._drop_cancelled()
+        lane = self._lane
+        heap = self._heap
+        if pos < len(lane) and not (heap and heap[0].key < lane[pos].key):
+            return lane[pos]
+        return heap[0] if heap else None
 
     def pop(self) -> Event:
         """Remove and return the next pending event.
@@ -119,14 +132,17 @@ class EventQueue:
         The returned event is still in state PENDING; the kernel marks it
         FIRED when it actually runs the callback.
         """
-        self._drop_cancelled_head()
-        event = self._head
-        if event is not None:
-            self._head = None
+        pos = self._drop_cancelled()
+        lane = self._lane
+        heap = self._heap
+        if pos < len(lane) and not (heap and heap[0].key < lane[pos].key):
+            event = lane[pos]
+            lane[pos] = None  # the lane must not keep what has fired alive
+            self._pos = pos + 1
+        elif heap:
+            event = heappop(heap)
         else:
-            if not self._heap:
-                raise SimulationError("pop from empty event queue")
-            event = heappop(self._heap)
+            raise SimulationError("pop from empty event queue")
         self._live -= 1
         if not event.daemon:
             self._essential -= 1
@@ -137,30 +153,13 @@ class EventQueue:
         """Live non-daemon events — what keeps a simulation running."""
         return self._essential
 
-    def next_time(self) -> Optional[float]:
-        """Fire time of the head event, or None when empty."""
-        head = self.peek()
-        return head.time if head is not None else None
-
-    def iter_pending(self) -> Iterator[Event]:
-        """Iterate over live events in arbitrary (heap) order.
-
-        Intended for introspection/tests, not for the hot path.
-        """
-        head = self._head
-        if head is not None and head.pending:
-            yield head
-        yield from (e for e in self._heap if e.pending)
-
     def clear(self) -> None:
         """Drop every event (pending ones are marked cancelled)."""
-        if self._head is not None:
-            if self._head.pending:
-                self._head.state = EventState.CANCELLED
-            self._head = None
-        for event in self._heap:
+        for event in self._lane[self._pos :] + self._heap:
             if event.pending:
                 event.state = EventState.CANCELLED
+        self._lane.clear()
+        self._pos = 0
         self._heap.clear()
         self._live = 0
         self._essential = 0

@@ -10,6 +10,7 @@ cumulative busy time for utilization reporting.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from typing import Optional
 
 import numpy as np
@@ -19,7 +20,13 @@ from repro.tasks.task import Task
 
 
 class ProcessorPool:
-    """Fixed set of interchangeable nodes."""
+    """Fixed set of interchangeable nodes.
+
+    ``_task_of`` and ``_down`` are the state; ``_free``, ``_busy`` and
+    ``_slots_of`` are views of it that every transition keeps current, so
+    the questions asked several times per event (is a node free, which
+    one, where does this task run) are answered without a scan.
+    """
 
     __slots__ = (
         "count",
@@ -29,6 +36,10 @@ class ProcessorPool:
         "_node_ids",
         "_next_node_id",
         "_down",
+        "_free",
+        "_busy",
+        "_slots_of",
+        "_row_of",
     )
 
     def __init__(self, count: int) -> None:
@@ -45,16 +56,23 @@ class ProcessorPool:
         # crashed nodes: down slots hold no task and take no assignments
         # until repaired (repro.faults drives the transitions)
         self._down: list[bool] = [False] * count
+        # idle-and-up slots, ascending: assign takes the lowest, and slot
+        # order is what breaks preemption ties and names node_ids_of
+        self._free: list[int] = list(range(count))
+        self._busy = 0  # slots holding a task
+        self._slots_of: dict[Task, list[int]] = {}  # by identity; ascending
+        # per slot, the occupant's clock-free running_rows scalars
+        self._row_of: list[Optional[tuple[float, ...]]] = [None] * count
 
     # ------------------------------------------------------------------
     @property
     def free_count(self) -> int:
         """Nodes that can take work now: idle and not crashed."""
-        return sum(1 for t, d in zip(self._task_of, self._down) if t is None and not d)
+        return len(self._free)
 
     @property
     def busy_count(self) -> int:
-        return sum(1 for t in self._task_of if t is not None)
+        return self._busy
 
     @property
     def down_count(self) -> int:
@@ -65,25 +83,15 @@ class ProcessorPool:
     def running_tasks(self) -> list[Task]:
         return [t for t in self._task_of if t is not None]
 
-    def slot_of(self, task: Task) -> int:
-        for i, t in enumerate(self._task_of):
-            if t is task:
-                return i
-        raise SchedulingError(f"task {task.tid} is not running on any node")
-
     def slots_of(self, task: Task) -> list[int]:
         """All slots held by *task* (gang-scheduled tasks hold several)."""
-        slots = [i for i, t in enumerate(self._task_of) if t is task]
-        if not slots:
+        slots = self._slots_of.get(task)
+        if slots is None:
             raise SchedulingError(f"task {task.tid} is not running on any node")
-        return slots
-
-    def node_id_of(self, task: Task) -> int:
-        """Stable identity of the (first) node running *task* (survives shrink)."""
-        return self._node_ids[self.slot_of(task)]
+        return list(slots)
 
     def node_ids_of(self, task: Task) -> list[int]:
-        """Stable identities of every node in *task*'s gang."""
+        """Stable identities of every node in *task*'s gang (survive shrink)."""
         return [self._node_ids[i] for i in self.slots_of(task)]
 
     # ------------------------------------------------------------------
@@ -91,26 +99,38 @@ class ProcessorPool:
         """Gang-schedule *task* on ``task.demand`` free nodes (§4: "jobs
         are always gang-scheduled ... with the requested number of
         processors").  Returns the first slot index."""
-        free = [
-            i
-            for i, (t, d) in enumerate(zip(self._task_of, self._down))
-            if t is None and not d
-        ]
-        if len(free) < task.demand:
+        if task in self._slots_of:
             raise SchedulingError(
-                f"task {task.tid} needs {task.demand} nodes, only {len(free)} free"
+                f"task {task.tid} is already running on node(s) "
+                f"{self.node_ids_of(task)}"
             )
-        for i in free[: task.demand]:
+        free = self._free
+        demand = task.demand
+        if len(free) < demand:
+            raise SchedulingError(
+                f"task {task.tid} needs {demand} nodes, only {len(free)} free"
+            )
+        slots = free[:demand]
+        del free[:demand]
+        for i in slots:
             self._task_of[i] = task
             self._busy_since[i] = now
-        return free[0]
+            self._row_of[i] = None
+        self._slots_of[task] = slots
+        self._busy += demand
+        return slots[0]
 
     def vacate(self, task: Task, now: float) -> int:
         """Remove *task* from every node it holds (completion or preemption)."""
-        slots = self.slots_of(task)
+        slots = self._slots_of.pop(task, None)
+        if slots is None:
+            raise SchedulingError(f"task {task.tid} is not running on any node")
         for i in slots:
             self._task_of[i] = None
             self._busy_accum += now - self._busy_since[i]
+            if not self._down[i]:  # a crashed node stays out until repaired
+                insort(self._free, i)
+        self._busy -= len(slots)
         return slots[0]
 
     # ------------------------------------------------------------------
@@ -121,7 +141,9 @@ class ProcessorPool:
         """Add *count* idle nodes."""
         if count < 0:
             raise SchedulingError(f"grow count must be >= 0, got {count}")
+        self._free.extend(range(self.count, self.count + count))
         self._task_of.extend([None] * count)
+        self._row_of.extend([None] * count)
         self._busy_since.extend([0.0] * count)
         self._node_ids.extend(
             range(self._next_node_id, self._next_node_id + count)
@@ -147,12 +169,24 @@ class ProcessorPool:
             # them by identity)
             if self._task_of[i] is None and not self._down[i]:
                 del self._task_of[i]
+                del self._row_of[i]
                 del self._busy_since[i]
                 del self._node_ids[i]
                 del self._down[i]
                 removed += 1
             i -= 1
         self.count -= removed
+        if removed:
+            # the slots above each removed one shifted down
+            self._free = [
+                i
+                for i, (t, d) in enumerate(zip(self._task_of, self._down))
+                if t is None and not d
+            ]
+            self._slots_of = {}
+            for i, t in enumerate(self._task_of):
+                if t is not None:
+                    self._slots_of.setdefault(t, []).append(i)
         return removed
 
     # ------------------------------------------------------------------
@@ -163,13 +197,6 @@ class ProcessorPool:
             return self._node_ids.index(node_id)
         except ValueError:
             return None  # node was shrunk away since the injector started
-
-    def is_down(self, node_id: int) -> bool:
-        slot = self._slot_of_node(node_id)
-        return slot is not None and self._down[slot]
-
-    def down_node_ids(self) -> list[int]:
-        return [nid for nid, d in zip(self._node_ids, self._down) if d]
 
     def fail(self, node_id: int) -> Optional[Task]:
         """Mark node *node_id* down; returns the task it was running.
@@ -184,7 +211,10 @@ class ProcessorPool:
         if slot is None or self._down[slot]:
             return None
         self._down[slot] = True
-        return self._task_of[slot]
+        victim = self._task_of[slot]
+        if victim is None:
+            self._free.remove(slot)
+        return victim
 
     def repair(self, node_id: int) -> bool:
         """Bring node *node_id* back up; True when a down node flipped."""
@@ -192,24 +222,23 @@ class ProcessorPool:
         if slot is None or not self._down[slot]:
             return False
         self._down[slot] = False
+        if self._task_of[slot] is None:
+            insort(self._free, slot)
         return True
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _believed_remaining(task: Task, now: float) -> float:
-        """The scheduler's estimate of a running task's remaining time.
-
-        Derived from the declared estimate, not the true completion —
-        with accurate predictions they coincide; under runtime
-        misestimation the engine must plan on what it was told.
-        """
-        assert task.last_start is not None
-        return max(0.0, task.estimated_remaining - (now - task.last_start))
-
     def free_times(self, now: float) -> list[float]:
         """Per-node next-free time as the scheduler believes it: *now*
         for idle nodes, now + the running task's estimated remaining time
         otherwise.  Seed state of every candidate-schedule projection.
+
+        The believed remaining time is ``max(0, estimated_remaining −
+        (now − last_start))``: derived from the declared estimate, not
+        the true completion — with accurate predictions they coincide;
+        under runtime misestimation the engine must plan on what it was
+        told.  :meth:`running_rows` spells the same float expression over
+        a block; neither may be rearranged (``last_start +
+        estimated_remaining`` differs in the last bit).
 
         Down nodes project ``inf`` — the site does not know the repair
         time, so candidate schedules place no work on them; when every
@@ -220,7 +249,11 @@ class ProcessorPool:
         return [
             math.inf
             if d
-            else (now if t is None else now + self._believed_remaining(t, now))
+            else (
+                now
+                if t is None
+                else now + max(0.0, t.estimated_remaining - (now - t.last_start))
+            )
             for t, d in zip(self._task_of, self._down)
         ]
 
@@ -236,22 +269,29 @@ class ProcessorPool:
         """
         tasks: list[Task] = []
         rows: list[tuple[float, ...]] = []
-        for t in self._task_of:
+        row_of = self._row_of
+        for i, t in enumerate(self._task_of):
             if t is None:
                 continue
-            vf = t.linear_vf
-            tasks.append(t)
-            rows.append(
-                (
+            row = row_of[i]
+            if row is None:  # first pass since assign put t here
+                vf = t.linear_vf
+                row = row_of[i] = (
                     t.arrival,
                     t.estimate,
-                    self._believed_remaining(t, now),
+                    0.0,  # the believed RPT's place: it moves with the clock
                     vf.value,
                     vf.decay,
                     vf.bound_or_inf(),
                 )
-            )
-        return tasks, np.array(rows).reshape(-1, 6).T
+            tasks.append(t)
+            rows.append(row)
+        block = np.array(rows).reshape(-1, 6).T
+        if tasks:
+            believed = np.array([t.estimated_remaining for t in tasks])
+            ran = now - np.array([t.last_start for t in tasks])
+            np.maximum(0.0, believed - ran, out=block[2])
+        return tasks, block
 
     def utilization(self, now: float) -> float:
         """Fraction of node-time spent busy over [0, now]."""

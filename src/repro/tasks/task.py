@@ -52,17 +52,20 @@ class TaskState(enum.Enum):
     CANCELLED = "cancelled"
 
 
-_ALLOWED = {
-    TaskState.CREATED: {TaskState.SUBMITTED},
-    TaskState.SUBMITTED: {TaskState.QUEUED, TaskState.REJECTED},
-    TaskState.QUEUED: {TaskState.RUNNING, TaskState.CANCELLED},
-    TaskState.RUNNING: {TaskState.QUEUED, TaskState.COMPLETED, TaskState.CANCELLED},
-    TaskState.REJECTED: set(),
-    TaskState.COMPLETED: set(),
-    TaskState.CANCELLED: set(),
-}
+# the successors of each state.  Rows are scanned by identity: a dict or
+# set keyed by the enum would call Enum.__hash__ — a Python-level
+# function — twice per transition, and a task makes three or four
+_ALLOWED = (
+    (TaskState.CREATED, (TaskState.SUBMITTED,)),
+    (TaskState.SUBMITTED, (TaskState.QUEUED, TaskState.REJECTED)),
+    (TaskState.QUEUED, (TaskState.RUNNING, TaskState.CANCELLED)),
+    (TaskState.RUNNING, (TaskState.QUEUED, TaskState.COMPLETED, TaskState.CANCELLED)),
+    (TaskState.REJECTED, ()),
+    (TaskState.COMPLETED, ()),
+    (TaskState.CANCELLED, ()),
+)
 
-_TERMINAL = {TaskState.REJECTED, TaskState.COMPLETED, TaskState.CANCELLED}
+_TERMINAL = (TaskState.REJECTED, TaskState.COMPLETED, TaskState.CANCELLED)
 
 
 class Task:
@@ -197,9 +200,13 @@ class Task:
     # State machine
     # ------------------------------------------------------------------
     def _transition(self, to: TaskState) -> None:
-        if to not in _ALLOWED[self.state]:
+        state = self.state
+        for source, successors in _ALLOWED:
+            if source is state:
+                break
+        if to not in successors:  # tuple membership tries identity first
             raise SchedulingError(
-                f"task {self.tid}: illegal transition {self.state.value} -> {to.value}"
+                f"task {self.tid}: illegal transition {state.value} -> {to.value}"
             )
         self.state = to
 

@@ -100,19 +100,24 @@ class Trace:
 
     def to_tasks(self) -> list[Task]:
         """Materialize Task objects (ids follow trace order)."""
-        tasks = []
-        for i in range(len(self)):
-            bound = None if math.isinf(self.bound[i]) else float(self.bound[i])
-            vf = LinearDecayValueFunction(float(self.value[i]), float(self.decay[i]), bound)
-            tasks.append(
-                Task(
-                    float(self.arrival[i]),
-                    float(self.runtime[i]),
-                    vf,
-                    estimate=float(self.estimate[i]),
-                )
+        # each column read once into Python floats, not numpy scalars
+        # converted one element at a time
+        return [
+            Task(
+                arrival,
+                runtime,
+                LinearDecayValueFunction(value, decay, None if math.isinf(bound) else bound),
+                estimate=estimate,
             )
-        return tasks
+            for arrival, runtime, value, decay, bound, estimate in zip(
+                self.arrival.tolist(),
+                self.runtime.tolist(),
+                self.value.tolist(),
+                self.decay.tolist(),
+                self.bound.tolist(),
+                self.estimate.tolist(),
+            )
+        ]
 
     def iter_rows(self) -> Iterator[tuple[float, float, float, float, float, float]]:
         for i in range(len(self)):

@@ -176,7 +176,7 @@ class TestOneFailurePath:
     )
     def test_crash_node_and_a_failed_exit_agree(self, make_policy):
         def crashed(site, victim):
-            node = site.processors.node_id_of(victim)
+            node = site.processors.node_ids_of(victim)[0]
             outcome = site.crash_node(node)
             site.repair_node(node)  # a failed run leaves its node up
             return outcome

@@ -39,11 +39,6 @@ class TestSpan:
         assert child.task_id == 7
         assert child.track == "task:7"
 
-    def test_to_dict_omits_unset_fields(self):
-        s = Span(span_id=1, name="x", category="task", start=0.0, end=1.0)
-        d = s.to_dict()
-        assert "parent_id" not in d and "task_id" not in d and "args" not in d
-
 
 class TestTrackerRetention:
     def test_capacity_drops_oldest_and_counts(self):

@@ -17,13 +17,18 @@ class TestEvent:
         assert e.pending and not e.fired and not e.cancelled
         assert e.state is EventState.PENDING
 
+    # the ordering key is assigned on push: only queued events compare
+
     def test_ordering_by_time(self):
-        assert make(1.0) < make(2.0)
-        assert not (make(2.0) < make(1.0))
+        q = EventQueue()
+        late, early = q.push(make(2.0)), q.push(make(1.0))
+        assert early < late
+        assert not (late < early)
 
     def test_ordering_by_priority_at_same_time(self):
-        lo = Event(1.0, lambda: None, priority=-1)
-        hi = Event(1.0, lambda: None, priority=5)
+        q = EventQueue()
+        hi = q.push(Event(1.0, lambda: None, priority=5))
+        lo = q.push(Event(1.0, lambda: None, priority=-1))
         assert lo < hi
 
     def test_ordering_by_seq_as_final_tiebreak(self):
@@ -68,7 +73,6 @@ class TestEventQueue:
 
     def test_peek_empty_returns_none(self):
         assert EventQueue().peek() is None
-        assert EventQueue().next_time() is None
 
     def test_cancel_removes_from_live_count(self):
         q = EventQueue()
@@ -106,19 +110,6 @@ class TestEventQueue:
         e.state = EventState.FIRED
         with pytest.raises(SimulationError):
             q.push(e)
-
-    def test_next_time(self):
-        q = EventQueue()
-        q.push(make(7.0))
-        q.push(make(3.0))
-        assert q.next_time() == 3.0
-
-    def test_iter_pending_excludes_cancelled(self):
-        q = EventQueue()
-        e1 = q.push(make(1.0))
-        e2 = q.push(make(2.0))
-        q.cancel(e1)
-        assert list(q.iter_pending()) == [e2]
 
     def test_clear_cancels_everything(self):
         q = EventQueue()

@@ -168,12 +168,13 @@ class TestRun:
         assert ev.tag == "a" and ev.fired
         assert sim.events_fired == 1
 
-    def test_pending_count_and_peek_time(self):
+    def test_pending_count(self):
         sim = Simulator()
         sim.schedule(4.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
+        cancelled = sim.schedule(2.0, lambda: None)
         assert sim.pending_count == 2
-        assert sim.peek_time() == 2.0
+        sim.cancel(cancelled)
+        assert sim.pending_count == 1
 
 
 class TestSameInstant:

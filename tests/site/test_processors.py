@@ -39,6 +39,22 @@ class TestAssignment:
         with pytest.raises(SchedulingError):
             pool.assign(make_task(), 0.0)
 
+    def test_assigning_a_running_task_again_raises_and_changes_nothing(self):
+        # it used to take a second node: busy_count 2, and after one
+        # vacate half the pool still counted as busy for good
+        pool = ProcessorPool(4)
+        t = make_task()
+        pool.assign(t, 0.0)
+        with pytest.raises(
+            SchedulingError, match=rf"task {t.tid} is already running on node\(s\) \[0\]"
+        ):
+            pool.assign(t, 0.0)
+        assert pool.busy_count == 1 and pool.free_count == 3
+        assert pool.slots_of(t) == [0]
+        pool.vacate(t, 5.0)
+        assert pool.busy_count == 0 and pool.free_count == 4
+        assert pool.utilization(5.0) == 0.25  # 5 node-time units of 20
+
     def test_vacate_frees_slot(self):
         pool = ProcessorPool(1)
         t = make_task()
@@ -145,14 +161,14 @@ class TestElasticCapacity:
         pool.assign(a, 0.0)  # lands on slot 0 => id 0
         b = started_task()
         pool.assign(b, 0.0)  # id 1
-        id_b = pool.node_id_of(b)
+        id_b = pool.node_ids_of(b)[0]
         pool.shrink_idle(2)  # drops idle ids 2,3
-        assert pool.node_id_of(b) == id_b
-        assert pool.node_id_of(a) == 0
+        assert pool.node_ids_of(b)[0] == id_b
+        assert pool.node_ids_of(a)[0] == 0
         pool.grow(1)  # new node gets a FRESH id, not a recycled one
         c = started_task()
         pool.assign(c, 0.0)
-        assert pool.node_id_of(c) == 4
+        assert pool.node_ids_of(c)[0] == 4
 
     def test_grow_then_assign_uses_new_capacity(self):
         pool = ProcessorPool(1)
