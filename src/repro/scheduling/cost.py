@@ -21,8 +21,15 @@ it "may be deferred to the end of the schedule with no further cost").
 When no horizon is finite (unbounded penalties: Fig. 5–7 and the market;
 Fig. 4 and the bench's ``preempt`` cell bound the penalty and take the
 sort) nothing saturates and the closed form of Eq. 5,
-``R_i · Σ_j d_j − d_i · R_i``, needs no sort at all: a view that knows it
-never expires (``PoolColumns.never_expires``) goes straight to it.
+``R_i · Σ_j d_j − d_i · R_i``, needs no sort at all.  On a
+pool's own view even that is not evaluated per call: ``d_i · R_i`` is
+clock-free, so FirstReward folds it into the coefficient rows the pool
+writes once per row (:func:`~repro.scheduling.base.affine_coefficients`,
+which also makes this module's non-negativity check, at the write) and
+only ``Σ_j d_j`` is read at the decision instant.  The regime contract of
+:mod:`repro.scheduling.pool` covers those rows: they are kept only while
+no row can expire.  Any other never-expiring view (hand-built, or scored
+by a second heuristic) takes Eq. 5's branch of :func:`opportunity_costs`.
 """
 
 from __future__ import annotations
@@ -30,16 +37,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SchedulingError
-
-
-def unbounded_costs(remaining: np.ndarray, decay: np.ndarray) -> np.ndarray:
-    """Eq. 5: every competitor decays for the whole run, so Eq. 4 collapses
-    to ``R_i · Σ_j d_j`` minus the task's own ``d_i · R_i``.  The general
-    kernel reduces to exactly these operations in this order when nothing
-    saturates, so the bits agree."""
-    if (remaining < 0).any() or (decay < 0).any():
-        raise SchedulingError("cost inputs must be non-negative")
-    return remaining * float(decay.sum()) - decay * remaining
 
 
 def opportunity_costs(
@@ -78,7 +75,10 @@ def opportunity_costs(
     finite = np.isfinite(horizons)
     n_finite = np.count_nonzero(finite)
     if n_finite == 0:
-        return unbounded_costs(remaining, decay)
+        # Eq. 5: every competitor decays for the whole run; the general
+        # kernel reduces to exactly these operations in this order when
+        # nothing saturates, so the bits agree
+        return remaining * float(decay.sum()) - decay * remaining
     # weight of unbounded competitors: they always contribute d_j * R_i
     w_unbounded = 0.0 if n_finite == n else float(decay[~finite].sum())
     # the competitors that can saturate and still weigh something

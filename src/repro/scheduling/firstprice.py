@@ -14,6 +14,7 @@ import numpy as np
 from repro.scheduling.base import (
     PoolColumns,
     SchedulingHeuristic,
+    affine_scores,
     current_yields,
     unit_denominator,
 )
@@ -25,4 +26,7 @@ class FirstPrice(SchedulingHeuristic):
     name = "firstprice"
 
     def scores(self, cols: PoolColumns, now: float) -> np.ndarray:
-        return current_yields(cols, now) / unit_denominator(cols)
+        scores = affine_scores(cols, now, 1.0, 0.0)
+        if scores is None:
+            scores = current_yields(cols, now) / unit_denominator(cols)
+        return scores

@@ -23,11 +23,12 @@ from repro.errors import SchedulingError
 from repro.scheduling.base import (
     PoolColumns,
     SchedulingHeuristic,
+    affine_scores,
     decay_horizons,
     effective_decay,
     unit_denominator,
 )
-from repro.scheduling.cost import opportunity_costs, unbounded_costs
+from repro.scheduling.cost import opportunity_costs
 from repro.scheduling.presentvalue import present_values
 
 
@@ -55,16 +56,18 @@ class FirstReward(SchedulingHeuristic):
         self.discount_rate = float(discount_rate)
 
     def scores(self, cols: PoolColumns, now: float) -> np.ndarray:
+        scores = affine_scores(cols, now, self.alpha, self.discount_rate)
+        if scores is not None:
+            return scores
         pv = present_values(cols, now, self.discount_rate)
         denom = unit_denominator(cols)
         if self.alpha == 1.0:
             return pv / denom
-        if cols.never_expires:
-            cost = unbounded_costs(cols.remaining, cols.decay)  # Eq. 5
-        else:
-            cost = opportunity_costs(
-                cols.remaining, effective_decay(cols, now), decay_horizons(cols, now)
-            )
+        # Eq. 4; on a view that never expires (one the pool's rows do not
+        # serve) every horizon is inf and this is Eq. 5's closed form
+        cost = opportunity_costs(
+            cols.remaining, effective_decay(cols, now), decay_horizons(cols, now)
+        )
         return (self.alpha * pv - (1.0 - self.alpha) * cost) / denom
 
     def __repr__(self) -> str:

@@ -7,9 +7,11 @@ preallocated capacity-doubling arrays on ``add`` (amortized O(1)), and
 removals shift the tail down with one vectorized move instead of
 rebuilding every column from Python attribute access.  ``columns()``
 itself is O(1) — it only slices the backing storage.  The backing array
-has seven rows: the six scalars read off the task plus ``expiration``,
+has eleven rows: the six scalars read off the task plus ``expiration``,
 the one derived quantity no clock enters, computed once when the row is
-written instead of at every decision instant.
+written instead of at every decision instant; then the four affine-score
+coefficient rows (``late, head, slope, cost``, see
+:func:`~repro.scheduling.base.affine_coefficients`), likewise clock-free.
 
 Regime contract: the pool counts its rows whose ``expiration`` is not
 ``+inf`` (``_expiring``: up in ``add``, down in ``remove_at``, like
@@ -18,6 +20,17 @@ the count is zero and, on a probe view, the probed rows never expire
 either.  Nobody sets the flag: it restates the ``expiration`` column, so
 the kernels read the penalty regime instead of re-taking a census of
 the column at every decision instant.
+
+The coefficient rows belong to that regime too.  They are bound lazily:
+the first heuristic that scores a never-expires view fixes the
+``(alpha, discount_rate)`` key they are written for (``_Affine``), and a
+heuristic with another key takes the general path.  While they are
+*fresh* every write (``add``, ``probe``, ``probe_block``) fills them and
+``remove_at`` shifts them with the rest.  Queuing an expiring row makes
+them stale: from then on they are neither written nor shifted — the
+bounded-penalty regime pays nothing for them — and the first
+never-expires view scored after the pool is back in the regime rebuilds
+them in one vector pass.
 
 Determinism contract: removals preserve pool order.  Swap-delete would
 be O(1) but reorders the index space, which changes ``argmax``
@@ -45,22 +58,67 @@ from typing import Iterator, Optional
 import numpy as np
 
 from repro.errors import SchedulingError
-from repro.scheduling.base import PoolColumns, expiration_delays
+from repro.scheduling.base import (
+    MIN_REMAINING,
+    PoolColumns,
+    affine_coefficients,
+    expiration_delays,
+)
 from repro.tasks.task import Task
 
-#: Rows of the backing ``(_ROWS, capacity)`` array and their indices, in
-#: :class:`PoolColumns` field order.
-_ROWS = 7
-_ARRIVAL, _RUNTIME, _REMAINING, _VALUE, _DECAY, _BOUND, _EXPIRATION = range(_ROWS)
+#: Rows of the backing ``(_ROWS, capacity)`` array and their indices: the
+#: :class:`PoolColumns` fields in field order, then the coefficient rows.
+_COLUMNS = 7
+_ARRIVAL, _RUNTIME, _REMAINING, _VALUE, _DECAY, _BOUND, _EXPIRATION = range(_COLUMNS)
+_LATE, _HEAD, _SLOPE, _COST = range(_COLUMNS, _COLUMNS + 4)
+_ROWS = _COLUMNS + 4
 
 #: Initial backing capacity (grows by doubling).
 _MIN_CAPACITY = 64
 
 
+class _Affine:
+    """A pool's coefficient rows: the key they are written for, and whether
+    they are current.
+
+    ``key`` is the ``(alpha, discount_rate)`` of the first heuristic that
+    scored a never-expires view of the pool (``None`` until then);
+    ``fresh`` says the rows hold that key's coefficients for every row of
+    the pool, which the pool keeps true only while no expiring row is
+    queued.  ``data`` is the pool's backing array (replaced on growth).
+    Views reach the rows through this object rather than the pool, so a
+    view does not close a reference cycle with the pool that caches it.
+    """
+
+    __slots__ = ("key", "fresh", "data")
+
+    def __init__(self, data: np.ndarray) -> None:
+        self.key: Optional[tuple[float, float]] = None
+        self.fresh = False
+        self.data = data
+
+    def rows(self, key: tuple[float, float], cols: PoolColumns) -> Optional[np.ndarray]:
+        """The coefficient rows under never-expires view *cols*, binding
+        *key* if nothing is bound yet; ``None`` for another key."""
+        if key != self.key:
+            if self.key is not None:
+                return None
+            self.key = key
+        block = self.data[_COLUMNS:, : len(cols)]
+        if not self.fresh:
+            # first bind, or back in the never-expires regime: one pass
+            # over every row of the view (probed rows included)
+            block[...] = affine_coefficients(
+                cols.arrival, cols.runtime, cols.remaining, cols.value, cols.decay, *key
+            )
+            self.fresh = True
+        return block
+
+
 class PendingPool:
     """Mutable ordered set of queued tasks with vectorized column access."""
 
-    __slots__ = ("_tasks", "_data", "_columns", "_multi_node", "_expiring")
+    __slots__ = ("_tasks", "_data", "_columns", "_multi_node", "_expiring", "_affine")
 
     def __init__(self) -> None:
         self._tasks: list[Task] = []
@@ -68,6 +126,7 @@ class PendingPool:
         self._columns: Optional[PoolColumns] = None
         self._multi_node = 0  # queued tasks with demand > 1
         self._expiring = 0  # queued tasks whose expiration is not +inf
+        self._affine = _Affine(self._data)
 
     # ------------------------------------------------------------------
     def add(self, task: Task) -> None:
@@ -80,6 +139,7 @@ class PendingPool:
         """
         if self._write_row(task) != math.inf:
             self._expiring += 1
+            self._affine.fresh = False
         self._tasks.append(task)
         if task.demand > 1:
             self._multi_node += 1
@@ -87,14 +147,16 @@ class PendingPool:
 
     def _write_row(self, task: Task) -> float:
         """Write *task*'s scalars into the first spare column, growing if
-        full; returns the row's ``expiration``."""
+        full, and its coefficients while they are fresh; returns the row's
+        ``expiration``."""
         n = len(self._tasks)
         data = self._data
         if n == data.shape[1]:
             data = self._grow(n, n + 1)
-        data[_ARRIVAL, n] = task.arrival
-        data[_RUNTIME, n] = task.estimate
-        data[_REMAINING, n] = task.estimated_remaining
+        arrival, runtime, remaining = task.arrival, task.estimate, task.estimated_remaining
+        data[_ARRIVAL, n] = arrival
+        data[_RUNTIME, n] = runtime
+        data[_REMAINING, n] = remaining
         vf = task.linear_vf
         value, decay, bound = vf.value, vf.decay, vf.bound_or_inf()
         data[_VALUE, n] = value
@@ -104,21 +166,38 @@ class PendingPool:
         # to inf without raising, as the vector form does)
         expiration = (value + bound) / decay if decay > 0.0 else 0.0
         data[_EXPIRATION, n] = expiration
+        affine = self._affine
+        if affine.fresh and expiration == math.inf:
+            # the scalar twin of affine_coefficients, operation for operation
+            alpha, rate = affine.key
+            if alpha != 1.0 and (remaining < 0.0 or decay < 0.0):
+                raise SchedulingError("cost inputs must be non-negative")
+            denom = max(remaining, MIN_REMAINING)
+            growth = 1.0 + rate * remaining
+            data[_LATE, n] = arrival + runtime - remaining
+            data[_HEAD, n] = (
+                alpha * (value / growth) / denom + (1.0 - alpha) * (decay * remaining) / denom
+            )
+            data[_SLOPE, n] = alpha * (decay / growth) / denom
+            data[_COST, n] = (1.0 - alpha) * remaining / denom
         return expiration
 
     def _grow(self, n: int, need: int) -> np.ndarray:
         """Reallocate to at least *need* columns (doubling), keeping the first *n*."""
         grown = np.empty((_ROWS, max(_MIN_CAPACITY, 2 * n, need)))
         grown[:, :n] = self._data[:, :n]
-        self._data = grown
+        self._data = self._affine.data = grown
         return grown
 
     def _view(self, n: int, never_expires: bool) -> PoolColumns:
         """Read-only view of the first *n* columns of the backing storage."""
-        block = self._data[:, :n]
+        block = self._data[:_COLUMNS, :n]
         block.flags.writeable = False
         # seven row views; they inherit the read-only flag
-        return PoolColumns(*block, never_expires)
+        view = PoolColumns(*block, never_expires)
+        if never_expires:
+            view._affine = self._affine
+        return view
 
     def probe(self, task: Task) -> PoolColumns:
         """The pool's columns with *task* as one extra last row; commits nothing.
@@ -149,9 +228,11 @@ class PendingPool:
         data[:_EXPIRATION, n:end] = rows
         expiration = expiration_delays(rows[_VALUE], rows[_DECAY], rows[_BOUND])
         data[_EXPIRATION, n:end] = expiration
-        return self._view(
-            end, self._expiring == 0 and bool(np.isposinf(expiration).all())
-        )
+        never_expires = self._expiring == 0 and bool(np.isposinf(expiration).all())
+        affine = self._affine
+        if never_expires and affine.fresh:
+            data[_COLUMNS:, n:end] = affine_coefficients(*rows[:_BOUND], *affine.key)
+        return self._view(end, never_expires)
 
     def remove_at(self, index: int) -> Task:
         """Remove and return the task at *index* (column index space)."""
@@ -162,9 +243,10 @@ class PendingPool:
         if self._data[_EXPIRATION, index] != math.inf:
             self._expiring -= 1
         if index < n - 1:
-            # one vectorized tail shift across all seven rows preserves
-            # order (see the determinism contract above)
-            self._data[:, index : n - 1] = self._data[:, index + 1 : n]
+            # one vectorized tail shift preserves order (see the
+            # determinism contract above); stale coefficient rows stay put
+            rows = _ROWS if self._affine.fresh else _COLUMNS
+            self._data[:rows, index : n - 1] = self._data[:rows, index + 1 : n]
         if task.demand > 1:
             self._multi_node -= 1
         self._columns = None

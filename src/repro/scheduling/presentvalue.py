@@ -18,6 +18,7 @@ from repro.errors import SchedulingError
 from repro.scheduling.base import (
     PoolColumns,
     SchedulingHeuristic,
+    affine_scores,
     current_yields,
     unit_denominator,
 )
@@ -47,7 +48,10 @@ class PresentValue(SchedulingHeuristic):
         self.discount_rate = float(discount_rate)
 
     def scores(self, cols: PoolColumns, now: float) -> np.ndarray:
-        return present_values(cols, now, self.discount_rate) / unit_denominator(cols)
+        scores = affine_scores(cols, now, 1.0, self.discount_rate)
+        if scores is None:
+            scores = present_values(cols, now, self.discount_rate) / unit_denominator(cols)
+        return scores
 
     def __repr__(self) -> str:
         return f"<PresentValue r={self.discount_rate:g}>"

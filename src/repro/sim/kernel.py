@@ -39,7 +39,6 @@ class Simulator:
         self.now = float(start)
         self._queue = EventQueue()
         self._running = False
-        self._stopped = False
         self.events_fired = 0
 
     # ------------------------------------------------------------------
@@ -136,11 +135,10 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run call)")
         self._running = True
-        self._stopped = False
         queue = self._queue
         fired = 0
         try:
-            while not self._stopped and (max_events is None or fired < max_events):
+            while max_events is None or fired < max_events:
                 # the head is looked at only when its time decides whether
                 # to go on: while essential work remains and no horizon is
                 # set, step() finds it once
@@ -159,12 +157,8 @@ class Simulator:
                 fired += 1
         finally:
             self._running = False
-        if until is not None and not self._stopped and self.now < until:
+        if until is not None and self.now < until:
             self.now = float(until)
-
-    def stop(self) -> None:
-        """Request that :meth:`run` return after the current event."""
-        self._stopped = True
 
     # ------------------------------------------------------------------
     # Introspection

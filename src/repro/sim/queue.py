@@ -152,14 +152,3 @@ class EventQueue:
     def essential_count(self) -> int:
         """Live non-daemon events — what keeps a simulation running."""
         return self._essential
-
-    def clear(self) -> None:
-        """Drop every event (pending ones are marked cancelled)."""
-        for event in self._lane[self._pos :] + self._heap:
-            if event.pending:
-                event.state = EventState.CANCELLED
-        self._lane.clear()
-        self._pos = 0
-        self._heap.clear()
-        self._live = 0
-        self._essential = 0

@@ -75,11 +75,6 @@ class ProcessorPool:
         return self._busy
 
     @property
-    def down_count(self) -> int:
-        """Nodes currently crashed (idle but unassignable)."""
-        return sum(self._down)
-
-    @property
     def running_tasks(self) -> list[Task]:
         return [t for t in self._task_of if t is not None]
 

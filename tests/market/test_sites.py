@@ -116,8 +116,7 @@ class TestAwardAndSettle:
         # a bid released in the past decays from its release, not from award
         sim = Simulator()
         site = make_site(sim)
-        sim.schedule(20.0, sim.stop)
-        sim.run()  # advance clock to 20
+        sim.run(until=20.0)
         bid = TaskBid(runtime=10.0, value=100.0, decay=2.0, client_id="c",
                       released_at=0.0)
         quote = site.quote(bid)

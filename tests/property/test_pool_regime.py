@@ -7,7 +7,10 @@ remove, a candidate probe, a block probe, growth past the 64-column
 backing, preempt-and-requeue — the flag must say exactly what a census
 of the view's ``expiration`` column says, and every heuristic must score
 the view to the same bytes as the same columns with the flag forced off
-(the general Eq. 4 kernel).
+(the general Eq. 4 kernel) — identically for every derived column, and
+to the same ordering and rtol 1e-12 for scores, which the first heuristic
+to score a never-expires view computes from the pool's affine rows
+(``tests/property/test_affine_scores.py``).
 """
 
 import numpy as np
@@ -19,6 +22,7 @@ from repro.scheduling import FirstPrice, FirstReward, PendingPool, PoolColumns, 
 from repro.scheduling.base import decay_horizons, effective_decay
 from repro.tasks import Task, TaskState
 from repro.valuefn import LinearDecayValueFunction
+from tests.property.test_affine_scores import assert_same_scores, term_scale
 from tests.property.test_pool_incremental import rebuilt_columns
 
 HEURISTICS = [
@@ -65,9 +69,13 @@ def check_view(view: PoolColumns, now: float) -> None:
     assert decay_horizons(view, now).tobytes() == decay_horizons(general, now).tobytes()
     assert effective_decay(view, now).tobytes() == effective_decay(general, now).tobytes()
     for heuristic in HEURISTICS:
-        assert (
-            heuristic.scores(view, now).tobytes() == heuristic.scores(general, now).tobytes()
-        ), heuristic
+        alpha = getattr(heuristic, "alpha", 1.0)
+        rate = getattr(heuristic, "discount_rate", 0.0)
+        assert_same_scores(
+            heuristic.scores(view, now),
+            heuristic.scores(general, now),
+            term_scale(general, now, alpha, rate),
+        )
 
 
 class PoolRegime(RuleBasedStateMachine):

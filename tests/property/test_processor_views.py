@@ -74,7 +74,6 @@ def assert_views_match_scans(pool, now, known_tasks):
     running = [t for t in pool._task_of if t is not None]
     assert pool.free_count == len(free)
     assert pool.busy_count == len(running)
-    assert pool.down_count == sum(pool._down)
     assert pool.count == len(pool._task_of) == len(pool._down) == len(pool._node_ids)
     assert pool.running_tasks == running
     for task in known_tasks:

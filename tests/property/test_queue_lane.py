@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.events import Event, EventState
+from repro.sim.events import Event
 from repro.sim.queue import EventQueue
 
 
@@ -191,19 +191,6 @@ def test_ties_fire_in_insertion_order_across_lane_and_heap():
     b = queue.push(make_event(1.0))  # heaped: equal time, later seq than a
     c = queue.push(make_event(2.0))  # lane: equal time, later seq than late
     assert [queue.pop() for _ in range(4)] == [a, b, late, c]
-
-
-def test_clear_cancels_lane_and_heap_events():
-    queue = EventQueue()
-    events = [queue.push(make_event(t)) for t in (1.0, 2.0, 0.5)]
-    fired = queue.pop()
-    queue.clear()
-    assert fired.state is EventState.PENDING  # no longer the queue's
-    assert all(e.state is EventState.CANCELLED for e in events if e is not fired)
-    assert len(queue) == 0 and queue.essential_count == 0
-    assert queue.peek() is None
-    again = queue.push(make_event(0.0))  # usable afterwards
-    assert queue.pop() is again
 
 
 def test_pop_empty_raises():

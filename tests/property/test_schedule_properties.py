@@ -84,23 +84,29 @@ class TestHeuristicScores:
     def test_population_independent_scores_stable_under_block_probe(self, cols, now):
         """FirstPrice/PV scores must not change when the tail of the pool
         arrives as a probed block instead (the preemption pass's pending ∪
-        running union) — they depend only on the task itself."""
+        running union) — they depend only on the task itself.  Bit for bit
+        against the pool that holds every row (the same scoring path: the
+        first heuristic of each pool scores from its affine rows, the
+        second on the general path), to rounding against the hand-built
+        view (always the general path)."""
         now = now + float(cols.arrival.max())
         half = len(cols) // 2
         fields = ("arrival", "runtime", "remaining", "value", "decay", "bound")
-        pool = PendingPool()
-        for i in range(half):
+        pool, full = PendingPool(), PendingPool()
+        for i in range(len(cols)):
             vf = LinearDecayValueFunction(
                 cols.value[i], cols.decay[i],
                 None if np.isinf(cols.bound[i]) else cols.bound[i],
             )
             task = Task(cols.arrival[i], cols.runtime[i], vf)
             task.estimated_remaining = cols.remaining[i]
-            pool.add(task)
+            full.add(task)
+            if i < half:
+                pool.add(task)
         block = np.array([getattr(cols, f)[half:] for f in fields])
         rebuilt = pool.probe_block(block)
         assert len(rebuilt) == len(cols) and len(pool) == half
         for heuristic in (FirstPrice(), PresentValue(0.02)):
-            assert np.array_equal(
-                heuristic.scores(cols, now), heuristic.scores(rebuilt, now)
-            )
+            scores = heuristic.scores(rebuilt, now)
+            assert np.array_equal(heuristic.scores(full.columns(), now), scores)
+            assert np.allclose(heuristic.scores(cols, now), scores, rtol=1e-12)

@@ -1,10 +1,13 @@
 """Tests for the elastic (reseller) task service."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.errors import ReproError
 from repro.resource import ElasticSite, ProvisioningPolicy, ResourceProvider
-from repro.scheduling import FirstPrice
+from repro.scheduling import FirstPrice, FirstReward, PoolColumns
 from repro.sim import Simulator
 from repro.tasks import Task
 from repro.valuefn import LinearDecayValueFunction
@@ -126,3 +129,59 @@ class TestElasticBehaviour:
         sim.run()
         site.settle()
         assert site.profit > static.total_yield
+
+
+class TestWorthwhileBacklog:
+    """The pricer's count is read off scores: a threshold on values, so
+    the affine scoring path must leave it where the general path puts it."""
+
+    @staticmethod
+    def review_counts(heuristic):
+        trace = generate_trace(
+            economy_spec(n_jobs=300, load_factor=2.0, processors=4, penalty_bound=None),
+            seed=3,
+        )
+        sim = Simulator()
+        provider = ResourceProvider(sim, capacity=16, unit_price=0.01)
+        site = ElasticSite(
+            sim, provider, heuristic,
+            policy=ProvisioningPolicy(min_nodes=2, review_interval=20.0),
+        )
+        counts, general = [], []
+        count = site._worthwhile_backlog
+
+        def noted() -> int:
+            counts.append(count())
+            if site.engine.pool:
+                cols = site.engine.pool.columns()
+                hand_built = PoolColumns(
+                    cols.arrival, cols.runtime, cols.remaining, cols.value,
+                    cols.decay, cols.bound,
+                )  # no pool behind it: the general path
+                gains = FirstPrice().scores(hand_built, sim.now)
+                threshold = provider.unit_price * site.policy.margin
+                general.append(int(np.count_nonzero(gains > threshold)))
+            else:
+                general.append(0)
+            return counts[-1]
+
+        site._worthwhile_backlog = noted
+        for task in trace.to_tasks():
+            sim.schedule_at(task.arrival, site.submit, task)
+        sim.run()
+        return counts, general, site
+
+    @pytest.mark.parametrize(
+        "heuristic, digest",
+        [
+            # the pricer shares the site heuristic's key: both score affinely
+            (FirstPrice(), "f516a078fd396bfe"),
+            # another key: the site binds the rows, the pricer goes general
+            (FirstReward(0.3, 0.01), "80f18e39dded23e7"),
+        ],
+    )
+    def test_counts_are_unchanged_on_a_fixed_seed(self, heuristic, digest):
+        counts, general, _ = self.review_counts(heuristic)
+        assert counts == general
+        assert len(counts) == 192
+        assert hashlib.sha256(repr(counts).encode()).hexdigest()[:16] == digest

@@ -111,13 +111,6 @@ class TestEventQueue:
         with pytest.raises(SimulationError):
             q.push(e)
 
-    def test_clear_cancels_everything(self):
-        q = EventQueue()
-        events = [q.push(make(float(i))) for i in range(5)]
-        q.clear()
-        assert len(q) == 0
-        assert all(e.cancelled for e in events)
-
     def test_interleaved_push_pop_cancel(self):
         q = EventQueue()
         kept = []

@@ -141,16 +141,6 @@ class TestRun:
         sim.run()  # the refused call left the simulator runnable
         assert sim.events_fired == 1
 
-    def test_stop_from_callback(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, fired.append, 1)
-        sim.schedule(2.0, sim.stop)
-        sim.schedule(3.0, fired.append, 3)
-        sim.run()
-        assert fired == [1]
-        assert sim.now == 2.0
-
     def test_reentrant_run_raises(self):
         sim = Simulator()
 
@@ -217,15 +207,14 @@ class TestSameInstant:
         assert sim.pending_count == 0
         assert sim.events_fired == 3
 
-    def test_stop_midinstant_leaves_rest_pending_in_order(self):
+    def test_max_events_midinstant_leaves_rest_pending_in_order(self):
         sim = Simulator()
         order = []
         sim.schedule(1.0, order.append, "a")
-        sim.schedule(1.0, sim.stop)
         sim.schedule(1.0, order.append, "b", priority=1)
         sim.schedule(1.0, order.append, "c")
         sim.schedule(2.0, order.append, "d")
-        sim.run()
+        sim.run(max_events=1)
         assert order == ["a"]
         assert sim.now == 1.0 and sim.pending_count == 3
         sim.run()
