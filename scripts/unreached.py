@@ -154,14 +154,14 @@ def _journaled_market(scratch: str) -> None:
 
 def _live_session(scratch: str) -> None:
     from repro.live.api import ApiError, parse_bid_body
-    from repro.live.config import LiveSiteSpec, default_config
+    from repro.live.config import LiveConfig, LiveSiteSpec
     from repro.live.recovery import apply_recovery, plan_recovery
     from repro.obs import Observability
     from repro.obs.flight import FlightRecorder, JournalSink, read_recording
     from repro.sim import Coroutine, SimClock, Simulator
     from tests.live.scripted import scripted_service
 
-    config = default_config(
+    config = LiveConfig(
         rate=60.0,
         queue_watermark=6,
         sites=(  # no slack floor: every bid is contracted, so the queues fill and shed

@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 from repro.experiments.common import FigureResult
 from repro.experiments.parallel import CellExecutor, mean_rows_of
 from repro.faults.spec import FaultSpec
+from repro.resilience.breaker import COOLDOWN
 from repro.resilience.config import ResilienceConfig
 from repro.resilience.driver import simulate_resilient_market
 from repro.scheduling.firstreward import FirstReward
@@ -38,6 +39,8 @@ from repro.workload.millennium import economy_spec
 #: failover re-bid budgets per task lineage (0 = breakers/health only).
 MTTFS = (2000.0, 1000.0, 500.0, 250.0)
 BUDGETS = (0, 1, 3)
+N_SITES = 4
+PROCESSORS_PER_SITE = 4
 MTTR = 100.0
 ALPHA = 0.2
 DISCOUNT_RATE = 0.01
@@ -46,7 +49,6 @@ LOAD_FACTOR = 1.5
 VALUE_SKEW = 3.0
 DECAY_SKEW = 5.0
 PENALTY_BOUND = 2.0  # bounded penalties: breaches are legal (and priced)
-COOLDOWN = 300.0
 
 #: Resilience-summary columns carried into each result row.
 _RES_KEYS = (
@@ -62,24 +64,16 @@ _RES_KEYS = (
 )
 
 
-def _one_run(
-    spec,
-    mttf: float,
-    mttr: float,
-    config: ResilienceConfig,
-    seed: int,
-    n_sites: int,
-    processors_per_site: int,
-    slack_threshold: float,
-) -> dict:
+def _one_run(spec, mttf: float, config: ResilienceConfig, seed: int) -> dict:
+    """One (mttf, policy, seed) cell — picklable for worker fan-out."""
     trace = generate_trace(spec, seed=seed)
-    faults = FaultSpec(mttf=mttf, mttr=mttr, restart="abandon")
+    faults = FaultSpec(mttf=mttf, mttr=MTTR, restart="abandon")
     result = simulate_resilient_market(
         trace,
         heuristic_factory=lambda: FirstReward(ALPHA, DISCOUNT_RATE),
-        n_sites=n_sites,
-        processors_per_site=processors_per_site,
-        admission_factory=lambda: SlackAdmission(slack_threshold, DISCOUNT_RATE),
+        n_sites=N_SITES,
+        processors_per_site=PROCESSORS_PER_SITE,
+        admission_factory=lambda: SlackAdmission(SLACK_THRESHOLD, DISCOUNT_RATE),
         config=config,
         faults=faults,
         fault_seed=seed,
@@ -104,12 +98,6 @@ def run_resilience(
     seeds: Sequence[int] = (0, 1),
     mttfs: Sequence[float] = MTTFS,
     budgets: Sequence[int] = BUDGETS,
-    n_sites: int = 4,
-    processors_per_site: int = 4,
-    mttr: float = MTTR,
-    load_factor: float = LOAD_FACTOR,
-    slack_threshold: float = SLACK_THRESHOLD,
-    cooldown: float = COOLDOWN,
     workers: Optional[int] = None,
 ) -> FigureResult:
     """Sweep MTTF × failover budget; one row per (policy, mttf).
@@ -123,14 +111,14 @@ def run_resilience(
         title="Value recovered vs node MTTF under market-level failover",
         notes=[
             f"economy mix: value skew {VALUE_SKEW}, decay skew {DECAY_SKEW}, "
-            f"penalty bound {PENALTY_BOUND:g}x, load factor {load_factor:g}, "
+            f"penalty bound {PENALTY_BOUND:g}x, load factor {LOAD_FACTOR:g}, "
             f"n={n_jobs}, seeds={list(seeds)}",
-            f"market: {n_sites} sites x {processors_per_site} processors, "
+            f"market: {N_SITES} sites x {PROCESSORS_PER_SITE} processors, "
             f"FirstReward(alpha={ALPHA:g}) + slack admission "
-            f"({slack_threshold:g})",
-            f"chaos: mttr={mttr:g}, restart=abandon (crashes breach "
+            f"({SLACK_THRESHOLD:g})",
+            f"chaos: mttr={MTTR:g}, restart=abandon (crashes breach "
             f"contracts), common random numbers across the budget axis",
-            f"resilience: breaker cooldown {cooldown:g}, "
+            f"resilience: breaker cooldown {COOLDOWN:g}, "
             f"budgets={list(budgets)}; 'disabled' is the plain market",
         ],
     )
@@ -138,18 +126,13 @@ def run_resilience(
         n_jobs=n_jobs,
         value_skew=VALUE_SKEW,
         decay_skew=DECAY_SKEW,
-        load_factor=load_factor,
-        processors=n_sites * processors_per_site,
+        load_factor=LOAD_FACTOR,
+        processors=N_SITES * PROCESSORS_PER_SITE,
         penalty_bound=PENALTY_BOUND,
     )
     policies = [("disabled", ResilienceConfig())]
     policies += [
-        (
-            f"budget={budget}",
-            ResilienceConfig(
-                enabled=True, failover_budget=budget, cooldown=cooldown
-            ),
-        )
+        (f"budget={budget}", ResilienceConfig(enabled=True, failover_budget=budget))
         for budget in budgets
     ]
     with CellExecutor(workers) as ex:
@@ -157,20 +140,7 @@ def run_resilience(
         for mttf in mttfs:
             for policy, config in policies:
                 cells[mttf, policy] = mean_rows_of(
-                    [
-                        ex.submit(
-                            _one_run,
-                            spec,
-                            mttf,
-                            mttr,
-                            config,
-                            seed,
-                            n_sites,
-                            processors_per_site,
-                            slack_threshold,
-                        )
-                        for seed in seeds
-                    ]
+                    [ex.submit(_one_run, spec, mttf, config, seed) for seed in seeds]
                 )
         for mttf in mttfs:
             for policy, _ in policies:

@@ -35,7 +35,7 @@ serve
 
 from repro.live.api import API_VERSION, ApiError, BidRequest, parse_bid, parse_bid_body
 from repro.live.clock import FrozenClock, WallClock
-from repro.live.config import LiveConfig, LiveSiteSpec, default_config
+from repro.live.config import LiveConfig, LiveSiteSpec
 from repro.live.executor import ExecutionReport, SubprocessExecutor
 from repro.live.service import LiveRecord, LiveService
 from repro.live.site import LiveSite
@@ -53,7 +53,6 @@ __all__ = [
     "LiveSiteSpec",
     "SubprocessExecutor",
     "WallClock",
-    "default_config",
     "parse_bid",
     "parse_bid_body",
 ]

@@ -32,6 +32,10 @@ from typing import Callable, Optional, Sequence
 from repro.errors import LiveServiceError
 from repro.sim.clock import Clock
 
+#: Wall seconds between status polls of a running child (the watchdog's
+#: resolution) and between idle checks of a draining service.
+POLL_INTERVAL = 0.05
+
 
 def sleep_argv(seconds: float) -> tuple[str, ...]:
     """Default task command: sleep for the declared runtime.
@@ -65,7 +69,7 @@ class SubprocessExecutor:
         clock: Clock,
         rate: float,
         max_running: int,
-        poll_interval: float = 0.05,
+        poll_interval: float = POLL_INTERVAL,
     ) -> None:
         if max_running < 1:
             raise LiveServiceError(f"max_running must be >= 1, got {max_running!r}")

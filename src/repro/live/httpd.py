@@ -77,16 +77,6 @@ def _response(
     return head.encode("ascii") + body
 
 
-def _format_retry_after(seconds: float) -> str:
-    """Render a Retry-After value: integer when whole, else the float.
-
-    Sub-second hints are non-standard HTTP but this is a closed loop —
-    :mod:`repro.live.client` parses floats, and tests want sub-second
-    backoff.
-    """
-    return str(int(seconds)) if float(seconds).is_integer() else f"{seconds:g}"
-
-
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> tuple[str, str, bytes, str, Optional[str]]:
@@ -188,7 +178,7 @@ async def _handle(
         except ApiError as exc:
             status, payload = exc.status, {"error": str(exc)}
             if exc.retry_after is not None:
-                headers["Retry-After"] = _format_retry_after(exc.retry_after)
+                headers["Retry-After"] = f"{exc.retry_after:g}"
         except asyncio.IncompleteReadError:
             return  # client hung up mid-request; nothing to answer
         except Exception as exc:  # defensive: never kill the server loop

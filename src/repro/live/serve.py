@@ -25,7 +25,7 @@ import sys
 
 from repro.live.config import LiveConfig, LiveSiteSpec
 from repro.live.httpd import start_http
-from repro.live.service import STRATEGIES, LiveService
+from repro.live.service import LiveService
 
 
 def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
@@ -56,11 +56,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         help="max concurrently running subprocesses per site",
     )
     parser.add_argument(
-        "--heuristic",
-        default="firstreward",
-        help="scheduling heuristic registry name (default %(default)s)",
-    )
-    parser.add_argument(
         "--threshold",
         type=float,
         default=180.0,
@@ -68,23 +63,11 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         "the paper's Fig. 6 setting)",
     )
     parser.add_argument(
-        "--strategy",
-        choices=sorted(STRATEGIES),
-        default="best-yield",
-        help="broker quote-selection strategy",
-    )
-    parser.add_argument(
         "--timeout-factor",
         type=float,
         default=10.0,
         help="kill a subprocess past FACTOR x its declared runtime "
         "(0 disables; default %(default)s)",
-    )
-    parser.add_argument(
-        "--max-restarts",
-        type=int,
-        default=1,
-        help="failed-run requeues before a contract is breached",
     )
     parser.add_argument(
         "--drain-grace",
@@ -132,25 +115,11 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         help="refuse new bids with 429 once N tasks are queued across "
         "all sites (0 disables shedding)",
     )
-    parser.add_argument(
-        "--retry-after",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="Retry-After hint sent with 429/503 answers",
-    )
 
 
 def config_from_args(args: argparse.Namespace) -> LiveConfig:
-    if args.sites < 1:
-        raise SystemExit(f"--sites must be >= 1, got {args.sites}")
     sites = tuple(
-        LiveSiteSpec(
-            site_id=f"live-{i}",
-            slots=args.slots,
-            heuristic=args.heuristic,
-            threshold=args.threshold,
-        )
+        LiveSiteSpec(site_id=f"live-{i}", slots=args.slots, threshold=args.threshold)
         for i in range(args.sites)
     )
     return LiveConfig(
@@ -158,12 +127,9 @@ def config_from_args(args: argparse.Namespace) -> LiveConfig:
         port=args.port,
         rate=args.rate,
         sites=sites,
-        strategy=args.strategy,
         timeout_factor=args.timeout_factor,
-        max_restarts=args.max_restarts,
         drain_grace=args.drain_grace,
         queue_watermark=args.queue_watermark,
-        retry_after_s=args.retry_after,
     )
 
 

@@ -32,9 +32,14 @@ from repro.errors import LiveServiceError
 from repro.live.api import ApiError, BidRequest, bid_result_doc
 from repro.live.clock import WallClock
 from repro.live.config import LiveConfig, LiveSiteSpec
-from repro.live.executor import ExecutionReport, SubprocessExecutor, sleep_argv
-from repro.live.site import LiveSite
-from repro.market.broker import Broker, best_surplus, best_yield, earliest_completion
+from repro.live.executor import (
+    POLL_INTERVAL,
+    ExecutionReport,
+    SubprocessExecutor,
+    sleep_argv,
+)
+from repro.live.site import DISCOUNT_RATE, LiveSite
+from repro.market.broker import Broker
 from repro.obs.flight import FlightRecorder
 from repro.obs.prom import RateWindow
 from repro.sim.clock import Clock
@@ -42,13 +47,8 @@ from repro.tasks.bid import TaskBid
 from repro.tasks.contract import Contract
 from repro.tasks.task import Task
 
-#: Broker selection strategies by CLI/config name.
-STRATEGIES = {
-    "best-yield": best_yield,
-    "best-surplus": best_surplus,
-    "earliest": earliest_completion,
-}
-
+#: Retry-After hint (wall seconds) on 429 shed and 503 drain answers.
+RETRY_AFTER_S = 1.0
 
 #: Most-recent ``Idempotency-Key`` responses the service retains for
 #: replay: a retry older than this many distinct keys can no longer be
@@ -123,12 +123,7 @@ class _SiteExecutor(SubprocessExecutor):
     """
 
     def __init__(self, service: "LiveService", slots: int) -> None:
-        super().__init__(
-            service.clock,
-            rate=service.config.rate,
-            max_running=slots,
-            poll_interval=service.config.poll_interval,
-        )
+        super().__init__(service.clock, rate=service.config.rate, max_running=slots)
         self.service = service
 
     def launch(self, task: Task, now: float, on_exit: Callable[..., Any]) -> asyncio.Task:
@@ -186,13 +181,6 @@ class LiveService:
         flight: Optional[FlightRecorder] = None,
         executor: Optional[Callable[[LiveSiteSpec], Any]] = None,
     ) -> None:
-        try:
-            strategy = STRATEGIES[config.strategy]
-        except KeyError:
-            raise LiveServiceError(
-                f"unknown strategy {config.strategy!r}; options: "
-                f"{sorted(STRATEGIES)}"
-            ) from None
         self.config = config
         self.clock: Clock = clock if clock is not None else WallClock(config.rate)
         self.obs = obs
@@ -205,13 +193,13 @@ class LiveService:
                 self.clock,
                 spec,
                 _SiteExecutor(self, spec.slots) if executor is None else executor(spec),
-                max_restarts=config.max_restarts,
                 obs=obs,
                 flight=flight,
             )
             site.settlement_listeners.append(self._note_settlement)
             self.sites.append(site)
-        self.broker = Broker(self.sites, strategy=strategy)
+        # the default strategy, as in the simulated market: best yield
+        self.broker = Broker(self.sites)
         self.broker.flight = flight
         if flight is not None:
             for site, spec in zip(self.sites, config.sites):
@@ -219,9 +207,9 @@ class LiveService:
                     self.clock.now,
                     site.site_id,
                     capacity=spec.slots,
-                    heuristic=spec.heuristic,
+                    heuristic=site.engine.heuristic.name,
                     threshold=spec.threshold,
-                    discount_rate=spec.discount_rate,
+                    discount_rate=DISCOUNT_RATE,
                 )
         self.records: list[LiveRecord] = []
         self._record_of_task: dict[int, LiveRecord] = {}
@@ -256,7 +244,7 @@ class LiveService:
             raise ApiError(
                 "service is draining; not accepting bids",
                 status=503,
-                retry_after=self.config.retry_after_s,
+                retry_after=RETRY_AFTER_S,
             )
         watermark = self.config.queue_watermark
         if watermark and self.queued_total >= watermark:
@@ -266,14 +254,14 @@ class LiveService:
                     self.clock.now,
                     queued=self.queued_total,
                     watermark=watermark,
-                    retry_after_s=self.config.retry_after_s,
+                    retry_after_s=RETRY_AFTER_S,
                     client_id=client_id,
                 )
             raise ApiError(
                 f"queue depth {self.queued_total} at watermark {watermark}; "
                 "retry later",
                 status=429,
-                retry_after=self.config.retry_after_s,
+                retry_after=RETRY_AFTER_S,
             )
 
     def submit_bid(self, request: BidRequest) -> LiveRecord:
@@ -450,11 +438,11 @@ class LiveService:
         """Finish in-flight work; force-settle whatever outlives grace.
 
         Waits only through :attr:`clock` — ``idle`` is polled every
-        ``poll_interval`` until the grace deadline — so the same
+        ``POLL_INTERVAL`` until the grace deadline — so the same
         coroutine drains on the event loop and on the simulation kernel.
         """
         self.draining = True
-        poll = self.config.poll_interval * self.config.rate
+        poll = POLL_INTERVAL * self.config.rate
         deadline = self.clock.now + self.config.drain_grace * self.config.rate
         while not self.idle:
             remaining = deadline - self.clock.now

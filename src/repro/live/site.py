@@ -19,10 +19,17 @@ from repro.faults.restart import CrashOutcome, RequeueRestart
 from repro.live.config import LiveSiteSpec
 from repro.market.sites import MarketSite
 from repro.obs.flight import FlightRecorder
-from repro.scheduling.registry import make_heuristic
+from repro.scheduling.firstreward import FirstReward
 from repro.sim.clock import Clock
 from repro.site.admission import SlackAdmission
 from repro.tasks.task import Task
+
+#: Every live site schedules by FirstReward(ALPHA, DISCOUNT_RATE), and
+#: its slack admission discounts expected gains at DISCOUNT_RATE.
+ALPHA = 0.3
+DISCOUNT_RATE = 0.01
+#: Failed-run requeues before a contract is breached.
+MAX_RESTARTS = 1
 
 
 def _breach(task: Task, now: float) -> float:
@@ -62,13 +69,11 @@ class LiveSite(MarketSite):
     clock:
         The service's clock (market units).
     spec:
-        Capacity and policy knobs (:class:`~repro.live.config.LiveSiteSpec`).
+        Capacity and slack threshold (:class:`~repro.live.config.LiveSiteSpec`).
     executor:
         How a started task runs — the engine's execution seam (see
         :mod:`repro.site.service`).  The service also asks it to
         ``kill_all()`` when the drain grace expires.
-    max_restarts:
-        Failed-run requeues before the contract is breached.
     """
 
     def __init__(
@@ -76,7 +81,6 @@ class LiveSite(MarketSite):
         clock: Clock,
         spec: LiveSiteSpec,
         executor,
-        max_restarts: int = 1,
         obs=None,
         flight: Optional[FlightRecorder] = None,
     ) -> None:
@@ -84,12 +88,10 @@ class LiveSite(MarketSite):
             None,
             spec.site_id,
             spec.slots,
-            make_heuristic(spec.heuristic, **dict(spec.heuristic_params)),
-            admission=SlackAdmission(
-                threshold=spec.threshold, discount_rate=spec.discount_rate
-            ),
+            FirstReward(ALPHA, DISCOUNT_RATE),
+            admission=SlackAdmission(threshold=spec.threshold, discount_rate=DISCOUNT_RATE),
             obs=obs,
-            restart_policy=BudgetedRestart(int(max_restarts)),
+            restart_policy=BudgetedRestart(MAX_RESTARTS),
             flight=flight,
             clock=clock,
             executor=executor,

@@ -39,22 +39,14 @@ class EconomyResult:
     def total_revenue(self) -> float:
         return sum(s.revenue for s in self.sites)
 
-    @property
-    def revenue_by_site(self) -> dict[str, float]:
-        return {s.site_id: s.revenue for s in self.sites}
-
-    @property
-    def contracts_by_site(self) -> dict[str, int]:
-        return {s.site_id: len(s.contracts) for s in self.sites}
-
     def summary(self) -> dict:
         return {
             "bids": len(self.outcomes),
             "accepted": self.accepted,
             "rejected": self.rejected,
             "total_revenue": self.total_revenue,
-            "revenue_by_site": self.revenue_by_site,
-            "contracts_by_site": self.contracts_by_site,
+            "revenue_by_site": {s.site_id: s.revenue for s in self.sites},
+            "contracts_by_site": {s.site_id: len(s.contracts) for s in self.sites},
             "on_time_rates": {s.site_id: s.on_time_rate for s in self.sites},
         }
 

@@ -197,10 +197,6 @@ class MarketSite:
 
     # ------------------------------------------------------------------
     @property
-    def open_contracts(self) -> int:
-        return len(self._contract_of)
-
-    @property
     def on_time_rate(self) -> float:
         settled = [c for c in self.contracts if c.settled]
         if not settled:

@@ -57,7 +57,6 @@ from repro.obs.instrument import Observability, current, observing
 from repro.obs.prom import PROMETHEUS_CONTENT_TYPE, RateWindow, prometheus_text
 from repro.obs.registry import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     TimeWeightedGauge,
@@ -69,7 +68,6 @@ __all__ = [
     "PROMETHEUS_CONTENT_TYPE",
     "Counter",
     "FlightRecorder",
-    "Gauge",
     "Histogram",
     "JournalSink",
     "MetricsRegistry",

@@ -51,8 +51,8 @@ def prometheus_text(
 ) -> str:
     """Render a metrics snapshot as Prometheus exposition text.
 
-    Counters map to ``counter``; gauges and time-weighted gauges to
-    ``gauge``; histograms to ``summary`` (``_count``/``_sum`` plus mean
+    Counters map to ``counter``; time-weighted gauges to ``gauge``
+    (their last value); histograms to ``summary`` (``_count``/``_sum`` plus mean
     as a gauge — the streaming instruments keep no quantile sketch).
     *extra_gauges* (e.g. the windowed service rates) are appended as
     plain gauges; ``None`` values are skipped.
@@ -67,8 +67,8 @@ def prometheus_text(
         if kind == "counter":
             lines.append(f"# TYPE {metric} counter")
             lines.append(f"{metric} {_format_value(snap['value'])}")
-        elif kind in ("gauge", "time_weighted"):
-            if snap.get("writes", 0) == 0 or snap.get("value") is None:
+        elif kind == "time_weighted":
+            if snap["writes"] == 0:
                 continue
             lines.append(f"# TYPE {metric} gauge")
             lines.append(f"{metric} {_format_value(snap['value'])}")

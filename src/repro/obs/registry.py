@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, and time-weighted histograms.
+"""The metrics registry: counters, histograms, and time-weighted gauges.
 
 Every instrumented layer (kernel, site, admission, scheduling, market,
 faults) publishes into one :class:`MetricsRegistry` per run.  Metrics are
@@ -31,41 +31,6 @@ class Counter:
 
     def __repr__(self) -> str:
         return f"<Counter {self.name}={self.value:g}>"
-
-
-class Gauge:
-    """A point-in-time value (last write wins); tracks its min/max."""
-
-    __slots__ = ("name", "value", "min", "max", "writes")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-        self.writes = 0
-
-    def set(self, value: float) -> None:
-        self.value = value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        self.writes += 1
-
-    def snapshot(self) -> dict:
-        if self.writes == 0:
-            return {"type": "gauge", "value": None, "writes": 0}
-        return {
-            "type": "gauge",
-            "value": self.value,
-            "min": self.min,
-            "max": self.max,
-            "writes": self.writes,
-        }
-
-    def __repr__(self) -> str:
-        return f"<Gauge {self.name}={self.value:g}>"
 
 
 class Histogram:
@@ -165,7 +130,7 @@ class TimeWeightedGauge:
 class MetricsRegistry:
     """Named instruments, created on first use.
 
-    ``counter``/``gauge``/``histogram``/``time_weighted`` are get-or-create:
+    ``counter``/``histogram``/``time_weighted`` are get-or-create:
     the first caller fixes the instrument's type and later callers share
     it, so independent layers can publish into one metric (e.g. both the
     site and the driver bumping ``tasks.completed``).
@@ -188,9 +153,6 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Counter:
         return self._get(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
 
     def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)

@@ -20,7 +20,21 @@ import enum
 from typing import Optional
 
 from repro.errors import MarketError
-from repro.resilience.config import ResilienceConfig
+
+#: Consecutive hard failures (breaches) that trip a CLOSED breaker OPEN.
+BREAKER_FAILURES = 3
+#: Alternative trip wire: the site's EWMA breach rate at or above this
+#: opens a CLOSED breaker once ``BREAKER_MIN_EVENTS`` outcomes are seen.
+BREACH_RATE_THRESHOLD = 0.5
+#: Outcomes observed before the breach-rate wire arms (one early breach
+#: must not read as rate 1.0).
+BREAKER_MIN_EVENTS = 5
+#: Sim time an OPEN breaker waits before letting a HALF_OPEN probe
+#: through (three mean task durations).
+COOLDOWN = 300.0
+#: Contracts allowed in flight while HALF_OPEN: one success closes the
+#: breaker, one failure re-opens it.
+HALF_OPEN_PROBES = 1
 
 
 class BreakerState(enum.Enum):
@@ -32,9 +46,8 @@ class BreakerState(enum.Enum):
 class CircuitBreaker:
     """Failure-rate gate for one site's negotiation path."""
 
-    def __init__(self, site_id: str, config: ResilienceConfig) -> None:
+    def __init__(self, site_id: str) -> None:
         self.site_id = site_id
-        self.config = config
         self.state = BreakerState.CLOSED
         self.consecutive_failures = 0
         self._opened_at: Optional[float] = None
@@ -75,11 +88,11 @@ class CircuitBreaker:
             return True
         if self.state is BreakerState.OPEN:
             assert self._opened_at is not None
-            if now >= self._opened_at + self.config.cooldown:
+            if now >= self._opened_at + COOLDOWN:
                 self._move(BreakerState.HALF_OPEN, now)
                 return True
             return False
-        return self._probes_in_flight < self.config.half_open_probes
+        return self._probes_in_flight < HALF_OPEN_PROBES
 
     def note_probe(self) -> None:
         """A HALF_OPEN solicitation was awarded; account the probe slot."""
@@ -104,10 +117,9 @@ class CircuitBreaker:
         if self.state is not BreakerState.CLOSED:
             return
         rate_tripped = (
-            events >= self.config.breaker_min_events
-            and breach_rate >= self.config.breach_rate_threshold
+            events >= BREAKER_MIN_EVENTS and breach_rate >= BREACH_RATE_THRESHOLD
         )
-        if self.consecutive_failures >= self.config.breaker_failures or rate_tripped:
+        if self.consecutive_failures >= BREAKER_FAILURES or rate_tripped:
             self._move(BreakerState.OPEN, now)
 
     # ------------------------------------------------------------------

@@ -12,6 +12,11 @@ recovery books.
 With ``config.enabled=False`` the manager attaches nothing and the
 broker takes the plain :class:`~repro.market.broker.Broker` path — the
 chaos sweep compares exactly this pair of runs at each grid point.
+
+Like :func:`~repro.site.driver.simulate_site`, a run picks up an
+ambient :func:`repro.obs.observing` attachment when no *obs* is given
+and brackets itself as one observed run; results are byte-identical
+with or without it.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from repro.resilience.manager import ResilienceManager
 from repro.scheduling.base import SchedulingHeuristic
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
+from repro.site.driver import _resolve_obs
 from repro.workload.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -51,19 +57,6 @@ class ResilientMarketResult:
     def total_revenue(self) -> float:
         return self.economy.total_revenue
 
-    @property
-    def resilience(self) -> dict:
-        return self.manager.summary()
-
-    def summary(self) -> dict:
-        out = {
-            **self.economy.summary(),
-            "resilience": self.manager.summary(),
-        }
-        if self.fault_stats is not None:
-            out["faults"] = self.fault_stats.summary()
-        return out
-
 
 def simulate_resilient_market(
     trace: Trace,
@@ -74,7 +67,6 @@ def simulate_resilient_market(
     config: Optional[ResilienceConfig] = None,
     faults: "Optional[FaultSpec]" = None,
     fault_seed: int = 0,
-    vickrey: bool = False,
     obs: "Optional[Observability]" = None,
 ) -> ResilientMarketResult:
     """Run *trace* across ``n_sites`` sites with chaos and recovery.
@@ -93,6 +85,9 @@ def simulate_resilient_market(
     if n_sites < 1:
         raise MarketError(f"n_sites must be >= 1, got {n_sites!r}")
     config = config if config is not None else ResilienceConfig()
+    obs = _resolve_obs(obs)
+    if obs is not None:
+        obs.begin_run("market+resilience" if config.enabled else "market")
     sim = Simulator()
 
     restart_policy = None
@@ -115,7 +110,7 @@ def simulate_resilient_market(
         for i in range(n_sites)
     ]
     manager = ResilienceManager(sim, config, sites, obs=obs)
-    broker = ResilientBroker(sites=sites, vickrey=vickrey, manager=manager)
+    broker = ResilientBroker(sites=sites, manager=manager)
     economy = MarketEconomy(sim, broker)
     economy.schedule_trace(trace)
 
@@ -145,6 +140,16 @@ def simulate_resilient_market(
     for injector in injectors:
         injector.shutdown()
     manager.finalize(sim.now)
+    if obs is not None:
+        obs.end_run(
+            sim.now,
+            bids=len(trace),
+            accepted=result.accepted,
+            events=sim.events_fired,
+            sim_time=sim.now,
+            total_revenue=result.total_revenue,
+            **({} if stats is None else {"crashes": stats.crashes}),
+        )
 
     return ResilientMarketResult(
         economy=result,

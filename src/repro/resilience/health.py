@@ -15,9 +15,13 @@ burn a contract lately?" without a sliding-window buffer.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.errors import MarketError
+
+#: EWMA smoothing factor of the per-site scores, in (0, 1]: the weight of
+#: the most recent outcome.
+HEALTH_ALPHA = 0.2
+#: Score a site starts with before any outcome is observed.
+INITIAL_HEALTH = 1.0
 
 #: Outcome kinds and the health score each contributes.
 OUTCOME_SCORES = {
@@ -97,27 +101,23 @@ class SiteHealth:
 class HealthTracker:
     """Health scores for every site in one market."""
 
-    def __init__(self, alpha: float = 0.2, initial: float = 1.0) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise MarketError(f"alpha must be in (0, 1], got {alpha!r}")
-        self.alpha = float(alpha)
-        self.initial = float(initial)
+    def __init__(self) -> None:
         self._sites: dict[str, SiteHealth] = {}
 
     def site(self, site_id: str) -> SiteHealth:
         health = self._sites.get(site_id)
         if health is None:
-            health = SiteHealth(site_id, self.initial)
+            health = SiteHealth(site_id, INITIAL_HEALTH)
             self._sites[site_id] = health
         return health
 
     def observe(self, site_id: str, outcome: str) -> float:
         """Fold one outcome into *site_id*'s EWMA; returns the new score."""
-        return self.site(site_id).observe(outcome, self.alpha)
+        return self.site(site_id).observe(outcome, HEALTH_ALPHA)
 
     def score(self, site_id: str) -> float:
         health = self._sites.get(site_id)
-        return self.initial if health is None else health.score
+        return INITIAL_HEALTH if health is None else health.score
 
     def breach_rate(self, site_id: str) -> float:
         health = self._sites.get(site_id)
@@ -127,13 +127,8 @@ class HealthTracker:
         health = self._sites.get(site_id)
         return 0 if health is None else health.events
 
-    def ranked(self, site_ids: Optional[list[str]] = None) -> list[str]:
-        """Site ids ordered healthiest-first (stable for ties)."""
-        ids = list(self._sites) if site_ids is None else list(site_ids)
-        return sorted(ids, key=lambda s: -self.score(s))
-
     def snapshot(self) -> dict:
         return {sid: h.summary() for sid, h in sorted(self._sites.items())}
 
     def __repr__(self) -> str:
-        return f"<HealthTracker alpha={self.alpha:g} sites={len(self._sites)}>"
+        return f"<HealthTracker sites={len(self._sites)}>"

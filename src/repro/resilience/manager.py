@@ -42,6 +42,10 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.obs.instrument import Observability
     from repro.tasks.task import Task
 
+#: Sim-time delay before a failover re-bid is issued: the same instant,
+#: but as a separately scheduled event, after the breach has settled.
+FAILOVER_DELAY = 0.0
+
 
 @dataclass
 class ResilienceStats:
@@ -97,11 +101,9 @@ class ResilienceManager:
         self.config = config
         self.obs = obs
         self.sites: dict[str, MarketSite] = {s.site_id: s for s in sites}
-        self.health = HealthTracker(
-            alpha=config.health_alpha, initial=config.initial_health
-        )
+        self.health = HealthTracker()
         self.breakers: dict[str, CircuitBreaker] = {
-            sid: CircuitBreaker(sid, config) for sid in self.sites
+            sid: CircuitBreaker(sid) for sid in self.sites
         }
         self.stats = ResilienceStats()
         #: broker used for failover re-bids; set by ResilientBroker
@@ -264,7 +266,7 @@ class ResilienceManager:
                 lineage.root_bid.bid_id, lineage.attempts, self.sim.now
             )
         self.sim.schedule(
-            self.config.failover_delay,
+            FAILOVER_DELAY,
             self._run_failover,
             lineage,
             failed_site,
@@ -272,11 +274,10 @@ class ResilienceManager:
         )
 
     def _run_failover(self, lineage: Lineage, failed_site: str) -> None:
+        # the site that just failed the task sits this round out (it
+        # still quotes in later rounds)
         rebid = self._rebid(lineage)
-        exclude = (
-            frozenset({failed_site}) if self.config.exclude_failed_site else frozenset()
-        )
-        contract = self.broker.negotiate(rebid, exclude=exclude).contract
+        contract = self.broker.negotiate(rebid, exclude=frozenset({failed_site})).contract
         if contract is not None:
             self.stats.failovers_contracted += 1
         if self.obs is not None:

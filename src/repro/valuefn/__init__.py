@@ -10,12 +10,11 @@ documented extension.
 """
 
 from repro.valuefn.base import ValueFunction
-from repro.valuefn.linear import LinearDecayValueFunction, linear_yield
+from repro.valuefn.linear import LinearDecayValueFunction
 from repro.valuefn.piecewise import PiecewiseLinearValueFunction
 
 __all__ = [
     "LinearDecayValueFunction",
     "PiecewiseLinearValueFunction",
     "ValueFunction",
-    "linear_yield",
 ]

@@ -5,9 +5,6 @@ from __future__ import annotations
 import abc
 import math
 
-import numpy as np
-from numpy.typing import NDArray
-
 
 class ValueFunction(abc.ABC):
     """Maps task delay to user value (yield).
@@ -43,23 +40,6 @@ class ValueFunction(abc.ABC):
         ``math.inf`` for unbounded penalties.  The paper calls the
         corresponding absolute time the task's *expiration time*.
         """
-
-    def yields_at(self, delays: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Vectorized :meth:`yield_at` over a delay array.
-
-        The contract is float64 *bit-equality* with the scalar method
-        element-wise (pinned by ``tests/valuefn/test_vectorized.py``) —
-        overrides must use the exact same operations and associativity,
-        not merely be numerically close.  This generic fallback simply
-        loops, so any subclass is vector-callable.
-        """
-        arr = np.asarray(delays, dtype=np.float64)
-        return np.array([self.yield_at(float(d)) for d in arr.ravel()]).reshape(arr.shape)
-
-    def decays_at(self, delays: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Vectorized :meth:`decay_at` (same bit-equality contract)."""
-        arr = np.asarray(delays, dtype=np.float64)
-        return np.array([self.decay_at(float(d)) for d in arr.ravel()]).reshape(arr.shape)
 
     def is_expired(self, delay: float) -> bool:
         """True when the function has stopped decaying at *delay*."""

@@ -14,32 +14,10 @@ the regime of the paper's Figures 5–7.
 from __future__ import annotations
 
 import math
-from typing import Optional, Union
-
-import numpy as np
-from numpy.typing import NDArray
+from typing import Optional
 
 from repro.errors import ValueFunctionError
 from repro.valuefn.base import ValueFunction
-
-ArrayLike = Union[float, NDArray[np.float64]]
-
-
-def linear_yield(
-    value: ArrayLike,
-    decay: ArrayLike,
-    delay: ArrayLike,
-    bound: ArrayLike = np.inf,
-) -> ArrayLike:
-    """Vectorized Eq. 1 with penalty floor.
-
-    ``bound`` is the penalty bound (``np.inf`` for unbounded); the result
-    is ``max(value − delay·decay, −bound)`` elementwise.  This is the hot
-    kernel the scheduler's task pool calls on NumPy columns.
-    """
-    raw = np.asarray(value) - np.asarray(delay) * np.asarray(decay)
-    floored: NDArray[np.float64] = np.maximum(raw, -np.asarray(bound))
-    return floored
 
 
 class LinearDecayValueFunction(ValueFunction):
@@ -122,32 +100,6 @@ class LinearDecayValueFunction(ValueFunction):
         if delay < 0:
             raise ValueFunctionError(f"delay must be >= 0, got {delay!r}")
         return 0.0 if self.is_expired(delay) and self.decay > 0 else self.decay
-
-    # ------------------------------------------------------------------
-    # Vectorized evaluation (bit-identical to the scalar methods)
-    # ------------------------------------------------------------------
-    def yields_at(self, delays: NDArray[np.float64]) -> NDArray[np.float64]:
-        arr = np.asarray(delays, dtype=np.float64)
-        if arr.size and float(arr.min()) < 0:
-            raise ValueFunctionError(f"delay must be >= 0, got {float(arr.min())!r}")
-        # same expression as yield_at: value - delay*decay, floored
-        raw = self.value - arr * self.decay
-        if self.penalty_bound is None:
-            return raw
-        out: NDArray[np.float64] = np.maximum(raw, -self.penalty_bound)
-        return out
-
-    def decays_at(self, delays: NDArray[np.float64]) -> NDArray[np.float64]:
-        arr = np.asarray(delays, dtype=np.float64)
-        if arr.size and float(arr.min()) < 0:
-            raise ValueFunctionError(f"delay must be >= 0, got {float(arr.min())!r}")
-        if self.penalty_bound is None or self.decay == 0.0:
-            # never expires (unbounded) or never decays: constant rate,
-            # matching decay_at's `is_expired and decay > 0` guard
-            return np.full(arr.shape, self.decay)
-        expiration = (self.value + self.penalty_bound) / self.decay
-        out: NDArray[np.float64] = np.where(arr >= expiration, 0.0, self.decay)
-        return out
 
     # ------------------------------------------------------------------
     def as_tuple(self) -> tuple[float, float, Optional[float]]:

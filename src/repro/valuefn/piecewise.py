@@ -16,9 +16,6 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-import numpy as np
-from numpy.typing import NDArray
-
 from repro.errors import ValueFunctionError
 from repro.valuefn.base import ValueFunction
 from repro.valuefn.linear import LinearDecayValueFunction
@@ -114,53 +111,6 @@ class PiecewiseLinearValueFunction(ValueFunction):
         d0, d1 = self._delays[i], self._delays[i + 1]
         y0, y1 = self._yields[i], self._yields[i + 1]
         return (y0 - y1) / (d1 - d0)
-
-    # ------------------------------------------------------------------
-    # Vectorized evaluation (bit-identical to the scalar methods).
-    # ``np.interp`` is deliberately NOT used: its internal slope-based
-    # formula is not bit-identical to the scalar ``y0 + frac*(y1-y0)``
-    # interpolation above, and byte-identity across code paths is the
-    # repository's determinism contract.
-    # ------------------------------------------------------------------
-    def _segments_of(self, arr: NDArray[np.float64]) -> NDArray[np.intp]:
-        """Vectorized :meth:`_segment`: index i with delay in [d_i, d_{i+1})."""
-        d = np.asarray(self._delays)
-        idx: NDArray[np.intp] = np.clip(
-            np.searchsorted(d, arr, side="right") - 1, 0, len(self._delays) - 2
-        )
-        return idx
-
-    def yields_at(self, delays: NDArray[np.float64]) -> NDArray[np.float64]:
-        arr = np.asarray(delays, dtype=np.float64)
-        if arr.size and float(arr.min()) < 0:
-            raise ValueFunctionError(f"delay must be >= 0, got {float(arr.min())!r}")
-        d = np.asarray(self._delays)
-        y = np.asarray(self._yields)
-        if len(self._delays) == 1:
-            return np.full(arr.shape, self._yields[0])
-        i = self._segments_of(arr)
-        d0, d1 = d[i], d[i + 1]
-        y0, y1 = y[i], y[i + 1]
-        # identical expression to the scalar yield_at
-        frac = (arr - d0) / (d1 - d0)
-        out: NDArray[np.float64] = np.where(
-            arr >= d[-1], y[-1], y0 + frac * (y1 - y0)
-        )
-        return out
-
-    def decays_at(self, delays: NDArray[np.float64]) -> NDArray[np.float64]:
-        arr = np.asarray(delays, dtype=np.float64)
-        if arr.size and float(arr.min()) < 0:
-            raise ValueFunctionError(f"delay must be >= 0, got {float(arr.min())!r}")
-        d = np.asarray(self._delays)
-        y = np.asarray(self._yields)
-        if len(self._delays) == 1:
-            return np.zeros(arr.shape)
-        i = self._segments_of(arr)
-        d0, d1 = d[i], d[i + 1]
-        y0, y1 = y[i], y[i + 1]
-        out: NDArray[np.float64] = np.where(arr >= d[-1], 0.0, (y0 - y1) / (d1 - d0))
-        return out
 
     # ------------------------------------------------------------------
     @classmethod

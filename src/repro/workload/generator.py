@@ -54,16 +54,6 @@ def generate_trace(
     # --- penalty bounds ---------------------------------------------------
     bound = np.full(n, spec.bound_or_inf)
 
-    # --- declared runtime estimates ----------------------------------------
-    if spec.estimate_error_cv > 0:
-        rng = streams.fresh("estimates")
-        noise = rng.normal(1.0, spec.estimate_error_cv, n)
-        bad = noise <= 0.05  # keep declared runtimes physically plausible
-        while bad.any():
-            noise[bad] = rng.normal(1.0, spec.estimate_error_cv, int(bad.sum()))
-            bad = noise <= 0.05
-        estimate = runtime * noise
-    else:
-        estimate = runtime.copy()
-
-    return Trace(arrival, runtime, value, decay, bound, estimate, name=name or spec.name)
+    # declared runtimes are the true ones: the paper's accurate-prediction
+    # assumption (misestimation enters through Trace(estimate=) or SWF)
+    return Trace(arrival, runtime, value, decay, bound, name=name or spec.name)

@@ -147,10 +147,6 @@ class WorkloadSpec:
     value: BimodalSpec = field(default_factory=lambda: BimodalSpec(low_mean=1.0))
     decay: BimodalSpec = field(default_factory=default_decay_spec)
     penalty_bound: Optional[float] = None  # None = unbounded penalties
-    #: coefficient of variation of multiplicative noise on declared
-    #: runtime estimates (0 = the paper's accurate-prediction assumption;
-    #: the misestimation extension sets this > 0)
-    estimate_error_cv: float = 0.0
     name: str = "workload"
 
     def __post_init__(self) -> None:
@@ -165,10 +161,6 @@ class WorkloadSpec:
         if self.penalty_bound is not None and self.penalty_bound < 0:
             raise WorkloadError(
                 f"penalty_bound must be >= 0 or None, got {self.penalty_bound!r}"
-            )
-        if not math.isfinite(self.estimate_error_cv) or self.estimate_error_cv < 0:
-            raise WorkloadError(
-                f"estimate_error_cv must be finite and >= 0, got {self.estimate_error_cv!r}"
             )
 
     # ------------------------------------------------------------------

@@ -5,8 +5,6 @@ direction, so a regression in the engine shows up as a failure, not
 just as different numbers.
 """
 
-from dataclasses import replace
-
 from repro.experiments.consolidation import run_consolidation
 from repro.experiments.fig3 import fig3_spec
 from repro.experiments.sensitivity import run_skew_grid
@@ -15,6 +13,8 @@ from repro.scheduling import FirstPrice, FirstReward, PresentValue
 from repro.sim import Simulator
 from repro.site import SlackAdmission, simulate_site
 from repro.workload import economy_spec, generate_trace, millennium_spec
+
+from tests.site.test_misestimation import with_estimate_noise
 
 
 def _yield(trace, heuristic, processors, **kw):
@@ -92,15 +92,15 @@ def test_ablation_penalty_bound_sweep():
 def test_ablation_runtime_misestimation():
     """The §4 extension: how much does estimate noise cost?
 
-    Same true workload (identical RNG streams), increasingly noisy
-    declared estimates; the value function charges overruns against the
-    declaration, so yield must degrade as noise grows.
+    Same true workload, increasingly noisy declared estimates; the value
+    function charges overruns against the declaration, so yield must
+    degrade as noise grows.
     """
-    base = economy_spec(n_jobs=1200, load_factor=1.2, penalty_bound=0.0)
-    yields = []
-    for cv in (0.0, 0.3, 0.8, 1.5):
-        spec = replace(base, estimate_error_cv=cv)
-        trace = generate_trace(spec, seed=0)
+    spec = economy_spec(n_jobs=1200, load_factor=1.2, penalty_bound=0.0)
+    truth = generate_trace(spec, seed=0)
+    yields = [_yield(truth, FirstPrice(), spec.processors)]
+    for cv in (0.3, 0.8, 1.5):
+        trace = with_estimate_noise(truth, cv)
         yields.append(_yield(trace, FirstPrice(), spec.processors))
     assert yields[0] > yields[-1]  # heavy noise must cost yield
 

@@ -14,9 +14,9 @@ import json
 import pytest
 
 from repro.live.api import ApiError, BidRequest
-from repro.live.config import LiveSiteSpec, default_config
+from repro.live.config import LiveConfig, LiveSiteSpec
 from repro.live.httpd import start_http
-from repro.live.service import IdempotencyTable, LiveService
+from repro.live.service import RETRY_AFTER_S, IdempotencyTable, LiveService
 from repro.obs.flight import FlightRecorder
 
 from tests.live.scripted import scripted_service
@@ -26,9 +26,8 @@ GOOD_BID = {"runtime": 4.0, "value": 50.0, "decay": 0.1}
 
 def _config(**overrides):
     overrides.setdefault("rate", 200.0)
-    overrides.setdefault("poll_interval", 0.02)
     overrides.setdefault("sites", (LiveSiteSpec(site_id="live-0", slots=2),))
-    return default_config(**overrides)
+    return LiveConfig(**overrides)
 
 
 def _bid(i=0):
@@ -100,7 +99,7 @@ def test_keyed_response_is_journaled_before_reply():
 def test_watermark_sheds_with_retry_after_and_journal_record():
     flight = FlightRecorder(clock_domain="wall")
     service, _ = scripted_service(
-        _config(queue_watermark=2, retry_after_s=2.5), flight=flight
+        _config(queue_watermark=2), flight=flight
     )
     # nothing ever exits: once the slots are taken, accepted tasks stay
     # queued and push the depth up
@@ -109,11 +108,11 @@ def test_watermark_sheds_with_retry_after_and_journal_record():
     with pytest.raises(ApiError) as excinfo:
         service.submit_bid(_bid(99))
     assert excinfo.value.status == 429
-    assert excinfo.value.retry_after == 2.5
+    assert excinfo.value.retry_after == RETRY_AFTER_S
     assert service.sheds == 1
     [shed] = flight.recording().of_kind("shed")
     assert shed["queued"] == 2 and shed["watermark"] == 2
-    assert shed["retry_after_s"] == 2.5
+    assert shed["retry_after_s"] == RETRY_AFTER_S
     assert service.status()["sheds"] == 1
 
 
@@ -215,10 +214,10 @@ def test_shed_answers_429_with_retry_after():
             service.submit_bid(_bid(service.queued_total))
         status_line, headers, body = await _raw(port, "POST", "/bids", GOOD_BID)
         assert status_line == "HTTP/1.1 429 Too Many Requests"
-        assert headers["retry-after"] == "3"
+        assert float(headers["retry-after"]) == RETRY_AFTER_S
         assert "watermark" in json.loads(body)["error"]
 
-    _scenario_stuck(steps, queue_watermark=2, retry_after_s=3.0)
+    _scenario_stuck(steps, queue_watermark=2)
 
 
 def test_draining_503_carries_retry_after():
@@ -226,9 +225,9 @@ def test_draining_503_carries_retry_after():
         await service.drain()
         status_line, headers, _ = await _raw(port, "POST", "/bids", GOOD_BID)
         assert status_line.startswith("HTTP/1.1 503")
-        assert float(headers["retry-after"]) == 1.5
+        assert float(headers["retry-after"]) == RETRY_AFTER_S
 
-    _scenario(steps, retry_after_s=1.5)
+    _scenario(steps)
 
 
 def test_status_reports_durability_counters():

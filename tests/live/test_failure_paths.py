@@ -15,9 +15,10 @@ import pytest
 
 from repro.live.api import ApiError, BidRequest
 from repro.live.clock import FrozenClock
-from repro.live.config import LiveSiteSpec, default_config
+from repro.live.config import LiveConfig, LiveSiteSpec
 from repro.live.executor import ExecutionReport
 from repro.live.service import LiveService
+from repro.live.site import MAX_RESTARTS
 from repro.obs.flight import FlightRecorder
 
 from tests.live.scripted import scripted_service
@@ -35,7 +36,7 @@ def _service(slots=1, **overrides):
     clock = FrozenClock(0.0)
     flight = FlightRecorder(clock_domain="wall")
     service, [executor] = scripted_service(
-        default_config(**overrides), clock=clock, flight=flight
+        LiveConfig(**overrides), clock=clock, flight=flight
     )
     return service, executor, clock, flight
 
@@ -47,7 +48,8 @@ def _settlements(flight):
 
 
 def test_failed_run_requeues_within_budget_then_breaches_at_the_floor():
-    service, executor, clock, flight = _service(max_restarts=1)
+    assert MAX_RESTARTS == 1  # the script below spends a budget of one
+    service, executor, clock, flight = _service()
     record = service.submit_bid(_bid(bound=20.0))
     task, site = record.task, service.sites[0]
     assert task.state.value == "running"  # started by the award itself
@@ -57,14 +59,14 @@ def test_failed_run_requeues_within_budget_then_breaches_at_the_floor():
     # budget left: back from scratch, and restarted by the same pass
     assert (task.restarts, task.remaining, task.state.value) == (1, 4.0, "running")
     assert executor.launched == [task, task]
-    assert site.open_contracts == 1
+    assert sum(not c.settled for c in site.contracts) == 1
 
     clock.advance(3.0)
     executor.end(task, ok=False)
     assert task.state.value == "cancelled"
     assert task.realized_yield == -20.0  # the value-function floor
     assert record.contract.settled and record.contract.actual_price == -20.0
-    assert site.revenue == -20.0 and site.open_contracts == 0
+    assert site.revenue == -20.0 and all(c.settled for c in site.contracts)
     summary = site.engine.ledger.summary()
     assert (summary["crashes"], summary["restarts"], summary["breaches"]) == (2, 1, 1)
     assert _settlements(flight) == [("breached", -20.0)]
@@ -72,25 +74,28 @@ def test_failed_run_requeues_within_budget_then_breaches_at_the_floor():
 
 
 def test_unbounded_failure_is_abandoned_owing_only_the_accrued_penalty():
-    service, executor, clock, flight = _service(slots=2, max_restarts=0)
+    service, executor, clock, flight = _service(slots=2)
     early, late = service.submit_bids([_bid(), _bid()])
     # at once: nothing has decayed away, nothing is owed either way
-    executor.end(early.task, ok=False)
-    assert early.task.state.value == "cancelled" and early.task.restarts == 0
+    for _ in range(MAX_RESTARTS + 1):
+        executor.end(early.task, ok=False)
+    assert early.task.state.value == "cancelled"
+    assert early.task.restarts == MAX_RESTARTS
     assert early.contract.actual_price == 0.0
     # 996 units late at decay 0.1: the value is gone and 49.6 of penalty
     # has accrued, which stands — there is no floor to stop at
     clock.advance(1000.0)
-    executor.end(late.task, ok=False)
+    for _ in range(MAX_RESTARTS + 1):
+        executor.end(late.task, ok=False)
     assert late.contract.actual_price == pytest.approx(50.0 - 0.1 * 996.0)
     assert _settlements(flight) == [
         ("abandoned", 0.0), ("abandoned", late.contract.actual_price)
     ]
-    assert service.sites[0].open_contracts == 0
+    assert all(c.settled for c in service.sites[0].contracts)
 
 
 def test_a_clean_exit_after_a_failed_one_completes_the_contract():
-    service, executor, clock, flight = _service(max_restarts=1)
+    service, executor, clock, flight = _service()
     record = service.submit_bid(_bid(decay=0.0))
     executor.end(record.task, ok=False)
     clock.advance(4.0)
@@ -103,9 +108,7 @@ def test_watchdog_kill_is_a_failed_run():
     """The subprocess executor's own seam, its ``run`` stubbed: a report
     marked ``killed`` reaches the engine as a failed exit and the API as
     the task's report."""
-    config = default_config(
-        sites=(LiveSiteSpec(site_id="live-0", slots=1),), max_restarts=0
-    )
+    config = LiveConfig(sites=(LiveSiteSpec(site_id="live-0", slots=1),))
     service = LiveService(config)
     runs = []
 
@@ -122,10 +125,11 @@ def test_watchdog_kill_is_a_failed_run():
         return record
 
     record = asyncio.run(scenario())
-    assert runs == [config.timeout_factor * 2.0]  # the watchdog's deadline
+    # the watchdog's deadline, once per run the restart budget allows
+    assert runs == [config.timeout_factor * 2.0] * (MAX_RESTARTS + 1)
     assert record.report.killed and not record.report.ok
     assert record.task.state.value == "cancelled"
-    assert record.contract.settled and service.sites[0].open_contracts == 0
+    assert record.contract.settled and all(c.settled for c in service.sites[0].contracts)
     assert not service.errors
 
 
@@ -133,7 +137,7 @@ def test_grace_expiry_abandons_the_queue_before_it_kills():
     """Queued and running work, restart budget left: the killed run must
     breach, not requeue — or shutdown would start work it then has to
     kill again."""
-    service, executor, clock, flight = _service(max_restarts=3, drain_grace=0.0)
+    service, executor, clock, flight = _service(drain_grace=0.0)
     records = service.submit_bids([_bid(bound=20.0) for _ in range(4)])
     site = service.sites[0]
     assert (site.engine.running_count, site.engine.queue_length) == (1, 3)
@@ -142,7 +146,7 @@ def test_grace_expiry_abandons_the_queue_before_it_kills():
 
     assert len(executor.launched) == 1, "shutdown started queued or requeued work"
     assert not executor.running and service.idle
-    assert site.open_contracts == 0
+    assert all(c.settled for c in site.contracts)
     for record in records:
         assert record.task.state.value == "cancelled" and record.task.restarts == 0
         assert record.contract.settled and record.contract.actual_price == -20.0

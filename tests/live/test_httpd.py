@@ -11,7 +11,7 @@ import asyncio
 import json
 
 from repro.live.api import TASK_STATUS_KEYS
-from repro.live.config import LiveSiteSpec, default_config
+from repro.live.config import LiveConfig, LiveSiteSpec
 from repro.live.httpd import start_http
 from repro.live.service import LiveService
 
@@ -35,11 +35,10 @@ async def _request(port, method, path, payload=None):
 
 def _scenario(coro_fn, **config_overrides):
     config_overrides.setdefault("rate", 200.0)
-    config_overrides.setdefault("poll_interval", 0.02)
     config_overrides.setdefault("sites", (LiveSiteSpec(site_id="live-0", slots=2),))
 
     async def main():
-        service = LiveService(default_config(**config_overrides))
+        service = LiveService(LiveConfig(**config_overrides))
         await service.start()
         server, port = await start_http(service, "127.0.0.1", 0)
         try:
@@ -198,9 +197,8 @@ def test_metrics_prometheus_with_obs_attached():
     async def main():
         obs = Observability(spans=True)
         obs.begin_run("live")
-        config = default_config(
+        config = LiveConfig(
             rate=200.0,
-            poll_interval=0.02,
             sites=(LiveSiteSpec(site_id="live-0", slots=2),),
         )
         service = LiveService(config, obs=obs)

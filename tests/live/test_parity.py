@@ -20,10 +20,11 @@ from repro.audit import audit_recording
 from repro.live.api import BidRequest
 from repro.live.config import LiveConfig, LiveSiteSpec
 from repro.live.service import LiveService
+from repro.live.site import ALPHA, DISCOUNT_RATE
 from repro.market import MarketSite, run_market
 from repro.obs import Observability
 from repro.obs.flight import FlightRecorder, read_recording
-from repro.scheduling.registry import make_heuristic
+from repro.scheduling.firstreward import FirstReward
 from repro.sim import Coroutine, SimClock, Simulator
 from repro.site.admission import SlackAdmission
 from repro.site.service import KernelExecutor
@@ -56,10 +57,8 @@ def _simulated():
             sim,
             spec.site_id,
             spec.slots,
-            make_heuristic(spec.heuristic, **dict(spec.heuristic_params)),
-            admission=SlackAdmission(
-                threshold=spec.threshold, discount_rate=spec.discount_rate
-            ),
+            FirstReward(ALPHA, DISCOUNT_RATE),
+            admission=SlackAdmission(threshold=spec.threshold, discount_rate=DISCOUNT_RATE),
         )
         for spec in SPECS
     ]

@@ -13,7 +13,7 @@ import sys
 
 from repro.audit import audit_recording
 from repro.live.api import BidRequest
-from repro.live.config import LiveSiteSpec, default_config
+from repro.live.config import LiveConfig, LiveSiteSpec
 from repro.live.service import LiveService
 from repro.obs.flight import FlightRecorder, read_recording
 from repro.replay import PolicySpec, replay_recording
@@ -32,9 +32,8 @@ def _bid(runtime=4.0, value=50.0, decay=0.1, bound=None):
 
 def _run_recorded(tmp_path, requests):
     path = str(tmp_path / "live_flight.jsonl")
-    config = default_config(
+    config = LiveConfig(
         rate=200.0,
-        poll_interval=0.02,
         sites=(LiveSiteSpec(site_id="live-0", slots=2),),
     )
     flight = FlightRecorder(path, clock_domain="wall")

@@ -19,7 +19,7 @@ import pytest
 
 from repro.errors import LiveServiceError
 from repro.live.api import BidRequest
-from repro.live.config import LiveSiteSpec, default_config
+from repro.live.config import LiveConfig, LiveSiteSpec
 from repro.live.recovery import (
     OrphanProcess,
     apply_recovery,
@@ -38,9 +38,8 @@ from tests.live.scripted import scripted_service
 
 def _config(**overrides):
     overrides.setdefault("rate", 200.0)
-    overrides.setdefault("poll_interval", 0.02)
     overrides.setdefault("sites", (LiveSiteSpec(site_id="live-0", slots=2),))
-    return default_config(**overrides)
+    return LiveConfig(**overrides)
 
 
 def _bid(i, runtime=4.0):

@@ -50,6 +50,11 @@ def serve(tmp_path):
             "--rate", str(RATE),
             "--slots", str(SLOTS),
             "--drain-grace", "20",
+            # a 4-unit task sleeps 8 ms, but the interpreter it forks can
+            # take over 100 ms to start on a loaded host: at the default
+            # factor 10 the watchdog then kills both attempts and the
+            # contract is cancelled.  The watchdog has its own tests.
+            "--timeout-factor", "100",
             "--trace-out", str(trace_out),
             "--metrics-out", str(metrics_out),
         ],

@@ -13,8 +13,9 @@ import sys
 import pytest
 
 from repro.live.api import ApiError, BidRequest
-from repro.live.config import LiveSiteSpec, default_config
-from repro.live.service import STRATEGIES, LiveService
+from repro.live.config import LiveConfig, LiveSiteSpec
+from repro.live.service import LiveService
+from repro.live.site import MAX_RESTARTS
 
 FAIL_ARGV = (sys.executable, "-c", "raise SystemExit(1)")
 HANG_ARGV = (sys.executable, "-c", "import time; time.sleep(60)")
@@ -33,9 +34,8 @@ def _bid(runtime=4.0, value=50.0, decay=0.1, bound=None, argv=None):
 
 def _config(**overrides):
     overrides.setdefault("rate", 200.0)  # 1 wall ms = 0.2 market units
-    overrides.setdefault("poll_interval", 0.02)
     overrides.setdefault("sites", (LiveSiteSpec(site_id="live-0", slots=2),))
-    return default_config(**overrides)
+    return LiveConfig(**overrides)
 
 
 def _run(config, requests, settle_timeout=10.0):
@@ -83,13 +83,13 @@ def test_hopeless_bid_is_declined_with_a_reason():
 
 
 def test_failed_run_requeues_then_breaches_at_the_floor():
-    config = _config(max_restarts=1)
+    config = _config()
     service, [record] = _run(
         config, [_bid(runtime=4.0, value=50.0, decay=0.1, bound=20.0, argv=FAIL_ARGV)]
     )
     task, contract = record.task, record.contract
-    assert task.restarts == 1  # one requeue-from-scratch, then breach
-    assert service.sites[0].engine.executor.started == 2
+    assert task.restarts == MAX_RESTARTS  # requeues from scratch, then breach
+    assert service.sites[0].engine.executor.started == MAX_RESTARTS + 1
     assert task.state.value == "cancelled"
     assert task.realized_yield == -20.0  # the value-function floor
     assert contract.settled and contract.actual_price == -20.0
@@ -99,17 +99,18 @@ def test_failed_run_requeues_then_breaches_at_the_floor():
 
 
 def test_unbounded_failure_settles_abandoned_owing_nothing():
-    config = _config(max_restarts=0)
+    config = _config()
     service, [record] = _run(
-        config, [_bid(runtime=4.0, value=50.0, decay=0.1, bound=None, argv=FAIL_ARGV)]
+        config, [_bid(runtime=4.0, value=50.0, decay=0.0, bound=None, argv=FAIL_ARGV)]
     )
     task, contract = record.task, record.contract
-    assert task.restarts == 0
+    assert task.restarts == MAX_RESTARTS
     assert task.state.value == "cancelled"
     assert contract.settled
-    # abandoned before any value decayed away: nothing owed either way
+    # a value that never decays is never owed as a penalty: abandoned,
+    # the client pays nothing and the site owes nothing
     assert contract.actual_price == 0.0
-    assert service.sites[0].open_contracts == 0
+    assert all(c.settled for c in service.sites[0].contracts)
 
 
 def test_unspawnable_argv_settles_and_frees_its_slot(tmp_path):
@@ -121,9 +122,7 @@ def test_unspawnable_argv_settles_and_frees_its_slot(tmp_path):
 
     path = str(tmp_path / "journal.jsonl")
     flight = FlightRecorder(sink=JournalSink(path, fsync="off"), clock_domain="wall")
-    config = _config(
-        sites=(LiveSiteSpec(site_id="live-0", slots=1),), max_restarts=1
-    )
+    config = _config(sites=(LiveSiteSpec(site_id="live-0", slots=1),))
     service = LiveService(config, flight=flight)
     not_executable = tmp_path / "data.txt"
     not_executable.write_text("not a program\n")
@@ -150,31 +149,31 @@ def test_unspawnable_argv_settles_and_frees_its_slot(tmp_path):
     assert went_idle, "the service never went idle: a slot leaked"
     assert not service.errors  # a task failure is a settlement, not a service bug
     site = service.sites[0]
-    assert site.open_contracts == 0 and site.engine.running_count == 0
+    assert all(c.settled for c in site.contracts) and site.engine.running_count == 0
     for record in (missing, denied):
         assert record.task.state.value == "cancelled"
-        assert record.task.restarts == 1  # one requeue, then the breach
+        assert record.task.restarts == MAX_RESTARTS  # requeues, then the breach
         assert record.contract.settled
         assert record.report.returncode is None and not record.report.killed
     assert missing.contract.actual_price == -20.0
     assert denied.contract.actual_price <= 0.0
     assert good.task.state.value == "completed"
-    assert site.engine.executor.started == 5
+    assert site.engine.executor.started == 2 * (MAX_RESTARTS + 1) + 1
     report = audit_recording(read_recording(path))
     assert report.ok, report.violations
 
 
 def test_watchdog_kills_an_overrunning_task():
-    # declared runtime 2 units, timeout_factor 3 → killed at 6 units
-    # (30ms wall); the process would otherwise sleep 60s
-    config = _config(max_restarts=0, timeout_factor=3.0)
+    # declared runtime 2 units, timeout_factor 3 → each run killed at 6
+    # units (30ms wall); the process would otherwise sleep 60s
+    config = _config(timeout_factor=3.0)
     service, [record] = _run(
         config, [_bid(runtime=2.0, value=50.0, decay=0.0, argv=HANG_ARGV)]
     )
     assert record.report is not None and record.report.killed
     assert record.task.state.value == "cancelled"
     assert record.contract.settled
-    assert service.sites[0].engine.executor.killed == 1
+    assert service.sites[0].engine.executor.killed == MAX_RESTARTS + 1
 
 
 def test_drain_rejects_bids_and_force_settles_everything():
@@ -182,7 +181,6 @@ def test_drain_rejects_bids_and_force_settles_everything():
         rate=10.0,  # runtime 10000 units = ~17 min wall: outlives any grace
         sites=(LiveSiteSpec(site_id="live-0", slots=1),),
         timeout_factor=0.0,  # watchdog off; the drain must do the killing
-        max_restarts=0,
         drain_grace=0.3,
     )
     service = LiveService(config)
@@ -206,7 +204,7 @@ def test_drain_rejects_bids_and_force_settles_everything():
     assert service.idle
     assert service.draining
     site = service.sites[0]
-    assert site.open_contracts == 0  # every contract settled
+    assert all(c.settled for c in site.contracts)  # every contract settled
     for record in records:
         assert record.contract.settled
         assert record.task.state.value == "cancelled"
@@ -219,9 +217,6 @@ def test_two_sites_share_load_and_status_reports_both():
             LiveSiteSpec(site_id="live-0", slots=1),
             LiveSiteSpec(site_id="live-1", slots=1),
         ),
-        # earliest-completion spreads load: a queued site quotes a later
-        # completion, so the empty site wins the next negotiation
-        strategy="earliest",
     )
     service = LiveService(config)
 
@@ -230,8 +225,8 @@ def test_two_sites_share_load_and_status_reports_both():
         records = []
         for _ in range(6):
             # pace intake so running tasks occupy slots before the next
-            # quote: a busy site quotes a later completion, and the
-            # earliest strategy routes the bid to the free site
+            # quote: a busy site quotes a later completion, so a lower
+            # yield, and the best-yield broker routes the bid to the free site
             records.append(service.submit_bid(_bid(runtime=20.0)))
             await asyncio.sleep(0.03)
         loop = asyncio.get_running_loop()
@@ -254,10 +249,6 @@ def test_two_sites_share_load_and_status_reports_both():
     assert status["revenue"] == pytest.approx(
         sum(r.contract.actual_price for r in records)
     )
-
-
-def test_strategy_registry_names():
-    assert set(STRATEGIES) == {"best-yield", "best-surplus", "earliest"}
 
 
 def test_start_wires_journal_fsync_offload(tmp_path):

@@ -50,7 +50,7 @@ class TestBooksAgreeWithTheRecording:
         by_site: dict = {}
         for event in flight.recording().of_kind("settlement"):
             by_site[event["site_id"]] = by_site.get(event["site_id"], 0.0) + event["price"]
-        for site_id, revenue in result.revenue_by_site.items():
+        for site_id, revenue in result.summary()["revenue_by_site"].items():
             assert by_site.get(site_id, 0.0) == pytest.approx(revenue)
 
     def test_contracts_by_site_matches_award_events(self, recorded_market):
@@ -58,7 +58,7 @@ class TestBooksAgreeWithTheRecording:
         by_site: dict = {}
         for event in flight.recording().of_kind("award"):
             by_site[event["site_id"]] = by_site.get(event["site_id"], 0) + 1
-        assert by_site == result.contracts_by_site
+        assert by_site == result.summary()["contracts_by_site"]
 
     def test_rejections_are_bids_with_no_issued_quote_taken(self, recorded_market):
         flight, result = recorded_market

@@ -128,7 +128,7 @@ class TestRecorderFeed:
         board = board_from_recording(recording, window=10_000)
         settlements = recording.of_kind("settlement")
         assert board.published == len(settlements) == result.accepted
-        for site_id, count in result.contracts_by_site.items():
+        for site_id, count in result.summary()["contracts_by_site"].items():
             assert len(board.recent(site_id)) == count
         on_time = sum(1 for e in settlements if e["on_time"])
         assert board.on_time_rate() == pytest.approx(on_time / len(settlements))

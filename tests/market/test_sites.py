@@ -76,7 +76,7 @@ class TestAwardAndSettle:
         assert contract.actual_price == 100.0
         assert contract.on_time
         assert site.revenue == 100.0
-        assert site.open_contracts == 0
+        assert all(c.settled for c in site.contracts)
         assert site.on_time_rate == 1.0
 
     def test_delayed_contract_pays_decayed_price(self):

@@ -221,7 +221,7 @@ class TestMarketIntegration:
     def test_site_summary_reconciles_revenue(self, recorded_market):
         flight, result = recorded_market
         summaries = {e["site_id"]: e for e in flight.recording().of_kind("site_summary")}
-        for site_id, revenue in result.revenue_by_site.items():
+        for site_id, revenue in result.summary()["revenue_by_site"].items():
             assert summaries[site_id]["revenue"] == pytest.approx(revenue)
 
     def test_a_client_called_nan_audits_clean_and_replays(self, tmp_path):
@@ -319,5 +319,5 @@ class TestMarketIntegration:
         assert none_flight is None
         assert plain.accepted == recorded.accepted
         assert plain.total_revenue == recorded.total_revenue
-        assert plain.revenue_by_site == recorded.revenue_by_site
-        assert plain.contracts_by_site == recorded.contracts_by_site
+        assert plain.summary()["revenue_by_site"] == recorded.summary()["revenue_by_site"]
+        assert plain.summary()["contracts_by_site"] == recorded.summary()["contracts_by_site"]

@@ -30,7 +30,7 @@ class TestPrometheusText:
     def test_registry_snapshot_renders_each_instrument_type(self):
         registry = MetricsRegistry()
         registry.counter("bids.total").inc(3)
-        registry.gauge("queue.depth").set(7.0)
+        registry.time_weighted("queue.depth").observe(7.0, 0.0)
         registry.histogram("latency.us").observe(10.0)
         registry.histogram("latency.us").observe(30.0)
         text = prometheus_text(registry.snapshot())
@@ -46,7 +46,7 @@ class TestPrometheusText:
 
     def test_unwritten_gauges_are_skipped(self):
         registry = MetricsRegistry()
-        registry.gauge("never.set")
+        registry.time_weighted("never.set")
         text = prometheus_text(registry.snapshot())
         assert "never_set" not in text
 

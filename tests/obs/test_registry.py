@@ -4,7 +4,6 @@ import pytest
 
 from repro.obs import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     TimeWeightedGauge,
@@ -18,17 +17,6 @@ class TestInstruments:
         c.inc(2.5)
         assert c.value == 3.5
         assert c.snapshot() == {"type": "counter", "value": 3.5}
-
-    def test_gauge_tracks_extremes(self):
-        g = Gauge("depth")
-        for v in (3.0, -1.0, 7.0):
-            g.set(v)
-        snap = g.snapshot()
-        assert snap["value"] == 7.0 and snap["min"] == -1.0 and snap["max"] == 7.0
-        assert snap["writes"] == 3
-
-    def test_gauge_unwritten_snapshot_is_null(self):
-        assert Gauge("x").snapshot() == {"type": "gauge", "value": None, "writes": 0}
 
     def test_histogram_moments(self):
         h = Histogram("wait")
@@ -64,7 +52,7 @@ class TestMetricsRegistry:
         reg = MetricsRegistry()
         reg.counter("x")
         with pytest.raises(TypeError):
-            reg.gauge("x")
+            reg.histogram("x")
 
     def test_snapshot_sorted_and_typed(self):
         reg = MetricsRegistry()

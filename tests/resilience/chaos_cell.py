@@ -34,9 +34,7 @@ def cell_inputs(seed, budget):
         penalty_bound=sweep.PENALTY_BOUND,
     )
     faults = FaultSpec(mttf=MTTF, mttr=sweep.MTTR, restart="abandon")
-    config = ResilienceConfig(
-        enabled=True, failover_budget=budget, cooldown=sweep.COOLDOWN
-    )
+    config = ResilienceConfig(enabled=True, failover_budget=budget)
     return generate_trace(spec, seed=seed), faults, config
 
 

@@ -15,8 +15,6 @@ def tiny_sweep():
         seeds=(0,),
         mttfs=(500.0, 250.0),
         budgets=(0, 2),
-        n_sites=4,
-        processors_per_site=4,
     )
 
 
@@ -79,3 +77,27 @@ class TestRegistryAndCli:
 
         assert PLOT_SPECS["resilience"] == ("mttf", "value_recovered", "policy", True)
         assert DEFAULT_OUT["resilience"] == "results/resilience.json"
+
+
+class TestObservedSweep:
+    def test_metrics_out_records_every_run_and_leaves_rows_alone(self, tmp_path, capsys):
+        """``--metrics-out`` brackets each market run as an observed run
+        (the ambient observer reaches ``simulate_resilient_market``), and
+        observing changes no result byte."""
+        from repro.cli import main
+
+        argv = ["resilience", "--n-jobs", "60", "--seeds", "0"]
+        plain, observed, metrics = (
+            tmp_path / name for name in ("plain.json", "observed.json", "metrics.json")
+        )
+        assert main([*argv, "--out", str(plain)]) == 0
+        assert main([*argv, "--out", str(observed), "--metrics-out", str(metrics)]) == 0
+        capsys.readouterr()
+
+        rows = json.loads(plain.read_text())["rows"]
+        snapshot = json.loads(metrics.read_text())
+        assert len(snapshot["runs"]) == len(rows) > 0  # one seed: a run per row
+        assert {"resilience.breaker_opens", "resilience.failovers"} <= set(
+            snapshot["metrics"]
+        )
+        assert json.dumps(json.loads(observed.read_text())["rows"]) == json.dumps(rows)

@@ -7,6 +7,7 @@ from repro.faults.restart import AbandonRestart
 from repro.market import Broker, MarketSite
 from repro.market.client import BudgetedClient
 from repro.resilience import ResilienceConfig, ResilienceManager, ResilientBroker
+from repro.resilience.breaker import BREAKER_FAILURES, COOLDOWN
 from repro.scheduling import FirstPrice
 from repro.sim import Simulator
 from repro.site import SlackAdmission
@@ -27,6 +28,12 @@ def make_market(sim, n_sites=2, config=None, **site_kwargs):
     )
     broker = ResilientBroker(sites=sites, manager=manager)
     return sites, manager, broker
+
+
+def trip(breaker, at=0.0):
+    """Open *breaker* with consecutive breaches at *at*."""
+    for _ in range(BREAKER_FAILURES):
+        breaker.record_failure(at)
 
 
 def make_bid(runtime=10.0, value=100.0, decay=2.0, bound=20.0, released_at=0.0):
@@ -98,11 +105,14 @@ class TestFailoverRebid:
         assert manager.stats.value_recovered == pytest.approx(100.0 - 2.0 * 9.5)
 
     def test_breach_updates_health_and_breaker_books(self):
-        config = ResilienceConfig(enabled=True, failover_budget=1, breaker_failures=1)
+        config = ResilienceConfig(enabled=True, failover_budget=1)
         _, _, manager, outcome = self._breach_first_contract(config)
         failed = outcome.contract.site_id
         assert manager.health.score(failed) < 1.0
-        assert manager.breakers[failed].opens == 1
+        assert manager.health.breach_rate(failed) > 0.0
+        # one breach, short of the trip wire: counted, breaker still closed
+        assert manager.breakers[failed].consecutive_failures == 1
+        assert manager.breakers[failed].opens == 0
 
     def test_disabled_config_attaches_nothing(self):
         sim = Simulator()
@@ -122,10 +132,8 @@ class TestFailoverRebid:
 class TestBreakerGating:
     def test_open_breaker_stops_solicitation(self):
         sim = Simulator()
-        sites, manager, broker = make_market(
-            sim, config=ResilienceConfig(enabled=True, breaker_failures=1)
-        )
-        manager.breakers["s0"].record_failure(0.0)
+        sites, manager, broker = make_market(sim)
+        trip(manager.breakers["s0"])
         outcome = broker.negotiate(make_bid())
         assert outcome.contract.site_id == "s1"
         assert all(q.site_id == "s1" for q in outcome.quotes)
@@ -133,11 +141,9 @@ class TestBreakerGating:
 
     def test_all_breakers_open_rejects_the_bid(self):
         sim = Simulator()
-        _, manager, broker = make_market(
-            sim, config=ResilienceConfig(enabled=True, breaker_failures=1)
-        )
+        _, manager, broker = make_market(sim)
         for breaker in manager.breakers.values():
-            breaker.record_failure(0.0)
+            trip(breaker)
         outcome = broker.negotiate(make_bid())
         assert outcome.contract is None
         assert broker.rejections == 1
@@ -147,13 +153,10 @@ class TestBreakerGating:
 
         sim = Simulator()
         flight = FlightRecorder()
-        sites, manager, broker = make_market(
-            sim, config=ResilienceConfig(enabled=True, breaker_failures=1),
-            flight=flight,
-        )
+        sites, manager, broker = make_market(sim, flight=flight)
         broker.flight = flight
         for breaker in manager.breakers.values():
-            breaker.record_failure(0.0)
+            trip(breaker)
         assert broker.negotiate(make_bid()).contract is None
         assert (broker.negotiations, broker.rejections) == (1, 1)
         # the breakers opening, then a bid nobody was asked to quote on
@@ -162,20 +165,17 @@ class TestBreakerGating:
 
     def test_half_open_probe_accounted_on_award(self):
         sim = Simulator()
-        config = ResilienceConfig(
-            enabled=True, breaker_failures=1, cooldown=1.0, half_open_probes=1
-        )
-        sites, manager, broker = make_market(sim, config=config)
-        manager.breakers["s0"].record_failure(0.0)
-        manager.breakers["s1"].record_failure(0.0)
-        sim.schedule(5.0, lambda: None)
+        sites, manager, broker = make_market(sim)
+        trip(manager.breakers["s0"])
+        trip(manager.breakers["s1"])
+        sim.schedule(COOLDOWN + 5.0, lambda: None)
         sim.run()  # past both cooldowns
-        first = broker.negotiate(make_bid())
+        first = broker.negotiate(make_bid(released_at=sim.now))
         assert first.contract is not None
         probed = first.contract.site_id
         other = "s1" if probed == "s0" else "s0"
-        # the probed site's probe slot is used up; the other admits one
-        second = broker.negotiate(make_bid())
+        # the probed site's (single) probe slot is used up; the other admits one
+        second = broker.negotiate(make_bid(released_at=sim.now))
         assert second.contract is not None
         assert second.contract.site_id == other
 

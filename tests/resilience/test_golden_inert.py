@@ -145,9 +145,7 @@ class TestEnabledDeterminism:
             n_sites=4,
             processors_per_site=4,
             admission_factory=lambda: SlackAdmission(180.0, 0.01),
-            config=ResilienceConfig(
-                enabled=True, failover_budget=2, cooldown=200.0, breaker_failures=2
-            ),
+            config=ResilienceConfig(enabled=True, failover_budget=2),
             faults=FaultSpec(mttf=300.0, mttr=100.0, restart="abandon"),
             fault_seed=3,
         )

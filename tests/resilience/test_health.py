@@ -5,6 +5,7 @@ import pytest
 from repro.errors import MarketError
 from repro.resilience.health import (
     HARD_FAILURES,
+    INITIAL_HEALTH,
     OUTCOME_SCORES,
     HealthTracker,
     SiteHealth,
@@ -71,30 +72,17 @@ class TestSiteHealth:
 
 class TestHealthTracker:
     def test_unseen_site_reports_initial_score(self):
-        tracker = HealthTracker(alpha=0.2, initial=0.8)
-        assert tracker.score("never-seen") == 0.8
+        tracker = HealthTracker()
+        assert tracker.score("never-seen") == INITIAL_HEALTH
         assert tracker.breach_rate("never-seen") == 0.0
         assert tracker.events("never-seen") == 0
 
     def test_observe_is_per_site(self):
-        tracker = HealthTracker(alpha=0.5)
+        tracker = HealthTracker()
         tracker.observe("a", "breach")
         tracker.observe("b", "completed")
         assert tracker.score("a") < tracker.score("b")
         assert tracker.events("a") == tracker.events("b") == 1
-
-    def test_ranked_orders_healthiest_first(self):
-        tracker = HealthTracker(alpha=0.5)
-        tracker.observe("bad", "breach")
-        tracker.observe("good", "completed")
-        tracker.observe("mid", "late")
-        assert tracker.ranked() == ["good", "mid", "bad"]
-
-    def test_ranked_accepts_explicit_universe(self):
-        tracker = HealthTracker(alpha=0.5)
-        tracker.observe("bad", "breach")
-        # unseen sites rank at the initial score (1.0), ahead of "bad"
-        assert tracker.ranked(["bad", "fresh"]) == ["fresh", "bad"]
 
     def test_snapshot_is_sorted_and_complete(self):
         tracker = HealthTracker()
@@ -103,9 +91,3 @@ class TestHealthTracker:
         snapshot = tracker.snapshot()
         assert list(snapshot) == ["a", "b"]
         assert snapshot["a"]["breaches"] == 1
-
-    def test_invalid_alpha_rejected(self):
-        with pytest.raises(MarketError, match="alpha"):
-            HealthTracker(alpha=0.0)
-        with pytest.raises(MarketError, match="alpha"):
-            HealthTracker(alpha=1.5)

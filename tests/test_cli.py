@@ -86,10 +86,10 @@ class TestBadFlagValues:
             (["fig6", "--n-jobs", "0"], "n_jobs must be >= 1"),
             (["serve", "--rate", "0"], "rate must be finite and > 0"),
             (["serve", "--slots", "0"], "slots must be >= 1"),
-            (["serve", "--heuristic", "nosuch"], "unknown heuristic 'nosuch'"),
+            (["serve", "--sites", "0"], "at least one site spec is required"),
         ],
         ids=["trace-n-jobs-0", "fig6-n-jobs-0", "serve-rate-0", "serve-slots-0",
-             "serve-heuristic-nosuch"],
+             "serve-sites-0"],
     )
     def test_one_line_on_stderr_and_exit_2(self, capsys, argv, message):
         assert main(argv) == 2

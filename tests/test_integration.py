@@ -59,7 +59,7 @@ class TestMarketWithBudgetsAndSignals:
 
     def test_all_contracts_settle(self, outcome):
         _, board, sites, clients = outcome
-        assert all(s.open_contracts == 0 for s in sites)
+        assert all(c.settled for s in sites for c in s.contracts)
         for client in clients:
             client.reconcile()  # raises if anything is still open
 

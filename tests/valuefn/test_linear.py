@@ -2,11 +2,10 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.errors import ValueFunctionError
-from repro.valuefn import LinearDecayValueFunction, linear_yield
+from repro.valuefn import LinearDecayValueFunction
 
 
 class TestConstruction:
@@ -129,25 +128,6 @@ class TestExpiration:
 
 
 class TestVectorizedKernel:
-    def test_matches_scalar_model(self):
-        vf = LinearDecayValueFunction(100.0, 2.0, penalty_bound=20.0)
-        delays = np.array([0.0, 10.0, 60.0, 500.0])
-        got = linear_yield(100.0, 2.0, delays, bound=20.0)
-        expected = np.array([vf.yield_at(d) for d in delays])
-        assert np.allclose(got, expected)
-
-    def test_unbounded_uses_inf(self):
-        got = linear_yield(100.0, 2.0, np.array([1000.0]), bound=np.inf)
-        assert got[0] == pytest.approx(-1900.0)
-
-    def test_elementwise_arrays(self):
-        values = np.array([100.0, 50.0])
-        decays = np.array([1.0, 5.0])
-        delays = np.array([10.0, 20.0])
-        bounds = np.array([np.inf, 0.0])
-        got = linear_yield(values, decays, delays, bounds)
-        assert np.allclose(got, [90.0, 0.0])
-
     def test_as_tuple_and_bound_or_inf(self):
         vf = LinearDecayValueFunction(10.0, 1.0)
         assert vf.as_tuple() == (10.0, 1.0, None)
