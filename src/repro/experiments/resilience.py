@@ -29,7 +29,11 @@ from repro.experiments.parallel import CellExecutor, mean_rows_of
 from repro.faults.spec import FaultSpec
 from repro.resilience.breaker import COOLDOWN
 from repro.resilience.config import ResilienceConfig
-from repro.resilience.driver import simulate_resilient_market
+from repro.resilience.driver import (
+    N_SITES,
+    PROCESSORS_PER_SITE,
+    simulate_resilient_market,
+)
 from repro.scheduling.firstreward import FirstReward
 from repro.site.admission import SlackAdmission
 from repro.workload.generator import generate_trace
@@ -39,8 +43,6 @@ from repro.workload.millennium import economy_spec
 #: failover re-bid budgets per task lineage (0 = breakers/health only).
 MTTFS = (2000.0, 1000.0, 500.0, 250.0)
 BUDGETS = (0, 1, 3)
-N_SITES = 4
-PROCESSORS_PER_SITE = 4
 MTTR = 100.0
 ALPHA = 0.2
 DISCOUNT_RATE = 0.01
@@ -71,8 +73,6 @@ def _one_run(spec, mttf: float, config: ResilienceConfig, seed: int) -> dict:
     result = simulate_resilient_market(
         trace,
         heuristic_factory=lambda: FirstReward(ALPHA, DISCOUNT_RATE),
-        n_sites=N_SITES,
-        processors_per_site=PROCESSORS_PER_SITE,
         admission_factory=lambda: SlackAdmission(SLACK_THRESHOLD, DISCOUNT_RATE),
         config=config,
         faults=faults,

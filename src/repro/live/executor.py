@@ -8,8 +8,8 @@ executor runs it as an actual child process.  Three responsibilities:
   when its :class:`~repro.site.processors.ProcessorPool` shows a free
   node, so in normal operation the semaphore never blocks; it is the
   hard backstop that no scheduling bug can fork-bomb the host.
-* **Status polling** — the executor wakes every ``poll_interval`` wall
-  seconds to check the child and the watchdog deadline, rather than
+* **Status polling** — the executor wakes every :data:`POLL_INTERVAL`
+  wall seconds to check the child and the watchdog deadline, rather than
   blocking indefinitely on ``wait()``.
 * **Timeout kill** — a child that outlives its deadline (market units,
   measured on the live clock) is killed; the report marks it so the
@@ -33,7 +33,8 @@ from repro.errors import LiveServiceError
 from repro.sim.clock import Clock
 
 #: Wall seconds between status polls of a running child (the watchdog's
-#: resolution) and between idle checks of a draining service.
+#: resolution) and between idle checks of a draining service.  Read at
+#: every poll, so a test can race the watchdog by patching it.
 POLL_INTERVAL = 0.05
 
 
@@ -69,20 +70,14 @@ class SubprocessExecutor:
         clock: Clock,
         rate: float,
         max_running: int,
-        poll_interval: float = POLL_INTERVAL,
     ) -> None:
         if max_running < 1:
             raise LiveServiceError(f"max_running must be >= 1, got {max_running!r}")
         if not rate > 0:
             raise LiveServiceError(f"rate must be > 0, got {rate!r}")
-        if not poll_interval > 0:
-            raise LiveServiceError(
-                f"poll_interval must be > 0, got {poll_interval!r}"
-            )
         self.clock = clock
         self.rate = float(rate)
         self.max_running = max_running
-        self.poll_interval = float(poll_interval)
         self._gate = asyncio.Semaphore(max_running)
         self._procs: set[asyncio.subprocess.Process] = set()
         self.running = 0
@@ -139,7 +134,7 @@ class SubprocessExecutor:
                     while True:
                         try:
                             await asyncio.wait_for(
-                                asyncio.shield(waiter), timeout=self.poll_interval
+                                asyncio.shield(waiter), timeout=POLL_INTERVAL
                             )
                             break  # child exited
                         except asyncio.TimeoutError:

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.errors import MarketError
 from repro.market.economy import EconomyResult, MarketEconomy
 from repro.market.sites import MarketSite
 from repro.resilience.broker import ResilientBroker
@@ -41,6 +40,12 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.faults.spec import FaultSpec
     from repro.faults.stats import FaultStats
     from repro.obs.instrument import Observability
+
+#: The market's shape: sites, and interchangeable nodes per site.  The
+#: chaos sweep runs one shape; tests that want a smaller market patch
+#: these.
+N_SITES = 4
+PROCESSORS_PER_SITE = 4
 
 
 @dataclass
@@ -61,15 +66,14 @@ class ResilientMarketResult:
 def simulate_resilient_market(
     trace: Trace,
     heuristic_factory: Callable[[], SchedulingHeuristic],
-    n_sites: int = 4,
-    processors_per_site: int = 4,
     admission_factory: Optional[Callable[[], object]] = None,
     config: Optional[ResilienceConfig] = None,
     faults: "Optional[FaultSpec]" = None,
     fault_seed: int = 0,
     obs: "Optional[Observability]" = None,
 ) -> ResilientMarketResult:
-    """Run *trace* across ``n_sites`` sites with chaos and recovery.
+    """Run *trace* across :data:`N_SITES` sites of
+    :data:`PROCESSORS_PER_SITE` nodes each, with chaos and recovery.
 
     Each site gets its own heuristic/admission instance (factories, so
     per-site mutable state is never shared), its own restart policy
@@ -82,8 +86,6 @@ def simulate_resilient_market(
     "abandon"`` a killed task's contract settles at the value-function
     floor, which is what triggers failover re-bidding.
     """
-    if n_sites < 1:
-        raise MarketError(f"n_sites must be >= 1, got {n_sites!r}")
     config = config if config is not None else ResilienceConfig()
     obs = _resolve_obs(obs)
     if obs is not None:
@@ -100,14 +102,14 @@ def simulate_resilient_market(
         MarketSite(
             sim,
             site_id=f"site-{i}",
-            processors=processors_per_site,
+            processors=PROCESSORS_PER_SITE,
             heuristic=heuristic_factory(),
             admission=None if admission_factory is None else admission_factory(),
             discard_expired=True,
             restart_policy=restart_policy,
             obs=obs,
         )
-        for i in range(n_sites)
+        for i in range(N_SITES)
     ]
     manager = ResilienceManager(sim, config, sites, obs=obs)
     broker = ResilientBroker(sites=sites, manager=manager)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from repro.errors import MarketError
 
 #: EWMA smoothing factor of the per-site scores, in (0, 1]: the weight of
-#: the most recent outcome.
+#: the most recent outcome.  Read at every observation.
 HEALTH_ALPHA = 0.2
 #: Score a site starts with before any outcome is observed.
 INITIAL_HEALTH = 1.0
@@ -36,7 +36,8 @@ HARD_FAILURES = frozenset({"breach"})
 
 
 class SiteHealth:
-    """EWMA health state for one site."""
+    """EWMA health state for one site: :data:`INITIAL_HEALTH` until the
+    first outcome, then each outcome weighted by :data:`HEALTH_ALPHA`."""
 
     __slots__ = (
         "site_id",
@@ -49,9 +50,9 @@ class SiteHealth:
         "breaches",
     )
 
-    def __init__(self, site_id: str, initial: float) -> None:
+    def __init__(self, site_id: str) -> None:
         self.site_id = site_id
-        self.score = float(initial)
+        self.score = INITIAL_HEALTH
         self.breach_rate = 0.0
         self.events = 0
         self.completions = 0
@@ -59,7 +60,8 @@ class SiteHealth:
         self.restarts = 0
         self.breaches = 0
 
-    def observe(self, outcome: str, alpha: float) -> float:
+    def observe(self, outcome: str) -> float:
+        alpha = HEALTH_ALPHA
         try:
             value = OUTCOME_SCORES[outcome]
         except KeyError:
@@ -107,13 +109,13 @@ class HealthTracker:
     def site(self, site_id: str) -> SiteHealth:
         health = self._sites.get(site_id)
         if health is None:
-            health = SiteHealth(site_id, INITIAL_HEALTH)
+            health = SiteHealth(site_id)
             self._sites[site_id] = health
         return health
 
     def observe(self, site_id: str, outcome: str) -> float:
         """Fold one outcome into *site_id*'s EWMA; returns the new score."""
-        return self.site(site_id).observe(outcome, HEALTH_ALPHA)
+        return self.site(site_id).observe(outcome)
 
     def score(self, site_id: str) -> float:
         health = self._sites.get(site_id)

@@ -29,11 +29,7 @@ from repro.scheduling.base import (
     effective_decay,
 )
 from repro.scheduling.baselines import FCFS, SRPT, SWPT, PriorityFCFS
-from repro.scheduling.candidate import (
-    project_lone_start,
-    project_next_start,
-    project_start_times,
-)
+from repro.scheduling.candidate import project_lone_start, project_next_start
 from repro.scheduling.cost import opportunity_costs
 from repro.scheduling.firstprice import FirstPrice
 from repro.scheduling.firstreward import FirstReward
@@ -63,5 +59,4 @@ __all__ = [
     "opportunity_costs",
     "project_lone_start",
     "project_next_start",
-    "project_start_times",
 ]

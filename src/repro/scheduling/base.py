@@ -17,7 +17,7 @@ pool of pending tasks at decision time ``now``:
   "once a task has expired it may be deferred to the end of the schedule
   with no further cost" (§5.3).
 
-Where no row expires (``PoolColumns.never_expires``: every penalty is
+Where no row expires (``PoolColumns.expiring == 0``: every penalty is
 unbounded, so the Eq. 1 floor never binds and Eq. 4 is Eq. 5), every
 quantity of a row except the clock is fixed when the row is written, and
 the FirstPrice / PresentValue / FirstReward score of row *i* is affine in
@@ -33,7 +33,11 @@ writes these rows beside ``expiration`` and a pool view carries them
 operations instead of the ~20 of the general form.  An on-time row scores
 ``head − cost·Σd`` exactly, whatever its ``late``, so rows tied in the
 general form stay tied.  Values agree with the general form to rounding
-(the property suite holds them to rtol 1e-12); orderings agree.
+(the property suite holds them to rtol 1e-12); orderings agree.  Bounded
+pools get no such rows: there every score can be ``α·PV/RPT`` with a
+``±0.0`` cost, a whole-pool tie that pool order settles, so they are
+computed in the general form's own operations (see
+:mod:`repro.scheduling.cost`).
 """
 
 from __future__ import annotations
@@ -80,12 +84,16 @@ class PoolColumns:
     All arrays share one index space; ``remaining`` is the paper's RPT
     (differs from ``runtime`` only for preempted tasks).  ``expiration``
     is derived from ``value``/``decay``/``bound``
-    (:func:`expiration_delays`) and ``never_expires`` from ``expiration``
-    (every entry ``+inf``: the unbounded-penalty regime, where no horizon
-    is finite and no decay rate is ever zeroed); the pool passes the
-    column and the count it maintains, anyone else leaves both out.  A
-    view is a value: nothing rebinds or writes its columns after
-    construction.
+    (:func:`expiration_delays`) and ``expiring`` from ``expiration``: how
+    many entries are not ``+inf``.  ``expiring == 0`` is the
+    unbounded-penalty regime (:attr:`never_expires`: no horizon is finite
+    and no decay rate is ever zeroed); ``expiring == len`` is the bounded
+    one, where every horizon is finite.  The pool passes the column and
+    the count it maintains, anyone else leaves both out; a column passed
+    without its count leaves the count unknown (``None``), and the
+    kernels then take their general form, which is right in every
+    regime.  A view is a value: nothing rebinds or writes its columns
+    after construction.
 
     The view also carries a one-slot memo of the vectors derived from it
     at one clock reading (:func:`current_delays`, :func:`current_yields`,
@@ -96,10 +104,11 @@ class PoolColumns:
     argument survives the call chain.  A new clock reading replaces the
     slot; a pool mutation replaces the view.
 
-    A never-expires view taken from a
-    :class:`~repro.scheduling.pool.PendingPool` also reaches the pool's
-    affine-score rows (:meth:`affine`); a hand-built view has none, and
-    its heuristics take the general path.
+    A view taken from a :class:`~repro.scheduling.pool.PendingPool` also
+    reaches the pool's row state: its affine-score rows while it never
+    expires (:meth:`affine`), and whether the pool checks Eq. 4's inputs
+    as it writes them (:meth:`cost_inputs_checked`).  A hand-built view
+    has neither, and its heuristics take the general path.
     """
 
     __slots__ = (
@@ -110,9 +119,9 @@ class PoolColumns:
         "decay",
         "bound",
         "expiration",
-        "never_expires",
+        "expiring",
         "_memo",
-        "_affine",
+        "_source",
     )
 
     def __init__(
@@ -124,7 +133,7 @@ class PoolColumns:
         decay: np.ndarray,
         bound: np.ndarray,  # penalty bound; inf = unbounded
         expiration: Optional[np.ndarray] = None,
-        never_expires: bool = False,
+        expiring: Optional[int] = None,
     ) -> None:
         self.arrival = arrival
         self.runtime = runtime
@@ -134,14 +143,19 @@ class PoolColumns:
         self.bound = bound
         if expiration is None:
             expiration = expiration_delays(value, decay, bound)
-            never_expires = bool(np.isposinf(expiration).all())
+            expiring = len(expiration) - int(np.count_nonzero(np.isposinf(expiration)))
         self.expiration = expiration
-        self.never_expires = never_expires
+        self.expiring = expiring
         # at most one entry, keyed by the clock reading it was derived at
         self._memo: dict[float, _Instant] = {}
-        # the pool's coefficient source; the pool sets it on its own
-        # never-expires views (see PendingPool._view)
-        self._affine: Any = None
+        # the pool's row state; the pool sets it on its own views (see
+        # PendingPool._view)
+        self._source: Any = None
+
+    @property
+    def never_expires(self) -> bool:
+        """No row can expire: every ``expiration`` is ``+inf``."""
+        return self.expiring == 0
 
     def __len__(self) -> int:
         return len(self.arrival)
@@ -165,10 +179,28 @@ class PoolColumns:
         """The ``(4, n)`` rows ``late, head, slope, cost`` for the
         ``(alpha, discount_rate)`` *key*, or ``None`` (no pool behind the
         view, some row expires, or the pool holds another key's rows)."""
-        source = self._affine
-        if source is None:
+        source = self._source
+        if source is None or self.expiring:
             return None
         return source.rows(key, self)
+
+    def cost_inputs_checked(self) -> bool:
+        """Whether the pool behind this view checks Eq. 4's inputs at the
+        row write, so a kernel need not check them per call.
+
+        ``False`` for a hand-built view.  On a pool view the first call
+        checks the view's rows (a negative RPT raises the kernel's error)
+        and binds the check to the pool: from then on every row it writes
+        is checked as it is written.
+        """
+        source = self._source
+        if source is None:
+            return False
+        if not source.checked:
+            if (self.remaining < 0).any():
+                raise SchedulingError("cost inputs must be non-negative")
+            source.checked = True
+        return True
 
     @classmethod
     def empty(cls) -> "PoolColumns":

@@ -18,42 +18,6 @@ import numpy as np
 from repro.errors import SchedulingError
 
 
-def project_start_times(
-    remaining_in_order: Sequence[float],
-    free_times: Sequence[float],
-) -> np.ndarray:
-    """Expected start times for tasks dispatched in the given order.
-
-    Parameters
-    ----------
-    remaining_in_order:
-        RPT of each pending task, already sorted by dispatch priority
-        (highest first).
-    free_times:
-        One entry per processor: the time it next becomes free (``now``
-        if idle, the running task's completion time otherwise).
-
-    Returns
-    -------
-    Array of start times aligned with ``remaining_in_order``.  Start
-    times are non-decreasing in list position for a single processor but
-    not necessarily across processors; completion of entry *k* is
-    ``start[k] + remaining_in_order[k]``.
-    """
-    if len(free_times) == 0:
-        raise SchedulingError("project_start_times requires at least one processor")
-    heap = [float(t) for t in free_times]
-    heapq.heapify(heap)
-    starts = np.empty(len(remaining_in_order))
-    for pos, rpt in enumerate(remaining_in_order):
-        if rpt < 0:
-            raise SchedulingError(f"negative RPT {rpt!r} at position {pos}")
-        t = heapq.heappop(heap)
-        starts[pos] = t
-        heapq.heappush(heap, t + float(rpt))
-    return starts
-
-
 def project_next_start(
     remaining_in_order: Sequence[float],
     free_times: Sequence[float],
@@ -61,10 +25,16 @@ def project_next_start(
 ) -> float:
     """Projected start time of the entry at *position* alone.
 
-    Bit-identical to ``project_start_times(...)[position]`` — the same
-    list-scheduling heap walk with the same float accumulation order —
-    but the walk stops once the requested slot is reached, and the
-    single-processor case collapses to one sequential prefix sum
+    *remaining_in_order* holds the RPT of each pending task, sorted by
+    dispatch priority (highest first); *free_times* has one entry per
+    processor, the time it next becomes free (``now`` if idle, the
+    running task's believed completion otherwise).  List scheduling:
+    each successive task goes to the earliest-free processor.  The result
+    is that whole projection's entry at *position* — the same heap walk
+    with the same float accumulation order, which a property test holds
+    bit for bit against the full projection — but the walk stops once
+    the requested slot is reached, and the single-processor case
+    collapses to one sequential prefix sum
     (``np.cumsum``; NumPy's ``add.accumulate`` is a left-to-right
     accumulation, unlike ``np.sum``'s pairwise reduction, so the float
     association matches the heap walk exactly).  Admission control only

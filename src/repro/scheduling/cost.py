@@ -18,18 +18,29 @@ and both partial sums are prefix-sum lookups at ``searchsorted(h, R_i)``.
 Only competitors that still weigh something (``d_j > 0``) are sorted: an
 expired one adds exactly ``+0.0`` to both sums wherever it sorts (§5.3:
 it "may be deferred to the end of the schedule with no further cost").
-When no horizon is finite (unbounded penalties: Fig. 5–7 and the market;
-Fig. 4 and the bench's ``preempt`` cell bound the penalty and take the
-sort) nothing saturates and the closed form of Eq. 5,
-``R_i · Σ_j d_j − d_i · R_i``, needs no sort at all.  On a
-pool's own view even that is not evaluated per call: ``d_i · R_i`` is
-clock-free, so FirstReward folds it into the coefficient rows the pool
-writes once per row (:func:`~repro.scheduling.base.affine_coefficients`,
-which also makes this module's non-negativity check, at the write) and
-only ``Σ_j d_j`` is read at the decision instant.  The regime contract of
-:mod:`repro.scheduling.pool` covers those rows: they are kept only while
-no row can expire.  Any other never-expiring view (hand-built, or scored
-by a second heuristic) takes Eq. 5's branch of :func:`opportunity_costs`.
+
+Which form runs follows the regime count of :mod:`repro.scheduling.pool`
+(``PoolColumns.expiring``, how many rows can expire):
+
+* **None can** (unbounded penalties: Fig. 5–7 and the market): nothing
+  saturates and Eq. 5's closed form, ``R_i · Σ_j d_j − d_i · R_i``,
+  needs no sort.  On a pool's own view even that is not evaluated per
+  call: ``d_i · R_i`` is clock-free, so FirstReward folds it into the
+  coefficient rows the pool writes once per row
+  (:func:`~repro.scheduling.base.affine_coefficients`) and only
+  ``Σ_j d_j`` is read at the decision instant.  Any other never-expiring
+  view (hand-built, or scored by a second heuristic) takes Eq. 5's
+  branch of :func:`opportunity_costs`.
+* **Every row can** (penalties bounded: Fig. 3, Fig. 4 and the bench's
+  ``preempt`` cell): on a pool's view FirstReward calls
+  :func:`saturating_costs` with the rows that still decay, or no kernel
+  at all when none does; the pool checks the inputs as it writes them.
+* **A mix**, or a hand-built view: :func:`opportunity_costs`, census and
+  checks included.
+
+The bounded forms give the same floats as :func:`opportunity_costs` on
+the same inputs (``tests/property/test_bounded_scores.py`` holds the
+scores to the bytes); the affine rows agree with it to rtol 1e-12.
 """
 
 from __future__ import annotations
@@ -115,22 +126,36 @@ def opportunity_costs(
     return cost - self_term
 
 
-def opportunity_costs_naive(
+def saturating_costs(
     remaining: np.ndarray,
     decay: np.ndarray,
     horizons: np.ndarray,
+    live: np.ndarray,
 ) -> np.ndarray:
-    """O(n²) reference implementation (oracle for tests)."""
-    remaining = np.asarray(remaining, dtype=float)
-    decay = np.asarray(decay, dtype=float)
-    horizons = np.asarray(horizons, dtype=float)
-    n = len(remaining)
-    out = np.zeros(n)
-    for i in range(n):
-        total = 0.0
-        for j in range(n):
-            if j == i:
-                continue
-            total += decay[j] * min(remaining[i], horizons[j])
-        out[i] = total
-    return out
+    """Eq. 4 where every horizon is finite, on inputs checked at the write.
+
+    *live* indexes, ascending, the rows whose effective *decay* is
+    positive (at least one); every other row's decay is ``+0.0``.  The
+    same floats as :func:`opportunity_costs` on the same inputs, with its
+    checks and regime census left to the caller: no unbounded weight is
+    added (``x + 0.0`` is ``x`` for the non-negative difference it would
+    be added to), and the self-term is subtracted on the live rows only —
+    on any other row it is ``0.0 · min(R, h) = +0.0`` for a finite,
+    non-negative RPT, and ``x − 0.0`` is ``x``.
+    """
+    h_live = horizons[live]
+    d_live = decay[live]
+    order = np.argsort(h_live, kind="stable")
+    h_sorted = h_live[order]
+    d_sorted = d_live[order]
+    prefix_dh = np.empty(len(live) + 1)
+    prefix_dh[0] = 0.0
+    np.cumsum(d_sorted * h_sorted, out=prefix_dh[1:])
+    prefix_d = np.empty(len(live) + 1)
+    prefix_d[0] = 0.0
+    np.cumsum(d_sorted, out=prefix_d[1:])
+    k = np.searchsorted(h_sorted, remaining, side="right")
+    cost = prefix_dh[k]
+    cost += remaining * (prefix_d[-1] - prefix_d[k])
+    cost[live] -= d_live * np.minimum(remaining[live], h_live)
+    return cost

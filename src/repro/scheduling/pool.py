@@ -15,22 +15,31 @@ coefficient rows (``late, head, slope, cost``, see
 
 Regime contract: the pool counts its rows whose ``expiration`` is not
 ``+inf`` (``_expiring``: up in ``add``, down in ``remove_at``, like
-``_multi_node``) and hands every view the derived ``never_expires`` —
-the count is zero and, on a probe view, the probed rows never expire
-either.  Nobody sets the flag: it restates the ``expiration`` column, so
-the kernels read the penalty regime instead of re-taking a census of
-the column at every decision instant.
+``_multi_node``) and hands every view that count, the probed rows of a
+probe view included (``PoolColumns.expiring``).  Nobody sets it: it
+restates the ``expiration`` column, so the kernels read the penalty
+regime — none expires (count 0), every horizon is finite (count =
+length), or a mix — instead of re-taking a census of the column at
+every decision instant.
 
-The coefficient rows belong to that regime too.  They are bound lazily:
-the first heuristic that scores a never-expires view fixes the
-``(alpha, discount_rate)`` key they are written for (``_Affine``), and a
-heuristic with another key takes the general path.  While they are
+The coefficient rows belong to the never-expires regime.  They are
+bound lazily: the first heuristic that scores a never-expires view fixes
+the ``(alpha, discount_rate)`` key they are written for (``_Rows``), and
+a heuristic with another key takes the general path.  While they are
 *fresh* every write (``add``, ``probe``, ``probe_block``) fills them and
 ``remove_at`` shifts them with the rest.  Queuing an expiring row makes
 them stale: from then on they are neither written nor shifted — the
 bounded-penalty regime pays nothing for them — and the first
 never-expires view scored after the pool is back in the regime rebuilds
 them in one vector pass.
+
+Eq. 4's non-negativity check is bound the same way: the first α < 1
+FirstReward to score a view of the pool checks that view's rows once,
+and from then on every write checks its own row, so neither the Eq. 5
+rows nor the bounded kernel re-check the pool at each decision instant.
+Until then a write checks nothing, so a heuristic without a cost term
+still reports a negative RPT in its own words (the candidate
+projection's ``negative RPT … at position k``).
 
 Determinism contract: removals preserve pool order.  Swap-delete would
 be O(1) but reorders the index space, which changes ``argmax``
@@ -62,7 +71,6 @@ from repro.scheduling.base import (
     MIN_REMAINING,
     PoolColumns,
     affine_coefficients,
-    expiration_delays,
 )
 from repro.tasks.task import Task
 
@@ -77,24 +85,30 @@ _ROWS = _COLUMNS + 4
 _MIN_CAPACITY = 64
 
 
-class _Affine:
-    """A pool's coefficient rows: the key they are written for, and whether
-    they are current.
+class _Rows:
+    """A pool's row state that its views reach: the coefficient rows (the
+    key they are written for, and whether they are current) and whether
+    writes check Eq. 4's inputs.
 
     ``key`` is the ``(alpha, discount_rate)`` of the first heuristic that
     scored a never-expires view of the pool (``None`` until then);
     ``fresh`` says the rows hold that key's coefficients for every row of
     the pool, which the pool keeps true only while no expiring row is
-    queued.  ``data`` is the pool's backing array (replaced on growth).
-    Views reach the rows through this object rather than the pool, so a
-    view does not close a reference cycle with the pool that caches it.
+    queued.  ``checked`` is set by the first Eq. 4/5 consumer — a
+    FirstReward with α < 1 binding the key, or scoring a bounded view
+    (:meth:`PoolColumns.cost_inputs_checked`) — once it has checked every
+    row of a view; from then on each write checks its own row.  ``data``
+    is the pool's backing array (replaced on growth).  Views reach the
+    state through this object rather than the pool, so a view does not
+    close a reference cycle with the pool that caches it.
     """
 
-    __slots__ = ("key", "fresh", "data")
+    __slots__ = ("key", "fresh", "checked", "data")
 
     def __init__(self, data: np.ndarray) -> None:
         self.key: Optional[tuple[float, float]] = None
         self.fresh = False
+        self.checked = False
         self.data = data
 
     def rows(self, key: tuple[float, float], cols: PoolColumns) -> Optional[np.ndarray]:
@@ -107,18 +121,20 @@ class _Affine:
         block = self.data[_COLUMNS:, : len(cols)]
         if not self.fresh:
             # first bind, or back in the never-expires regime: one pass
-            # over every row of the view (probed rows included)
+            # over every row of the view (probed rows included), which
+            # makes Eq. 5's check for an α < 1 key
             block[...] = affine_coefficients(
                 cols.arrival, cols.runtime, cols.remaining, cols.value, cols.decay, *key
             )
             self.fresh = True
+            self.checked = self.checked or key[0] != 1.0
         return block
 
 
 class PendingPool:
     """Mutable ordered set of queued tasks with vectorized column access."""
 
-    __slots__ = ("_tasks", "_data", "_columns", "_multi_node", "_expiring", "_affine")
+    __slots__ = ("_tasks", "_data", "_columns", "_multi_node", "_expiring", "_rows")
 
     def __init__(self) -> None:
         self._tasks: list[Task] = []
@@ -126,7 +142,7 @@ class PendingPool:
         self._columns: Optional[PoolColumns] = None
         self._multi_node = 0  # queued tasks with demand > 1
         self._expiring = 0  # queued tasks whose expiration is not +inf
-        self._affine = _Affine(self._data)
+        self._rows = _Rows(self._data)
 
     # ------------------------------------------------------------------
     def add(self, task: Task) -> None:
@@ -139,7 +155,7 @@ class PendingPool:
         """
         if self._write_row(task) != math.inf:
             self._expiring += 1
-            self._affine.fresh = False
+            self._rows.fresh = False
         self._tasks.append(task)
         if task.demand > 1:
             self._multi_node += 1
@@ -149,11 +165,16 @@ class PendingPool:
         """Write *task*'s scalars into the first spare column, growing if
         full, and its coefficients while they are fresh; returns the row's
         ``expiration``."""
+        arrival, runtime, remaining = task.arrival, task.estimate, task.estimated_remaining
+        state = self._rows
+        # the RPT is the one cost input a row can carry negative: value
+        # functions refuse a negative decay
+        if state.checked and remaining < 0.0:
+            raise SchedulingError("cost inputs must be non-negative")
         n = len(self._tasks)
         data = self._data
         if n == data.shape[1]:
             data = self._grow(n, n + 1)
-        arrival, runtime, remaining = task.arrival, task.estimate, task.estimated_remaining
         data[_ARRIVAL, n] = arrival
         data[_RUNTIME, n] = runtime
         data[_REMAINING, n] = remaining
@@ -166,12 +187,11 @@ class PendingPool:
         # to inf without raising, as the vector form does)
         expiration = (value + bound) / decay if decay > 0.0 else 0.0
         data[_EXPIRATION, n] = expiration
-        affine = self._affine
-        if affine.fresh and expiration == math.inf:
-            # the scalar twin of affine_coefficients, operation for operation
-            alpha, rate = affine.key
-            if alpha != 1.0 and (remaining < 0.0 or decay < 0.0):
-                raise SchedulingError("cost inputs must be non-negative")
+        if state.fresh and expiration == math.inf:
+            # the scalar twin of affine_coefficients, operation for
+            # operation (its check is the one above: a row that never
+            # expires has a positive decay)
+            alpha, rate = state.key
             denom = max(remaining, MIN_REMAINING)
             growth = 1.0 + rate * remaining
             data[_LATE, n] = arrival + runtime - remaining
@@ -186,17 +206,17 @@ class PendingPool:
         """Reallocate to at least *need* columns (doubling), keeping the first *n*."""
         grown = np.empty((_ROWS, max(_MIN_CAPACITY, 2 * n, need)))
         grown[:, :n] = self._data[:, :n]
-        self._data = self._affine.data = grown
+        self._data = self._rows.data = grown
         return grown
 
-    def _view(self, n: int, never_expires: bool) -> PoolColumns:
-        """Read-only view of the first *n* columns of the backing storage."""
+    def _view(self, n: int, expiring: int) -> PoolColumns:
+        """Read-only view of the first *n* columns of the backing storage,
+        *expiring* of which can expire."""
         block = self._data[:_COLUMNS, :n]
         block.flags.writeable = False
         # seven row views; they inherit the read-only flag
-        view = PoolColumns(*block, never_expires)
-        if never_expires:
-            view._affine = self._affine
+        view = PoolColumns(*block, expiring)
+        view._source = self._rows
         return view
 
     def probe(self, task: Task) -> PoolColumns:
@@ -209,30 +229,32 @@ class PendingPool:
         :meth:`add`.
         """
         expiration = self._write_row(task)
-        return self._view(
-            len(self._tasks) + 1, self._expiring == 0 and expiration == math.inf
-        )
+        return self._view(len(self._tasks) + 1, self._expiring + (expiration != math.inf))
 
     def probe_block(self, rows: np.ndarray) -> PoolColumns:
-        """:meth:`probe` for a ``(6, k)`` block of rows in column-field order.
+        """:meth:`probe` for a ``(7, k)`` block of rows in column-field
+        order, ``expiration`` included.
 
         The preemption pass's pending ∪ running union: the running tasks'
-        rows land in the spare columns after the last pending row, so the
-        union is scored without copying the pool.
+        rows (:meth:`ProcessorPool.running_rows
+        <repro.site.processors.ProcessorPool.running_rows>`, which keeps
+        their ``expiration``) land in the spare columns after the last
+        pending row, so the union is scored without copying the pool.
         """
+        state = self._rows
+        if state.checked and (rows[_REMAINING] < 0.0).any():
+            raise SchedulingError("cost inputs must be non-negative")
         n = len(self._tasks)
-        end = n + rows.shape[1]
+        k = rows.shape[1]
+        end = n + k
         data = self._data
         if end > data.shape[1]:
             data = self._grow(n, end)
-        data[:_EXPIRATION, n:end] = rows
-        expiration = expiration_delays(rows[_VALUE], rows[_DECAY], rows[_BOUND])
-        data[_EXPIRATION, n:end] = expiration
-        never_expires = self._expiring == 0 and bool(np.isposinf(expiration).all())
-        affine = self._affine
-        if never_expires and affine.fresh:
-            data[_COLUMNS:, n:end] = affine_coefficients(*rows[:_BOUND], *affine.key)
-        return self._view(end, never_expires)
+        data[:_COLUMNS, n:end] = rows
+        expiring = self._expiring + k - int(np.count_nonzero(rows[_EXPIRATION] == math.inf))
+        if not expiring and state.fresh:
+            data[_COLUMNS:, n:end] = affine_coefficients(*rows[:_BOUND], *state.key)
+        return self._view(end, expiring)
 
     def remove_at(self, index: int) -> Task:
         """Remove and return the task at *index* (column index space)."""
@@ -245,7 +267,7 @@ class PendingPool:
         if index < n - 1:
             # one vectorized tail shift preserves order (see the
             # determinism contract above); stale coefficient rows stay put
-            rows = _ROWS if self._affine.fresh else _COLUMNS
+            rows = _ROWS if self._rows.fresh else _COLUMNS
             self._data[:rows, index : n - 1] = self._data[:rows, index + 1 : n]
         if task.demand > 1:
             self._multi_node -= 1
@@ -304,5 +326,5 @@ class PendingPool:
         must not see ground truth.
         """
         if self._columns is None:
-            self._columns = self._view(len(self._tasks), self._expiring == 0)
+            self._columns = self._view(len(self._tasks), self._expiring)
         return self._columns

@@ -18,6 +18,12 @@ import numpy as np
 from repro.errors import SchedulingError
 from repro.tasks.task import Task
 
+#: Rows of the running block: the seven ``PoolColumns`` fields in field
+#: order (the RPT's row holds the estimated remaining time at the last
+#: start), then that start.
+_REMAINING, _LAST_START = 2, 7
+_BLOCK_ROWS = 8
+
 
 class ProcessorPool:
     """Fixed set of interchangeable nodes.
@@ -26,6 +32,9 @@ class ProcessorPool:
     ``_slots_of`` are views of it that every transition keeps current, so
     the questions asked several times per event (is a node free, which
     one, where does this task run) are answered without a scan.
+    ``_block`` holds, per slot, the occupant's clock-free scalars for
+    :meth:`running_rows`, written at the first pass after ``assign`` put
+    it there (``_filled``).
     """
 
     __slots__ = (
@@ -39,7 +48,8 @@ class ProcessorPool:
         "_free",
         "_busy",
         "_slots_of",
-        "_row_of",
+        "_block",
+        "_filled",
     )
 
     def __init__(self, count: int) -> None:
@@ -61,8 +71,10 @@ class ProcessorPool:
         self._free: list[int] = list(range(count))
         self._busy = 0  # slots holding a task
         self._slots_of: dict[Task, list[int]] = {}  # by identity; ascending
-        # per slot, the occupant's clock-free running_rows scalars
-        self._row_of: list[Optional[tuple[float, ...]]] = [None] * count
+        # per slot, the occupant's clock-free running_rows scalars, and
+        # whether they are written for the task that holds the slot now
+        self._block = np.empty((_BLOCK_ROWS, count))
+        self._filled: list[bool] = [False] * count
 
     # ------------------------------------------------------------------
     @property
@@ -110,7 +122,7 @@ class ProcessorPool:
         for i in slots:
             self._task_of[i] = task
             self._busy_since[i] = now
-            self._row_of[i] = None
+            self._filled[i] = False
         self._slots_of[task] = slots
         self._busy += demand
         return slots[0]
@@ -138,7 +150,8 @@ class ProcessorPool:
             raise SchedulingError(f"grow count must be >= 0, got {count}")
         self._free.extend(range(self.count, self.count + count))
         self._task_of.extend([None] * count)
-        self._row_of.extend([None] * count)
+        self._block = np.concatenate([self._block, np.empty((_BLOCK_ROWS, count))], axis=1)
+        self._filled.extend([False] * count)
         self._busy_since.extend([0.0] * count)
         self._node_ids.extend(
             range(self._next_node_id, self._next_node_id + count)
@@ -156,22 +169,23 @@ class ProcessorPool:
         """
         if count < 0:
             raise SchedulingError(f"shrink count must be >= 0, got {count}")
-        removed = 0
+        removed: list[int] = []
         i = len(self._task_of) - 1
-        while removed < count and i >= 0 and self.count - removed > 1:
+        while len(removed) < count and i >= 0 and self.count - len(removed) > 1:
             # crashed nodes are not revocable either: their lease is
             # pinned until the repair lands (the fault injector tracks
             # them by identity)
             if self._task_of[i] is None and not self._down[i]:
                 del self._task_of[i]
-                del self._row_of[i]
+                del self._filled[i]
                 del self._busy_since[i]
                 del self._node_ids[i]
                 del self._down[i]
-                removed += 1
+                removed.append(i)
             i -= 1
-        self.count -= removed
+        self.count -= len(removed)
         if removed:
+            self._block = np.delete(self._block, removed, axis=1)
             # the slots above each removed one shifted down
             self._free = [
                 i
@@ -182,7 +196,7 @@ class ProcessorPool:
             for i, t in enumerate(self._task_of):
                 if t is not None:
                     self._slots_of.setdefault(t, []).append(i)
-        return removed
+        return len(removed)
 
     # ------------------------------------------------------------------
     # Node failure / repair (the repro.faults reliability subsystem)
@@ -254,39 +268,48 @@ class ProcessorPool:
 
     def running_rows(self, now: float) -> tuple[list[Task], np.ndarray]:
         """The running tasks in slot order (one entry per busy node) and
-        their scheduler-visible scalars as one ``(6, k)`` block in
+        their scheduler-visible scalars as one ``(7, k)`` block in
         :class:`~repro.scheduling.base.PoolColumns` field order: arrival,
-        estimate, believed RPT measured from *now*, value, decay, bound.
+        estimate, believed RPT measured from *now*, value, decay, bound,
+        expiration.
 
         What :meth:`PendingPool.probe_block
         <repro.scheduling.pool.PendingPool.probe_block>` takes to put
-        pending and running tasks in one scoring space.
+        pending and running tasks in one scoring space.  Everything but
+        the believed RPT is clock-free and stays in the pool's block from
+        the first pass after ``assign`` until the slot changes hands; a
+        running task's estimated remaining time and last start do not
+        move until it leaves its node, so they are kept there too.
         """
+        block = self._block
+        filled = self._filled
         tasks: list[Task] = []
-        rows: list[tuple[float, ...]] = []
-        row_of = self._row_of
+        slots: list[int] = []
         for i, t in enumerate(self._task_of):
             if t is None:
                 continue
-            row = row_of[i]
-            if row is None:  # first pass since assign put t here
+            if not filled[i]:  # first pass since assign put t here
                 vf = t.linear_vf
-                row = row_of[i] = (
+                value, decay, bound = vf.value, vf.decay, vf.bound_or_inf()
+                block[:, i] = (
                     t.arrival,
                     t.estimate,
-                    0.0,  # the believed RPT's place: it moves with the clock
-                    vf.value,
-                    vf.decay,
-                    vf.bound_or_inf(),
+                    t.estimated_remaining,
+                    value,
+                    decay,
+                    bound,
+                    # the scalar twin of expiration_delays, as the
+                    # pending pool writes it
+                    (value + bound) / decay if decay > 0.0 else 0.0,
+                    t.last_start,
                 )
+                filled[i] = True
             tasks.append(t)
-            rows.append(row)
-        block = np.array(rows).reshape(-1, 6).T
-        if tasks:
-            believed = np.array([t.estimated_remaining for t in tasks])
-            ran = now - np.array([t.last_start for t in tasks])
-            np.maximum(0.0, believed - ran, out=block[2])
-        return tasks, block
+            slots.append(i)
+        rows = block[:, slots]
+        believed = rows[_REMAINING]
+        np.maximum(0.0, believed - (now - rows[_LAST_START]), out=believed)
+        return tasks, rows[:_LAST_START]
 
     def utilization(self, now: float) -> float:
         """Fraction of node-time spent busy over [0, now]."""

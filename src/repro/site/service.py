@@ -343,9 +343,10 @@ class TaskServiceSite:
             # last row and the winner holds the victim's node
             pending_scores[best_pending:-1] = pending_scores[best_pending + 1 :]
             pending_scores[-1] = victim_score
+            # the winner took the victim's slot, so *running* stays in slot
+            # order, which breaks ties
             running_scores[worst_running] = winner_score
             running[worst_running] = winner
-            assert self.processors.running_tasks == running  # slot order breaks ties
         raise SchedulingError(
             "preemption pass failed to converge — heuristic scores are not "
             "comparable (NaN?)"

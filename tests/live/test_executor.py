@@ -16,15 +16,13 @@ import sys
 import pytest
 
 from repro.errors import LiveServiceError
+from repro.live import executor
 from repro.live.clock import WallClock
 from repro.live.executor import ExecutionReport, SubprocessExecutor, sleep_argv
 
 
-def _executor(max_running=2, rate=100.0, poll_interval=0.02):
-    clock = WallClock(rate=rate)
-    return SubprocessExecutor(
-        clock, rate=rate, max_running=max_running, poll_interval=poll_interval
-    )
+def _executor(max_running=2, rate=100.0):
+    return SubprocessExecutor(WallClock(rate=rate), rate=rate, max_running=max_running)
 
 
 def test_clean_exit_reports_ok():
@@ -113,12 +111,13 @@ def test_kill_all_delivers_signal_to_every_child():
     assert ex.running == 0
 
 
-def test_watchdog_tolerates_child_that_exits_before_the_kill():
+def test_watchdog_tolerates_child_that_exits_before_the_kill(monkeypatch):
     # `true` is shorter than a poll tick and the deadline has passed at
     # the first one, so the watchdog's kill races the child's own exit;
     # when the exit wins, the signal raises ProcessLookupError.  Before
     # the fix about one run in three of these raised out of run().
-    ex = _executor(max_running=1, rate=1000.0, poll_interval=0.0002)
+    monkeypatch.setattr(executor, "POLL_INTERVAL", 0.0002)
+    ex = _executor(max_running=1, rate=1000.0)
 
     async def burst():
         return [await ex.run(["true"], timeout_units=1e-9) for _ in range(200)]
@@ -195,7 +194,8 @@ def test_a_signal_that_lands_on_an_exited_child_is_not_a_kill(monkeypatch):
 
     monkeypatch.setattr(asyncio, "create_subprocess_exec", spawn)
     monkeypatch.setattr(os, "kill", deliver)
-    ex = _executor(max_running=1, rate=1000.0, poll_interval=0.001)
+    monkeypatch.setattr(executor, "POLL_INTERVAL", 0.001)
+    ex = _executor(max_running=1, rate=1000.0)
     report = asyncio.run(ex.run(["true"], timeout_units=1e-9))
     assert report.ok and report.returncode == 0 and not report.killed
     assert (ex.started, ex.completed, ex.killed, ex.running) == (1, 1, 0, 0)
@@ -225,11 +225,10 @@ def test_kill_all_skips_a_child_that_already_exited(monkeypatch):
     [
         {"max_running": 0},
         {"rate": 0.0},
-        {"poll_interval": 0.0},
     ],
 )
 def test_constructor_validation(kwargs):
-    defaults = {"max_running": 2, "rate": 100.0, "poll_interval": 0.02}
+    defaults = {"max_running": 2, "rate": 100.0}
     defaults.update(kwargs)
     with pytest.raises(LiveServiceError):
         SubprocessExecutor(WallClock(rate=100.0), **defaults)

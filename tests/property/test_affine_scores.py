@@ -27,6 +27,7 @@ from repro.scheduling import FirstPrice, FirstReward, PendingPool, PoolColumns, 
 from repro.scheduling.base import MIN_REMAINING, affine_coefficients
 from repro.tasks import Task, TaskState
 from repro.valuefn import LinearDecayValueFunction
+from tests.property.test_pool_incremental import block_rows
 
 ALPHAS = (0.0, 0.3, 1.0)
 RATES = (0.0, 0.01)
@@ -197,13 +198,7 @@ class AffineScores(RuleBasedStateMachine):
 
     @rule(data=st.data(), count=st.integers(min_value=1, max_value=20))
     def probe_block(self, data, count):
-        rows = [self.task(data) for _ in range(count)]
-        block = np.array([
-            [t.arrival for t in rows], [t.estimate for t in rows],
-            [t.estimated_remaining for t in rows], [t.value for t in rows],
-            [t.decay for t in rows], [t.bound for t in rows],
-        ])
-        view = self.pool.probe_block(block)
+        view = self.pool.probe_block(block_rows([self.task(data) for _ in range(count)]))
         if view.never_expires:
             check_affine(view, self.now, self.heuristic, self.alpha, self.rate)
 
@@ -265,13 +260,13 @@ def test_the_write_keeps_the_cost_input_check():
     pool = PendingPool()
     pool.add(Task(0.0, 5.0, LinearDecayValueFunction(10.0, 1.0)))
     FirstReward(0.3, 0.01).scores(pool.columns(), 1.0)  # binds
-    block = np.array([[0.0], [5.0], [-1.0], [10.0], [1.0], [np.inf]])
+    block = np.array([[0.0], [5.0], [-1.0], [10.0], [1.0], [np.inf], [np.inf]])
     # the error the general path's Eq. 5 raises, raised at the write
     with pytest.raises(SchedulingError, match="^cost inputs must be non-negative$"):
         pool.probe_block(block)
     general = general_view(pool.probe_block(block[:, :0]))
     negative = PoolColumns(*np.concatenate(
         [np.array([general.arrival, general.runtime, general.remaining, general.value,
-                   general.decay, general.bound]), block], axis=1))
+                   general.decay, general.bound]), block[:6]], axis=1))
     with pytest.raises(SchedulingError, match="^cost inputs must be non-negative$"):
         FirstReward(0.3, 0.01).scores(negative, 1.0)

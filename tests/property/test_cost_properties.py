@@ -5,7 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.scheduling.cost import opportunity_costs, opportunity_costs_naive
+from repro.scheduling.cost import opportunity_costs
+from tests.oracles import opportunity_costs_naive
 
 sizes = st.integers(min_value=1, max_value=40)
 

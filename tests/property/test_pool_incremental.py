@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.scheduling import PendingPool, PoolColumns, decay_horizons
+from repro.scheduling.base import expiration_delays
 from repro.tasks import Task
 from repro.valuefn import LinearDecayValueFunction
 
@@ -35,6 +36,13 @@ def rebuilt_columns(tasks: list) -> list:
         np.array([t.decay for t in tasks]),
         np.array([t.bound for t in tasks]),
     ]
+
+
+def block_rows(tasks: list) -> np.ndarray:
+    """``(7, k)`` rows in column-field order, ``expiration`` included: the
+    block the preemption pass hands ``probe_block``."""
+    columns = rebuilt_columns(tasks)
+    return np.array([*columns, expiration_delays(*columns[3:])])
 
 
 def assert_matches(pool: PendingPool, shadow: list) -> None:
@@ -217,7 +225,7 @@ def test_expiration_column_equals_the_vector_expression(tasks, removals, candida
     assert len(probed) == len(pool) + 1
     assert_expiration_matches(probed, now)
     # a block of rows in field order, as the preemption pass hands over
-    block = np.array(rebuilt_columns(tasks[:17]))
+    block = block_rows(tasks[:17])
     union = pool.probe_block(block)
     assert len(union) == len(pool) + block.shape[1]
     assert_expiration_matches(union, now)

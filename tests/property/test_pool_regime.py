@@ -1,16 +1,17 @@
-"""State machine: the pool's ``never_expires`` fact vs a census of its rows.
+"""State machine: the pool's regime count vs a census of its rows.
 
 :class:`PendingPool` counts the rows whose ``expiration`` is not ``+inf``
-and hands every view the derived flag; the kernels read the flag instead
-of re-deriving the regime from the column.  After every operation — add,
-remove, a candidate probe, a block probe, growth past the 64-column
-backing, preempt-and-requeue — the flag must say exactly what a census
-of the view's ``expiration`` column says, and every heuristic must score
-the view to the same bytes as the same columns with the flag forced off
-(the general Eq. 4 kernel) — identically for every derived column, and
-to the same ordering and rtol 1e-12 for scores, which the first heuristic
+and hands every view that count (``expiring``); the kernels read it
+instead of re-deriving the regime from the column.  After every
+operation — add, remove, a candidate probe, a block probe, growth past
+the 64-column backing, preempt-and-requeue — the count must be exactly
+what a census of the view's ``expiration`` column says, and every
+heuristic must score the view as the same columns without the count (the
+general Eq. 4 kernel) do — identically for every derived column, and to
+the same ordering and rtol 1e-12 for scores, which the first heuristic
 to score a never-expires view computes from the pool's affine rows
-(``tests/property/test_affine_scores.py``).
+(``tests/property/test_affine_scores.py``).  Bounded views are held to
+the bytes by ``tests/property/test_bounded_scores.py``.
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ from repro.scheduling.base import decay_horizons, effective_decay
 from repro.tasks import Task, TaskState
 from repro.valuefn import LinearDecayValueFunction
 from tests.property.test_affine_scores import assert_same_scores, term_scale
-from tests.property.test_pool_incremental import rebuilt_columns
+from tests.property.test_pool_incremental import block_rows, rebuilt_columns
 
 HEURISTICS = [
     FirstReward(alpha=0.0, discount_rate=0.01),
@@ -55,16 +56,18 @@ def tasks(draw, regimes=tuple(REGIMES)) -> Task:
 
 
 def block_of(rows: list) -> np.ndarray:
-    """``(6, k)`` rows in column-field order, as the preemption pass hands over."""
+    """``(6, k)`` rows in column-field order: a hand-built view's columns."""
     return np.array(rebuilt_columns(rows))
 
 
 def check_view(view: PoolColumns, now: float) -> None:
-    census = bool(np.isposinf(view.expiration).all())
-    assert view.never_expires is census
+    census = len(view) - int(np.count_nonzero(np.isposinf(view.expiration)))
+    assert view.expiring == census
+    assert view.never_expires is (census == 0)
+    # the column without its count: the general kernels
     general = PoolColumns(
         view.arrival, view.runtime, view.remaining, view.value, view.decay,
-        view.bound, view.expiration, never_expires=False,
+        view.bound, view.expiration,
     )
     assert decay_horizons(view, now).tobytes() == decay_horizons(general, now).tobytes()
     assert effective_decay(view, now).tobytes() == effective_decay(general, now).tobytes()
@@ -119,7 +122,7 @@ class PoolRegime(RuleBasedStateMachine):
 
     @rule(rows=st.lists(tasks(), min_size=1, max_size=80))
     def probe_block(self, rows):
-        view = self.pool.probe_block(block_of(rows))
+        view = self.pool.probe_block(block_rows(rows))
         assert len(view) == len(self.pool) + len(rows)
         check_view(view, self.now)
 
@@ -128,7 +131,7 @@ class PoolRegime(RuleBasedStateMachine):
         self.now = now
 
     @invariant()
-    def the_flag_is_the_census(self):
+    def the_count_is_the_census(self):
         check_view(self.pool.columns(), self.now)
 
 
@@ -143,11 +146,12 @@ def test_hand_built_columns_derive_the_flag():
     assert PoolColumns(*block_of(unbounded)).never_expires is True
     mixed = [*unbounded, Task(0.0, 5.0, LinearDecayValueFunction(10.0, 1.0, 0.0))]
     assert PoolColumns(*block_of(mixed)).never_expires is False
+    assert PoolColumns(*block_of(mixed)).expiring == 1
     assert PoolColumns.empty().never_expires is True
     # a hand-passed expiration column without the pool's count: the
     # general kernels, which are right in every regime
     cols = PoolColumns(*block_of(unbounded), np.full(3, np.inf))
-    assert cols.never_expires is False
+    assert cols.expiring is None and cols.never_expires is False
 
 
 def test_the_count_survives_removing_the_last_bounded_row():
@@ -160,5 +164,10 @@ def test_the_count_survives_removing_the_last_bounded_row():
     assert not pool.probe(Task(2.0, 5.0, LinearDecayValueFunction(10.0, 1.0))).never_expires
     pool.remove(bounded)
     assert pool.columns().never_expires
-    assert not pool.probe(bounded).never_expires  # the probe row counts, uncommitted
+    assert pool.probe(bounded).expiring == 1  # the probe row counts, uncommitted
     assert pool.columns().never_expires
+    pool.add(bounded)
+    assert pool.columns().expiring == len(pool) - 1
+    pool.remove_at(0)
+    probed = pool.probe(bounded)
+    assert probed.expiring == len(probed) == 2  # every horizon finite

@@ -192,7 +192,7 @@ class TestAgainstTheRescoringLoop:
             pool.add(Task(float(i), 3.0, LinearDecayValueFunction(10.0, 1.0)))
         before = [np.array(col) for col in
                   (pool.columns().arrival, pool.columns().remaining)]
-        block = np.arange(12.0).reshape(6, 2)
+        block = np.arange(14.0).reshape(7, 2)  # expiration included
         union = pool.probe_block(block)
         assert len(union) == capacity + 2 and len(pool) == capacity
         assert union.arrival[-2:].tolist() == [0.0, 1.0]

@@ -2,10 +2,13 @@
 
 The pool answers ``free_count``, ``busy_count``, ``slots_of`` and "which
 node is free" from structures it keeps current across every transition,
-and ``running_rows`` from per-slot memos.  The scans those replaced live
-on here as the oracle, over the pool's own ``_task_of``/``_down`` state:
-after every operation of an arbitrary stream each view must equal its
-recomputation — the floats bit for bit.
+and ``running_rows`` from a maintained running block (per slot, the
+occupant's clock-free scalars, written at the first pass after
+``assign``).  The scans those replaced live on here as the oracle, over
+the pool's own ``_task_of``/``_down`` state: after every operation of an
+arbitrary stream — ``grow``, ``shrink_idle``, ``fail``/``repair`` and a
+value function swapped between ``assign`` and the first pass included —
+each view must equal its recomputation, the floats bit for bit.
 """
 
 import math
@@ -16,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SchedulingError
+from repro.scheduling.base import expiration_delays
 from repro.site import ProcessorPool
 from repro.tasks import Task
 from repro.valuefn import LinearDecayValueFunction
@@ -66,7 +70,24 @@ def scan_running_rows(pool, now):
                 vf.bound_or_inf(),
             )
         )
-    return tasks, np.array(rows).reshape(-1, 6).T
+    block = np.array(rows).reshape(-1, 6).T
+    # the vector expression the pending pool's columns are held to
+    return tasks, np.concatenate([block, [expiration_delays(*block[3:])]])
+
+
+def assert_block_holds_the_occupants(pool):
+    """Every busy slot's column of the maintained block is its occupant's:
+    the clock-free scalars, the estimated remaining time and the last start."""
+    for i, t in enumerate(pool._task_of):
+        if t is None:
+            continue
+        assert pool._filled[i]  # running_rows has just run
+        vf = t.linear_vf
+        expected = [t.arrival, t.estimate, t.estimated_remaining, vf.value, vf.decay,
+                    vf.bound_or_inf()]
+        expected.append(float(expiration_delays(*np.array([expected[3:]]).T)[0]))
+        expected.append(t.last_start)
+        assert pool._block[:, i].tobytes() == np.array(expected).tobytes()
 
 
 def assert_views_match_scans(pool, now, known_tasks):
@@ -92,6 +113,8 @@ def assert_views_match_scans(pool, now, known_tasks):
     assert tasks == expected_tasks
     assert block.shape == expected_block.shape
     assert block.tobytes() == expected_block.tobytes()
+    assert len(pool._filled) == pool._block.shape[1] == pool.count
+    assert_block_holds_the_occupants(pool)
 
 
 # ----------------------------------------------------------------------
@@ -102,7 +125,9 @@ awkward = st.floats(min_value=0.1, max_value=40.0)  # few are round in binary
 
 ops = st.lists(
     st.one_of(
-        # a new task: (demand, runtime, estimate factor, value, decay, bounded)
+        # a new task: (demand, runtime, estimate factor, value, decay,
+        # bounded, the value function it holds by the first pass — None
+        # keeps the one it was assigned with)
         st.tuples(
             st.just("assign_new"),
             st.integers(1, 3),
@@ -111,6 +136,7 @@ ops = st.lists(
             awkward,
             st.floats(0.0, 3.0),
             st.booleans(),
+            st.one_of(st.none(), st.tuples(awkward, st.floats(0.0, 3.0), st.booleans())),
         ),
         st.tuples(st.just("assign_queued"), fraction),  # a preempted/crashed one
         st.tuples(st.just("assign_running"), fraction),  # must be refused
@@ -156,13 +182,18 @@ def test_views_equal_scans_after_every_op(count, ops):
     for op, *args in ops:
         running = pool.running_tasks
         if op == "assign_new":
-            demand, runtime, factor, value, decay, bounded = args
+            demand, runtime, factor, value, decay, bounded, swap = args
             vf = LinearDecayValueFunction(value, decay, value / 2 if bounded else None)
             task = Task(now, runtime, vf, demand=demand, estimate=runtime * factor)
             task.submit()
             task.accept()
             if assign(task):
                 known.append(task)
+                if swap is not None:  # the pass below is the first since assign
+                    value, decay, bounded = swap
+                    task.vf = LinearDecayValueFunction(
+                        value, decay, value / 2 if bounded else None
+                    )
         elif op == "assign_queued":
             if queued:
                 task = pick(queued, args[0])

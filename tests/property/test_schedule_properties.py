@@ -6,15 +6,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.scheduling import (
-    FirstPrice,
-    FirstReward,
-    PresentValue,
-    project_start_times,
-)
+from repro.scheduling import FirstPrice, FirstReward, PresentValue, project_next_start
 from repro.scheduling.pool import PendingPool
 from repro.tasks import Task
 from repro.valuefn import LinearDecayValueFunction
+from tests.oracles import project_start_times
 from tests.property.strategies import pool_columns
 
 rpts = st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=50)
@@ -50,6 +46,13 @@ class TestProjection:
         completions = starts + np.array(remaining)
         serial_finish = max(free) + sum(remaining)
         assert completions.max() <= serial_finish + 1e-9
+
+    @given(remaining=rpts, free=frees, data=st.data())
+    def test_next_start_is_one_entry_of_the_full_projection(self, remaining, free, data):
+        position = data.draw(st.integers(min_value=0, max_value=len(remaining) - 1))
+        full = project_start_times(remaining, free)[position]
+        alone = np.float64(project_next_start(remaining, free, position))
+        assert alone.tobytes() == full.tobytes()
 
     @given(remaining=rpts, free=frees)
     def test_more_processors_never_hurts(self, remaining, free):
@@ -91,7 +94,9 @@ class TestHeuristicScores:
         view (always the general path)."""
         now = now + float(cols.arrival.max())
         half = len(cols) // 2
-        fields = ("arrival", "runtime", "remaining", "value", "decay", "bound")
+        fields = (
+            "arrival", "runtime", "remaining", "value", "decay", "bound", "expiration",
+        )
         pool, full = PendingPool(), PendingPool()
         for i in range(len(cols)):
             vf = LinearDecayValueFunction(

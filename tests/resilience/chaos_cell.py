@@ -13,13 +13,14 @@ from repro.faults.spec import FaultSpec
 from repro.faults.stats import FaultStats
 from repro.market import MarketSite, run_market
 from repro.resilience import ResilienceConfig, ResilienceManager, ResilientBroker
+from repro.resilience.driver import N_SITES
+from repro.resilience.driver import PROCESSORS_PER_SITE as SLOTS
 from repro.scheduling import FirstReward
 from repro.sim import Simulator
 from repro.sim.rng import RandomStreams
 from repro.site import SlackAdmission
 from repro.workload import economy_spec, generate_trace
 
-N_SITES = SLOTS = 4
 N_JOBS = 300
 MTTF = 250.0
 

@@ -11,6 +11,8 @@ the breaker transition logs.
 import json
 import pathlib
 
+import pytest
+
 from repro.experiments.fig6 import run_fig6
 from repro.faults.spec import FaultSpec
 from repro.market import Broker, MarketSite
@@ -20,6 +22,7 @@ from repro.resilience import (
     ResilienceConfig,
     ResilienceManager,
     ResilientBroker,
+    driver,
     simulate_resilient_market,
 )
 from repro.scheduling import FirstPrice, FirstReward
@@ -74,6 +77,11 @@ class TestDisabledPathMatchesPlainMarket:
     N_SITES = 2
     PROCS = 4
 
+    @pytest.fixture(autouse=True)
+    def _small_market(self, monkeypatch):
+        monkeypatch.setattr(driver, "N_SITES", self.N_SITES)
+        monkeypatch.setattr(driver, "PROCESSORS_PER_SITE", self.PROCS)
+
     def _spec_and_trace(self):
         spec = economy_spec(
             n_jobs=120, value_skew=3.0, decay_skew=5.0, load_factor=1.5,
@@ -105,8 +113,6 @@ class TestDisabledPathMatchesPlainMarket:
         result = simulate_resilient_market(
             trace,
             heuristic_factory=lambda: FirstReward(0.2, 0.01),
-            n_sites=self.N_SITES,
-            processors_per_site=self.PROCS,
             admission_factory=lambda: SlackAdmission(180.0, 0.01),
             config=ResilienceConfig(enabled=False),
         )
@@ -120,8 +126,6 @@ class TestDisabledPathMatchesPlainMarket:
         result = simulate_resilient_market(
             trace,
             heuristic_factory=lambda: FirstReward(0.2, 0.01),
-            n_sites=self.N_SITES,
-            processors_per_site=self.PROCS,
             config=ResilienceConfig(enabled=False),
         )
         broker = result.economy.sites[0]  # sites alias via economy
@@ -142,8 +146,6 @@ class TestEnabledDeterminism:
         return simulate_resilient_market(
             trace,
             heuristic_factory=lambda: FirstReward(0.2, 0.01),
-            n_sites=4,
-            processors_per_site=4,
             admission_factory=lambda: SlackAdmission(180.0, 0.01),
             config=ResilienceConfig(enabled=True, failover_budget=2),
             faults=FaultSpec(mttf=300.0, mttr=100.0, restart="abandon"),

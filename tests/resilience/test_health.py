@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import MarketError
+from repro.resilience import health as health_module
 from repro.resilience.health import (
     HARD_FAILURES,
     INITIAL_HEALTH,
@@ -29,35 +30,42 @@ class TestOutcomeTable:
         )
 
 
+def with_alpha(monkeypatch, alpha):
+    monkeypatch.setattr(health_module, "HEALTH_ALPHA", alpha)
+    health = SiteHealth("s")
+    assert health.score == INITIAL_HEALTH == 1.0
+    return health
+
+
 class TestSiteHealth:
-    def test_ewma_moves_toward_outcome_score(self):
-        health = SiteHealth("s", initial=1.0)
-        health.observe("breach", alpha=0.5)
+    def test_ewma_moves_toward_outcome_score(self, monkeypatch):
+        health = with_alpha(monkeypatch, 0.5)
+        health.observe("breach")
         assert health.score == pytest.approx(0.5)
-        health.observe("breach", alpha=0.5)
+        health.observe("breach")
         assert health.score == pytest.approx(0.25)
-        health.observe("completed", alpha=0.5)
+        health.observe("completed")
         assert health.score == pytest.approx(0.625)
 
-    def test_alpha_one_tracks_last_outcome_exactly(self):
-        health = SiteHealth("s", initial=1.0)
+    def test_alpha_one_tracks_last_outcome_exactly(self, monkeypatch):
+        health = with_alpha(monkeypatch, 1.0)
         for outcome, expected in (("breach", 0.0), ("late", 0.6), ("completed", 1.0)):
-            health.observe(outcome, alpha=1.0)
+            health.observe(outcome)
             assert health.score == pytest.approx(expected)
 
-    def test_breach_rate_is_breach_indicator_ewma(self):
-        health = SiteHealth("s", initial=1.0)
-        health.observe("completed", alpha=0.5)
+    def test_breach_rate_is_breach_indicator_ewma(self, monkeypatch):
+        health = with_alpha(monkeypatch, 0.5)
+        health.observe("completed")
         assert health.breach_rate == 0.0
-        health.observe("breach", alpha=0.5)
+        health.observe("breach")
         assert health.breach_rate == pytest.approx(0.5)
-        health.observe("restart", alpha=0.5)  # a failure, but not a breach
+        health.observe("restart")  # a failure, but not a breach
         assert health.breach_rate == pytest.approx(0.25)
 
     def test_counters_partition_events(self):
-        health = SiteHealth("s", initial=1.0)
+        health = SiteHealth("s")
         for outcome in ("completed", "late", "restart", "breach", "breach"):
-            health.observe(outcome, alpha=0.2)
+            health.observe(outcome)
         summary = health.summary()
         assert summary["events"] == 5
         assert summary["completions"] == 1
@@ -67,7 +75,7 @@ class TestSiteHealth:
 
     def test_unknown_outcome_raises(self):
         with pytest.raises(MarketError, match="unknown health outcome"):
-            SiteHealth("s", initial=1.0).observe("vanished", alpha=0.2)
+            SiteHealth("s").observe("vanished")
 
 
 class TestHealthTracker:

@@ -18,8 +18,6 @@ from repro.resilience import simulate_resilient_market
 
 from tests.resilience.chaos_cell import (
     N_JOBS,
-    N_SITES,
-    SLOTS,
     admission,
     cell_inputs,
     heuristic,
@@ -57,8 +55,6 @@ def test_a_journaled_chaos_market_audits_clean(seed, budget):
     reference = simulate_resilient_market(
         trace,
         heuristic_factory=heuristic,
-        n_sites=N_SITES,
-        processors_per_site=SLOTS,
         admission_factory=admission,
         config=config,
         faults=faults,

@@ -8,12 +8,14 @@ settlements and nothing is double-counted.
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults.spec import FaultSpec
-from repro.resilience import ResilienceConfig, simulate_resilient_market
+from repro.resilience import ResilienceConfig, driver, simulate_resilient_market
 from repro.resilience.breaker import BreakerState, CircuitBreaker
+from repro.resilience import health as health_module
 from repro.resilience.health import OUTCOME_SCORES, SiteHealth
 from repro.scheduling import FirstReward
 from repro.site import SlackAdmission
@@ -78,11 +80,13 @@ class TestHealthProperties:
         alpha=st.floats(min_value=0.01, max_value=1.0),
     )
     def test_scores_stay_in_unit_interval(self, outcomes, alpha):
-        health = SiteHealth("s", initial=1.0)
-        for outcome in outcomes:
-            score = health.observe(outcome, alpha)
-            assert 0.0 <= score <= 1.0
-            assert 0.0 <= health.breach_rate <= 1.0
+        health = SiteHealth("s")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(health_module, "HEALTH_ALPHA", alpha)
+            for outcome in outcomes:
+                score = health.observe(outcome)
+                assert 0.0 <= score <= 1.0
+                assert 0.0 <= health.breach_rate <= 1.0
         assert health.events == len(outcomes)
         summary = health.summary()
         counted = sum(
@@ -96,12 +100,14 @@ class TestHealthProperties:
         n=st.integers(min_value=1, max_value=50),
     )
     def test_repeated_breaches_converge_to_zero_monotonically(self, alpha, n):
-        health = SiteHealth("s", initial=1.0)
+        health = SiteHealth("s")
         last = 1.0
-        for _ in range(n):
-            score = health.observe("breach", alpha)
-            assert score <= last + 1e-12
-            last = score
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(health_module, "HEALTH_ALPHA", alpha)
+            for _ in range(n):
+                score = health.observe("breach")
+                assert score <= last + 1e-12
+                last = score
 
 
 class TestConservationUnderChaos:
@@ -119,16 +125,16 @@ class TestConservationUnderChaos:
             processors=8, penalty_bound=2.0,
         )
         trace = generate_trace(spec, seed=seed)
-        result = simulate_resilient_market(
-            trace,
-            heuristic_factory=lambda: FirstReward(0.2, 0.01),
-            n_sites=2,
-            processors_per_site=4,
-            admission_factory=lambda: SlackAdmission(180.0, 0.01),
-            config=ResilienceConfig(enabled=True, failover_budget=budget),
-            faults=FaultSpec(mttf=mttf, mttr=100.0, restart="abandon"),
-            fault_seed=seed,
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(driver, "N_SITES", 2)  # 2 sites x 4 nodes
+            result = simulate_resilient_market(
+                trace,
+                heuristic_factory=lambda: FirstReward(0.2, 0.01),
+                admission_factory=lambda: SlackAdmission(180.0, 0.01),
+                config=ResilienceConfig(enabled=True, failover_budget=budget),
+                faults=FaultSpec(mttf=mttf, mttr=100.0, restart="abandon"),
+                fault_seed=seed,
+            )
         manager = result.manager
         # conservation: a task never completes on two sites
         assert manager.double_completions == 0

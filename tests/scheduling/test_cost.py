@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import SchedulingError
-from repro.scheduling.cost import opportunity_costs, opportunity_costs_naive
+from repro.scheduling.cost import opportunity_costs
+from tests.oracles import opportunity_costs_naive
 
 
 class TestAgainstNaiveOracle:

@@ -105,14 +105,15 @@ class TestFreeTimes:
         pool.assign(b, 1.0)
         tasks, rows = pool.running_rows(3.0)
         assert tasks == [a, b]  # slot order; the idle node has no row
-        # PoolColumns field order; the RPT is the believed one (estimate 6, ran 2)
-        assert rows.shape == (6, 2)
-        assert rows[:, 0].tolist() == [0.0, 10.0, 7.0, 100.0, 1.0, np.inf]
-        assert rows[:, 1].tolist() == [1.0, 6.0, 4.0, 50.0, 2.0, 5.0]
+        # PoolColumns field order; the RPT is the believed one (estimate 6,
+        # ran 2); expiration (50 + 5) / 2 last
+        assert rows.shape == (7, 2)
+        assert rows[:, 0].tolist() == [0.0, 10.0, 7.0, 100.0, 1.0, np.inf, np.inf]
+        assert rows[:, 1].tolist() == [1.0, 6.0, 4.0, 50.0, 2.0, 5.0, 27.5]
 
     def test_running_rows_of_an_idle_pool(self):
         tasks, rows = ProcessorPool(2).running_rows(3.0)
-        assert tasks == [] and rows.shape == (6, 0)
+        assert tasks == [] and rows.shape == (7, 0)
 
     def test_running_rows_keep_the_linear_value_function_check(self):
         from repro.valuefn import PiecewiseLinearValueFunction
