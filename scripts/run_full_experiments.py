@@ -7,11 +7,11 @@ Writes ``results/<fig>.txt`` (table + checks) and ``results/<fig>.json``
 
 from __future__ import annotations
 
-import json
 import pathlib
 import sys
 import time
 
+from repro.analysis import render_curves
 from repro.experiments.runner import EXPERIMENTS, run_experiment, shape_report
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "results"
@@ -26,10 +26,7 @@ def main() -> int:
         result = run_experiment(name, scale="full")
         elapsed = time.time() - start
         checks = shape_report(result)
-        from repro.analysis import render_curves
-        from repro.cli import PLOT_SPECS
-
-        x, y, line, log_x = PLOT_SPECS[name]
+        x, y, line, log_x = EXPERIMENTS[name].axes
         plot = render_curves(
             result.series(x, y, line),
             title=f"[{y} vs {x}]",
@@ -39,9 +36,7 @@ def main() -> int:
             f"  {c}" for c in checks
         ) + f"\n\nelapsed: {elapsed:.0f}s\n"
         (OUT / f"{name}.txt").write_text(text)
-        (OUT / f"{name}.json").write_text(
-            json.dumps({"figure": name, "rows": result.rows, "notes": result.notes}, indent=1)
-        )
+        result.write_json(str(OUT / f"{name}.json"))
         failed = [c.name for c in checks if c.robust and not c.passed]
         print(f"{name}: {elapsed:.0f}s, robust checks "
               f"{'ALL PASS' if not failed else 'FAILED: ' + ', '.join(failed)}",

@@ -2,8 +2,8 @@
 """Which functions of ``src/repro`` does nothing but a test ever enter?
 
 Runs the repository's *non-test* traffic in this one interpreter under
-``sys.setprofile`` — every ``examples/*.py``, ``repro all`` at a reduced
-``--n-jobs``, ``repro consolidation``, ``repro sensitivity``, one
+``sys.setprofile`` — every ``examples/*.py``, ``repro all`` (every
+registered experiment) at a reduced ``--n-jobs``, one
 journaled ``run_market`` followed by audit and replay, and one
 ``LiveService`` session on ``SimClock`` with a scripted executor — and
 prints, per module, the functions that were never entered.  It answers
@@ -40,7 +40,7 @@ for entry in (ROOT, SRC):  # ROOT: the examples' argv table and the scripted exe
     if entry not in sys.path:
         sys.path.insert(0, entry)
 
-#: job count for the experiment subcommands (quick scale runs 300–1000)
+#: job count for the experiment subcommands (quick scale runs 300–2000)
 N_JOBS = "120"
 
 
@@ -100,30 +100,17 @@ def _cli(scratch: str) -> None:
         return os.path.join(scratch, name)
 
     small = ["--n-jobs", N_JOBS, "--seeds", "0"]
-    # `all` shares one --out between experiments; faults and resilience
-    # default theirs into results/, so run those two on their own
     for argv in (
         ["list"],
         ["trace", "--n-jobs", "5"],
-        *([name, *small, "--check"] for name in _figure_names()),
-        ["faults", *small, "--out", out("faults.json")],
+        ["all", *small, "--check"],
         ["resilience", *small, "--out", out("resilience.json"),
          "--metrics-out", out("resilience_metrics.json")],
         ["fig3", *small, "--plot", "--out", out("fig3.json"),
          "--trace-out", out("trace.json"), "--metrics-out", out("metrics.json")],
         ["fig6", "--n-jobs", N_JOBS, "--reps", "2"],
-        ["consolidation", "--n-jobs", N_JOBS],
-        ["sensitivity", "--n-jobs", N_JOBS],
-        ["sensitivity", "--grid", "load-horizon", "--n-jobs", N_JOBS],
     ):
         main(argv)  # shape-check failures at this size are not this script's business
-
-
-def _figure_names() -> list[str]:
-    """What ``repro all`` runs, minus the two that write into results/."""
-    from repro.experiments.runner import EXPERIMENTS
-
-    return [name for name in EXPERIMENTS if name not in ("faults", "resilience")]
 
 
 def _journaled_market(scratch: str) -> None:

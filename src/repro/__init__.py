@@ -64,7 +64,6 @@ from repro.scheduling import (
 )
 from repro.sim import Simulator
 from repro.site import (
-    AcceptAll,
     SlackAdmission,
     TaskServiceSite,
     YieldLedger,
@@ -83,7 +82,6 @@ from repro.workload import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "AcceptAll",
     "AdmissionError",
     "Broker",
     "Contract",

@@ -6,7 +6,8 @@ Usage::
     repro fig5                     # quick scale
     repro fig5 --full              # paper scale (5000 jobs, multi-seed)
     repro fig3 --n-jobs 2000 --seeds 0 1
-    repro all --check              # every figure + shape-check report
+    repro all --check              # every experiment + shape-check report
+    repro consolidation            # an extension sweep, same flags as a figure
     repro trace --n-jobs 20        # inspect a generated workload
 
 (Installed as ``repro``; also runnable as ``python -m repro``.)
@@ -54,24 +55,6 @@ def add_shared_flag(parser, name: str) -> None:
     parser.add_argument(name, **SHARED_FLAGS[name])
 
 
-#: (x, y, line, log_x) axes for `--plot`, matching the paper's figures.
-PLOT_SPECS = {
-    "fig3": ("discount_pct", "improvement_pct", "value_skew", True),
-    "fig4": ("alpha", "improvement_pct", "decay_skew", False),
-    "fig5": ("alpha", "improvement_pct", "decay_skew", False),
-    "fig6": ("load_factor", "yield_rate", "policy", False),
-    "fig7": ("threshold", "improvement_pct", "load_factor", False),
-    "faults": ("mttf", "total_yield", "policy", True),
-    "resilience": ("mttf", "value_recovered", "policy", True),
-}
-
-#: Experiments whose `--out` JSON has a conventional default path.
-DEFAULT_OUT = {
-    "faults": "results/faults.json",
-    "resilience": "results/resilience.json",
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -98,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name in [*EXPERIMENTS, "all"]:
         desc = (
-            "run every figure"
+            "run every experiment"
             if name == "all"
             else EXPERIMENTS[name].description
         )
@@ -116,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             help="run N disjoint-seed replications and report mean ± 95%% CI "
-            "(mutually exclusive with --seeds/--check)",
+            "(mutually exclusive with --seeds/--check/--out/--plot)",
         )
         p.add_argument(
             "--plot", action="store_true", help="render the figure as an ASCII plot"
@@ -124,10 +107,10 @@ def _build_parser() -> argparse.ArgumentParser:
         add_shared_flag(p, "--workers")
         p.add_argument(
             "--out",
-            default=DEFAULT_OUT.get(name),
+            default=None,
             metavar="PATH",
-            help="also write the result rows as JSON"
-            + (" (default: %(default)s)" if name in DEFAULT_OUT else ""),
+            # `all` parses --out only to refuse it (see _refuse_clashes)
+            help=argparse.SUPPRESS if name == "all" else "also write the result rows as JSON",
         )
         add_shared_flag(p, "--trace-out")
         add_shared_flag(p, "--metrics-out")
@@ -138,24 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument(
         "--mix", choices=["economy", "millennium"], default="economy"
     )
-
-    c = sub.add_parser(
-        "consolidation",
-        help="extension: private clusters vs consolidated utility vs market",
-    )
-    c.add_argument("--n-jobs", type=int, default=1000)
-    c.add_argument("--seeds", type=int, nargs="+", default=[0])
-    add_shared_flag(c, "--workers")
-
-    s = sub.add_parser(
-        "sensitivity", help="extension: workload-parameter sensitivity grids"
-    )
-    s.add_argument(
-        "--grid", choices=["skews", "load-horizon"], default="skews"
-    )
-    s.add_argument("--n-jobs", type=int, default=1000)
-    s.add_argument("--seeds", type=int, nargs="+", default=[0])
-    add_shared_flag(s, "--workers")
 
     sv = sub.add_parser(
         "serve",
@@ -218,17 +183,10 @@ def _run_one(name: str, args) -> int:
     if args.reps is not None:
         from repro.experiments.replication import run_replicated
 
-        if args.seeds is not None or args.check:
-            raise SystemExit("--reps cannot be combined with --seeds or --check")
-        start = time.time()
-        if obs is not None:
-            from repro.obs import observing
+        from repro.obs.instrument import observing
 
-            with observing(obs):
-                replicated = run_replicated(
-                    name, replications=args.reps, scale=scale, **overrides
-                )
-        else:
+        start = time.time()
+        with observing(obs):  # None: a no-op
             replicated = run_replicated(
                 name, replications=args.reps, scale=scale, **overrides
             )
@@ -246,7 +204,7 @@ def _run_one(name: str, args) -> int:
     if args.plot:
         from repro.analysis import render_curves
 
-        x, y, line, log_x = PLOT_SPECS[name]
+        x, y, line, log_x = EXPERIMENTS[name].axes
         print(
             render_curves(
                 result.series(x, y, line),
@@ -258,7 +216,7 @@ def _run_one(name: str, args) -> int:
         print(result.table())
     print(f"  ({scale} scale, {elapsed:.1f}s)")
     if args.out:
-        _write_json(result, args.out, obs=obs)
+        result.write_json(args.out, obs=obs)
         print(f"  wrote {args.out}")
     if obs is not None:
         _write_obs(obs, args)
@@ -271,26 +229,6 @@ def _run_one(name: str, args) -> int:
                 failures += 1
     print()
     return failures
-
-
-def _write_json(result, path: str, obs=None) -> None:
-    import json
-    import os
-
-    payload = {
-        "figure": result.figure,
-        "title": result.title,
-        "rows": result.rows,
-        "notes": result.notes,
-    }
-    if obs is not None:
-        payload["observability"] = obs.snapshot()
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=1)
-        handle.write("\n")
 
 
 def _print_trace(args) -> None:
@@ -329,6 +267,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
 
+def _refuse_clashes(args) -> None:
+    """A flag that would be ignored or misused is a usage error."""
+    if args.command == "all" and args.out is not None:
+        raise ReproError("all cannot write every experiment to one --out file")
+    if args.reps is None:
+        return
+    clashing = [
+        flag
+        for flag, given in (
+            ("--seeds", args.seeds is not None),
+            ("--check", args.check),
+            ("--out", args.out is not None),
+            ("--plot", args.plot),
+        )
+        if given
+    ]
+    if clashing:
+        raise ReproError(f"--reps cannot be combined with {', '.join(clashing)}")
+
+
 def _dispatch(args) -> int:
     if args.command == "list":
         for name, definition in EXPERIMENTS.items():
@@ -349,23 +307,7 @@ def _dispatch(args) -> int:
         from repro.replay import run_replay
 
         return run_replay(args)
-    if args.command == "consolidation":
-        from repro.experiments.consolidation import run_consolidation
-
-        result = run_consolidation(
-            n_jobs=args.n_jobs, seeds=tuple(args.seeds), workers=args.workers
-        )
-        print(result.table())
-        return 0
-    if args.command == "sensitivity":
-        from repro.experiments.sensitivity import run_load_horizon_grid, run_skew_grid
-
-        run = run_skew_grid if args.grid == "skews" else run_load_horizon_grid
-        result = run(
-            n_jobs=args.n_jobs, seeds=tuple(args.seeds), workers=args.workers
-        )
-        print(result.table())
-        return 0
+    _refuse_clashes(args)
     names = list(EXPERIMENTS) if args.command == "all" else [args.command]
     failures = 0
     for name in names:

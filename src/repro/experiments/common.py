@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -34,6 +36,24 @@ class FigureResult:
         for key in out:
             out[key].sort()
         return out
+
+    def write_json(self, path: str, obs=None) -> None:
+        """Write the rows (and *obs*'s snapshot, when given) to *path* as
+        JSON, creating parent directories; byte-identical for equal rows."""
+        payload = {
+            "figure": self.figure,
+            "title": self.title,
+            "rows": self.rows,
+            "notes": self.notes,
+        }
+        if obs is not None:
+            payload["observability"] = obs.snapshot()
+        directory = os.path.dirname(path)
+        if directory:
+            os.makedirs(directory, exist_ok=True)
+        with open(path, "w") as handle:
+            json.dump(payload, handle, sort_keys=True, indent=1)
+            handle.write("\n")
 
     def column(self, name: str) -> list:
         return [row[name] for row in self.rows]

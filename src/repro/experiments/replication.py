@@ -16,19 +16,6 @@ from repro.experiments.runner import EXPERIMENTS
 from repro.metrics.stats import SeriesStats, mean_and_ci
 from repro.metrics.tables import format_table
 
-#: Coordinate (grouping) columns per figure; every other numeric column
-#: is treated as a metric and aggregated across replications.
-GROUP_KEYS: dict[str, tuple[str, ...]] = {
-    "fig3": ("value_skew", "discount_pct"),
-    "fig4": ("decay_skew", "alpha"),
-    "fig5": ("decay_skew", "alpha"),
-    "fig6": ("policy", "load_factor"),
-    "fig7": ("load_factor", "threshold"),
-    "faults": ("policy", "mttf"),
-    "resilience": ("policy", "mttf"),
-}
-
-
 @dataclass
 class ReplicatedResult:
     """Aggregated rows: coordinates plus ``SeriesStats`` per metric."""
@@ -81,7 +68,9 @@ def run_replicated(
     definition = EXPERIMENTS.get(name)
     if definition is None:
         raise ExperimentError(f"unknown experiment {name!r}; options: {sorted(EXPERIMENTS)}")
-    group_keys = GROUP_KEYS[name]
+    # the coordinates: every other numeric column is a metric
+    x, _, line, _ = definition.axes
+    group_keys = (line, x)
 
     kwargs = dict(definition.quick if scale == "quick" else definition.full)
     kwargs.update(overrides)

@@ -1,8 +1,11 @@
 """Experiment registry and expected-shape checks.
 
-The registry maps figure names to their run functions plus two canned
-scales: ``quick`` (minutes of CPU, used by tests and default CLI runs)
-and ``full`` (paper scale: 5000 jobs, multiple seeds).
+The registry is the one definition of an experiment: its run function,
+two canned scales — ``quick`` (minutes of CPU, used by tests and default
+CLI runs) and ``full`` (paper scale: 5000 jobs, multiple seeds) — the
+axes its figure is read on, and its shape checks.  The CLI's subcommands,
+``--plot``, the replication harness and ``scripts/run_full_experiments.py``
+all read it.
 
 The shape checks encode DESIGN.md §3's acceptance criteria — the
 qualitative structure each figure must exhibit (who wins, where peaks
@@ -20,6 +23,7 @@ from repro.errors import ExperimentError
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.obs.instrument import Observability
 from repro.experiments.common import FigureResult
+from repro.experiments.consolidation import run_consolidation
 from repro.experiments.faults import run_faults
 from repro.experiments.fig3 import run_fig3
 from repro.experiments.fig4 import run_fig4
@@ -27,6 +31,7 @@ from repro.experiments.fig5 import run_fig5
 from repro.experiments.fig6 import run_fig6
 from repro.experiments.fig7 import run_fig7
 from repro.experiments.resilience import run_resilience
+from repro.experiments.sensitivity import run_load_horizon_grid, run_skew_grid
 
 
 @dataclass(frozen=True)
@@ -346,14 +351,23 @@ def check_resilience(res: FigureResult) -> list[ShapeCheck]:
 # Registry
 # ----------------------------------------------------------------------
 
+def no_checks(res: FigureResult) -> list[ShapeCheck]:
+    """The shape checks of an experiment that registers none."""
+    return []
+
+
 @dataclass(frozen=True)
 class ExperimentDef:
     name: str
     description: str
     run: Callable[..., FigureResult]
-    check: Callable[[FigureResult], list[ShapeCheck]]
     quick: dict
     full: dict
+    #: ``(x, y, line, log_x)``: ``--plot`` draws column *y* against *x*,
+    #: one curve per value of *line*; ``(line, x)`` are the coordinates
+    #: the replication harness groups rows by
+    axes: tuple[str, str, str, bool]
+    check: Callable[[FigureResult], list[ShapeCheck]] = no_checks
 
 
 EXPERIMENTS: dict[str, ExperimentDef] = {
@@ -361,6 +375,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         name="fig3",
         description="PV vs FirstPrice across discount rates and value skews",
         run=run_fig3,
+        axes=("discount_pct", "improvement_pct", "value_skew", True),
         check=check_fig3,
         quick=dict(
             n_jobs=1500,
@@ -374,6 +389,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         name="fig4",
         description="FirstReward alpha sweep, bounded penalties",
         run=run_fig4,
+        axes=("alpha", "improvement_pct", "decay_skew", False),
         check=check_fig4,
         quick=dict(
             n_jobs=2000,
@@ -387,6 +403,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         name="fig5",
         description="FirstReward alpha sweep, unbounded penalties",
         run=run_fig5,
+        axes=("alpha", "improvement_pct", "decay_skew", False),
         check=check_fig5,
         quick=dict(
             n_jobs=2000,
@@ -400,6 +417,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         name="fig6",
         description="yield rate vs load factor with slack admission control",
         run=run_fig6,
+        axes=("load_factor", "yield_rate", "policy", False),
         check=check_fig6,
         quick=dict(
             n_jobs=1500,
@@ -413,6 +431,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         name="fig7",
         description="improvement over no admission control vs slack threshold",
         run=run_fig7,
+        axes=("threshold", "improvement_pct", "load_factor", False),
         check=check_fig7,
         quick=dict(
             n_jobs=1500,
@@ -426,6 +445,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         name="faults",
         description="extension: yield vs node MTTF under fault injection",
         run=run_faults,
+        axes=("mttf", "total_yield", "policy", True),
         check=check_faults,
         quick=dict(n_jobs=600, seeds=(0, 1)),
         full=dict(n_jobs=5000, seeds=(0, 1, 2)),
@@ -437,6 +457,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
             "circuit breakers and failover re-bidding"
         ),
         run=run_resilience,
+        axes=("mttf", "value_recovered", "policy", True),
         check=check_resilience,
         quick=dict(
             n_jobs=300,
@@ -445,6 +466,30 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
             budgets=(0, 1, 3),
         ),
         full=dict(n_jobs=2000, seeds=(0, 1, 2)),
+    ),
+    "consolidation": ExperimentDef(
+        name="consolidation",
+        description="extension: private clusters vs consolidated utility vs market",
+        run=run_consolidation,
+        axes=("load_factor", "total_yield", "organization", False),
+        quick=dict(n_jobs=1000, seeds=(0,)),
+        full=dict(n_jobs=5000, seeds=(0, 1)),
+    ),
+    "sensitivity-skews": ExperimentDef(
+        name="sensitivity-skews",
+        description="extension: FirstReward improvement over value skew x decay skew",
+        run=run_skew_grid,
+        axes=("decay_skew", "improvement_pct", "value_skew", False),
+        quick=dict(n_jobs=1000, seeds=(0,)),
+        full=dict(n_jobs=5000, seeds=(0, 1)),
+    ),
+    "sensitivity-load-horizon": ExperimentDef(
+        name="sensitivity-load-horizon",
+        description="extension: FirstReward improvement over load x decay horizon",
+        run=run_load_horizon_grid,
+        axes=("decay_horizon", "improvement_pct", "load_factor", True),
+        quick=dict(n_jobs=1000, seeds=(0,)),
+        full=dict(n_jobs=5000, seeds=(0, 1)),
     ),
 }
 

@@ -54,8 +54,6 @@ class Observability:
         self._segments: dict[int, Span] = {}
         #: open negotiation spans by negotiation id
         self._negotiations: dict[int, Span] = {}
-        #: closed negotiation spans awaiting their task root, by task id
-        self._adoptable: dict[int, Span] = {}
         self.run_index = -1
         self.runs: list[dict] = []
         self._run_open = False
@@ -69,7 +67,6 @@ class Observability:
         self._roots.clear()
         self._segments.clear()
         self._negotiations.clear()
-        self._adoptable.clear()
         self.registry.counter("runs.started").inc()
         if label:
             self.runs.append({"run": self.run_index, "label": label})
@@ -87,7 +84,6 @@ class Observability:
         self._roots.clear()
         self._segments.clear()
         self._negotiations.clear()
-        self._adoptable.clear()
         self.registry.counter("runs.finished").inc()
         if "events" in summary:
             self.registry.counter("kernel.events").inc(summary["events"])
@@ -122,11 +118,6 @@ class Observability:
             )
         )
         self._roots[task.tid] = root
-        # adopt the negotiation that placed this task, if one is pending
-        negotiation = self._adoptable.pop(task.tid, None)
-        if negotiation is not None and negotiation.parent_id is None:
-            negotiation.parent_id = root.span_id
-            negotiation.task_id = task.tid
         self._mark(self.spans.instant("submitted", "task", now, parent=root))
 
     def _evaluated(self, decision: "AdmissionDecision") -> None:
@@ -302,14 +293,12 @@ class Observability:
         if span is None:
             return
         if contracted and task_id is not None:
-            # cross the market/site boundary: hang the negotiation under
-            # the task root once the award lands (submission may follow)
+            # cross the market/site boundary: the award has submitted the
+            # task, so the negotiation hangs under its root
             span.task_id = task_id
             root = self._roots.get(task_id)
             if root is not None:
                 span.parent_id = root.span_id
-            else:
-                self._adoptable[task_id] = span  # adopted at task_submitted
         outcome = "contracted" if contracted else "failed"
         args = {"outcome": outcome}
         if site_id is not None:

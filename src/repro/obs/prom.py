@@ -120,11 +120,15 @@ class RateWindow:
         self._roundtrips: Deque[float] = deque(maxlen=max_roundtrips)
 
     # ------------------------------------------------------------------
+    # each note evicts what has left the window, so a service nobody
+    # scrapes holds one window of events, not every event since boot
     def note_bid(self, t: float, accepted: bool) -> None:
         self._bids.append((t, accepted))
+        self._evict(self._bids, t)
 
     def note_settlement(self, t: float, amount: float) -> None:
         self._revenue.append((t, amount))
+        self._evict(self._revenue, t)
 
     def note_roundtrip(self, micros: float) -> None:
         self._roundtrips.append(micros)

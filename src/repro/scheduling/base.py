@@ -47,7 +47,6 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.errors import SchedulingError
 
 class _Instant:
     """The pool-derived vectors of one decision instant, filled on demand."""
@@ -104,11 +103,11 @@ class PoolColumns:
     argument survives the call chain.  A new clock reading replaces the
     slot; a pool mutation replaces the view.
 
-    A view taken from a :class:`~repro.scheduling.pool.PendingPool` also
-    reaches the pool's row state: its affine-score rows while it never
-    expires (:meth:`affine`), and whether the pool checks Eq. 4's inputs
-    as it writes them (:meth:`cost_inputs_checked`).  A hand-built view
-    has neither, and its heuristics take the general path.
+    A view taken from a :class:`~repro.scheduling.pool.PendingPool`
+    (:attr:`from_pool`) also reaches the pool's affine-score rows while
+    it never expires (:meth:`affine`), and its Eq. 4 inputs are
+    non-negative by construction.  A hand-built view has neither, and its
+    heuristics take the general path, checks included.
     """
 
     __slots__ = (
@@ -184,23 +183,10 @@ class PoolColumns:
             return None
         return source.rows(key, self)
 
-    def cost_inputs_checked(self) -> bool:
-        """Whether the pool behind this view checks Eq. 4's inputs at the
-        row write, so a kernel need not check them per call.
-
-        ``False`` for a hand-built view.  On a pool view the first call
-        checks the view's rows (a negative RPT raises the kernel's error)
-        and binds the check to the pool: from then on every row it writes
-        is checked as it is written.
-        """
-        source = self._source
-        if source is None:
-            return False
-        if not source.checked:
-            if (self.remaining < 0).any():
-                raise SchedulingError("cost inputs must be non-negative")
-            source.checked = True
-        return True
+    @property
+    def from_pool(self) -> bool:
+        """A pool's own view, not a hand-built one."""
+        return self._source is not None
 
     @classmethod
     def empty(cls) -> "PoolColumns":
@@ -235,14 +221,12 @@ def affine_coefficients(
     (Eq. 3's discount), FirstReward's Eq. 6 over Eq. 5's cost
     ``R·Σd − d·R`` splits into ``head = α·(v/g)/Rc + (1−α)·(d·R)/Rc``,
     ``slope = α·(d/g)/Rc`` and ``cost = (1−α)·R/Rc``; FirstPrice is
-    ``(1, 0)`` and PresentValue ``(1, r)``.  Eq. 5's non-negativity check
-    is made here: the inputs are clock-free, so checking at the write is
-    checking at every score.  :class:`~repro.scheduling.pool.PendingPool`
+    ``(1, 0)`` and PresentValue ``(1, r)``.  Only a pool writes these
+    rows, and its inputs are non-negative by construction.
+    :class:`~repro.scheduling.pool.PendingPool`
     writes the same rows one row at a time (``_write_row``); a property
     test ties the two bit for bit.
     """
-    if alpha != 1.0 and ((remaining < 0).any() or (decay < 0).any()):
-        raise SchedulingError("cost inputs must be non-negative")
     denom = np.maximum(remaining, MIN_REMAINING)
     growth = 1.0 + rate * remaining
     rows = np.empty((4, len(arrival)))

@@ -34,7 +34,8 @@ Which form runs follows the regime count of :mod:`repro.scheduling.pool`
 * **Every row can** (penalties bounded: Fig. 3, Fig. 4 and the bench's
   ``preempt`` cell): on a pool's view FirstReward calls
   :func:`saturating_costs` with the rows that still decay, or no kernel
-  at all when none does; the pool checks the inputs as it writes them.
+  at all when none does; a pool's inputs are non-negative by
+  construction, so nothing is checked.
 * **A mix**, or a hand-built view: :func:`opportunity_costs`, census and
   checks included.
 
@@ -132,12 +133,14 @@ def saturating_costs(
     horizons: np.ndarray,
     live: np.ndarray,
 ) -> np.ndarray:
-    """Eq. 4 where every horizon is finite, on inputs checked at the write.
+    """Eq. 4 where every horizon is finite, on a pool's inputs (non-negative
+    by construction).
 
     *live* indexes, ascending, the rows whose effective *decay* is
     positive (at least one); every other row's decay is ``+0.0``.  The
-    same floats as :func:`opportunity_costs` on the same inputs, with its
-    checks and regime census left to the caller: no unbounded weight is
+    same floats as :func:`opportunity_costs` on the same inputs, without
+    its checks (nothing a pool's rows can fail) and with its regime census
+    left to the caller: no unbounded weight is
     added (``x + 0.0`` is ``x`` for the non-negative difference it would
     be added to), and the self-term is subtracted on the live rows only —
     on any other row it is ``0.0 · min(R, h) = +0.0`` for a finite,

@@ -64,9 +64,9 @@ class FirstReward(SchedulingHeuristic):
         if self.alpha == 1.0:
             return pv / denom
         d_eff = effective_decay(cols, now)
-        if cols.expiring == len(cols) and cols.cost_inputs_checked():
-            # every horizon finite, the RPTs checked at the write: Eq. 4
-            # over the competitors that still decay
+        if cols.expiring == len(cols) and cols.from_pool:
+            # every horizon finite, the inputs non-negative by
+            # construction: Eq. 4 over the competitors that still decay
             live = np.flatnonzero(d_eff)
             if not len(live):
                 # every cost is +0.0, and x − (1 − α)·0.0 is x

@@ -33,13 +33,11 @@ bounded-penalty regime pays nothing for them — and the first
 never-expires view scored after the pool is back in the regime rebuilds
 them in one vector pass.
 
-Eq. 4's non-negativity check is bound the same way: the first α < 1
-FirstReward to score a view of the pool checks that view's rows once,
-and from then on every write checks its own row, so neither the Eq. 5
-rows nor the bounded kernel re-check the pool at each decision instant.
-Until then a write checks nothing, so a heuristic without a cost term
-still reports a negative RPT in its own words (the candidate
-projection's ``negative RPT … at position k``).
+Eq. 4's inputs need no check here: every RPT a row can hold is
+non-negative by construction (``Task.estimated_remaining``, or
+:meth:`ProcessorPool.running_rows
+<repro.site.processors.ProcessorPool.running_rows>`), and a value
+function refuses a negative decay.
 
 Determinism contract: removals preserve pool order.  Swap-delete would
 be O(1) but reorders the index space, which changes ``argmax``
@@ -87,28 +85,22 @@ _MIN_CAPACITY = 64
 
 class _Rows:
     """A pool's row state that its views reach: the coefficient rows (the
-    key they are written for, and whether they are current) and whether
-    writes check Eq. 4's inputs.
+    key they are written for, and whether they are current).
 
     ``key`` is the ``(alpha, discount_rate)`` of the first heuristic that
     scored a never-expires view of the pool (``None`` until then);
     ``fresh`` says the rows hold that key's coefficients for every row of
     the pool, which the pool keeps true only while no expiring row is
-    queued.  ``checked`` is set by the first Eq. 4/5 consumer — a
-    FirstReward with α < 1 binding the key, or scoring a bounded view
-    (:meth:`PoolColumns.cost_inputs_checked`) — once it has checked every
-    row of a view; from then on each write checks its own row.  ``data``
-    is the pool's backing array (replaced on growth).  Views reach the
-    state through this object rather than the pool, so a view does not
-    close a reference cycle with the pool that caches it.
+    queued.  ``data`` is the pool's backing array (replaced on growth).
+    Views reach the state through this object rather than the pool, so a
+    view does not close a reference cycle with the pool that caches it.
     """
 
-    __slots__ = ("key", "fresh", "checked", "data")
+    __slots__ = ("key", "fresh", "data")
 
     def __init__(self, data: np.ndarray) -> None:
         self.key: Optional[tuple[float, float]] = None
         self.fresh = False
-        self.checked = False
         self.data = data
 
     def rows(self, key: tuple[float, float], cols: PoolColumns) -> Optional[np.ndarray]:
@@ -121,13 +113,11 @@ class _Rows:
         block = self.data[_COLUMNS:, : len(cols)]
         if not self.fresh:
             # first bind, or back in the never-expires regime: one pass
-            # over every row of the view (probed rows included), which
-            # makes Eq. 5's check for an α < 1 key
+            # over every row of the view (probed rows included)
             block[...] = affine_coefficients(
                 cols.arrival, cols.runtime, cols.remaining, cols.value, cols.decay, *key
             )
             self.fresh = True
-            self.checked = self.checked or key[0] != 1.0
         return block
 
 
@@ -167,10 +157,6 @@ class PendingPool:
         ``expiration``."""
         arrival, runtime, remaining = task.arrival, task.estimate, task.estimated_remaining
         state = self._rows
-        # the RPT is the one cost input a row can carry negative: value
-        # functions refuse a negative decay
-        if state.checked and remaining < 0.0:
-            raise SchedulingError("cost inputs must be non-negative")
         n = len(self._tasks)
         data = self._data
         if n == data.shape[1]:
@@ -189,8 +175,7 @@ class PendingPool:
         data[_EXPIRATION, n] = expiration
         if state.fresh and expiration == math.inf:
             # the scalar twin of affine_coefficients, operation for
-            # operation (its check is the one above: a row that never
-            # expires has a positive decay)
+            # operation
             alpha, rate = state.key
             denom = max(remaining, MIN_REMAINING)
             growth = 1.0 + rate * remaining
@@ -242,8 +227,6 @@ class PendingPool:
         pending row, so the union is scored without copying the pool.
         """
         state = self._rows
-        if state.checked and (rows[_REMAINING] < 0.0).any():
-            raise SchedulingError("cost inputs must be non-negative")
         n = len(self._tasks)
         k = rows.shape[1]
         end = n + k

@@ -9,13 +9,12 @@ dispatching/preempting accordingly, and records every outcome in a
 """
 
 from repro.site.accounting import TaskRecord, YieldLedger
-from repro.site.admission import AcceptAll, AdmissionDecision, SlackAdmission
+from repro.site.admission import AdmissionDecision, SlackAdmission
 from repro.site.driver import SiteResult, simulate_site
 from repro.site.processors import ProcessorPool
 from repro.site.service import TaskServiceSite
 
 __all__ = [
-    "AcceptAll",
     "AdmissionDecision",
     "ProcessorPool",
     "SiteResult",

@@ -174,19 +174,3 @@ class SlackAdmission:
             f"r={self.discount_rate:g}{inflation}>"
         )
 
-
-class AcceptAll:
-    """Null admission policy: every task is accepted (Section 5 mode).
-
-    Provides the same ``evaluate`` shape so the market layer can quote
-    expected completions even on sites without admission control.
-    """
-
-    def __init__(self, discount_rate: float = 0.01) -> None:
-        self._slack = SlackAdmission(threshold=-math.inf, discount_rate=discount_rate)
-
-    def evaluate(self, site: "TaskServiceSite", task: "Task") -> AdmissionDecision:
-        return self._slack.evaluate(site, task)
-
-    def __repr__(self) -> str:
-        return "<AcceptAll>"

@@ -53,9 +53,16 @@ class TestFigureResult:
 
 class TestRegistry:
     def test_all_figures_registered(self):
-        assert set(EXPERIMENTS) == {
+        # the paper's figures and the chaos sweeps, then the three
+        # extension sweeps: `repro all` runs them in this order
+        assert list(EXPERIMENTS) == [
             "fig3", "fig4", "fig5", "fig6", "fig7", "faults", "resilience",
-        }
+            "consolidation", "sensitivity-skews", "sensitivity-load-horizon",
+        ]
+
+    def test_extension_sweeps_register_no_shape_checks(self):
+        result = FigureResult(figure="consolidation", title="", rows=[{"x": 1}])
+        assert shape_report(result) == []
 
     def test_unknown_experiment(self):
         with pytest.raises(ExperimentError):

@@ -110,3 +110,14 @@ class TestRateWindow:
         # oldest sample (100) evicted by maxlen, not by time
         assert snap["roundtrip_p50_us"] == 300.0
         assert snap["roundtrip_p95_us"] == 500.0
+
+    def test_unscraped_notes_stay_bounded_by_the_window(self):
+        """A service nobody scrapes keeps one window of events, not all."""
+        rates = RateWindow(window=1.0)
+        for i in range(1000):  # 100 notes a second over 10 windows
+            rates.note_bid(i / 100.0, accepted=i % 2 == 0)
+            rates.note_settlement(i / 100.0, 1.0)
+        assert len(rates._bids) <= 101 and len(rates._revenue) <= 101
+        snap = rates.snapshot(now=9.99)
+        assert snap["bids_per_s"] == pytest.approx(101.0)
+        assert snap["revenue_per_s"] == pytest.approx(101.0)

@@ -17,12 +17,10 @@ the magnitude of the terms each form adds up.
 import math
 
 import numpy as np
-import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from repro.errors import SchedulingError
 from repro.scheduling import FirstPrice, FirstReward, PendingPool, PoolColumns, PresentValue
 from repro.scheduling.base import MIN_REMAINING, affine_coefficients
 from repro.tasks import Task, TaskState
@@ -254,19 +252,3 @@ def test_on_time_rows_tie_as_in_the_general_form():
         general = heuristic.scores(general_view(fresh.columns()), 5.0)
         assert scores[0] == scores[1] == scores[2]
         assert general[0] == general[1] == general[2]
-
-
-def test_the_write_keeps_the_cost_input_check():
-    pool = PendingPool()
-    pool.add(Task(0.0, 5.0, LinearDecayValueFunction(10.0, 1.0)))
-    FirstReward(0.3, 0.01).scores(pool.columns(), 1.0)  # binds
-    block = np.array([[0.0], [5.0], [-1.0], [10.0], [1.0], [np.inf], [np.inf]])
-    # the error the general path's Eq. 5 raises, raised at the write
-    with pytest.raises(SchedulingError, match="^cost inputs must be non-negative$"):
-        pool.probe_block(block)
-    general = general_view(pool.probe_block(block[:, :0]))
-    negative = PoolColumns(*np.concatenate(
-        [np.array([general.arrival, general.runtime, general.remaining, general.value,
-                   general.decay, general.bound]), block[:6]], axis=1))
-    with pytest.raises(SchedulingError, match="^cost inputs must be non-negative$"):
-        FirstReward(0.3, 0.01).scores(negative, 1.0)

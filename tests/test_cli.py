@@ -1,16 +1,18 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
+from repro.experiments.runner import EXPERIMENTS, run_experiment
 
 
 class TestList:
     def test_lists_all_experiments(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for name in ("fig3", "fig4", "fig5", "fig6", "fig7"):
-            assert name in out
+        assert [line.split(":")[0] for line in out.splitlines()] == list(EXPERIMENTS)
 
 
 class TestTrace:
@@ -54,9 +56,23 @@ class TestRunExperiment:
         out = capsys.readouterr().out
         assert "±" in out and "2 replications" in out
 
-    def test_reps_conflicts_with_check(self):
-        with pytest.raises(SystemExit):
-            main(["fig4", "--reps", "2", "--check"])
+    def test_reps_conflicts_with_check(self, capsys):
+        assert main(["fig4", "--reps", "2", "--check"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "repro: --reps cannot be combined with --check\n"
+
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_out_writes_the_registry_rows(self, tmp_path, capsys, name):
+        """Every registered experiment is a subcommand whose ``--out`` holds
+        the rows ``run_experiment`` returns."""
+        out = tmp_path / f"{name}.json"
+        assert main([name, "--n-jobs", "60", "--seeds", "0", "--out", str(out)]) == 0
+        capsys.readouterr()
+        want = run_experiment(name, n_jobs=60, seeds=(0,))
+        written = json.loads(out.read_text())
+        assert written["figure"] == name
+        assert written["rows"] == json.loads(json.dumps(want.rows))
 
 
 class TestExtensionCommands:
@@ -65,13 +81,18 @@ class TestExtensionCommands:
         out = capsys.readouterr().out
         assert "consolidated" in out and "market" in out
 
+    def test_consolidation_reps(self, capsys):
+        assert main(["consolidation", "--reps", "2", "--n-jobs", "120"]) == 0
+        out = capsys.readouterr().out
+        assert "±" in out and "2 replications" in out and "organization" in out
+
     def test_sensitivity_skews(self, capsys):
-        assert main(["sensitivity", "--n-jobs", "150"]) == 0
+        assert main(["sensitivity-skews", "--n-jobs", "150"]) == 0
         out = capsys.readouterr().out
         assert "decay_skew" in out
 
     def test_sensitivity_load_horizon(self, capsys):
-        assert main(["sensitivity", "--grid", "load-horizon", "--n-jobs", "150"]) == 0
+        assert main(["sensitivity-load-horizon", "--n-jobs", "150"]) == 0
         assert "decay_horizon" in capsys.readouterr().out
 
 
@@ -87,9 +108,12 @@ class TestBadFlagValues:
             (["serve", "--rate", "0"], "rate must be finite and > 0"),
             (["serve", "--slots", "0"], "slots must be >= 1"),
             (["serve", "--sites", "0"], "at least one site spec is required"),
+            (["all", "--out", "x.json"], "all cannot write every experiment"),
+            (["fig4", "--reps", "2", "--out", "x.json"], "--reps cannot be combined with --out"),
+            (["fig4", "--reps", "2", "--plot"], "--reps cannot be combined with --plot"),
         ],
         ids=["trace-n-jobs-0", "fig6-n-jobs-0", "serve-rate-0", "serve-slots-0",
-             "serve-sites-0"],
+             "serve-sites-0", "all-out", "reps-out", "reps-plot"],
     )
     def test_one_line_on_stderr_and_exit_2(self, capsys, argv, message):
         assert main(argv) == 2
