@@ -111,7 +111,12 @@ def _number(payload: dict, key: str, *, required: bool = True) -> Optional[float
     raw = payload[key]
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ApiError(f"bid field {key!r} must be a number, got {raw!r}")
-    value = float(raw)
+    try:
+        value = float(raw)
+    except OverflowError:  # a JSON integer past the float range
+        raise ApiError(
+            f"bid field {key!r} must be finite, got an integer past the float range"
+        ) from None
     if not math.isfinite(value):
         raise ApiError(f"bid field {key!r} must be finite, got {raw!r}")
     return value
@@ -175,7 +180,9 @@ def parse_bid_body(body: bytes) -> list[BidRequest]:
     """Parse a ``POST /bids`` body: one bid object or ``{"bids": [...]}``."""
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # malformed JSON or UTF-8, an integer past the interpreter's
+        # digit limit, or nesting past the recursion limit
         raise ApiError(f"request body is not valid JSON: {exc}") from exc
     if isinstance(payload, dict) and "bids" in payload:
         batch = payload["bids"]

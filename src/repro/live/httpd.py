@@ -104,6 +104,8 @@ async def _read_request(
                 content_length = int(value.strip())
             except ValueError as exc:
                 raise ApiError(f"bad Content-Length: {value.strip()!r}") from exc
+            if content_length < 0:
+                raise ApiError(f"bad Content-Length: {value.strip()!r}")
         elif header == "accept":
             accept = value.strip()
         elif header == "idempotency-key":

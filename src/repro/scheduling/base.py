@@ -181,7 +181,7 @@ class PoolColumns:
         source = self._source
         if source is None or self.expiring:
             return None
-        return source.rows(key, self)
+        return source.rows(key, len(self))
 
     @property
     def from_pool(self) -> bool:
@@ -238,12 +238,12 @@ def affine_coefficients(
 
 
 def affine_scores(
-    cols: PoolColumns, now: float, alpha: float, rate: float
+    cols: PoolColumns, now: float, key: tuple[float, float]
 ) -> Optional[np.ndarray]:
     """The never-expires score of every row of *cols* at *now*, or ``None``
-    when the view carries no coefficient rows for ``(alpha, rate)`` —
-    the caller then takes the general path."""
-    rows = cols.affine((alpha, rate))
+    when the view carries no coefficient rows for the ``(alpha, rate)``
+    *key* — the caller then takes the general path."""
+    rows = cols.affine(key)
     if rows is None:
         return None
     late, head, slope, cost = rows
@@ -251,7 +251,7 @@ def affine_scores(
     np.maximum(scores, 0.0, out=scores)
     scores *= slope
     np.subtract(head, scores, out=scores)
-    if alpha != 1.0:
+    if key[0] != 1.0:
         scores -= cost * float(cols.decay.sum())
     return scores
 
@@ -327,6 +327,14 @@ class SchedulingHeuristic(abc.ABC):
 
     #: short identifier used by the registry and experiment configs
     name: str = "heuristic"
+
+    #: The ``(alpha, discount_rate)`` of the affine score this heuristic
+    #: computes where no row expires (:func:`affine_scores`), or ``None``.
+    #: FirstPrice, PresentValue and FirstReward set it and score with it;
+    #: admission then ranks a shallow never-expires probe from the pool's
+    #: coefficient rows without calling :meth:`scores`.  A wrapper
+    #: inherits ``None``: its scores are not the affine ones.
+    affine_key: Optional[tuple[float, float]] = None
 
     @abc.abstractmethod
     def scores(self, cols: PoolColumns, now: float) -> np.ndarray:

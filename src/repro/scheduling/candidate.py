@@ -40,34 +40,54 @@ def project_next_start(
     association matches the heap walk exactly).  Admission control only
     consumes the candidate task's own start, so this turns an O(n log P)
     projection per evaluation into O(position).
+
+    A plain ``list`` of Python floats (admission's shallow probe, see
+    :meth:`~repro.scheduling.pool.PendingPool.affine_probe`) is walked
+    as it is, with no array: one processor is then a left-to-right
+    Python sum, the same association as the prefix sum.
     """
     if len(free_times) == 0:
         raise SchedulingError("project_next_start requires at least one processor")
-    remaining = np.asarray(remaining_in_order, dtype=np.float64)
-    n = len(remaining)
+    n = len(remaining_in_order)
     if not 0 <= position < n:
         raise SchedulingError(f"position {position} out of range for {n} tasks")
-    negative = remaining < 0
-    if negative.any():
-        pos = int(np.argmax(negative))
-        rpt = remaining_in_order[pos]
-        raise SchedulingError(f"negative RPT {rpt!r} at position {pos}")
-    if position == 0:
+    if type(remaining_in_order) is list:
+        for pos, rpt in enumerate(remaining_in_order):
+            if rpt < 0:
+                raise _negative_rpt(rpt, pos)
+        ahead = remaining_in_order[:position]
+    else:
+        remaining = np.asarray(remaining_in_order, dtype=np.float64)
+        negative = remaining < 0
+        if negative.any():
+            pos = int(np.argmax(negative))
+            raise _negative_rpt(remaining[pos], pos)
+        if position and len(free_times) == 1:
+            acc = np.empty(position + 1)
+            acc[0] = free_times[0]
+            acc[1:] = remaining[:position]
+            return float(acc.cumsum()[-1])
+        ahead = remaining[:position].tolist()
+    if not ahead:
         return float(min(free_times))  # nothing ahead: the earliest-free processor
     # an owned list of Python floats, whatever the caller holds (the
     # processor pool hands over a plain list)
     heap = [float(t) for t in free_times]
     if len(heap) == 1:
-        acc = np.empty(position + 1)
-        acc[0] = heap[0]
-        acc[1:] = remaining[:position]
-        return float(acc.cumsum()[-1])
+        start = heap[0]
+        for rpt in ahead:
+            start += rpt
+        return start
     heapq.heapify(heap)
     heapreplace = heapq.heapreplace
-    for rpt in remaining[:position].tolist():
+    for rpt in ahead:
         # the earliest-free processor takes the next task in line
         heapreplace(heap, heap[0] + rpt)
     return heap[0]
+
+
+def _negative_rpt(rpt: float, position: int) -> SchedulingError:
+    return SchedulingError(f"negative RPT {float(rpt)!r} at position {position}")
 
 
 def project_lone_start(remaining: float, free_times: Sequence[float]) -> float:
@@ -81,5 +101,5 @@ def project_lone_start(remaining: float, free_times: Sequence[float]) -> float:
     if len(free_times) == 0:
         raise SchedulingError("project_lone_start requires at least one processor")
     if remaining < 0:
-        raise SchedulingError(f"negative RPT {remaining!r} at position 0")
+        raise _negative_rpt(remaining, 0)
     return float(min(free_times))

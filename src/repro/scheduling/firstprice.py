@@ -24,9 +24,10 @@ class FirstPrice(SchedulingHeuristic):
     """Greedy unit gain: ``yield_i(now) / RPT_i``."""
 
     name = "firstprice"
+    affine_key = (1.0, 0.0)
 
     def scores(self, cols: PoolColumns, now: float) -> np.ndarray:
-        scores = affine_scores(cols, now, 1.0, 0.0)
+        scores = affine_scores(cols, now, self.affine_key)
         if scores is None:
             scores = current_yields(cols, now) / unit_denominator(cols)
         return scores

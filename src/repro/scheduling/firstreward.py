@@ -54,9 +54,10 @@ class FirstReward(SchedulingHeuristic):
             raise SchedulingError(f"discount_rate must be >= 0, got {discount_rate!r}")
         self.alpha = float(alpha)
         self.discount_rate = float(discount_rate)
+        self.affine_key = (self.alpha, self.discount_rate)
 
     def scores(self, cols: PoolColumns, now: float) -> np.ndarray:
-        scores = affine_scores(cols, now, self.alpha, self.discount_rate)
+        scores = affine_scores(cols, now, self.affine_key)
         if scores is not None:
             return scores
         pv = present_values(cols, now, self.discount_rate)

@@ -31,7 +31,9 @@ a heuristic with another key takes the general path.  While they are
 them stale: from then on they are neither written nor shifted — the
 bounded-penalty regime pays nothing for them — and the first
 never-expires view scored after the pool is back in the regime rebuilds
-them in one vector pass.
+them in one vector pass.  Admission reads them without a view on a
+shallow probe (:meth:`PendingPool.affine_probe`), binding and
+refreshing them the same way.
 
 Eq. 4's inputs need no check here: every RPT a row can hold is
 non-negative by construction (``Task.estimated_remaining``, or
@@ -82,6 +84,14 @@ _ROWS = _COLUMNS + 4
 #: Initial backing capacity (grows by doubling).
 _MIN_CAPACITY = 64
 
+#: Fewest rows a probe takes the vector path with (:meth:`PendingPool.affine_probe`).
+#: Not a tuning knob: NumPy sums fewer than 8 float64s left to right and
+#: switches to an 8-way pairwise sum from 8 on, so only below it is a
+#: left-to-right sum over Python floats the ``Σd`` of
+#: :func:`~repro.scheduling.base.affine_scores` and admission's Eq. 8
+#: sum bit for bit.
+SCALAR_PROBE_ROWS = 8
+
 
 class _Rows:
     """A pool's row state that its views reach: the coefficient rows (the
@@ -103,20 +113,19 @@ class _Rows:
         self.fresh = False
         self.data = data
 
-    def rows(self, key: tuple[float, float], cols: PoolColumns) -> Optional[np.ndarray]:
-        """The coefficient rows under never-expires view *cols*, binding
-        *key* if nothing is bound yet; ``None`` for another key."""
+    def rows(self, key: tuple[float, float], n: int) -> Optional[np.ndarray]:
+        """The coefficient rows of the first *n* columns, which must all
+        never expire, binding *key* if nothing is bound yet; ``None`` for
+        another key."""
         if key != self.key:
             if self.key is not None:
                 return None
             self.key = key
-        block = self.data[_COLUMNS:, : len(cols)]
+        block = self.data[_COLUMNS:, :n]
         if not self.fresh:
             # first bind, or back in the never-expires regime: one pass
             # over every row of the view (probed rows included)
-            block[...] = affine_coefficients(
-                cols.arrival, cols.runtime, cols.remaining, cols.value, cols.decay, *key
-            )
+            block[...] = affine_coefficients(*self.data[:_BOUND, :n], *key)
             self.fresh = True
         return block
 
@@ -207,7 +216,8 @@ class PendingPool:
     def probe(self, task: Task) -> PoolColumns:
         """The pool's columns with *task* as one extra last row; commits nothing.
 
-        Admission's candidate-schedule probe.  The candidate is written
+        Admission's candidate-schedule probe where it is not shallow and
+        never-expiring (:meth:`affine_probe`).  The candidate is written
         into the spare column after the last row, which no ``columns()``
         view can see, so ``columns()``, ``len()`` and the task list are
         untouched.  It snapshots the same *believed* quantities as
@@ -215,6 +225,30 @@ class PendingPool:
         """
         expiration = self._write_row(task)
         return self._view(len(self._tasks) + 1, self._expiring + (expiration != math.inf))
+
+    def affine_probe(self, task: Task, key: tuple[float, float]) -> Optional[list[list[float]]]:
+        """The rows ``late, head, slope, cost, remaining, decay`` of a
+        shallow never-expires probe as Python floats, *task* last; else
+        ``None``.
+
+        Admission's scalar path: the probe :meth:`probe` would write,
+        with the coefficient rows a never-expires view would score from
+        (:meth:`PoolColumns.affine`), bound to *key* and refreshed the
+        same way.  ``None`` — commit nothing, bind nothing — when some
+        row or *task* expires, another key is bound, or the probe has
+        :data:`SCALAR_PROBE_ROWS` rows or more; the caller then takes
+        the vector path.
+        """
+        n = len(self._tasks)
+        state = self._rows
+        if self._expiring or n + 1 >= SCALAR_PROBE_ROWS or state.key not in (None, key):
+            return None
+        if self._write_row(task) != math.inf:
+            return None
+        if not state.fresh:
+            state.rows(key, n + 1)
+        block = self._data[:, : n + 1].tolist()
+        return [block[row] for row in (_LATE, _HEAD, _SLOPE, _COST, _REMAINING, _DECAY)]
 
     def probe_block(self, rows: np.ndarray) -> PoolColumns:
         """:meth:`probe` for a ``(7, k)`` block of rows in column-field

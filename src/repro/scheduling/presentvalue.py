@@ -46,9 +46,10 @@ class PresentValue(SchedulingHeuristic):
         if not discount_rate >= 0:
             raise SchedulingError(f"discount_rate must be >= 0, got {discount_rate!r}")
         self.discount_rate = float(discount_rate)
+        self.affine_key = (1.0, self.discount_rate)
 
     def scores(self, cols: PoolColumns, now: float) -> np.ndarray:
-        scores = affine_scores(cols, now, 1.0, self.discount_rate)
+        scores = affine_scores(cols, now, self.affine_key)
         if scores is None:
             scores = present_values(cols, now, self.discount_rate) / unit_denominator(cols)
         return scores

@@ -70,6 +70,21 @@ def test_parse_body_single_and_batch():
         (b"{not json", "not valid JSON"),
         (b'{"bids": []}', "non-empty list"),
         (b'{"bids": 3}', "non-empty list"),
+        # an integer too large for a float (was OverflowError: a 500)
+        pytest.param(
+            b'{"runtime": 1' + b"0" * 400 + b', "value": 1, "decay": 1}',
+            "'runtime' must be finite", id="int-past-float",
+        ),
+        pytest.param(
+            b'{"bids": [{"runtime": 1, "value": -1' + b"0" * 400 + b', "decay": 1}]}',
+            "'value' must be finite", id="negative-int-past-float",
+        ),
+        # past the interpreter's integer digit limit, and nesting past
+        # its recursion limit (were ValueError and RecursionError: 500s)
+        pytest.param(
+            b'{"runtime": 1' + b"0" * 5000 + b"}", "not valid JSON", id="int-past-digit-limit"
+        ),
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, "not valid JSON", id="nesting-bomb"),
     ],
 )
 def test_parse_body_rejections(body, fragment):

@@ -10,9 +10,11 @@ from __future__ import annotations
 import asyncio
 import json
 
-from repro.live.api import TASK_STATUS_KEYS
+import pytest
+
+from repro.live.api import TASK_STATUS_KEYS, ApiError
 from repro.live.config import LiveConfig, LiveSiteSpec
-from repro.live.httpd import start_http
+from repro.live.httpd import _read_request, start_http
 from repro.live.service import LiveService
 
 
@@ -245,3 +247,29 @@ def test_draining_service_answers_503_but_still_reports():
         assert state["draining"] is True
 
     _scenario(steps)
+
+
+def _read_fed(raw: bytes):
+    """``_read_request`` on bytes fed to a bare StreamReader: no socket."""
+
+    async def main():
+        reader = asyncio.StreamReader()
+        reader.feed_data(raw)
+        reader.feed_eof()
+        return await _read_request(reader)
+
+    return asyncio.run(main())
+
+
+def test_read_request_refuses_a_bad_content_length():
+    head = b"POST /bids HTTP/1.1\r\nContent-Length: %s\r\n\r\n{}"
+    # a negative length reached readexactly(-5), whose ValueError was a 500
+    for bad in (b"-5", b"five"):
+        with pytest.raises(ApiError, match="bad Content-Length") as info:
+            _read_fed(head % bad)
+        assert info.value.status == 400
+    with pytest.raises(ApiError, match="too large") as info:
+        _read_fed(head % str((1 << 20) + 1).encode())
+    assert info.value.status == 413
+    assert _read_fed(head % b"2") == ("POST", "/bids", b"{}", "", None)
+    assert _read_fed(head % b"0")[2] == b""

@@ -1,14 +1,17 @@
 """``SlackAdmission.evaluate`` against the single-path body it replaced.
 
 The engine answers an empty-pool probe in closed form (earliest-free
-node, zero displacement cost) and reads the free-time vector as a plain
-list.  The body it replaced — probe, score, sort, project, gather, for
-every pool depth including zero — lives on here as the oracle, and every
-:class:`AdmissionDecision` field must be equal bit for bit, on an empty
-pool and on a populated one.
+node, zero displacement cost), reads the free-time vector as a plain
+list, and ranks a shallow never-expires probe in Python floats from the
+pool's coefficient rows.  The body it replaced — probe, score, sort,
+project, gather, on NumPy vectors, for every pool depth including zero —
+lives on here as the oracle, and every :class:`AdmissionDecision` field
+must be equal bit for bit: on an empty pool, on a populated one, and on
+both sides of the eight-row limit of the scalar path.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,14 +19,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AdmissionError, SchedulingError
+from repro.faults.survival import ExponentialSurvival
 from repro.scheduling import (
     FirstPrice,
     FirstReward,
+    PendingPool,
     PresentValue,
     SchedulingHeuristic,
+    SurvivalDiscount,
     effective_decay,
     project_next_start,
 )
+from repro.scheduling.base import PoolColumns, affine_scores
+from repro.scheduling.pool import SCALAR_PROBE_ROWS
+from repro.site.admission import _place_shallow
 from repro.sim import Simulator
 from repro.site import SlackAdmission, TaskServiceSite
 from repro.site.admission import AdmissionDecision
@@ -344,3 +353,286 @@ def test_negative_rpt_is_refused_with_the_old_message(processors, ranking):
             admission.evaluate(site, candidate)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
+
+
+# ----------------------------------------------------------------------
+# The scalar path: a probe of fewer than SCALAR_PROBE_ROWS rows that
+# never expires, under a heuristic that declares its affine key, is
+# ranked in Python floats (PendingPool.affine_probe); anything else keeps
+# the vector path.  Either way the oracle's vector body is the reference.
+# ----------------------------------------------------------------------
+
+#: wrappers inherit no affine key: their scores are not the affine ones
+WRAPPED = {
+    "survival": lambda: SurvivalDiscount(
+        FirstReward(alpha=0.3, discount_rate=0.01), ExponentialSurvival(400.0)
+    ),
+    "delegate": lambda: SpyHeuristic(FirstReward(alpha=0.3, discount_rate=0.01)),
+}
+
+#: the pool's coefficient rows before the evaluation
+ROW_STATES = ("bound", "unbound", "stale", "other_key", "mixed")
+
+queued_rows = st.tuples(
+    st.floats(min_value=0.0, max_value=40.0),                  # arrival
+    st.floats(min_value=0.01, max_value=400.0),                # runtime
+    st.sampled_from([-50.0, 0.0, 0.1, 80.0, 3000.0]),          # value
+    st.sampled_from([5e-324, 0.05, 0.4, 3.0]),                 # decay
+)
+
+
+def prime_rows(site, state, queued):
+    """Put the site's coefficient rows in *state* and queue *queued*."""
+    for task in queued:
+        site.pool.add(task)
+    now = site.clock.now
+    if state == "bound":
+        site.heuristic.scores(site.pool.columns(), now)
+    elif state == "other_key":
+        FirstReward(alpha=0.5, discount_rate=0.5).scores(site.pool.columns(), now)
+    elif state == "stale":
+        site.heuristic.scores(site.pool.columns(), now)
+        bounded = make_task(now, 20.0, 60.0, 0.2, bound=5.0)
+        site.pool.add(bounded)
+        site.pool.remove(bounded)
+    elif state == "mixed":
+        site.pool.add(make_task(now, 20.0, 60.0, 0.2, bound=5.0))
+
+
+def primed_site(make_heuristic, processors, nodes, state, queued_spec):
+    queued = [make_task(a, r, v, d) for a, r, v, d in queued_spec]
+    site = build_site(make_heuristic(), processors, nodes, queued=[])
+    prime_rows(site, state, queued)
+    return site
+
+
+def pool_expiration(vf):
+    """The pool's ``expiration`` of a row (zero decay: 0.0, not inf)."""
+    return (vf.value + vf.bound_or_inf()) / vf.decay if vf.decay > 0.0 else 0.0
+
+
+def takes_the_scalar_path(site, candidate):
+    """The dispatch rule, restated: every condition of affine_probe."""
+    key = site.heuristic.affine_key
+    rows = site.pool._rows
+    columns = site.pool.columns()
+    return (
+        key is not None
+        and len(site.pool) > 0
+        and len(site.pool) + 1 < SCALAR_PROBE_ROWS
+        and columns.never_expires
+        and pool_expiration(candidate.linear_vf) == math.inf
+        and rows.key in (None, key)
+    )
+
+
+def vector_probes():
+    """Counts the vector path's probes (``PendingPool.probe`` calls)."""
+    return mock.patch.object(PendingPool, "probe", autospec=True, side_effect=PendingPool.probe)
+
+
+def decide_on_twins(make_heuristic, processors, nodes, state, queued_spec, candidate_row,
+                    clone=None):
+    """The change on one site and the oracle on an identical twin."""
+    sites = [primed_site(make_heuristic, processors, nodes, state, queued_spec)
+             for _ in range(2)]
+    candidates = []
+    for site in sites:
+        if clone is None:
+            candidates.append(candidate_from(candidate_row))
+        else:  # an exact twin of a queued task: every score tie included
+            twin = site.pool.task_at(clone % len(site.pool))
+            candidates.append(make_task(twin.arrival, twin.runtime, twin.vf.value,
+                                        twin.vf.decay, twin.vf.penalty_bound))
+    scalar = takes_the_scalar_path(sites[0], candidates[0])
+    with vector_probes() as probe:
+        got = SlackAdmission(0.0).evaluate(sites[0], candidates[0])
+    assert (not probe.called) == (scalar or not len(sites[0].pool))
+    want = OracleAdmission(0.0).evaluate(sites[1], candidates[1])
+    assert_same_decision(got, want)
+    if len(sites[0].pool):  # (an empty pool is answered without scoring)
+        # the scalar path binds and refreshes the rows as the vector one does
+        state_of = [(s.pool._rows.key, s.pool._rows.fresh) for s in sites]
+        assert state_of[0] == state_of[1]
+    return scalar
+
+
+@pytest.mark.parametrize("heuristic_name", sorted(HEURISTICS) + sorted(WRAPPED))
+@pytest.mark.parametrize("processors", [1, 4])
+@pytest.mark.parametrize("nodes", ["idle", "busy", "one_down", "all_down"])
+@settings(max_examples=12, deadline=None)
+@given(
+    queued_spec=st.lists(queued_rows, min_size=0, max_size=10),
+    candidate_row=candidates,
+    state=st.sampled_from(ROW_STATES),
+    clone=st.one_of(st.none(), st.integers(min_value=0, max_value=9)),
+)
+def test_both_sides_of_the_row_limit_equal_the_oracle(
+    heuristic_name, processors, nodes, queued_spec, candidate_row, state, clone
+):
+    make = HEURISTICS.get(heuristic_name) or WRAPPED[heuristic_name]
+    if not queued_spec:
+        clone = None
+    scalar = decide_on_twins(make, processors, nodes, state, queued_spec, candidate_row, clone)
+    if heuristic_name in WRAPPED:
+        assert not scalar
+
+
+@pytest.mark.parametrize("heuristic_name", sorted(HEURISTICS))
+def test_the_limit_is_where_the_path_changes(heuristic_name):
+    spec = [(float(i), 30.0 + 7.0 * i, 90.0 + 13.0 * i, 0.1 + 0.2 * i) for i in range(9)]
+    row = (40.0, 55.0, 300.0, 0.5, None, None)
+    paths = []
+    for depth in range(len(spec) + 1):
+        paths.append(decide_on_twins(HEURISTICS[heuristic_name], 4, "busy", "bound",
+                                     spec[:depth], row))
+    # depth 0 is the closed form; depth + 1 rows < 8 is the scalar path
+    assert paths == [False] + [True] * (SCALAR_PROBE_ROWS - 2) + [False] * 3
+
+
+def scored(site, candidate):
+    """The vector path's scores of *site*'s probe with *candidate*."""
+    return site.heuristic.scores(site.pool.probe(candidate), site.clock.now)
+
+
+#: (queued value, queued RPT) — FirstPrice scores an on-time row v / RPT
+#: on its head alone, so 0.0 and -0.0 heads tie, and a vast value over a
+#: clamped RPT is an infinite head that 0.0 · inf turns into NaN
+SIGNED = {
+    "zero_ties_candidate": ([(0.0, None), (5.0, None), (0.0, None)], (0.0, None)),
+    "negative_zero_candidate": ([(0.0, None), (0.0, None)], (-0.0, -0.0)),
+    "negative_zero_queued": ([(-0.0, -0.0), (4.0, None)], (0.0, None)),
+    "nan_queued": ([(1e300, 1e-12), (4.0, None), (2.0, None)], (3.0, None)),
+    "nan_candidate": ([(4.0, None), (2.0, None)], (1e300, 1e-12)),
+    "nan_everywhere": ([(1e300, 1e-12), (1e300, 1e-12)], (1e300, 1e-12)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIGNED))
+@pytest.mark.parametrize("processors", [1, 4])
+def test_signed_zero_and_nan_scores_rank_as_the_vector_sort(case, processors):
+    queued_spec, candidate_spec = SIGNED[case]
+
+    def task_of(value, rpt):
+        task = make_task(40.0, 50.0 if rpt is None else 1e-12, value, 1e300 if rpt else 0.5)
+        if rpt == 0.0:
+            task.estimated_remaining = rpt  # -0.0: a zero the < 0 check lets through
+        return task
+
+    def site_and_candidate():
+        site = build_site(FirstPrice(), processors, "busy", [task_of(*q) for q in queued_spec])
+        return site, task_of(*candidate_spec)
+
+    site, candidate = site_and_candidate()
+    scores = scored(site, candidate)
+    if case.startswith("nan"):
+        assert np.isnan(scores).any()
+    else:
+        assert (scores == 0.0).sum() >= 2  # a tie among zeros ...
+        if "negative" in case:  # ... of both signs
+            assert np.signbit(scores[scores == 0.0]).any()
+    site, candidate = site_and_candidate()
+    with vector_probes() as probe:
+        got = SlackAdmission(0.0).evaluate(site, candidate)
+    assert not probe.called  # the scalar path ranked it
+    twin, twin_candidate = site_and_candidate()
+    assert_same_decision(got, OracleAdmission(0.0).evaluate(twin, twin_candidate))
+
+
+@pytest.mark.parametrize("processors", [1, 4])
+def test_the_scalar_path_keeps_the_refusals(processors):
+    def site():
+        return build_site(FirstReward(alpha=0.3, discount_rate=0.01), processors, "busy",
+                          [make_task(float(i), 30.0, 80.0, 0.3) for i in range(3)])
+
+    candidate = make_task(40.0, 10.0, 100.0, 1.0)
+    candidate.estimated_remaining = -1.0
+    messages = []
+    with vector_probes() as probe:
+        with pytest.raises(SchedulingError, match=r"negative RPT -1\.0 at position \d") as info:
+            SlackAdmission(0.0).evaluate(site(), candidate)
+    assert not probe.called  # refused on the scalar path
+    messages.append(str(info.value))
+    with pytest.raises(SchedulingError, match=r"negative RPT -1\.0 at position \d") as info:
+        OracleAdmission(0.0).evaluate(site(), candidate)
+    messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    wide = Task(40.0, 10.0, LinearDecayValueFunction(100.0, 1.0), demand=2)
+    with pytest.raises(AdmissionError, match="single-node"):
+        SlackAdmission(0.0).evaluate(site(), wide)
+    nodeless = site()
+    nodeless.processors = type("NoNodes", (), {"free_times": lambda self, now: []})()
+    with pytest.raises(SchedulingError, match="at least one processor"):
+        SlackAdmission(0.0).evaluate(nodeless, make_task(40.0, 10.0, 100.0, 1.0))
+
+
+class HandRows:
+    """A pool's row state stand-in: hands a view the rows it was given."""
+
+    def __init__(self, coefficients):
+        self.coefficients = coefficients
+
+    def rows(self, key, n):
+        return self.coefficients
+
+
+def vector_place(rows, alpha, estimate, now, free_times):
+    """The vector body on hand-built rows: ``affine_scores``, the stable
+    argsort, the array projection and the gathered Eq. 8 sum."""
+    late, head, slope, cost, remaining, decay = (np.array(r) for r in rows)
+    n = len(late)
+    inf = np.full(n, math.inf)
+    cols = PoolColumns(inf, inf, remaining, inf, decay, inf, expiration=inf, expiring=0)
+    cols._source = HandRows(np.array([late, head, slope, cost]))
+    scores = affine_scores(cols, now, (alpha, 0.0))
+    order = np.argsort(-scores, kind="stable")
+    position = order.tolist().index(n - 1)
+    start = project_next_start(remaining[order], free_times, position)
+    if position == n - 1:
+        return start, 0.0
+    return start, float(estimate * decay[order[position + 1 :]].sum())
+
+
+#: finite, signed-zero, infinite and NaN coefficients, so that scores
+#: tie, cancel to ±0.0 and go NaN
+awkward = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 0.1, 0.7, 3.0, 1e-300, 1e300, math.inf, -math.inf, math.nan]
+)
+shallow_rows = st.integers(min_value=1, max_value=SCALAR_PROBE_ROWS - 1).flatmap(
+    lambda n: st.tuples(
+        st.lists(awkward, min_size=n, max_size=n),                          # late
+        st.lists(awkward, min_size=n, max_size=n),                          # head
+        st.lists(awkward, min_size=n, max_size=n),                          # slope
+        st.lists(awkward, min_size=n, max_size=n),                          # cost
+        st.lists(st.sampled_from([0.0, 0.5, 7.0, 1e6]), min_size=n, max_size=n),  # RPT
+        st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=n, max_size=n),  # decay
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=shallow_rows,
+    alpha=st.sampled_from([0.0, 0.3, 1.0]),
+    now=st.sampled_from([-0.0, 0.0, 5.0, 1e300]),
+    free_times=st.lists(st.sampled_from([0.0, 3.0, 40.5, math.inf]), min_size=1, max_size=4),
+)
+def test_the_scalar_placement_is_the_vector_placement(rows, alpha, now, free_times):
+    rows = [list(row) for row in rows]
+    got = _place_shallow(rows, alpha, 60.0, now, free_times)
+    want = vector_place(rows, alpha, 60.0, now, free_times)
+    assert all(same_bits(a, b) for a, b in zip(got, want)), (got, want)
+
+
+def test_a_tie_that_only_a_left_to_right_score_sum_makes():
+    # 0.1 + 0.2 + 0.3 is 0.6000000000000001 left to right and 0.6 exactly
+    # rounded: the candidate ties the first row only on the former, and
+    # a tie ranks it behind that row
+    decay = [0.1, 0.2, 0.3]
+    total = 0.0
+    for d in decay:
+        total += d
+    head = [1.0 - total, -5.0, 1.0]
+    rows = [[math.inf] * 3, head, [0.0] * 3, [0.0, 0.0, 1.0], [10.0, 20.0, 30.0], decay]
+    got = _place_shallow(rows, 0.3, 60.0, 0.0, [0.0])
+    assert got == vector_place(rows, 0.3, 60.0, 0.0, [0.0]) == (10.0, 60.0 * 0.2)
