@@ -324,14 +324,14 @@ def apply_recovery(service, plan: RecoveryPlan, now: float) -> int:
         resettled += 1
 
     for site in service.sites:
+        # the drain-time site summary reconciles against every settlement
+        # and award in the stitched journal, not only this process's
         carried = plan.books.get(site.site_id)
         if carried is not None:
-            site.carry_books(
-                revenue=carried.revenue,
-                contracts=carried.contracts,
-                quotes_issued=carried.quotes_issued,
-                quotes_declined=carried.quotes_declined,
-            )
+            site.revenue += carried.revenue
+            site.contracts_signed += carried.contracts
+            site.quotes_issued += carried.quotes_issued
+            site.quotes_declined += carried.quotes_declined
     for key, doc in plan.responses.items():
         service.restore_response(key, doc)
 

@@ -23,7 +23,6 @@ killed, so shutdown always terminates with every contract settled.
 from __future__ import annotations
 
 import asyncio
-import itertools
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
@@ -38,7 +37,7 @@ from repro.live.executor import (
     SubprocessExecutor,
     sleep_argv,
 )
-from repro.live.site import DISCOUNT_RATE, LiveSite
+from repro.live.site import LiveSite
 from repro.market.broker import Broker
 from repro.obs.flight import FlightRecorder
 from repro.obs.prom import RateWindow
@@ -194,26 +193,14 @@ class LiveService:
                 spec,
                 _SiteExecutor(self, spec.slots) if executor is None else executor(spec),
                 obs=obs,
-                flight=flight,
             )
             site.settlement_listeners.append(self._note_settlement)
             self.sites.append(site)
         # the default strategy, as in the simulated market: best yield
         self.broker = Broker(self.sites)
-        self.broker.flight = flight
-        if flight is not None:
-            for site, spec in zip(self.sites, config.sites):
-                flight.site_open(
-                    self.clock.now,
-                    site.site_id,
-                    capacity=spec.slots,
-                    heuristic=site.engine.heuristic.name,
-                    threshold=spec.threshold,
-                    discount_rate=DISCOUNT_RATE,
-                )
+        self.broker.open_books(flight)
         self.records: list[LiveRecord] = []
         self._record_of_task: dict[int, LiveRecord] = {}
-        self._negotiation_ids = itertools.count()
         self.idempotency = IdempotencyTable()
         #: bids refused at the queue watermark (429 answers)
         self.sheds = 0
@@ -295,20 +282,10 @@ class LiveService:
                 decay=bid.decay,
                 bound=bid.bound,
             )
-        nid = next(self._negotiation_ids)
-        if self.obs is not None:
-            self.obs.negotiation_started(nid, now)
         negotiation_started = time.perf_counter()
         outcome = self.broker.negotiate(bid)
         self.rates.note_roundtrip((time.perf_counter() - negotiation_started) * 1e6)
         self.rates.note_bid(self._wall_now(), outcome.accepted)
-        if self.obs is not None:
-            quoted = {q.site_id for q in outcome.quotes}
-            for site in self.sites:
-                self.obs.negotiation_quoted(
-                    nid, site.site_id, declined=site.site_id not in quoted,
-                    now=self.clock.now,
-                )
         record = LiveRecord(
             bid=bid,
             submitted_at=now,
@@ -328,14 +305,6 @@ class LiveService:
         else:
             record.reason = (
                 "no site quoted" if not outcome.quotes else "no quote selected"
-            )
-        if self.obs is not None:
-            self.obs.negotiation_finished(
-                nid,
-                self.clock.now,
-                contracted=outcome.accepted,
-                task_id=record.task.tid if record.task is not None else None,
-                site_id=record.site_id,
             )
         self.records.append(record)
         return record
@@ -470,17 +439,7 @@ class LiveService:
                 if not self._inflight:
                     break
                 await self.clock.sleep(poll)
-        if self.flight is not None:
-            # closing books per site: the audit's reconciliation anchor
-            for site in self.sites:
-                self.flight.site_summary(  # repro: noqa ASY001  # shutdown path; summary must hit the journal before exit
-                    self.clock.now,
-                    site.site_id,
-                    revenue=site.revenue,
-                    contracts=site.contracts_total,
-                    quotes_issued=site.quotes_issued,
-                    quotes_declined=site.quotes_declined,
-                )
+        self.broker.close_books()  # repro: noqa ASY001  # shutdown path; summaries must hit the journal before exit
 
     async def stop(self) -> None:
         """Undo :meth:`start`: journal syncs run in line again."""

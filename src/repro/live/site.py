@@ -6,19 +6,17 @@ handling and settlement are :class:`~repro.market.sites.MarketSite` over
 that class built with the service's clock, an executor that runs a
 started task as a child process instead of a completion event, and the
 restart policy below.  What this module adds is only what has no
-simulated meaning: the failure budget of real subprocesses, forced
-abandonment at shutdown, and the books recovery carries across a crash.
+simulated meaning: the failure budget of real subprocesses and forced
+abandonment at shutdown.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from repro.faults.restart import CrashOutcome, RequeueRestart
 from repro.live.config import LiveSiteSpec
 from repro.market.sites import MarketSite
-from repro.obs.flight import FlightRecorder
 from repro.scheduling.firstreward import FirstReward
 from repro.sim.clock import Clock
 from repro.site.admission import SlackAdmission
@@ -82,7 +80,6 @@ class LiveSite(MarketSite):
         spec: LiveSiteSpec,
         executor,
         obs=None,
-        flight: Optional[FlightRecorder] = None,
     ) -> None:
         super().__init__(
             None,
@@ -92,13 +89,9 @@ class LiveSite(MarketSite):
             admission=SlackAdmission(threshold=spec.threshold, discount_rate=DISCOUNT_RATE),
             obs=obs,
             restart_policy=BudgetedRestart(MAX_RESTARTS),
-            flight=flight,
             clock=clock,
             executor=executor,
         )
-        #: contracts settled before a crash, carried in by recovery so
-        #: the site summary reconciles over the stitched journal
-        self.carried_contracts = 0
 
     def abandon(self) -> None:
         """Forced shutdown: breach all queued work, requeue nothing more.
@@ -119,30 +112,6 @@ class LiveSite(MarketSite):
                 engine.obs.task_breached(task, now, penalty)
             for listener in engine.finish_listeners:
                 listener(task)
-
-    @property
-    def contracts_total(self) -> int:
-        """Awards across the site's whole journal, pre-crash included."""
-        return self.carried_contracts + len(self.contracts)
-
-    def carry_books(
-        self,
-        revenue: float,
-        contracts: int,
-        quotes_issued: int,
-        quotes_declined: int,
-    ) -> None:
-        """Seed the books with pre-crash totals (recovery only).
-
-        The drain-time site summary must reconcile against *every*
-        settlement and award in the stitched journal, not just the ones
-        this process made — so recovery folds the replayed history into
-        the counters before intake resumes.
-        """
-        self.revenue += float(revenue)
-        self.carried_contracts += int(contracts)
-        self.quotes_issued += int(quotes_issued)
-        self.quotes_declined += int(quotes_declined)
 
     def __repr__(self) -> str:
         return (

@@ -5,6 +5,10 @@ The broker collects quotes (sealed-bid, one round), selects the winning
 site with a pluggable strategy, and awards the contract.  A Vickrey-
 flavoured payment rule is available: the winner is charged the price of
 the second-best quote (§2's pricing discussion; Spawn's mechanism).
+
+The market's lifecycle is the broker's on either clock: ``run_market``
+and the live service both call :meth:`Broker.open_books`,
+:meth:`Broker.negotiate` and :meth:`Broker.close_books`.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from typing import Callable, Optional, Sequence
 
 from repro.errors import MarketError
 from repro.market.sites import MarketSite
+from repro.obs.flight import FlightRecorder
+from repro.scheduling.registry import heuristic_params
 from repro.tasks.bid import ServerBid, TaskBid
 from repro.tasks.contract import Contract
 
@@ -110,9 +116,9 @@ class Broker:
     vickrey: bool = False
     negotiations: int = 0
     rejections: int = 0
-    #: optional FlightRecorder; when set, bid arrivals and awards are
-    #: recorded (sites record their own quotes/settlements)
-    flight: Optional[object] = field(default=None, repr=False, compare=False)
+    #: the recorder :meth:`open_books` attached: bids and awards (the
+    #: sites record their quotes and settlements)
+    flight: Optional[FlightRecorder] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.sites:
@@ -120,6 +126,38 @@ class Broker:
         ids = [s.site_id for s in self.sites]
         if len(set(ids)) != len(ids):
             raise MarketError(f"duplicate site ids: {ids}")
+
+    def open_books(self, flight: Optional[FlightRecorder]) -> None:
+        """Attach *flight* (``None``: unrecorded) to the broker and every
+        site; one ``site`` record per site, read from the site itself."""
+        self.flight = flight
+        for site in self.sites:
+            site.flight = flight
+            if flight is not None:
+                heuristic = site.engine.heuristic
+                flight.site_open(
+                    site.clock.now,
+                    site.site_id,
+                    capacity=site.engine.processors.count,
+                    heuristic=heuristic.name,
+                    threshold=getattr(site.admission, "threshold", None),
+                    discount_rate=getattr(site.admission, "discount_rate", None),
+                    heuristic_params=heuristic_params(heuristic),
+                )
+
+    def close_books(self) -> None:
+        """One ``site_summary`` per site: the audit's reconciliation anchor."""
+        if self.flight is None:
+            return
+        for site in self.sites:
+            self.flight.site_summary(
+                site.clock.now,
+                site.site_id,
+                revenue=site.revenue,
+                contracts=site.contracts_signed,
+                quotes_issued=site.quotes_issued,
+                quotes_declined=site.quotes_declined,
+            )
 
     def negotiate(
         self, bid: TaskBid, sites: Optional[Sequence[MarketSite]] = None
@@ -129,16 +167,24 @@ class Broker:
         *sites* restricts the round to a subset of the broker's sites
         (default: all of them) — the resilience layer's circuit breakers
         skip unhealthy sites this way.  This is the market's only
-        negotiation: every quote is gathered, every award made and every
-        ``bid``/``award`` record written here.
+        negotiation: every quote is gathered, every award made, every
+        ``bid``/``award`` record written and every negotiation hook of
+        the sites' observer called here (span id: the round's ordinal).
         """
+        nid = self.negotiations
         self.negotiations += 1
+        clock = self.sites[0].clock
+        obs = self.sites[0].engine.obs
         if self.flight is not None:
-            self.flight.bid(self.sites[0].clock.now, bid)
+            self.flight.bid(clock.now, bid)
+        if obs is not None:
+            obs.negotiation_started(nid, clock.now)
         quotes: list[ServerBid] = []
         quote_sites: list[MarketSite] = []
         for site in self.sites if sites is None else sites:
             quote = site.quote(bid)
+            if obs is not None:
+                obs.negotiation_quoted(nid, site.site_id, declined=quote is None, now=clock.now)
             if quote is not None:
                 quotes.append(quote)
                 quote_sites.append(site)
@@ -146,6 +192,8 @@ class Broker:
         index = self.strategy(bid, quotes)
         if index is None:
             self.rejections += 1
+            if obs is not None:
+                obs.negotiation_finished(nid, clock.now, contracted=False)
             return NegotiationOutcome(bid=bid, quotes=quotes, winner=None, contract=None)
 
         winner = quotes[index]
@@ -163,4 +211,8 @@ class Broker:
         contract = quote_sites[index].award(bid, winner)
         if self.flight is not None:
             self.flight.award(contract.signed_at, bid, winner, contract)
+        if obs is not None:
+            obs.negotiation_finished(
+                nid, clock.now, contracted=True, task_id=contract.task_tid, site_id=winner.site_id
+            )
         return NegotiationOutcome(bid=bid, quotes=quotes, winner=winner, contract=contract)

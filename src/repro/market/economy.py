@@ -96,18 +96,7 @@ class MarketEconomy:
         for site in self.sites:
             if not site.engine.all_work_done():
                 raise MarketError(f"site {site.site_id!r} drained with work outstanding")
-        flight = self.broker.flight
-        if flight is not None:
-            # closing books per site: the audit's reconciliation anchor
-            for site in self.sites:
-                flight.site_summary(
-                    site.clock.now,
-                    site.site_id,
-                    revenue=site.revenue,
-                    contracts=len(site.contracts),
-                    quotes_issued=site.quotes_issued,
-                    quotes_declined=site.quotes_declined,
-                )
+        self.broker.close_books()
         return EconomyResult(outcomes=self.outcomes, sites=self.sites, sim=self.sim)
 
     @property
@@ -123,27 +112,17 @@ def run_market(
 ) -> EconomyResult:
     """Convenience wrapper: negotiate *trace* across *sites* and run.
 
-    Passing a ``FlightRecorder`` as *flight* attaches it to the broker
-    and every site, records each site's capacity/policy up front, and
-    writes per-site closing summaries when the run drains.
+    *flight* (a ``FlightRecorder``) is handed to
+    :meth:`Broker.open_books`, the market's one way in for a recorder:
+    each site's capacity/policy is recorded up front and its closing
+    summary when the run drains.
     """
     if broker is None:
         broker = Broker(sites=list(sites))
     sims = {s.sim for s in sites}
     if len(sims) != 1:
         raise MarketError("all sites must share one simulator")
-    if flight is not None:
-        broker.flight = flight
-        for site in sites:
-            site.flight = flight
-            flight.site_open(
-                site.clock.now,
-                site.site_id,
-                capacity=site.engine.processors.count,
-                heuristic=site.engine.heuristic.name,
-                threshold=getattr(site.admission, "threshold", None),
-                discount_rate=getattr(site.admission, "discount_rate", None),
-            )
+    broker.open_books(flight)
     economy = MarketEconomy(next(iter(sims)), broker)
     economy.schedule_trace(trace)
     return economy.run()

@@ -61,7 +61,6 @@ class MarketSite:
         price_board=None,
         obs=None,
         restart_policy=None,
-        flight=None,
         clock: Optional[Clock] = None,
         executor=None,
     ) -> None:
@@ -90,13 +89,16 @@ class MarketSite:
         #: optional PriceBoard that receives every settlement (§2's
         #: "publish summaries of recent contracts")
         self.price_board = price_board
-        #: optional FlightRecorder receiving quote/settlement events
-        self.flight = flight
+        #: the market's FlightRecorder, attached by ``Broker.open_books``;
+        #: receives this site's quote/settlement events
+        self.flight = None
         #: callbacks invoked as fn(contract, task) after each settlement —
         #: the resilience layer re-bids breached tasks through these and
         #: budgeted clients reconcile committed spend
         self.settlement_listeners: list = []
+        #: the site's books, as the closing ``site_summary`` reports them
         self.revenue = 0.0
+        self.contracts_signed = 0
         self.quotes_issued = 0
         self.quotes_declined = 0
 
@@ -145,6 +147,7 @@ class MarketSite:
         contract.task = task
         self._contract_of[task.tid] = contract
         self.contracts.append(contract)
+        self.contracts_signed += 1
         self.engine.submit(task, force=True)
         return contract
 

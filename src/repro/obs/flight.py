@@ -382,6 +382,7 @@ class FlightRecorder:
         heuristic: str,
         threshold: Optional[float] = None,
         discount_rate: Optional[float] = None,
+        heuristic_params: Optional[dict] = None,
     ) -> None:
         """A site joined the recorded market (capacity + policy knobs)."""
         self.record(
@@ -392,6 +393,7 @@ class FlightRecorder:
             heuristic=heuristic,
             threshold=threshold,
             discount_rate=discount_rate,
+            heuristic_params=heuristic_params,
         )
 
     def bid(self, t: float, bid) -> None:

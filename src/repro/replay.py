@@ -43,7 +43,9 @@ class PolicySpec:
 
     ``None`` fields inherit the recording's own per-site configuration
     (from its ``site`` records), so ``PolicySpec("recorded")`` replays
-    the baseline policy verbatim.
+    the baseline policy verbatim.  An inherited heuristic keeps its
+    recorded parameters, with *heuristic_params* laid over them; a named
+    one is built from *heuristic_params* alone.
     """
 
     name: str
@@ -159,8 +161,13 @@ def _build_sites(sim, configs: Sequence[dict], policy: PolicySpec) -> list:
 
     sites = []
     for config in configs:
-        heuristic_name = policy.heuristic or config["heuristic"]
-        heuristic = make_heuristic(heuristic_name, **policy.heuristic_params)
+        if policy.heuristic is None:
+            # recorded without parameters: rebuilt from the defaults
+            params = dict(config.get("heuristic_params") or {})
+            params.update(policy.heuristic_params)
+            heuristic = make_heuristic(config["heuristic"], **params)
+        else:
+            heuristic = make_heuristic(policy.heuristic, **policy.heuristic_params)
         threshold = policy.threshold
         if threshold is None:
             threshold = config.get("threshold")

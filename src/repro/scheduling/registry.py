@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Callable
+import inspect
+from typing import Callable, Optional
 
 from repro.errors import SchedulingError
 from repro.scheduling.base import SchedulingHeuristic
@@ -43,3 +44,13 @@ def make_heuristic(name: str, **params) -> SchedulingHeuristic:
         return factory(**params)
     except TypeError as exc:
         raise SchedulingError(f"bad parameters for heuristic {name!r}: {exc}") from exc
+
+
+def heuristic_params(heuristic: SchedulingHeuristic) -> Optional[dict]:
+    """The parameters that rebuild *heuristic* through :func:`make_heuristic`,
+    or ``None`` when it is not what its registry name builds (a wrapper
+    such as ``SurvivalDiscount``, a subclass): they cannot be read."""
+    factory = _FACTORIES.get(heuristic.name)
+    if factory is None or type(heuristic) is not factory:
+        return None
+    return {name: getattr(heuristic, name) for name in inspect.signature(factory).parameters}

@@ -190,7 +190,7 @@ def test_apply_recovery_resettles_and_replays(tmp_path):
     # books carried across the crash: revenue matches the settlements
     settled_prices = [e["price"] for e in recording.of_kind("settlement")]
     assert service.sites[0].revenue == pytest.approx(sum(settled_prices))
-    assert service.sites[0].contracts_total == len(accepted)
+    assert service.sites[0].contracts_signed == len(accepted)
 
 
 def test_kill_orphans_tolerates_dead_pids_and_checks_argv0():

@@ -130,13 +130,12 @@ class TestRoundOverASubset:
         sim = Simulator()
         flight = FlightRecorder()
         sites = [
-            make_site(sim, "a", processors=2, flight=flight),
-            make_site(sim, "b", pricing=DiscountedPricing(fraction=0.6), flight=flight),
-            make_site(sim, "c", threshold=1e9, flight=flight),  # always declines
+            make_site(sim, "a", processors=2),
+            make_site(sim, "b", pricing=DiscountedPricing(fraction=0.6)),
+            make_site(sim, "c", threshold=1e9),  # always declines
         ]
-        broker = Broker(
-            sites=sites, strategy=earliest_completion, vickrey=True, flight=flight
-        )
+        broker = Broker(sites=sites, strategy=earliest_completion, vickrey=True)
+        broker.open_books(flight)
         return sites, broker, flight
 
     def test_only_the_named_sites_are_asked(self):
@@ -147,8 +146,8 @@ class TestRoundOverASubset:
         assert sites[0].quotes_issued == sites[0].quotes_declined == 0
         assert (broker.negotiations, broker.rejections) == (1, 0)
         kinds = [e["kind"] for e in flight.events]
-        assert kinds == ["bid", "quote", "quote", "award"]
-        assert [e["site_id"] for e in flight.events[1:3]] == ["b", "c"]
+        assert kinds == ["site"] * 3 + ["bid", "quote", "quote", "award"]
+        assert [e["site_id"] for e in flight.events[4:6]] == ["b", "c"]
 
     def test_a_subset_round_journals_like_a_full_one(self):
         from repro.audit import audit_recording
@@ -171,7 +170,8 @@ class TestRoundOverASubset:
             outcome = broker.negotiate(make_bid(), candidates)
             assert not outcome.accepted
         assert (broker.negotiations, broker.rejections) == (2, 2)
-        assert [e["kind"] for e in flight.events] == ["bid", "quote", "bid"]
+        kinds = [e["kind"] for e in flight.events]
+        assert kinds == ["site"] * 3 + ["bid", "quote", "bid"]
 
 
 class TestOneValueFunctionPerBid:

@@ -242,12 +242,12 @@ class TestMarketIntegration:
         with FlightRecorder(path) as flight:
             sites = [
                 MarketSite(sim, site_id, 4, FirstReward(0.3, 0.01),
-                           admission=SlackAdmission(60.0), flight=flight)
+                           admission=SlackAdmission(60.0))
                 for site_id in ("nan", "inf")
             ]
-            for site in sites:
-                flight.site_open(0.0, site.site_id, 4, "firstreward", 60.0, 0.01)
-            economy = MarketEconomy(sim, Broker(sites=sites, flight=flight))
+            broker = Broker(sites=sites)
+            broker.open_books(flight)
+            economy = MarketEconomy(sim, broker)
             economy.schedule_trace(trace, client_id="nan")
             result = economy.run()
         recording = read_recording(path)

@@ -1,15 +1,12 @@
 """Tests for the Observability facade: lifecycle trees, run bracketing,
 the ambient attachment, and the market/site boundary link."""
 
-import math
-
-from repro.market import Broker, MarketSite
+from repro.market import MarketSite, run_market
 from repro.obs import Observability, current, observing
 from repro.scheduling import FirstPrice
 from repro.sim import Simulator
 from repro.site import SlackAdmission
 from repro.site.driver import simulate_site
-from repro.tasks import TaskBid
 from repro.workload import economy_spec, generate_trace, millennium_spec
 
 
@@ -119,64 +116,88 @@ class TestAmbientAttachment:
 
 
 class TestMarketBoundary:
-    """The negotiation hooks, called the way ``LiveService`` calls them:
-    started → the broker's one round → quoted per site → finished."""
+    """A simulated market is observed like the live one: ``Broker.negotiate``
+    calls the negotiation hooks of the observer its sites report to, so a
+    plain ``run_market`` leaves one ``negotiation:<id>`` span per bid."""
 
-    def _negotiate(self, obs, threshold):
+    SITES = 3
+
+    def _market(self):
+        obs = Observability()
         sim = Simulator()
-        site = MarketSite(
-            sim,
-            site_id="s",
-            processors=1,
-            heuristic=FirstPrice(),
-            admission=SlackAdmission(threshold=threshold, discount_rate=0.0),
-            obs=obs,
-        )
+        sites = [
+            MarketSite(
+                sim,
+                site_id=f"s{i}",
+                processors=1,
+                heuristic=FirstPrice(),
+                admission=SlackAdmission(threshold=50.0, discount_rate=0.0),
+                obs=obs,
+            )
+            for i in range(self.SITES)
+        ]
+        trace = generate_trace(economy_spec(n_jobs=60, load_factor=2.0), seed=0)
         obs.begin_run("market")
-        obs.negotiation_started(0, sim.now)
-        outcome = Broker(sites=[site]).negotiate(
-            TaskBid(runtime=10.0, value=100.0, decay=1.0, client_id="c")
-        )
-        obs.negotiation_quoted(0, "s", declined=not outcome.quotes, now=sim.now)
-        obs.negotiation_finished(
-            0,
-            sim.now,
-            contracted=outcome.accepted,
-            task_id=outcome.contract.task_tid if outcome.accepted else None,
-            site_id="s" if outcome.accepted else None,
-        )
-        sim.run()
+        result = run_market(trace, sites)
         obs.end_run(sim.now)
-        return outcome
+        return obs, result
+
+    def _negotiation_spans(self, obs, result):
+        """The market's span per bid, by the round's ordinal."""
+        spans = {
+            s.name: s
+            for s in obs.spans.of_category("market")
+            if s.name.startswith("negotiation:")
+        }
+        assert len(spans) == len(result.outcomes)
+        for span in spans.values():
+            # one quoted/declined instant per site asked
+            assert len(obs.spans.children_of(span)) == self.SITES
+        return [
+            (spans[f"negotiation:{nid}"], outcome)
+            for nid, outcome in enumerate(result.outcomes)
+        ]
 
     def test_negotiation_span_links_under_task_root(self):
-        obs = Observability()
-        outcome = self._negotiate(obs, threshold=-math.inf)
-        assert outcome.accepted
-        neg = obs.spans.of_category("market")
-        neg_root = next(s for s in neg if s.name.startswith("negotiation:"))
-        assert neg_root.args["outcome"] == "contracted"
-        assert neg_root.task_id == outcome.contract.task_tid
-        task_root = next(
-            s
-            for s in obs.spans.finished
-            if s.name == f"task:{outcome.contract.task_tid}"
-        )
-        # the negotiation hangs under the task's lifecycle tree
-        assert neg_root.parent_id == task_root.span_id
-        assert neg_root in obs.spans.tree(task_root)
-        # and market counters moved
-        assert obs.registry.counter("market.contracted").value == 1
-        assert obs.registry.counter("market.quotes").value == 1
+        obs, result = self._market()
+        roots = {s.name: s for s in obs.spans.finished if s.name.startswith("task:")}
+        contracted = [
+            (span, outcome)
+            for span, outcome in self._negotiation_spans(obs, result)
+            if outcome.accepted
+        ]
+        assert contracted, "the scenario is vacuous"
+        for span, outcome in contracted:
+            tid = outcome.contract.task_tid
+            assert span.args == {"outcome": "contracted", "site": outcome.winner.site_id}
+            assert span.task_id == tid
+            # the negotiation hangs under the task's lifecycle tree
+            assert span.parent_id == roots[f"task:{tid}"].span_id
+            assert span in obs.spans.tree(roots[f"task:{tid}"])
 
     def test_failed_negotiation_closes_unlinked(self):
-        obs = Observability()
-        outcome = self._negotiate(obs, threshold=1e12)  # the site declines
-        assert not outcome.accepted
-        neg_root = next(s for s in obs.spans.of_category("market") if s.name.startswith("negotiation:"))
-        assert neg_root.args["outcome"] == "failed"
-        assert neg_root.parent_id is None
-        assert obs.registry.counter("market.failed").value == 1
+        obs, result = self._market()
+        failed = [
+            span
+            for span, outcome in self._negotiation_spans(obs, result)
+            if not outcome.accepted
+        ]
+        assert failed, "the scenario is vacuous"
+        for span in failed:
+            assert span.args == {"outcome": "failed"}
+            assert span.parent_id is None and span.task_id is None
+
+    def test_market_counters_match_the_outcomes(self):
+        obs, result = self._market()
+        counter = obs.registry.counter
+        assert counter("market.negotiations").value == len(result.outcomes)
+        assert counter("market.contracted").value == result.accepted
+        assert counter("market.failed").value == result.rejected
+        issued = sum(site.quotes_issued for site in result.sites)
+        declined = sum(site.quotes_declined for site in result.sites)
+        assert counter("market.quotes").value == issued > 0
+        assert counter("market.quotes.declined").value == declined > 0
+        assert issued + declined == self.SITES * len(result.outcomes)
 
 
 class TestPerSiteGauges:

@@ -1,7 +1,8 @@
 """One ``repro resilience`` cell built by hand, every layer journaling.
 
 The sites, the ``ResilientBroker`` and (through the sites) the circuit
-breakers all write one flight recorder.  Shared by
+breakers all write one flight recorder, handed in once: ``run_market``
+opens the market's books with it.  Shared by
 ``test_journaled_chaos.py`` and by CI's resilience smoke, which journals
 a cell to a file and runs ``repro audit`` on it — so no pytest here.
 """
@@ -63,12 +64,11 @@ def journaled_chaos_cell(seed, budget, flight):
             admission=admission(),
             discard_expired=True,
             restart_policy=make_restart_policy(faults),
-            flight=flight,
         )
         for i in range(N_SITES)
     ]
     manager = ResilienceManager(sim, config, sites)
-    broker = ResilientBroker(sites=sites, manager=manager, flight=flight)
+    broker = ResilientBroker(sites=sites, manager=manager)
     streams = RandomStreams(seed)
     stats = FaultStats()
     injectors = [

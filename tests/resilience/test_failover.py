@@ -153,15 +153,15 @@ class TestBreakerGating:
 
         sim = Simulator()
         flight = FlightRecorder()
-        sites, manager, broker = make_market(sim, flight=flight)
-        broker.flight = flight
+        sites, manager, broker = make_market(sim)
+        broker.open_books(flight)
         for breaker in manager.breakers.values():
             trip(breaker)
         assert broker.negotiate(make_bid()).contract is None
         assert (broker.negotiations, broker.rejections) == (1, 1)
         # the breakers opening, then a bid nobody was asked to quote on
         kinds = [e["kind"] for e in flight.events]
-        assert kinds == ["breaker", "breaker", "bid"]
+        assert kinds == ["site", "site", "breaker", "breaker", "bid"]
 
     def test_half_open_probe_accounted_on_award(self):
         sim = Simulator()

@@ -15,6 +15,7 @@ from repro.scheduling import (
     available_heuristics,
     make_heuristic,
 )
+from repro.scheduling.registry import heuristic_params
 
 
 def cols_of(rows):
@@ -208,3 +209,22 @@ class TestRegistry:
     def test_bad_params(self):
         with pytest.raises(SchedulingError):
             make_heuristic("fcfs", alpha=0.5)
+
+    def test_params_rebuild_every_registry_heuristic(self):
+        tuned = make_heuristic("firstreward", alpha=0.9, discount_rate=0.05)
+        assert heuristic_params(tuned) == {"alpha": 0.9, "discount_rate": 0.05}
+        for name in available_heuristics():
+            params = heuristic_params(make_heuristic(name))
+            assert params is not None
+            assert heuristic_params(make_heuristic(name, **params)) == params
+
+    def test_a_wrapper_or_subclass_has_no_readable_params(self):
+        from repro.faults.survival import ExponentialSurvival
+        from repro.scheduling.survival import SurvivalDiscount
+
+        class Tuned(FirstReward):
+            pass
+
+        wrapped = SurvivalDiscount(FirstReward(0.9), ExponentialSurvival(100.0))
+        assert heuristic_params(wrapped) is None
+        assert heuristic_params(Tuned(0.9)) is None

@@ -73,9 +73,38 @@ class TestTraceReconstruction:
             trace_from_recording(empty)
 
 
+def contended_market(alpha, discount_rate):
+    """Four two-slot sites under twice their capacity, scheduling by
+    ``FirstReward(alpha, discount_rate)``: queues form, so the
+    heuristic's parameters decide fates.  Returns ``(recorder, result)``."""
+    from repro.market import MarketSite, run_market
+    from repro.scheduling import FirstReward
+    from repro.sim import Simulator
+    from repro.site import SlackAdmission
+    from repro.workload import economy_spec, generate_trace
+
+    spec = economy_spec(
+        n_jobs=400, value_skew=3, decay_skew=5, load_factor=2.0,
+        processors=8, penalty_bound=None,
+    )
+    sim = Simulator()
+    sites = [
+        MarketSite(
+            sim, f"site-{i}", 2, FirstReward(alpha, discount_rate),
+            admission=SlackAdmission(60.0, 0.05),
+        )
+        for i in range(4)
+    ]
+    flight = FlightRecorder(clock_domain="sim")
+    return flight, run_market(generate_trace(spec, seed=0), sites, flight=flight)
+
+
 class TestReplay:
-    def test_recorded_policy_reproduces_the_run_exactly(self, recorded_market):
-        flight, result = recorded_market
+    @pytest.mark.parametrize("alpha, discount_rate", [(0.3, 0.01), (0.9, 0.05)])
+    def test_recorded_policy_reproduces_the_run_exactly(self, alpha, discount_rate):
+        # the heuristic's parameters travel in the site records: a
+        # non-default FirstReward replays as itself, not as the default
+        flight, result = contended_market(alpha, discount_rate)
         doc = replay_recording(flight.recording(), [PolicySpec("recorded")])
         baseline, replayed = doc["table"]
         assert replayed["bids"] == baseline["bids"]
@@ -85,6 +114,19 @@ class TestReplay:
         divergence = doc["divergence"]["recorded"]
         assert divergence["changed_bids"] == 0
         assert divergence["examples"] == []
+
+    def test_a_recording_without_params_replays_the_defaults(self):
+        # recordings that predate the field (or a heuristic whose
+        # parameters could not be read) rebuild the heuristic by name
+        flight, _ = contended_market(0.9, 0.05)
+        recording = flight.recording()
+        for event in recording.of_kind("site"):
+            del event["heuristic_params"]
+        replayed = replay_recording(recording, [PolicySpec("recorded")])["table"][1]
+        defaults, _ = contended_market(0.3, 0.01)
+        expected = replay_recording(defaults.recording(), [])["table"][0]
+        replayed.pop("policy"), expected.pop("policy")
+        assert replayed == expected
 
     def test_alternative_policy_diverges_and_is_tabulated(self, recorded_market):
         flight, _ = recorded_market
