@@ -39,6 +39,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
 
 from repro.live.client import LiveClient, RetryPolicy  # noqa: E402
+from repro.obs.flight import read_recording  # noqa: E402
 
 ENV = {**os.environ, "PYTHONPATH": os.path.join(REPO, "src")}
 RATE = 10.0  # market units per wall second
@@ -74,22 +75,13 @@ def await_port(proc: subprocess.Popen, port_file: str, what: str) -> int:
         return int(handle.read())
 
 
-def journal_events(journal: str) -> list[dict]:
-    events = []
-    with open(journal) as handle:
-        for line in handle:
-            try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError:
-                pass  # torn tail from the kill — exactly what recovery repairs
-    return events
-
-
 def spawned_pids(journal: str) -> set[int]:
+    # the reader drops a torn final line (the kill's, or a write in
+    # flight) and refuses damage anywhere else
     return {
         e["pid"]
-        for e in journal_events(journal)
-        if e.get("kind") == "intent" and e.get("action") == "spawn"
+        for e in read_recording(journal).of_kind("intent")
+        if e.get("action") == "spawn"
     }
 
 

@@ -15,7 +15,8 @@ over HTTP the way a client would, and asserts the whole lifecycle:
 6. the journal (``--journal … --fsync off``, the best-effort recording)
    closes the loop offline: ``repro audit`` exits 0 on it — wall-clock
    header, every bid and settlement on the record, every conservation
-   law held — and exits 1 on a deliberately corrupted copy;
+   law held — exits 1 on a deliberately corrupted copy, and exits 2
+   (no traceback) on a copy with one record's ``kind`` removed;
 7. ``repro replay`` re-runs the recorded workload under the recorded
    policy plus a risk-seeking alternative and writes the A/B table
    artifact.
@@ -185,6 +186,22 @@ def main(argv=None) -> int:
         )
         assert "duplicate_settlement" in cooked.stdout
         print("live_smoke: corrupted ledger correctly rejected")
+
+        # --- ... and refuse a malformed record, without a traceback ----
+        malformed = os.path.join(args.artifacts, "flight_malformed.jsonl")
+        kindless = json.loads(duplicate)
+        del kindless["kind"]
+        at = lines.index(duplicate)
+        with open(malformed, "w") as handle:
+            handle.write(
+                "\n".join(lines[:at] + [json.dumps(kindless)] + lines[at + 1:]) + "\n"
+            )
+        refused = repro("audit", malformed)
+        assert refused.returncode == 2, (
+            f"audit of a record with no kind exited {refused.returncode}"
+        )
+        assert "Traceback" not in refused.stderr, refused.stderr
+        print("live_smoke: malformed record refused with exit 2")
 
         # --- replay: A/B the recorded policy vs a risk-seeker --------
         replay = repro(

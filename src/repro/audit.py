@@ -32,6 +32,9 @@ Durability records (the live service's write-ahead journal) are part of
 the ledger too: ``intent``/``shed``/``recovery`` records are counted,
 and a ``recovery`` re-settlement must reference a contract actually
 awarded on the record — recovery may close books, never invent them.
+
+The checks read one fold of the recording (:func:`fold_books`), and so
+do crash recovery, replay and the price board: one set of books.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.obs.flight import Recording, read_recording
@@ -112,27 +116,99 @@ def _price_of(bid: dict, completion: float, release: float) -> float:
     return vf.yield_at(delay)
 
 
+@dataclass
+class SiteBooks:
+    """One site's totals on the record: what its closing books must show."""
+
+    revenue: float = 0.0
+    contracts: int = 0
+    quotes_issued: int = 0
+    quotes_declined: int = 0
+
+
+@dataclass
+class Books:
+    """A recording's ledger, folded once by the audit's rules.
+
+    The first ``bid`` record of a bid id books the bid, the first
+    ``award`` of a contract id signs the contract, the first
+    ``settlement`` closes it; a later record under a booked id is a
+    repeat (:meth:`is_repeat`), never booked.  Every dict keeps
+    recording order, so a sum over it adds in the market's order.
+    """
+
+    #: every record, by kind, in recording order
+    records: dict[str, list[dict]] = field(default_factory=lambda: defaultdict(list))
+    #: the first ``bid`` record per bid id
+    bids: dict[int, dict] = field(default_factory=dict)
+    #: the best issued quote price per (site, bid)
+    quoted: dict[tuple[str, int], float] = field(default_factory=dict)
+    #: the first ``award`` record per contract id
+    awards: dict[int, dict] = field(default_factory=dict)
+    #: the first booked award per bid id
+    awards_by_bid: dict[int, dict] = field(default_factory=dict)
+    #: the first ``settlement`` record per contract id
+    settlements: dict[int, dict] = field(default_factory=dict)
+    #: per-site totals: booked awards and settlements, every quote
+    sites: dict[str, SiteBooks] = field(default_factory=lambda: defaultdict(SiteBooks))
+
+    def is_repeat(self, event: dict) -> bool:
+        """Whether a ``bid``/``award``/``settlement`` record went unbooked."""
+        if event["kind"] == "bid":
+            return self.bids[event["bid_id"]] is not event
+        booked = self.awards if event["kind"] == "award" else self.settlements
+        return booked[event["contract_id"]] is not event
+
+    def total_revenue(self) -> float:
+        """Settled revenue, summed per site in order of first settlement."""
+        order = dict.fromkeys(event["site_id"] for event in self.settlements.values())
+        return sum(self.sites[site_id].revenue for site_id in order)
+
+
+def fold_books(recording: Recording) -> Books:
+    """Fold *recording* into its :class:`Books`, in one pass."""
+    books = Books()
+    for event in recording.events:
+        kind = event["kind"]
+        books.records[kind].append(event)
+        if kind == "bid":
+            books.bids.setdefault(event["bid_id"], event)
+        elif kind == "quote":
+            site = books.sites[event["site_id"]]
+            if event["verdict"] == "issued":
+                site.quotes_issued += 1
+                key = (event["site_id"], event["bid_id"])
+                books.quoted[key] = max(books.quoted.get(key, -math.inf), event["price"])
+            else:
+                site.quotes_declined += 1
+        elif kind == "award":
+            if event["contract_id"] not in books.awards:
+                books.awards[event["contract_id"]] = event
+                books.awards_by_bid.setdefault(event["bid_id"], event)
+                books.sites[event["site_id"]].contracts += 1
+        elif kind == "settlement":
+            if event["contract_id"] not in books.settlements:
+                books.settlements[event["contract_id"]] = event
+                books.sites[event["site_id"]].revenue += event["price"]
+    return books
+
+
 def audit_recording(recording: Recording) -> AuditReport:
     """Check every economic invariant over *recording*'s ledger."""
     report = AuditReport(clock=recording.clock)
+    books = fold_books(recording)
+    bids = books.bids
 
-    bids: dict[int, dict] = {}
-    for event in recording.of_kind("bid"):
-        bid_id = event["bid_id"]
-        if bid_id in bids:
+    for event in books.records["bid"]:
+        if books.is_repeat(event):
             report.add(
                 "duplicate_bid",
-                f"bid {bid_id} recorded twice — task value created twice",
-                bid_id=bid_id,
+                f"bid {event['bid_id']} recorded twice — task value created twice",
+                bid_id=event["bid_id"],
                 seq=event["seq"],
             )
-        else:
-            bids[bid_id] = event
 
-    # issued quotes by (site, bid): the precondition for any award
-    quoted_price: dict[tuple[str, int], float] = {}
-    quotes = recording.of_kind("quote")
-    for event in quotes:
+    for event in books.records["quote"]:
         if event["bid_id"] not in bids:
             report.add(
                 "quote_unknown_bid",
@@ -142,14 +218,9 @@ def audit_recording(recording: Recording) -> AuditReport:
                 site_id=event["site_id"],
                 seq=event["seq"],
             )
-        if event["verdict"] == "issued":
-            key = (event["site_id"], event["bid_id"])
-            price = event["price"]
-            quoted_price[key] = max(quoted_price.get(key, -math.inf), price)
 
-    awards: dict[int, dict] = {}
-    awards_by_site: dict[str, int] = {}
-    for event in recording.of_kind("award"):
+    quoted_price = books.quoted  # the precondition for any award
+    for event in books.records["award"]:
         bid_id = event["bid_id"]
         site_id = event["site_id"]
         if bid_id not in bids:
@@ -179,32 +250,25 @@ def audit_recording(recording: Recording) -> AuditReport:
                 site_id=site_id,
                 seq=event["seq"],
             )
-        contract_id = event["contract_id"]
-        if contract_id in awards:
+        if books.is_repeat(event):
             report.add(
                 "duplicate_award",
-                f"contract {contract_id} awarded twice",
-                contract_id=contract_id,
+                f"contract {event['contract_id']} awarded twice",
+                contract_id=event["contract_id"],
                 seq=event["seq"],
             )
-        else:
-            awards[contract_id] = event
-            awards_by_site[site_id] = awards_by_site.get(site_id, 0) + 1
 
-    settled: set[int] = set()
-    revenue_by_site: dict[str, float] = {}
-    settlements = recording.of_kind("settlement")
-    for event in settlements:
+    awards = books.awards
+    for event in books.records["settlement"]:
         contract_id = event["contract_id"]
-        award = awards.get(contract_id)
-        if award is None:
+        if contract_id not in awards:
             report.add(
                 "settlement_without_award",
                 f"settlement of unknown contract {contract_id}",
                 contract_id=contract_id,
                 seq=event["seq"],
             )
-        if contract_id in settled:
+        if books.is_repeat(event):
             report.add(
                 "duplicate_settlement",
                 f"contract {contract_id} settled twice — value settles once",
@@ -212,10 +276,7 @@ def audit_recording(recording: Recording) -> AuditReport:
                 seq=event["seq"],
             )
             continue
-        settled.add(contract_id)
         price = event["price"]
-        site_id = event["site_id"]
-        revenue_by_site[site_id] = revenue_by_site.get(site_id, 0.0) + price
         bid = bids.get(event["bid_id"])
         if bid is None:
             continue  # already reported via the award/quote checks
@@ -254,7 +315,7 @@ def audit_recording(recording: Recording) -> AuditReport:
                 )
 
     for contract_id, award in sorted(awards.items()):
-        if contract_id not in settled:
+        if contract_id not in books.settlements:
             report.add(
                 "unsettled_contract",
                 f"contract {contract_id} (bid {award['bid_id']} at "
@@ -263,8 +324,7 @@ def audit_recording(recording: Recording) -> AuditReport:
                 site_id=award["site_id"],
             )
 
-    recoveries = recording.of_kind("recovery")
-    for event in recoveries:
+    for event in books.records["recovery"]:
         if event.get("action") != "resettle":
             continue
         contract_id = event.get("contract_id")
@@ -277,39 +337,37 @@ def audit_recording(recording: Recording) -> AuditReport:
                 seq=event["seq"],
             )
 
-    summaries = recording.of_kind("site_summary")
-    for event in summaries:
+    for event in books.records["site_summary"]:
         site_id = event["site_id"]
-        recorded = revenue_by_site.get(site_id, 0.0)
-        if abs(event["revenue"] - recorded) > CENT:
+        site = books.sites.get(site_id, SiteBooks())
+        if abs(event["revenue"] - site.revenue) > CENT:
             report.add(
                 "revenue_mismatch",
                 f"site {site_id} closing revenue {event['revenue']:.4f} != "
-                f"{recorded:.4f} summed from its settlements",
+                f"{site.revenue:.4f} summed from its settlements",
                 site_id=site_id,
                 seq=event["seq"],
             )
-        awarded = awards_by_site.get(site_id, 0)
-        if event["contracts"] != awarded:
+        if event["contracts"] != site.contracts:
             report.add(
                 "contract_count_mismatch",
                 f"site {site_id} closing books show {event['contracts']} "
-                f"contracts, recording has {awarded} awards",
+                f"contracts, recording has {site.contracts} awards",
                 site_id=site_id,
                 seq=event["seq"],
             )
 
     report.counts = {
         "bids": len(bids),
-        "quotes": len(quotes),
-        "quotes_issued": sum(1 for q in quotes if q["verdict"] == "issued"),
+        "quotes": len(books.records["quote"]),
+        "quotes_issued": sum(site.quotes_issued for site in books.sites.values()),
         "awards": len(awards),
-        "settlements": len(settlements),
-        "sites": len(summaries),
-        "intents": len(recording.of_kind("intent")),
-        "sheds": len(recording.of_kind("shed")),
-        "recoveries": len(recoveries),
-        "total_revenue": sum(revenue_by_site.values()),
+        "settlements": len(books.records["settlement"]),
+        "sites": len(books.records["site_summary"]),
+        "intents": len(books.records["intent"]),
+        "sheds": len(books.records["shed"]),
+        "recoveries": len(books.records["recovery"]),
+        "total_revenue": books.total_revenue(),
     }
     return report
 
@@ -354,6 +412,9 @@ def run_audit(args) -> int:
 __all__ = [
     "AUDIT_SCHEMA",
     "AuditReport",
+    "Books",
+    "SiteBooks",
+    "fold_books",
     "audit_recording",
     "add_audit_arguments",
     "run_audit",

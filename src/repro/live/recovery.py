@@ -30,6 +30,7 @@ import signal
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.audit import SiteBooks, fold_books
 from repro.errors import LiveServiceError
 from repro.obs.flight import Recording
 from repro.tasks.bid import ServerBid, TaskBid, reserve_bid_ids
@@ -48,36 +49,6 @@ class OrphanProcess:
     contract_id: Optional[int]
 
 
-@dataclass(frozen=True)
-class OpenContract:
-    """An award on the record with no matching settlement."""
-
-    contract_id: int
-    bid_id: int
-    site_id: str
-    task_tid: Optional[int]
-    signed_at: float
-    agreed_price: float
-    promised_completion: float
-    # the client bid's terms, replayed from its ``bid`` record
-    runtime: float
-    value: float
-    decay: float
-    bound: Optional[float]
-    client_id: Optional[str]
-    released_at: Optional[float]
-
-
-@dataclass
-class SiteBooks:
-    """Pre-crash totals for one site, to be carried into the restart."""
-
-    revenue: float = 0.0
-    contracts: int = 0
-    quotes_issued: int = 0
-    quotes_declined: int = 0
-
-
 @dataclass
 class RecoveryPlan:
     """Everything :func:`apply_recovery` needs, derived from the journal."""
@@ -87,9 +58,11 @@ class RecoveryPlan:
     next_bid_id: int
     next_contract_id: int
     next_task_tid: int
-    open_contracts: list[OpenContract] = field(default_factory=list)
+    #: ``(award, bid)`` records of every booked contract with no settlement
+    open_contracts: list[tuple[dict, dict]] = field(default_factory=list)
     orphans: list[OrphanProcess] = field(default_factory=list)
     responses: dict[str, object] = field(default_factory=dict)
+    #: the audit's per-site totals, carried into the restart
     books: dict[str, SiteBooks] = field(default_factory=dict)
 
 
@@ -97,7 +70,10 @@ def plan_recovery(recording: Recording) -> RecoveryPlan:
     """Derive a :class:`RecoveryPlan` from a parsed pre-crash journal.
 
     Pure over the recording: reads no clock, touches no process state.
-    Raises :class:`~repro.errors.LiveServiceError` when the journal is
+    Open contracts and carried totals are the audit's books
+    (:func:`~repro.audit.fold_books`); recovery's own are the ``intent``
+    records and the high-water marks for time, seq and ids.  Raises
+    :class:`~repro.errors.LiveServiceError` when the journal is
     internally inconsistent (an award referencing a bid that was never
     journaled — the write-ahead ordering makes that impossible short of
     journal corruption).
@@ -106,86 +82,39 @@ def plan_recovery(recording: Recording) -> RecoveryPlan:
         raise LiveServiceError(
             f"can only recover a live (wall-clock) journal, got {recording.clock!r}"
         )
-    resume_at = 0.0
-    max_seq = 0
-    max_bid = -1
-    max_contract = -1
-    max_tid = -1
-    bids: dict[int, dict] = {}
-    awards: dict[int, dict] = {}
-    settled: set[int] = set()
+    books = fold_books(recording)
+    resume_at = max([0.0, *(float(event["t"]) for event in recording.events)])
+    max_seq = max([0, *(event["seq"] for event in recording.events)])
+    awards = books.awards.values()
+    max_bid = max([*books.bids, *(award["bid_id"] for award in awards)], default=-1)
+    tids = [award["task_tid"] for award in awards if award.get("task_tid") is not None]
     spawns: dict[int, dict] = {}  # pid -> latest spawn intent
     responses: dict[str, object] = {}
-    books: dict[str, SiteBooks] = {}
+    for event in books.records["intent"]:
+        action = event.get("action")
+        if action == "spawn" and event.get("pid") is not None:
+            spawns[event["pid"]] = event
+        elif action == "response" and event.get("idempotency_key"):
+            responses[str(event["idempotency_key"])] = event.get("response")
+        elif action == "accept" and event.get("bid_id") is not None:
+            max_bid = max(max_bid, event["bid_id"])
 
-    def site_books(site_id: str) -> SiteBooks:
-        return books.setdefault(site_id, SiteBooks())
-
-    for event in recording.events:
-        resume_at = max(resume_at, float(event.get("t", 0.0)))
-        max_seq = max(max_seq, int(event.get("seq", 0)))
-        kind = event["kind"]
-        if kind == "bid":
-            bids[event["bid_id"]] = event
-            max_bid = max(max_bid, int(event["bid_id"]))
-        elif kind == "site":
-            site_books(event["site_id"])
-        elif kind == "quote":
-            if event.get("verdict") == "issued":
-                site_books(event["site_id"]).quotes_issued += 1
-            else:
-                site_books(event["site_id"]).quotes_declined += 1
-        elif kind == "award":
-            awards[event["contract_id"]] = event
-            max_contract = max(max_contract, int(event["contract_id"]))
-            max_bid = max(max_bid, int(event["bid_id"]))
-            if event.get("task_tid") is not None:
-                max_tid = max(max_tid, int(event["task_tid"]))
-            site_books(event["site_id"]).contracts += 1
-        elif kind == "settlement":
-            settled.add(event["contract_id"])
-            site_books(event["site_id"]).revenue += float(event["price"])
-        elif kind == "intent":
-            action = event.get("action")
-            if action == "spawn" and event.get("pid") is not None:
-                spawns[int(event["pid"])] = event
-            elif action == "response" and event.get("idempotency_key"):
-                responses[str(event["idempotency_key"])] = event.get("response")
-            elif action == "accept" and event.get("bid_id") is not None:
-                max_bid = max(max_bid, int(event["bid_id"]))
-
-    open_contracts: list[OpenContract] = []
-    for contract_id, award in sorted(awards.items()):
-        if contract_id in settled:
+    open_contracts: list[tuple[dict, dict]] = []
+    for contract_id, award in sorted(books.awards.items()):
+        if contract_id in books.settlements:
             continue
-        bid = bids.get(award["bid_id"])
+        bid = books.bids.get(award["bid_id"])
         if bid is None:
             raise LiveServiceError(
                 f"journal corrupt: award for contract {contract_id} references "
                 f"bid {award['bid_id']} with no bid record"
             )
-        open_contracts.append(
-            OpenContract(
-                contract_id=int(contract_id),
-                bid_id=int(award["bid_id"]),
-                site_id=str(award["site_id"]),
-                task_tid=award.get("task_tid"),
-                signed_at=float(award["t"]),
-                agreed_price=float(award["agreed_price"]),
-                promised_completion=float(award["promised_completion"]),
-                runtime=float(bid["runtime"]),
-                value=float(bid["value"]),
-                decay=float(bid["decay"]),
-                bound=bid.get("bound"),
-                client_id=bid.get("client_id"),
-                released_at=bid.get("released_at"),
-            )
-        )
+        open_contracts.append((award, bid))
 
-    open_ids = {oc.contract_id for oc in open_contracts}
+    open_ids = {award["contract_id"] for award, _ in open_contracts}
     orphans = [
         OrphanProcess(
-            pid=int(spawn["pid"]),
+            pid=spawn["pid"],
             argv0=spawn.get("argv0"),
             site_id=spawn.get("site_id"),
             task_tid=spawn.get("task_tid"),
@@ -199,12 +128,12 @@ def plan_recovery(recording: Recording) -> RecoveryPlan:
         resume_at=resume_at,
         next_seq=max_seq,
         next_bid_id=max_bid + 1,
-        next_contract_id=max_contract + 1,
-        next_task_tid=max_tid + 1,
+        next_contract_id=max(books.awards, default=-1) + 1,
+        next_task_tid=max(tids, default=-1) + 1,
         open_contracts=open_contracts,
         orphans=orphans,
         responses=responses,
-        books=books,
+        books=books.sites,
     )
 
 
@@ -245,29 +174,29 @@ def kill_orphans(orphans: list[OrphanProcess]) -> list[OrphanProcess]:
     return killed
 
 
-def rebuild_contract(oc: OpenContract) -> Contract:
-    """Reconstruct a pre-crash contract from its journal records."""
-    bid = TaskBid(
-        runtime=oc.runtime,
-        value=oc.value,
-        decay=oc.decay,
-        bound=oc.bound,
-        client_id=oc.client_id,
-        released_at=oc.released_at,
-        bid_id=oc.bid_id,
+def rebuild_contract(award: dict, bid: dict) -> Contract:
+    """Reconstruct a pre-crash contract from its ``award`` and ``bid`` records."""
+    task_bid = TaskBid(
+        runtime=float(bid["runtime"]),
+        value=float(bid["value"]),
+        decay=float(bid["decay"]),
+        bound=bid.get("bound"),
+        client_id=bid.get("client_id"),
+        released_at=bid.get("released_at"),
+        bid_id=award["bid_id"],
     )
     server_bid = ServerBid(
-        site_id=oc.site_id,
-        bid_id=oc.bid_id,
-        expected_completion=oc.promised_completion,
-        expected_price=oc.agreed_price,
+        site_id=award["site_id"],
+        bid_id=award["bid_id"],
+        expected_completion=float(award["promised_completion"]),
+        expected_price=float(award["agreed_price"]),
         expected_slack=0.0,
     )
-    contract = Contract(bid, server_bid, signed_at=oc.signed_at)
+    contract = Contract(task_bid, server_bid, signed_at=float(award["t"]))
     # __init__ drew a fresh id; restore the journaled identity so the
     # stitched settlement matches its award
-    contract.contract_id = oc.contract_id
-    contract.task_tid = oc.task_tid
+    contract.contract_id = award["contract_id"]
+    contract.task_tid = award.get("task_tid")
     return contract
 
 
@@ -275,11 +204,11 @@ def apply_recovery(service, plan: RecoveryPlan, now: float) -> int:
     """Execute *plan* against a freshly built service at time *now*.
 
     Order matters: orphans die first (nothing may mutate contract state
-    while we settle it), then open contracts settle as abandonments,
-    then the books and dedup table are seeded, and finally the id
-    counters are reserved past everything on the record.  Each step is
-    journaled as a ``recovery`` record; returns the number of contracts
-    re-settled.
+    while we settle it), then the carried books are seeded and open
+    contracts settle onto them as abandonments, then the dedup table is
+    seeded, and finally the id counters are reserved past everything on
+    the record.  Each step is journaled as a ``recovery`` record;
+    returns the number of contracts re-settled.
     """
     flight = service.flight
     if flight is not None:
@@ -304,34 +233,37 @@ def apply_recovery(service, plan: RecoveryPlan, now: float) -> int:
                 killed=orphan in killed,
             )
 
-    resettled = 0
-    for oc in plan.open_contracts:
-        contract = rebuild_contract(oc)
-        release = oc.released_at if oc.released_at is not None else oc.signed_at
-        price = contract.settle_abandoned(now, release=release)
-        if oc.site_id in plan.books:
-            plan.books[oc.site_id].revenue += price
-        if flight is not None:
-            flight.recovery(
-                now,
-                "resettle",
-                contract_id=oc.contract_id,
-                bid_id=oc.bid_id,
-                site_id=oc.site_id,
-                price=price,
-            )
-            flight.settlement(now, contract, "abandoned")
-        resettled += 1
-
-    for site in service.sites:
+    sites = {site.site_id: site for site in service.sites}
+    for site_id, carried in plan.books.items():
         # the drain-time site summary reconciles against every settlement
         # and award in the stitched journal, not only this process's
-        carried = plan.books.get(site.site_id)
-        if carried is not None:
+        site = sites.get(site_id)
+        if site is not None:
             site.revenue += carried.revenue
             site.contracts_signed += carried.contracts
             site.quotes_issued += carried.quotes_issued
             site.quotes_declined += carried.quotes_declined
+
+    for award, bid in plan.open_contracts:
+        contract = rebuild_contract(award, bid)
+        release = bid.get("released_at")
+        price = contract.settle_abandoned(
+            now, release=contract.signed_at if release is None else release
+        )
+        site = sites.get(contract.site_id)
+        if site is not None:
+            site.revenue += price
+        if flight is not None:
+            flight.recovery(
+                now,
+                "resettle",
+                contract_id=contract.contract_id,
+                bid_id=contract.bid.bid_id,
+                site_id=contract.site_id,
+                price=price,
+            )
+            flight.settlement(now, contract, "abandoned")
+
     for key, doc in plan.responses.items():
         service.restore_response(key, doc)
 
@@ -343,9 +275,9 @@ def apply_recovery(service, plan: RecoveryPlan, now: float) -> int:
         flight.recovery(
             now,
             "resume",
-            resettled=resettled,
+            resettled=len(plan.open_contracts),
             killed=len(killed),
             next_bid_id=plan.next_bid_id,
             next_contract_id=plan.next_contract_id,
         )
-    return resettled
+    return len(plan.open_contracts)

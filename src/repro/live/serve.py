@@ -23,6 +23,7 @@ import os
 import signal
 import sys
 
+from repro.errors import LiveServiceError, ReproError
 from repro.live.config import LiveConfig, LiveSiteSpec
 from repro.live.httpd import start_http
 from repro.live.service import LiveService
@@ -153,7 +154,10 @@ async def _serve(config: LiveConfig, args: argparse.Namespace) -> int:
     if recover_path:
         from repro.live.recovery import plan_recovery
 
-        plan = plan_recovery(read_recording(recover_path))
+        try:
+            plan = plan_recovery(read_recording(recover_path))
+        except (OSError, ValueError, LiveServiceError) as exc:
+            raise ReproError(f"cannot recover {recover_path}: {exc}") from None
 
     flight = None
     if journal_path:
@@ -229,11 +233,13 @@ async def _serve(config: LiveConfig, args: argparse.Namespace) -> int:
     for line in write_artifacts(obs, args.trace_out, args.metrics_out):
         print(line)
 
-    status = service.status()
-    settled = sum(1 for r in service.records if r.contract is not None)
+    # the totals the closing site_summary records carry, recovered
+    # pre-crash books included
+    contracts = sum(site.contracts_signed for site in service.sites)
+    revenue = sum(site.revenue for site in service.sites)
     print(
         f"drained: {service.broker.negotiations} negotiation(s), "
-        f"{settled} contract(s), revenue {status['revenue']:.2f}"
+        f"{contracts} contract(s), revenue {revenue:.2f}"
     )
     return 1 if service.errors else 0
 

@@ -199,7 +199,6 @@ class LiveService:
         # the default strategy, as in the simulated market: best yield
         self.broker = Broker(self.sites)
         self.broker.open_books(flight)
-        self.records: list[LiveRecord] = []
         self._record_of_task: dict[int, LiveRecord] = {}
         self.idempotency = IdempotencyTable()
         #: bids refused at the queue watermark (429 answers)
@@ -306,7 +305,6 @@ class LiveService:
             record.reason = (
                 "no site quoted" if not outcome.quotes else "no quote selected"
             )
-        self.records.append(record)
         return record
 
     def submit_bids(self, requests: list[BidRequest]) -> list[LiveRecord]:

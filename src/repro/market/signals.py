@@ -16,6 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Optional
 
+from repro.audit import fold_books
 from repro.errors import MarketError
 from repro.tasks.contract import Contract
 
@@ -104,13 +105,13 @@ def board_from_recording(recording, window: int = 256) -> PriceBoard:
     """Rebuild a :class:`PriceBoard` from a flight recording's settlements.
 
     The §2 published-contract-summaries signal, derived offline: each
-    ``settlement`` event becomes a :class:`PricePoint`, in recording
-    order, through the same rolling window as a live board.  Works on
-    sim and live recordings alike (times are in the recording's clock
-    domain).
+    booked settlement (the first per contract, as the audit books it)
+    becomes a :class:`PricePoint`, in recording order, through the same
+    rolling window as a live board.  Works on sim and live recordings
+    alike (times are in the recording's clock domain).
     """
     board = PriceBoard(window=window)
-    for event in recording.of_kind("settlement"):
+    for event in fold_books(recording).settlements.values():
         completion = event.get("completion")
         board.publish_point(
             PricePoint(

@@ -19,9 +19,12 @@ The JSONL layout is one header line followed by one object per event::
     {"seq": 1, "kind": "bid", "t": 0.0, "bid_id": 7, ...}
     {"seq": 2, "kind": "quote", "t": 0.0, "site_id": "site-0", ...}
 
-Consumers: ``repro.audit`` (double-entry ledger checks),
-``repro.replay`` (trace reconstruction + A/B policy re-runs), and
-``repro.market.signals.board_from_recording`` (price-board rebuilds).
+Consumers: ``repro.audit`` (double-entry ledger checks, and the one
+fold of a recording into its books), ``repro.replay`` (trace
+reconstruction + A/B policy re-runs), ``repro.live.recovery`` (crash
+recovery) and ``repro.market.signals.board_from_recording`` (price-board
+rebuilds).  :func:`read_recording` hands them only records shaped as
+:data:`RECORD_FIELDS` says.
 """
 
 from __future__ import annotations
@@ -35,21 +38,81 @@ from typing import IO, Callable, Optional
 #: Bump when record fields/semantics change incompatibly.
 FLIGHT_SCHEMA = 1
 
-#: Every record kind the schema knows (audited by tests).
-RECORD_KINDS = (
-    "header",
-    "site",
-    "bid",
-    "quote",
-    "award",
-    "settlement",
-    "breaker",
-    "site_summary",
+_NUMBER = (int, float)
+_OPTIONAL_NUMBER = (int, float, type(None))
+_OPTIONAL_INT = (int, type(None))
+
+#: The fields every record carries (the header is no record).
+_EVERY_RECORD: dict[str, tuple[type, ...]] = {"seq": (int,), "t": _NUMBER}
+
+#: The fields each record kind must also carry, with the JSON types each
+#: may hold — only the fields the readers (audit, replay, crash recovery,
+#: the price board) index.  A field that may be null may also be absent:
+#: readers ``.get`` it.
+RECORD_FIELDS: dict[str, dict[str, tuple[type, ...]]] = {
+    "site": {
+        "site_id": (str,),
+        "capacity": (int,),
+        "heuristic": (str,),
+        "threshold": _OPTIONAL_NUMBER,
+        "discount_rate": _OPTIONAL_NUMBER,
+        "heuristic_params": (dict, type(None)),
+    },
+    "bid": {
+        "bid_id": (int,),
+        "runtime": _NUMBER,
+        "value": _NUMBER,
+        "decay": _NUMBER,
+        "bound": _OPTIONAL_NUMBER,
+        "released_at": _OPTIONAL_NUMBER,
+        "client_id": (str, type(None)),
+    },
+    "quote": {"site_id": (str,), "bid_id": (int,), "verdict": (str,)},
+    "award": {
+        "bid_id": (int,),
+        "site_id": (str,),
+        "contract_id": (int,),
+        "agreed_price": _NUMBER,
+        "promised_completion": _NUMBER,
+        "task_tid": _OPTIONAL_INT,
+    },
+    "settlement": {
+        "contract_id": (int,),
+        "bid_id": (int,),
+        "site_id": (str,),
+        "outcome": (str,),
+        "price": _NUMBER,
+        "agreed_price": _NUMBER,
+        "completion": _OPTIONAL_NUMBER,
+        "on_time": (bool,),
+        "runtime": _NUMBER,
+    },
+    "breaker": {},
+    "site_summary": {"site_id": (str,), "revenue": _NUMBER, "contracts": (int,)},
     # durability layer (live service write-ahead journal)
-    "intent",
-    "recovery",
-    "shed",
-)
+    "intent": {"bid_id": _OPTIONAL_INT, "pid": _OPTIONAL_INT},
+    "recovery": {"contract_id": _OPTIONAL_INT},
+    "shed": {},
+    # written while quotes could expire; no reader indexes it, and it
+    # leaves the schema with the expires_at column
+    "quote_expired": {},
+}
+
+#: A field one value of another field makes required, per kind: an
+#: issued quote has a price, a completed contract a completion time.
+_REQUIRED_WHEN: dict[str, tuple[str, str, str, tuple[type, ...]]] = {
+    "quote": ("verdict", "issued", "price", _NUMBER),
+    "settlement": ("outcome", "completed", "completion", _NUMBER),
+}
+
+#: What the reader checks per kind: every field, the common ones first.
+_CHECKS = {
+    kind: tuple({**_EVERY_RECORD, **fields}.items())
+    for kind, fields in RECORD_FIELDS.items()
+}
+
+#: Every record kind the schema knows (audited by tests).
+RECORD_KINDS = ("header", *RECORD_FIELDS)
 
 #: Settlement outcomes (the three ways a contract closes).
 SETTLEMENT_OUTCOMES = ("completed", "breached", "abandoned")
@@ -115,12 +178,6 @@ _FLOAT_FIELDS = frozenset({
     "retry_after_s", "revenue",
 })
 _SENTINELS = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
-
-
-def _from_jsonable(key: str, value: object) -> object:
-    if isinstance(value, str) and key in _FLOAT_FIELDS:
-        return _SENTINELS.get(value, value)
-    return value
 
 
 @dataclass
@@ -528,9 +585,11 @@ class FlightRecorder:
 def read_recording(path: str) -> Recording:
     """Parse a JSONL flight recording written by :class:`FlightRecorder`.
 
-    Raises :class:`ValueError` on a missing/garbled header or a schema
-    the reader does not understand; malformed trailing lines (a crashed
-    writer's torn final record) are tolerated and dropped.
+    Raises :class:`ValueError` ("<path>:<line>: …") on a missing or
+    garbled header, a schema the reader does not understand, or a record
+    that is not a JSON object of a known kind carrying the fields
+    :data:`RECORD_FIELDS` lists for it.  Only an undecodable final line
+    (a crashed writer's torn record) is tolerated, and dropped.
     """
     with open(path, encoding="utf-8") as handle:
         lines = handle.read().splitlines()
@@ -556,9 +615,39 @@ def read_recording(path: str) -> Recording:
             continue
         try:
             raw = json.loads(line)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
             if index == len(lines):
                 break  # torn final line from an interrupted writer
             raise ValueError(f"{path}:{index}: unreadable record") from None
-        events.append({k: _from_jsonable(k, v) for k, v in raw.items()})
+        if type(raw) is not dict:
+            raise ValueError(f"{path}:{index}: record is not a JSON object")
+        if 'inf"' in line or 'nan"' in line:
+            # a sentinel may be in there ("inf", "-inf", "nan")
+            raw = {
+                k: _SENTINELS.get(v, v) if type(v) is str and k in _FLOAT_FIELDS else v
+                for k, v in raw.items()
+            }
+        problem = _malformed(raw)
+        if problem is not None:
+            raise ValueError(f"{path}:{index}: {problem}")
+        events.append(raw)
     return Recording(schema=schema, clock=clock, events=events)
+
+
+def _malformed(event: dict) -> Optional[str]:
+    """What keeps *event* from being a record the readers can index."""
+    kind = event.get("kind")
+    if kind is None:
+        return "record has no kind"
+    checks = _CHECKS.get(kind) if type(kind) is str else None
+    if checks is None:
+        return f"unknown record kind {kind!r}"
+    for name, types in checks:
+        if type(event.get(name)) not in types:
+            return f"{kind} record has no valid {name!r}: {event.get(name)!r}"
+    required = _REQUIRED_WHEN.get(kind)
+    if required is not None:
+        key, value, name, types = required
+        if event[key] == value and type(event.get(name)) not in types:
+            return f"{value} {kind} record has no valid {name!r}: {event.get(name)!r}"
+    return None

@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.audit import Books, fold_books
 from repro.obs.flight import FlightRecorder, Recording, read_recording
 
 #: Bump when the replay-report layout changes incompatibly.
@@ -145,13 +146,16 @@ def trace_from_recording(recording: Recording):
 
 
 def _site_configs(recording: Recording) -> list[dict]:
-    configs = list(recording.of_kind("site"))
+    configs: dict[str, dict] = {}
+    for config in recording.of_kind("site"):
+        # first record wins, as on the books (a restart re-journals sites)
+        configs.setdefault(config["site_id"], config)
     if not configs:
         raise ValueError(
             "recording has no site records; it predates the flight schema "
             "or the recorder was attached after startup"
         )
-    return configs
+    return list(configs.values())
 
 
 def _build_sites(sim, configs: Sequence[dict], policy: PolicySpec) -> list:
@@ -194,28 +198,27 @@ def _build_sites(sim, configs: Sequence[dict], policy: PolicySpec) -> list:
 # Replay + A/B analysis
 # ----------------------------------------------------------------------
 
-def _fates(bid_events: Sequence[dict], recording: Recording) -> list[dict]:
+def _fates(bid_events: Sequence[dict], books: Books) -> list[dict]:
     """Per-ordinal fate (accepted? by which site? outcome?) of each bid."""
-    awards = {e["bid_id"]: e for e in recording.of_kind("award")}
-    outcomes = {e["bid_id"]: e["outcome"] for e in recording.of_kind("settlement")}
     fates = []
     for event in bid_events:
-        award = awards.get(event["bid_id"])
+        award = books.awards_by_bid.get(event["bid_id"], {})
+        settlement = books.settlements.get(award.get("contract_id"), {})
         fates.append(
             {
-                "accepted": award is not None,
-                "site": award["site_id"] if award else None,
-                "outcome": outcomes.get(event["bid_id"]),
+                "accepted": bool(award),
+                "site": award.get("site_id"),
+                "outcome": settlement.get("outcome"),
             }
         )
     return fates
 
 
-def _ledger_row(name: str, recording: Recording, offered_value: float) -> dict:
-    """Summarize one recording's economics as an A/B table row."""
-    bids = len(recording.of_kind("bid"))
-    awards = len(recording.of_kind("award"))
-    settlements = recording.of_kind("settlement")
+def _ledger_row(name: str, books: Books, offered_value: float) -> dict:
+    """Summarize one recording's booked economics as an A/B table row."""
+    bids = len(books.records["bid"])
+    awards = len(books.awards)
+    settlements = books.settlements.values()
     revenue = sum(e["price"] for e in settlements)
     breaches = sum(1 for e in settlements if e["outcome"] != "completed")
     return {
@@ -258,9 +261,10 @@ def replay_recording(
     trace, bid_events = trace_from_recording(recording)
     configs = _site_configs(recording)
     offered_value = float(trace.value.sum())
-    baseline_fates = _fates(bid_events, recording)
+    books = fold_books(recording)
+    baseline_fates = _fates(bid_events, books)
 
-    rows = [_ledger_row("recorded", recording, offered_value)]
+    rows = [_ledger_row("recorded", books, offered_value)]
     divergences: dict[str, dict] = {}
     for policy in policies:
         from repro.sim.kernel import Simulator
@@ -274,10 +278,10 @@ def replay_recording(
         )
         shadow = FlightRecorder(clock_domain="sim")
         run_market(trace, sites, broker=broker, flight=shadow)
-        replayed = shadow.recording()
+        replayed = fold_books(shadow.recording())
         rows.append(_ledger_row(policy.name, replayed, offered_value))
 
-        replay_fates = _fates(list(replayed.of_kind("bid")), replayed)
+        replay_fates = _fates(replayed.records["bid"], replayed)
         changed = []
         for ordinal, (before, after) in enumerate(zip(baseline_fates, replay_fates)):
             if before["accepted"] == after["accepted"] and before["site"] == after["site"]:

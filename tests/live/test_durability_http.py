@@ -73,10 +73,10 @@ def test_handle_bids_replays_without_renegotiating():
     service, _ = scripted_service(_config())
     doc, replayed = service.handle_bids([_bid(0)], idempotency_key="k-1")
     assert not replayed
-    negotiations = len(service.records)
+    negotiations = service.broker.negotiations
     replay, flag = service.handle_bids([_bid(0)], idempotency_key="k-1")
     assert flag and replay is doc
-    assert len(service.records) == negotiations, "replay must not negotiate"
+    assert service.broker.negotiations == negotiations, "replay must not negotiate"
     assert json.dumps(replay) == json.dumps(doc)
 
 

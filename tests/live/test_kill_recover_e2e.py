@@ -12,6 +12,7 @@ resume intake with fresh ids, and (4) produce a stitched journal that
 from __future__ import annotations
 
 import json
+import re
 import signal
 import subprocess
 import sys
@@ -160,6 +161,13 @@ def test_sigkill_then_recover_leaves_no_zombies(tmp_path):
         )
         assert audit.returncode == 0, audit.stdout + audit.stderr
         assert "ledger is clean" in audit.stdout
+        # the drain summary counts the stitched books, pre-crash included
+        [drained] = [
+            line for line in recovered.stdout.read().splitlines()
+            if line.startswith("drained:")
+        ]
+        contracts = re.search(r"(\d+) contract\(s\)", drained).group(1)
+        assert f" {contracts} awards," in audit.stdout, (drained, audit.stdout)
     finally:
         for p in (proc, recovered):
             if p is not None and p.poll() is None:

@@ -72,24 +72,27 @@ def _crash_a_service(path, n_bids=3):
 def test_plan_recovery_finds_open_contracts_and_responses(tmp_path):
     path = str(tmp_path / "journal.jsonl")
     crashed, docs = _crash_a_service(path, n_bids=3)
-    accepted = [r for r in crashed.records if r.accepted]
+    accepted = crashed.task_records()
     assert accepted, "nothing contracted; the scenario is vacuous"
 
-    plan = plan_recovery(read_recording(path))
+    recording = read_recording(path)
+    plan = plan_recovery(recording)
     assert len(plan.open_contracts) == len(accepted)
-    open_ids = {oc.contract_id for oc in plan.open_contracts}
+    open_ids = {award["contract_id"] for award, _ in plan.open_contracts}
     assert open_ids == {r.contract.contract_id for r in accepted}
-    for oc in plan.open_contracts:
-        record = next(r for r in accepted if r.contract.contract_id == oc.contract_id)
-        assert oc.agreed_price == pytest.approx(record.contract.agreed_price)
-        assert oc.runtime == record.bid.runtime
-        assert oc.client_id == record.bid.client_id
+    for award, bid in plan.open_contracts:
+        record = next(
+            r for r in accepted if r.contract.contract_id == award["contract_id"]
+        )
+        assert award["agreed_price"] == pytest.approx(record.contract.agreed_price)
+        assert bid["runtime"] == record.bid.runtime
+        assert bid["client_id"] == record.bid.client_id
     # every keyed response is restorable, verbatim
     assert set(plan.responses) == set(docs)
     assert plan.responses["key-0"] == docs["key-0"]
     # id floors clear everything on the record
-    assert plan.next_bid_id > max(r.bid.bid_id for r in crashed.records)
-    assert plan.next_contract_id > max(oc.contract_id for oc in plan.open_contracts)
+    assert plan.next_bid_id > max(e["bid_id"] for e in recording.of_kind("bid"))
+    assert plan.next_contract_id > max(open_ids)
     assert plan.resume_at > 0.0
     assert plan.books["live-0"].contracts == len(accepted)
 
@@ -116,13 +119,13 @@ def test_plan_recovery_rejects_award_without_bid(tmp_path):
 def test_settled_contracts_are_not_replanned(tmp_path):
     path = str(tmp_path / "journal.jsonl")
     crashed, _ = _crash_a_service(path, n_bids=2)
-    accepted = [r for r in crashed.records if r.accepted]
+    accepted = crashed.task_records()
     # settle one on the record: recovery must only re-settle the other
     first = accepted[0].contract
     first.settle_abandoned(crashed.clock.now, release=first.signed_at)
     crashed.flight.settlement(crashed.clock.now, first, "abandoned")
     plan = plan_recovery(read_recording(path))
-    assert {oc.contract_id for oc in plan.open_contracts} == {
+    assert {award["contract_id"] for award, _ in plan.open_contracts} == {
         r.contract.contract_id for r in accepted[1:]
     }
 
@@ -130,10 +133,10 @@ def test_settled_contracts_are_not_replanned(tmp_path):
 def test_rebuild_contract_round_trips_identity(tmp_path):
     path = str(tmp_path / "journal.jsonl")
     crashed, _ = _crash_a_service(path, n_bids=1)
-    [record] = [r for r in crashed.records if r.accepted]
+    [record] = crashed.task_records()
     plan = plan_recovery(read_recording(path))
-    [oc] = plan.open_contracts
-    rebuilt = rebuild_contract(oc)
+    [(award, bid)] = plan.open_contracts
+    rebuilt = rebuild_contract(award, bid)
     assert rebuilt.contract_id == record.contract.contract_id
     assert rebuilt.bid.bid_id == record.bid.bid_id
     assert rebuilt.task_tid == record.contract.task_tid
@@ -145,7 +148,7 @@ def test_rebuild_contract_round_trips_identity(tmp_path):
 def test_apply_recovery_resettles_and_replays(tmp_path):
     path = str(tmp_path / "journal.jsonl")
     crashed, docs = _crash_a_service(path, n_bids=3)
-    accepted = [r for r in crashed.records if r.accepted]
+    accepted = crashed.task_records()
     plan = plan_recovery(read_recording(path))
 
     sink = JournalSink(path, fsync="always", append=True)
@@ -186,7 +189,7 @@ def test_apply_recovery_resettles_and_replays(tmp_path):
         e["contract_id"] for e in recording.of_kind("recovery")
         if e["action"] == "resettle"
     }
-    assert resettle_ids == {oc.contract_id for oc in plan.open_contracts}
+    assert resettle_ids == {award["contract_id"] for award, _ in plan.open_contracts}
     # books carried across the crash: revenue matches the settlements
     settled_prices = [e["price"] for e in recording.of_kind("settlement")]
     assert service.sites[0].revenue == pytest.approx(sum(settled_prices))
@@ -253,6 +256,13 @@ def test_recovered_service_accepts_new_work(tmp_path):
     assert record.task.state.value == "completed"
     # the stitched journal holds the conservation laws end to end
     from repro.audit import audit_recording
+    from repro.replay import parse_policy, replay_recording
 
-    report = audit_recording(read_recording(path))
+    recording = read_recording(path)
+    report = audit_recording(recording)
     assert report.ok, report.violations
+    # the restart journaled its sites again; the first record configures
+    # the replay
+    assert len(recording.of_kind("site")) == 2
+    doc = replay_recording(recording, [parse_policy("recorded")])
+    assert [row["policy"] for row in doc["table"]] == ["recorded", "recorded"]

@@ -62,8 +62,8 @@ class TestFileRoundtrip:
     def test_header_then_events_roundtrip(self, tmp_path):
         path = str(tmp_path / "flight.jsonl")
         with FlightRecorder(path, clock_domain="wall") as rec:
-            rec.record("bid", 2.0, bid_id=11, value=40.0)
-            rec.record("quote", 2.0, site_id="s0", verdict="declined")
+            rec.record("bid", 2.0, bid_id=11, runtime=1.0, value=40.0, decay=0.0)
+            rec.record("quote", 2.0, site_id="s0", bid_id=11, verdict="declined")
         lines = (tmp_path / "flight.jsonl").read_text().splitlines()
         assert json.loads(lines[0]) == {
             "kind": "header",
@@ -83,8 +83,11 @@ class TestFileRoundtrip:
         memory = FlightRecorder(clock_domain="wall")
         with FlightRecorder(path, clock_domain="wall") as journaled:
             for rec in (journaled, memory):
-                row = rec.record("bid", 2.0, bid_id=11, value=40.0)
-                assert row == {"seq": 1, "kind": "bid", "t": 2.0, "bid_id": 11, "value": 40.0}
+                row = rec.record("bid", 2.0, bid_id=11, runtime=1.0, value=40.0, decay=0.0)
+                assert row == {
+                    "seq": 1, "kind": "bid", "t": 2.0,
+                    "bid_id": 11, "runtime": 1.0, "value": 40.0, "decay": 0.0,
+                }
                 rec.breaker(3.0, "s0", "closed", "open")
             assert journaled.events == [] and len(memory.events) == 2
             assert journaled.recording() == memory.recording()
@@ -93,7 +96,10 @@ class TestFileRoundtrip:
     def test_infinities_survive_the_json_roundtrip(self, tmp_path):
         path = str(tmp_path / "inf.jsonl")
         with FlightRecorder(path) as rec:
-            rec.record("bid", 0.0, bound=math.inf, slack=-math.inf)
+            rec.record(
+                "bid", 0.0, bid_id=1, runtime=1.0, value=1.0, decay=0.0,
+                bound=math.inf, slack=-math.inf,
+            )
         parsed = read_recording(path)
         assert parsed.events[0]["bound"] == math.inf
         assert parsed.events[0]["slack"] == -math.inf
@@ -121,9 +127,11 @@ class TestFileRoundtrip:
                     rec.site_open(0.0, name, 4, "firstprice", threshold=-math.inf)
                     rec.shed(1.0, 3, 2, 0.5, client_id=name)
                     rec.intent(1.0, "response", idempotency_key=name, response={"ok": True})
-                    rec.record("quote", 2.0, site_id=name, verdict="declined", slack=math.inf)
-                    rec.record("quote", 2.0, site_id=name, verdict="declined", slack=-math.inf)
-                    rec.record("quote", 2.0, site_id=name, verdict="declined", slack=math.nan)
+                    for slack in (math.inf, -math.inf, math.nan):
+                        rec.record(
+                            "quote", 2.0, site_id=name, bid_id=bid.bid_id,
+                            verdict="declined", slack=slack,
+                        )
             assert journaled.events == []
         written = memory.events
         parsed = read_recording(path)
@@ -165,8 +173,8 @@ class TestFileRoundtrip:
     def test_torn_final_line_is_tolerated(self, tmp_path):
         path = str(tmp_path / "torn.jsonl")
         with FlightRecorder(path) as rec:
-            rec.record("bid", 0.0, bid_id=1)
-            rec.record("bid", 1.0, bid_id=2)
+            rec.record("bid", 0.0, bid_id=1, runtime=1.0, value=1.0, decay=0.0)
+            rec.record("bid", 1.0, bid_id=2, runtime=1.0, value=1.0, decay=0.0)
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"seq": 3, "kind": "bi')  # crashed writer
         parsed = read_recording(path)
@@ -175,9 +183,9 @@ class TestFileRoundtrip:
     def test_torn_interior_line_is_an_error(self, tmp_path):
         path = str(tmp_path / "bad.jsonl")
         with FlightRecorder(path) as rec:
-            rec.record("bid", 0.0)
+            rec.record("shed", 0.0)
         text = (tmp_path / "bad.jsonl").read_text()
-        (tmp_path / "bad.jsonl").write_text(text + "not json\n" + '{"seq": 2, "kind": "bid", "t": 1.0}\n')
+        (tmp_path / "bad.jsonl").write_text(text + "not json\n" + '{"seq": 2, "kind": "shed", "t": 1.0}\n')
         with pytest.raises(ValueError, match="unreadable record"):
             read_recording(path)
 

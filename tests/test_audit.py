@@ -2,12 +2,18 @@
 
 import copy
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.audit import AUDIT_SCHEMA, audit_recording
 from repro.cli import main
-from repro.obs.flight import FlightRecorder
+from repro.live.recovery import plan_recovery
+from repro.obs.flight import FlightRecorder, read_recording
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _copy(recording):
@@ -20,6 +26,59 @@ def _first(recording, kind):
 
 def _codes(report):
     return {v["code"] for v in report.violations}
+
+
+#: A wall-clock journal holding one open contract: bid 1, awarded to s0
+#: at its issued quote and never settled.
+_JOURNAL = [
+    {"kind": "header", "schema": 1, "clock": "wall"},
+    {
+        "seq": 1, "kind": "site", "t": 0.0, "site_id": "s0", "capacity": 1,
+        "heuristic": "firstprice", "threshold": None, "discount_rate": None,
+        "heuristic_params": None,
+    },
+    {
+        "seq": 2, "kind": "bid", "t": 0.0, "bid_id": 1, "client_id": None,
+        "runtime": 4.0, "value": 50.0, "decay": 0.1, "bound": None,
+        "released_at": 0.0,
+    },
+    {
+        "seq": 3, "kind": "quote", "t": 0.0, "site_id": "s0", "bid_id": 1,
+        "verdict": "issued", "price": 50.0,
+    },
+    {
+        "seq": 4, "kind": "award", "t": 0.0, "bid_id": 1, "site_id": "s0",
+        "contract_id": 1, "agreed_price": 50.0, "promised_completion": 4.0,
+        "task_tid": 1,
+    },
+]
+
+
+def _without(field):
+    return lambda record: {k: v for k, v in record.items() if k != field}
+
+
+#: name -> (line of the journal to damage, what becomes of that record)
+_HOSTILE = {
+    "no kind": (4, _without("kind")),
+    "an array record": (4, lambda record: [1, 2]),
+    "an unknown kind": (4, lambda record: {**record, "kind": "awrd"}),
+    "a bid without bid_id": (2, _without("bid_id")),
+    "a bid without runtime": (2, _without("runtime")),
+    "a string agreed_price": (4, lambda record: {**record, "agreed_price": "fifty"}),
+}
+
+
+def _hostile_journal(tmp_path, case):
+    lines = [json.dumps(record) for record in _JOURNAL]
+    if case == "garbled header":
+        lines[0] = '{"kind": "header", "schema": 1, "clo'
+    else:
+        index, damage = _HOSTILE[case]
+        lines[index] = json.dumps(damage(_JOURNAL[index]))
+    path = tmp_path / "hostile.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
 
 
 class TestCleanRecording:
@@ -202,6 +261,41 @@ class TestAuditCli:
         garbage.write_text("this is not a recording\n")
         assert main(["audit", str(garbage)]) == 2
         assert "cannot read recording" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["audit", "replay"])
+    @pytest.mark.parametrize("case", sorted(_HOSTILE))
+    def test_exit_2_on_a_hostile_record(self, tmp_path, capsys, command, case):
+        path = _hostile_journal(tmp_path, case)
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        lines = (captured.out + captured.err).splitlines()
+        assert len(lines) == 1 and "cannot read recording" in lines[0], lines
+
+    @pytest.mark.parametrize("case", sorted([*_HOSTILE, "garbled header"]))
+    def test_recover_refuses_a_hostile_journal(self, tmp_path, case):
+        path = _hostile_journal(tmp_path, case)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--recover", path, "--port", "0"],
+            cwd=REPO_ROOT,
+            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(f"repro: cannot recover {path}: ")
+
+    def test_the_hostile_corpus_damages_a_recoverable_journal(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        path.write_text("".join(json.dumps(record) + "\n" for record in _JOURNAL))
+        recording = read_recording(str(path))
+        assert [v["code"] for v in audit_recording(recording).violations] == [
+            "unsettled_contract"
+        ]
+        [(award, bid)] = plan_recovery(recording).open_contracts
+        assert (award["contract_id"], bid["bid_id"]) == (1, 1)
 
     def test_exit_2_on_missing_file(self, tmp_path):
         assert main(["audit", str(tmp_path / "nope.jsonl")]) == 2
