@@ -16,7 +16,10 @@ over HTTP the way a client would, and asserts the whole lifecycle:
    closes the loop offline: ``repro audit`` exits 0 on it — wall-clock
    header, every bid and settlement on the record, every conservation
    law held — exits 1 on a deliberately corrupted copy, and exits 2
-   (no traceback) on a copy with one record's ``kind`` removed;
+   (no traceback) on a copy with one record's ``kind`` removed; and every
+   line of it is canonical — the line the encoder writes for the record
+   read back from it (the hot kinds spell their own lines, so this holds
+   their guards to wall-clock traffic);
 7. ``repro replay`` re-runs the recorded workload under the recorded
    policy plus a risk-seeking alternative and writes the A/B table
    artifact.
@@ -44,6 +47,7 @@ ENV = {**os.environ, "PYTHONPATH": os.path.join(REPO, "src")}
 sys.path.insert(0, ENV["PYTHONPATH"])
 
 from repro.live.api import TASK_STATUS_KEYS  # noqa: E402
+from repro.obs.flight import _encode_row, read_recording  # noqa: E402
 
 RATE = 500.0
 SLOTS = 2
@@ -172,6 +176,15 @@ def main(argv=None) -> int:
         assert report["ok"] and report["clock"] == "wall"
         assert report["counts"]["bids"] == len(results) + 1
         assert report["counts"]["settlements"] == len(accepted) + 1
+
+        # --- every journal line is the encoder's line ----------------
+        recording = read_recording(journal)
+        with open(journal) as handle:
+            written = handle.read().splitlines()
+        assert len(written) == len(recording.events) + 1, "journal lines != records"
+        for line, event in zip(written[1:], recording.events):
+            assert line == _encode_row(event), f"journal line is not canonical: {line}"
+        print(f"live_smoke: {len(recording.events)} journal lines canonical")
 
         # --- audit must also CATCH a cooked ledger -------------------
         corrupted = os.path.join(args.artifacts, "flight_corrupted.jsonl")

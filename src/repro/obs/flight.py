@@ -29,11 +29,13 @@ rebuilds).  :func:`read_recording` hands them only records shaped as
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import IO, Callable, Optional
+from json.encoder import encode_basestring_ascii as _json_string
+from typing import Callable, Iterable, NamedTuple, Optional
 
 #: Bump when record fields/semantics change incompatibly.
 FLIGHT_SCHEMA = 1
@@ -167,6 +169,181 @@ def _encode_row(row: dict) -> str:
         return json.dumps({k: _jsonable(v) for k, v in row.items()})
 
 
+# ----------------------------------------------------------------------
+# The hot record kinds' own lines
+# ----------------------------------------------------------------------
+#
+# ``bid``, ``quote``, ``award`` and ``settlement`` are nearly every record
+# a market writes.  On a recorder that streams, their emitters spell the
+# JSON line straight from the objects' attributes — one ``%``-format, no
+# row dict, no encoder walk — in the encoder's own spelling: a float is
+# ``float.__repr__``, an int its ``repr``, a string
+# ``encode_basestring_ascii``, ``None`` is ``null`` and a bool
+# ``true``/``false``.  A guard admits only exact ``float``/``int``/``str``/
+# ``None`` values and finite floats; anything else (a sentinel, an
+# ``np.float64``, an int in a float field) makes the spelling function
+# return None, and the record goes through ``record()`` and
+# ``_encode_row`` instead, so the bytes never depend on which path wrote
+# them (``tests/property/test_journal_lines.py``).
+
+_isfinite = math.isfinite
+
+
+class _Shape(NamedTuple):
+    """One hot record kind: its keys in line order, written once.
+
+    ``line`` is the ``%`` format of the fast line and ``keys`` name the
+    fallback row's fields, both built from the same ``(key, conversion)``
+    pairs; ``spell(seq, t, values)`` is the line of *values* (in key
+    order), or None when the guard refuses one of them.
+    """
+
+    kind: str
+    keys: tuple[str, ...]
+    line: str
+    spell: Callable[[int, float, tuple], Optional[str]]
+
+
+def _shape(
+    kind: str,
+    spell: Callable[[int, float, tuple], Optional[str]],
+    *fields: tuple[str, str],
+) -> _Shape:
+    """*kind*'s shape from ``(key, conversion)`` pairs in line order.
+
+    ``%r`` takes a value the guard holds to an exact finite float or an
+    exact int (``repr`` is the encoder's spelling of both); ``%s`` takes
+    text the spelling function made (a string, a null, a bool).  The line
+    opens as every row does: ``seq``, ``kind``, ``t``.
+    """
+    spelled = "".join(f', "{key}": {conversion}' for key, conversion in fields)
+    line = '{"seq": %d, "kind": "' + kind + '", "t": %r' + spelled + "}"
+    return _Shape(kind, tuple(key for key, _ in fields), line, spell)
+
+
+def _text_or_null(value: object) -> Optional[str]:
+    """An optional string field's JSON; None when the guard refuses it."""
+    if value is None:
+        return "null"
+    return _json_string(value) if type(value) is str else None
+
+
+def _float_or_null(value: object) -> Optional[str]:
+    """An optional float field's JSON; None when the guard refuses it."""
+    if value is None:
+        return "null"
+    return repr(value) if type(value) is float and _isfinite(value) else None
+
+
+def _bid_line(seq: int, t: float, values: tuple) -> Optional[str]:
+    bid_id, client_id, runtime, value, decay, bound, demand, released_at = values
+    if not (
+        type(t) is type(runtime) is type(value) is type(decay) is float
+        and _isfinite(t + runtime + value + decay)
+        and type(bid_id) is type(demand) is int
+    ):
+        return None
+    client_id = _text_or_null(client_id)
+    bound = _float_or_null(bound)
+    released_at = _float_or_null(released_at)
+    if client_id is None or bound is None or released_at is None:
+        return None
+    return _BID.line % (
+        seq, t, bid_id, client_id, runtime, value, decay, bound, demand, released_at
+    )
+
+
+def _quote_line(seq: int, t: float, values: tuple) -> Optional[str]:
+    site_id, bid_id, verdict, slack, completion, yield_ = values[:6]
+    if not (
+        type(t) is type(slack) is type(completion) is type(yield_) is float
+        and _isfinite(t + slack + completion + yield_)
+        and type(bid_id) is int
+        and type(site_id) is str
+    ):
+        return None
+    if verdict == "declined":
+        return _DECLINED.line % (
+            seq, t, _json_string(site_id), bid_id, '"declined"', slack, completion, yield_
+        )
+    price = values[6]
+    if not (type(price) is float and _isfinite(price)):
+        return None
+    return _ISSUED.line % (
+        seq, t, _json_string(site_id), bid_id, '"issued"', slack, completion, yield_,
+        price, "null",
+    )
+
+
+def _award_line(seq: int, t: float, values: tuple) -> Optional[str]:
+    bid_id, site_id, contract_id, agreed_price, promised, task_tid = values
+    if not (
+        type(t) is type(agreed_price) is type(promised) is float
+        and _isfinite(t + agreed_price + promised)
+        and type(bid_id) is type(contract_id) is int
+        and type(site_id) is str
+    ):
+        return None
+    if task_tid is None:
+        task_tid = "null"
+    elif type(task_tid) is int:
+        task_tid = repr(task_tid)
+    else:
+        return None
+    return _AWARD.line % (
+        seq, t, bid_id, _json_string(site_id), contract_id, agreed_price, promised, task_tid
+    )
+
+
+def _settlement_line(seq: int, t: float, values: tuple) -> Optional[str]:
+    (contract_id, bid_id, site_id, outcome, price, agreed_price, completion,
+     on_time, runtime, value) = values
+    if not (
+        type(t) is type(price) is type(agreed_price) is type(runtime) is type(value)
+        is float
+        and _isfinite(t + price + agreed_price + runtime + value)
+        and type(contract_id) is type(bid_id) is int
+        and type(site_id) is type(outcome) is str
+        and (on_time is True or on_time is False)
+    ):
+        return None
+    completion = _float_or_null(completion)
+    if completion is None:
+        return None
+    return _SETTLEMENT.line % (
+        seq, t, contract_id, bid_id, _json_string(site_id), _json_string(outcome),
+        price, agreed_price, completion, "true" if on_time else "false", runtime, value,
+    )
+
+
+_BID = _shape(
+    "bid", _bid_line,
+    ("bid_id", "%r"), ("client_id", "%s"), ("runtime", "%r"), ("value", "%r"),
+    ("decay", "%r"), ("bound", "%s"), ("demand", "%r"), ("released_at", "%s"),
+)
+_QUOTE_FIELDS = (
+    ("site_id", "%s"), ("bid_id", "%r"), ("verdict", "%s"), ("slack", "%r"),
+    ("expected_completion", "%r"), ("expected_yield", "%r"),
+)
+_DECLINED = _shape("quote", _quote_line, *_QUOTE_FIELDS)
+# an issued quote's expires_at is always null (quotes carry no TTL); the
+# key leaves with the schema bump of ROADMAP item 4(a)
+_ISSUED = _shape(
+    "quote", _quote_line, *_QUOTE_FIELDS, ("price", "%r"), ("expires_at", "%s")
+)
+_AWARD = _shape(
+    "award", _award_line,
+    ("bid_id", "%r"), ("site_id", "%s"), ("contract_id", "%r"),
+    ("agreed_price", "%r"), ("promised_completion", "%r"), ("task_tid", "%s"),
+)
+_SETTLEMENT = _shape(
+    "settlement", _settlement_line,
+    ("contract_id", "%r"), ("bid_id", "%r"), ("site_id", "%s"), ("outcome", "%s"),
+    ("price", "%r"), ("agreed_price", "%r"), ("completion", "%s"), ("on_time", "%s"),
+    ("runtime", "%r"), ("value", "%r"),
+)
+
+
 #: The fields the typed emitters fill from floats — the only ones whose
 #: value the writer can have spelled as a sentinel, so the only ones the
 #: reader turns back.  Everything else a client can name itself
@@ -217,11 +394,15 @@ class JournalSink:
         close.  Bounded data loss (the tail of one interval) at a
         fraction of the syscall cost — the journal default.
     ``off``
-        Flush to the OS on every record, never ``fsync``.  Survives a
-        process crash (the kernel holds the pages) but not a power cut;
-        byte-compatible with the pre-journal recorder behaviour.
+        Never ``fsync``.  Survives a process crash (the kernel holds the
+        pages) but not a power cut; byte-compatible with the pre-journal
+        recorder behaviour.
 
-    The interval is counted in *records*, never seconds: this module is
+    Under every policy the file is unbuffered: each record reaches the
+    kernel in one ``write(2)`` of line and newline (looped only if the
+    kernel takes part of it) before :meth:`write_line` returns, so a
+    process crash loses no record the caller was told is written.  The
+    interval is counted in *records*, never seconds: this module is
     timestamp-passive (lint rule OBS002) and may not read a clock.
 
     ``append=True`` reopens an existing journal without truncating it —
@@ -254,12 +435,18 @@ class JournalSink:
             # corrupt the stitched journal mid-file, so trim it first
             _trim_torn_tail(path)
             self.appending = os.path.getsize(path) > 0
-        self._file: Optional[IO[str]] = open(
-            path, "a" if append else "w", encoding="utf-8"
+        self._file: Optional[io.FileIO] = open(
+            path, "ab" if append else "wb", buffering=0
         )
         self.lines = 0
         self.syncs = 0
+        #: records since the last sync, synchronous or submitted (the
+        #: ``interval`` count)
         self._unsynced = 0
+        #: whether anything was written since the last *synchronous*
+        #: sync — an offloaded one may not have run yet, so ``close``
+        #: syncs whenever this is set
+        self._dirty = False
         #: when set (see :meth:`set_offload`), interval-policy fsyncs are
         #: submitted through this callable instead of blocking the caller
         self.offload: Optional[Callable[[Callable[[], None]], object]] = None
@@ -272,20 +459,24 @@ class JournalSink:
         ``interval`` policy is offloaded: ``always`` means "the record is
         on disk before the caller proceeds", and weakening that ordering
         would change what the operator asked for; ``close`` likewise
-        stays synchronous so shutdown hands back a fully-synced file.
+        syncs synchronously whenever anything was written since its last
+        synchronous sync, so shutdown hands back a fully-synced file.
         This module stays asyncio-free — the policy of *where* the sync
         runs belongs to the caller.
         """
         self.offload = offload
 
     def write_line(self, text: str) -> None:
-        """Append one line; flush always, fsync per policy."""
+        """Append one line in one ``write(2)``; fsync per policy."""
         assert self._file is not None, "sink is closed"
         # one write: a crash cannot leave a complete record unterminated
-        self._file.write(text + "\n")
-        self._file.flush()
+        data = (text + "\n").encode()
+        written = self._file.write(data)
+        while written < len(data):  # the kernel took part: hand it the rest
+            written += self._file.write(data[written:])
         self.lines += 1
         self._unsynced += 1
+        self._dirty = True
         if self.fsync == "always":
             self._sync()
         elif self.fsync == "interval" and self._unsynced >= FSYNC_INTERVAL_RECORDS:
@@ -299,24 +490,28 @@ class JournalSink:
         os.fsync(self._file.fileno())
         self.syncs += 1
         self._unsynced = 0
+        self._dirty = False
 
     def _sync_offloaded(self) -> None:
         """Submit the fsync elsewhere; counters advance at submission.
 
-        The fd is captured by value: if the sink is closed before the
-        pool runs the sync, ``close`` has already synced and closed that
-        fd, and the stale-fd fsync degrades to a harmless ``OSError``.
+        The job syncs and then closes its own duplicate of the fd, so it
+        stays valid however late the pool runs it — the sink's fd number
+        may by then belong to another file.  ``close`` does not wait for
+        it: it syncs synchronously itself.  An error from the job's
+        ``fsync`` is raised into *offload* (the live service's executor
+        future), which chose where the sync runs.
         """
         assert self._file is not None
-        fd = self._file.fileno()
+        fd = os.dup(self._file.fileno())
         self.syncs += 1
         self._unsynced = 0
 
         def _do_sync() -> None:
             try:
                 os.fsync(fd)
-            except OSError:
-                pass  # sink closed (and final-synced) before the pool ran
+            finally:
+                os.close(fd)
 
         self.offload(_do_sync)  # type: ignore[misc]
 
@@ -324,7 +519,7 @@ class JournalSink:
         """Final sync (unless ``off``) and close; idempotent."""
         if self._file is None:
             return
-        if self.fsync != "off" and self._unsynced:
+        if self.fsync != "off" and self._dirty:
             self._sync()
         self._file.close()
         self._file = None
@@ -361,9 +556,14 @@ class FlightRecorder:
         written onto an appended journal).
 
     The recorder is passive: it never reads a clock (callers pass
-    ``t``), never raises into the decision path, and imposes only an
-    append per event (``obs.flight.us_per_record`` in ``python -m bench
-    run --traced``).
+    ``t``) and never raises into the decision path.  On a recorder that
+    streams, a ``bid``, ``quote``, ``award`` or ``settlement`` costs the
+    spelling of its own line and one ``write(2)``: those emitters format
+    the line straight from the objects' attributes, and only a value the
+    guard refuses (a non-finite float, a NumPy scalar, an int in a float
+    field) sends the record through :meth:`record` and the encoder.
+    Every other kind, and every record of a memory-only recorder, is a
+    row, built as :meth:`record` builds it.
     """
 
     def __init__(
@@ -378,7 +578,7 @@ class FlightRecorder:
             raise ValueError("pass either path or sink, not both")
         self.clock_domain = clock_domain
         if sink is None and path is not None:
-            # the pre-journal contract: flush per line, no fsync
+            # the pre-journal contract: each line in the kernel, no fsync
             sink = JournalSink(path, fsync="off")
         self.sink = sink
         self.path = sink.path if sink is not None else None
@@ -396,6 +596,10 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     def record(self, kind: str, t: float, **fields: object) -> dict:
         """Append one event; returns the stored record."""
+        return self._store(kind, t, fields)
+
+    def _store(self, kind: str, t: float, fields: Iterable) -> dict:
+        """The row of *fields* (a mapping or ``(key, value)`` pairs), kept or written."""
         self.seq += 1
         row: dict = {"seq": self.seq, "kind": kind, "t": float(t)}
         row.update(fields)
@@ -409,8 +613,22 @@ class FlightRecorder:
         assert self.sink is not None
         self.sink.write_line(_encode_row(row))
 
+    def _emit(self, shape: _Shape, t: float, values: tuple) -> None:
+        """A hot kind's record: its own line on an open sink, else a row."""
+        sink = self.sink
+        if sink is None:
+            self._store(shape.kind, t, zip(shape.keys, values))
+            return
+        if not sink.closed:
+            line = shape.spell(self.seq + 1, t, values)
+            if line is not None:
+                self.seq += 1
+                sink.write_line(line)
+                return
+        self.record(shape.kind, t, **dict(zip(shape.keys, values)))
+
     def close(self) -> None:
-        """Flush and close the file sink (idempotent)."""
+        """Close the file sink, with its final sync (idempotent)."""
         if self.sink is not None:
             self.sink.close()
 
@@ -453,67 +671,44 @@ class FlightRecorder:
             heuristic_params=heuristic_params,
         )
 
+    # The four hot kinds pass their values in their shape's key order.
+
     def bid(self, t: float, bid) -> None:
         """A client bid arrived for negotiation."""
-        self.record(
-            "bid",
-            t,
-            bid_id=bid.bid_id,
-            client_id=bid.client_id,
-            runtime=bid.runtime,
-            value=bid.value,
-            decay=bid.decay,
-            bound=bid.bound,
-            demand=bid.demand,
-            released_at=bid.released_at,
-        )
+        self._emit(_BID, t, (
+            bid.bid_id, bid.client_id, bid.runtime, bid.value, bid.decay,
+            bid.bound, bid.demand, bid.released_at,
+        ))
 
     def quote(self, t: float, site_id: str, bid, decision, server_bid) -> None:
         """One site's answer: an issued quote or an admission decline."""
-        row: dict = {
-            "site_id": site_id,
-            "bid_id": bid.bid_id,
-            "verdict": "issued" if server_bid is not None else "declined",
-            "slack": decision.slack,
-            "expected_completion": decision.expected_completion,
-            "expected_yield": decision.expected_yield,
-        }
-        if server_bid is not None:
-            row["price"] = server_bid.expected_price
-            # always null (quotes carry no TTL); the key leaves with the
-            # schema bump of ROADMAP item 4(a)
-            row["expires_at"] = None
-        self.record("quote", t, **row)
+        if server_bid is None:
+            self._emit(_DECLINED, t, (
+                site_id, bid.bid_id, "declined", decision.slack,
+                decision.expected_completion, decision.expected_yield,
+            ))
+            return
+        self._emit(_ISSUED, t, (
+            site_id, bid.bid_id, "issued", decision.slack,
+            decision.expected_completion, decision.expected_yield,
+            server_bid.expected_price, None,
+        ))
 
     def award(self, t: float, bid, winner, contract) -> None:
         """The broker awarded *bid* to *winner*'s site; a contract formed."""
-        self.record(
-            "award",
-            t,
-            bid_id=bid.bid_id,
-            site_id=winner.site_id,
-            contract_id=contract.contract_id,
-            agreed_price=contract.agreed_price,
-            promised_completion=contract.promised_completion,
-            task_tid=contract.task_tid,
-        )
+        self._emit(_AWARD, t, (
+            bid.bid_id, winner.site_id, contract.contract_id,
+            contract.agreed_price, contract.promised_completion, contract.task_tid,
+        ))
 
     def settlement(self, t: float, contract, outcome: str) -> None:
         """A contract settled (exactly once): payment, penalty, or refund."""
-        self.record(
-            "settlement",
-            t,
-            contract_id=contract.contract_id,
-            bid_id=contract.bid.bid_id,
-            site_id=contract.site_id,
-            outcome=outcome,
-            price=contract.actual_price,
-            agreed_price=contract.agreed_price,
-            completion=contract.actual_completion,
-            on_time=contract.on_time,
-            runtime=contract.bid.runtime,
-            value=contract.bid.value,
-        )
+        bid = contract.bid
+        self._emit(_SETTLEMENT, t, (
+            contract.contract_id, bid.bid_id, contract.site_id, outcome,
+            contract.actual_price, contract.agreed_price, contract.actual_completion,
+            contract.on_time, bid.runtime, bid.value,
+        ))
 
     def breaker(self, t: float, site_id: str, old: str, new: str) -> None:
         """A resilience circuit breaker changed state."""

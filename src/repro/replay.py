@@ -30,6 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.audit import Books, fold_books
+from repro.errors import ReproError
 from repro.obs.flight import FlightRecorder, Recording, read_recording
 
 #: Bump when the replay-report layout changes incompatibly.
@@ -159,39 +160,49 @@ def _site_configs(recording: Recording) -> list[dict]:
 
 
 def _build_sites(sim, configs: Sequence[dict], policy: PolicySpec) -> list:
+    """One site per ``site`` record, under *policy*.
+
+    A site its record (or the policy) cannot build is a bad input:
+    ``ValueError("site <id>: …")``, never the library's own error.
+    """
+    sites = []
+    for config in configs:
+        try:
+            sites.append(_build_site(sim, config, policy))
+        except ReproError as exc:
+            raise ValueError(f"site {config['site_id']}: {exc}") from exc
+    return sites
+
+
+def _build_site(sim, config: dict, policy: PolicySpec):
     from repro.market.sites import MarketSite
     from repro.scheduling.registry import make_heuristic
     from repro.site.admission import SlackAdmission
 
-    sites = []
-    for config in configs:
-        if policy.heuristic is None:
-            # recorded without parameters: rebuilt from the defaults
-            params = dict(config.get("heuristic_params") or {})
-            params.update(policy.heuristic_params)
-            heuristic = make_heuristic(config["heuristic"], **params)
-        else:
-            heuristic = make_heuristic(policy.heuristic, **policy.heuristic_params)
-        threshold = policy.threshold
-        if threshold is None:
-            threshold = config.get("threshold")
-        discount = policy.discount_rate
-        if discount is None:
-            discount = config.get("discount_rate")
-        admission = SlackAdmission(
-            threshold=180.0 if threshold is None else threshold,
-            discount_rate=0.01 if discount is None else discount,
-        )
-        sites.append(
-            MarketSite(
-                sim,
-                site_id=config["site_id"],
-                processors=int(config["capacity"]),
-                heuristic=heuristic,
-                admission=admission,
-            )
-        )
-    return sites
+    if policy.heuristic is None:
+        # recorded without parameters: rebuilt from the defaults
+        params = dict(config.get("heuristic_params") or {})
+        params.update(policy.heuristic_params)
+        heuristic = make_heuristic(config["heuristic"], **params)
+    else:
+        heuristic = make_heuristic(policy.heuristic, **policy.heuristic_params)
+    threshold = policy.threshold
+    if threshold is None:
+        threshold = config.get("threshold")
+    discount = policy.discount_rate
+    if discount is None:
+        discount = config.get("discount_rate")
+    admission = SlackAdmission(
+        threshold=180.0 if threshold is None else threshold,
+        discount_rate=0.01 if discount is None else discount,
+    )
+    return MarketSite(
+        sim,
+        site_id=config["site_id"],
+        processors=int(config["capacity"]),
+        heuristic=heuristic,
+        admission=admission,
+    )
 
 
 # ----------------------------------------------------------------------

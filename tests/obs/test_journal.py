@@ -8,6 +8,8 @@ fsync cadence matches the documented policy.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.obs.flight import (
@@ -59,14 +61,33 @@ def test_a_record_and_its_newline_are_one_write(tmp_path):
     """A crash between two writes would leave a complete record unterminated."""
     path = tmp_path / "j.jsonl"
     sink = JournalSink(str(path), fsync="off")
-    written: list[str] = []
+    written: list[bytes] = []
     real_write = sink._file.write
-    sink._file.write = lambda text: written.append(text) or real_write(text)
+    sink._file.write = lambda data: written.append(data) or real_write(data)
     sink.write_line('{"seq": 1}')
     sink.write_line('{"seq": 2}')
     sink.close()
-    assert written == ['{"seq": 1}\n', '{"seq": 2}\n']
+    assert written == [b'{"seq": 1}\n', b'{"seq": 2}\n']
     assert path.read_text() == '{"seq": 1}\n{"seq": 2}\n'
+
+
+def test_a_short_write_is_finished_before_write_line_returns(tmp_path):
+    """The file is unbuffered: a record is in the kernel when
+    ``write_line`` returns, even when the kernel takes it in parts."""
+    path = tmp_path / "j.jsonl"
+    sink = JournalSink(str(path), fsync="off")
+    written: list[bytes] = []
+    real_write = sink._file.write
+
+    def three_bytes_at_a_time(data):
+        written.append(bytes(data))
+        return real_write(data[:3])
+
+    sink._file.write = three_bytes_at_a_time
+    sink.write_line('{"seq": 1}')
+    assert path.read_bytes() == b'{"seq": 1}\n'  # before close: nothing held back
+    assert written[0] == b'{"seq": 1}\n' and len(written) == 4
+    sink.close()
 
 
 def test_close_is_idempotent_and_reported(tmp_path):
@@ -167,9 +188,38 @@ def test_offloaded_sync_after_close_is_harmless(tmp_path):
         sink.write_line("{}")
     sink.close()
     # the pool drains the queued sync after close has fsynced and closed
-    # the fd; the stale-fd sync must swallow the OSError, not raise
+    # the fd; the job syncs its own duplicate of the fd, so it cannot fail
     (pending,) = submitted
     pending()
+
+
+def test_close_syncs_what_an_offloaded_sync_has_not(tmp_path, monkeypatch):
+    """``close`` hands back a synced file even when the last interval's
+    fsync was only submitted, and the late job syncs a descriptor of its
+    own — never the sink's closed fd number, which the next ``open`` may
+    reuse for another file."""
+    synced: list[int] = []
+    real_fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd) or real_fsync(fd))
+    submitted = []
+    sink = JournalSink(str(tmp_path / "j.jsonl"), fsync="interval")
+    sink.set_offload(submitted.append)
+    for _ in range(FSYNC_INTERVAL_RECORDS):
+        sink.write_line("{}")
+    assert synced == [] and len(submitted) == 1
+    fd = sink._file.fileno()
+    sink.close()
+    assert synced == [fd]  # synchronous, before the fd closed
+
+    reused = os.open(str(tmp_path / "other"), os.O_CREAT | os.O_WRONLY)
+    try:
+        (pending,) = submitted
+        pending()
+        assert len(synced) == 2 and synced[1] not in (fd, reused)
+        with pytest.raises(OSError):
+            os.fstat(synced[1])  # the job closed its duplicate
+    finally:
+        os.close(reused)
 
 
 def test_clearing_offload_restores_synchronous_syncs(tmp_path):

@@ -7,9 +7,19 @@ damage, the audit reports on it, crash recovery plans from it or refuses
 it as corrupt, and replay re-runs it or refuses it.  And the totals
 recovery would carry into a restarted service are the audit's books: a
 closing ``site_summary`` written from them reconciles to the cent.
+
+The same contract holds byte by byte: a small market's file journal,
+written through the journal sink, has a bit flipped, a span deleted or
+duplicated, or is cut anywhere — and the reader returns or raises
+``ValueError``, the audit reports, and replay runs or raises
+``ValueError``.
 """
 
 import copy
+import os
+import tempfile
+
+import pytest
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,7 +29,7 @@ from repro.errors import LiveServiceError
 from repro.live.api import parse_bid_body
 from repro.live.config import LiveConfig, LiveSiteSpec
 from repro.live.recovery import plan_recovery
-from repro.obs.flight import FlightRecorder, Recording
+from repro.obs.flight import FlightRecorder, Recording, read_recording
 from repro.replay import parse_policy, replay_recording
 from repro.sim import SimClock, Simulator
 
@@ -139,3 +149,103 @@ def test_every_reader_answers_a_damaged_journal(damage):
     )
     codes = {v["code"] for v in audit_recording(closed).violations}
     assert not codes & {"revenue_mismatch", "contract_count_mismatch"}, damage
+
+
+# ----------------------------------------------------------------------
+# Byte-level damage to a file journal
+# ----------------------------------------------------------------------
+
+def _market_journal() -> bytes:
+    from repro.market import MarketSite, run_market
+    from repro.scheduling import FirstReward
+    from repro.sim import Simulator
+    from repro.site import SlackAdmission
+    from repro.workload import economy_spec, generate_trace
+
+    trace = generate_trace(economy_spec(n_jobs=12, load_factor=1.5, processors=4), seed=2)
+    sim = Simulator()
+    sites = [
+        MarketSite(sim, f"site-{i}", 2, FirstReward(0.3, 0.01), admission=SlackAdmission(60.0))
+        for i in range(2)
+    ]
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "market.jsonl")
+        with FlightRecorder(path) as flight:
+            run_market(trace, sites, flight=flight)
+        with open(path, "rb") as handle:
+            return handle.read()
+
+
+MARKET_JOURNAL = _market_journal()
+
+#: (what, offset, size): flip bit ``size % 8`` of the byte at ``offset``,
+#: delete or duplicate ``size`` bytes from it, or cut the file there
+byte_damage = st.tuples(
+    st.sampled_from(["flip", "delete", "duplicate", "cut"]),
+    st.integers(min_value=0, max_value=len(MARKET_JOURNAL) - 1),
+    st.integers(min_value=1, max_value=64),
+)
+
+
+def _damaged(data: bytes, what: str, offset: int, size: int) -> bytes:
+    if what == "flip":
+        return data[:offset] + bytes([data[offset] ^ (1 << size % 8)]) + data[offset + 1:]
+    if what == "delete":
+        return data[:offset] + data[offset + size:]
+    if what == "duplicate":
+        return data[:offset + size] + data[offset:offset + size] + data[offset + size:]
+    return data[:offset]
+
+
+def _read(data: bytes) -> Recording:
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "journal.jsonl")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        return read_recording(path)
+
+
+def _every_reader_answers(data: bytes) -> None:
+    try:
+        recording = _read(data)
+    except ValueError:
+        return
+    assert isinstance(audit_recording(recording).to_doc()["violations"], list)
+    try:
+        replay_recording(recording, [parse_policy("recorded")])
+    except ValueError:
+        pass
+
+
+def test_the_market_journal_reads_audits_and_replays():
+    kinds = {event["kind"] for event in _read(MARKET_JOURNAL).events}
+    assert {"site", "bid", "quote", "award", "settlement", "site_summary"} <= kinds
+    _every_reader_answers(MARKET_JOURNAL)
+
+
+@settings(max_examples=150, deadline=None)
+@given(damage=byte_damage)
+def test_every_reader_answers_damaged_bytes(damage):
+    _every_reader_answers(_damaged(MARKET_JOURNAL, *damage))
+
+
+#: ``site`` records replay could not build a site from: each raised the
+#: library's own ``SchedulingError``/``AdmissionError`` out of replay
+#: (``"alphe"`` is one bit flip away from ``"alpha"``)
+@pytest.mark.parametrize(
+    "recorded, damaged",
+    [
+        ('"alpha": 0.3', '"alphe": 0.3'),
+        ('"heuristic": "firstreward"', '"heuristic": "nosuch"'),
+        ('"alpha": 0.3', '"alpha": 7.0'),
+        ('"capacity": 2', '"capacity": 0'),
+        ('"threshold": 60.0', '"threshold": NaN'),
+    ],
+)
+def test_replay_refuses_a_site_it_cannot_build(recorded, damaged):
+    data = MARKET_JOURNAL.replace(recorded.encode(), damaged.encode(), 1)
+    assert data != MARKET_JOURNAL
+    recording = _read(data)
+    with pytest.raises(ValueError, match="^site site-0: "):
+        replay_recording(recording, [parse_policy("recorded")])
+    _every_reader_answers(data)
