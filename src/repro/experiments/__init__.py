@@ -1,10 +1,15 @@
-"""Experiment harness: one module per paper figure (Figs 3–7).
+"""Experiment harness: the ten registered experiments.
 
-Each ``figN`` module exposes ``run_figN(...) -> FigureResult`` with
-keyword knobs for scale (job count, seeds) so the same code serves quick
-CI checks and full paper-scale regeneration.  ``repro.experiments.runner``
-holds the registry the CLI and the test suite share, plus the
-expected-shape checks recorded in DESIGN.md §3.
+Five regenerate the paper's Figs 3–7 (``figN`` modules); five extend it
+(``faults``, ``resilience``, ``consolidation`` and the two
+``sensitivity`` grids).  Each exposes a ``run_*(...) -> FigureResult``
+with keyword knobs for scale (job count, seeds) so the same code serves
+quick CI checks and full paper-scale regeneration, and each lists its
+cells once for :func:`repro.experiments.parallel.sweep`, which turns
+seeds into both the figure's rows and the per-seed rows the replication
+harness reads.  ``repro.experiments.runner`` holds the registry the CLI
+and the test suite share, plus the expected-shape checks recorded in
+DESIGN.md §3.
 """
 
 from repro.experiments.common import FigureResult

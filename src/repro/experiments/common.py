@@ -13,12 +13,18 @@ from repro.metrics.tables import format_table
 
 @dataclass
 class FigureResult:
-    """Rows of one regenerated figure plus provenance notes."""
+    """Rows of one regenerated figure plus provenance notes.
+
+    *seed_rows* holds the same rows once per seed, built from that
+    seed's values alone (see :func:`repro.experiments.parallel.sweep`);
+    they are what the replication harness reads and are not written.
+    """
 
     figure: str
     title: str
     rows: list[dict] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    seed_rows: list[list[dict]] = field(default_factory=list, repr=False)
 
     def table(self, columns: Optional[Sequence[str]] = None) -> str:
         header = f"{self.figure}: {self.title}"

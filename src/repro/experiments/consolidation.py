@@ -22,12 +22,13 @@ and mean delay per organization.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.experiments.common import FigureResult
-from repro.experiments.parallel import CellExecutor
+from repro.experiments.parallel import sweep
 from repro.market.broker import Broker
 from repro.market.economy import MarketEconomy
 from repro.market.sites import MarketSite
@@ -145,31 +146,22 @@ def run_consolidation(
             "(not part of its evaluation)",
         ],
     )
-    with CellExecutor(workers) as ex:
-        cells = {}
-        for load in load_factors:
-            spec = economy_spec(
-                n_jobs=n_jobs, load_factor=load, processors=processors,
-                penalty_bound=0.0,
+    cells = {}
+    for load in load_factors:
+        spec = economy_spec(
+            n_jobs=n_jobs, load_factor=load, processors=processors,
+            penalty_bound=0.0,
+        )
+        for organization in _ORGANIZATIONS:
+            cells[load, organization] = partial(
+                _org_cell, organization, spec, k=k, processors=processors
             )
-            for seed in seeds:
-                for organization in _ORGANIZATIONS:
-                    cells[load, seed, organization] = ex.submit(
-                        _org_cell, organization, spec, seed, k, processors
-                    )
-        for load in load_factors:
-            for organization in _ORGANIZATIONS:
-                samples = [cells[load, seed, organization].result() for seed in seeds]
-                result.rows.append(
-                    {
-                        "load_factor": load,
-                        "organization": organization,
-                        "total_yield": float(
-                            np.mean([s["total_yield"] for s in samples])
-                        ),
-                        "mean_delay": float(
-                            np.mean([s["mean_delay"] for s in samples])
-                        ),
-                    }
-                )
+
+    def rows(v: dict) -> list[dict]:
+        return [
+            {"load_factor": load, "organization": organization, **v[load, organization]}
+            for load, organization in v
+        ]
+
+    result.rows, result.seed_rows = sweep(cells, rows, seeds, workers)
     return result

@@ -29,15 +29,15 @@ risk-oblivious one at every sampled MTTF.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Sequence
 
 from repro.experiments.common import FigureResult
 from repro.experiments.parallel import (
-    CellExecutor,
     Descriptor,
     build_admission,
     build_heuristic,
-    mean_rows_of,
+    sweep,
 )
 from repro.faults.spec import FaultSpec
 from repro.site.driver import simulate_site
@@ -127,27 +127,21 @@ def run_faults(
             "slack_inflation": SLACK_INFLATION,
         },
     )
-    with CellExecutor(workers) as ex:
-        cells = {}
-        for mttf in MTTFS:
-            faults = FaultSpec(mttf=mttf, mttr=MTTR, restart="requeue")
-            for policy, heuristic, admission in (
-                (
-                    "firstreward-ac",
-                    ("survival", {"inner": firstreward, "mttf": mttf}),
-                    slack,
-                ),
-                ("firstprice-noac", ("firstprice", {}), None),
-            ):
-                cells[mttf, policy] = mean_rows_of(
-                    [
-                        ex.submit(_one_run, spec, heuristic, admission, faults, seed)
-                        for seed in seeds
-                    ]
-                )
-        for mttf in MTTFS:
-            for policy in ("firstreward-ac", "firstprice-noac"):
-                result.rows.append(
-                    {"policy": policy, "mttf": mttf, **cells[mttf, policy].result()}
-                )
+    cells = {}
+    for mttf in MTTFS:
+        faults = FaultSpec(mttf=mttf, mttr=MTTR, restart="requeue")
+        for policy, heuristic, admission in (
+            (
+                "firstreward-ac",
+                ("survival", {"inner": firstreward, "mttf": mttf}),
+                slack,
+            ),
+            ("firstprice-noac", ("firstprice", {}), None),
+        ):
+            cells[mttf, policy] = partial(_one_run, spec, heuristic, admission, faults)
+
+    def rows(v: dict) -> list[dict]:
+        return [{"policy": policy, "mttf": mttf, **v[mttf, policy]} for mttf, policy in v]
+
+    result.rows, result.seed_rows = sweep(cells, rows, seeds, workers)
     return result

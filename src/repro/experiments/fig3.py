@@ -17,10 +17,11 @@ the fraction.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Sequence
 
 from repro.experiments.common import FigureResult
-from repro.experiments.parallel import CellExecutor, submit_mean_yield
+from repro.experiments.parallel import run_site_cell, sweep
 from repro.metrics.compare import improvement_percent
 from repro.workload.millennium import millennium_spec
 
@@ -66,32 +67,30 @@ def run_fig3(
             "x-axis is the discount rate in percent, as in the paper",
         ],
     )
-    with CellExecutor(workers) as ex:
-        cells = {}
-        for skew in value_skews:
-            spec = fig3_spec(skew, n_jobs=n_jobs, processors=processors)
-            cells[skew] = submit_mean_yield(
-                ex, spec, ("firstprice", {}), seeds, preemption=True
+    cells = {}
+    for skew in value_skews:
+        spec = fig3_spec(skew, n_jobs=n_jobs, processors=processors)
+        cells[skew] = partial(run_site_cell, spec, ("firstprice", {}), preemption=True)
+        for pct in discount_percents:
+            cells[skew, pct] = partial(
+                run_site_cell,
+                spec,
+                ("pv", {"discount_rate": pct / 100.0}),
+                preemption=True,
             )
-            for pct in discount_percents:
-                cells[skew, pct] = submit_mean_yield(
-                    ex,
-                    spec,
-                    ("pv", {"discount_rate": pct / 100.0}),
-                    seeds,
-                    preemption=True,
-                )
-        for skew in value_skews:
-            baseline = cells[skew].result()
-            for pct in discount_percents:
-                pv = cells[skew, pct].result()
-                result.rows.append(
-                    {
-                        "value_skew": skew,
-                        "discount_pct": pct,
-                        "pv_yield": pv,
-                        "firstprice_yield": baseline,
-                        "improvement_pct": improvement_percent(pv, baseline),
-                    }
-                )
+
+    def rows(v: dict) -> list[dict]:
+        return [
+            {
+                "value_skew": skew,
+                "discount_pct": pct,
+                "pv_yield": v[skew, pct],
+                "firstprice_yield": v[skew],
+                "improvement_pct": improvement_percent(v[skew, pct], v[skew]),
+            }
+            for skew in value_skews
+            for pct in discount_percents
+        ]
+
+    result.rows, result.seed_rows = sweep(cells, rows, seeds, workers)
     return result

@@ -13,10 +13,11 @@ EXPERIMENTS.md for the calibration analysis).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Sequence
 
 from repro.experiments.common import FigureResult
-from repro.experiments.parallel import CellExecutor, submit_mean_yield
+from repro.experiments.parallel import run_site_cell, sweep
 from repro.metrics.compare import improvement_percent
 from repro.workload.millennium import economy_spec
 
@@ -65,33 +66,31 @@ def sweep_alpha(
             f"n={n_jobs}, seeds={list(seeds)}",
         ],
     )
-    with CellExecutor(workers) as ex:
-        cells = {}
-        for dskew in decay_skews:
-            spec = fig45_spec(
-                dskew, penalty_bound, n_jobs=n_jobs, processors=processors
+    cells = {}
+    for dskew in decay_skews:
+        spec = fig45_spec(dskew, penalty_bound, n_jobs=n_jobs, processors=processors)
+        cells[dskew] = partial(run_site_cell, spec, ("firstprice", {}))
+        for alpha in alphas:
+            cells[dskew, alpha] = partial(
+                run_site_cell,
+                spec,
+                ("firstreward", {"alpha": alpha, "discount_rate": DISCOUNT_RATE}),
             )
-            cells[dskew] = submit_mean_yield(ex, spec, ("firstprice", {}), seeds)
-            for alpha in alphas:
-                cells[dskew, alpha] = submit_mean_yield(
-                    ex,
-                    spec,
-                    ("firstreward", {"alpha": alpha, "discount_rate": DISCOUNT_RATE}),
-                    seeds,
-                )
-        for dskew in decay_skews:
-            baseline = cells[dskew].result()
-            for alpha in alphas:
-                fr = cells[dskew, alpha].result()
-                result.rows.append(
-                    {
-                        "decay_skew": dskew,
-                        "alpha": alpha,
-                        "firstreward_yield": fr,
-                        "firstprice_yield": baseline,
-                        "improvement_pct": improvement_percent(fr, baseline),
-                    }
-                )
+
+    def rows(v: dict) -> list[dict]:
+        return [
+            {
+                "decay_skew": dskew,
+                "alpha": alpha,
+                "firstreward_yield": v[dskew, alpha],
+                "firstprice_yield": v[dskew],
+                "improvement_pct": improvement_percent(v[dskew, alpha], v[dskew]),
+            }
+            for dskew in decay_skews
+            for alpha in alphas
+        ]
+
+    result.rows, result.seed_rows = sweep(cells, rows, seeds, workers)
     return result
 
 

@@ -11,10 +11,11 @@ plus a FirstPrice-without-admission-control line.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Sequence
 
 from repro.experiments.common import FigureResult
-from repro.experiments.parallel import CellExecutor, submit_mean_yield
+from repro.experiments.parallel import run_site_cell, sweep
 from repro.workload.millennium import economy_spec
 
 LOAD_FACTORS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5)
@@ -64,36 +65,26 @@ def run_fig6(
         ],
     )
     admission = ("slack", {"threshold": slack_threshold, "discount_rate": DISCOUNT_RATE})
-    with CellExecutor(workers) as ex:
-        cells = {}
-        for load in load_factors:
-            spec = fig67_spec(load, n_jobs=n_jobs, processors=processors)
-            for alpha in alphas:
-                cells[load, alpha] = submit_mean_yield(
-                    ex,
-                    spec,
-                    ("firstreward", {"alpha": alpha, "discount_rate": DISCOUNT_RATE}),
-                    seeds,
-                    metric="yield_rate",
-                    admission=admission,
-                )
-            cells[load] = submit_mean_yield(
-                ex, spec, ("firstprice", {}), seeds, metric="yield_rate"
+    cells = {}
+    for load in load_factors:
+        spec = fig67_spec(load, n_jobs=n_jobs, processors=processors)
+        for alpha in alphas:
+            cells[load, f"alpha={alpha:g}"] = partial(
+                run_site_cell,
+                spec,
+                ("firstreward", {"alpha": alpha, "discount_rate": DISCOUNT_RATE}),
+                metric="yield_rate",
+                admission=admission,
             )
-        for load in load_factors:
-            for alpha in alphas:
-                result.rows.append(
-                    {
-                        "policy": f"alpha={alpha:g}",
-                        "load_factor": load,
-                        "yield_rate": cells[load, alpha].result(),
-                    }
-                )
-            result.rows.append(
-                {
-                    "policy": "firstprice-noac",
-                    "load_factor": load,
-                    "yield_rate": cells[load].result(),
-                }
-            )
+        cells[load, "firstprice-noac"] = partial(
+            run_site_cell, spec, ("firstprice", {}), metric="yield_rate"
+        )
+
+    def rows(v: dict) -> list[dict]:
+        return [
+            {"policy": policy, "load_factor": load, "yield_rate": v[load, policy]}
+            for load, policy in v
+        ]
+
+    result.rows, result.seed_rows = sweep(cells, rows, seeds, workers)
     return result

@@ -12,11 +12,12 @@ the sweep isolates the admission policy itself.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Sequence
 
 from repro.experiments.common import FigureResult
 from repro.experiments.fig6 import DISCOUNT_RATE, fig67_spec
-from repro.experiments.parallel import CellExecutor, submit_mean_yield
+from repro.experiments.parallel import run_site_cell, sweep
 from repro.metrics.compare import improvement_percent
 
 LOAD_FACTORS = (0.5, 0.67, 0.89, 1.33, 2.0)
@@ -48,36 +49,34 @@ def run_fig7(
         ],
     )
     heuristic = ("firstreward", {"alpha": ALPHA, "discount_rate": DISCOUNT_RATE})
-    with CellExecutor(workers) as ex:
-        cells = {}
-        for load in load_factors:
-            spec = fig67_spec(load, n_jobs=n_jobs, processors=processors)
-            cells[load] = submit_mean_yield(
-                ex, spec, heuristic, seeds, metric="yield_rate"
+    cells = {}
+    for load in load_factors:
+        spec = fig67_spec(load, n_jobs=n_jobs, processors=processors)
+        cells[load] = partial(run_site_cell, spec, heuristic, metric="yield_rate")
+        for threshold in thresholds:
+            cells[load, threshold] = partial(
+                run_site_cell,
+                spec,
+                heuristic,
+                metric="yield_rate",
+                admission=(
+                    "slack",
+                    {"threshold": threshold, "discount_rate": DISCOUNT_RATE},
+                ),
             )
-            for threshold in thresholds:
-                cells[load, threshold] = submit_mean_yield(
-                    ex,
-                    spec,
-                    heuristic,
-                    seeds,
-                    metric="yield_rate",
-                    admission=(
-                        "slack",
-                        {"threshold": threshold, "discount_rate": DISCOUNT_RATE},
-                    ),
-                )
-        for load in load_factors:
-            baseline = cells[load].result()
-            for threshold in thresholds:
-                rate = cells[load, threshold].result()
-                result.rows.append(
-                    {
-                        "load_factor": load,
-                        "threshold": threshold,
-                        "yield_rate": rate,
-                        "noac_yield_rate": baseline,
-                        "improvement_pct": improvement_percent(rate, baseline),
-                    }
-                )
+
+    def rows(v: dict) -> list[dict]:
+        return [
+            {
+                "load_factor": load,
+                "threshold": threshold,
+                "yield_rate": v[load, threshold],
+                "noac_yield_rate": v[load],
+                "improvement_pct": improvement_percent(v[load, threshold], v[load]),
+            }
+            for load in load_factors
+            for threshold in thresholds
+        ]
+
+    result.rows, result.seed_rows = sweep(cells, rows, seeds, workers)
     return result

@@ -17,9 +17,10 @@ serial run.  Three properties guarantee it:
    the process boundary;
 2. each cell's arithmetic is identical in both modes — the inline path
    runs the very same module-level cell functions the workers import;
-3. experiments assemble rows by iterating their grid in canonical
-   (submission) order and reading each cell's handle, so completion
-   order never leaks into row order.
+3. every experiment runs its grid through :func:`sweep`, which submits
+   the cells in the experiment's key order (seeds innermost) and folds
+   each key's per-seed values in seed order, so completion order never
+   leaks into a row.
 
 Heuristics and admission policies are described by ``(name, params)``
 descriptors rather than factories because closures do not pickle; the
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Optional, Sequence
+from typing import Callable, Hashable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -98,38 +99,6 @@ class CellHandle:
         return self._value
 
 
-class FoldHandle:
-    """Fold several cell handles into one value at resolution time."""
-
-    __slots__ = ("_handles", "_fold")
-
-    def __init__(self, handles: Sequence[CellHandle], fold: Callable) -> None:
-        self._handles = list(handles)
-        self._fold = fold
-
-    def result(self):
-        return self._fold([h.result() for h in self._handles])
-
-
-def _mean_scalar(values: list) -> float:
-    return float(np.mean(values))
-
-
-def mean_rows(rows: Sequence[dict]) -> dict:
-    """Column-wise mean of per-seed row dicts (shared by faults/resilience)."""
-    return {k: float(np.mean([r[k] for r in rows])) for k in rows[0]}
-
-
-def mean_of(handles: Sequence[CellHandle]) -> FoldHandle:
-    """Handle resolving to the float mean of *handles* (per-seed scalars)."""
-    return FoldHandle(handles, _mean_scalar)
-
-
-def mean_rows_of(handles: Sequence[CellHandle]) -> FoldHandle:
-    """Handle resolving to the column-wise mean of per-seed row dicts."""
-    return FoldHandle(handles, mean_rows)
-
-
 class CellExecutor:
     """Runs experiment cells inline or across a process pool.
 
@@ -137,12 +106,8 @@ class CellExecutor:
     (cells execute immediately at ``submit``, preserving the serial
     program order bit for bit); >1 fans out over that many processes.
 
-    Use as a context manager so the pool is torn down even when a cell
-    raises::
-
-        with CellExecutor(workers) as ex:
-            handles = [ex.submit(cell_fn, ...) for ...]
-            values = [h.result() for h in handles]
+    Use as a context manager, as :func:`sweep` does, so the pool is torn
+    down even when a cell raises.
     """
 
     def __init__(self, workers: Optional[int] = None) -> None:
@@ -168,6 +133,50 @@ class CellExecutor:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.shutdown()
+
+
+# ----------------------------------------------------------------------
+# The seed sweep: every experiment's one way from seeds to rows
+# ----------------------------------------------------------------------
+
+def _fold(values: list):
+    """Mean of one cell's per-seed values in seed order: a float for
+    scalar cells, per key (in the first seed's key order) for dicts."""
+    if isinstance(values[0], dict):
+        return {k: float(np.mean([v[k] for v in values])) for k in values[0]}
+    return float(np.mean(values))
+
+
+def sweep(
+    cells: Mapping[Hashable, Callable],
+    rows: Callable[[dict], list[dict]],
+    seeds: Sequence[int],
+    workers: Optional[int] = None,
+) -> tuple[list[dict], list[list[dict]]]:
+    """Run every cell at every seed; return ``(rows, per-seed rows)``.
+
+    *cells* maps each key, in the experiment's order, to a picklable
+    callable taking ``seed=``; they are submitted key by key, seeds
+    innermost, through one :class:`CellExecutor`.  *rows* builds the
+    figure's rows from a ``{key: value}`` mapping: once from each key's
+    mean over the seeds, and once per seed from that seed's values
+    folded alone (so they equal a one-seed run's rows) — the rows the
+    replication harness puts intervals on.
+    """
+    seeds = list(seeds)
+    if not seeds:
+        raise ExperimentError("at least one seed is required")
+    with CellExecutor(workers) as ex:
+        handles = {
+            key: [ex.submit(cell, seed=seed) for seed in seeds]
+            for key, cell in cells.items()
+        }
+        values = {key: [h.result() for h in hs] for key, hs in handles.items()}
+    per_seed = [
+        rows({key: _fold([vs[i]]) for key, vs in values.items()})
+        for i in range(len(seeds))
+    ]
+    return rows({key: _fold(vs) for key, vs in values.items()}), per_seed
 
 
 # ----------------------------------------------------------------------
@@ -229,25 +238,3 @@ def run_site_cell(
         **site_kwargs,
     )
     return getattr(result, metric)
-
-
-def submit_mean_yield(
-    ex: CellExecutor,
-    spec,
-    heuristic: Descriptor,
-    seeds: Sequence[int],
-    metric: str = "total_yield",
-    admission: Optional[Descriptor] = None,
-    **site_kwargs,
-) -> FoldHandle:
-    """Fan one figure cell's seeds out through *ex*; resolves to the mean."""
-    if not seeds:
-        raise ExperimentError("at least one seed is required")
-    return mean_of(
-        [
-            ex.submit(
-                run_site_cell, spec, heuristic, seed, metric, admission, **site_kwargs
-            )
-            for seed in seeds
-        ]
-    )

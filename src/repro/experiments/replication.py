@@ -1,9 +1,9 @@
 """Replication harness: run a figure across disjoint seeds, report CIs.
 
-The per-figure run functions average internally over their ``seeds``
-argument; this harness instead runs the whole experiment once per
-replication seed and reports mean ± 95% CI for every metric column —
-the uncertainty EXPERIMENTS.md quotes.
+The per-figure run functions average over their ``seeds`` argument; this
+harness reads the per-seed rows of one such run instead and reports
+mean ± 95% CI for every metric column, per ``(line, x)`` point of the
+experiment's axes — the uncertainty EXPERIMENTS.md quotes.
 """
 
 from __future__ import annotations
@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ExperimentError
-from repro.experiments.common import FigureResult
-from repro.experiments.runner import EXPERIMENTS
+from repro.experiments.runner import EXPERIMENTS, run_experiment
 from repro.metrics.stats import SeriesStats, mean_and_ci
 from repro.metrics.tables import format_table
+
 
 @dataclass
 class ReplicatedResult:
@@ -56,53 +56,30 @@ def run_replicated(
     scale: str = "quick",
     **overrides,
 ) -> ReplicatedResult:
-    """Run *name* once per replication seed and aggregate the metrics.
+    """Run *name* over seeds ``base_seed .. base_seed + replications - 1``
+    and put a 95% interval on every metric column.
 
-    Each replication uses a single disjoint seed (``base_seed + i``); any
-    ``seeds`` override is rejected — the harness owns seeding.
+    One sweep runs every cell at every seed; each seed's rows are built
+    from that seed's values alone, so replication *i* is the experiment
+    run at the single seed ``base_seed + i``.  Any ``seeds`` override is
+    rejected — the harness owns seeding.
     """
     if "seeds" in overrides:
         raise ExperimentError("run_replicated controls the seeds; do not override them")
     if replications < 2:
         raise ExperimentError("need at least 2 replications for an interval")
-    definition = EXPERIMENTS.get(name)
-    if definition is None:
-        raise ExperimentError(f"unknown experiment {name!r}; options: {sorted(EXPERIMENTS)}")
-    # the coordinates: every other numeric column is a metric
-    x, _, line, _ = definition.axes
-    group_keys = (line, x)
-
-    kwargs = dict(definition.quick if scale == "quick" else definition.full)
-    kwargs.update(overrides)
-    kwargs.pop("seeds", None)
-
-    collected: dict[tuple, dict[str, list[float]]] = {}
-    order: list[tuple] = []
-    title = ""
-    for rep in range(replications):
-        result: FigureResult = definition.run(seeds=(base_seed + rep,), **kwargs)
-        title = result.title
-        for row in result.rows:
-            coords = tuple(row[k] for k in group_keys)
-            if coords not in collected:
-                collected[coords] = {}
-                order.append(coords)
-            for key, value in row.items():
-                if key in group_keys or not isinstance(value, (int, float)):
-                    continue
-                collected[coords].setdefault(key, []).append(float(value))
-
-    out = ReplicatedResult(
-        figure=name, title=title, replications=replications
+    result = run_experiment(
+        name,
+        scale=scale,
+        seeds=range(base_seed, base_seed + replications),
+        **overrides,
     )
-    for coords in order:
-        row: dict = dict(zip(group_keys, coords))
-        for metric, values in collected[coords].items():
-            if len(values) != replications:
-                raise ExperimentError(
-                    f"metric {metric!r} at {coords} has {len(values)} samples, "
-                    f"expected {replications} (non-deterministic row set?)"
-                )
-            row[metric] = mean_and_ci(values)
+    x, _, line, _ = EXPERIMENTS[name].axes
+    out = ReplicatedResult(figure=name, title=result.title, replications=replications)
+    for rows in zip(*result.seed_rows):
+        row: dict = {line: rows[0][line], x: rows[0][x]}
+        for metric, value in rows[0].items():
+            if metric not in row and isinstance(value, (int, float)):
+                row[metric] = mean_and_ci([r[metric] for r in rows])
         out.rows.append(row)
     return out

@@ -22,10 +22,11 @@ and no lineage ever completes on two sites.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Sequence
 
 from repro.experiments.common import FigureResult
-from repro.experiments.parallel import CellExecutor, mean_rows_of
+from repro.experiments.parallel import sweep
 from repro.faults.spec import FaultSpec
 from repro.resilience.breaker import COOLDOWN
 from repro.resilience.config import ResilienceConfig
@@ -135,16 +136,14 @@ def run_resilience(
         (f"budget={budget}", ResilienceConfig(enabled=True, failover_budget=budget))
         for budget in budgets
     ]
-    with CellExecutor(workers) as ex:
-        cells = {}
-        for mttf in mttfs:
-            for policy, config in policies:
-                cells[mttf, policy] = mean_rows_of(
-                    [ex.submit(_one_run, spec, mttf, config, seed) for seed in seeds]
-                )
-        for mttf in mttfs:
-            for policy, _ in policies:
-                result.rows.append(
-                    {"policy": policy, "mttf": mttf, **cells[mttf, policy].result()}
-                )
+    cells = {
+        (mttf, policy): partial(_one_run, spec, mttf, config)
+        for mttf in mttfs
+        for policy, config in policies
+    }
+
+    def rows(v: dict) -> list[dict]:
+        return [{"policy": policy, "mttf": mttf, **v[mttf, policy]} for mttf, policy in v]
+
+    result.rows, result.seed_rows = sweep(cells, rows, seeds, workers)
     return result

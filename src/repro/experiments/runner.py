@@ -365,7 +365,7 @@ class ExperimentDef:
     full: dict
     #: ``(x, y, line, log_x)``: ``--plot`` draws column *y* against *x*,
     #: one curve per value of *line*; ``(line, x)`` are the coordinates
-    #: the replication harness groups rows by
+    #: the replication harness keys its rows by
     axes: tuple[str, str, str, bool]
     check: Callable[[FigureResult], list[ShapeCheck]] = no_checks
 

@@ -11,10 +11,11 @@ skews).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Sequence
 
 from repro.experiments.common import FigureResult
-from repro.experiments.parallel import CellExecutor, submit_mean_yield
+from repro.experiments.parallel import run_site_cell, sweep
 from repro.metrics.compare import improvement_percent
 from repro.workload.millennium import economy_spec
 
@@ -22,6 +23,33 @@ ALPHA = 0.3
 DISCOUNT_RATE = 0.01
 
 _FIRSTREWARD = ("firstreward", {"alpha": ALPHA, "discount_rate": DISCOUNT_RATE})
+
+
+def _improvement_grid(
+    axes: tuple[str, str],
+    specs: dict,
+    seeds: Sequence[int],
+    workers: Optional[int],
+) -> tuple[list[dict], list[list[dict]]]:
+    """FirstReward's improvement over FirstPrice at every grid point of
+    *specs* (``{(a, b): workload spec}``), one row per point."""
+    cells = {}
+    for point, spec in specs.items():
+        cells[point, "firstprice"] = partial(run_site_cell, spec, ("firstprice", {}))
+        cells[point, "firstreward"] = partial(run_site_cell, spec, _FIRSTREWARD)
+
+    def rows(v: dict) -> list[dict]:
+        return [
+            {
+                **dict(zip(axes, point)),
+                "improvement_pct": improvement_percent(
+                    v[point, "firstreward"], v[point, "firstprice"]
+                ),
+            }
+            for point in specs
+        ]
+
+    return sweep(cells, rows, seeds, workers)
 
 
 def run_skew_grid(
@@ -40,33 +68,20 @@ def run_skew_grid(
         "value skew x decay skew (unbounded penalties)",
         notes=[f"economy mix, load {load_factor}, n={n_jobs}, seeds={list(seeds)}"],
     )
-    with CellExecutor(workers) as ex:
-        cells = {}
-        for vskew in value_skews:
-            for dskew in decay_skews:
-                spec = economy_spec(
-                    n_jobs=n_jobs,
-                    value_skew=vskew,
-                    decay_skew=dskew,
-                    load_factor=load_factor,
-                    processors=processors,
-                )
-                cells[vskew, dskew] = (
-                    submit_mean_yield(ex, spec, ("firstprice", {}), seeds),
-                    submit_mean_yield(ex, spec, _FIRSTREWARD, seeds),
-                )
-        for vskew in value_skews:
-            for dskew in decay_skews:
-                baseline_h, fr_h = cells[vskew, dskew]
-                result.rows.append(
-                    {
-                        "value_skew": vskew,
-                        "decay_skew": dskew,
-                        "improvement_pct": improvement_percent(
-                            fr_h.result(), baseline_h.result()
-                        ),
-                    }
-                )
+    specs = {
+        (vskew, dskew): economy_spec(
+            n_jobs=n_jobs,
+            value_skew=vskew,
+            decay_skew=dskew,
+            load_factor=load_factor,
+            processors=processors,
+        )
+        for vskew in value_skews
+        for dskew in decay_skews
+    }
+    result.rows, result.seed_rows = _improvement_grid(
+        ("value_skew", "decay_skew"), specs, seeds, workers
+    )
     return result
 
 
@@ -91,32 +106,19 @@ def run_load_horizon_grid(
             f"economy mix, value skew 2, decay skew 5, n={n_jobs}, seeds={list(seeds)}"
         ],
     )
-    with CellExecutor(workers) as ex:
-        cells = {}
-        for load in load_factors:
-            for horizon in horizons:
-                spec = economy_spec(
-                    n_jobs=n_jobs,
-                    value_skew=2.0,
-                    decay_skew=5.0,
-                    load_factor=load,
-                    processors=processors,
-                    decay_horizon=horizon,
-                )
-                cells[load, horizon] = (
-                    submit_mean_yield(ex, spec, ("firstprice", {}), seeds),
-                    submit_mean_yield(ex, spec, _FIRSTREWARD, seeds),
-                )
-        for load in load_factors:
-            for horizon in horizons:
-                baseline_h, fr_h = cells[load, horizon]
-                result.rows.append(
-                    {
-                        "load_factor": load,
-                        "decay_horizon": horizon,
-                        "improvement_pct": improvement_percent(
-                            fr_h.result(), baseline_h.result()
-                        ),
-                    }
-                )
+    specs = {
+        (load, horizon): economy_spec(
+            n_jobs=n_jobs,
+            value_skew=2.0,
+            decay_skew=5.0,
+            load_factor=load,
+            processors=processors,
+            decay_horizon=horizon,
+        )
+        for load in load_factors
+        for horizon in horizons
+    }
+    result.rows, result.seed_rows = _improvement_grid(
+        ("load_factor", "decay_horizon"), specs, seeds, workers
+    )
     return result

@@ -1,7 +1,7 @@
 """Metrics: improvement computations, replication statistics, tables."""
 
 from repro.metrics.compare import improvement_percent
-from repro.metrics.stats import SeriesStats, mean_and_ci, summarize_replications
+from repro.metrics.stats import SeriesStats, mean_and_ci
 from repro.metrics.tables import format_table
 
 __all__ = [
@@ -9,5 +9,4 @@ __all__ = [
     "format_table",
     "improvement_percent",
     "mean_and_ci",
-    "summarize_replications",
 ]

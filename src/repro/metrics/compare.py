@@ -18,8 +18,8 @@ def improvement_percent(value: float, baseline: float) -> float:
     more than the baseline".
 
     A zero baseline returns ``inf``/``-inf``/0 by the sign of the
-    difference — callers plotting such series should prefer absolute
-    yields, and the experiment harness flags this case.
+    difference, and that ±inf lands in the experiment's row as is —
+    callers plotting such series should prefer absolute yields.
     """
     diff = value - baseline
     if baseline == 0.0:

@@ -1,7 +1,8 @@
 """Replication statistics: means and normal-approximation confidence intervals.
 
-The experiment harness averages each point over several seeds; these
-helpers report the spread so EXPERIMENTS.md can quote uncertainty.
+The experiment harness averages each point over several seeds; the
+replication harness reports the spread so EXPERIMENTS.md can quote
+uncertainty.
 (Implemented directly on NumPy — SciPy is available in dev environments
 but not a runtime dependency.)
 """
@@ -53,25 +54,3 @@ def mean_and_ci(values: Sequence[float]) -> SeriesStats:
     half = _Z95 * std / math.sqrt(arr.size)
     return SeriesStats(mean=mean, std=std, ci_half_width=half, n=int(arr.size))
 
-
-def summarize_replications(rows: Sequence[dict], key: str, group_by: Sequence[str]) -> list[dict]:
-    """Group replication rows and collapse *key* into SeriesStats.
-
-    ``rows`` are flat dicts (one per seed per point); ``group_by`` names
-    the point coordinates.  Returns one dict per point with the grouped
-    coordinates plus ``{key: SeriesStats}``.
-    """
-    groups: dict[tuple, list[float]] = {}
-    order: list[tuple] = []
-    for row in rows:
-        coords = tuple(row[g] for g in group_by)
-        if coords not in groups:
-            groups[coords] = []
-            order.append(coords)
-        groups[coords].append(float(row[key]))
-    out = []
-    for coords in order:
-        entry = dict(zip(group_by, coords))
-        entry[key] = mean_and_ci(groups[coords])
-        out.append(entry)
-    return out

@@ -15,6 +15,18 @@ seed 0, as written by::
     repro consolidation --n-jobs 300 --seeds 0 \
         --out tests/experiments/golden/consolidation_n300_s0.json
 
+and the seed fold at two seeds — fig4's improvement over a baseline
+shared by its row group, fig6's plain scalar means, resilience's
+per-key means of dict cells, consolidation's dict cells — as written
+by::
+
+    repro fig4 --n-jobs 300 --seeds 0 1 --out tests/experiments/golden/fig4_n300_s01.json
+    repro fig6 --n-jobs 300 --seeds 0 1 --out tests/experiments/golden/fig6_n300_s01.json
+    repro resilience --n-jobs 300 --seeds 0 1 \
+        --out tests/experiments/golden/resilience_n300_s01.json
+    repro consolidation --n-jobs 300 --seeds 0 1 \
+        --out tests/experiments/golden/consolidation_n300_s01.json
+
 Each test reruns its command through the CLI and compares bytes.  CI's
 ``perf-smoke`` job compares the same files with ``--workers 2`` output.
 """
@@ -27,10 +39,19 @@ from repro.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
+ONE_SEED = ["fig3", "fig4", "fig7", "consolidation"]
+TWO_SEEDS = ["fig4", "fig6", "resilience", "consolidation"]
 
-@pytest.mark.parametrize("figure", ["fig3", "fig4", "fig7", "consolidation"])
-def test_bytes_equal_the_golden(figure, tmp_path, capsys):
+
+@pytest.mark.parametrize(
+    "figure, seeds",
+    [pytest.param(f, ["0"], id=f) for f in ONE_SEED]
+    + [pytest.param(f, ["0", "1"], id=f"{f}-s01") for f in TWO_SEEDS],
+)
+def test_bytes_equal_the_golden(figure, seeds, tmp_path, capsys):
     out = tmp_path / f"{figure}.json"
-    assert main([figure, "--n-jobs", "300", "--seeds", "0", "--out", str(out)]) == 0
+    argv = [figure, "--n-jobs", "300", "--seeds", *seeds, "--out", str(out)]
+    assert main(argv) == 0
     capsys.readouterr()  # the printed table is not what is pinned
-    assert out.read_bytes() == (GOLDEN / f"{figure}_n300_s0.json").read_bytes()
+    golden = GOLDEN / f"{figure}_n300_s{''.join(seeds)}.json"
+    assert out.read_bytes() == golden.read_bytes()

@@ -72,6 +72,13 @@ class TestRegistry:
         with pytest.raises(ExperimentError):
             run_experiment("fig3", scale="huge")
 
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_empty_seed_list_refused(self, name):
+        """Every experiment refuses to average over no seeds, the same
+        way — not an IndexError from an empty fold, not rows of nan."""
+        with pytest.raises(ExperimentError, match="at least one seed is required"):
+            run_experiment(name, seeds=(), n_jobs=60)
+
     def test_shape_report_requires_registered_figure(self):
         with pytest.raises(ExperimentError):
             shape_report(FigureResult(figure="nope", title=""))

@@ -4,21 +4,19 @@ import json
 import os
 import pickle
 from concurrent.futures import wait
+from functools import partial
 
+import numpy as np
 import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments.parallel import (
     WORKERS_ENV,
     CellExecutor,
-    CellHandle,
-    FoldHandle,
     build_admission,
     build_heuristic,
-    mean_of,
-    mean_rows,
-    mean_rows_of,
     resolve_workers,
+    sweep,
 )
 from repro.experiments.runner import EXPERIMENTS, run_experiment
 
@@ -71,16 +69,69 @@ class TestHandles:
             assert order == ["ran"]  # inline mode preserves program order
             assert handle.result() == 41
 
-    def test_fold_and_mean(self):
-        handles = [CellHandle(value=v) for v in (1.0, 2.0, 3.0)]
-        assert mean_of(handles).result() == 2.0
-        assert FoldHandle(handles, sum).result() == 6.0
 
-    def test_mean_rows(self):
-        rows = [{"a": 1.0, "b": 10.0}, {"a": 3.0, "b": 30.0}]
-        assert mean_rows(rows) == {"a": 2.0, "b": 20.0}
-        handles = [CellHandle(value=r) for r in rows]
-        assert mean_rows_of(handles).result() == {"a": 2.0, "b": 20.0}
+def _scalar_cell(base: float, seed: int) -> float:
+    return base + seed
+
+
+def _dict_cell(base: float, seed: int) -> dict:
+    return {"a": base + seed, "b": 10.0 * (base + seed)}
+
+
+def _rows(values: dict) -> list[dict]:
+    return [{"key": key, "value": value} for key, value in values.items()]
+
+
+class TestSweep:
+    """The one seed fold: cells submitted key by key, seeds innermost,
+    each key's values averaged in seed order."""
+
+    def test_scalar_cells_fold_to_their_mean(self):
+        cells = {"x": partial(_scalar_cell, 1.0), "y": partial(_scalar_cell, 5.0)}
+        rows, per_seed = sweep(cells, _rows, seeds=(0, 1, 2), workers=1)
+        assert rows == [{"key": "x", "value": 2.0}, {"key": "y", "value": 6.0}]
+        assert [r[0]["value"] for r in per_seed] == [1.0, 2.0, 3.0]
+        assert [r[1]["value"] for r in per_seed] == [5.0, 6.0, 7.0]
+
+    def test_dict_cells_fold_per_key(self):
+        rows, per_seed = sweep(
+            {"x": partial(_dict_cell, 1.0)}, _rows, seeds=(0, 2), workers=1
+        )
+        assert rows == [{"key": "x", "value": {"a": 2.0, "b": 20.0}}]
+        assert list(rows[0]["value"]) == ["a", "b"]  # first seed's key order
+        assert [r[0]["value"] for r in per_seed] == [
+            {"a": 1.0, "b": 10.0},
+            {"a": 3.0, "b": 30.0},
+        ]
+
+    def test_cells_run_key_by_key_seeds_innermost(self):
+        calls = []
+
+        def cell(key):
+            return lambda seed: calls.append((key, seed)) or 0.0
+
+        sweep({"x": cell("x"), "y": cell("y")}, _rows, seeds=(3, 1), workers=1)
+        assert calls == [("x", 3), ("x", 1), ("y", 3), ("y", 1)]
+
+    def test_seed_order_is_the_fold_order(self):
+        values = [0.1, 0.2, 0.7]
+        rows, per_seed = sweep(
+            {"x": lambda seed: values[seed]}, _rows, seeds=(2, 0, 1), workers=1
+        )
+        assert rows[0]["value"] == float(np.mean([0.7, 0.1, 0.2]))
+        assert [r[0]["value"] for r in per_seed] == [0.7, 0.1, 0.2]
+
+    def test_workers2_equals_serial(self):
+        cells = {
+            "x": partial(_scalar_cell, 0.1),
+            "y": partial(_dict_cell, 0.3),
+        }
+        serial = sweep(cells, _rows, seeds=(0, 1, 2), workers=1)
+        assert sweep(cells, _rows, seeds=(0, 1, 2), workers=2) == serial
+
+    def test_empty_seed_list_refused(self):
+        with pytest.raises(ExperimentError, match="at least one seed"):
+            sweep({"x": partial(_scalar_cell, 1.0)}, _rows, seeds=(), workers=1)
 
 
 class TestDescriptors:

@@ -4,8 +4,8 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments.replication import run_replicated
-from repro.experiments.runner import EXPERIMENTS
-from repro.metrics.stats import SeriesStats
+from repro.experiments.runner import EXPERIMENTS, run_experiment
+from repro.metrics.stats import SeriesStats, mean_and_ci
 
 
 class TestRunReplicated:
@@ -76,3 +76,33 @@ class TestRunReplicated:
         for definition in EXPERIMENTS.values():
             x, y, line, log_x = definition.axes
             assert len({x, y, line}) == 3 and isinstance(log_x, bool)
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_replication_is_the_experiment_run_once_per_seed(name):
+    """Oracle without the sweep's per-seed rows: replication *i* is the
+    experiment run at the single seed ``base_seed + i``, its rows matched
+    by the axes' ``(line, x)`` coordinates, every numeric column folded
+    by ``mean_and_ci``."""
+    x, _, line, _ = EXPERIMENTS[name].axes
+    replicated = run_replicated(name, 3, base_seed=5, n_jobs=60)
+    runs = [run_experiment(name, seeds=(s,), n_jobs=60).rows for s in (5, 6, 7)]
+    assert len(replicated.rows) == len(runs[0])
+    for row in replicated.rows:
+        matched = [
+            [r for r in rows if (r[line], r[x]) == (row[line], row[x])]
+            for rows in runs
+        ]
+        assert all(len(m) == 1 for m in matched)
+        samples = [m[0] for m in matched]
+        metrics = [
+            k for k, v in samples[0].items()
+            if k not in (line, x) and isinstance(v, (int, float))
+        ]
+        assert list(row) == [line, x, *metrics]
+        for metric in metrics:
+            expected = mean_and_ci([float(r[metric]) for r in samples])
+            got = row[metric]
+            assert (got.mean, got.std, got.ci_half_width, got.n) == (
+                expected.mean, expected.std, expected.ci_half_width, expected.n
+            )

@@ -4,12 +4,7 @@ import math
 
 import pytest
 
-from repro.metrics import (
-    format_table,
-    improvement_percent,
-    mean_and_ci,
-    summarize_replications,
-)
+from repro.metrics import format_table, improvement_percent, mean_and_ci
 
 
 class TestImprovementPercent:
@@ -57,25 +52,6 @@ class TestMeanAndCi:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             mean_and_ci([])
-
-
-class TestSummarizeReplications:
-    def test_groups_and_averages(self):
-        rows = [
-            {"alpha": 0.0, "seed": 0, "y": 10.0},
-            {"alpha": 0.0, "seed": 1, "y": 20.0},
-            {"alpha": 0.5, "seed": 0, "y": 30.0},
-        ]
-        out = summarize_replications(rows, key="y", group_by=["alpha"])
-        assert len(out) == 2
-        assert out[0]["alpha"] == 0.0
-        assert out[0]["y"].mean == pytest.approx(15.0)
-        assert out[1]["y"].n == 1
-
-    def test_preserves_first_seen_order(self):
-        rows = [{"k": "b", "y": 1.0}, {"k": "a", "y": 2.0}, {"k": "b", "y": 3.0}]
-        out = summarize_replications(rows, key="y", group_by=["k"])
-        assert [r["k"] for r in out] == ["b", "a"]
 
 
 class TestFormatTable:
