@@ -63,7 +63,7 @@ def run_report(
     observer's full snapshot — metrics, per-run rows, span retention)
     when *obs* is given, and ``resilience`` (the
     recovery books — failovers attempted/succeeded, value recovered vs
-    lost, per-site breaker open time) when a
+    lost to breach) when a
     :class:`~repro.resilience.manager.ResilienceManager` is given.
     """
     report = {
@@ -115,16 +115,6 @@ def format_report(report: dict) -> str:
             f"value recovered {resilience['value_recovered']:.1f} vs "
             f"lost to breach {resilience['value_lost_to_breach']:.1f}"
         )
-        open_time = resilience.get("breaker_open_time") or {}
-        opened = {s: t for s, t in open_time.items() if t > 0}
-        if opened:
-            per_site = ", ".join(
-                f"{site}={t:.1f}" for site, t in sorted(opened.items())
-            )
-            lines.append(
-                f"  breakers: {resilience['breaker_opens']:g} opens; "
-                f"open time {per_site}"
-            )
     telemetry = report.get("telemetry")
     if telemetry and telemetry.get("metrics"):
         metrics = telemetry["metrics"]

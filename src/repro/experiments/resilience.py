@@ -4,20 +4,21 @@ Not a paper figure: the paper's market assumes sites honour every
 contract.  This extension injects node churn at each site (the
 ``repro.faults`` crash/repair cycles with ``restart="abandon"``, so a
 killed task breaches its contract) and asks how much of the breached
-value the market-level recovery machinery claws back:
+value failover re-bidding claws back:
 
 * the *disabled* policy is the plain market under the same chaos —
   breaches settle at the penalty floor and the value is simply lost;
-* each ``budget=N`` policy enables :class:`~repro.resilience` with a
-  per-lineage failover budget of N re-bids, circuit breakers gating
-  negotiation, and health tracking feeding the breaker trip wires.
+* each ``budget=N`` policy attaches a
+  :class:`~repro.resilience.manager.ResilienceManager` that re-bids a
+  breached task to the other sites, up to N times per lineage, on the
+  same plain broker — every site still quotes every bid.
 
 Every (mttf, policy, seed) point shares the workload trace and the
 per-site fault streams — common random numbers, so the budget axis
 isolates the recovery policy: the same crashes hit the same schedules
 and only the response differs.  Expected shape: recovered value is
-strictly positive once the budget is, grows (weakly) with the budget,
-and no lineage ever completes on two sites.
+strictly positive, grows (weakly) with the budget, failover never earns
+less than the plain market, and no lineage ever completes on two sites.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from typing import Optional, Sequence
 from repro.experiments.common import FigureResult
 from repro.experiments.parallel import sweep
 from repro.faults.spec import FaultSpec
-from repro.resilience.breaker import COOLDOWN
-from repro.resilience.config import ResilienceConfig
 from repro.resilience.driver import (
     N_SITES,
     PROCESSORS_PER_SITE,
@@ -41,9 +40,9 @@ from repro.workload.generator import generate_trace
 from repro.workload.millennium import economy_spec
 
 #: Sweep grid defaults: per-node MTTF (mean task duration is 100) and
-#: failover re-bid budgets per task lineage (0 = breakers/health only).
+#: failover re-bid budgets per task lineage.
 MTTFS = (2000.0, 1000.0, 500.0, 250.0)
-BUDGETS = (0, 1, 3)
+BUDGETS = (1, 3)
 MTTR = 100.0
 ALPHA = 0.2
 DISCOUNT_RATE = 0.01
@@ -63,11 +62,10 @@ _RES_KEYS = (
     "value_lost_to_breach",
     "lineages_exhausted",
     "double_completions",
-    "breaker_opens",
 )
 
 
-def _one_run(spec, mttf: float, config: ResilienceConfig, seed: int) -> dict:
+def _one_run(spec, mttf: float, failover_budget: int, seed: int) -> dict:
     """One (mttf, policy, seed) cell — picklable for worker fan-out."""
     trace = generate_trace(spec, seed=seed)
     faults = FaultSpec(mttf=mttf, mttr=MTTR, restart="abandon")
@@ -75,7 +73,7 @@ def _one_run(spec, mttf: float, config: ResilienceConfig, seed: int) -> dict:
         trace,
         heuristic_factory=lambda: FirstReward(ALPHA, DISCOUNT_RATE),
         admission_factory=lambda: SlackAdmission(SLACK_THRESHOLD, DISCOUNT_RATE),
-        config=config,
+        failover_budget=failover_budget,
         faults=faults,
         fault_seed=seed,
     )
@@ -85,9 +83,6 @@ def _one_run(spec, mttf: float, config: ResilienceConfig, seed: int) -> dict:
         "accepted": float(result.economy.accepted),
         "crashes": float(result.fault_stats.crashes),
         "tasks_killed": float(result.fault_stats.tasks_killed),
-        "breaker_open_time": float(
-            sum(resilience["breaker_open_time"].values())
-        ),
     }
     for key in _RES_KEYS:
         row[key] = float(resilience[key])
@@ -104,8 +99,8 @@ def run_resilience(
     """Sweep MTTF × failover budget; one row per (policy, mttf).
 
     The ``disabled`` policy (plain market, no recovery layer) anchors
-    each MTTF; ``budget=N`` policies enable resilience with that
-    failover budget.  Rows average the per-seed runs.
+    each MTTF; ``budget=N`` policies fail breached tasks over with that
+    budget.  Rows average the per-seed runs.
     """
     result = FigureResult(
         figure="resilience",
@@ -119,8 +114,7 @@ def run_resilience(
             f"({SLACK_THRESHOLD:g})",
             f"chaos: mttr={MTTR:g}, restart=abandon (crashes breach "
             f"contracts), common random numbers across the budget axis",
-            f"resilience: breaker cooldown {COOLDOWN:g}, "
-            f"budgets={list(budgets)}; 'disabled' is the plain market",
+            f"failover: budgets={list(budgets)}; 'disabled' is the plain market",
         ],
     )
     spec = economy_spec(
@@ -131,15 +125,12 @@ def run_resilience(
         processors=N_SITES * PROCESSORS_PER_SITE,
         penalty_bound=PENALTY_BOUND,
     )
-    policies = [("disabled", ResilienceConfig())]
-    policies += [
-        (f"budget={budget}", ResilienceConfig(enabled=True, failover_budget=budget))
-        for budget in budgets
-    ]
+    policies = [("disabled", 0)]
+    policies += [(f"budget={budget}", budget) for budget in budgets]
     cells = {
-        (mttf, policy): partial(_one_run, spec, mttf, config)
+        (mttf, policy): partial(_one_run, spec, mttf, budget)
         for mttf in mttfs
-        for policy, config in policies
+        for policy, budget in policies
     }
 
     def rows(v: dict) -> list[dict]:

@@ -165,8 +165,8 @@ class Broker:
         """Run one sealed-bid round for *bid* and award the winner (if any).
 
         *sites* restricts the round to a subset of the broker's sites
-        (default: all of them) — the resilience layer's circuit breakers
-        skip unhealthy sites this way.  This is the market's only
+        (default: all of them) — a failover re-bid skips the site that
+        just failed its task this way.  This is the market's only
         negotiation: every quote is gathered, every award made, every
         ``bid``/``award`` record written and every negotiation hook of
         the sites' observer called here (span id: the round's ordinal).

@@ -22,7 +22,7 @@ through, and its span list is the only store of what a site did:
   table.
 * **Flight recorder** (:mod:`repro.obs.flight`): schema-versioned
   append-only JSONL log of every market decision (bid, quote, award,
-  settlement, breaker transition) for ``repro audit`` / ``repro replay``.
+  settlement) for ``repro audit`` / ``repro replay``.
 * **Prometheus exposition** (:mod:`repro.obs.prom`): text-format
   rendering of metrics snapshots plus windowed service rates for the
   live ``/metrics`` route.

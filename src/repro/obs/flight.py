@@ -2,10 +2,10 @@
 
 A :class:`FlightRecorder` captures the market's decision chain — bid
 arrival, per-site quote (admission verdict, slack, price), award,
-settlement, breaker transition — as schema-versioned,
-append-only JSONL.  The same record schema serves both clock domains:
-simulation runs tag records with the sim clock, the live service with
-its wall clock (``Recording.clock`` says which).
+settlement — as schema-versioned, append-only JSONL.  The same record
+schema serves both clock domains: simulation runs tag records with the
+sim clock, the live service with its wall clock (``Recording.clock``
+says which).
 
 Like every observability layer it is off by default and bit-inert: the
 recorder never reads any clock itself (callers pass ``t`` from *their*
@@ -89,6 +89,8 @@ RECORD_FIELDS: dict[str, dict[str, tuple[type, ...]]] = {
         "on_time": (bool,),
         "runtime": _NUMBER,
     },
+    # written while circuit breakers gated negotiation; no reader
+    # indexes it, and it leaves the schema at the next schema bump
     "breaker": {},
     "site_summary": {"site_id": (str,), "revenue": _NUMBER, "contracts": (int,)},
     # durability layer (live service write-ahead journal)
@@ -709,10 +711,6 @@ class FlightRecorder:
             contract.actual_price, contract.agreed_price, contract.actual_completion,
             contract.on_time, bid.runtime, bid.value,
         ))
-
-    def breaker(self, t: float, site_id: str, old: str, new: str) -> None:
-        """A resilience circuit breaker changed state."""
-        self.record("breaker", t, site_id=site_id, old=old, new=new)
 
     def intent(self, t: float, action: str, **fields: object) -> None:
         """A durability intent, journaled *before* the service acts.

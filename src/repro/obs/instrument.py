@@ -308,21 +308,6 @@ class Observability:
     # ------------------------------------------------------------------
     # Resilience hooks
     # ------------------------------------------------------------------
-    def breaker_transition(self, site_id: str, old: str, new: str, now: float) -> None:
-        self.registry.counter(f"resilience.breaker.{new}").inc()
-        if new == "open":
-            self.registry.counter("resilience.breaker_opens").inc()
-        if self.spans is not None:
-            self._mark(
-                self.spans.instant(
-                    f"breaker:{new}", "resilience", now,
-                    track=f"breaker:{site_id}", site=site_id, was=old,
-                )
-            )
-
-    def site_health(self, site_id: str, score: float, now: float) -> None:
-        self.registry.time_weighted(f"resilience.health.{site_id}").observe(score, now)
-
     def failover_started(self, root_bid_id: int, attempt: int, now: float) -> None:
         self.registry.counter("resilience.failovers").inc()
         if self.spans is not None:

@@ -1,42 +1,23 @@
-"""Market-level resilience: health, circuit breakers, failover re-bidding.
+"""Market-level resilience: failover re-bidding on the plain broker.
 
 The reliability subsystem (:mod:`repro.faults`) makes individual sites
-fail; this package makes the *market* survive it.  Per-site health is
-tracked from observed outcomes (:mod:`~repro.resilience.health`), a
-circuit breaker per site gates broker→site negotiation
-(:mod:`~repro.resilience.breaker`), breached or abandoned tasks fail
-over to surviving sites within a bounded re-bid budget
-(:mod:`~repro.resilience.manager`), and
+fail; this package makes the *market* recover from it.  Breached or
+abandoned tasks fail over to the other sites within a bounded re-bid
+budget (:mod:`~repro.resilience.manager`), each re-bid one more sealed-bid
+round of the plain :class:`~repro.market.broker.Broker`, and
 :func:`~repro.resilience.driver.simulate_resilient_market` runs the
-whole stack under injected chaos.  All of it is gated behind
-:class:`~repro.resilience.config.ResilienceConfig` and bit-inert when
-disabled.
+whole stack under injected chaos.  No site is ever refused a bid: risk
+is priced into quotes, not gated.  A failover budget of 0 attaches
+nothing and is the plain market, byte for byte.
 """
 
-from repro.resilience.breaker import BreakerState, CircuitBreaker
-from repro.resilience.broker import ResilientBroker
-from repro.resilience.config import ResilienceConfig
 from repro.resilience.driver import ResilientMarketResult, simulate_resilient_market
-from repro.resilience.health import (
-    HARD_FAILURES,
-    OUTCOME_SCORES,
-    HealthTracker,
-    SiteHealth,
-)
 from repro.resilience.manager import Lineage, ResilienceManager, ResilienceStats
 
 __all__ = [
-    "BreakerState",
-    "CircuitBreaker",
-    "HARD_FAILURES",
-    "HealthTracker",
     "Lineage",
-    "OUTCOME_SCORES",
-    "ResilienceConfig",
     "ResilienceManager",
     "ResilienceStats",
-    "ResilientBroker",
     "ResilientMarketResult",
-    "SiteHealth",
     "simulate_resilient_market",
 ]

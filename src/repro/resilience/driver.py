@@ -1,17 +1,16 @@
-"""Drive a trace through a multi-site market under chaos + resilience.
+"""Drive a trace through a multi-site market under chaos + failover.
 
 :func:`simulate_resilient_market` is the resilience layer's counterpart
 of :func:`repro.site.driver.simulate_site`: it builds N market sites on
-one simulator, wires a :class:`~repro.resilience.broker.ResilientBroker`
-and :class:`~repro.resilience.manager.ResilienceManager` over them,
-optionally injects per-site node crash/repair churn (independent seeded
-fault streams per site), runs the trace to drain, and returns one result
-object carrying the economy outcome, the fault disruption, and the
-recovery books.
+one simulator, a plain :class:`~repro.market.broker.Broker` over them
+and a :class:`~repro.resilience.manager.ResilienceManager` listening to
+their settlements, optionally injects per-site node crash/repair churn
+(independent seeded fault streams per site), runs the trace to drain,
+and returns one result object carrying the economy outcome, the fault
+disruption, and the recovery books.
 
-With ``config.enabled=False`` the manager attaches nothing and the
-broker takes the plain :class:`~repro.market.broker.Broker` path — the
-chaos sweep compares exactly this pair of runs at each grid point.
+With ``failover_budget=0`` the manager attaches nothing and the run is
+the plain market — the chaos sweep's ``disabled`` row at each grid point.
 
 Like :func:`~repro.site.driver.simulate_site`, a run picks up an
 ambient :func:`repro.obs.observing` attachment when no *obs* is given
@@ -24,10 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
+from repro.market.broker import Broker
 from repro.market.economy import EconomyResult, MarketEconomy
 from repro.market.sites import MarketSite
-from repro.resilience.broker import ResilientBroker
-from repro.resilience.config import ResilienceConfig
 from repro.resilience.manager import ResilienceManager
 from repro.scheduling.base import SchedulingHeuristic
 from repro.sim.kernel import Simulator
@@ -67,7 +65,7 @@ def simulate_resilient_market(
     trace: Trace,
     heuristic_factory: Callable[[], SchedulingHeuristic],
     admission_factory: Optional[Callable[[], object]] = None,
-    config: Optional[ResilienceConfig] = None,
+    failover_budget: int = 0,
     faults: "Optional[FaultSpec]" = None,
     fault_seed: int = 0,
     obs: "Optional[Observability]" = None,
@@ -84,12 +82,12 @@ def simulate_resilient_market(
 
     The breach path requires bounded penalties: under ``restart=
     "abandon"`` a killed task's contract settles at the value-function
-    floor, which is what triggers failover re-bidding.
+    floor, which is what triggers failover re-bidding — up to
+    *failover_budget* re-bids per task (0: none, the plain market).
     """
-    config = config if config is not None else ResilienceConfig()
     obs = _resolve_obs(obs)
     if obs is not None:
-        obs.begin_run("market+resilience" if config.enabled else "market")
+        obs.begin_run("market+resilience" if failover_budget else "market")
     sim = Simulator()
 
     restart_policy = None
@@ -111,8 +109,8 @@ def simulate_resilient_market(
         )
         for i in range(N_SITES)
     ]
-    manager = ResilienceManager(sim, config, sites, obs=obs)
-    broker = ResilientBroker(sites=sites, manager=manager)
+    broker = Broker(sites=sites)
+    manager = ResilienceManager(broker, failover_budget)
     economy = MarketEconomy(sim, broker)
     economy.schedule_trace(trace)
 
@@ -141,7 +139,6 @@ def simulate_resilient_market(
     # only daemon crash timers are left: cancel them, close the downtime books
     for injector in injectors:
         injector.shutdown()
-    manager.finalize(sim.now)
     if obs is not None:
         obs.end_run(
             sim.now,

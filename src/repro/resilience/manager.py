@@ -1,17 +1,13 @@
-"""The resilience manager: health, breakers, and failover re-bidding.
+"""The resilience manager: failover re-bidding on the plain broker.
 
-One :class:`ResilienceManager` coordinates recovery for a whole market:
-
-* it listens to every site's settlement and crash streams and folds the
-  outcomes into per-site :class:`~repro.resilience.health.HealthTracker`
-  scores and :class:`~repro.resilience.breaker.CircuitBreaker` states;
-* the :class:`~repro.resilience.broker.ResilientBroker` asks it which
-  sites are currently eligible (breaker CLOSED, or HALF_OPEN with probe
-  slots) before soliciting quotes; and
-* when a contract is *breached* — a crash abandoned the task, or an
-  expired-task discard cancelled it — the manager re-bids the task to
-  the surviving sites with its decayed remaining value, bounded by a
-  per-lineage failover budget.
+One :class:`ResilienceManager` listens to every site's settlement
+stream.  When a contract is *breached* — a crash abandoned the task, or
+an expired-task discard cancelled it — the manager adopts the task as a
+:class:`Lineage` and re-bids it, with its decayed remaining value, as
+one more :meth:`~repro.market.broker.Broker.negotiate` round over every
+site except the one that failed it, bounded by a per-lineage failover
+budget.  Risk stays priced, not refused: every site is asked for every
+bid, and a site that expects to be late says so in its quote.
 
 Conservation invariants the manager preserves (and the property tests
 assert): a task lineage never runs to completion on two sites — the
@@ -19,27 +15,21 @@ original task reaches a terminal state (cancelled, settled by breach)
 before any re-bid is issued — and every contract settles exactly once,
 so total settled value is a sum over exactly-once settlements.
 
-The manager is *attached* only when its config is enabled; disabled it
-registers no listeners and the broker falls back to the plain
-:class:`~repro.market.broker.Broker` path, keeping the layer bit-inert.
+With a failover budget of 0 the manager attaches nothing: the market is
+the plain market, byte for byte.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING
 
-from repro.market.sites import MarketSite
-from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.config import ResilienceConfig
-from repro.resilience.health import HealthTracker
-from repro.sim.kernel import Simulator
+from repro.errors import MarketError
 from repro.tasks.bid import TaskBid
 from repro.tasks.contract import Contract
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from repro.market.broker import NegotiationOutcome
-    from repro.obs.instrument import Observability
+    from repro.market.broker import Broker
     from repro.tasks.task import Task
 
 #: Sim-time delay before a failover re-bid is issued: the same instant,
@@ -73,7 +63,7 @@ class ResilienceStats:
 
 @dataclass
 class Lineage:
-    """Recovery history of one client task across re-bids.
+    """Recovery history of one breached client task across re-bids.
 
     All re-bids share the root bid's value function *and release
     anchor*, so a failed-over task re-enters the market with its decayed
@@ -84,150 +74,48 @@ class Lineage:
     attempts: int = 0  # failover re-bids issued
     contracts: list[Contract] = field(default_factory=list)
     completed: int = 0  # contracts settled by completion
-    done: bool = False
 
 
 class ResilienceManager:
-    """Market-level recovery coordinator (see module docstring)."""
+    """Failover coordinator over one broker's sites (see module docstring)."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        config: ResilienceConfig,
-        sites: Sequence[MarketSite],
-        obs: "Optional[Observability]" = None,
-    ) -> None:
-        self.sim = sim
-        self.config = config
-        self.obs = obs
-        self.sites: dict[str, MarketSite] = {s.site_id: s for s in sites}
-        self.health = HealthTracker()
-        self.breakers: dict[str, CircuitBreaker] = {
-            sid: CircuitBreaker(sid) for sid in self.sites
-        }
+    def __init__(self, broker: "Broker", failover_budget: int) -> None:
+        if failover_budget < 0:
+            raise MarketError(f"failover_budget must be >= 0, got {failover_budget!r}")
+        self.broker = broker
+        self.failover_budget = failover_budget
+        self.sim = broker.sites[0].sim
+        self.obs = broker.sites[0].engine.obs
         self.stats = ResilienceStats()
-        #: broker used for failover re-bids; set by ResilientBroker
-        self.broker = None
         self._lineage_of: dict[int, Lineage] = {}  # bid_id (any attempt) -> lineage
         self.lineages: list[Lineage] = []
-        self._emitted_transitions: dict[str, int] = {sid: 0 for sid in self.sites}
-        if config.enabled:
-            for site in sites:
-                site.settlement_listeners.append(self._settlement_hook(site))
-                site.engine.crash_listeners.append(self._crash_hook(site))
+        if failover_budget:
+            for site in broker.sites:
+                site.settlement_listeners.append(self._on_settlement)
 
     # ------------------------------------------------------------------
-    # Breaker-gated site eligibility (asked by the ResilientBroker)
+    # Settlement listener (wired per site when the budget is positive)
     # ------------------------------------------------------------------
-    def eligible_sites(
-        self, sites: Sequence[MarketSite], now: float, exclude: frozenset = frozenset()
-    ) -> list[MarketSite]:
-        out = []
-        for site in sites:
-            if site.site_id in exclude:
-                continue
-            breaker = self.breakers.get(site.site_id)
-            if breaker is None or breaker.allow(now):
-                out.append(site)
-            if breaker is not None:
-                self._publish_breaker(breaker)
-        return out
-
-    def _publish_breaker(self, breaker: CircuitBreaker) -> None:
-        """Emit any breaker transitions not yet published to telemetry."""
-        emitted = self._emitted_transitions.get(breaker.site_id, 0)
-        fresh = breaker.transitions[emitted:]
-        self._emitted_transitions[breaker.site_id] = len(breaker.transitions)
-        if not fresh:
-            return
-        flight = self.sites[breaker.site_id].flight
-        for when, old, new in fresh:
-            if self.obs is not None:
-                self.obs.breaker_transition(breaker.site_id, old, new, when)
-            if flight is not None:
-                flight.breaker(when, breaker.site_id, old, new)
-
-    # ------------------------------------------------------------------
-    # Lineage bookkeeping
-    # ------------------------------------------------------------------
-    def lineage_for(self, bid: TaskBid) -> Lineage:
-        lineage = self._lineage_of.get(bid.bid_id)
-        if lineage is None:
-            lineage = Lineage(root_bid=bid)
-            self._lineage_of[bid.bid_id] = lineage
-            self.lineages.append(lineage)
-        return lineage
-
-    def note_award(self, bid: TaskBid, outcome: "NegotiationOutcome") -> None:
-        """An award landed through the resilient broker."""
-        assert outcome.contract is not None
-        lineage = self.lineage_for(bid)
-        lineage.contracts.append(outcome.contract)
-        breaker = self.breakers.get(outcome.contract.site_id)
-        if breaker is not None:
-            breaker.note_probe()
-
-    # ------------------------------------------------------------------
-    # Outcome listeners (wired per site when enabled)
-    # ------------------------------------------------------------------
-    def _settlement_hook(self, site: MarketSite):
-        def on_settlement(contract: Contract, task: "Task") -> None:
-            self._on_settlement(site.site_id, contract, task)
-
-        return on_settlement
-
-    def _crash_hook(self, site: MarketSite):
-        def on_crash(task: "Task", outcome) -> None:
-            # breaches surface through settlement; a requeued crash is a
-            # soft failure that only dents health
-            if outcome.requeued:
-                self.health.observe(site.site_id, "restart")
-                self._publish_health(site.site_id)
-
-        return on_crash
-
-    def _publish_health(self, site_id: str) -> None:
-        if self.obs is not None:
-            self.obs.site_health(site_id, self.health.score(site_id), self.sim.now)
-
-    def _on_settlement(self, site_id: str, contract: Contract, task: "Task") -> None:
-        now = self.sim.now
-        breaker = self.breakers.get(site_id)
+    def _on_settlement(self, contract: Contract, task: "Task") -> None:
+        price = contract.actual_price if contract.actual_price is not None else 0.0
         lineage = self._lineage_of.get(contract.bid.bid_id)
-        if task.state.value == "cancelled":
-            if lineage is None:
-                # contract formed outside the resilient broker; adopt it
-                # so failover still applies
-                lineage = self.lineage_for(contract.bid)
-            self.stats.breaches += 1
-            price = contract.actual_price if contract.actual_price is not None else 0.0
-            self.stats.value_lost_to_breach += max(0.0, -price)
-            self.health.observe(site_id, "breach")
-            if breaker is not None:
-                breaker.record_failure(
-                    now,
-                    breach_rate=self.health.breach_rate(site_id),
-                    events=self.health.events(site_id),
-                )
-                self._publish_breaker(breaker)
-            self._publish_health(site_id)
-            self._maybe_failover(lineage, failed_site=site_id)
-            return
-        self.health.observe(site_id, "completed" if contract.on_time else "late")
-        if breaker is not None:
-            breaker.record_success(now)
-            self._publish_breaker(breaker)
-        self._publish_health(site_id)
-        if lineage is not None:
-            lineage.completed += 1
-            lineage.done = True
-            if contract.bid.bid_id != lineage.root_bid.bid_id:
+        if task.state.value != "cancelled":
+            if lineage is not None:
                 # a failover re-run made it to completion elsewhere
-                price = contract.actual_price if contract.actual_price is not None else 0.0
+                lineage.completed += 1
                 self.stats.failovers_completed += 1
                 self.stats.value_recovered += max(0.0, price)
                 if self.obs is not None:
-                    self.obs.task_recovered(max(0.0, price), now)
+                    self.obs.task_recovered(max(0.0, price), self.sim.now)
+            return
+        if lineage is None:
+            # a breached root contract: adopt its task as a lineage
+            lineage = Lineage(root_bid=contract.bid, contracts=[contract])
+            self._lineage_of[contract.bid.bid_id] = lineage
+            self.lineages.append(lineage)
+        self.stats.breaches += 1
+        self.stats.value_lost_to_breach += max(0.0, -price)
+        self._maybe_failover(lineage, failed_site=contract.site_id)
 
     # ------------------------------------------------------------------
     # Failover re-bidding
@@ -253,10 +141,10 @@ class ResilienceManager:
         self._lineage_of[rebid.bid_id] = lineage
         return rebid
 
-    def _maybe_failover(self, lineage: Optional[Lineage], failed_site: str) -> None:
-        if lineage is None or lineage.done or self.broker is None:
+    def _maybe_failover(self, lineage: Lineage, failed_site: str) -> None:
+        if lineage.completed:
             return
-        if lineage.attempts >= self.config.failover_budget:
+        if lineage.attempts >= self.failover_budget:
             self.stats.lineages_exhausted += 1
             return
         lineage.attempts += 1
@@ -277,8 +165,10 @@ class ResilienceManager:
         # the site that just failed the task sits this round out (it
         # still quotes in later rounds)
         rebid = self._rebid(lineage)
-        contract = self.broker.negotiate(rebid, exclude=frozenset({failed_site})).contract
+        survivors = [s for s in self.broker.sites if s.site_id != failed_site]
+        contract = self.broker.negotiate(rebid, survivors).contract
         if contract is not None:
+            lineage.contracts.append(contract)
             self.stats.failovers_contracted += 1
         if self.obs is not None:
             self.obs.failover_finished(
@@ -291,21 +181,6 @@ class ResilienceManager:
     # ------------------------------------------------------------------
     # End-of-run accounting
     # ------------------------------------------------------------------
-    def finalize(self, now: float) -> dict:
-        """Close breaker books; returns the full resilience summary."""
-        for breaker in self.breakers.values():
-            breaker.finalize(now)
-            self._publish_breaker(breaker)
-        return self.summary()
-
-    @property
-    def breaker_open_time(self) -> dict[str, float]:
-        return {sid: b.open_time for sid, b in sorted(self.breakers.items())}
-
-    @property
-    def breaker_opens(self) -> int:
-        return sum(b.opens for b in self.breakers.values())
-
     @property
     def double_completions(self) -> int:
         """Lineages whose task completed on more than one site.
@@ -316,20 +191,11 @@ class ResilienceManager:
         return sum(1 for lineage in self.lineages if lineage.completed > 1)
 
     def summary(self) -> dict:
-        return {
-            **self.stats.summary(),
-            "double_completions": self.double_completions,
-            "breaker_opens": self.breaker_opens,
-            "breaker_open_time": self.breaker_open_time,
-            "health": self.health.snapshot(),
-            "breakers": {
-                sid: b.summary() for sid, b in sorted(self.breakers.items())
-            },
-        }
+        return {**self.stats.summary(), "double_completions": self.double_completions}
 
     def __repr__(self) -> str:
         return (
-            f"<ResilienceManager enabled={self.config.enabled} "
-            f"sites={len(self.sites)} failovers={self.stats.failovers_attempted} "
+            f"<ResilienceManager budget={self.failover_budget} "
+            f"sites={len(self.broker.sites)} failovers={self.stats.failovers_attempted} "
             f"recovered={self.stats.value_recovered:.1f}>"
         )

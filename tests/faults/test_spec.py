@@ -8,7 +8,6 @@ import pytest
 
 from repro.errors import SchedulingError, SimulationError
 from repro.faults import ExponentialSurvival, FaultSpec
-from repro.resilience import ResilienceConfig
 from repro.sim.rng import RandomStreams
 
 
@@ -56,8 +55,8 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "config, field",
-        [(spec(), "mttf"), (ResilienceConfig(), "enabled")],
-        ids=["FaultSpec", "ResilienceConfig"],
+        [(spec(), "mttf")],
+        ids=["FaultSpec"],
     )
     def test_configs_refuse_assignment(self, config, field):
         """Frozen configs fail loudly on the offending line — the runtime

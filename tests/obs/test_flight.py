@@ -88,7 +88,7 @@ class TestFileRoundtrip:
                     "seq": 1, "kind": "bid", "t": 2.0,
                     "bid_id": 11, "runtime": 1.0, "value": 40.0, "decay": 0.0,
                 }
-                rec.breaker(3.0, "s0", "closed", "open")
+                rec.record("breaker", 3.0, site_id="s0", old="closed", new="open")
             assert journaled.events == [] and len(memory.events) == 2
             assert journaled.recording() == memory.recording()
         assert journaled.recording() == read_recording(path)
@@ -304,6 +304,41 @@ class TestMarketIntegration:
             q["expires_at"] == q["t"] + 5.0
             for q in recording.of_kind("quote") if q["verdict"] == "issued"
         )
+        assert audit_recording(recording).to_doc()["violations"] == []
+        doc = replay_recording(recording, [parse_policy("recorded")])
+        assert doc["divergence"]["recorded"]["changed_bids"] == 0
+        assert plan_recovery(recording).open_contracts == []
+        assert main(["audit", str(path)]) == 0
+        assert main(["replay", str(path)]) == 0
+        capsys.readouterr()
+
+    def test_a_journal_with_a_breaker_row_still_reads(
+        self, tmp_path, recorded_market, capsys
+    ):
+        """Circuit breakers are gone from the market, not from the
+        schema: a journal written while a breaker could change state
+        keeps reading, auditing clean and replaying."""
+        from repro.audit import audit_recording
+        from repro.cli import main
+        from repro.live.recovery import plan_recovery
+        from repro.replay import parse_policy, replay_recording
+
+        flight, _ = recorded_market
+        path = tmp_path / "breaker.jsonl"
+        tripped = False
+        with FlightRecorder(str(path), clock_domain="wall") as rec:
+            for event in flight.recording().events:
+                fields = {k: v for k, v in event.items() if k not in ("seq", "kind", "t")}
+                rec.record(event["kind"], event["t"], **fields)
+                if event["kind"] == "settlement" and not tripped:
+                    tripped = True
+                    rec.record(
+                        "breaker", event["t"], site_id=event["site_id"],
+                        old="closed", new="open",
+                    )
+
+        recording = read_recording(str(path))
+        assert len(recording.of_kind("breaker")) == 1
         assert audit_recording(recording).to_doc()["violations"] == []
         doc = replay_recording(recording, [parse_policy("recorded")])
         assert doc["divergence"]["recorded"]["changed_bids"] == 0

@@ -1,8 +1,8 @@
 """One ``repro resilience`` cell built by hand, every layer journaling.
 
-The sites, the ``ResilientBroker`` and (through the sites) the circuit
-breakers all write one flight recorder, handed in once: ``run_market``
-opens the market's books with it.  Shared by
+The sites and the plain ``Broker`` — failover re-bids included, each one
+more ``Broker.negotiate`` round — all write one flight recorder, handed
+in once: ``run_market`` opens the market's books with it.  Shared by
 ``test_journaled_chaos.py`` and by CI's resilience smoke, which journals
 a cell to a file and runs ``repro audit`` on it — so no pytest here.
 """
@@ -12,8 +12,8 @@ from repro.faults.injector import FaultInjector
 from repro.faults.restart import make_restart_policy
 from repro.faults.spec import FaultSpec
 from repro.faults.stats import FaultStats
-from repro.market import MarketSite, run_market
-from repro.resilience import ResilienceConfig, ResilienceManager, ResilientBroker
+from repro.market import Broker, MarketSite, run_market
+from repro.resilience import ResilienceManager
 from repro.resilience.driver import N_SITES
 from repro.resilience.driver import PROCESSORS_PER_SITE as SLOTS
 from repro.scheduling import FirstReward
@@ -26,7 +26,7 @@ N_JOBS = 300
 MTTF = 250.0
 
 
-def cell_inputs(seed, budget):
+def cell_inputs(seed):
     spec = economy_spec(
         n_jobs=N_JOBS,
         value_skew=sweep.VALUE_SKEW,
@@ -36,8 +36,7 @@ def cell_inputs(seed, budget):
         penalty_bound=sweep.PENALTY_BOUND,
     )
     faults = FaultSpec(mttf=MTTF, mttr=sweep.MTTR, restart="abandon")
-    config = ResilienceConfig(enabled=True, failover_budget=budget)
-    return generate_trace(spec, seed=seed), faults, config
+    return generate_trace(spec, seed=seed), faults
 
 
 def heuristic():
@@ -53,7 +52,7 @@ def journaled_chaos_cell(seed, budget, flight):
 
     Returns ``(result, manager)``.
     """
-    trace, faults, config = cell_inputs(seed, budget)
+    trace, faults = cell_inputs(seed)
     sim = Simulator()
     sites = [
         MarketSite(
@@ -67,8 +66,8 @@ def journaled_chaos_cell(seed, budget, flight):
         )
         for i in range(N_SITES)
     ]
-    manager = ResilienceManager(sim, config, sites)
-    broker = ResilientBroker(sites=sites, manager=manager)
+    broker = Broker(sites=sites)
+    manager = ResilienceManager(broker, budget)
     streams = RandomStreams(seed)
     stats = FaultStats()
     injectors = [
@@ -81,5 +80,4 @@ def journaled_chaos_cell(seed, budget, flight):
     result = run_market(trace, sites, broker=broker, flight=flight)
     for injector in injectors:
         injector.shutdown()
-    manager.finalize(sim.now)
     return result, manager

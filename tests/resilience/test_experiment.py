@@ -14,17 +14,17 @@ def tiny_sweep():
         n_jobs=150,
         seeds=(0,),
         mttfs=(500.0, 250.0),
-        budgets=(0, 2),
+        budgets=(2,),
     )
 
 
 class TestSweepResult:
     def test_row_schema(self, tiny_sweep):
-        policies = {"disabled", "budget=0", "budget=2"}
+        policies = {"disabled", "budget=2"}
         assert {row["policy"] for row in tiny_sweep.rows} == policies
         assert {row["mttf"] for row in tiny_sweep.rows} == {500.0, 250.0}
         required = {"policy", "mttf", "total_revenue", "accepted", "crashes",
-                    "tasks_killed", "breaker_open_time", *_RES_KEYS}
+                    "tasks_killed", *_RES_KEYS}
         for row in tiny_sweep.rows:
             assert required <= set(row)
 
@@ -50,6 +50,7 @@ class TestSweepResult:
         names = {c.name for c in checks}
         assert "failover-recovers-value" in names
         assert "no-task-completes-twice" in names
+        assert "failover-never-earns-less" in names
         robust_failures = [c for c in checks if not c.passed and c.robust]
         assert not robust_failures, [str(c) for c in robust_failures]
 
@@ -67,7 +68,7 @@ class TestRegistryAndCli:
             n_jobs=80,
             seeds=(0,),
             mttfs=(400.0,),
-            budgets=(0, 1),
+            budgets=(1, 2),
         )
         assert result.figure == "resilience"
         assert len(result.rows) == 3  # disabled + two budgets at one mttf
@@ -94,7 +95,9 @@ class TestObservedSweep:
         rows = json.loads(plain.read_text())["rows"]
         snapshot = json.loads(metrics.read_text())
         assert len(snapshot["runs"]) == len(rows) > 0  # one seed: a run per row
-        assert {"resilience.breaker_opens", "resilience.failovers"} <= set(
-            snapshot["metrics"]
+        assert "resilience.failovers" in snapshot["metrics"]
+        assert not any(
+            name.startswith(("resilience.breaker", "resilience.health"))
+            for name in snapshot["metrics"]
         )
         assert json.dumps(json.loads(observed.read_text())["rows"]) == json.dumps(rows)

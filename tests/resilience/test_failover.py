@@ -1,13 +1,13 @@
-"""Failover re-bidding, breaker gating, and the budgeted client's
+"""Failover re-bidding on the plain broker, and the budgeted client's
 breach reconciliation — the recovery paths end to end."""
 
 import pytest
 
+from repro.errors import MarketError
 from repro.faults.restart import AbandonRestart
 from repro.market import Broker, MarketSite
 from repro.market.client import BudgetedClient
-from repro.resilience import ResilienceConfig, ResilienceManager, ResilientBroker
-from repro.resilience.breaker import BREAKER_FAILURES, COOLDOWN
+from repro.resilience import ResilienceManager
 from repro.scheduling import FirstPrice
 from repro.sim import Simulator
 from repro.site import SlackAdmission
@@ -21,19 +21,11 @@ def make_site(sim, site_id, processors=1, **kwargs):
     )
 
 
-def make_market(sim, n_sites=2, config=None, **site_kwargs):
+def make_market(sim, n_sites=2, failover_budget=1, **site_kwargs):
     sites = [make_site(sim, f"s{i}", **site_kwargs) for i in range(n_sites)]
-    manager = ResilienceManager(
-        sim, config or ResilienceConfig(enabled=True), sites
-    )
-    broker = ResilientBroker(sites=sites, manager=manager)
+    broker = Broker(sites=sites)
+    manager = ResilienceManager(broker, failover_budget)
     return sites, manager, broker
-
-
-def trip(breaker, at=0.0):
-    """Open *breaker* with consecutive breaches at *at*."""
-    for _ in range(BREAKER_FAILURES):
-        breaker.record_failure(at)
 
 
 def make_bid(runtime=10.0, value=100.0, decay=2.0, bound=20.0, released_at=0.0):
@@ -44,10 +36,11 @@ def make_bid(runtime=10.0, value=100.0, decay=2.0, bound=20.0, released_at=0.0):
 
 
 class TestFailoverRebid:
-    def _breach_first_contract(self, config, crash_at=5.0):
+    def _breach_first_contract(self, failover_budget=1, crash_at=5.0, n_sites=2):
         sim = Simulator()
         sites, manager, broker = make_market(
-            sim, n_sites=2, config=config, restart_policy=AbandonRestart()
+            sim, n_sites=n_sites, failover_budget=failover_budget,
+            restart_policy=AbandonRestart(),
         )
         outcome = broker.negotiate(make_bid())
         assert outcome.contract is not None
@@ -57,8 +50,7 @@ class TestFailoverRebid:
         return sim, sites, manager, outcome
 
     def test_breach_triggers_rebid_on_surviving_site(self):
-        config = ResilienceConfig(enabled=True, failover_budget=1)
-        sim, sites, manager, outcome = self._breach_first_contract(config)
+        sim, sites, manager, outcome = self._breach_first_contract()
         stats = manager.stats
         assert stats.breaches == 1
         assert stats.failovers_attempted == 1
@@ -69,115 +61,70 @@ class TestFailoverRebid:
         assert stats.value_lost_to_breach == pytest.approx(20.0)
 
     def test_failed_site_excluded_from_rebid(self):
-        config = ResilienceConfig(enabled=True, failover_budget=1)
-        _, sites, manager, outcome = self._breach_first_contract(config)
+        _, sites, manager, outcome = self._breach_first_contract()
         failed = outcome.contract.site_id
         survivor = next(s for s in sites if s.site_id != failed)
         assert len(survivor.contracts) == 1
         assert survivor.contracts[0].settled
 
+    def test_rebid_asks_every_site_but_the_failed_one(self):
+        """No site is gated: the re-bid is a plain round over the rest."""
+        _, sites, manager, outcome = self._breach_first_contract(n_sites=3)
+        failed = outcome.contract.site_id
+        (lineage,) = manager.lineages
+        rebid_contract = lineage.contracts[1]
+        assert rebid_contract.site_id != failed
+        asked = {s.site_id for s in sites if s.quotes_issued + s.quotes_declined == 2}
+        assert asked == {s.site_id for s in sites} - {failed}
+        assert manager.broker.negotiations == 2
+
     def test_every_contract_settles_exactly_once(self):
-        config = ResilienceConfig(enabled=True, failover_budget=1)
-        _, sites, manager, _ = self._breach_first_contract(config)
+        _, sites, manager, _ = self._breach_first_contract()
         contracts = [c for s in sites for c in s.contracts]
         assert len(contracts) == 2  # original + failover
         assert all(c.settled for c in contracts)
         assert manager.double_completions == 0
-        # the lineage links both contracts
+        # the lineage, adopted at the breach, links both contracts
         (lineage,) = manager.lineages
         assert len(lineage.contracts) == 2
         assert lineage.completed == 1
 
-    def test_zero_budget_records_exhaustion_without_rebid(self):
-        config = ResilienceConfig(enabled=True, failover_budget=0)
-        _, sites, manager, _ = self._breach_first_contract(config)
-        assert manager.stats.breaches == 1
-        assert manager.stats.failovers_attempted == 0
-        assert manager.stats.lineages_exhausted == 1
-        assert sum(len(s.contracts) for s in sites) == 1
-
     def test_rebid_value_decays_from_original_release(self):
         """A late crash leaves little remaining value; the re-bid still
         lands (floored at the bound) but recovers only what is left."""
-        config = ResilienceConfig(enabled=True, failover_budget=1)
         # crash at t=9.5: re-run completes at 19.5, delay 9.5, value 81
-        _, _, manager, _ = self._breach_first_contract(config, crash_at=9.5)
+        _, _, manager, _ = self._breach_first_contract(crash_at=9.5)
         assert manager.stats.value_recovered == pytest.approx(100.0 - 2.0 * 9.5)
 
-    def test_breach_updates_health_and_breaker_books(self):
-        config = ResilienceConfig(enabled=True, failover_budget=1)
-        _, _, manager, outcome = self._breach_first_contract(config)
-        failed = outcome.contract.site_id
-        assert manager.health.score(failed) < 1.0
-        assert manager.health.breach_rate(failed) > 0.0
-        # one breach, short of the trip wire: counted, breaker still closed
-        assert manager.breakers[failed].consecutive_failures == 1
-        assert manager.breakers[failed].opens == 0
-
-    def test_disabled_config_attaches_nothing(self):
+    def test_spent_budget_records_exhaustion(self):
+        """The re-run breaches too: a one-re-bid budget is spent, so the
+        lineage is exhausted and no third contract is sought."""
         sim = Simulator()
-        sites, manager, broker = make_market(
-            sim, n_sites=2, config=ResilienceConfig(enabled=False),
-            restart_policy=AbandonRestart(),
-        )
-        assert all(not s.settlement_listeners for s in sites)
+        sites, manager, broker = make_market(sim, restart_policy=AbandonRestart())
         outcome = broker.negotiate(make_bid())
-        sim.schedule(5.0, sites[0].engine.crash_node, 0)
+        first = next(s for s in sites if s.site_id == outcome.contract.site_id)
+        second = next(s for s in sites if s is not first)
+        sim.schedule(5.0, first.engine.crash_node, 0)
+        sim.schedule(7.0, second.engine.crash_node, 0)
         sim.run()
+        assert manager.stats.breaches == 2
+        assert manager.stats.failovers_attempted == 1
+        assert manager.stats.lineages_exhausted == 1
+        assert manager.stats.failovers_completed == 0
+        assert sum(len(s.contracts) for s in sites) == 2
+
+    def test_zero_budget_attaches_nothing(self):
+        _, sites, manager, _ = self._breach_first_contract(failover_budget=0)
+        assert all(not s.settlement_listeners for s in sites)
         assert manager.stats.breaches == 0
         assert manager.stats.failovers_attempted == 0
+        assert manager.lineages == []
         assert sum(len(s.contracts) for s in sites) == 1
 
-
-class TestBreakerGating:
-    def test_open_breaker_stops_solicitation(self):
+    def test_negative_budget_refused(self):
         sim = Simulator()
-        sites, manager, broker = make_market(sim)
-        trip(manager.breakers["s0"])
-        outcome = broker.negotiate(make_bid())
-        assert outcome.contract.site_id == "s1"
-        assert all(q.site_id == "s1" for q in outcome.quotes)
-        assert sites[0].quotes_issued == 0
-
-    def test_all_breakers_open_rejects_the_bid(self):
-        sim = Simulator()
-        _, manager, broker = make_market(sim)
-        for breaker in manager.breakers.values():
-            trip(breaker)
-        outcome = broker.negotiate(make_bid())
-        assert outcome.contract is None
-        assert broker.rejections == 1
-
-    def test_a_gated_rejection_is_counted_and_journaled_once(self):
-        from repro.obs.flight import FlightRecorder
-
-        sim = Simulator()
-        flight = FlightRecorder()
-        sites, manager, broker = make_market(sim)
-        broker.open_books(flight)
-        for breaker in manager.breakers.values():
-            trip(breaker)
-        assert broker.negotiate(make_bid()).contract is None
-        assert (broker.negotiations, broker.rejections) == (1, 1)
-        # the breakers opening, then a bid nobody was asked to quote on
-        kinds = [e["kind"] for e in flight.events]
-        assert kinds == ["site", "site", "breaker", "breaker", "bid"]
-
-    def test_half_open_probe_accounted_on_award(self):
-        sim = Simulator()
-        sites, manager, broker = make_market(sim)
-        trip(manager.breakers["s0"])
-        trip(manager.breakers["s1"])
-        sim.schedule(COOLDOWN + 5.0, lambda: None)
-        sim.run()  # past both cooldowns
-        first = broker.negotiate(make_bid(released_at=sim.now))
-        assert first.contract is not None
-        probed = first.contract.site_id
-        other = "s1" if probed == "s0" else "s0"
-        # the probed site's (single) probe slot is used up; the other admits one
-        second = broker.negotiate(make_bid(released_at=sim.now))
-        assert second.contract is not None
-        assert second.contract.site_id == other
+        with pytest.raises(MarketError, match="failover_budget"):
+            make_market(sim, failover_budget=-1)
 
 
 class TestBudgetedClientBreachReconciliation:
