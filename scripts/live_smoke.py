@@ -15,8 +15,10 @@ over HTTP the way a client would, and asserts the whole lifecycle:
 6. the journal (``--journal … --fsync off``, the best-effort recording)
    closes the loop offline: ``repro audit`` exits 0 on it — wall-clock
    header, every bid and settlement on the record, every conservation
-   law held — exits 1 on a deliberately corrupted copy, and exits 2
-   (no traceback) on a copy with one record's ``kind`` removed; and every
+   law held — exits 1 on a deliberately corrupted copy and on a copy
+   whose first ``accept`` intent follows its ``bid`` record (the
+   write-ahead order, ``bid_before_intent``), and exits 2 (no
+   traceback) on a copy with one record's ``kind`` removed; and every
    line of it is canonical — the line the encoder writes for the record
    read back from it (the hot kinds spell their own lines, so this holds
    their guards to wall-clock traffic);
@@ -199,6 +201,31 @@ def main(argv=None) -> int:
         )
         assert "duplicate_settlement" in cooked.stdout
         print("live_smoke: corrupted ledger correctly rejected")
+
+        # --- ... and a bid negotiated before its write-ahead intent ----
+        records = [json.loads(line) for line in lines]
+        at_intent = next(
+            i for i, r in enumerate(records)
+            if r["kind"] == "intent" and r.get("action") == "accept"
+        )
+        intent = records[at_intent]
+        at_bid = next(
+            i for i, r in enumerate(records)
+            if r["kind"] == "bid" and r["bid_id"] == intent["bid_id"]
+        )
+        bid = records[at_bid]
+        bid["seq"], intent["seq"] = intent["seq"], bid["seq"]
+        swapped = list(lines)
+        swapped[at_intent], swapped[at_bid] = _encode_row(bid), _encode_row(intent)
+        reordered = os.path.join(args.artifacts, "flight_reordered.jsonl")
+        with open(reordered, "w") as handle:
+            handle.write("\n".join(swapped) + "\n")
+        late = repro("audit", reordered)
+        assert late.returncode == 1, (
+            f"audit missed a bid recorded before its intent (exit {late.returncode})"
+        )
+        assert "bid_before_intent" in late.stdout
+        print("live_smoke: bid recorded before its accept intent correctly rejected")
 
         # --- ... and refuse a malformed record, without a traceback ----
         malformed = os.path.join(args.artifacts, "flight_malformed.jsonl")

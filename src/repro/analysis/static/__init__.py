@@ -2,12 +2,11 @@
 
 Every result in this reproduction rests on contracts the test suite can
 only spot-check after the fact: seeded RNG streams and sim-time clocks
-(paper §4.1), ordered iteration where it decides tie-breaks, and — in the
-live service — an event loop nothing blocks and a journal written before
-every act.  This package turns those conventions into machine-checked
-invariants: a single stray ``time.time()``, unseeded ``np.random`` call,
-or unsorted ``set`` iteration in a scheduler is caught at lint time
-instead of via a flaky golden-bytes diff.
+(paper §4.1), and ordered iteration where it decides tie-breaks.  This
+package turns those conventions into machine-checked invariants: a
+single stray ``time.time()``, unseeded ``np.random`` call, or unsorted
+``set`` iteration in a scheduler is caught at lint time instead of via
+a flaky golden-bytes diff.  Every rule reads one file at a time.
 
 Layers:
 
@@ -18,19 +17,12 @@ Layers:
   the clock/RNG scope table (which module family forbids which effect).
 * :mod:`repro.analysis.static.noqa` — ``# repro: noqa RULE`` per-line
   suppression comments.
-* :mod:`repro.analysis.static.callgraph` — the project-wide function and
-  class index and its under-approximating call edges.
-* :mod:`repro.analysis.static.effects` — the effect alphabet, the
-  clock/RNG/blocking/journal detectors, and :class:`EffectIndex`: direct
-  effects per function and their closure over the call graph (the
-  analyzer's one propagation).
-* :mod:`repro.analysis.static.rules_effects` — the rules that query it:
-  DET001, DET002, OBS002, DET006 (clock/RNG purity, one checker over the
-  scope table), ASY001, ASY002, WAL001.
+* :mod:`repro.analysis.static.effects` — the clock and RNG name tables.
+* :mod:`repro.analysis.static.rules_effects` — DET001, DET002, OBS002
+  (clock/RNG purity, one checker over the scope table) and ASY002.
 * :mod:`repro.analysis.static.rules_determinism` — DET003…DET005, and
-  :mod:`repro.analysis.static.rules_hygiene` — OBS001: per-file,
-  syntactic.
-* :mod:`repro.analysis.static.engine` — file discovery, the two-pass
+  :mod:`repro.analysis.static.rules_hygiene` — OBS001: syntactic.
+* :mod:`repro.analysis.static.engine` — file discovery, the one-pass
   analysis run, suppression and rule selection.
 * :mod:`repro.analysis.static.report` — text / JSON rendering and the
   ``repro lint`` entry point (exit codes 0 clean / 1 findings /

@@ -2,18 +2,15 @@
 
 Nothing here knows about specific rules: just parent links, lexical
 scopes, import-alias resolution (``np.random.default_rng`` →
-``numpy.random.default_rng``), and the per-file :class:`FileContext`
-bundle every checker receives.
+``numpy.random.default_rng``), function bodies, and the per-file
+:class:`FileContext` bundle every checker receives.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.analysis.static.engine import ProjectContext
+from typing import Iterator, Optional
 
 
 def build_parents(tree: ast.AST) -> dict[ast.AST, ast.AST]:
@@ -44,6 +41,35 @@ def enclosing_class(
 ) -> Optional[ast.ClassDef]:
     found = enclosing(node, parents, (ast.ClassDef,))
     return found if isinstance(found, ast.ClassDef) else None
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def qualname(node: ast.AST, parents: dict[ast.AST, ast.AST]) -> str:
+    """``Class.method`` / ``outer.inner`` for a def or class node."""
+    names = [node.name]  # type: ignore[attr-defined]
+    scope = enclosing(node, parents, _SCOPES)
+    while scope is not None:
+        names.append(scope.name)  # type: ignore[attr-defined]
+        scope = enclosing(scope, parents, _SCOPES)
+    return ".".join(reversed(names))
+
+
+def iter_body_nodes(func: ast.AST) -> Iterator[ast.AST]:
+    """Every node in *func*'s body except nested function/class bodies.
+
+    Lambda bodies are included — a lambda handed out as a callback still
+    runs its calls in the enclosing function's world (e.g. on the same
+    event loop), which is exactly what the async rules care about.
+    """
+    stack: list[ast.AST] = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _SCOPES):
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
 
 
 class ImportMap:
@@ -78,10 +104,6 @@ class ImportMap:
                     imports._aliases[local] = f"{base}.{alias.name}" if base else alias.name
         return imports
 
-    def alias_for(self, name: str) -> Optional[str]:
-        """Dotted target a bare local *name* was imported as, if any."""
-        return self._aliases.get(name)
-
     def resolve(self, node: ast.AST) -> Optional[str]:
         """Dotted path for a Name/Attribute chain rooted at an import.
 
@@ -113,8 +135,6 @@ class FileContext:
     module: str
     source: str
     tree: ast.Module
-    #: Call graph + effect index over the whole analyzed file set.
-    project: "ProjectContext"
     _parents: Optional[dict[ast.AST, ast.AST]] = field(default=None, repr=False)
     _imports: Optional[ImportMap] = field(default=None, repr=False)
 

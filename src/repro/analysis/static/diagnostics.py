@@ -42,16 +42,18 @@ RULES: dict[str, Rule] = {
         ),
         Rule(
             code="DET002",
-            name="wall-clock-in-sim-path",
+            name="wall-clock-in-library",
             summary=(
                 "wall-clock read (time.time, perf_counter, datetime.now) "
-                "in sim-path code"
+                "in a repro.* module outside repro.obs, repro.live and "
+                "repro.cli"
             ),
             rationale=(
                 "Simulated behaviour must depend only on the sim clock; "
                 "wall-clock reads are allowed only in the observability, "
-                "benchmark, and CLI layers where they cannot feed back "
-                "into scheduling decisions."
+                "live-service, and CLI layers, which no sim-path module "
+                "imports, so a read anywhere else is flagged at its "
+                "source before a sim-path caller can reach it."
             ),
         ),
         Rule(
@@ -95,38 +97,6 @@ RULES: dict[str, Rule] = {
             ),
         ),
         Rule(
-            code="DET006",
-            name="transitive-wall-clock-or-rng",
-            summary=(
-                "sim-path call whose resolved callee transitively reaches "
-                "a wall-clock read or unseeded RNG draw in another module"
-            ),
-            rationale=(
-                "DET001/DET002 see one module at a time; a sim-path "
-                "function calling a helper elsewhere that reads time.time() "
-                "is exactly as non-reproducible.  The effect engine "
-                "propagates WALL_CLOCK/RNG over the project call graph, "
-                "cut at the sanctioned observability boundary, and flags "
-                "the sim-path call site with a witness chain."
-            ),
-        ),
-        Rule(
-            code="ASY001",
-            name="blocking-in-async",
-            summary=(
-                "blocking syscall (os.fsync, time.sleep, Popen.wait, "
-                "subprocess.run …) reachable from an async def in "
-                "repro.live"
-            ),
-            rationale=(
-                "One blocked coroutine stalls every client on the event "
-                "loop: bids stop being answered, deadlines keep draining. "
-                "Blocking work must be offloaded (run_in_executor) or the "
-                "suppression must argue why the stall is bounded and "
-                "acceptable."
-            ),
-        ),
-        Rule(
             code="ASY002",
             name="await-check-then-act",
             summary=(
@@ -139,23 +109,6 @@ RULES: dict[str, Rule] = {
                 "invalidate the check — the single-threaded-until-await "
                 "model makes these races easy to write and hard to see. "
                 "Re-check after the await, or mutate before it."
-            ),
-        ),
-        Rule(
-            code="WAL001",
-            name="act-before-journal",
-            summary=(
-                "spawn / client-response write / contract settlement in "
-                "repro.live or repro.market.sites (where live contracts "
-                "settle) with no preceding journal-append intent on the "
-                "intraprocedural path"
-            ),
-            rationale=(
-                "PR 8's crash-durability contract: journal the intent, "
-                "then act, so recovery can reconcile acts against intents. "
-                "An act with no prior intent record is invisible to "
-                "recovery — an orphan process or unaccounted settlement "
-                "after a crash."
             ),
         ),
         Rule(

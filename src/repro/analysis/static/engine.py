@@ -1,10 +1,9 @@
-"""File discovery and the two-pass analysis run.
+"""File discovery and the analysis run: one pass, file by file.
 
-Pass 1 parses every file once and builds the project-wide facts every
-effect rule reads: the call graph and the effect index over it.  Pass 2
-runs the selected rule checkers per file, then applies ``# repro: noqa``
-suppressions.  Everything is deterministic: files are visited in sorted
-order and diagnostics are reported in (path, line, col, code) order.
+Each file is parsed once, the selected rule checkers run over it, then
+its ``# repro: noqa`` suppressions apply.  Every rule sees one file at a
+time.  Everything is deterministic: files are visited in sorted order
+and diagnostics are reported in (path, line, col, code) order.
 """
 
 from __future__ import annotations
@@ -15,9 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.analysis.static.astutils import FileContext
-from repro.analysis.static.callgraph import ParsedModule, ProjectGraph
 from repro.analysis.static.diagnostics import RULES, Diagnostic, sort_key
-from repro.analysis.static.effects import EffectIndex
 from repro.analysis.static.modulemap import module_name_for_path, module_pragma
 from repro.analysis.static.noqa import apply_suppressions, collect_suppressions
 from repro.analysis.static.rules_determinism import (
@@ -25,12 +22,7 @@ from repro.analysis.static.rules_determinism import (
     check_det004,
     check_det005,
 )
-from repro.analysis.static.rules_effects import (
-    check_asy001,
-    check_asy002,
-    check_purity,
-    check_wal001,
-)
+from repro.analysis.static.rules_effects import check_asy002, check_purity
 from repro.analysis.static.rules_hygiene import check_obs001
 
 
@@ -38,16 +30,14 @@ class LintUsageError(Exception):
     """Bad invocation (unknown rule, missing path) — exit code 2."""
 
 
-#: Rule code → checker, for the rules that are one query each.  The four
-#: purity codes (DET001/DET002/OBS002/DET006) are rows of one table and
-#: share :func:`check_purity`, which takes the selection.
+#: Rule code → checker, for the rules that are one query each.  The three
+#: purity codes (DET001/DET002/OBS002) are rows of one table and share
+#: :func:`check_purity`, which takes the selection.
 CHECKS: dict[str, Callable[[FileContext], list[Diagnostic]]] = {
     "DET003": check_det003,
     "DET004": check_det004,
     "DET005": check_det005,
-    "ASY001": check_asy001,
     "ASY002": check_asy002,
-    "WAL001": check_wal001,
     "OBS001": check_obs001,
 }
 
@@ -55,14 +45,6 @@ CHECKS: dict[str, Callable[[FileContext], list[Diagnostic]]] = {
 #: suppressible): parse failures and stale noqa comments.
 PARSE_ERROR = "E999"
 STALE_NOQA = "NQA000"
-
-
-@dataclass
-class ProjectContext:
-    """Call graph + effect index over one analyzed file set (pass 1)."""
-
-    graph: ProjectGraph
-    effects: EffectIndex
 
 
 @dataclass
@@ -151,17 +133,15 @@ def _parse(path: str) -> tuple[str, Optional[ast.Module], Optional[Diagnostic]]:
 
 
 def analyze_file(
-    parsed: ParsedModule,
+    path: str,
     source: str,
-    project: ProjectContext,
+    tree: ast.Module,
     select: tuple[str, ...],
     strict_noqa: bool,
 ) -> list[Diagnostic]:
     """Run the selected rules over one parsed file and apply suppressions."""
-    path, module = parsed.path, parsed.module
-    ctx = FileContext(
-        path=path, module=module, source=source, tree=parsed.tree, project=project
-    )
+    module = module_pragma(source) or module_name_for_path(path)
+    ctx = FileContext(path=path, module=module, source=source, tree=tree)
     raw = check_purity(ctx, select)
     for code in select:
         if code in CHECKS:
@@ -211,23 +191,13 @@ def analyze_paths(
     selection = resolve_selection(select)
     files = discover_files(paths)
 
-    # Pass 1: parse everything under its module identity, then build the
-    # call graph + effect index over the whole file set.
     run = LintRun(files_checked=len(files))
-    parsed: list[tuple[ParsedModule, str]] = []
     for path in files:
         source, tree, failure = _parse(path)
         if failure is not None:
             run.diagnostics.append(failure)
             continue
         assert tree is not None
-        module = module_pragma(source) or module_name_for_path(path)
-        parsed.append((ParsedModule(path=path, module=module, tree=tree), source))
-    graph = ProjectGraph([pm for pm, _source in parsed])
-    project = ProjectContext(graph=graph, effects=EffectIndex(graph))
-
-    # Pass 2: rules + suppression per file.
-    for pm, source in parsed:
-        run.diagnostics.extend(analyze_file(pm, source, project, selection, strict_noqa))
+        run.diagnostics.extend(analyze_file(path, source, tree, selection, strict_noqa))
     run.diagnostics.sort(key=sort_key)
     return run

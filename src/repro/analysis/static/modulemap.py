@@ -41,22 +41,19 @@ SIM_PATH_PREFIXES = (
     "repro.resource",
 )
 
-#: Observability / measurement layers may read the wall clock: their
-#: whole job is timing the real world, and they are forbidden (by design
-#: and by the bit-identity test suite) from feeding back into sim state.
-WALL_CLOCK_ALLOWLIST_PREFIXES = (
-    "repro.obs",
-    # the live service mode *is* the wall clock: its clocks, executor,
-    # event loop, and the retrying client (repro.live.client: request
-    # timeouts, backoff sleeps, monotonic deadlines) read real time by
-    # design.  The boundary holds because live code reaches the shared
-    # scheduling/market layers only through the Clock protocol
-    # (repro.sim.clock) — those layers stay in SIM_PATH_PREFIXES and
-    # stay forbidden.  One live module opts back OUT of this allowance:
-    # repro.live.recovery is timestamp-passive (see below), so for it
-    # the passivity rule wins over the package allowlist.
-    "repro.live",
-)
+#: The layers that may read the wall clock — DET002 forbids a read in
+#: every other ``repro.*`` module.  Observability and measurement time
+#: the real world and are forbidden (by design and by the bit-identity
+#: test suite) from feeding back into sim state; the live service mode
+#: *is* the wall clock (its clocks, executor, event loop, and the
+#: retrying client's timeouts, backoff sleeps and deadlines); the CLI
+#: times the commands it runs.  The boundary holds because live code
+#: reaches the shared scheduling/market layers only through the Clock
+#: protocol (repro.sim.clock), and no sim-path module imports
+#: repro.live or repro.cli.  One live module opts back OUT of this
+#: allowance: repro.live.recovery is timestamp-passive (see below), so
+#: for it the passivity rule wins over the package allowlist.
+WALL_CLOCK_ALLOWLIST_PREFIXES = ("repro.obs", "repro.live", "repro.cli")
 
 #: Packages whose iteration order directly decides scheduling tie-breaks.
 HOT_PATH_PREFIXES = (
@@ -163,20 +160,10 @@ def is_print_allowed(module: str) -> bool:
 def is_live_service(module: str) -> bool:
     """The asyncio service layer: the event-loop disciplines apply.
 
-    Scope of ASY001/ASY002 — the only package where an event loop runs
-    on the wall clock.
+    Scope of ASY002 — the only package where an event loop runs on the
+    wall clock.
     """
     return _under(module, ("repro.live",))
-
-
-def is_journaled_act_scope(module: str) -> bool:
-    """Where PR 8's journal-before-act contract (WAL001) is load-bearing.
-
-    The live package, and the one shared module it acts through: a
-    ``LiveSite`` is a ``MarketSite``, so the live service's contracts
-    settle in ``repro.market.sites``.
-    """
-    return is_live_service(module) or module == "repro.market.sites"
 
 
 def is_timestamp_passive(module: str) -> bool:
@@ -190,35 +177,39 @@ def is_timestamp_passive(module: str) -> bool:
 
 @dataclass(frozen=True)
 class PurityScope:
-    """One row: rule *code* forbids *effects* in the *forbidden* modules.
+    """One row: rule *code* forbids *effect* in the *forbidden* modules.
 
-    ``effects`` are names from the effect alphabet
-    (:mod:`repro.analysis.static.effects`).  A direct row reports the
-    offending call itself; a ``transitive`` row reports a call whose
-    resolved callee carries the effect in its gated closure.  ``message``
-    is the finding's template: ``{call}`` and ``{module}`` for direct
-    rows; ``{function}``, ``{hazard}``, ``{via}`` and ``{chain}`` for
-    transitive ones.
+    ``effect`` is a name from :mod:`repro.analysis.static.effects`; the
+    finding is reported at the offending call itself, and ``message`` is
+    its template (``{call}``, ``{module}``).
     """
 
     code: str
-    effects: tuple[str, ...]
+    effect: str
     forbidden: Callable[[str], bool]
     message: str
-    transitive: bool = False
 
 
 def _rng_forbidden(module: str) -> bool:
     return is_repro_library(module) and module != SEEDED_STREAM_MODULE
 
 
+def _clock_forbidden(module: str) -> bool:
+    # a timestamp-passive module's read is OBS002's finding, not a second one
+    return (
+        is_repro_library(module)
+        and not is_wall_clock_allowed(module)
+        and not is_timestamp_passive(module)
+    )
+
+
 #: Which module family forbids which purity effect — the whole policy of
-#: DET001 / DET002 / OBS002 / DET006, answered by one checker
+#: DET001 / DET002 / OBS002, answered by one checker
 #: (:func:`repro.analysis.static.rules_effects.check_purity`).
 PURITY_SCOPES = (
     PurityScope(
         code="DET001",
-        effects=("RNG",),
+        effect="RNG",
         forbidden=_rng_forbidden,
         message=(
             f"RNG call {{call}} outside {SEEDED_STREAM_MODULE}; "
@@ -227,16 +218,16 @@ PURITY_SCOPES = (
     ),
     PurityScope(
         code="DET002",
-        effects=("WALL_CLOCK",),
-        forbidden=is_sim_path,
+        effect="WALL_CLOCK",
+        forbidden=_clock_forbidden,
         message=(
-            "wall-clock read {call} in sim-path module {module}; use the "
-            "sim clock (sim.now), or move the measurement into repro.obs"
+            "wall-clock read {call} in {module}; use the sim clock "
+            "(sim.now), or move the measurement into repro.obs"
         ),
     ),
     PurityScope(
         code="OBS002",
-        effects=("WALL_CLOCK",),
+        effect="WALL_CLOCK",
         forbidden=is_timestamp_passive,
         message=(
             "wall-clock read {call} in timestamp-passive module {module}; "
@@ -244,29 +235,4 @@ PURITY_SCOPES = (
             "time belongs to repro.live)"
         ),
     ),
-    PurityScope(
-        code="DET006",
-        effects=("WALL_CLOCK", "RNG"),
-        forbidden=is_sim_path,
-        message=(
-            "sim-path function {function} reaches a {hazard} effect via "
-            "{via}: {chain}"
-        ),
-        transitive=True,
-    ),
 )
-
-
-def seeds_purity_hazard(effect: str, module: str) -> bool:
-    """Does a direct *effect* hit in *module* taint its callers (DET006)?
-
-    Only where no per-module rule already reports it at the source: a
-    wall-clock read outside sim-path code (DET002's beat) and outside the
-    sanctioned boundary, or an RNG draw outside the ``repro`` package
-    (DET001's beat).  The other half of the boundary — nothing in a
-    wall-clock-allowed module inherits a purity effect either — is
-    :func:`is_wall_clock_allowed`, applied by the effect propagation.
-    """
-    if effect == "WALL_CLOCK":
-        return not is_sim_path(module) and not is_wall_clock_allowed(module)
-    return not is_repro_library(module)

@@ -54,8 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro lint",
         description=(
             "AST-based determinism & invariant analyzer: seeded-RNG "
-            "discipline, sim-clock purity, ordered iteration, event-loop "
-            "and journal-before-act discipline in the live service."
+            "discipline, sim-clock purity, ordered iteration, and "
+            "await check-then-act races in the live service."
         ),
     )
     parser.add_argument(

@@ -1,7 +1,7 @@
 """Determinism rules DET003–DET005: the per-file, syntactic ones.
 
-(Clock and RNG purity — DET001, DET002, DET006 — are effect queries and
-live in :mod:`repro.analysis.static.rules_effects`.)  Each checker takes
+(Clock and RNG purity — DET001, DET002 — live in
+:mod:`repro.analysis.static.rules_effects`.)  Each checker takes
 a :class:`~repro.analysis.static.astutils.FileContext` and returns
 diagnostics; scoping (which modules a rule applies to) is decided here
 via :mod:`repro.analysis.static.modulemap` so the engine stays

@@ -27,11 +27,14 @@ Violation codes::
     revenue_mismatch         site summary revenue != sum of settlements
     contract_count_mismatch  site summary contract count != awards seen
     recovery_without_award   crash recovery re-settled an unknown contract
+    bid_before_intent        bid negotiated before its ``accept`` intent
 
 Durability records (the live service's write-ahead journal) are part of
 the ledger too: ``intent``/``shed``/``recovery`` records are counted,
-and a ``recovery`` re-settlement must reference a contract actually
-awarded on the record — recovery may close books, never invent them.
+a bid's ``accept`` intent must precede its ``bid`` record (write-ahead:
+the intent is durable before any market state changes), and a
+``recovery`` re-settlement must reference a contract actually awarded
+on the record — recovery may close books, never invent them.
 
 The checks read one fold of the recording (:func:`fold_books`), and so
 do crash recovery, replay and the price board: one set of books.
@@ -322,6 +325,18 @@ def audit_recording(recording: Recording) -> AuditReport:
                 f"{award['site_id']}) never settled",
                 contract_id=contract_id,
                 site_id=award["site_id"],
+            )
+
+    for event in books.records["intent"]:
+        bid = bids.get(event.get("bid_id")) if event.get("action") == "accept" else None
+        if bid is not None and bid["seq"] < event["seq"]:
+            report.add(
+                "bid_before_intent",
+                f"bid {bid['bid_id']} recorded at seq {bid['seq']} before its "
+                f"accept intent at seq {event['seq']} — the intent must be "
+                "durable before the market acts on the bid",
+                bid_id=bid["bid_id"],
+                seq=event["seq"],
             )
 
     for event in books.records["recovery"]:

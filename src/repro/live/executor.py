@@ -106,7 +106,7 @@ class SubprocessExecutor:
             # journaling is the caller's job via on_spawn below: the spawn
             # intent needs the child's PID, which only exists post-fork
             try:
-                proc = await asyncio.create_subprocess_exec(  # repro: noqa WAL001  # PID known only after fork; on_spawn journals it immediately
+                proc = await asyncio.create_subprocess_exec(
                     *argv,
                     stdout=asyncio.subprocess.DEVNULL,
                     stderr=asyncio.subprocess.DEVNULL,

@@ -175,8 +175,9 @@ async def _handle(
             # the fsync in this chain runs only under fsync=always — the
             # operator's explicit durability-over-latency choice;
             # interval-policy syncs are offloaded to the thread pool
-            # (LiveService.start)
-            status, payload, headers = _route(service, method, path, body, accept, idem)  # repro: noqa ASY001  # fsync=always is a deliberate bounded stall; interval is offloaded
+            # (LiveService.start).  The blocking-call guard in
+            # tests/live/conftest.py fails any other stall on this loop
+            status, payload, headers = _route(service, method, path, body, accept, idem)
         except ApiError as exc:
             status, payload = exc.status, {"error": str(exc)}
             if exc.retry_after is not None:

@@ -170,7 +170,7 @@ async def _serve(config: LiveConfig, args: argparse.Namespace) -> int:
         )
         # boot-time header write, before the server socket exists: no
         # client is waiting on this loop iteration yet
-        flight = FlightRecorder(sink=sink, clock_domain="wall")  # repro: noqa ASY001  # boot-time header write; nothing is being served yet
+        flight = FlightRecorder(sink=sink, clock_domain="wall")
         if plan is not None:
             flight.seq = plan.next_seq
 
@@ -184,7 +184,7 @@ async def _serve(config: LiveConfig, args: argparse.Namespace) -> int:
 
     # site_open journal records during construction — still boot time,
     # before start_http binds the listening socket
-    service = LiveService(config, obs=obs, clock=clock, flight=flight)  # repro: noqa ASY001  # boot-time site_open records; server not listening yet
+    service = LiveService(config, obs=obs, clock=clock, flight=flight)
     if plan is not None:
         from repro.live.recovery import apply_recovery
 
@@ -228,7 +228,7 @@ async def _serve(config: LiveConfig, args: argparse.Namespace) -> int:
     if flight is not None:
         # shutdown-time final sync: the HTTP server is closed and the
         # service drained — the loop has nothing left to serve
-        flight.close()  # repro: noqa ASY001  # final sync after drain; no clients left to stall
+        flight.close()
         print(f"wrote {journal_path} ({flight.seq} flight records)")
     for line in write_artifacts(obs, args.trace_out, args.metrics_out):
         print(line)

@@ -147,14 +147,15 @@ class _SiteExecutor(SubprocessExecutor):
         argv = record.argv or sleep_argv(task.remaining / self.rate)
         factor = self.service.config.timeout_factor
         # the spawn-intent journal write below, and the settlement's
-        # behind on_exit (a callback repro lint cannot follow —
-        # docs/static_analysis.md), block only under fsync=always (the
-        # operator's explicit write-ahead strictness); interval-policy
-        # syncs run on the thread pool (LiveService.start)
+        # behind on_exit (through the engine's finish listeners), block
+        # the loop only under fsync=always (the operator's explicit
+        # write-ahead strictness); interval-policy syncs run on the
+        # thread pool (LiveService.start).  The blocking-call guard in
+        # tests/live/conftest.py holds every path to that rule
         record.report = await self.run(
             argv,
             factor * task.estimate if factor > 0 else None,
-            on_spawn=lambda pid: self.service._note_spawn(record, argv, pid),  # repro: noqa ASY001  # fsync=always is deliberate write-ahead strictness; interval is offloaded
+            on_spawn=lambda pid: self.service._note_spawn(record, argv, pid),
         )
         on_exit(task, ok=record.report.ok)
 
@@ -424,10 +425,11 @@ class LiveService:
             # through the normal failure path.
             for site in self.sites:
                 # settlement journal writes during forced abandonment
-                # (through the engine's finish listeners, where repro
-                # lint cannot follow — docs/static_analysis.md): drain is
-                # shutdown, stalling the loop here delays no client, and
-                # the records must be durable before exit
+                # go through the engine's finish listeners and the
+                # sink's policy: fsync=always blocks here by the
+                # operator's choice, interval is offloaded (the
+                # blocking-call guard in tests/live/conftest.py checks
+                # both)
                 site.abandon()
             while True:
                 # again each round: a run launched just before the grace
@@ -437,7 +439,7 @@ class LiveService:
                 if not self._inflight:
                     break
                 await self.clock.sleep(poll)
-        self.broker.close_books()  # repro: noqa ASY001  # shutdown path; summaries must hit the journal before exit
+        self.broker.close_books()
 
     async def stop(self) -> None:
         """Undo :meth:`start`: journal syncs run in line again."""

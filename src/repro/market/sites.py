@@ -179,16 +179,16 @@ class MarketSite:
         # idempotent-redo half of the WAL contract (see
         # repro.live.recovery), so no separate intent precedes the act
         if task.state.value != "cancelled":
-            price = contract.settle(task.completion, release=task.arrival)  # repro: noqa WAL001  # self-journaling: settlement record follows; recovery re-settles on crash
+            price = contract.settle(task.completion, release=task.arrival)
             outcome = "completed"
         elif math.isfinite(contract.vf.floor):
-            price = contract.settle_breach(now)  # repro: noqa WAL001  # self-journaling: settlement record follows; recovery re-settles on crash
+            price = contract.settle_breach(now)
             outcome = "breached"
         else:
             # only a failing executor gets here: a run that died with an
             # unbounded penalty is abandoned (Task.abort) — the client
             # owes nothing, the penalty accrued so far stands
-            price = contract.settle_abandoned(now, release=task.arrival)  # repro: noqa WAL001  # self-journaling: settlement record follows; recovery re-settles on crash
+            price = contract.settle_abandoned(now, release=task.arrival)
             outcome = "abandoned"
         self.revenue += price
         if self.flight is not None:

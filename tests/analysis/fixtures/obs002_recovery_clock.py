@@ -13,8 +13,8 @@ import time
 
 def resettle_all(contracts: list, journal) -> None:
     now = time.monotonic()  # expect: OBS002
-    # journal-before-act (WAL001): recovery records the begin marker
-    # before re-settling, exactly like repro.live.recovery
+    # recovery records the begin marker before re-settling, exactly
+    # like repro.live.recovery
     journal.recovery(now, "begin")
     for contract in contracts:
         contract.settle_abandoned(now, release=0.0)

@@ -8,6 +8,7 @@ extras — so every rule is exercised positively and negatively at once.
 
 from __future__ import annotations
 
+import ast
 import json
 import re
 import subprocess
@@ -26,8 +27,6 @@ from repro.analysis.static.engine import (
 )
 from repro.analysis.static.modulemap import (
     is_hot_path,
-    is_journaled_act_scope,
-    is_live_service,
     is_print_allowed,
     is_sim_path,
     is_timestamp_passive,
@@ -199,6 +198,7 @@ def test_policy_predicates():
     assert is_sim_path("repro.scheduling.firstreward")
     assert not is_sim_path("repro.obs.instrument")  # allowlisted
     assert not is_sim_path("repro.cli")
+    assert is_wall_clock_allowed("repro.cli")
     assert is_hot_path("repro.market.broker")
     assert not is_hot_path("repro.workload.generator")
     assert is_print_allowed("repro.cli")
@@ -228,28 +228,38 @@ def test_live_mode_scoping():
     assert is_timestamp_passive("repro.live.recovery")
     assert not is_timestamp_passive("repro.live.client")
     assert not is_timestamp_passive("repro.live.service")
-    # WAL001 follows the settlement: a LiveSite is a MarketSite, so live
-    # contracts settle in repro.market.sites, outside the event-loop scope
-    assert is_journaled_act_scope("repro.live.service")
-    assert is_journaled_act_scope("repro.market.sites")
-    assert not is_live_service("repro.market.sites")
-    assert not is_journaled_act_scope("repro.market.broker")
 
 
-def test_wal001_sees_the_settlements_of_the_shared_site(monkeypatch):
-    """The three settlement calls of ``MarketSite._on_task_finished`` are
-    findings — suppressed, each with its self-journaling justification;
-    they must not go unseen because settlement sits outside repro.live."""
-    monkeypatch.chdir(REPO_ROOT)
-    path = "src/repro/market/sites.py"
-    marked = [
-        s for s in collect_suppressions(Path(path).read_text()).values()
-        if "WAL001" in s.codes
-    ]
-    assert len(marked) == 3
-    # strict: a marker that suppressed nothing would itself be reported
-    run = analyze_paths(["src"], select=["WAL001"], strict_noqa=True)
-    assert not [d for d in run.diagnostics if d.path == path]
+def test_sim_path_never_imports_the_wall_clock_layers():
+    """DET002 flags a clock read at its source everywhere but repro.obs,
+    repro.live and repro.cli.  That covers every read sim-path code can
+    reach only while no sim-path module imports repro.live or repro.cli
+    (lazy, function-local imports included)."""
+    offenders = []
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        module = module_name_for_path(str(path))
+        if not is_sim_path(module):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            offenders.extend(
+                f"{module}:{node.lineno} imports {name}"
+                for name in names
+                if name.split(".")[:2] in (["repro", "live"], ["repro", "cli"])
+            )
+    assert not offenders, offenders
+
+
+def test_rule_table_in_the_docs_matches_the_catalog():
+    """docs/static_analysis.md says its rule table is generated from RULES."""
+    doc = (REPO_ROOT / "docs" / "static_analysis.md").read_text()
+    rows = re.findall(r"^\| ([A-Z]+\d+) \| ([\w-]+) \|", doc, flags=re.MULTILINE)
+    assert rows == [(code, rule.name) for code, rule in RULES.items()]
 
 
 # ----------------------------------------------------------------------

@@ -38,6 +38,9 @@ async def _request(port, method, path, payload=None):
 def _scenario(coro_fn, **config_overrides):
     config_overrides.setdefault("rate", 200.0)
     config_overrides.setdefault("sites", (LiveSiteSpec(site_id="live-0", slots=2),))
+    # the default watchdog (10x) kills a 0.02 s child that a loaded host
+    # forks late; these tests are about the HTTP surface
+    config_overrides.setdefault("timeout_factor", 100.0)
 
     async def main():
         service = LiveService(LiveConfig(**config_overrides))
@@ -202,6 +205,7 @@ def test_metrics_prometheus_with_obs_attached():
         config = LiveConfig(
             rate=200.0,
             sites=(LiveSiteSpec(site_id="live-0", slots=2),),
+            timeout_factor=100.0,  # as in _scenario
         )
         service = LiveService(config, obs=obs)
         await service.start()

@@ -35,6 +35,9 @@ def _run_recorded(tmp_path, requests):
     config = LiveConfig(
         rate=200.0,
         sites=(LiveSiteSpec(site_id="live-0", slots=2),),
+        # a 0.02 s child the default watchdog (10x) kills whenever a
+        # loaded host forks it late; these tests are about the record
+        timeout_factor=100.0,
     )
     flight = FlightRecorder(path, clock_domain="wall")
     service = LiveService(config, flight=flight)

@@ -306,3 +306,49 @@ class TestAuditCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is True
         assert doc["counts"]["sites"] == 2
+
+
+#: A wall-clock journal of one declined bid, its ``accept`` intent
+#: written ahead of the bid record, as the live service writes it.
+_WRITE_AHEAD = [
+    _JOURNAL[0],
+    _JOURNAL[1],
+    {
+        "seq": 2, "kind": "intent", "t": 0.0, "action": "accept", "bid_id": 1,
+        "client_id": None, "runtime": 4.0, "value": 50.0, "decay": 0.1,
+        "bound": None,
+    },
+    {**_JOURNAL[2], "seq": 3},
+    {
+        "seq": 4, "kind": "quote", "t": 0.0, "site_id": "s0", "bid_id": 1,
+        "verdict": "declined",
+    },
+]
+
+
+class TestWriteAheadOrder:
+    def _write(self, tmp_path, records):
+        path = tmp_path / "journal.jsonl"
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+        return str(path)
+
+    def test_intent_ahead_of_its_bid_audits_clean(self, tmp_path):
+        recording = read_recording(self._write(tmp_path, _WRITE_AHEAD))
+        report = audit_recording(recording)
+        assert report.ok, report.format()
+        assert report.counts["intents"] == 1
+
+    def test_bid_before_intent(self, tmp_path, capsys):
+        # the intent and its bid swapped, seqs included: the bid was
+        # negotiated before the intent to negotiate it was durable
+        intent, bid = _WRITE_AHEAD[2], _WRITE_AHEAD[3]
+        swapped = [
+            *_WRITE_AHEAD[:2], {**bid, "seq": 2}, {**intent, "seq": 3}, _WRITE_AHEAD[4]
+        ]
+        path = self._write(tmp_path, swapped)
+        report = audit_recording(read_recording(path))
+        assert [(v["code"], v["bid_id"], v["seq"]) for v in report.violations] == [
+            ("bid_before_intent", 1, 3)
+        ]
+        assert main(["audit", path]) == 1
+        assert "bid_before_intent" in capsys.readouterr().out
