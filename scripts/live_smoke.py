@@ -96,6 +96,11 @@ def main(argv=None) -> int:
             "--rate", str(RATE),
             "--slots", str(SLOTS),
             "--drain-grace", "30",
+            # a 4-unit task sleeps 8 ms, but the interpreter it forks can
+            # take over 80 ms to start on a loaded host: at the default
+            # factor 10 the watchdog then kills every attempt and each
+            # contract is cancelled.  The watchdog has its own tests.
+            "--timeout-factor", "100",
             "--trace-out", trace_out,
             "--metrics-out", metrics_out,
             "--journal", journal,
@@ -137,7 +142,11 @@ def main(argv=None) -> int:
                 break
             time.sleep(0.2)
         else:
-            raise AssertionError(f"tasks never settled: {status['tasks']}")
+            docs = http(port, "GET", "/tasks")["tasks"]
+            raise AssertionError(
+                f"tasks never settled: {status['tasks']}; watchdog kills "
+                f"{sum(doc['killed'] for doc in docs)} over {len(docs)} tasks"
+            )
         site = status["sites"][0]
         assert site["peak_running"] == SLOTS, f"cap violated: {site['peak_running']}"
         assert status["revenue"] > 0, "no revenue settled"

@@ -38,6 +38,14 @@ pools get no such rows: there every score can be ``α·PV/RPT`` with a
 ``±0.0`` cost, a whole-pool tie that pool order settles, so they are
 computed in the general form's own operations (see
 :mod:`repro.scheduling.cost`).
+
+Where every row expires (``PoolColumns.expiring == len``) the pool keeps
+its second count: the rows at their floor — horizon exactly 0, raw yield
+strictly below ``−bound`` — whose yield is ``−bound`` at every later
+clock reading (see :mod:`repro.scheduling.pool`).  :func:`bounded_scores`
+scores them from the terms the pool stores and computes the general
+form row by row only for the others, so the scores stay the general
+form's floats bit for bit.
 """
 
 from __future__ import annotations
@@ -46,6 +54,8 @@ import abc
 from typing import Any, Optional
 
 import numpy as np
+
+from repro.scheduling.cost import saturating_costs
 
 
 class _Instant:
@@ -103,11 +113,13 @@ class PoolColumns:
     argument survives the call chain.  A new clock reading replaces the
     slot; a pool mutation replaces the view.
 
-    A view taken from a :class:`~repro.scheduling.pool.PendingPool`
-    (:attr:`from_pool`) also reaches the pool's affine-score rows while
-    it never expires (:meth:`affine`), and its Eq. 4 inputs are
-    non-negative by construction.  A hand-built view has neither, and its
-    heuristics take the general path, checks included.
+    A view taken from a :class:`~repro.scheduling.pool.PendingPool` also
+    reaches the pool's row state: its affine-score rows while it never
+    expires (:meth:`affine`), its rows at their floor while every row can
+    expire (:func:`bounded_scores`, which scores from them instead of the
+    memo), and its Eq. 4 inputs are non-negative by construction.  A
+    hand-built view has none of these, and its heuristics take the
+    general path, checks included.
     """
 
     __slots__ = (
@@ -183,11 +195,6 @@ class PoolColumns:
             return None
         return source.rows(key, len(self))
 
-    @property
-    def from_pool(self) -> bool:
-        """A pool's own view, not a hand-built one."""
-        return self._source is not None
-
     @classmethod
     def empty(cls) -> "PoolColumns":
         z = np.empty(0)
@@ -254,6 +261,108 @@ def affine_scores(
     if key[0] != 1.0:
         scores -= cost * float(cols.decay.sum())
     return scores
+
+
+#: Fewest candidate rows a scoring that computes a cost marks at once.
+#: A mark costs a dozen vector calls whatever its size, while a row left
+#: to the per-row path costs nanoseconds, so marks are batched — except
+#: where no cost is computed (nothing decays, or α = 1), where marking the
+#: last rows lets the next scoring skip the per-row path altogether.  Any
+#: value gives the same scores.
+_MARK_BATCH = 32
+
+#: The floor terms of a view with no rows at their floor.
+_NO_FLOOR = np.empty((3, 0))
+
+
+def floor_terms(bound: np.ndarray, rpt: np.ndarray, key: tuple[float, float]) -> np.ndarray:
+    """The ``(3, k)`` clock-free terms ``α·pv, denom, rpt`` of rows at
+    their floor for the ``(alpha, rate)`` *key*.
+
+    Such a row yields exactly ``−bound`` (``np.maximum`` returns it for a
+    raw yield below it), so these are the general form's ``α·PV`` and
+    ``max(RPT, MIN_REMAINING)`` for the row, operation for operation.
+    """
+    alpha, rate = key
+    return np.array((alpha * (-bound / (1.0 + rate * rpt)), np.maximum(rpt, MIN_REMAINING), rpt))
+
+
+def bounded_scores(
+    cols: PoolColumns, now: float, key: tuple[float, float]
+) -> Optional[np.ndarray]:
+    """The score of every row of a pool's view whose rows can all expire,
+    at *now*, for the ``(alpha, rate)`` *key*; ``None`` for any other view
+    — the caller then takes the general path.
+
+    ``(α·PV − (1 − α)·cost) / RPT`` in the general form's own operations:
+    FirstReward's Eq. 6, PresentValue at ``α = 1`` and FirstPrice at
+    ``(1, 0)`` (``x / 1.0`` and ``1.0 · x`` are ``x``), with Eq. 4's cost
+    over the competitors that still decay, ``+0.0`` when none does.  Rows
+    at their floor (see :mod:`repro.scheduling.pool`) score from the terms
+    the pool keeps for them: the stored score when nothing in the view
+    decays, else the stored ``α·PV`` less a cost counted by
+    :func:`~repro.scheduling.cost.saturating_costs`'s merge.  Only the
+    other rows — probed rows included — get per-row arithmetic, and the
+    pool rows among them found at their floor are marked.  Every score is
+    the general form's float, bit for bit.
+    """
+    source = cols._source
+    n = len(cols)
+    if source is None or cols.expiring != n:
+        return None
+    alpha, rate = key
+    serves = source.floor_rows(key, now)
+    floored = source.count if serves else 0
+    if floored == n:
+        # every row is a pool row at its floor: nothing decays
+        return source.floor_scores(n)
+    pending = source.pending
+    if not floored:
+        other = None
+        rows = (cols.arrival, cols.runtime, cols.remaining, cols.value, cols.decay,
+                cols.bound, cols.expiration)
+    else:
+        other = slice(pending, n) if floored == pending else source.open_rows(n)
+        rows = source.columns(other)
+    arrival, runtime, remaining, value, decay, bound, expiration = rows
+    delays = np.maximum(0.0, now + remaining - arrival - runtime)
+    raw = value - delays * decay
+    pv = np.maximum(raw, -bound) / (1.0 + rate * remaining)
+    denom = np.maximum(remaining, MIN_REMAINING)
+    # the horizon wherever it is positive, which is exactly where the row
+    # still decays (a row that never decays expires at 0)
+    left = expiration - delays
+    decaying = left > 0.0
+    live = None if alpha == 1.0 else decaying.nonzero()[0]
+    costed = live is not None and len(live) > 0
+    if not costed:
+        scores = alpha * pv / denom
+        if floored:
+            full = source.floor_scores(n)
+    else:
+        order, floor = source.ranked() if floored else (None, _NO_FLOOR)
+        floor_pv, floor_denom, rpt = floor
+        cost, floor_cost = saturating_costs(
+            remaining, decay, np.maximum(0.0, left), decaying, live, rpt
+        )
+        scores = (alpha * pv - (1.0 - alpha) * cost) / denom
+        if floored:
+            full = np.empty(n)
+            full[order] = (floor_pv - (1.0 - alpha) * floor_cost) / floor_denom
+    # the pool rows come first among these; a row at its floor does not decay
+    first = len(remaining) - (n - pending)
+    unmarked = first - np.count_nonzero(decaying[:first]) if serves and first else 0
+    if unmarked >= _MARK_BATCH or unmarked and not costed:
+        new = ((left[:first] <= 0.0) & (raw[:first] < -bound[:first])).nonzero()[0]
+        if len(new):
+            terms = floor_terms(bound.take(new), remaining.take(new), key)
+            source.mark(
+                new if other is None else other.take(new), terms[0] / terms[1], terms, now
+            )
+    if not floored:
+        return scores
+    full[other] = scores
+    return full
 
 
 def _frozen(vector: np.ndarray) -> np.ndarray:

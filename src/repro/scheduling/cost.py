@@ -32,10 +32,14 @@ Which form runs follows the regime count of :mod:`repro.scheduling.pool`
   view (hand-built, or scored by a second heuristic) takes Eq. 5's
   branch of :func:`opportunity_costs`.
 * **Every row can** (penalties bounded: Fig. 3, Fig. 4 and the bench's
-  ``preempt`` cell): on a pool's view FirstReward calls
+  ``preempt`` cell): on a pool's view
+  :func:`~repro.scheduling.base.bounded_scores` calls
   :func:`saturating_costs` with the rows that still decay, or no kernel
   at all when none does; a pool's inputs are non-negative by
-  construction, so nothing is checked.
+  construction, so nothing is checked.  The pool's second count — the
+  rows at their floor, whose RPTs it keeps sorted — is not among the
+  rows: their costs come from one merge of the live horizons into those
+  RPTs instead of a binary search per row.
 * **A mix**, or a hand-built view: :func:`opportunity_costs`, census and
   checks included.
 
@@ -131,34 +135,51 @@ def saturating_costs(
     remaining: np.ndarray,
     decay: np.ndarray,
     horizons: np.ndarray,
+    decaying: np.ndarray,
     live: np.ndarray,
-) -> np.ndarray:
+    floor: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
     """Eq. 4 where every horizon is finite, on a pool's inputs (non-negative
-    by construction).
+    by construction): the costs of the rows, and of the competitors at
+    their floor.
 
-    *live* indexes, ascending, the rows whose effective *decay* is
-    positive (at least one); every other row's decay is ``+0.0``.  The
-    same floats as :func:`opportunity_costs` on the same inputs, without
-    its checks (nothing a pool's rows can fail) and with its regime census
-    left to the caller: no unbounded weight is
+    *decaying* flags the rows whose horizon is positive and *live* indexes
+    them, ascending (at least one); on a pool's rows a positive horizon
+    implies a positive decay (a row that never decays expires at 0), so
+    these are the rows whose effective decay is positive, and every other
+    row's is ``+0.0``.  The same floats as :func:`opportunity_costs` on
+    the same inputs, without its checks (nothing a pool's rows can fail)
+    and with its regime census left to the caller: no unbounded weight is
     added (``x + 0.0`` is ``x`` for the non-negative difference it would
-    be added to), and the self-term is subtracted on the live rows only —
-    on any other row it is ``0.0 · min(R, h) = +0.0`` for a finite,
-    non-negative RPT, and ``x − 0.0`` is ``x``.
+    be added to), and the self-term is ``d·min(R, h)`` with the decay of a
+    row that no longer decays taken as ``0.0`` — ``0.0 · min(R, h) =
+    +0.0`` for a finite, non-negative RPT, and ``x − 0.0`` is ``x``.  The
+    prefix sums start from a ``0.0`` column that ``0.0 + x = x`` keeps
+    exact for a positive ``x``.
+
+    *floor* holds, ascending, the RPTs of competitors that no longer
+    decay and are not among the rows (possibly none).  Their counts of
+    live horizons at or below their RPT come from one merge: each horizon
+    lands at the first floor RPT not below it, and a running sum of the
+    landings is the count — the integers ``searchsorted(h, floor,
+    side="right")`` gives, without a binary search per row.
     """
-    h_live = horizons[live]
-    d_live = decay[live]
-    order = np.argsort(h_live, kind="stable")
-    h_sorted = h_live[order]
-    d_sorted = d_live[order]
-    prefix_dh = np.empty(len(live) + 1)
-    prefix_dh[0] = 0.0
-    np.cumsum(d_sorted * h_sorted, out=prefix_dh[1:])
-    prefix_d = np.empty(len(live) + 1)
-    prefix_d[0] = 0.0
-    np.cumsum(d_sorted, out=prefix_d[1:])
-    k = np.searchsorted(h_sorted, remaining, side="right")
-    cost = prefix_dh[k]
-    cost += remaining * (prefix_d[-1] - prefix_d[k])
-    cost[live] -= d_live * np.minimum(remaining[live], h_live)
-    return cost
+    h_live = horizons.take(live)
+    order = h_live.argsort(kind="stable")
+    h_sorted = h_live.take(order)
+    d_sorted = decay.take(live.take(order))
+    # prefix sums of d·h and d with a leading zero, so column k means
+    # "the first k entries"
+    prefix = np.zeros((2, len(live) + 1))
+    np.multiply(d_sorted, h_sorted, out=prefix[0, 1:])
+    prefix[1, 1:] = d_sorted
+    prefix.cumsum(axis=1, out=prefix)
+    total = prefix[1, -1]
+    dh, d = prefix.take(h_sorted.searchsorted(remaining, side="right"), axis=1)
+    cost = dh + remaining * (total - d)
+    cost -= (decay * decaying) * np.minimum(remaining, horizons)
+    if not len(floor):
+        return cost, floor
+    landed = np.bincount(floor.searchsorted(h_sorted), minlength=len(floor) + 1)
+    dh, d = prefix.take(landed[:-1].cumsum(), axis=1)
+    return cost, dh + floor * (total - d)

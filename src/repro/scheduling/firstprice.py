@@ -15,6 +15,7 @@ from repro.scheduling.base import (
     PoolColumns,
     SchedulingHeuristic,
     affine_scores,
+    bounded_scores,
     current_yields,
     unit_denominator,
 )
@@ -28,6 +29,8 @@ class FirstPrice(SchedulingHeuristic):
 
     def scores(self, cols: PoolColumns, now: float) -> np.ndarray:
         scores = affine_scores(cols, now, self.affine_key)
+        if scores is None:
+            scores = bounded_scores(cols, now, self.affine_key)
         if scores is None:
             scores = current_yields(cols, now) / unit_denominator(cols)
         return scores

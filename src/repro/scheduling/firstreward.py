@@ -24,11 +24,12 @@ from repro.scheduling.base import (
     PoolColumns,
     SchedulingHeuristic,
     affine_scores,
+    bounded_scores,
     decay_horizons,
     effective_decay,
     unit_denominator,
 )
-from repro.scheduling.cost import opportunity_costs, saturating_costs
+from repro.scheduling.cost import opportunity_costs
 from repro.scheduling.presentvalue import present_values
 
 
@@ -58,25 +59,19 @@ class FirstReward(SchedulingHeuristic):
 
     def scores(self, cols: PoolColumns, now: float) -> np.ndarray:
         scores = affine_scores(cols, now, self.affine_key)
+        if scores is None:
+            scores = bounded_scores(cols, now, self.affine_key)
         if scores is not None:
             return scores
         pv = present_values(cols, now, self.discount_rate)
         denom = unit_denominator(cols)
         if self.alpha == 1.0:
             return pv / denom
-        d_eff = effective_decay(cols, now)
-        if cols.expiring == len(cols) and cols.from_pool:
-            # every horizon finite, the inputs non-negative by
-            # construction: Eq. 4 over the competitors that still decay
-            live = np.flatnonzero(d_eff)
-            if not len(live):
-                # every cost is +0.0, and x − (1 − α)·0.0 is x
-                return self.alpha * pv / denom
-            cost = saturating_costs(cols.remaining, d_eff, decay_horizons(cols, now), live)
-        else:
-            # Eq. 4; on a view that never expires (one the pool's rows do
-            # not serve) every horizon is inf and this is Eq. 5's closed form
-            cost = opportunity_costs(cols.remaining, d_eff, decay_horizons(cols, now))
+        # Eq. 4; on a view that never expires (one the pool's rows do not
+        # serve) every horizon is inf and this is Eq. 5's closed form
+        cost = opportunity_costs(
+            cols.remaining, effective_decay(cols, now), decay_horizons(cols, now)
+        )
         return (self.alpha * pv - (1.0 - self.alpha) * cost) / denom
 
     def __repr__(self) -> str:

@@ -7,11 +7,12 @@ preallocated capacity-doubling arrays on ``add`` (amortized O(1)), and
 removals shift the tail down with one vectorized move instead of
 rebuilding every column from Python attribute access.  ``columns()``
 itself is O(1) — it only slices the backing storage.  The backing array
-has eleven rows: the six scalars read off the task plus ``expiration``,
-the one derived quantity no clock enters, computed once when the row is
-written instead of at every decision instant; then the four affine-score
-coefficient rows (``late, head, slope, cost``, see
-:func:`~repro.scheduling.base.affine_coefficients`), likewise clock-free.
+has thirteen rows: two floor rows (below), then the six scalars read off
+the task plus ``expiration``, the one derived quantity no clock enters,
+computed once when the row is written instead of at every decision
+instant; then the four affine-score coefficient rows (``late, head,
+slope, cost``, see :func:`~repro.scheduling.base.affine_coefficients`),
+likewise clock-free.
 
 Regime contract: the pool counts its rows whose ``expiration`` is not
 ``+inf`` (``_expiring``: up in ``add``, down in ``remove_at``, like
@@ -34,6 +35,31 @@ never-expires view scored after the pool is back in the regime rebuilds
 them in one vector pass.  Admission reads them without a view on a
 shallow probe (:meth:`PendingPool.affine_probe`), binding and
 refreshing them the same way.
+
+Second count: rows at their floor.  A row whose horizon is exactly 0
+and whose raw yield is strictly below ``−bound`` stays there whatever
+the clock does next — its delay only grows — until the pool rewrites it
+on a preempt or crash requeue (``add`` after ``remove_at``).  A bounded
+scorer that finds such rows hands them to the pool (``_Rows.mark``,
+from :func:`~repro.scheduling.base.bounded_scores`), which counts them
+beside ``_expiring`` (``_Rows.count``) and keeps two rows in front of the
+columns — a flag (``_OPEN``: 0.0 at the floor, 1.0 elsewhere, the spare
+columns included, so ``add`` and the probes write none) and the score
+the row has when no competitor decays — plus the rows' indices sorted by
+RPT (``order``) beside their clock-free terms in that order (``floor``:
+``α·PV``, the clamped RPT, the RPT).  While any row is at its floor
+``remove_at``'s one tail shift carries the two rows and flags the column
+it vacates open; the sorted arrays drop the removed row and renumber the
+rows after it — or, once every row of the pool is at its floor (it
+drains), go stale and are rebuilt from the flags if a scorer needs them
+(``_Rows.ranked``).  Like the coefficient rows, the terms are bound to
+the ``(alpha, discount_rate)`` of the first heuristic that scores a
+bounded view (``floor_key``).  A flag found at one clock reading holds
+at every later one, so a view scored at an earlier reading than the
+latest mark takes the per-row path instead (``_Rows.floor_rows``).
+While no row is at its floor none of this is kept — the first mark sets
+every flag — so a pool that never expires never writes or shifts floor
+state.
 
 Eq. 4's inputs need no check here: every RPT a row can hold is
 non-negative by construction (``Task.estimated_remaining``, or
@@ -71,15 +97,27 @@ from repro.scheduling.base import (
     MIN_REMAINING,
     PoolColumns,
     affine_coefficients,
+    floor_terms,
 )
 from repro.tasks.task import Task
 
 #: Rows of the backing ``(_ROWS, capacity)`` array and their indices: the
-#: :class:`PoolColumns` fields in field order, then the coefficient rows.
+#: floor rows, the :class:`PoolColumns` fields in field order, then the
+#: coefficient rows.
+_OPEN, _FLOOR_SCORE = range(2)
 _COLUMNS = 7
-_ARRIVAL, _RUNTIME, _REMAINING, _VALUE, _DECAY, _BOUND, _EXPIRATION = range(_COLUMNS)
-_LATE, _HEAD, _SLOPE, _COST = range(_COLUMNS, _COLUMNS + 4)
-_ROWS = _COLUMNS + 4
+_ARRIVAL, _RUNTIME, _REMAINING, _VALUE, _DECAY, _BOUND, _EXPIRATION = range(2, 2 + _COLUMNS)
+_LATE, _HEAD, _SLOPE, _COST = range(_EXPIRATION + 1, _EXPIRATION + 5)
+_ROWS = _COST + 1
+#: What ``remove_at`` shifts: the columns, with the floor rows while any
+#: row is at its floor, or with the coefficient rows while they are fresh.
+_COLUMN_ROWS = slice(_ARRIVAL, _EXPIRATION + 1)
+_FLOOR_AND_COLUMNS = slice(0, _EXPIRATION + 1)
+_COLUMNS_AND_COEFFICIENTS = slice(_ARRIVAL, _ROWS)
+
+#: The sorted floor arrays of a pool with no row at its floor.
+_NO_ORDER = np.empty(0, dtype=np.intp)
+_NO_TERMS = np.empty((3, 0))
 
 #: Initial backing capacity (grows by doubling).
 _MIN_CAPACITY = 64
@@ -95,23 +133,43 @@ SCALAR_PROBE_ROWS = 8
 
 class _Rows:
     """A pool's row state that its views reach: the coefficient rows (the
-    key they are written for, and whether they are current).
+    key they are written for, and whether they are current), and the
+    rows at their floor.
 
     ``key`` is the ``(alpha, discount_rate)`` of the first heuristic that
     scored a never-expires view of the pool (``None`` until then);
     ``fresh`` says the rows hold that key's coefficients for every row of
     the pool, which the pool keeps true only while no expiring row is
-    queued.  ``data`` is the pool's backing array (replaced on growth).
-    Views reach the state through this object rather than the pool, so a
-    view does not close a reference cycle with the pool that caches it.
+    queued.  ``data`` is the pool's backing array (replaced on growth),
+    ``pending`` the number of pool rows under the views it last handed
+    out (the rows after them are probed).  ``floor_key`` binds the floor
+    terms the way ``key`` binds the coefficient rows and ``count`` is the
+    number of rows at their floor; ``order`` holds their pool indices
+    sorted by RPT and ``floor`` their ``(3, count)`` terms ``α·pv, denom,
+    rpt`` in that order, ``top`` the largest index (−1 for none: a
+    removal after it renumbers nothing), all three only while not
+    ``stale``; ``since`` is the clock reading of the latest mark.  Views
+    reach the state through this object rather than the pool, so a view
+    does not close a reference cycle with the pool that caches it.
     """
 
-    __slots__ = ("key", "fresh", "data")
+    __slots__ = (
+        "key", "fresh", "data", "pending", "floor_key", "count", "order", "floor", "top",
+        "stale", "since",
+    )
 
     def __init__(self, data: np.ndarray) -> None:
         self.key: Optional[tuple[float, float]] = None
         self.fresh = False
         self.data = data
+        self.pending = 0
+        self.floor_key: Optional[tuple[float, float]] = None
+        self.count = 0
+        self.order = _NO_ORDER
+        self.floor = _NO_TERMS
+        self.top = -1
+        self.stale = False
+        self.since = -math.inf
 
     def rows(self, key: tuple[float, float], n: int) -> Optional[np.ndarray]:
         """The coefficient rows of the first *n* columns, which must all
@@ -121,13 +179,101 @@ class _Rows:
             if self.key is not None:
                 return None
             self.key = key
-        block = self.data[_COLUMNS:, :n]
+        block = self.data[_LATE:, :n]
         if not self.fresh:
             # first bind, or back in the never-expires regime: one pass
             # over every row of the view (probed rows included)
-            block[...] = affine_coefficients(*self.data[:_BOUND, :n], *key)
+            block[...] = affine_coefficients(*self.data[_ARRIVAL:_BOUND, :n], *key)
             self.fresh = True
         return block
+
+    def floor_rows(self, key: tuple[float, float], now: float) -> bool:
+        """Whether the floor state serves *key* at *now*, binding *key* if
+        nothing is bound yet: the flags hold at any reading from the
+        latest mark on."""
+        if key != self.floor_key:
+            if self.floor_key is not None:
+                return False
+            self.floor_key = key
+        return now >= self.since
+
+    def open_rows(self, n: int) -> np.ndarray:
+        """The indices of the first *n* rows not at their floor."""
+        return self.data[_OPEN, :n].nonzero()[0]
+
+    def columns(self, index) -> np.ndarray:
+        """The seven view columns of the rows *index* (a slice or indices)."""
+        block = self.data[_COLUMN_ROWS]
+        return block[:, index] if isinstance(index, slice) else block.take(index, axis=1)
+
+    def floor_scores(self, n: int) -> np.ndarray:
+        """An owned copy of the no-decay score row of the first *n* rows."""
+        return self.data[_FLOOR_SCORE, :n].copy()
+
+    def ranked(self) -> tuple[np.ndarray, np.ndarray]:
+        """``order`` and ``floor``, rebuilt from the flags if stale."""
+        if self.stale:
+            data = self.data
+            index = (data[_OPEN, : self.pending] == 0.0).nonzero()[0]
+            rpt = data[_REMAINING].take(index)
+            ranked = rpt.argsort(kind="stable")
+            self.order = index.take(ranked)
+            bound = data[_BOUND].take(self.order)
+            self.floor = floor_terms(bound, rpt.take(ranked), self.floor_key)
+            self.top = int(index[-1])
+            self.stale = False
+        return self.order, self.floor
+
+    def mark(self, index: np.ndarray, score: np.ndarray, terms: np.ndarray, now: float) -> None:
+        """Flag the pool rows *index* (ascending), found at their floor at
+        *now*, with their no-decay *score* and ``(3, k)`` *terms*
+        ``α·pv, denom, rpt``."""
+        data = self.data
+        if not self.count:
+            data[_OPEN] = 1.0  # the flags are kept from the first mark on
+            self.order, self.floor, self.top, self.stale = _NO_ORDER, _NO_TERMS, -1, False
+        old, floor = self.ranked()
+        data[_OPEN, index] = 0.0
+        data[_FLOOR_SCORE, index] = score
+        self.count += len(index)
+        ranked = terms[2].argsort(kind="stable")
+        at = floor[2].searchsorted(terms[2].take(ranked), side="right")
+        # splice the new rows in, each after the rows of equal RPT
+        order, terms_in = [], []
+        start = 0
+        for j, stop in zip(ranked.tolist(), at.tolist()):
+            order += (old[start:stop], index[j : j + 1])
+            terms_in += (floor[:, start:stop], terms[:, j : j + 1])
+            start = stop
+        order.append(old[start:])
+        terms_in.append(floor[:, start:])
+        self.order = np.concatenate(order)
+        self.floor = np.concatenate(terms_in, axis=1)
+        self.top = max(self.top, int(index[-1]))
+        self.since = now
+
+    def drop(self, index: int, n: int) -> None:
+        """Row *index* of the pool's *n* is about to be removed: unflag it
+        and renumber the rows after it.  Once every row is at its floor
+        (the pool drains) the sorted arrays go stale instead, to be rebuilt
+        if a scorer needs them."""
+        at_floor = not self.data[_OPEN, index]
+        self.count -= at_floor
+        if self.stale or index > self.top:
+            return
+        order = self.order
+        if at_floor:
+            if self.count + 1 == n:
+                self.stale = True
+                return
+            at = int((order == index).argmax())
+            order = self.order = np.concatenate((order[:at], order[at + 1 :]))
+            self.floor = np.concatenate((self.floor[:, :at], self.floor[:, at + 1 :]), axis=1)
+            if index == self.top:
+                self.top = int(order.max()) if self.count else -1
+        order -= order > index
+        if self.top > index:
+            self.top -= 1
 
 
 class PendingPool:
@@ -199,14 +345,18 @@ class PendingPool:
     def _grow(self, n: int, need: int) -> np.ndarray:
         """Reallocate to at least *need* columns (doubling), keeping the first *n*."""
         grown = np.empty((_ROWS, max(_MIN_CAPACITY, 2 * n, need)))
-        grown[:, :n] = self._data[:, :n]
+        if self._rows.count:  # the floor rows while kept
+            grown[:_ARRIVAL, :n] = self._data[:_ARRIVAL, :n]
+            grown[_OPEN, n:] = 1.0
+        grown[_ARRIVAL:, :n] = self._data[_ARRIVAL:, :n]
         self._data = self._rows.data = grown
         return grown
 
     def _view(self, n: int, expiring: int) -> PoolColumns:
         """Read-only view of the first *n* columns of the backing storage,
         *expiring* of which can expire."""
-        block = self._data[:_COLUMNS, :n]
+        self._rows.pending = len(self._tasks)
+        block = self._data[_COLUMN_ROWS, :n]
         block.flags.writeable = False
         # seven row views; they inherit the read-only flag
         view = PoolColumns(*block, expiring)
@@ -247,8 +397,10 @@ class PendingPool:
             return None
         if not state.fresh:
             state.rows(key, n + 1)
-        block = self._data[:, : n + 1].tolist()
-        return [block[row] for row in (_LATE, _HEAD, _SLOPE, _COST, _REMAINING, _DECAY)]
+        block = self._data[_ARRIVAL:, : n + 1].tolist()
+        return [
+            block[row - _ARRIVAL] for row in (_LATE, _HEAD, _SLOPE, _COST, _REMAINING, _DECAY)
+        ]
 
     def probe_block(self, rows: np.ndarray) -> PoolColumns:
         """:meth:`probe` for a ``(7, k)`` block of rows in column-field
@@ -267,10 +419,12 @@ class PendingPool:
         data = self._data
         if end > data.shape[1]:
             data = self._grow(n, end)
-        data[:_COLUMNS, n:end] = rows
-        expiring = self._expiring + k - int(np.count_nonzero(rows[_EXPIRATION] == math.inf))
+        data[_COLUMN_ROWS, n:end] = rows
+        # the block's last row is expiration; the five before bound feed
+        # the coefficients
+        expiring = self._expiring + k - int(np.count_nonzero(rows[-1] == math.inf))
         if not expiring and state.fresh:
-            data[_COLUMNS:, n:end] = affine_coefficients(*rows[:_BOUND], *state.key)
+            data[_LATE:, n:end] = affine_coefficients(*rows[:-2], *state.key)
         return self._view(end, expiring)
 
     def remove_at(self, index: int) -> Task:
@@ -281,11 +435,19 @@ class PendingPool:
         task = self._tasks.pop(index)
         if self._data[_EXPIRATION, index] != math.inf:
             self._expiring -= 1
+        state = self._rows
+        floored = state.count
+        if floored:
+            state.drop(index, n)
+            rows = _FLOOR_AND_COLUMNS
+        else:
+            rows = _COLUMNS_AND_COEFFICIENTS if state.fresh else _COLUMN_ROWS
         if index < n - 1:
             # one vectorized tail shift preserves order (see the
-            # determinism contract above); stale coefficient rows stay put
-            rows = _ROWS if self._rows.fresh else _COLUMNS
-            self._data[:rows, index : n - 1] = self._data[:rows, index + 1 : n]
+            # determinism contract above); stale rows stay put
+            self._data[rows, index : n - 1] = self._data[rows, index + 1 : n]
+        if floored:
+            self._data[_OPEN, n - 1] = 1.0  # the vacated column is not at its floor
         if task.demand > 1:
             self._multi_node -= 1
         self._columns = None

@@ -19,6 +19,7 @@ from repro.scheduling.base import (
     PoolColumns,
     SchedulingHeuristic,
     affine_scores,
+    bounded_scores,
     current_yields,
     unit_denominator,
 )
@@ -50,6 +51,8 @@ class PresentValue(SchedulingHeuristic):
 
     def scores(self, cols: PoolColumns, now: float) -> np.ndarray:
         scores = affine_scores(cols, now, self.affine_key)
+        if scores is None:
+            scores = bounded_scores(cols, now, self.affine_key)
         if scores is None:
             scores = present_values(cols, now, self.discount_rate) / unit_denominator(cols)
         return scores

@@ -15,11 +15,13 @@ seed 0, as written by::
     repro consolidation --n-jobs 300 --seeds 0 \
         --out tests/experiments/golden/consolidation_n300_s0.json
 
-and the seed fold at two seeds — fig4's improvement over a baseline
-shared by its row group, fig6's plain scalar means, resilience's
-per-key means of dict cells, consolidation's dict cells — as written
-by::
+and the seed fold at two seeds — fig3's preemptive cells, whose
+bounded pools fill with rows at their floor, fig4's improvement over a
+baseline shared by its row group, fig6's plain scalar means,
+resilience's per-key means of dict cells, consolidation's dict cells —
+as written by::
 
+    repro fig3 --n-jobs 300 --seeds 0 1 --out tests/experiments/golden/fig3_n300_s01.json
     repro fig4 --n-jobs 300 --seeds 0 1 --out tests/experiments/golden/fig4_n300_s01.json
     repro fig6 --n-jobs 300 --seeds 0 1 --out tests/experiments/golden/fig6_n300_s01.json
     repro resilience --n-jobs 300 --seeds 0 1 \
@@ -40,7 +42,7 @@ from repro.cli import main
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 ONE_SEED = ["fig3", "fig4", "fig7", "consolidation"]
-TWO_SEEDS = ["fig4", "fig6", "resilience", "consolidation"]
+TWO_SEEDS = ["fig3", "fig4", "fig6", "resilience", "consolidation"]
 
 
 @pytest.mark.parametrize(
