@@ -263,12 +263,12 @@ def affine_scores(
     return scores
 
 
-#: Fewest candidate rows a scoring that computes a cost marks at once.
-#: A mark costs a dozen vector calls whatever its size, while a row left
-#: to the per-row path costs nanoseconds, so marks are batched — except
-#: where no cost is computed (nothing decays, or α = 1), where marking the
-#: last rows lets the next scoring skip the per-row path altogether.  Any
-#: value gives the same scores.
+#: Fewest unmarked candidate rows a scoring that computes a cost marks at
+#: once.  Every mark leaves the sorted floor arrays to be rebuilt — a
+#: sort of every row at its floor — so marks are batched while a cost is
+#: computed; where none is (nothing decays, or α = 1) no sort is needed
+#: and the scoring marks whatever it finds, so the next one can skip the
+#: per-row path.  Any value gives the same scores.
 _MARK_BATCH = 32
 
 #: The floor terms of a view with no rows at their floor.
@@ -351,14 +351,14 @@ def bounded_scores(
             full[order] = (floor_pv - (1.0 - alpha) * floor_cost) / floor_denom
     # the pool rows come first among these; a row at its floor does not decay
     first = len(remaining) - (n - pending)
+    # rows not decaying and not yet marked: at their floor, or never to be
+    # (a zero decay, a raw yield of exactly −bound)
     unmarked = first - np.count_nonzero(decaying[:first]) if serves and first else 0
     if unmarked >= _MARK_BATCH or unmarked and not costed:
         new = ((left[:first] <= 0.0) & (raw[:first] < -bound[:first])).nonzero()[0]
         if len(new):
-            terms = floor_terms(bound.take(new), remaining.take(new), key)
-            source.mark(
-                new if other is None else other.take(new), terms[0] / terms[1], terms, now
-            )
+            apv, denom, _ = floor_terms(bound.take(new), remaining.take(new), key)
+            source.mark(new if other is None else other.take(new), apv / denom, now)
     if not floored:
         return scores
     full[other] = scores

@@ -47,19 +47,20 @@ columns — a flag (``_OPEN``: 0.0 at the floor, 1.0 elsewhere, the spare
 columns included, so ``add`` and the probes write none) and the score
 the row has when no competitor decays — plus the rows' indices sorted by
 RPT (``order``) beside their clock-free terms in that order (``floor``:
-``α·PV``, the clamped RPT, the RPT).  While any row is at its floor
-``remove_at``'s one tail shift carries the two rows and flags the column
-it vacates open; the sorted arrays drop the removed row and renumber the
-rows after it — or, once every row of the pool is at its floor (it
-drains), go stale and are rebuilt from the flags if a scorer needs them
-(``_Rows.ranked``).  Like the coefficient rows, the terms are bound to
-the ``(alpha, discount_rate)`` of the first heuristic that scores a
-bounded view (``floor_key``).  A flag found at one clock reading holds
-at every later one, so a view scored at an earlier reading than the
-latest mark takes the per-row path instead (``_Rows.floor_rows``).
-While no row is at its floor none of this is kept — the first mark sets
-every flag — so a pool that never expires never writes or shifts floor
-state.
+``α·PV``, the clamped RPT, the RPT).  The sorted arrays are rebuilt from
+the flags when a scorer needs them after a mark (``_Rows.ranked``: one
+sort); a removal only takes its row out of them and renumbers the rows
+after it, so a pool whose floor set does not grow is never sorted again.
+While any row is at its floor ``remove_at``'s one tail shift carries the
+two rows and flags the column it vacates open.  The terms are written
+for the ``(alpha, discount_rate)`` key the coefficient rows are bound to
+(``_Rows.key``, bound by whichever regime scores first), and a heuristic
+with another key takes the general path.  A flag found at one clock
+reading holds at every later one, so a view scored at an earlier reading
+than the latest mark takes the per-row path instead
+(``_Rows.floor_rows``).  While no row is at its floor none of this is
+kept — the first mark sets every flag — so a pool that never expires
+never writes or shifts floor state.
 
 Eq. 4's inputs need no check here: every RPT a row can hold is
 non-negative by construction (``Task.estimated_remaining``, or
@@ -115,10 +116,6 @@ _COLUMN_ROWS = slice(_ARRIVAL, _EXPIRATION + 1)
 _FLOOR_AND_COLUMNS = slice(0, _EXPIRATION + 1)
 _COLUMNS_AND_COEFFICIENTS = slice(_ARRIVAL, _ROWS)
 
-#: The sorted floor arrays of a pool with no row at its floor.
-_NO_ORDER = np.empty(0, dtype=np.intp)
-_NO_TERMS = np.empty((3, 0))
-
 #: Initial backing capacity (grows by doubling).
 _MIN_CAPACITY = 64
 
@@ -137,25 +134,23 @@ class _Rows:
     rows at their floor.
 
     ``key`` is the ``(alpha, discount_rate)`` of the first heuristic that
-    scored a never-expires view of the pool (``None`` until then);
-    ``fresh`` says the rows hold that key's coefficients for every row of
-    the pool, which the pool keeps true only while no expiring row is
-    queued.  ``data`` is the pool's backing array (replaced on growth),
-    ``pending`` the number of pool rows under the views it last handed
-    out (the rows after them are probed).  ``floor_key`` binds the floor
-    terms the way ``key`` binds the coefficient rows and ``count`` is the
-    number of rows at their floor; ``order`` holds their pool indices
-    sorted by RPT and ``floor`` their ``(3, count)`` terms ``α·pv, denom,
-    rpt`` in that order, ``top`` the largest index (−1 for none: a
-    removal after it renumbers nothing), all three only while not
-    ``stale``; ``since`` is the clock reading of the latest mark.  Views
-    reach the state through this object rather than the pool, so a view
-    does not close a reference cycle with the pool that caches it.
+    scored a never-expires view of the pool, or a bounded one (``None``
+    until then); ``fresh`` says the rows hold that key's coefficients for
+    every row of the pool, which the pool keeps true only while no
+    expiring row is queued.  ``data`` is the pool's backing array
+    (replaced on growth), ``pending`` the number of pool rows under the
+    views it last handed out (the rows after them are probed).  ``count``
+    is the number of rows at their floor; ``order`` holds their pool
+    indices sorted by RPT and ``floor`` their ``(3, count)`` terms ``α·pv,
+    denom, rpt`` for ``key`` in that order, both only while not ``stale``
+    (a mark makes them stale); ``since`` is the clock reading of the
+    latest mark.  Views reach the state through this object rather than
+    the pool, so a view does not close a reference cycle with the pool
+    that caches it.
     """
 
     __slots__ = (
-        "key", "fresh", "data", "pending", "floor_key", "count", "order", "floor", "top",
-        "stale", "since",
+        "key", "fresh", "data", "pending", "count", "order", "floor", "stale", "since",
     )
 
     def __init__(self, data: np.ndarray) -> None:
@@ -163,12 +158,10 @@ class _Rows:
         self.fresh = False
         self.data = data
         self.pending = 0
-        self.floor_key: Optional[tuple[float, float]] = None
         self.count = 0
-        self.order = _NO_ORDER
-        self.floor = _NO_TERMS
-        self.top = -1
-        self.stale = False
+        self.order = np.empty(0, dtype=np.intp)
+        self.floor = np.empty((3, 0))
+        self.stale = True
         self.since = -math.inf
 
     def rows(self, key: tuple[float, float], n: int) -> Optional[np.ndarray]:
@@ -191,10 +184,10 @@ class _Rows:
         """Whether the floor state serves *key* at *now*, binding *key* if
         nothing is bound yet: the flags hold at any reading from the
         latest mark on."""
-        if key != self.floor_key:
-            if self.floor_key is not None:
+        if key != self.key:
+            if self.key is not None:
                 return False
-            self.floor_key = key
+            self.key = key
         return now >= self.since
 
     def open_rows(self, n: int) -> np.ndarray:
@@ -219,61 +212,35 @@ class _Rows:
             ranked = rpt.argsort(kind="stable")
             self.order = index.take(ranked)
             bound = data[_BOUND].take(self.order)
-            self.floor = floor_terms(bound, rpt.take(ranked), self.floor_key)
-            self.top = int(index[-1])
+            self.floor = floor_terms(bound, rpt.take(ranked), self.key)
             self.stale = False
         return self.order, self.floor
 
-    def mark(self, index: np.ndarray, score: np.ndarray, terms: np.ndarray, now: float) -> None:
-        """Flag the pool rows *index* (ascending), found at their floor at
-        *now*, with their no-decay *score* and ``(3, k)`` *terms*
-        ``α·pv, denom, rpt``."""
+    def mark(self, index: np.ndarray, score: np.ndarray, now: float) -> None:
+        """Flag the pool rows *index*, found at their floor at *now*, with
+        their no-decay *score*."""
         data = self.data
         if not self.count:
             data[_OPEN] = 1.0  # the flags are kept from the first mark on
-            self.order, self.floor, self.top, self.stale = _NO_ORDER, _NO_TERMS, -1, False
-        old, floor = self.ranked()
         data[_OPEN, index] = 0.0
         data[_FLOOR_SCORE, index] = score
         self.count += len(index)
-        ranked = terms[2].argsort(kind="stable")
-        at = floor[2].searchsorted(terms[2].take(ranked), side="right")
-        # splice the new rows in, each after the rows of equal RPT
-        order, terms_in = [], []
-        start = 0
-        for j, stop in zip(ranked.tolist(), at.tolist()):
-            order += (old[start:stop], index[j : j + 1])
-            terms_in += (floor[:, start:stop], terms[:, j : j + 1])
-            start = stop
-        order.append(old[start:])
-        terms_in.append(floor[:, start:])
-        self.order = np.concatenate(order)
-        self.floor = np.concatenate(terms_in, axis=1)
-        self.top = max(self.top, int(index[-1]))
+        self.stale = True
         self.since = now
 
-    def drop(self, index: int, n: int) -> None:
-        """Row *index* of the pool's *n* is about to be removed: unflag it
-        and renumber the rows after it.  Once every row is at its floor
-        (the pool drains) the sorted arrays go stale instead, to be rebuilt
-        if a scorer needs them."""
+    def drop(self, index: int) -> None:
+        """Row *index* is about to be removed: take it out of the count and
+        the sorted arrays, and renumber the rows after it."""
         at_floor = not self.data[_OPEN, index]
         self.count -= at_floor
-        if self.stale or index > self.top:
+        if self.stale:
             return
         order = self.order
         if at_floor:
-            if self.count + 1 == n:
-                self.stale = True
-                return
-            at = int((order == index).argmax())
-            order = self.order = np.concatenate((order[:at], order[at + 1 :]))
-            self.floor = np.concatenate((self.floor[:, :at], self.floor[:, at + 1 :]), axis=1)
-            if index == self.top:
-                self.top = int(order.max()) if self.count else -1
+            keep = order != index
+            order = self.order = order.compress(keep)
+            self.floor = self.floor.compress(keep, axis=1)
         order -= order > index
-        if self.top > index:
-            self.top -= 1
 
 
 class PendingPool:
@@ -438,7 +405,7 @@ class PendingPool:
         state = self._rows
         floored = state.count
         if floored:
-            state.drop(index, n)
+            state.drop(index)
             rows = _FLOOR_AND_COLUMNS
         else:
             rows = _COLUMNS_AND_COEFFICIENTS if state.fresh else _COLUMN_ROWS

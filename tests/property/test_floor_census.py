@@ -9,9 +9,9 @@ the key the terms are written for or by another one, the clock moving —
 the bookkeeping must agree with the rows themselves:
 
 * the count is the number of flagged rows; unless the sorted arrays
-  went stale while the pool drained, the flags are exactly the rows in
-  ``order``, which is sorted by the rows' RPT, ``top`` is its largest
-  index and ``floor`` holds the terms in that order;
+  went stale on a mark (they are rebuilt from the flags when a scorer
+  needs them), the flags are exactly the rows in ``order``, which is
+  sorted by the rows' RPT, and ``floor`` holds the terms in that order;
 * every flagged row is at its floor at the latest mark's clock reading
   (horizon 0, raw yield below ``−bound``), and its stored terms are what
   the bound key makes of its row, bit for bit;
@@ -89,11 +89,11 @@ class FloorCensus(RuleBasedStateMachine):
         gained = [t for t in after if t not in before]
         assert all(t in after for t in before)
         if gained:
-            assert heuristic.affine_key == self.pool._rows.floor_key
+            assert heuristic.affine_key == self.pool._rows.key
         pending = len(self.pool)
         floor = at_floor(self.pool.columns(), self.now)
         assert all(floor[self.pool.tasks.index(t)] for t in gained)
-        keyed = self.pool._rows.floor_key in (None, heuristic.affine_key)
+        keyed = self.pool._rows.key in (None, heuristic.affine_key)
         nothing_decays = not np.count_nonzero(effective_decay(general_copy(view), self.now))
         if keyed and view.expiring == len(view) and self.now >= self.pool._rows.since:
             if nothing_decays:
@@ -188,7 +188,7 @@ class FloorCensus(RuleBasedStateMachine):
         assert state.count == len(flagged)
         view = pool.columns()
         assert at_floor(view, state.since)[flagged].all()
-        alpha, rate = state.floor_key
+        alpha, rate = state.key
         # a row strictly below its floor yields exactly −bound
         apv = alpha * (-view.bound[flagged] / (1.0 + rate * view.remaining[flagged]))
         denom = np.maximum(view.remaining[flagged], MIN_REMAINING)
@@ -197,7 +197,6 @@ class FloorCensus(RuleBasedStateMachine):
             return
         order = state.order
         assert sorted(order.tolist()) == flagged.tolist()
-        assert state.top == int(order.max())
         rpt = view.remaining[order]
         assert (np.diff(rpt) >= 0.0).all()
         ranked = np.argsort(order)  # flagged (pool) order -> sorted position
@@ -243,4 +242,3 @@ def test_a_pool_that_never_expires_writes_and_shifts_no_floor_state():
         assert pool._data.shape[1] == poison.shape[1]  # no growth: the bytes are comparable
         assert pool._data[: _FLOOR_SCORE + 1].tobytes() == poison.tobytes()
         assert not pool._rows.count and not pool._rows.order.size
-        assert pool._rows.floor_key is None

@@ -147,7 +147,7 @@ def test_a_stream_across_the_floor_scores_the_oracle_bytes(name, bounds, data):
             assert_oracle_bytes(heuristic, pool.columns(), now)
             if data.draw(st.booleans()):
                 assert_oracle_bytes(SECOND, pool.columns(), now)
-    assert pool._rows.floor_key in (None, heuristic.affine_key)
+    assert pool._rows.key in (None, heuristic.affine_key)
 
 
 @pytest.mark.parametrize("value, bound", [(2.0, 0.0), (5.0, 25.0)])
@@ -261,7 +261,7 @@ def test_a_second_key_takes_the_general_path(second):
     for now in (50.0, 60.0, 500.0):
         assert_oracle_bytes(second, pool.columns(), now)
         assert_oracle_bytes(first, pool.columns(), now)
-    assert pool._rows.floor_key == first.affine_key
+    assert pool._rows.key == first.affine_key
 
 
 def test_zero_decay_rows_are_never_at_their_floor():
