@@ -4,6 +4,12 @@ Every heuristic assigns each pending task a *score*; the site engine runs
 the highest-scored task first.  All score computations are vectorized
 over the pending pool's NumPy columns (see :mod:`repro.scheduling.pool`).
 
+FirstPrice, PV and FirstReward are one family (§5.1, §5.3): FirstReward
+at ``(α, r)``, PV at ``(1, r)``, FirstPrice at ``(1, 0)``.  All three
+score through one body,
+:class:`~repro.scheduling.base.RewardHeuristic`, keyed by that pair
+(``affine_key``).
+
 Implemented heuristics:
 
 =================  =====================================================

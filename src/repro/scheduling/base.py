@@ -46,6 +46,11 @@ clock reading (see :mod:`repro.scheduling.pool`).  :func:`bounded_scores`
 scores them from the terms the pool stores and computes the general
 form row by row only for the others, so the scores stay the general
 form's floats bit for bit.
+
+:meth:`RewardHeuristic.scores` is the one scoring body of FirstPrice,
+PresentValue and FirstReward: the affine rows, then the floor rows, then
+the general form, which computes the delays once and derives the
+yields, horizons and effective decay from them as locals.
 """
 
 from __future__ import annotations
@@ -55,19 +60,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.scheduling.cost import saturating_costs
-
-
-class _Instant:
-    """The pool-derived vectors of one decision instant, filled on demand."""
-
-    __slots__ = ("delays", "yields", "horizons", "d_eff")
-
-    def __init__(self) -> None:
-        self.delays: Optional[np.ndarray] = None
-        self.yields: Optional[np.ndarray] = None
-        self.horizons: Optional[np.ndarray] = None
-        self.d_eff: Optional[np.ndarray] = None
+from repro.scheduling.cost import opportunity_costs, saturating_costs
 
 
 def expiration_delays(
@@ -87,6 +80,19 @@ def expiration_delays(
         return np.where(decay > 0.0, (value + bound) / decay, 0.0)
 
 
+#: The public fields of a :class:`PoolColumns`, in constructor order.
+_FIELDS = (
+    "arrival",
+    "runtime",
+    "remaining",
+    "value",
+    "decay",
+    "bound",
+    "expiration",
+    "expiring",
+)
+
+
 class PoolColumns:
     """Structure-of-arrays view over pending tasks.
 
@@ -104,36 +110,15 @@ class PoolColumns:
     regime.  A view is a value: nothing rebinds or writes its columns
     after construction.
 
-    The view also carries a one-slot memo of the vectors derived from it
-    at one clock reading (:func:`current_delays`, :func:`current_yields`,
-    :func:`decay_horizons`, :func:`effective_decay`), so that everything
-    deciding at the same instant — the heuristic, whatever wraps it,
-    admission's Eq. 8 and the expired-task discard — shares one pass.
-    It lives here because heuristics arrive wrapped and only the *cols*
-    argument survives the call chain.  A new clock reading replaces the
-    slot; a pool mutation replaces the view.
-
     A view taken from a :class:`~repro.scheduling.pool.PendingPool` also
     reaches the pool's row state: its affine-score rows while it never
     expires (:meth:`affine`), its rows at their floor while every row can
-    expire (:func:`bounded_scores`, which scores from them instead of the
-    memo), and its Eq. 4 inputs are non-negative by construction.  A
-    hand-built view has none of these, and its heuristics take the
-    general path, checks included.
+    expire (:func:`bounded_scores`), and its Eq. 4 inputs are
+    non-negative by construction.  A hand-built view has none of these,
+    and its heuristics take the general path, checks included.
     """
 
-    __slots__ = (
-        "arrival",
-        "runtime",
-        "remaining",
-        "value",
-        "decay",
-        "bound",
-        "expiration",
-        "expiring",
-        "_memo",
-        "_source",
-    )
+    __slots__ = (*_FIELDS, "_source")
 
     def __init__(
         self,
@@ -157,8 +142,6 @@ class PoolColumns:
             expiring = len(expiration) - int(np.count_nonzero(np.isposinf(expiration)))
         self.expiration = expiration
         self.expiring = expiring
-        # at most one entry, keyed by the clock reading it was derived at
-        self._memo: dict[float, _Instant] = {}
         # the pool's row state; the pool sets it on its own views (see
         # PendingPool._view)
         self._source: Any = None
@@ -173,18 +156,9 @@ class PoolColumns:
 
     def __repr__(self) -> str:
         fields = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.__slots__[:-2]
+            f"{name}={getattr(self, name)!r}" for name in _FIELDS
         )
         return f"PoolColumns({fields})"
-
-    def at(self, now: float) -> _Instant:
-        """The memo slot for clock reading *now* (emptied when *now* moves)."""
-        memo = self._memo
-        instant = memo.get(now)
-        if instant is None:
-            memo.clear()
-            instant = memo[now] = _Instant()
-        return instant
 
     def affine(self, key: tuple[float, float]) -> Optional[np.ndarray]:
         """The ``(4, n)`` rows ``late, head, slope, cost`` for the
@@ -365,31 +339,14 @@ def bounded_scores(
     return full
 
 
-def _frozen(vector: np.ndarray) -> np.ndarray:
-    """*vector* marked read-only: a memoised result is handed to every caller."""
-    vector.flags.writeable = False
-    return vector
-
-
 def current_delays(cols: PoolColumns, now: float) -> np.ndarray:
     """Expected delay of each task if its remaining work started *now* (Eq. 2)."""
-    instant = cols.at(now)
-    delays = instant.delays
-    if delays is None:
-        delays = instant.delays = _frozen(
-            np.maximum(0.0, now + cols.remaining - cols.arrival - cols.runtime)
-        )
-    return delays
+    return np.maximum(0.0, now + cols.remaining - cols.arrival - cols.runtime)
 
 
 def current_yields(cols: PoolColumns, now: float) -> np.ndarray:
     """Expected yield of each task if started now (Eq. 1 with penalty floor)."""
-    instant = cols.at(now)
-    yields = instant.yields
-    if yields is None:
-        raw = cols.value - current_delays(cols, now) * cols.decay
-        yields = instant.yields = _frozen(np.maximum(raw, -cols.bound))
-    return yields
+    return np.maximum(cols.value - current_delays(cols, now) * cols.decay, -cols.bound)
 
 
 def decay_horizons(cols: PoolColumns, now: float) -> np.ndarray:
@@ -402,47 +359,38 @@ def decay_horizons(cols: PoolColumns, now: float) -> np.ndarray:
     """
     if cols.never_expires:
         return cols.expiration  # inf − any delay: all inf, whatever the clock
-    instant = cols.at(now)
-    horizons = instant.horizons
-    if horizons is None:
-        # unbounded (bound=inf) with positive decay -> infinite horizon
-        horizons = instant.horizons = _frozen(
-            np.maximum(0.0, cols.expiration - current_delays(cols, now))
-        )
-    return horizons
+    # unbounded (bound=inf) with positive decay -> infinite horizon
+    return np.maximum(0.0, cols.expiration - current_delays(cols, now))
 
 
 def effective_decay(cols: PoolColumns, now: float) -> np.ndarray:
     """Decay rates with expired tasks zeroed (they cost nothing to defer)."""
     if cols.never_expires:
         return cols.decay  # every horizon is inf: nothing is zeroed
-    instant = cols.at(now)
-    d_eff = instant.d_eff
-    if d_eff is None:
-        d_eff = instant.d_eff = _frozen(
-            np.where(decay_horizons(cols, now) > 0.0, cols.decay, 0.0)
-        )
-    return d_eff
+    return np.where(decay_horizons(cols, now) > 0.0, cols.decay, 0.0)
 
 
 class SchedulingHeuristic(abc.ABC):
     """Assigns priority scores to pending tasks; higher runs first.
 
     Scores are recomputed at every scheduling event (arrival, completion,
-    preemption) because yields decay with the clock; where no row expires
-    the clock enters FirstPrice, PresentValue and FirstReward only
-    through :func:`affine_scores`.
+    preemption) because yields decay with the clock; FirstPrice,
+    PresentValue and FirstReward all score through
+    :class:`RewardHeuristic`.
     """
 
     #: short identifier used by the registry and experiment configs
     name: str = "heuristic"
 
-    #: The ``(alpha, discount_rate)`` of the affine score this heuristic
-    #: computes where no row expires (:func:`affine_scores`), or ``None``.
-    #: FirstPrice, PresentValue and FirstReward set it and score with it;
-    #: admission then ranks a shallow never-expires probe from the pool's
-    #: coefficient rows without calling :meth:`scores`.  A wrapper
-    #: inherits ``None``: its scores are not the affine ones.
+    #: The ``(alpha, discount_rate)`` of this heuristic's Eq. 6 score, or
+    #: ``None``: FirstPrice ``(1, 0)``, PresentValue ``(1, r)``,
+    #: FirstReward ``(α, r)``.  The key drives all three paths of
+    #: :meth:`RewardHeuristic.scores` — it names the pool's affine rows
+    #: where no row expires, its floor terms where every row does, and the
+    #: general form's ``α`` and ``r`` elsewhere — and admission ranks a
+    #: shallow never-expires probe from the pool's coefficient rows
+    #: without calling :meth:`scores`.  A wrapper inherits ``None``: its
+    #: scores are not these.
     affine_key: Optional[tuple[float, float]] = None
 
     @abc.abstractmethod
@@ -451,3 +399,42 @@ class SchedulingHeuristic(abc.ABC):
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+class RewardHeuristic(SchedulingHeuristic):
+    """The FirstReward family (§5.1–§5.3), scored by one body.
+
+    ``(α·PV − (1 − α)·cost) / RPT`` at :attr:`affine_key` ``= (α, r)``:
+    FirstReward at its own key, PresentValue at ``(1, r)``, FirstPrice
+    at ``(1, 0)``.  At ``α = 1`` no cost is computed, and ``x / 1.0`` is
+    ``x``, so the scores are Eq. 3's ``PV/RPT`` and the unit gain
+    ``yield/RPT`` bit for bit.  A pool's view takes its affine rows where
+    no row expires and its floor rows where every row does; anything
+    else — a pool mixing bounded and unbounded penalties, a hand-built
+    view — takes the general form, Eq. 4's cost included (on a view that
+    never expires every horizon is ``inf``: Eq. 5).
+    """
+
+    affine_key: tuple[float, float]
+
+    def scores(self, cols: PoolColumns, now: float) -> np.ndarray:
+        key = self.affine_key
+        scores = affine_scores(cols, now, key)
+        if scores is None:
+            scores = bounded_scores(cols, now, key)
+        if scores is not None:
+            return scores
+        alpha, rate = key
+        delays = current_delays(cols, now)
+        yields = np.maximum(cols.value - delays * cols.decay, -cols.bound)
+        pv = yields / (1.0 + rate * cols.remaining)
+        denom = unit_denominator(cols)
+        if alpha == 1.0:
+            return pv / denom
+        if cols.never_expires:
+            horizons, decay = cols.expiration, cols.decay
+        else:
+            horizons = np.maximum(0.0, cols.expiration - delays)
+            decay = np.where(horizons > 0.0, cols.decay, 0.0)
+        cost = opportunity_costs(cols.remaining, decay, horizons)
+        return (alpha * pv - (1.0 - alpha) * cost) / denom

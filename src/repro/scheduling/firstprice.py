@@ -4,33 +4,19 @@
 to the expected yield per unit of resource per unit of processing time
 (yield_i / RPT_i).  We refer to this value as unit gain."
 
-FirstPrice is the paper's comparison baseline for every figure.
+FirstPrice is the paper's comparison baseline for every figure.  It is
+FirstReward at ``α = 1`` and discount rate 0, and scores as such
+(:class:`~repro.scheduling.base.RewardHeuristic` at ``(1, 0)``).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.scheduling.base import (
-    PoolColumns,
-    SchedulingHeuristic,
-    affine_scores,
-    bounded_scores,
-    current_yields,
-    unit_denominator,
-)
+from repro.scheduling.base import RewardHeuristic
 
 
-class FirstPrice(SchedulingHeuristic):
+class FirstPrice(RewardHeuristic):
     """Greedy unit gain: ``yield_i(now) / RPT_i``."""
 
     name = "firstprice"
     affine_key = (1.0, 0.0)
 
-    def scores(self, cols: PoolColumns, now: float) -> np.ndarray:
-        scores = affine_scores(cols, now, self.affine_key)
-        if scores is None:
-            scores = bounded_scores(cols, now, self.affine_key)
-        if scores is None:
-            scores = current_yields(cols, now) / unit_denominator(cols)
-        return scores

@@ -13,27 +13,18 @@ decay (Eq. 4).  The α knob trades reward (α → 1) against risk (α → 0):
   collapses to highest-decay-first — what the paper calls "a variant of
   SWPT".  (True SWPT ``d_i/RPT_i`` is available separately as a
   baseline; the distinction is documented in DESIGN.md.)
+
+All three score through one body,
+:class:`~repro.scheduling.base.RewardHeuristic`, keyed by ``(α, r)``.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import SchedulingError
-from repro.scheduling.base import (
-    PoolColumns,
-    SchedulingHeuristic,
-    affine_scores,
-    bounded_scores,
-    decay_horizons,
-    effective_decay,
-    unit_denominator,
-)
-from repro.scheduling.cost import opportunity_costs
-from repro.scheduling.presentvalue import present_values
+from repro.scheduling.base import RewardHeuristic
 
 
-class FirstReward(SchedulingHeuristic):
+class FirstReward(RewardHeuristic):
     """Risk/reward blend of discounted gain and opportunity cost.
 
     Parameters
@@ -57,22 +48,6 @@ class FirstReward(SchedulingHeuristic):
         self.discount_rate = float(discount_rate)
         self.affine_key = (self.alpha, self.discount_rate)
 
-    def scores(self, cols: PoolColumns, now: float) -> np.ndarray:
-        scores = affine_scores(cols, now, self.affine_key)
-        if scores is None:
-            scores = bounded_scores(cols, now, self.affine_key)
-        if scores is not None:
-            return scores
-        pv = present_values(cols, now, self.discount_rate)
-        denom = unit_denominator(cols)
-        if self.alpha == 1.0:
-            return pv / denom
-        # Eq. 4; on a view that never expires (one the pool's rows do not
-        # serve) every horizon is inf and this is Eq. 5's closed form
-        cost = opportunity_costs(
-            cols.remaining, effective_decay(cols, now), decay_horizons(cols, now)
-        )
-        return (self.alpha * pv - (1.0 - self.alpha) * cost) / denom
 
     def __repr__(self) -> str:
         return f"<FirstReward alpha={self.alpha:g} r={self.discount_rate:g}>"

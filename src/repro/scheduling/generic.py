@@ -11,7 +11,6 @@ O(n) per task, O(n²) per scheduling pass for FirstReward).
 
 from __future__ import annotations
 
-import abc
 from typing import Optional, Sequence
 
 from repro.errors import SchedulingError
@@ -34,134 +33,79 @@ def task_yield_now(task: Task, now: float) -> float:
     return task.vf.yield_at(task_delay_now(task, now))
 
 
-class GenericHeuristic(abc.ABC):
-    """Per-task scoring against the abstract value-function interface."""
-
-    name = "generic"
-
-    def __init__(self) -> None:
-        #: reusable scratch buffer for per-pass scores — ``best_index``
-        #: is called once per dispatch, so a fresh list per call is pure
-        #: allocator churn
-        self._scores: list[float] = []
-
-    @abc.abstractmethod
-    def score(self, task: Task, competitors: Sequence[Task], now: float) -> float:
-        """Priority of *task* among *competitors* (which include it)."""
-
-    def begin_pass(self, tasks: Sequence[Task], now: float) -> None:
-        """Hook: precompute per-competitor state for one scoring pass.
-
-        Called by :meth:`best_index` before scoring; subclasses with
-        competitor-dependent terms override it to hoist per-competitor
-        work out of the O(n²) score loop.  Scores must be identical with
-        or without the hook — it is a caching point, not a semantic one.
-        """
-
-    def end_pass(self) -> None:
-        """Hook: drop per-pass state (see :meth:`begin_pass`)."""
-
-    def best_index(self, tasks: Sequence[Task], now: float) -> int:
-        if not tasks:
-            raise SchedulingError("no tasks to score")
-        scores = self._scores
-        scores.clear()
-        self.begin_pass(tasks, now)
-        try:
-            scores.extend(self.score(t, tasks, now) for t in tasks)
-        finally:
-            self.end_pass()
-        return max(range(len(tasks)), key=scores.__getitem__)
-
-
-class GenericFirstPrice(GenericHeuristic):
-    """Unit gain ``yield_i(now)/RPT_i`` for any value-function model."""
-
-    name = "generic-firstprice"
-
-    def score(self, task: Task, competitors: Sequence[Task], now: float) -> float:
-        return task_yield_now(task, now) / max(task.estimated_remaining, _MIN_REMAINING)
-
-
-class GenericPresentValue(GenericHeuristic):
-    """Discounted unit gain (Eq. 3) for any value-function model."""
-
-    name = "generic-pv"
-
-    def __init__(self, discount_rate: float = 0.01) -> None:
-        super().__init__()
-        if not discount_rate >= 0:
-            raise SchedulingError(f"discount_rate must be >= 0, got {discount_rate!r}")
-        self.discount_rate = float(discount_rate)
-
-    def score(self, task: Task, competitors: Sequence[Task], now: float) -> float:
-        rpt = max(task.estimated_remaining, _MIN_REMAINING)
-        pv = task_yield_now(task, now) / (1.0 + self.discount_rate * rpt)
-        return pv / rpt
-
-
-class GenericFirstReward(GenericHeuristic):
+class GenericFirstReward:
     """Eq. 6 with the opportunity cost (Eq. 4) read off each competitor's
     value function: ``d_j`` is the *instantaneous* decay at j's current
     delay and the horizon is ``remaining_decay_horizon`` — so grace
-    periods, variable rates, and penalty caps all participate."""
+    periods, variable rates, and penalty caps all participate.
+
+    FirstPrice and PresentValue are this score at ``(1, 0)`` and
+    ``(1, r)`` (:class:`GenericFirstPrice`, :class:`GenericPresentValue`):
+    at ``α = 1`` the cost is ``0.0``, and ``1.0 · x − 0.0`` and
+    ``x / 1.0`` are ``x``.
+    """
 
     name = "generic-firstreward"
 
     def __init__(self, alpha: float = 0.3, discount_rate: float = 0.01) -> None:
-        super().__init__()
         if not 0.0 <= alpha <= 1.0:
             raise SchedulingError(f"alpha must be in [0, 1], got {alpha!r}")
         if not discount_rate >= 0:
             raise SchedulingError(f"discount_rate must be >= 0, got {discount_rate!r}")
         self.alpha = float(alpha)
         self.discount_rate = float(discount_rate)
-        #: per-pass cache: (competitors list identity, [(d_j, horizon_j)]).
-        #: d_j and horizon_j depend only on (task_j, now), so one pass can
-        #: read each competitor's value function O(n) times total instead
-        #: of O(n²) — same numbers, same accumulation order.
-        self._pass_key: Optional[tuple[int, float]] = None
-        self._pass_terms: list[tuple[float, float]] = []
 
-    def begin_pass(self, tasks: Sequence[Task], now: float) -> None:
-        if self.alpha >= 1.0:
-            return
-        terms = self._pass_terms
-        terms.clear()
-        for other in tasks:
-            delay = task_delay_now(other, now)
-            d = other.vf.decay_at(delay)
-            # the horizon is only consulted when d > 0 (matching the
-            # uncached loop, which skips before reading it)
-            horizon = other.vf.remaining_decay_horizon(delay) if d > 0.0 else 0.0
-            terms.append((d, horizon))
-        self._pass_key = (id(tasks), now)
+    def scores(self, tasks: Sequence[Task], now: float) -> list[float]:
+        """The score of every task of *tasks*, each among all of them.
 
-    def end_pass(self) -> None:
-        self._pass_key = None
-        self._pass_terms.clear()
+        Each competitor's value function is read once per pass: its
+        delay, and where the cost is needed its ``d_j`` and horizon.
+        """
+        alpha, rate = self.alpha, self.discount_rate
+        delays = [task_delay_now(task, now) for task in tasks]
+        # at α = 1 nothing is read for a cost, and the cost stays 0.0
+        terms = []
+        if alpha < 1.0:
+            for other, delay in zip(tasks, delays):
+                d = other.vf.decay_at(delay)
+                # the horizon is only consulted when d > 0
+                terms.append((d, other.vf.remaining_decay_horizon(delay) if d > 0.0 else 0.0))
+        scores = []
+        for task, delay in zip(tasks, delays):
+            rpt = max(task.estimated_remaining, _MIN_REMAINING)
+            pv = task.vf.yield_at(delay) / (1.0 + rate * rpt)
+            cost = 0.0
+            for other, (d, horizon) in zip(tasks, terms):
+                if other is task or d <= 0.0:
+                    continue
+                cost += d * min(rpt, horizon)
+            scores.append((alpha * pv - (1.0 - alpha) * cost) / rpt)
+        return scores
 
-    def score(self, task: Task, competitors: Sequence[Task], now: float) -> float:
-        rpt = max(task.estimated_remaining, _MIN_REMAINING)
-        pv = task_yield_now(task, now) / (1.0 + self.discount_rate * rpt)
-        cost = 0.0
-        if self.alpha < 1.0:
-            if self._pass_key == (id(competitors), now):
-                for other, (d, horizon) in zip(competitors, self._pass_terms):
-                    if other is task or d <= 0.0:
-                        continue
-                    cost += d * min(rpt, horizon)
-            else:  # standalone call outside a best_index pass
-                for other in competitors:
-                    if other is task:
-                        continue
-                    delay = task_delay_now(other, now)
-                    d = other.vf.decay_at(delay)
-                    if d <= 0.0:
-                        continue
-                    horizon = other.vf.remaining_decay_horizon(delay)
-                    cost += d * min(rpt, horizon)
-        return (self.alpha * pv - (1.0 - self.alpha) * cost) / rpt
+    def best_index(self, tasks: Sequence[Task], now: float) -> int:
+        """Index of the highest-scored task (the first of a tie)."""
+        if not tasks:
+            raise SchedulingError("no tasks to score")
+        scores = self.scores(tasks, now)
+        return max(range(len(tasks)), key=scores.__getitem__)
+
+
+class GenericFirstPrice(GenericFirstReward):
+    """Unit gain ``yield_i(now)/RPT_i``: FirstReward at ``(1, 0)``."""
+
+    name = "generic-firstprice"
+
+    def __init__(self) -> None:
+        super().__init__(1.0, 0.0)
+
+
+class GenericPresentValue(GenericFirstReward):
+    """Discounted unit gain (Eq. 3): FirstReward at ``(1, r)``."""
+
+    name = "generic-pv"
+
+    def __init__(self, discount_rate: float = 0.01) -> None:
+        super().__init__(1.0, discount_rate)
 
 
 class GenericTaskService:
@@ -178,7 +122,7 @@ class GenericTaskService:
         self,
         sim: Simulator,
         processors: int,
-        heuristic: GenericHeuristic,
+        heuristic: GenericFirstReward,
         site_id: str = "generic-site",
         ledger: Optional[YieldLedger] = None,
     ) -> None:
@@ -234,7 +178,7 @@ class GenericTaskService:
 
 def simulate_generic(
     tasks: Sequence[Task],
-    heuristic: GenericHeuristic,
+    heuristic: GenericFirstReward,
     processors: int,
 ) -> YieldLedger:
     """Run *tasks* (any value-function model) to completion; returns the ledger."""

@@ -7,30 +7,17 @@ instrument with face value yield_i that matures in time RPT_i ...  higher
 discount rates cause the system to discount future gains more
 aggressively, making the system more risk-averse."  Tasks are selected in
 order of discounted unit gain ``PV_i / RPT_i``; at discount rate 0 this
-is exactly FirstPrice.
+is exactly FirstPrice.  PV is FirstReward at ``α = 1`` and scores as
+such (:class:`~repro.scheduling.base.RewardHeuristic` at ``(1, r)``).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import SchedulingError
-from repro.scheduling.base import (
-    PoolColumns,
-    SchedulingHeuristic,
-    affine_scores,
-    bounded_scores,
-    current_yields,
-    unit_denominator,
-)
+from repro.scheduling.base import RewardHeuristic
 
 
-def present_values(cols: PoolColumns, now: float, discount_rate: float) -> np.ndarray:
-    """Vectorized Eq. 3 over a pool."""
-    return current_yields(cols, now) / (1.0 + discount_rate * cols.remaining)
-
-
-class PresentValue(SchedulingHeuristic):
+class PresentValue(RewardHeuristic):
     """Discounted unit gain ``PV_i / RPT_i``.
 
     Parameters
@@ -49,13 +36,6 @@ class PresentValue(SchedulingHeuristic):
         self.discount_rate = float(discount_rate)
         self.affine_key = (1.0, self.discount_rate)
 
-    def scores(self, cols: PoolColumns, now: float) -> np.ndarray:
-        scores = affine_scores(cols, now, self.affine_key)
-        if scores is None:
-            scores = bounded_scores(cols, now, self.affine_key)
-        if scores is None:
-            scores = present_values(cols, now, self.discount_rate) / unit_denominator(cols)
-        return scores
 
     def __repr__(self) -> str:
         return f"<PresentValue r={self.discount_rate:g}>"

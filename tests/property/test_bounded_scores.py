@@ -11,8 +11,15 @@ value less the general Eq. 4 kernel, its checks included, over a
 hand-built copy of the view) by ``.tobytes()``, not to a tolerance.  The pools draw α ∈ {0, 0.3, 1}, penalty bounds 0,
 25 or a mix with unbounded rows, and clocks at which every row, no row
 or some rows still decay; each is scored through ``columns()``, a
-candidate ``probe()`` and the preemption pass's ``probe_block()`` of a
-processor pool's running block.
+candidate ``probe()``, the preemption pass's ``probe_block()`` of a
+processor pool's running block and a hand-built copy.
+
+FirstPrice and PresentValue are FirstReward at ``(1, 0)`` and ``(1, r)``
+and score through its body, so at ``α = 1`` each must score
+FirstReward's bytes and the expression its own class had before, on the
+same views: the bounded and mixed regimes above, and unbounded pools,
+where no row expires and a pool view's affine rows serve (held there to
+their own rtol contract).
 """
 
 import numpy as np
@@ -20,13 +27,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.scheduling import FirstReward, PendingPool, PoolColumns
-from repro.scheduling.base import decay_horizons, effective_decay, unit_denominator
+from repro.scheduling import FirstPrice, FirstReward, PendingPool, PoolColumns, PresentValue
+from repro.scheduling.base import (
+    current_yields,
+    decay_horizons,
+    effective_decay,
+    unit_denominator,
+)
 from repro.scheduling.cost import opportunity_costs
-from repro.scheduling.presentvalue import present_values
 from repro.site import ProcessorPool
 from repro.tasks import Task
 from repro.valuefn import LinearDecayValueFunction
+from tests.property.test_affine_scores import assert_same_scores, term_scale
 
 
 def general_copy(view: PoolColumns) -> PoolColumns:
@@ -41,7 +53,7 @@ def oracle_scores(view: PoolColumns, now: float, alpha: float, rate: float) -> n
     """FirstReward's bounded expression before the count: Eq. 3's present
     value less the general Eq. 4 kernel, its checks included."""
     cols = general_copy(view)
-    pv = present_values(cols, now, rate)
+    pv = current_yields(cols, now) / (1.0 + rate * cols.remaining)
     denom = unit_denominator(cols)
     if alpha == 1.0:
         return pv / denom
@@ -58,6 +70,7 @@ BOUNDS = {
     "zero": st.just(0.0),
     "25": st.just(25.0),
     "mixed": st.sampled_from([None, 0.0, 25.0]),
+    "unbounded": st.none(),
 }
 #: when the pool is scored: before anything is late (every row with a
 #: decay still decays), long after every horizon (none does), or anywhere
@@ -85,11 +98,39 @@ def tasks(draw, bounds, decays, started_by=None):
     return task
 
 
-def assert_bit_equal(view: PoolColumns, now: float, alpha: float, rate: float) -> None:
-    got = FirstReward(alpha, rate).scores(view, now)
-    want = oracle_scores(view, now, alpha, rate)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+def family_oracles(view: PoolColumns, now: float, alpha: float, rate: float) -> list:
+    """``(heuristic, oracle scores)`` for FirstReward at ``(alpha, rate)``
+    and, at ``α = 1``, the members it scores as: PresentValue(rate) and,
+    at rate 0, FirstPrice — each with the expression its class had
+    before the three shared one body."""
+    family = [(FirstReward(alpha, rate), oracle_scores(view, now, alpha, rate))]
+    if alpha == 1.0:
+        cols = general_copy(view)
+        pv = current_yields(cols, now) / (1.0 + rate * cols.remaining)
+        family.append((PresentValue(rate), pv / unit_denominator(cols)))
+        if rate == 0.0:
+            family.append((FirstPrice(), current_yields(cols, now) / unit_denominator(cols)))
+    return family
+
+
+def assert_bit_equal(
+    view: PoolColumns, now: float, alpha: float, rate: float, affine: bool = False
+) -> None:
+    """Every member of the family scores FirstReward's bytes and its own
+    oracle's: by the bytes, or where a pool's affine rows serve
+    (*affine*) to rtol 1e-12 and the same order, their own contract
+    (``tests/property/test_affine_scores.py``)."""
+    first = None
+    for heuristic, want in family_oracles(view, now, alpha, rate):
+        got = heuristic.scores(view, now)
+        if first is None:
+            first = got
+        assert got.tobytes() == first.tobytes()
+        if affine:
+            assert_same_scores(got, want, term_scale(view, now, alpha, rate))
+            continue
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("clock", CLOCKS)
@@ -134,19 +175,21 @@ def test_columns_probe_and_block_views_score_the_oracle_bytes(alpha, bounds, clo
         "columns": pool.columns,
         "probe": lambda: pool.probe(candidate),
         "probe_block": lambda: pool.probe_block(block),
+        "hand_built": lambda: general_copy(pool.columns()),
     }
     # which view binds the write-time check to the pool varies
     for name in data.draw(st.permutations(sorted(views))):
         view = views[name]()
-        if bounds != "mixed":
+        if bounds in ("zero", "25"):
             assert view.expiring == len(view)
             live = np.count_nonzero(effective_decay(general_copy(view), now))
             if clock == "none_live":
                 assert live == 0
             elif clock == "all_live" and name == "columns":
                 assert live == len(view)
-        if view.expiring:  # the never-expires rows: test_affine_scores.py
-            assert_bit_equal(view, now, alpha, rate)
+        elif bounds == "unbounded" and clock == "all_live":
+            assert view.never_expires  # every row decays: no expiration is finite
+        assert_bit_equal(view, now, alpha, rate, affine=view.never_expires and name != "hand_built")
 
 
 @given(
@@ -186,3 +229,4 @@ def test_tied_horizons_sum_in_pool_order(alpha):
     assert np.array_equal(decay_horizons(view, 0.0), [1.0, 1.0, 1.0, 0.0])
     assert (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
     assert_bit_equal(view, 0.0, alpha, 0.01)
+

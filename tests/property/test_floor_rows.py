@@ -30,7 +30,6 @@ from hypothesis import strategies as st
 from repro.scheduling import FirstPrice, FirstReward, PendingPool, PresentValue
 from repro.scheduling.base import current_yields, unit_denominator
 from repro.scheduling.pool import _OPEN
-from repro.scheduling.presentvalue import present_values
 from repro.site import ProcessorPool
 from repro.tasks import Task
 from repro.valuefn import LinearDecayValueFunction
@@ -59,7 +58,8 @@ def oracle(heuristic, view, now: float) -> np.ndarray:
         return oracle_scores(view, now, heuristic.alpha, heuristic.discount_rate)
     cols = general_copy(view)
     if isinstance(heuristic, PresentValue):
-        return present_values(cols, now, heuristic.discount_rate) / unit_denominator(cols)
+        pv = current_yields(cols, now) / (1.0 + heuristic.discount_rate * cols.remaining)
+        return pv / unit_denominator(cols)
     return current_yields(cols, now) / unit_denominator(cols)
 
 

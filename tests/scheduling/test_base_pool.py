@@ -74,15 +74,6 @@ class TestYieldArithmetic:
         assert d[0] == 0.0
         assert d[1] == 2.0
 
-    def test_one_pass_per_instant(self):
-        cols = cols_of([(0.0, 10.0, 10.0, 100.0, 2.0, 0.0)])
-        first = decay_horizons(cols, 30.0)
-        assert decay_horizons(cols, 30.0) is first  # same instant: shared
-        assert not first.flags.writeable  # shared, so nobody may write it
-        moved = decay_horizons(cols, 80.0)  # the clock moved: recomputed
-        assert moved is not first and moved[0] == 0.0
-        assert decay_horizons(cols, 30.0)[0] == pytest.approx(20.0)
-
     def test_empty(self):
         assert len(PoolColumns.empty()) == 0
 

@@ -1,6 +1,9 @@
 """Tests for the generic (any-value-function) scheduling path."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SchedulingError
 from repro.scheduling import FirstPrice, FirstReward, PresentValue
@@ -54,7 +57,7 @@ class TestScoring:
         )
         now = 12.0
         vec = FirstPrice().scores(cols, now)
-        gen = [GenericFirstPrice().score(t, tasks, now) for t in tasks]
+        gen = GenericFirstPrice().scores(tasks, now)
         assert np.allclose(vec, gen)
 
     def test_pv_matches_vectorized_on_linear(self):
@@ -73,7 +76,7 @@ class TestScoring:
         )
         now = 4.0
         vec = PresentValue(0.02).scores(cols, now)
-        gen = [GenericPresentValue(0.02).score(t, tasks, now) for t in tasks]
+        gen = GenericPresentValue(0.02).scores(tasks, now)
         assert np.allclose(vec, gen)
 
     def test_firstreward_matches_vectorized_on_linear(self):
@@ -96,7 +99,7 @@ class TestScoring:
         )
         now = 3.0
         vec = FirstReward(0.3, 0.01).scores(cols, now)
-        gen = [GenericFirstReward(0.3, 0.01).score(t, tasks, now) for t in tasks]
+        gen = GenericFirstReward(0.3, 0.01).scores(tasks, now)
         assert np.allclose(vec, gen)
 
     def test_grace_period_task_holds_priority(self):
@@ -119,6 +122,75 @@ class TestScoring:
     def test_best_index_empty(self):
         with pytest.raises(SchedulingError):
             GenericFirstPrice().best_index([], 0.0)
+
+
+def parent_score(heuristic, task, competitors, now):
+    """The per-task formula each generic class scored with before the three
+    shared one body: FirstPrice ``yield/RPT``, PresentValue ``PV/RPT``,
+    FirstReward Eq. 6 with each competitor's value function read in the
+    loop."""
+    rpt = max(task.estimated_remaining, 1e-9)
+    if isinstance(heuristic, GenericFirstPrice):
+        return task_yield_now(task, now) / rpt
+    pv = task_yield_now(task, now) / (1.0 + heuristic.discount_rate * rpt)
+    if isinstance(heuristic, GenericPresentValue):
+        return pv / rpt
+    cost = 0.0
+    if heuristic.alpha < 1.0:
+        for other in competitors:
+            if other is task:
+                continue
+            delay = task_delay_now(other, now)
+            d = other.vf.decay_at(delay)
+            if d <= 0.0:
+                continue
+            cost += d * min(rpt, other.vf.remaining_decay_horizon(delay))
+    return (heuristic.alpha * pv - (1.0 - heuristic.alpha) * cost) / rpt
+
+
+@st.composite
+def any_task(draw):
+    """A linear (unbounded, bounded or non-decaying) or grace-period task,
+    queued fresh or after part of its work ran."""
+    arrival = draw(st.floats(min_value=0.0, max_value=50.0))
+    runtime = draw(st.floats(min_value=0.01, max_value=100.0))
+    value = draw(st.floats(min_value=1.0, max_value=1e3))
+    if draw(st.booleans()):
+        grace = draw(st.floats(min_value=0.5, max_value=30.0))
+        task = grace_task(arrival, runtime, value, grace=grace, to_zero=grace + 40.0)
+    else:
+        decay = draw(st.sampled_from([0.0, 0.5, 4.0]))
+        task = linear_task(arrival, runtime, value, decay, draw(st.sampled_from([None, 0.0])))
+    if draw(st.booleans()):
+        task.submit()
+        task.accept()
+        task.start(arrival)
+        task.preempt(arrival + runtime * draw(st.floats(min_value=0.0, max_value=1.0)))
+    return task
+
+
+@given(
+    tasks=st.lists(any_task(), min_size=1, max_size=12),
+    now=st.floats(min_value=0.0, max_value=200.0),
+    rate=st.sampled_from([0.0, 0.01]),
+)
+@settings(max_examples=60, deadline=None)
+def test_firstprice_and_pv_are_firstreward_at_alpha_one(tasks, now, rate):
+    """GenericFirstPrice ≡ GenericFirstReward(1, 0) and GenericPresentValue(r)
+    ≡ GenericFirstReward(1, r) by the bytes, and every member scores its
+    old per-task formula by the bytes."""
+    pairs = [
+        (GenericFirstPrice(), GenericFirstReward(1.0, 0.0)),
+        (GenericPresentValue(rate), GenericFirstReward(1.0, rate)),
+        (GenericFirstReward(0.0, rate), None),
+        (GenericFirstReward(0.3, rate), None),
+    ]
+    for member, twin in pairs:
+        got = np.array(member.scores(tasks, now))
+        if twin is not None:
+            assert got.tobytes() == np.array(twin.scores(tasks, now)).tobytes()
+        want = np.array([parent_score(member, t, tasks, now) for t in tasks])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestGenericService:
