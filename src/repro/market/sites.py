@@ -109,13 +109,15 @@ class MarketSite:
         """Evaluate *bid* against the current candidate schedule.
 
         Returns a server bid when the task's slack clears the site's
-        threshold; ``None`` is a rejection.  Quoting does not reserve
+        threshold; ``None`` is a rejection.  A site with every node down
+        projects an infinite completion and has nothing to promise, so
+        it declines whatever its threshold.  Quoting does not reserve
         capacity — the quote reflects the schedule at this instant, per
         the paper's expectation semantics.
         """
         probe = self._task_for(bid)
         decision = self.admission.evaluate(self.engine, probe)
-        if not decision.accept:
+        if not decision.accept or decision.expected_completion == math.inf:
             self.quotes_declined += 1
             if self.flight is not None:
                 self.flight.quote(self.clock.now, self.site_id, bid, decision, None)

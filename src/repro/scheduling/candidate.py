@@ -39,45 +39,38 @@ def project_next_start(
     accumulation, unlike ``np.sum``'s pairwise reduction, so the float
     association matches the heap walk exactly).  Admission control only
     consumes the candidate task's own start, so this turns an O(n log P)
-    projection per evaluation into O(position).
-
-    A plain ``list`` of Python floats (admission's shallow probe, see
-    :meth:`~repro.scheduling.pool.PendingPool.affine_probe`) is walked
-    as it is, with no array: one processor is then a left-to-right
-    Python sum, the same association as the prefix sum.
+    projection per evaluation into O(position).  Admission's shallow
+    probe takes the same walk over Python floats
+    (:func:`~repro.site.admission._place_shallow`).
     """
     if len(free_times) == 0:
         raise SchedulingError("project_next_start requires at least one processor")
     n = len(remaining_in_order)
     if not 0 <= position < n:
         raise SchedulingError(f"position {position} out of range for {n} tasks")
-    if type(remaining_in_order) is list:
-        for pos, rpt in enumerate(remaining_in_order):
-            if rpt < 0:
-                raise _negative_rpt(rpt, pos)
-        ahead = remaining_in_order[:position]
-    else:
-        remaining = np.asarray(remaining_in_order, dtype=np.float64)
-        negative = remaining < 0
-        if negative.any():
-            pos = int(np.argmax(negative))
-            raise _negative_rpt(remaining[pos], pos)
-        if position and len(free_times) == 1:
-            acc = np.empty(position + 1)
-            acc[0] = free_times[0]
-            acc[1:] = remaining[:position]
-            return float(acc.cumsum()[-1])
-        ahead = remaining[:position].tolist()
+    remaining = np.asarray(remaining_in_order, dtype=np.float64)
+    negative = remaining < 0
+    if negative.any():
+        pos = int(np.argmax(negative))
+        raise _negative_rpt(remaining[pos], pos)
+    if position and len(free_times) == 1:
+        acc = np.empty(position + 1)
+        acc[0] = free_times[0]
+        acc[1:] = remaining[:position]
+        return float(acc.cumsum()[-1])
+    return _walk(remaining[:position].tolist(), free_times)
+
+
+def _walk(ahead: list[float], free_times: Sequence[float]) -> float:
+    """When the next task in line starts, once the RPTs *ahead* of it
+    (in priority order) have each taken the earliest-free processor:
+    the heap walk, one ``+`` per task (on one processor a left-to-right
+    sum)."""
     if not ahead:
         return float(min(free_times))  # nothing ahead: the earliest-free processor
     # an owned list of Python floats, whatever the caller holds (the
     # processor pool hands over a plain list)
     heap = [float(t) for t in free_times]
-    if len(heap) == 1:
-        start = heap[0]
-        for rpt in ahead:
-            start += rpt
-        return start
     heapq.heapify(heap)
     heapreplace = heapq.heapreplace
     for rpt in ahead:

@@ -128,6 +128,38 @@ _MIN_CAPACITY = 64
 SCALAR_PROBE_ROWS = 8
 
 
+def _scalars(task: Task) -> tuple[float, float, float, float, float, float, float]:
+    """The seven column values of *task*'s row, in field order."""
+    vf = task.linear_vf
+    value, decay, bound = vf.value, vf.decay, vf.bound_or_inf()
+    # the scalar twin of expiration_delays (float division overflows to
+    # inf without raising, as the vector form does)
+    expiration = (value + bound) / decay if decay > 0.0 else 0.0
+    return task.arrival, task.estimate, task.estimated_remaining, value, decay, bound, expiration
+
+
+def _coefficients(
+    arrival: float,
+    runtime: float,
+    remaining: float,
+    value: float,
+    decay: float,
+    key: tuple[float, float],
+) -> tuple[float, float, float, float]:
+    """One row's ``late, head, slope, cost`` for *key*: the scalar twin of
+    :func:`~repro.scheduling.base.affine_coefficients`, operation for
+    operation."""
+    alpha, rate = key
+    denom = max(remaining, MIN_REMAINING)
+    growth = 1.0 + rate * remaining
+    return (
+        arrival + runtime - remaining,
+        alpha * (value / growth) / denom + (1.0 - alpha) * (decay * remaining) / denom,
+        alpha * (decay / growth) / denom,
+        (1.0 - alpha) * remaining / denom,
+    )
+
+
 class _Rows:
     """A pool's row state that its views reach: the coefficient rows (the
     key they are written for, and whether they are current), and the
@@ -277,7 +309,7 @@ class PendingPool:
         """Write *task*'s scalars into the first spare column, growing if
         full, and its coefficients while they are fresh; returns the row's
         ``expiration``."""
-        arrival, runtime, remaining = task.arrival, task.estimate, task.estimated_remaining
+        arrival, runtime, remaining, value, decay, bound, expiration = _scalars(task)
         state = self._rows
         n = len(self._tasks)
         data = self._data
@@ -286,27 +318,14 @@ class PendingPool:
         data[_ARRIVAL, n] = arrival
         data[_RUNTIME, n] = runtime
         data[_REMAINING, n] = remaining
-        vf = task.linear_vf
-        value, decay, bound = vf.value, vf.decay, vf.bound_or_inf()
         data[_VALUE, n] = value
         data[_DECAY, n] = decay
         data[_BOUND, n] = bound
-        # the scalar twin of expiration_delays (float division overflows
-        # to inf without raising, as the vector form does)
-        expiration = (value + bound) / decay if decay > 0.0 else 0.0
         data[_EXPIRATION, n] = expiration
         if state.fresh and expiration == math.inf:
-            # the scalar twin of affine_coefficients, operation for
-            # operation
-            alpha, rate = state.key
-            denom = max(remaining, MIN_REMAINING)
-            growth = 1.0 + rate * remaining
-            data[_LATE, n] = arrival + runtime - remaining
-            data[_HEAD, n] = (
-                alpha * (value / growth) / denom + (1.0 - alpha) * (decay * remaining) / denom
+            data[_LATE, n], data[_HEAD, n], data[_SLOPE, n], data[_COST, n] = _coefficients(
+                arrival, runtime, remaining, value, decay, state.key
             )
-            data[_SLOPE, n] = alpha * (decay / growth) / denom
-            data[_COST, n] = (1.0 - alpha) * remaining / denom
         return expiration
 
     def _grow(self, n: int, need: int) -> np.ndarray:
@@ -343,31 +362,44 @@ class PendingPool:
         expiration = self._write_row(task)
         return self._view(len(self._tasks) + 1, self._expiring + (expiration != math.inf))
 
-    def affine_probe(self, task: Task, key: tuple[float, float]) -> Optional[list[list[float]]]:
+    def affine_probe(
+        self, task: Task, key: tuple[float, float]
+    ) -> Optional[tuple[list[float], ...]]:
         """The rows ``late, head, slope, cost, remaining, decay`` of a
-        shallow never-expires probe as Python floats, *task* last; else
+        shallow never-expires probe as Python lists, *task* last; else
         ``None``.
 
-        Admission's scalar path: the probe :meth:`probe` would write,
-        with the coefficient rows a never-expires view would score from
-        (:meth:`PoolColumns.affine`), bound to *key* and refreshed the
-        same way.  ``None`` — commit nothing, bind nothing — when some
-        row or *task* expires, another key is bound, or the probe has
-        :data:`SCALAR_PROBE_ROWS` rows or more; the caller then takes
-        the vector path.
+        Admission's scalar path: the rows a never-expires view of
+        :meth:`probe` would score from (:meth:`PoolColumns.affine`),
+        without the probe's write.  The pool's own rows come from its
+        coefficient rows, bound to *key* and refreshed as a view binds
+        and refreshes them; *task*'s are computed here by the expression
+        :meth:`add` writes (``_coefficients``), and nothing is written
+        into the spare column.  ``None`` — commit nothing, bind nothing —
+        when some row or *task* expires, another key is bound, or the
+        probe has :data:`SCALAR_PROBE_ROWS` rows or more; the caller then
+        takes the vector path.
         """
         n = len(self._tasks)
         state = self._rows
         if self._expiring or n + 1 >= SCALAR_PROBE_ROWS or state.key not in (None, key):
             return None
-        if self._write_row(task) != math.inf:
+        arrival, runtime, remaining, value, decay, _, expiration = _scalars(task)
+        if expiration != math.inf:
             return None
         if not state.fresh:
-            state.rows(key, n + 1)
-        block = self._data[_ARRIVAL:, : n + 1].tolist()
-        return [
-            block[row - _ARRIVAL] for row in (_LATE, _HEAD, _SLOPE, _COST, _REMAINING, _DECAY)
-        ]
+            state.rows(key, n)
+        # one list per backing row from remaining on: the view columns
+        # from there, then the coefficient rows
+        rpt, _, rate, _, _, late, head, slope, cost = self._data[_REMAINING:, :n].tolist()
+        rpt.append(remaining)
+        rate.append(decay)
+        a, b, c, d = _coefficients(arrival, runtime, remaining, value, decay, key)
+        late.append(a)
+        head.append(b)
+        slope.append(c)
+        cost.append(d)
+        return late, head, slope, cost, rpt, rate
 
     def probe_block(self, rows: np.ndarray) -> PoolColumns:
         """:meth:`probe` for a ``(7, k)`` block of rows in column-field

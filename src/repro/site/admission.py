@@ -17,26 +17,30 @@ configurable *slack threshold* (180 in Fig. 6; swept in Fig. 7).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from repro.errors import AdmissionError
+from repro.errors import AdmissionError, SchedulingError
 from repro.scheduling.base import effective_decay
-from repro.scheduling.candidate import project_lone_start, project_next_start
+from repro.scheduling.candidate import (
+    _negative_rpt,
+    _walk,
+    project_lone_start,
+    project_next_start,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.site.service import TaskServiceSite
     from repro.tasks.task import Task
 
 
-@dataclass(frozen=True, slots=True)
-class AdmissionDecision:
+class AdmissionDecision(NamedTuple):
     """Everything the slack evaluation learned about a proposed task.
 
     The market layer reuses this to fill in server bids (expected
-    completion and price); the site uses only ``accept``.
+    completion and price); the site uses only ``accept``.  A named
+    tuple: read-only, and built positionally on the quote path.
     """
 
     accept: bool
@@ -160,14 +164,14 @@ class SlackAdmission:
 
         required = self.threshold + self.slack_inflation * task.estimated_remaining
         return AdmissionDecision(
-            accept=bool(slack >= required),
-            slack=slack,
-            expected_start=expected_start,
-            expected_completion=expected_completion,
-            expected_delay=expected_delay,
-            expected_yield=expected_yield,
-            present_value=pv,
-            cost=cost,
+            slack >= required,
+            slack,
+            expected_start,
+            expected_completion,
+            expected_delay,
+            expected_yield,
+            pv,
+            cost,
         )
 
     def __repr__(self) -> str:
@@ -181,31 +185,36 @@ class SlackAdmission:
 
 
 def _place_shallow(
-    rows: list[list[float]], alpha: float, estimate: float, now: float, free_times: list[float]
+    rows: tuple[list[float], ...],
+    alpha: float,
+    estimate: float,
+    now: float,
+    free_times: list[float],
 ) -> tuple[float, float]:
     """``SlackAdmission._place`` on a shallow never-expires probe's rows
     (:meth:`~repro.scheduling.pool.PendingPool.affine_probe`): the same
-    floats, bit for bit, from a dozen Python operations instead of ~20
-    NumPy calls on a handful of elements.
+    two floats, bit for bit, from a few dozen Python operations instead
+    of ~20 NumPy calls on a handful of elements.
 
     Each step is the vector path's own float operations in its order:
     :func:`~repro.scheduling.base.affine_scores` (whose ``np.maximum``
-    clamp keeps a NaN lag), the stable descending sort
-    with NaN last (every tie, ``±0.0`` included, ahead of the candidate),
-    the projection, and Eq. 8.  Both sums run left to right, which is
+    clamp keeps a NaN lag), the stable descending sort with NaN last
+    (every tie, ``±0.0`` included, ahead of the candidate),
+    :func:`~repro.scheduling.candidate.project_next_start`'s refusals
+    and heap walk, and Eq. 8.  Every sum runs left to right, which is
     NumPy's association below ``SCALAR_PROBE_ROWS`` rows — as explicit
     loops, since the builtin ``sum`` compensates from Python 3.12 on.
     """
     late, head, slope, cost, remaining, decay = rows
-    scores = []
-    for lo, h, s in zip(late, head, slope):
-        lag = now - lo
-        scores.append(h - (0.0 if lag <= 0.0 else lag) * s)
     if alpha != 1.0:
         total = 0.0
         for d in decay:
             total += d
-        scores = [x - c * total for x, c in zip(scores, cost)]
+    scores = []
+    for lo, h, s, c in zip(late, head, slope, cost):
+        lag = now - lo
+        x = h - (0.0 if lag <= 0.0 else lag) * s
+        scores.append(x if alpha == 1.0 else x - c * total)
     last = len(scores) - 1
     if any(map(math.isnan, scores)):
         nan = [i for i, x in enumerate(scores) if x != x]
@@ -214,10 +223,17 @@ def _place_shallow(
     else:
         order = sorted(range(last + 1), key=scores.__getitem__, reverse=True)
     position = order.index(last)
-    expected_start = project_next_start([remaining[i] for i in order], free_times, position)
+    # the projection: project_next_start's checks, in its order
+    if not free_times:
+        raise SchedulingError("project_next_start requires at least one processor")
+    if not min(remaining) >= 0.0:  # a negative RPT, or a NaN that hides one
+        for pos, i in enumerate(order):
+            if remaining[i] < 0:
+                raise _negative_rpt(remaining[i], pos)
+    start = _walk([remaining[i] for i in order[:position]], free_times)
     if position == last:
-        return expected_start, 0.0
+        return start, 0.0  # nobody behind: the empty Eq. 8 sum
     behind = 0.0
     for i in order[position + 1 :]:
         behind += decay[i]
-    return expected_start, estimate * behind
+    return start, estimate * behind

@@ -59,7 +59,7 @@ def test_admission_identical_under_simclock_and_frozen_wallclock(
     probe_b = _task(0.0, runtime, value, decay, tid=9001)
     decision_sim = admission.evaluate(sim_site, probe_a)
     decision_live = admission.evaluate(frozen_site, probe_b)
-    assert decision_sim == decision_live  # frozen dataclass: exact equality
+    assert decision_sim == decision_live  # a named tuple: field-for-field equality
 
 
 def test_admission_identical_with_queued_work():

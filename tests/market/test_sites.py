@@ -65,6 +65,48 @@ class TestQuote:
         assert quote.expected_price == pytest.approx(50.0)
 
 
+class TestEveryNodeDown:
+    """A site that can start nothing has no completion to promise: it
+    declines every bid, however low its slack threshold."""
+
+    CASES = [(-math.inf, None), (-math.inf, 5.0), (-200.0, 5.0), (-200.0, None)]
+
+    @staticmethod
+    def down_site(sim, threshold, site_id="down"):
+        site = make_site(sim, threshold=threshold, site_id=site_id, processors=2)
+        for node in range(2):
+            site.engine.processors.fail(node)
+        return site
+
+    @pytest.mark.parametrize("threshold, bound", CASES)
+    def test_quote_is_a_decline(self, threshold, bound):
+        site = self.down_site(Simulator(), threshold)
+        bid = TaskBid(runtime=10, value=100, decay=1, bound=bound)
+        assert site.quote(bid) is None
+        assert (site.quotes_issued, site.quotes_declined) == (0, 1)
+
+    @pytest.mark.parametrize("threshold, bound", CASES)
+    def test_the_decline_is_journaled_and_audits_clean(self, tmp_path, threshold, bound):
+        from repro.audit import audit_recording
+        from repro.market import Broker
+        from repro.obs.flight import FlightRecorder, JournalSink, read_recording
+
+        sim = Simulator()
+        sites = [self.down_site(sim, threshold), make_site(sim, site_id="up")]
+        path = str(tmp_path / "journal.jsonl")
+        with FlightRecorder(sink=JournalSink(path), clock_domain="sim") as flight:
+            broker = Broker(sites=sites)
+            broker.open_books(flight)
+            outcome = broker.negotiate(TaskBid(runtime=10, value=100, decay=1, bound=bound))
+            assert outcome.winner.site_id == "up"
+            sim.run()
+            broker.close_books()
+        recording = read_recording(path)
+        verdicts = {e["site_id"]: e["verdict"] for e in recording.of_kind("quote")}
+        assert verdicts == {"down": "declined", "up": "issued"}
+        assert audit_recording(recording).ok
+
+
 class TestAwardAndSettle:
     def test_on_time_contract_pays_quoted_price(self):
         sim = Simulator()

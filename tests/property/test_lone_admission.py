@@ -30,8 +30,8 @@ from repro.scheduling import (
     effective_decay,
     project_next_start,
 )
-from repro.scheduling.base import PoolColumns, affine_scores
-from repro.scheduling.pool import SCALAR_PROBE_ROWS
+from repro.scheduling.base import PoolColumns, affine_coefficients, affine_scores
+from repro.scheduling.pool import _ARRIVAL, _BOUND, _LATE, SCALAR_PROBE_ROWS
 from repro.site.admission import _place_shallow
 from repro.sim import Simulator
 from repro.site import SlackAdmission, TaskServiceSite
@@ -47,7 +47,7 @@ HEURISTICS = {
     "firstreward1": lambda: FirstReward(alpha=1.0, discount_rate=0.01),
 }
 
-FIELDS = AdmissionDecision.__dataclass_fields__
+FIELDS = AdmissionDecision._fields
 
 
 class OracleAdmission(SlackAdmission):
@@ -636,3 +636,104 @@ def test_a_tie_that_only_a_left_to_right_score_sum_makes():
     rows = [[math.inf] * 3, head, [0.0] * 3, [0.0, 0.0, 1.0], [10.0, 20.0, 30.0], decay]
     got = _place_shallow(rows, 0.3, 60.0, 0.0, [0.0])
     assert got == vector_place(rows, 0.3, 60.0, 0.0, [0.0]) == (10.0, 60.0 * 0.2)
+
+
+# ----------------------------------------------------------------------
+# A shallow quote writes nothing: the pool hands over its own rows and
+# the candidate's terms are computed, not written into the spare column.
+# ----------------------------------------------------------------------
+
+#: the coefficient rows before the evaluation, on a never-expires pool
+SHALLOW_STATES = ("bound", "unbound", "stale")
+
+
+@pytest.mark.parametrize("heuristic_name", sorted(HEURISTICS))
+@pytest.mark.parametrize("state", SHALLOW_STATES)
+@pytest.mark.parametrize("depth", range(SCALAR_PROBE_ROWS - 1))
+@settings(max_examples=8, deadline=None)
+@given(queued_spec=st.lists(queued_rows, min_size=6, max_size=6), candidate_row=candidates)
+def test_a_shallow_evaluation_writes_nothing(
+    heuristic_name, state, depth, queued_spec, candidate_row
+):
+    arrival, runtime, value, decay, _, misestimate = candidate_row
+    candidate = candidate_from((arrival, runtime, value, decay or 0.05, None, misestimate))
+    sites = [primed_site(HEURISTICS[heuristic_name], 4, "busy", state, queued_spec[:depth])
+             for _ in range(2)]
+    site, twin = sites
+    pool = site.pool
+    before = pool._data.copy()
+    state_before = (pool._rows.key, pool._rows.fresh)
+    with vector_probes() as probe:
+        got = SlackAdmission(0.0).evaluate(site, candidate)
+    assert not probe.called
+    assert_same_decision(got, OracleAdmission(0.0).evaluate(twin, candidate))
+    rows = (pool._rows.key, pool._rows.fresh)
+    if depth:
+        # bound and refreshed as the twin's vector probe binds and
+        # refreshes them
+        assert rows == (twin.pool._rows.key, twin.pool._rows.fresh)
+        assert rows == (site.heuristic.affine_key, True)
+    else:  # the closed form reads no rows
+        assert rows == state_before
+    after = pool._data
+    if state == "bound" or not depth:
+        assert after.tobytes() == before.tobytes()
+        return
+    # a bind or refresh writes the pool's own coefficient rows, as a
+    # scoring of its view would, and nothing else
+    coefficients = slice(_LATE, None)
+    assert np.delete(after, coefficients, axis=0).tobytes() == np.delete(
+        before, coefficients, axis=0
+    ).tobytes()
+    assert after[_LATE:, depth:].tobytes() == before[_LATE:, depth:].tobytes()
+    written = affine_coefficients(*after[_ARRIVAL:_BOUND, :depth], *site.heuristic.affine_key)
+    assert after[_LATE:, :depth].tobytes() == written.tobytes()
+
+
+@pytest.mark.parametrize("key", [(1.0, 0.0), (1.0, 0.02), (0.3, 0.01), (0.0, 0.01)])
+@pytest.mark.parametrize("state", SHALLOW_STATES)
+@settings(max_examples=40, deadline=None)
+@given(
+    queued_spec=st.lists(queued_rows, min_size=1, max_size=SCALAR_PROBE_ROWS - 2),
+    arrival=st.floats(min_value=0.0, max_value=40.0),
+    runtime=st.floats(min_value=1e-12, max_value=5000.0),
+    value=st.floats(min_value=-1e4, max_value=1e6),
+    decay=st.floats(min_value=5e-324, max_value=50.0),
+    misestimate=st.sampled_from([None, 1e-9, 0.37, 1.0, 3.0]),
+)
+def test_the_probe_rows_are_the_probe_views_rows(
+    key, state, queued_spec, arrival, runtime, value, decay, misestimate
+):
+    """Every term the scalar path ranks, the candidate's included, is the
+    vector path's coefficient row, bit for bit."""
+    estimate = None if misestimate is None else runtime * misestimate
+
+    def site_and_candidate():
+        heuristic = FirstReward(alpha=key[0], discount_rate=key[1])
+        site = primed_site(lambda: heuristic, 2, "idle", state, queued_spec)
+        return site, make_task(arrival, runtime, value, decay, None, estimate)
+
+    site, candidate = site_and_candidate()
+    rows = site.pool.affine_probe(candidate, key)
+    twin, twin_candidate = site_and_candidate()
+    view = twin.pool.probe(twin_candidate)
+    want = [*view.affine(key), view.remaining, view.decay]
+    assert len(rows) == len(want) == 6
+    for got_row, want_row in zip(rows, want):
+        assert all(type(x) is float for x in got_row)
+        assert np.array(got_row).tobytes() == want_row.tobytes()
+
+
+def test_the_decision_is_read_only_with_its_eight_fields_in_order():
+    assert FIELDS == (
+        "accept", "slack", "expected_start", "expected_completion",
+        "expected_delay", "expected_yield", "present_value", "cost",
+    )
+    site = build_site(FirstReward(alpha=0.3, discount_rate=0.01), 2, "busy",
+                      [make_task(0.0, 30.0, 80.0, 0.3)])
+    decision = SlackAdmission(0.0).evaluate(site, make_task(40.0, 60.0, 300.0, 0.5))
+    assert type(decision) is AdmissionDecision
+    assert [getattr(decision, name) for name in FIELDS] == list(decision)
+    for name in (*FIELDS, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(decision, name, 0.0)
