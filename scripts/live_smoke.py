@@ -4,7 +4,9 @@
 Boots the service as a real OS process on an ephemeral port, drives it
 over HTTP the way a client would, and asserts the whole lifecycle:
 
-1. every submitted bid gets a negotiation outcome;
+1. every submitted bid gets a negotiation outcome, on a pool that mixes
+   bounded and unbounded penalties, and a batch with one bad bid is
+   refused whole (400) before any of it is negotiated;
 2. every contracted task runs as a subprocess, never exceeding the
    per-site slot cap, and settles through the value-function accounting;
 3. completion documents carry the full ``TASK_STATUS_KEYS`` schema;
@@ -42,6 +44,7 @@ import signal
 import subprocess
 import sys
 import time
+import urllib.error
 import urllib.request
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -125,12 +128,28 @@ def main(argv=None) -> int:
         assert http(port, "GET", "/healthz") == {"ok": True}
 
         bid = {"runtime": 4.0, "value": 50.0, "decay": 0.1}
-        results = [http(port, "POST", "/bids", {**bid, "client_id": f"smoke-{i}"})
+        # every other bid bounds its penalty, so the pool mixes regimes
+        bounded = {**bid, "bound": 0.0}
+        results = [http(port, "POST", "/bids",
+                        {**(bounded if i % 2 else bid), "client_id": f"smoke-{i}"})
                    for i in range(args.bids - 4)]
-        results += http(port, "POST", "/bids", {"bids": [bid] * 4})["results"]
+        results += http(port, "POST", "/bids", {"bids": [bid, bounded] * 2})["results"]
         accepted = [r for r in results if r["accepted"]]
         print(f"live_smoke: {len(accepted)}/{len(results)} bids contracted")
         assert len(accepted) >= args.bids * 3 // 4, "too many bids declined"
+        # a batch whose second bid floors above its value: refused whole
+        negotiations = http(port, "GET", "/status")["negotiations"]
+        bad = {"runtime": 1.0, "value": -80.0, "decay": 1.0, "bound": 0.0}
+        try:
+            http(port, "POST", "/bids", {"bids": [bid, bad]})
+        except urllib.error.HTTPError as exc:
+            assert exc.code == 400, f"the bad batch answered {exc.code}"
+        else:
+            raise AssertionError("the bad batch was accepted")
+        assert http(port, "GET", "/status")["negotiations"] == negotiations, (
+            "the bad batch negotiated a bid"
+        )
+        print("live_smoke: a batch with one bad bid refused whole (400)")
         doomed = http(port, "POST", "/bids",
                       {**bid, "client_id": "smoke-doomed", "argv": ["/nonexistent/binary"]})
         assert doomed["accepted"], "the unspawnable bid was declined"

@@ -24,7 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import LiveServiceError
+from repro.errors import LiveServiceError, ValueFunctionError
+from repro.valuefn.linear import LinearDecayValueFunction
 
 #: Wire-format version, reported by ``GET /status``.
 API_VERSION = 1
@@ -144,6 +145,12 @@ def parse_bid(payload: object) -> BidRequest:
     bound = _number(payload, "bound", required=False)
     if bound is not None and bound < 0:
         raise ApiError(f"bid bound must be >= 0, got {bound!r}")
+    try:
+        # the value function's own rules (a floor at or below the
+        # value), checked before any bid of a batch is negotiated
+        LinearDecayValueFunction(value, decay, bound)
+    except ValueFunctionError as exc:
+        raise ApiError(f"bid value function: {exc}") from None
 
     demand = payload.get("demand", 1)
     if isinstance(demand, bool) or not isinstance(demand, int) or demand != 1:

@@ -30,13 +30,11 @@ from repro.scheduling.base import (
     PoolColumns,
     SchedulingHeuristic,
     current_delays,
-    current_yields,
     decay_horizons,
     effective_decay,
 )
 from repro.scheduling.baselines import FCFS, SRPT, SWPT, PriorityFCFS
 from repro.scheduling.candidate import project_lone_start, project_next_start
-from repro.scheduling.cost import opportunity_costs
 from repro.scheduling.firstprice import FirstPrice
 from repro.scheduling.firstreward import FirstReward
 from repro.scheduling.pool import PendingPool
@@ -58,11 +56,9 @@ __all__ = [
     "SurvivalDiscount",
     "available_heuristics",
     "current_delays",
-    "current_yields",
     "decay_horizons",
     "effective_decay",
     "make_heuristic",
-    "opportunity_costs",
     "project_lone_start",
     "project_next_start",
 ]

@@ -5,8 +5,6 @@ pool of pending tasks at decision time ``now``:
 
 * ``current_delays`` — Eq. 2's delay assuming the remaining work starts
   now: ``max(0, now + RPT − arrival − runtime)``.
-* ``current_yields`` — Eq. 1 evaluated at those delays (with the
-  penalty floor applied).
 * ``expiration_delays`` — per task, the delay at which its value function
   stops decaying, ``(value + bound) / decay``.  No clock enters it, so
   it is a column computed once per row, not a per-instant vector.
@@ -17,11 +15,14 @@ pool of pending tasks at decision time ``now``:
   "once a task has expired it may be deferred to the end of the schedule
   with no further cost" (§5.3).
 
-Where no row expires (``PoolColumns.expiring == 0``: every penalty is
-unbounded, so the Eq. 1 floor never binds and Eq. 4 is Eq. 5), every
-quantity of a row except the clock is fixed when the row is written, and
-the FirstPrice / PresentValue / FirstReward score of row *i* is affine in
-the time the row has been late:
+:meth:`RewardHeuristic.scores` is the one scoring body of FirstPrice,
+PresentValue and FirstReward, in two forms.
+
+**Affine rows.**  Where no row expires (``PoolColumns.expiring == 0``:
+every penalty is unbounded, so the Eq. 1 floor never binds and Eq. 4 is
+Eq. 5), every quantity of a row except the clock is fixed when the row
+is written, and the score of row *i* is affine in the time the row has
+been late:
 
     score_i = head_i − slope_i · max(now − late_i, 0) − cost_i · Σ_j d_j
 
@@ -30,27 +31,25 @@ late; ``head``, ``slope`` and ``cost`` fold in α, the discount rate and
 the :data:`MIN_REMAINING` clamp (:func:`affine_coefficients`).  A pool
 writes these rows beside ``expiration`` and a pool view carries them
 (:meth:`PoolColumns.affine`), so such a score is a handful of vector
-operations instead of the ~20 of the general form.  An on-time row scores
+operations instead of the ~20 of the row form.  An on-time row scores
 ``head − cost·Σd`` exactly, whatever its ``late``, so rows tied in the
-general form stay tied.  Values agree with the general form to rounding
-(the property suite holds them to rtol 1e-12); orderings agree.  Bounded
-pools get no such rows: there every score can be ``α·PV/RPT`` with a
-``±0.0`` cost, a whole-pool tie that pool order settles, so they are
-computed in the general form's own operations (see
-:mod:`repro.scheduling.cost`).
+row form stay tied.  Values agree with the row form to rounding (the
+property suite holds them to rtol 1e-12); orderings agree.
 
-Where every row expires (``PoolColumns.expiring == len``) the pool keeps
-its second count: the rows at their floor — horizon exactly 0, raw yield
-strictly below ``−bound`` — whose yield is ``−bound`` at every later
-clock reading (see :mod:`repro.scheduling.pool`).  :func:`bounded_scores`
-scores them from the terms the pool stores and computes the general
-form row by row only for the others, so the scores stay the general
-form's floats bit for bit.
-
-:meth:`RewardHeuristic.scores` is the one scoring body of FirstPrice,
-PresentValue and FirstReward: the affine rows, then the floor rows, then
-the general form, which computes the delays once and derives the
-yields, horizons and effective decay from them as locals.
+**The row form** (:func:`row_scores`) scores every other view: a pool's
+view where some row can expire — every row, or a mix of bounded and
+unbounded — a never-expires view under a key other than the one the
+pool's rows are written for, and a hand-built view.  It computes the
+delays once and derives the yields, horizons and effective decay from
+them as locals, with Eq. 4's cost from the one kernel
+(:mod:`repro.scheduling.cost`); there a score can be ``α·PV/RPT`` with a
+``±0.0`` cost, a whole-pool tie that pool order settles, so the floats
+are Eq. 4's own, bit for bit.  On a pool's view that can expire it
+reads the pool's second count: the rows at their floor — horizon
+exactly 0, raw yield strictly below ``−bound`` — whose yield is
+``−bound`` at every later clock reading (see
+:mod:`repro.scheduling.pool`); it scores them from the terms the pool
+stores and computes only the others row by row.
 """
 
 from __future__ import annotations
@@ -60,7 +59,8 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.scheduling.cost import opportunity_costs, saturating_costs
+from repro.errors import SchedulingError
+from repro.scheduling.cost import saturating_costs
 
 
 def expiration_delays(
@@ -105,17 +105,17 @@ class PoolColumns:
     and no decay rate is ever zeroed); ``expiring == len`` is the bounded
     one, where every horizon is finite.  The pool passes the column and
     the count it maintains, anyone else leaves both out; a column passed
-    without its count leaves the count unknown (``None``), and the
-    kernels then take their general form, which is right in every
-    regime.  A view is a value: nothing rebinds or writes its columns
-    after construction.
+    without its count leaves the count unknown (``None``), and the row
+    form then finds the rows that never expire one by one, which is
+    right in every regime.  A view is a value: nothing rebinds or writes
+    its columns after construction.
 
     A view taken from a :class:`~repro.scheduling.pool.PendingPool` also
     reaches the pool's row state: its affine-score rows while it never
-    expires (:meth:`affine`), its rows at their floor while every row can
-    expire (:func:`bounded_scores`), and its Eq. 4 inputs are
-    non-negative by construction.  A hand-built view has none of these,
-    and its heuristics take the general path, checks included.
+    expires (:meth:`affine`), its rows at their floor while some row can
+    expire (:func:`row_scores`), and its Eq. 4 inputs are non-negative by
+    construction.  A hand-built view has none of these: its columns are
+    checked once, here — equal lengths, and no negative RPT or decay.
     """
 
     __slots__ = (*_FIELDS, "_source")
@@ -137,6 +137,17 @@ class PoolColumns:
         self.value = value
         self.decay = decay
         self.bound = bound
+        if expiring is None:
+            # built by hand: checked once here, where a pool's rows are
+            # sound by construction
+            n = len(remaining)
+            columns = (arrival, runtime, value, decay, bound)
+            if any(len(column) != n for column in columns) or (
+                expiration is not None and len(expiration) != n
+            ):
+                raise SchedulingError("cost inputs must have equal length")
+            if (remaining < 0).any() or (decay < 0).any():
+                raise SchedulingError("cost inputs must be non-negative")
         if expiration is None:
             expiration = expiration_delays(value, decay, bound)
             expiring = len(expiration) - int(np.count_nonzero(np.isposinf(expiration)))
@@ -223,7 +234,7 @@ def affine_scores(
 ) -> Optional[np.ndarray]:
     """The never-expires score of every row of *cols* at *now*, or ``None``
     when the view carries no coefficient rows for the ``(alpha, rate)``
-    *key* — the caller then takes the general path."""
+    *key* — the caller then takes the row form."""
     rows = cols.affine(key)
     if rows is None:
         return None
@@ -248,55 +259,61 @@ _MARK_BATCH = 32
 #: The floor terms of a view with no rows at their floor.
 _NO_FLOOR = np.empty((3, 0))
 
+#: The live rows of a view with no finite horizon.
+_NO_ROWS = np.empty(0, dtype=np.intp)
+
 
 def floor_terms(bound: np.ndarray, rpt: np.ndarray, key: tuple[float, float]) -> np.ndarray:
     """The ``(3, k)`` clock-free terms ``α·pv, denom, rpt`` of rows at
     their floor for the ``(alpha, rate)`` *key*.
 
     Such a row yields exactly ``−bound`` (``np.maximum`` returns it for a
-    raw yield below it), so these are the general form's ``α·PV`` and
+    raw yield below it), so these are the row form's ``α·PV`` and
     ``max(RPT, MIN_REMAINING)`` for the row, operation for operation.
     """
     alpha, rate = key
     return np.array((alpha * (-bound / (1.0 + rate * rpt)), np.maximum(rpt, MIN_REMAINING), rpt))
 
 
-def bounded_scores(
+def row_scores(
     cols: PoolColumns, now: float, key: tuple[float, float]
-) -> Optional[np.ndarray]:
-    """The score of every row of a pool's view whose rows can all expire,
-    at *now*, for the ``(alpha, rate)`` *key*; ``None`` for any other view
-    — the caller then takes the general path.
+) -> np.ndarray:
+    """The score of every row of *cols* at *now* for the ``(alpha, rate)``
+    *key*, in any regime: the form every view takes that the affine rows
+    do not serve.
 
-    ``(α·PV − (1 − α)·cost) / RPT`` in the general form's own operations:
-    FirstReward's Eq. 6, PresentValue at ``α = 1`` and FirstPrice at
-    ``(1, 0)`` (``x / 1.0`` and ``1.0 · x`` are ``x``), with Eq. 4's cost
-    over the competitors that still decay, ``+0.0`` when none does.  Rows
-    at their floor (see :mod:`repro.scheduling.pool`) score from the terms
+    ``(α·PV − (1 − α)·cost) / RPT``: FirstReward's Eq. 6, PresentValue at
+    ``α = 1`` and FirstPrice at ``(1, 0)`` (``x / 1.0`` and ``1.0 · x`` are
+    ``x``), with Eq. 4's cost from
+    :func:`~repro.scheduling.cost.saturating_costs` over the competitors
+    that still decay: the finite horizons sorted, the ``+inf`` ones as one
+    unbounded weight (all of them where no row expires: Eq. 5), ``+0.0``
+    when nothing decays.  The view's count of rows that can expire says
+    which; a view without one (a hand-passed ``expiration`` column) is
+    sorted out row by row.  On a pool's view that can expire, rows at
+    their floor (see :mod:`repro.scheduling.pool`) score from the terms
     the pool keeps for them: the stored score when nothing in the view
-    decays, else the stored ``α·PV`` less a cost counted by
-    :func:`~repro.scheduling.cost.saturating_costs`'s merge.  Only the
-    other rows — probed rows included — get per-row arithmetic, and the
-    pool rows among them found at their floor are marked.  Every score is
-    the general form's float, bit for bit.
+    decays, else the stored ``α·PV`` less a cost counted by the kernel's
+    merge.  Only the other rows — probed rows included — get per-row
+    arithmetic, and the pool rows among them found at their floor are
+    marked.  Every score is the float of Eq. 6 over the plain statement
+    of Eq. 4, bit for bit (``tests/property/test_bounded_scores.py``).
     """
     source = cols._source
     n = len(cols)
-    if source is None or cols.expiring != n:
-        return None
+    expiring = cols.expiring
     alpha, rate = key
-    serves = source.floor_rows(key, now)
+    serves = source is not None and bool(expiring) and source.floor_rows(key, now)
     floored = source.count if serves else 0
-    if floored == n:
+    if floored and floored == n:
         # every row is a pool row at its floor: nothing decays
         return source.floor_scores(n)
-    pending = source.pending
     if not floored:
         other = None
         rows = (cols.arrival, cols.runtime, cols.remaining, cols.value, cols.decay,
                 cols.bound, cols.expiration)
     else:
-        other = slice(pending, n) if floored == pending else source.open_rows(n)
+        other = slice(source.pending, n) if floored == source.pending else source.open_rows(n)
         rows = source.columns(other)
     arrival, runtime, remaining, value, decay, bound, expiration = rows
     delays = np.maximum(0.0, now + remaining - arrival - runtime)
@@ -307,8 +324,21 @@ def bounded_scores(
     # still decays (a row that never decays expires at 0)
     left = expiration - delays
     decaying = left > 0.0
-    live = None if alpha == 1.0 else decaying.nonzero()[0]
-    costed = live is not None and len(live) > 0
+    # the decaying rows with a finite horizon, and the weight of the ones
+    # whose horizon is +inf
+    weight = 0.0
+    if alpha == 1.0:
+        live = None
+    elif expiring == n:  # every horizon is finite
+        live = decaying.nonzero()[0]
+    elif expiring == 0:  # none is (Eq. 5)
+        live, weight = _NO_ROWS, float(decay.sum())
+    else:  # a mix, or a count nobody passed
+        unbounded = expiration == np.inf
+        live = (decaying > unbounded).nonzero()[0]
+        weight = float(decay.compress(unbounded).sum())
+    # an unbounded row always decays, and is never at its floor
+    costed = live is not None and (len(live) > 0 or expiring != n)
     if not costed:
         scores = alpha * pv / denom
         if floored:
@@ -317,17 +347,19 @@ def bounded_scores(
         order, floor = source.ranked() if floored else (None, _NO_FLOOR)
         floor_pv, floor_denom, rpt = floor
         cost, floor_cost = saturating_costs(
-            remaining, decay, np.maximum(0.0, left), decaying, live, rpt
+            remaining, decay, np.maximum(0.0, left), decaying, live, rpt, weight
         )
         scores = (alpha * pv - (1.0 - alpha) * cost) / denom
         if floored:
             full = np.empty(n)
             full[order] = (floor_pv - (1.0 - alpha) * floor_cost) / floor_denom
+    if not serves:
+        return scores
     # the pool rows come first among these; a row at its floor does not decay
-    first = len(remaining) - (n - pending)
+    first = len(remaining) - (n - source.pending)
     # rows not decaying and not yet marked: at their floor, or never to be
     # (a zero decay, a raw yield of exactly −bound)
-    unmarked = first - np.count_nonzero(decaying[:first]) if serves and first else 0
+    unmarked = first - np.count_nonzero(decaying[:first]) if first else 0
     if unmarked >= _MARK_BATCH or unmarked and not costed:
         new = ((left[:first] <= 0.0) & (raw[:first] < -bound[:first])).nonzero()[0]
         if len(new):
@@ -342,11 +374,6 @@ def bounded_scores(
 def current_delays(cols: PoolColumns, now: float) -> np.ndarray:
     """Expected delay of each task if its remaining work started *now* (Eq. 2)."""
     return np.maximum(0.0, now + cols.remaining - cols.arrival - cols.runtime)
-
-
-def current_yields(cols: PoolColumns, now: float) -> np.ndarray:
-    """Expected yield of each task if started now (Eq. 1 with penalty floor)."""
-    return np.maximum(cols.value - current_delays(cols, now) * cols.decay, -cols.bound)
 
 
 def decay_horizons(cols: PoolColumns, now: float) -> np.ndarray:
@@ -384,10 +411,10 @@ class SchedulingHeuristic(abc.ABC):
 
     #: The ``(alpha, discount_rate)`` of this heuristic's Eq. 6 score, or
     #: ``None``: FirstPrice ``(1, 0)``, PresentValue ``(1, r)``,
-    #: FirstReward ``(α, r)``.  The key drives all three paths of
+    #: FirstReward ``(α, r)``.  The key drives both forms of
     #: :meth:`RewardHeuristic.scores` — it names the pool's affine rows
-    #: where no row expires, its floor terms where every row does, and the
-    #: general form's ``α`` and ``r`` elsewhere — and admission ranks a
+    #: where no row expires, and the row form's ``α`` and ``r`` and the
+    #: pool's floor terms elsewhere — and admission ranks a
     #: shallow never-expires probe from the pool's coefficient rows
     #: without calling :meth:`scores`.  A wrapper inherits ``None``: its
     #: scores are not these.
@@ -409,32 +436,16 @@ class RewardHeuristic(SchedulingHeuristic):
     at ``(1, 0)``.  At ``α = 1`` no cost is computed, and ``x / 1.0`` is
     ``x``, so the scores are Eq. 3's ``PV/RPT`` and the unit gain
     ``yield/RPT`` bit for bit.  A pool's view takes its affine rows where
-    no row expires and its floor rows where every row does; anything
-    else — a pool mixing bounded and unbounded penalties, a hand-built
-    view — takes the general form, Eq. 4's cost included (on a view that
+    no row expires; every other view — a pool's that can expire, whether
+    every row can or some, a second key's, a hand-built one — takes the
+    row form (:func:`row_scores`), Eq. 4's cost included (on a view that
     never expires every horizon is ``inf``: Eq. 5).
     """
 
     affine_key: tuple[float, float]
 
     def scores(self, cols: PoolColumns, now: float) -> np.ndarray:
-        key = self.affine_key
-        scores = affine_scores(cols, now, key)
+        scores = affine_scores(cols, now, self.affine_key)
         if scores is None:
-            scores = bounded_scores(cols, now, key)
-        if scores is not None:
-            return scores
-        alpha, rate = key
-        delays = current_delays(cols, now)
-        yields = np.maximum(cols.value - delays * cols.decay, -cols.bound)
-        pv = yields / (1.0 + rate * cols.remaining)
-        denom = unit_denominator(cols)
-        if alpha == 1.0:
-            return pv / denom
-        if cols.never_expires:
-            horizons, decay = cols.expiration, cols.decay
-        else:
-            horizons = np.maximum(0.0, cols.expiration - delays)
-            decay = np.where(horizons > 0.0, cols.decay, 0.0)
-        cost = opportunity_costs(cols.remaining, decay, horizons)
-        return (alpha * pv - (1.0 - alpha) * cost) / denom
+            scores = row_scores(cols, now, self.affine_key)
+        return scores

@@ -18,15 +18,16 @@ Regime contract: the pool counts its rows whose ``expiration`` is not
 ``+inf`` (``_expiring``: up in ``add``, down in ``remove_at``, like
 ``_multi_node``) and hands every view that count, the probed rows of a
 probe view included (``PoolColumns.expiring``).  Nobody sets it: it
-restates the ``expiration`` column, so the kernels read the penalty
-regime — none expires (count 0), every horizon is finite (count =
-length), or a mix — instead of re-taking a census of the column at
-every decision instant.
+restates the ``expiration`` column, so the scorers read the penalty
+regime — none expires (count 0: the affine rows below), every horizon
+is finite (count = length), or a mix (both: the row form of
+:func:`~repro.scheduling.base.row_scores`) — instead of re-taking a
+census of the column at every decision instant.
 
 The coefficient rows belong to the never-expires regime.  They are
 bound lazily: the first heuristic that scores a never-expires view fixes
 the ``(alpha, discount_rate)`` key they are written for (``_Rows``), and
-a heuristic with another key takes the general path.  While they are
+a heuristic with another key takes the row form.  While they are
 *fresh* every write (``add``, ``probe``, ``probe_block``) fills them and
 ``remove_at`` shifts them with the rest.  Queuing an expiring row makes
 them stale: from then on they are neither written nor shifted — the
@@ -39,9 +40,11 @@ refreshing them the same way.
 Second count: rows at their floor.  A row whose horizon is exactly 0
 and whose raw yield is strictly below ``−bound`` stays there whatever
 the clock does next — its delay only grows — until the pool rewrites it
-on a preempt or crash requeue (``add`` after ``remove_at``).  A bounded
-scorer that finds such rows hands them to the pool (``_Rows.mark``,
-from :func:`~repro.scheduling.base.bounded_scores`), which counts them
+on a preempt or crash requeue (``add`` after ``remove_at``).  The row
+form finds such rows on any view that can expire — every row bounded,
+or bounded among unbounded ones — and hands them to the pool
+(``_Rows.mark``, from :func:`~repro.scheduling.base.row_scores`), which
+counts them
 beside ``_expiring`` (``_Rows.count``) and keeps two rows in front of the
 columns — a flag (``_OPEN``: 0.0 at the floor, 1.0 elsewhere, the spare
 columns included, so ``add`` and the probes write none) and the score
@@ -55,7 +58,8 @@ While any row is at its floor ``remove_at``'s one tail shift carries the
 two rows and flags the column it vacates open.  The terms are written
 for the ``(alpha, discount_rate)`` key the coefficient rows are bound to
 (``_Rows.key``, bound by whichever regime scores first), and a heuristic
-with another key takes the general path.  A flag found at one clock
+with another key scores every row by the row form's own arithmetic.  A
+flag found at one clock
 reading holds at every later one, so a view scored at an earlier reading
 than the latest mark takes the per-row path instead
 (``_Rows.floor_rows``).  While no row is at its floor none of this is
@@ -166,8 +170,8 @@ class _Rows:
     rows at their floor.
 
     ``key`` is the ``(alpha, discount_rate)`` of the first heuristic that
-    scored a never-expires view of the pool, or a bounded one (``None``
-    until then); ``fresh`` says the rows hold that key's coefficients for
+    scored a never-expires view of the pool, or one that can expire
+    (``None`` until then); ``fresh`` says the rows hold that key's coefficients for
     every row of the pool, which the pool keeps true only while no
     expiring row is queued.  ``data`` is the pool's backing array
     (replaced on growth), ``pending`` the number of pool rows under the

@@ -18,6 +18,7 @@ from repro.live.config import LiveConfig, LiveSiteSpec
 from repro.live.httpd import start_http
 from repro.live.service import RETRY_AFTER_S, IdempotencyTable, LiveService
 from repro.obs.flight import FlightRecorder
+from repro.sim import SimClock, Simulator
 
 from tests.live.scripted import scripted_service
 
@@ -258,3 +259,37 @@ def test_oversized_idempotency_key_is_a_400():
         assert "Idempotency-Key" in json.loads(body)["error"]
 
     _scenario(steps)
+
+
+def test_a_batch_with_one_bad_bid_awards_nothing():
+    """A bid whose floor sits above its value (``value −80, bound 0``) in
+    the second slot of a batch: the parser refuses it before the first
+    bid is negotiated, so the batch answers 400, awards nothing and
+    journals nothing — and a retry under the same key does the same,
+    where an award made before a 500 would be made again."""
+    bad = {"runtime": 1, "value": -80, "decay": 1, "bound": 0}
+    batch = {"bids": [GOOD_BID, bad]}
+    key = {"Idempotency-Key": "bad-batch"}
+
+    async def main():
+        flight = FlightRecorder(clock_domain="wall")
+        service, _ = scripted_service(_config(), flight=flight, clock=SimClock(Simulator()))
+        journaled = len(flight.recording())
+        await service.start()
+        server, port = await start_http(service, "127.0.0.1", 0)
+        try:
+            for _ in range(2):
+                status_line, _, body = await _raw(port, "POST", "/bids", batch, key)
+                assert status_line.startswith("HTTP/1.1 400")
+                assert "floor above the maximum value" in json.loads(body)["error"]
+                assert service.broker.negotiations == 0
+                assert not service.task_records()
+                assert "bad-batch" not in service.idempotency
+                assert len(flight.recording()) == journaled
+        finally:
+            # nothing to drain: no bid was awarded
+            server.close()
+            await server.wait_closed()
+            await service.stop()
+
+    asyncio.run(main())

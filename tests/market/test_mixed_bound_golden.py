@@ -2,10 +2,11 @@
 
 ``repro serve`` takes bids with and without a penalty ``bound``, so a
 live site's pool can hold bounded and unbounded rows at once.  Such a
-pool is in neither regime the pool's rows serve: no affine rows (some
-row expires) and no floor rows (some row never does), so every scoring
-of it takes the general Eq. 6 over the general Eq. 4 kernel.  No
-experiment and no bench workload mixes bounds; this run does.  Three
+pool gets no affine rows (some row expires), so every scoring of it
+takes the row form, Eq. 6 over the one Eq. 4 kernel: its finite
+horizons sorted, its unbounded rows as one weight, and its rows at their
+floor, once marked, read from the pool.  No experiment and no bench
+workload mixes bounds; this run does.  Three
 slack-admission sites — FirstPrice, PresentValue and FirstReward, the
 one family at ``(1, 0)``, ``(1, r)`` and ``(α, r)`` — negotiate an
 economy trace whose every other bid is unbounded, and the summary and

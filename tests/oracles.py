@@ -12,6 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import SchedulingError
+from repro.scheduling.base import PoolColumns, current_delays
 
 
 def opportunity_costs_naive(
@@ -20,7 +21,7 @@ def opportunity_costs_naive(
     horizons: np.ndarray,
 ) -> np.ndarray:
     """Eq. 4 over all (i, j) pairs, O(n²): the oracle of
-    :func:`repro.scheduling.cost.opportunity_costs`."""
+    :func:`opportunity_costs`."""
     remaining = np.asarray(remaining, dtype=float)
     decay = np.asarray(decay, dtype=float)
     horizons = np.asarray(horizons, dtype=float)
@@ -34,6 +35,92 @@ def opportunity_costs_naive(
             total += decay[j] * min(remaining[i], horizons[j])
         out[i] = total
     return out
+
+
+def opportunity_costs(
+    remaining: np.ndarray,
+    decay: np.ndarray,
+    horizons: np.ndarray,
+) -> np.ndarray:
+    """Vectorized Eq. 4 for every task at once, O(n log n): the byte oracle
+    of :func:`repro.scheduling.cost.saturating_costs` and of the row form
+    :func:`repro.scheduling.base.row_scores` that calls it.
+
+    Parameters
+    ----------
+    remaining:
+        RPT vector (the candidate run lengths).
+    decay:
+        *Effective* decay rates — expired tasks must already be zeroed
+        (see :func:`repro.scheduling.base.effective_decay`).
+    horizons:
+        Remaining decay horizons (``inf`` for unbounded penalties).
+
+    Returns
+    -------
+    ``cost`` vector where ``cost[i] = Σ_{j≠i} decay[j] · min(remaining[i],
+    horizons[j])``.
+    """
+    remaining = np.asarray(remaining, dtype=float)
+    decay = np.asarray(decay, dtype=float)
+    horizons = np.asarray(horizons, dtype=float)
+    n = len(remaining)
+    if len(decay) != n or len(horizons) != n:
+        raise SchedulingError("cost inputs must have equal length")
+    if n == 0:
+        return np.empty(0)
+    if (remaining < 0).any() or (decay < 0).any() or (horizons < 0).any():
+        raise SchedulingError("cost inputs must be non-negative")
+
+    finite = np.isfinite(horizons)
+    n_finite = np.count_nonzero(finite)
+    if n_finite == 0:
+        # Eq. 5: every competitor decays for the whole run; the general
+        # kernel reduces to exactly these operations in this order when
+        # nothing saturates, so the bits agree
+        return remaining * float(decay.sum()) - decay * remaining
+    # weight of unbounded competitors: they always contribute d_j * R_i
+    w_unbounded = 0.0 if n_finite == n else float(decay[~finite].sum())
+    # the competitors that can saturate and still weigh something
+    live = finite & (decay > 0.0)
+    n_live = np.count_nonzero(live)
+    if n_live == n:
+        h_live, d_live = horizons, decay
+    else:
+        h_live = horizons[live]
+        d_live = decay[live]
+
+    # stable, like every sort in the engine: tied horizons keep pool
+    # order, so the sums below accumulate in one order on every machine
+    order = np.argsort(h_live, kind="stable")
+    h_sorted = h_live[order]
+    d_sorted = d_live[order]
+    # prefix sums with a leading zero so index k means "first k entries"
+    prefix_dh = np.empty(n_live + 1)
+    prefix_dh[0] = 0.0
+    np.cumsum(d_sorted * h_sorted, out=prefix_dh[1:])
+    prefix_d = np.empty(n_live + 1)
+    prefix_d[0] = 0.0
+    np.cumsum(d_sorted, out=prefix_d[1:])
+    total_d_live = prefix_d[-1]
+
+    k = np.searchsorted(h_sorted, remaining, side="right")
+    saturated = prefix_dh[k]                      # Σ d_j h_j over h_j ≤ R_i
+    linear = remaining * (total_d_live - prefix_d[k] + w_unbounded)
+    cost = saturated + linear
+
+    # remove each task's own contribution (j ≠ i)
+    self_term = decay * np.minimum(remaining, horizons)
+    # d_j = 0 for zero-horizon/expired tasks, so inf*0 cannot occur: min() is safe
+    return cost - self_term
+
+
+def current_yields(cols: PoolColumns, now: float) -> np.ndarray:
+    """Expected yield of each task if started *now*: Eq. 1 at
+    :func:`~repro.scheduling.base.current_delays`, with the penalty floor —
+    the yields the row form :func:`repro.scheduling.base.row_scores`
+    computes in place."""
+    return np.maximum(cols.value - current_delays(cols, now) * cols.decay, -cols.bound)
 
 
 def project_start_times(

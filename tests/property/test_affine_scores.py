@@ -9,7 +9,7 @@ regime).  After every operation — add, remove, candidate probe, block
 probe, preempt-and-requeue, regime flips never-expires → expiring →
 never-expires — the pool's rows must equal the vector twin over the same
 columns byte for byte, and the heuristic's scores must order the rows
-exactly as the general path does on a hand-built copy of the view
+exactly as the row form does on a hand-built copy of the view
 (identical argmax and stable argsort) with values within rtol 1e-12 of
 the magnitude of the terms each form adds up.
 """
@@ -59,7 +59,7 @@ def heuristics_for(alpha: float, rate: float) -> list:
 
 def general_view(view: PoolColumns) -> PoolColumns:
     """The same rows as a hand-built view: no pool behind it, so every
-    heuristic takes the general path."""
+    heuristic takes the row form."""
     return PoolColumns(*(np.array(column) for column in (
         view.arrival, view.runtime, view.remaining, view.value, view.decay, view.bound,
     )))
@@ -110,7 +110,7 @@ def assert_same_scores(fast: np.ndarray, general: np.ndarray, scale: np.ndarray)
 
 def check_affine(view: PoolColumns, now: float, heuristic, alpha: float, rate: float) -> None:
     """The view's coefficient rows are the vector twin's; its scores are
-    the general path's."""
+    the row form's."""
     assert view.never_expires
     rows = view.affine((alpha, rate))
     general = general_view(view)

@@ -7,7 +7,7 @@ rows are exactly the ones a whole-pool tie can hinge on: once every row
 has expired each score is ``α·PV/RPT`` with a ``±0.0`` cost, and the
 dispatch ``argmax`` is settled by pool order — so the scores must equal
 the expression they had before (:func:`oracle_scores`: Eq. 3's present
-value less the general Eq. 4 kernel, its checks included, over a
+value less the plain Eq. 4 kernel of ``tests/oracles.py``, its checks included, over a
 hand-built copy of the view) by ``.tobytes()``, not to a tolerance.  The pools draw α ∈ {0, 0.3, 1}, penalty bounds 0,
 25 or a mix with unbounded rows, and clocks at which every row, no row
 or some rows still decay; each is scored through ``columns()``, a
@@ -28,22 +28,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.scheduling import FirstPrice, FirstReward, PendingPool, PoolColumns, PresentValue
-from repro.scheduling.base import (
-    current_yields,
-    decay_horizons,
-    effective_decay,
-    unit_denominator,
-)
-from repro.scheduling.cost import opportunity_costs
+from repro.scheduling.base import decay_horizons, effective_decay, unit_denominator
 from repro.site import ProcessorPool
 from repro.tasks import Task
 from repro.valuefn import LinearDecayValueFunction
+from tests.oracles import current_yields, opportunity_costs
 from tests.property.test_affine_scores import assert_same_scores, term_scale
 
 
 def general_copy(view: PoolColumns) -> PoolColumns:
     """*view*'s rows as a hand-built view: no pool behind it, so every
-    derived vector and the cost take their general form."""
+    derived vector and the cost take the row form."""
     return PoolColumns(*(np.array(column) for column in (
         view.arrival, view.runtime, view.remaining, view.value, view.decay, view.bound,
     )))
@@ -51,7 +46,8 @@ def general_copy(view: PoolColumns) -> PoolColumns:
 
 def oracle_scores(view: PoolColumns, now: float, alpha: float, rate: float) -> np.ndarray:
     """FirstReward's bounded expression before the count: Eq. 3's present
-    value less the general Eq. 4 kernel, its checks included."""
+    value less the plain Eq. 4 kernel of ``tests/oracles.py``, its checks
+    included."""
     cols = general_copy(view)
     pv = current_yields(cols, now) / (1.0 + rate * cols.remaining)
     denom = unit_denominator(cols)
@@ -230,3 +226,30 @@ def test_tied_horizons_sum_in_pool_order(alpha):
     assert (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
     assert_bit_equal(view, 0.0, alpha, 0.01)
 
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@given(data=st.data(), rate=st.sampled_from(RATES))
+@settings(max_examples=20, deadline=None)
+def test_a_second_keys_never_expires_view_scores_the_oracle_bytes(alpha, data, rate):
+    """A never-expires pool whose affine rows are bound to another key:
+    FirstReward at ``(alpha, rate)`` scores its views by the row form with
+    every decay as the unbounded weight — Eq. 5 — and so the oracle's
+    bytes, through ``columns()``, ``probe()`` and ``probe_block()``."""
+    decays = st.sampled_from([0.05, 2.0, 100.0])
+    pool = PendingPool()
+    for task in data.draw(st.lists(tasks(st.none(), decays), min_size=1, max_size=40)):
+        pool.add(task)
+    now = data.draw(st.floats(min_value=0.0, max_value=1e3))
+    first = FirstReward(0.5, 0.02)
+    first.scores(pool.columns(), now)  # binds the affine rows to its key
+    running = data.draw(st.lists(tasks(st.none(), decays, started_by=now), min_size=1, max_size=8))
+    processors = ProcessorPool(len(running))
+    for task in running:
+        processors.assign(task, task.last_start)
+    _, block = processors.running_rows(now)
+    candidate = data.draw(tasks(st.none(), decays))
+    for view in (pool.columns(), pool.probe(candidate), pool.probe_block(block)):
+        assert view.never_expires and view.affine((alpha, rate)) is None
+        assert_bit_equal(view, now, alpha, rate)
+    assert pool._rows.key == first.affine_key

@@ -3,7 +3,7 @@
 A bounded row whose horizon is 0 and whose raw yield is below ``−bound``
 is at its floor: its yield is ``−bound`` at every later clock reading, so
 the pool keeps its score terms and the bounded scorers stop recomputing
-it (:func:`~repro.scheduling.base.bounded_scores`).  Its score still
+it (:func:`~repro.scheduling.base.row_scores`).  Its score still
 moves while some competitor decays — Eq. 4 counts the live horizons
 below its RPT in one merge over the floor rows sorted by RPT — and it
 must be the float the general expression gives (:func:`oracle`: the
@@ -28,11 +28,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.scheduling import FirstPrice, FirstReward, PendingPool, PresentValue
-from repro.scheduling.base import current_yields, unit_denominator
+from repro.scheduling.base import unit_denominator
 from repro.scheduling.pool import _OPEN
 from repro.site import ProcessorPool
 from repro.tasks import Task
 from repro.valuefn import LinearDecayValueFunction
+from tests.oracles import current_yields
 from tests.property.test_bounded_scores import general_copy, oracle_scores
 
 RATE = 0.01
@@ -275,3 +276,54 @@ def test_zero_decay_rows_are_never_at_their_floor():
     for now in (0.0, 100.0, 1000.0):
         assert_oracle_bytes(heuristic, pool.columns(), now)
     assert flagged(pool) == [2]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_a_mixed_pool_marks_its_floor_rows(alpha, data):
+    """Bounded rows past their floor among unbounded ones and bounded ones
+    that still decay: the row form marks them on the first scoring (the
+    unbounded rows always decay, so a cost is computed and a full batch
+    of candidates is needed), and every view scores the oracle's bytes
+    before and after — ``columns()``, a candidate ``probe()`` and the
+    preemption pass's ``probe_block()``."""
+    heuristic = FirstReward(alpha, RATE)
+    now = 1000.0
+    grid = dict(
+        runtime=st.sampled_from([1.0, 2.0, 5.0, 40.0]),
+        value=st.sampled_from([1.0, 3.0, 40.0]),
+        decay=st.sampled_from([0.1, 0.3, 1.0, 2.0]),
+    )
+
+    def drawn(arrival, bounds, n):
+        return [
+            queued(arrival, data.draw(grid["runtime"]), data.draw(grid["value"]),
+                   data.draw(grid["decay"]), data.draw(bounds))
+            for _ in range(n)
+        ]
+
+    # late by ~1000: at most 40 − 1000·0.1 = −60, below any floor here
+    floor = drawn(0.0, st.sampled_from([0.0, 25.0]), data.draw(st.integers(32, 40)))
+    live = drawn(now, st.sampled_from([0.0, 25.0]), data.draw(st.integers(0, 5)))
+    unbounded = drawn(data.draw(st.sampled_from([0.0, now])), st.none(), data.draw(st.integers(1, 5)))
+    pool = PendingPool()
+    for task in data.draw(st.permutations(floor + live + unbounded)):
+        pool.add(task)
+    running = drawn(now, st.sampled_from([0.0, 25.0, None]), data.draw(st.integers(1, 4)))
+    processors = ProcessorPool(len(running))
+    for task in running:
+        task.start(now)
+        processors.assign(task, now)
+    _, block = processors.running_rows(now)
+    candidate = drawn(now, st.sampled_from([0.0, None]), 1)[0]
+
+    view = pool.columns()
+    assert 0 < view.expiring < len(view)
+    assert_oracle_bytes(heuristic, view, now)
+    assert pool._rows.count > 0
+    assert set(flagged(pool)) <= {i for i, t in enumerate(pool) if t in floor}
+    for later in (now, now + 5.0):
+        assert_oracle_bytes(heuristic, pool.columns(), later)
+        assert_oracle_bytes(heuristic, pool.probe(candidate), later)
+        assert_oracle_bytes(heuristic, pool.probe_block(block), later)

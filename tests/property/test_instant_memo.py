@@ -16,13 +16,13 @@ from hypothesis import strategies as st
 from repro.scheduling import (
     PendingPool,
     current_delays,
-    current_yields,
     decay_horizons,
     effective_decay,
 )
 from repro.scheduling.pool import _MIN_CAPACITY
 from repro.tasks import Task
 from repro.valuefn import LinearDecayValueFunction
+from tests.oracles import current_yields
 
 ACCESSORS = (current_delays, current_yields, decay_horizons, effective_decay)
 

@@ -1,17 +1,17 @@
 """State machine: the pool's regime count vs a census of its rows.
 
 :class:`PendingPool` counts the rows whose ``expiration`` is not ``+inf``
-and hands every view that count (``expiring``); the kernels read it
+and hands every view that count (``expiring``); the scorers read it
 instead of re-deriving the regime from the column.  After every
 operation — add, remove, a candidate probe, a block probe, growth past
 the 64-column backing, preempt-and-requeue — the count must be exactly
 what a census of the view's ``expiration`` column says, and every
 heuristic must score the view as the same columns without the count (the
-general Eq. 4 kernel) do — identically for every derived column, and to
+row form, which then finds the unbounded rows one by one) do — identically for every derived column, and to
 the same ordering and rtol 1e-12 for scores, which the first heuristic
 to score a never-expires view computes from the pool's affine rows
-(``tests/property/test_affine_scores.py``).  Bounded views are held to
-the bytes by ``tests/property/test_bounded_scores.py``.
+(``tests/property/test_affine_scores.py``).  Views that can expire are
+held to the bytes by ``tests/property/test_bounded_scores.py``.
 """
 
 import numpy as np

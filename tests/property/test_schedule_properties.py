@@ -90,8 +90,8 @@ class TestHeuristicScores:
         running union) — they depend only on the task itself.  Bit for bit
         against the pool that holds every row (the same scoring path: the
         first heuristic of each pool scores from its affine rows, the
-        second on the general path), to rounding against the hand-built
-        view (always the general path)."""
+        second on the row form), to rounding against the hand-built
+        view (always the row form)."""
         now = now + float(cols.arrival.max())
         half = len(cols) // 2
         fields = (

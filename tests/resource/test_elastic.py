@@ -133,7 +133,7 @@ class TestElasticBehaviour:
 
 class TestWorthwhileBacklog:
     """The pricer's count is read off scores: a threshold on values, so
-    the affine scoring path must leave it where the general path puts it."""
+    the affine scoring path must leave it where the row form puts it."""
 
     @staticmethod
     def review_counts(heuristic):
@@ -157,7 +157,7 @@ class TestWorthwhileBacklog:
                 hand_built = PoolColumns(
                     cols.arrival, cols.runtime, cols.remaining, cols.value,
                     cols.decay, cols.bound,
-                )  # no pool behind it: the general path
+                )  # no pool behind it: the row form
                 gains = FirstPrice().scores(hand_built, sim.now)
                 threshold = provider.unit_price * site.policy.margin
                 general.append(int(np.count_nonzero(gains > threshold)))

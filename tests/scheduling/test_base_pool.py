@@ -10,12 +10,12 @@ from repro.scheduling import (
     PendingPool,
     PoolColumns,
     current_delays,
-    current_yields,
     decay_horizons,
     effective_decay,
 )
 from repro.tasks import Task
 from repro.valuefn import LinearDecayValueFunction
+from tests.oracles import current_yields
 
 
 def cols_of(rows):
@@ -76,6 +76,21 @@ class TestYieldArithmetic:
 
     def test_empty(self):
         assert len(PoolColumns.empty()) == 0
+
+
+    @pytest.mark.parametrize("column", [2, 4])  # remaining, decay
+    def test_hand_built_columns_refuse_a_negative_rpt_or_decay(self, column):
+        rows = [list(row) for row in ((0.0, 10.0, 10.0, 100.0, 1.0, np.inf),) * 2]
+        rows[1][column] = -1.0
+        with pytest.raises(SchedulingError, match="cost inputs must be non-negative"):
+            cols_of(rows)
+
+    def test_hand_built_columns_refuse_unequal_lengths(self):
+        one, two = np.ones(1), np.ones(2)
+        with pytest.raises(SchedulingError, match="cost inputs must have equal length"):
+            PoolColumns(one, one, one, one, two, one)
+        with pytest.raises(SchedulingError, match="cost inputs must have equal length"):
+            PoolColumns(one, one, one, one, one, one, two)
 
 
 class TestPendingPool:
