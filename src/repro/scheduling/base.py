@@ -259,9 +259,6 @@ _MARK_BATCH = 32
 #: The floor terms of a view with no rows at their floor.
 _NO_FLOOR = np.empty((3, 0))
 
-#: The live rows of a view with no finite horizon.
-_NO_ROWS = np.empty(0, dtype=np.intp)
-
 
 def floor_terms(bound: np.ndarray, rpt: np.ndarray, key: tuple[float, float]) -> np.ndarray:
     """The ``(3, k)`` clock-free terms ``α·pv, denom, rpt`` of rows at
@@ -288,9 +285,11 @@ def row_scores(
     :func:`~repro.scheduling.cost.saturating_costs` over the competitors
     that still decay: the finite horizons sorted, the ``+inf`` ones as one
     unbounded weight (all of them where no row expires: Eq. 5), ``+0.0``
-    when nothing decays.  The view's count of rows that can expire says
-    which; a view without one (a hand-passed ``expiration`` column) is
-    sorted out row by row.  On a pool's view that can expire, rows at
+    when nothing decays.  Where the view's count of rows that can expire
+    says every row can, the rows that still decay are the live ones; any
+    other view (none can, a mix, or a hand-passed ``expiration`` column
+    with no count) is sorted out by one mask of its ``+inf`` rows.  On a
+    pool's view that can expire, rows at
     their floor (see :mod:`repro.scheduling.pool`) score from the terms
     the pool keeps for them: the stored score when nothing in the view
     decays, else the stored ``α·PV`` less a cost counted by the kernel's
@@ -331,9 +330,7 @@ def row_scores(
         live = None
     elif expiring == n:  # every horizon is finite
         live = decaying.nonzero()[0]
-    elif expiring == 0:  # none is (Eq. 5)
-        live, weight = _NO_ROWS, float(decay.sum())
-    else:  # a mix, or a count nobody passed
+    else:  # none is (Eq. 5), a mix, or a count nobody passed
         unbounded = expiration == np.inf
         live = (decaying > unbounded).nonzero()[0]
         weight = float(decay.compress(unbounded).sum())

@@ -106,21 +106,11 @@ def saturating_costs(
     prefix.cumsum(axis=1, out=prefix)
     total = prefix[1, -1]
     dh, d = prefix.take(h_sorted.searchsorted(remaining, side="right"), axis=1)
-    cost = dh + remaining * _running(total, d, weight)
+    cost = dh + remaining * (total - d + weight)
     cost -= (decay * decaying) * np.minimum(remaining, horizons)
     if not len(floor):
         return cost, floor
     landed = np.bincount(floor.searchsorted(h_sorted), minlength=len(floor) + 1)
     dh, d = prefix.take(landed[:-1].cumsum(), axis=1)
-    return cost, dh + floor * _running(total, d, weight)
-
-
-def _running(total: float, d: np.ndarray, weight: float) -> np.ndarray:
-    """The decay still running past each RPT, ``total − d + weight``; a
-    zero *weight* (no unbounded row) is not added, since ``x + 0.0`` is
-    ``x`` for the non-negative difference."""
-    running = total - d
-    if weight:
-        running += weight
-    return running
+    return cost, dh + floor * (total - d + weight)
 

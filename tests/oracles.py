@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.errors import SchedulingError
 from repro.scheduling.base import PoolColumns, current_delays
+from repro.scheduling.cost import saturating_costs
 
 
 def opportunity_costs_naive(
@@ -113,6 +114,42 @@ def opportunity_costs(
     self_term = decay * np.minimum(remaining, horizons)
     # d_j = 0 for zero-horizon/expired tasks, so inf*0 cannot occur: min() is safe
     return cost - self_term
+
+
+def kernel_costs(
+    remaining: np.ndarray,
+    decay: np.ndarray,
+    horizons: np.ndarray,
+) -> np.ndarray:
+    """The shipped kernel, :func:`repro.scheduling.cost.saturating_costs`,
+    on :func:`opportunity_costs`'s inputs (no checks): the rows with a
+    positive decay are the decaying ones, those among them with a finite
+    horizon the live ones, and the decay of the ``+inf`` rows, summed in
+    row order, the unbounded weight.  No competitor is at its floor."""
+    remaining = np.asarray(remaining, dtype=float)
+    decay = np.asarray(decay, dtype=float)
+    horizons = np.asarray(horizons, dtype=float)
+    decaying = decay > 0.0
+    unbounded = horizons == np.inf
+    live = (decaying > unbounded).nonzero()[0]
+    weight = float(decay.compress(unbounded).sum())
+    cost, _ = saturating_costs(
+        remaining, decay, horizons, decaying, live, np.empty(0), weight
+    )
+    return cost
+
+
+def checked_costs(
+    remaining: np.ndarray,
+    decay: np.ndarray,
+    horizons: np.ndarray,
+) -> np.ndarray:
+    """Eq. 4 by :func:`opportunity_costs`, after asserting that the shipped
+    kernel (:func:`kernel_costs`) gives the same bytes on the same inputs."""
+    expected = opportunity_costs(remaining, decay, horizons)
+    got = kernel_costs(remaining, decay, horizons)
+    assert got.tobytes() == expected.tobytes(), (got, expected)
+    return expected
 
 
 def current_yields(cols: PoolColumns, now: float) -> np.ndarray:

@@ -1,11 +1,15 @@
-"""Property tests: the opportunity-cost kernel vs its O(n²) oracle."""
+"""Property tests: the opportunity-cost kernel vs its O(n²) oracle.
+
+Each property runs the plain statement of ``tests/oracles.py`` and the
+shipped kernel, ``saturating_costs``, on the same inputs and requires the
+same bytes (``checked_costs``) before it checks the value."""
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tests.oracles import opportunity_costs, opportunity_costs_naive
+from tests.oracles import checked_costs, opportunity_costs_naive
 
 sizes = st.integers(min_value=1, max_value=40)
 
@@ -33,35 +37,35 @@ class TestKernelVsOracle:
     @settings(max_examples=120)
     def test_matches_naive(self, inputs):
         remaining, decay, horizons = inputs
-        fast = opportunity_costs(remaining, decay, horizons)
+        fast = checked_costs(remaining, decay, horizons)
         slow = opportunity_costs_naive(remaining, decay, horizons)
         assert np.allclose(fast, slow, rtol=1e-9, atol=1e-6)
 
     @given(inputs=cost_inputs())
     def test_nonnegative(self, inputs):
-        cost = opportunity_costs(*inputs)
+        cost = checked_costs(*inputs)
         assert (cost >= -1e-9).all()
 
     @given(inputs=cost_inputs(), scale=st.floats(min_value=1.0, max_value=10.0))
     def test_monotone_in_remaining(self, inputs, scale):
         remaining, decay, horizons = inputs
-        base = opportunity_costs(remaining, decay, horizons)
-        more = opportunity_costs(remaining * scale, decay, horizons)
+        base = checked_costs(remaining, decay, horizons)
+        more = checked_costs(remaining * scale, decay, horizons)
         assert (more >= base - 1e-6).all()
 
     @given(inputs=cost_inputs(), seed=st.integers(min_value=0, max_value=2**31))
     def test_permutation_equivariant(self, inputs, seed):
         remaining, decay, horizons = inputs
         perm = np.random.default_rng(seed).permutation(len(remaining))
-        direct = opportunity_costs(remaining, decay, horizons)[perm]
-        permuted = opportunity_costs(remaining[perm], decay[perm], horizons[perm])
+        direct = checked_costs(remaining, decay, horizons)[perm]
+        permuted = checked_costs(remaining[perm], decay[perm], horizons[perm])
         assert np.allclose(direct, permuted, rtol=1e-9, atol=1e-6)
 
     @given(inputs=cost_inputs())
     def test_eq5_special_case(self, inputs):
         remaining, decay, _ = inputs
         horizons = np.full(len(remaining), np.inf)
-        cost = opportunity_costs(remaining, decay, horizons)
+        cost = checked_costs(remaining, decay, horizons)
         expected = remaining * (decay.sum() - decay)
         assert np.allclose(cost, expected, rtol=1e-9, atol=1e-6)
 
@@ -143,13 +147,13 @@ class TestBranchesKeepTheBits:
     @settings(max_examples=300)
     def test_bit_equal_to_the_unbranched_kernel(self, inputs):
         _kind, remaining, decay, horizons = inputs
-        got = opportunity_costs(remaining, decay, horizons)
+        got = checked_costs(remaining, decay, horizons)
         assert got.tobytes() == pre_branch_costs(remaining, decay, horizons).tobytes()
 
     @given(inputs=branch_inputs())
     @settings(max_examples=120)
     def test_every_branch_matches_naive(self, inputs):
         _kind, remaining, decay, horizons = inputs
-        fast = opportunity_costs(remaining, decay, horizons)
+        fast = checked_costs(remaining, decay, horizons)
         slow = opportunity_costs_naive(remaining, decay, horizons)
         assert np.allclose(fast, slow, rtol=1e-9, atol=1e-6)

@@ -1,10 +1,15 @@
-"""Unit tests for the O(n log n) opportunity-cost kernel (Eq. 4–5)."""
+"""Unit tests for the O(n log n) opportunity-cost kernel (Eq. 4–5).
+
+Every value case runs the plain statement of ``tests/oracles.py`` and the
+shipped kernel, ``saturating_costs``, and requires the same bytes
+(``checked_costs``); the input checks are the plain statement's, which
+``PoolColumns`` repeats for a hand-built view."""
 
 import numpy as np
 import pytest
 
 from repro.errors import SchedulingError
-from tests.oracles import opportunity_costs, opportunity_costs_naive
+from tests.oracles import checked_costs, opportunity_costs, opportunity_costs_naive
 
 
 class TestAgainstNaiveOracle:
@@ -17,7 +22,7 @@ class TestAgainstNaiveOracle:
         horizons[rng.random(n) < 0.3] = np.inf   # unbounded subset
         horizons[rng.random(n) < 0.1] = 0.0      # expired subset
         decay[horizons == 0.0] = 0.0             # expired => effective decay 0
-        fast = opportunity_costs(remaining, decay, horizons)
+        fast = checked_costs(remaining, decay, horizons)
         slow = opportunity_costs_naive(remaining, decay, horizons)
         assert np.allclose(fast, slow)
 
@@ -27,14 +32,14 @@ class TestAgainstNaiveOracle:
         remaining = rng.exponential(10.0, n)
         decay = rng.exponential(1.0, n)
         horizons = np.full(n, np.inf)
-        cost = opportunity_costs(remaining, decay, horizons)
+        cost = checked_costs(remaining, decay, horizons)
         # Eq. 5: cost_i / RPT_i = sum_j d_j - d_i
         expected = remaining * (decay.sum() - decay)
         assert np.allclose(cost, expected)
 
     def test_all_expired_costs_nothing(self):
         n = 10
-        cost = opportunity_costs(np.ones(n), np.zeros(n), np.zeros(n))
+        cost = checked_costs(np.ones(n), np.zeros(n), np.zeros(n))
         assert np.allclose(cost, 0.0)
 
     def test_two_task_hand_computed(self):
@@ -43,15 +48,15 @@ class TestAgainstNaiveOracle:
         remaining = np.array([5.0, 4.0])
         decay = np.array([1.0, 2.0])
         horizons = np.array([np.inf, 3.0])
-        cost = opportunity_costs(remaining, decay, horizons)
+        cost = checked_costs(remaining, decay, horizons)
         assert np.allclose(cost, [6.0, 4.0])
 
     def test_single_task_has_no_competitors(self):
-        cost = opportunity_costs(np.array([5.0]), np.array([2.0]), np.array([np.inf]))
+        cost = checked_costs(np.array([5.0]), np.array([2.0]), np.array([np.inf]))
         assert cost[0] == 0.0
 
     def test_empty(self):
-        assert len(opportunity_costs(np.empty(0), np.empty(0), np.empty(0))) == 0
+        assert len(checked_costs(np.empty(0), np.empty(0), np.empty(0))) == 0
 
 
 class TestValidation:
@@ -75,15 +80,15 @@ class TestScaling:
         n = 100
         decay = rng.exponential(1.0, n)
         horizons = rng.exponential(20.0, n)
-        short = opportunity_costs(np.full(n, 1.0), decay, horizons)
-        long = opportunity_costs(np.full(n, 50.0), decay, horizons)
+        short = checked_costs(np.full(n, 1.0), decay, horizons)
+        long = checked_costs(np.full(n, 50.0), decay, horizons)
         assert (long >= short - 1e-12).all()
 
     def test_large_n_is_fast_enough(self):
         # smoke: 20k tasks should take well under a second
         rng = np.random.default_rng(3)
         n = 20_000
-        cost = opportunity_costs(
+        cost = checked_costs(
             rng.exponential(10.0, n), rng.exponential(1.0, n), rng.exponential(5.0, n)
         )
         assert cost.shape == (n,)
