@@ -104,18 +104,21 @@ class SlackAdmission:
             )
         # the site's clock abstracts over sim vs live mode (repro.sim.clock)
         now = site.clock.now
-        free_times = site.processors.free_times(now)
         # everything below works on declared quantities — the site cannot
         # see true runtimes when they are misestimated
         if site.pool:
+            free_times = site.processors.free_times(now)
             expected_start, cost = self._place(site, task, now, free_times)
-        else:
-            # nothing to rank against: the candidate is the whole
-            # schedule, so it takes the earliest-free node and displaces
-            # nobody (the empty Eq. 8 sum)
-            expected_start = project_lone_start(task.estimated_remaining, free_times)
-            cost = 0.0
-        return self._decide(task, expected_start, cost)
+            return self._decide(task, expected_start, cost)
+        # nothing to rank against: the candidate is the whole schedule, so
+        # it takes the earliest-free node and displaces nobody (the empty
+        # Eq. 8 sum).  An idle node is free now and no node is free
+        # earlier, so a free node answers without the free-time vector;
+        # a negative RPT still takes project_lone_start's refusal
+        if site.processors.free_count > 0 and task.estimated_remaining >= 0:
+            return self._decide(task, now, 0.0)
+        free_times = site.processors.free_times(now)
+        return self._decide(task, project_lone_start(task.estimated_remaining, free_times), 0.0)
 
     @staticmethod
     def _place(

@@ -255,16 +255,17 @@ class ProcessorPool:
         to the floor (admission then rejects, which is the right quote
         for a site that cannot currently run anything).
         """
-        return [
-            math.inf
-            if d
-            else (
-                now
-                if t is None
-                else now + max(0.0, t.estimated_remaining - (now - t.last_start))
-            )
-            for t, d in zip(self._task_of, self._down)
-        ]
+        times = []
+        for t, d in zip(self._task_of, self._down):
+            if d:
+                times.append(math.inf)
+            elif t is None:
+                times.append(now)
+            else:
+                x = t.estimated_remaining - (now - t.last_start)
+                # max(0.0, x) without the builtin call, -0.0 and NaN alike
+                times.append(now + (x if x > 0.0 else 0.0))
+        return times
 
     def running_rows(self, now: float) -> tuple[list[Task], np.ndarray]:
         """The running tasks in slot order (one entry per busy node) and

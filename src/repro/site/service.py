@@ -3,7 +3,8 @@
 Event flow:
 
 * ``submit(task)`` — runs admission control (if configured); accepted
-  tasks enter the pending pool and trigger a scheduling pass.
+  tasks enter the pending pool, or start at once on an idle site, and
+  trigger a scheduling pass.
 * scheduling pass — dispatches the highest-scored pending tasks onto
   free nodes; with preemption enabled, a pending task whose score beats
   a running task's score evicts it ("once the system starts a task, it
@@ -197,10 +198,20 @@ class TaskServiceSite:
                 return decision
 
         task.accept()
-        self.pool.add(task)
         self.ledger.note_accept(task)
         if self.obs is not None:
             self.obs.task_admitted(task, decision, now)
+        # an idle site starts the task at once: with nothing queued the
+        # pass would take this one row straight back out, unless it first
+        # discards expired rows (this task may be one)
+        if (
+            not self.pool
+            and not self.discard_expired
+            and task.demand <= self.processors.free_count
+        ):
+            self._start(task)
+        else:
+            self.pool.add(task)
         self._schedule_pass()
         return decision
 

@@ -1,8 +1,9 @@
 """``SlackAdmission.evaluate`` against the single-path body it replaced.
 
 The engine answers an empty-pool probe in closed form (earliest-free
-node, zero displacement cost), reads the free-time vector as a plain
-list, and ranks a shallow never-expires probe in Python floats from the
+node, zero displacement cost; with a node free that is *now*, read off
+``free_count`` without the free-time vector), reads the free-time
+vector as a plain list, and ranks a shallow never-expires probe in Python floats from the
 pool's coefficient rows.  The body it replaced — probe, score, sort,
 project, gather, on NumPy vectors, for every pool depth including zero —
 lives on here as the oracle, and every :class:`AdmissionDecision` field
@@ -221,6 +222,50 @@ def test_empty_pool_is_answered_without_scoring(nodes):
     assert site.pool.columns() is before
 
 
+#: node states that leave the pool empty: a free node answers from
+#: ``free_count`` alone, the others from the free-time vector
+EMPTY_POOL_NODES = ("idle", "busy", "all_down")
+
+
+@pytest.mark.parametrize("heuristic_name", sorted(HEURISTICS))
+@pytest.mark.parametrize("processors", [1, 4, 16])
+@pytest.mark.parametrize("nodes", EMPTY_POOL_NODES)
+@settings(max_examples=20, deadline=None)
+@given(
+    row=candidates,
+    threshold=st.sampled_from([-math.inf, 0.0, 180.0]),
+    slack_inflation=st.sampled_from([0.0, 0.5]),
+    rpt=st.sampled_from([None, 0.0, -0.0]),
+)
+def test_an_empty_pool_equals_the_oracle_on_idle_busy_and_down_nodes(
+    heuristic_name, processors, nodes, row, threshold, slack_inflation, rpt
+):
+    site = build_site(HEURISTICS[heuristic_name](), processors, nodes, queued=[])
+    assert not site.pool
+    candidate = candidate_from(row)
+    if rpt is not None:  # a zero RPT of either sign is taken, not refused
+        candidate.estimated_remaining = rpt
+    got = both_decisions(
+        site, candidate, threshold=threshold, slack_inflation=slack_inflation
+    )
+    if nodes == "idle":
+        assert same_bits(got.expected_start, site.clock.now)
+
+
+@pytest.mark.parametrize("processors", [1, 4])
+@pytest.mark.parametrize("nodes", EMPTY_POOL_NODES)
+def test_an_empty_pool_refuses_a_negative_rpt_as_the_oracle(processors, nodes):
+    site = build_site(FirstPrice(), processors, nodes, queued=[])
+    candidate = make_task(40.0, 10.0, 100.0, 1.0)
+    candidate.estimated_remaining = -1.0
+    messages = []
+    for admission in (SlackAdmission(0.0), OracleAdmission(0.0)):
+        with pytest.raises(SchedulingError, match=r"negative RPT -1\.0 at position 0") as info:
+            admission.evaluate(site, candidate)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
 def test_populated_pool_is_scored_exactly_once():
     spy = SpyHeuristic(FirstReward(alpha=0.3, discount_rate=0.01))
     queued = [make_task(0.0, 50.0, 100.0, 0.2), make_task(1.0, 20.0, 400.0, 0.9)]
@@ -257,7 +302,7 @@ def test_empty_pool_keeps_the_input_checks():
         admission.evaluate(site, negative)
     with pytest.raises(SchedulingError, match=r"negative RPT .*-1\.0.* at position 0"):
         OracleAdmission(0.0).evaluate(site, negative)
-    site.processors = type("NoNodes", (), {"free_times": lambda self, now: []})()
+    site.processors = type("NoNodes", (), {"free_count": 0, "free_times": lambda self, now: []})()
     with pytest.raises(SchedulingError, match="at least one processor"):
         admission.evaluate(site, make_task(40.0, 10.0, 100.0, 1.0))
 
@@ -561,7 +606,7 @@ def test_the_scalar_path_keeps_the_refusals(processors):
     with pytest.raises(AdmissionError, match="single-node"):
         SlackAdmission(0.0).evaluate(site(), wide)
     nodeless = site()
-    nodeless.processors = type("NoNodes", (), {"free_times": lambda self, now: []})()
+    nodeless.processors = type("NoNodes", (), {"free_count": 0, "free_times": lambda self, now: []})()
     with pytest.raises(SchedulingError, match="at least one processor"):
         SlackAdmission(0.0).evaluate(nodeless, make_task(40.0, 10.0, 100.0, 1.0))
 
