@@ -70,15 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list available experiments")
 
-    # `repro lint` is dispatched before this parser runs (see main());
-    # the stub keeps the subcommand visible in --help.
-    sub.add_parser(
-        "lint",
-        help="static determinism & invariant analysis over the source tree "
-        "(repro lint [paths] [--format text|json] [--select RULES])",
-        add_help=False,
-    )
-
     for name in [*EXPERIMENTS, "all"]:
         desc = (
             "run every experiment"
@@ -250,13 +241,6 @@ def _print_trace(args) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv[:1] == ["lint"]:
-        # delegated early: lint owns its full flag set (incl. --format /
-        # --select) and the 0/1/2 exit-code contract
-        from repro.analysis.static.report import main as lint_main
-
-        return lint_main(argv[1:])
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)

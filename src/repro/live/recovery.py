@@ -17,7 +17,7 @@ A SIGKILLed (or power-cut) live service leaves three kinds of debris:
 
 The split is plan/apply: :func:`plan_recovery` is a pure function of
 the parsed recording (no clock, no syscalls — this module is
-timestamp-passive under lint rule OBS002, so every timestamp arrives as
+timestamp-passive under source guard OBS002, so every timestamp arrives as
 a parameter), while :func:`apply_recovery` executes the plan against a
 freshly built service, journaling each step as ``recovery`` records
 onto the same journal, and returns once intake can resume.

@@ -9,7 +9,7 @@ says which).
 
 Like every observability layer it is off by default and bit-inert: the
 recorder never reads any clock itself (callers pass ``t`` from *their*
-``clock.now``, a discipline enforced statically by lint rule OBS002),
+``clock.now``, a discipline the OBS002 source guard checks),
 never touches sim state, and a ``flight=None`` market is byte-identical
 to one that predates the recorder (pinned by the golden fig6 tests).
 
@@ -405,7 +405,7 @@ class JournalSink:
     kernel takes part of it) before :meth:`write_line` returns, so a
     process crash loses no record the caller was told is written.  The
     interval is counted in *records*, never seconds: this module is
-    timestamp-passive (lint rule OBS002) and may not read a clock.
+    timestamp-passive (source guard OBS002) and may not read a clock.
 
     ``append=True`` reopens an existing journal without truncating it —
     the crash-recovery path, where the post-recovery records stitch onto

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import time
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.obs.registry import MetricsRegistry
@@ -57,6 +58,7 @@ class Observability:
         self.run_index = -1
         self.runs: list[dict] = []
         self._run_open = False
+        self._run_started = 0.0
 
     # ------------------------------------------------------------------
     # Run bracketing (one run == one simulate_site replication)
@@ -72,10 +74,16 @@ class Observability:
             self.runs.append({"run": self.run_index, "label": label})
         else:
             self.runs.append({"run": self.run_index})
+        self._run_started = time.perf_counter()
         return self.run_index
 
     def end_run(self, now: float, **summary) -> None:
-        """Close the run: terminal-close any still-open spans, fold summary."""
+        """Close the run: terminal-close any still-open spans, fold summary.
+
+        The folded row also gets ``wall_s``, the wall time since
+        :meth:`begin_run`: only the observer reads the clock, never the
+        run it watches.
+        """
         if self.spans is not None:
             for _tid, segment in list(self._segments.items()):
                 self.spans.close(segment, now, truncated=True)
@@ -88,7 +96,7 @@ class Observability:
         if "events" in summary:
             self.registry.counter("kernel.events").inc(summary["events"])
         if self._run_open and self.runs:
-            self.runs[-1].update(summary)
+            self.runs[-1].update(summary, wall_s=time.perf_counter() - self._run_started)
         self._run_open = False
 
     def _mark(self, span: Span) -> Span:

@@ -146,28 +146,6 @@ class SpanTracker:
     def __len__(self) -> int:
         return len(self.finished)
 
-    def of_name(self, name: str) -> list[Span]:
-        return [s for s in self.finished if s.name == name]
-
-    def of_category(self, category: str) -> list[Span]:
-        return [s for s in self.finished if s.category == category]
-
-    def children_of(self, span: Span) -> list[Span]:
-        return [s for s in self.finished if s.parent_id == span.span_id]
-
-    def tree(self, root: Span) -> list[Span]:
-        """*root* plus every finished descendant, in span-id order."""
-        by_parent: dict[Optional[int], list[Span]] = {}
-        for s in self.finished:
-            by_parent.setdefault(s.parent_id, []).append(s)
-        out: list[Span] = []
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            stack.extend(by_parent.get(node.span_id, []))
-        return sorted(out, key=lambda s: s.span_id)
-
     def __repr__(self) -> str:
         return (
             f"<SpanTracker finished={len(self.finished)} open={self.open_count} "

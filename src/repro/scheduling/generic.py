@@ -28,11 +28,6 @@ def task_delay_now(task: Task, now: float) -> float:
     return max(0.0, now + task.estimated_remaining - task.arrival - task.estimate)
 
 
-def task_yield_now(task: Task, now: float) -> float:
-    """Expected yield if started now, via the task's own value function."""
-    return task.vf.yield_at(task_delay_now(task, now))
-
-
 class GenericFirstReward:
     """Eq. 6 with the opportunity cost (Eq. 4) read off each competitor's
     value function: ``d_j`` is the *instantaneous* decay at j's current

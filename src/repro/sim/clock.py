@@ -17,8 +17,9 @@ Two invariants keep the split safe:
   mode is byte-identical before and after the refactor (the golden
   regression suites pin this).
 * Wall-clock reading implementations live only in :mod:`repro.live`
-  (the allowlisted wall-clock path); ``repro lint`` rule DET002 keeps
-  them out of every shared sim-path module.
+  (the allowlisted wall-clock path); the DET002 source guard
+  (``tests/analysis/test_static_rules.py``) keeps them out of every
+  shared sim-path module.
 """
 
 from __future__ import annotations

@@ -159,11 +159,3 @@ class Simulator:
             self._running = False
         if until is not None and self.now < until:
             self.now = float(until)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def pending_count(self) -> int:
-        """Number of live scheduled events."""
-        return len(self._queue)

@@ -162,11 +162,6 @@ class YieldLedger:
         return -sum(r.realized_yield for r in self.records if r.realized_yield < 0)
 
     @property
-    def value_earned(self) -> float:
-        """Sum of positive realized yields."""
-        return sum(r.realized_yield for r in self.records if r.realized_yield > 0)
-
-    @property
     def mean_delay(self) -> float:
         delays = [r.delay for r in self.records if r.delay is not None]
         return sum(delays) / len(delays) if delays else 0.0
@@ -174,11 +169,6 @@ class YieldLedger:
     @property
     def acceptance_rate(self) -> float:
         return self.accepted / self.submitted if self.submitted else 0.0
-
-    @property
-    def max_possible_value(self) -> float:
-        """Σ max value over *finished* tasks — an upper bound on yield."""
-        return sum(r.value for r in self.records)
 
     def summary(self) -> dict:
         return {

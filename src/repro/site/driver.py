@@ -7,7 +7,6 @@ completed all jobs."
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -119,8 +118,6 @@ def simulate_site(
     tasks = trace.to_tasks()
     for task in tasks:
         sim.schedule_at(task.arrival, site.submit, task, tag="arrival")
-    # wall-clock brackets the run for obs reporting only (wall_s below)
-    started = time.perf_counter()  # repro: noqa DET002
     sim.run()
     stats = None
     if injector is not None:
@@ -136,7 +133,6 @@ def simulate_site(
             sim_time=sim.now,
             total_yield=ledger.total_yield,
             **({} if stats is None else {"crashes": stats.crashes}),
-            wall_s=time.perf_counter() - started,  # repro: noqa DET002
         )
 
     _check_drained(site, tasks)

@@ -86,10 +86,6 @@ class ProcessorPool:
     def busy_count(self) -> int:
         return self._busy
 
-    @property
-    def running_tasks(self) -> list[Task]:
-        return [t for t in self._task_of if t is not None]
-
     def slots_of(self, task: Task) -> list[int]:
         """All slots held by *task* (gang-scheduled tasks hold several)."""
         slots = self._slots_of.get(task)

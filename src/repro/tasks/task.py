@@ -186,15 +186,8 @@ class Task:
         """
         return max(0.0, completion - self.arrival - self.estimate)
 
-    def delay_if_started_at(self, start: float) -> float:
-        """Expected delay when the believed remaining work starts at *start* (Eq. 2)."""
-        return self.delay_if_completed_at(start + self.estimated_remaining)
-
     def yield_if_completed_at(self, completion: float) -> float:
         return self.vf.yield_at(self.delay_if_completed_at(completion))
-
-    def yield_if_started_at(self, start: float) -> float:
-        return self.vf.yield_at(self.delay_if_started_at(start))
 
     # ------------------------------------------------------------------
     # State machine

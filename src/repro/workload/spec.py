@@ -92,10 +92,6 @@ class BimodalSpec:
     def high_mean(self) -> float:
         return self.low_mean * self.skew
 
-    @property
-    def mixture_mean(self) -> float:
-        return (1 - self.high_fraction) * self.low_mean + self.high_fraction * self.high_mean
-
     def sample(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
         """Sample *size* values; returns ``(values, is_high)`` arrays."""
         if size < 0:

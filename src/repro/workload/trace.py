@@ -10,7 +10,7 @@ harness.  The trace *file* format is SWF (:mod:`repro.workload.swf`).
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -137,17 +137,6 @@ class Trace:
             return 0.0
         return float(self.arrival[-1] - self.arrival[0])
 
-    def realized_load_factor(self, processors: int) -> float:
-        """Requested work over the arrival span divided by capacity.
-
-        The denominator uses the arrival span plus one mean runtime so a
-        single-batch trace does not divide by zero.
-        """
-        if len(self) == 0:
-            return 0.0
-        horizon = self.span + float(self.runtime.mean())
-        return self.total_work / (processors * horizon)
-
     def value_skew_realized(self) -> float:
         """Realized ratio of mean high-class to low-class unit value.
 
@@ -184,18 +173,6 @@ class Trace:
     def empty(cls, name: str = "empty") -> "Trace":
         z = np.empty(0)
         return cls(z, z, z, z, z, z, name=name)
-
-    @classmethod
-    def from_tasks(cls, tasks: Sequence[Task], name: str = "trace") -> "Trace":
-        return cls(
-            np.array([t.arrival for t in tasks]),
-            np.array([t.runtime for t in tasks]),
-            np.array([t.value for t in tasks]),
-            np.array([t.decay for t in tasks]),
-            np.array([t.bound for t in tasks]),
-            np.array([t.estimate for t in tasks]),
-            name=name,
-        )
 
     def __repr__(self) -> str:
         return f"<Trace {self.name!r} n={len(self)} work={self.total_work:g}>"

@@ -194,7 +194,7 @@ class TestOneSiteOneRun:
             )
             assert timeline.segments
             segments += len(timeline.segments)
-        assert segments == len(obs.spans.of_name("running"))
+        assert segments == sum(s.name == "running" for s in obs.spans.finished)
 
     def test_each_run_of_a_sweep_has_its_own_timeline(self):
         from repro.site import simulate_site

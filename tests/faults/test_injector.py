@@ -91,11 +91,11 @@ class TestCycles:
         sim.schedule_at(120.0, lambda: None, tag="horizon")
         sim.run()
         assert inj.active_count > 0
-        pending = sim.pending_count
+        pending = len(sim._queue)
         assert inj.stop() == 2
         # a cancel, not a delivery: nothing is left to run
         assert inj.active_count == 0
-        assert sim.pending_count == pending - 2
+        assert len(sim._queue) == pending - 2
 
 
 class TestLiveness:

@@ -160,13 +160,13 @@ class TestOneFailurePath:
             "ledger": site.ledger.summary(),
             "records": site.ledger.records,
             "queue": [t.tid for t in site.pool.tasks],
-            "running": [t.tid for t in site.processors.running_tasks],
+            "running": [t.tid for t in site.processors._task_of if t is not None],
             "calls": calls,
             "tasks": [
                 (t.state, t.restarts, t.remaining, t.estimated_remaining, t.completion)
                 for t in tasks
             ],
-            "pending_events": sim.pending_count,
+            "pending_events": len(sim._queue),
         }
 
     @pytest.mark.parametrize(

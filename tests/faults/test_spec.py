@@ -60,7 +60,7 @@ class TestValidation:
     )
     def test_configs_refuse_assignment(self, config, field):
         """Frozen configs fail loudly on the offending line — the runtime
-        guard the removed lint rule CFG001 duplicated."""
+        guard a static rule against frozen-config mutation once duplicated."""
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(config, field, getattr(config, field))
 

@@ -2,9 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
+from scipy import stats as sp
 
 from repro.metrics import format_table, improvement_percent, mean_and_ci
+from repro.metrics.stats import t_quantile_975
 
 
 class TestImprovementPercent:
@@ -52,6 +55,23 @@ class TestMeanAndCi:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             mean_and_ci([])
+
+    @pytest.mark.parametrize("df", range(1, 61))
+    def test_quantile_is_scipys(self, df):
+        assert t_quantile_975(df) == pytest.approx(sp.t.ppf(0.975, df), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 10])
+    def test_half_width_is_student_t(self, n):
+        values = np.random.default_rng(n).normal(100.0, 7.0, size=n)
+        expected = sp.t.ppf(0.975, n - 1) * values.std(ddof=1) / math.sqrt(n)
+        assert mean_and_ci(values).ci_half_width == pytest.approx(expected, rel=1e-12)
+
+    def test_three_seed_interval_covers_the_mean_95_percent(self):
+        """Seeded coverage at n = 3: the normal quantile 1.96 would cover
+        about 81 % of the time; t at 2 degrees of freedom covers 95 %."""
+        samples = np.random.default_rng(2004).normal(10.0, 3.0, size=(20_000, 3))
+        covered = [s.ci_low <= 10.0 <= s.ci_high for s in map(mean_and_ci, samples)]
+        assert np.mean(covered) == pytest.approx(0.95, abs=0.006)
 
 
 class TestFormatTable:

@@ -53,26 +53,3 @@ class TestTrackerRetention:
         with pytest.raises(ValueError):
             SpanTracker(capacity=0)
 
-    def test_queries(self):
-        t = SpanTracker()
-        root = t.open("task:1", "task", 0.0)
-        q = t.open("queued", "task", 0.0, parent=root)
-        t.close(q, 1.0)
-        t.instant("crash", "fault", 2.0)
-        t.close(root, 3.0)
-        assert [s.name for s in t.of_category("fault")] == ["crash"]
-        assert [s.name for s in t.of_name("queued")] == ["queued"]
-        assert t.children_of(root) == [q]
-
-    def test_tree_collects_descendants_in_id_order(self):
-        t = SpanTracker()
-        root = t.open("task:1", "task", 0.0)
-        q = t.open("queued", "task", 0.0, parent=root)
-        t.close(q, 1.0)
-        r = t.open("running", "task", 1.0, parent=root)
-        t.instant("preempted", "task", 2.0, parent=root)
-        t.close(r, 2.0)
-        t.close(root, 3.0)
-        tree = t.tree(root)
-        assert [s.span_id for s in tree] == sorted(s.span_id for s in tree)
-        assert {s.name for s in tree} == {"task:1", "queued", "running", "preempted"}

@@ -141,7 +141,7 @@ def test_a_stream_across_the_floor_scores_the_oracle_bytes(name, bounds, data):
             assert_oracle_bytes(heuristic, pool.probe_block(block), now)
         now += data.draw(st.sampled_from([0.0, 0.5, 3.0, 20.0, 200.0]))
         # a running task never outlives its believed RPT
-        for task in processors.running_tasks:
+        for task in [t for t in processors._task_of if t is not None]:
             if task.last_start + task.estimated_remaining < now:
                 processors.vacate(task, now)
         if pool:

@@ -52,7 +52,7 @@ class LoggedSite(TaskServiceSite):
         super()._schedule_pass()
         self.log.append((
             "pass", self.clock.now,
-            [t.tid for t in self.processors.running_tasks],
+            [t.tid for t in self.processors._task_of if t is not None],
             [t.tid for t in self.pool],
         ))
 
@@ -64,7 +64,7 @@ class RescoringSite(LoggedSite):
         now = self.clock.now
         guard = len(self.pool) + self.processors.count + 1
         while self.pool:
-            running = self.processors.running_tasks
+            running = [t for t in self.processors._task_of if t is not None]
             if not running:
                 return
             remaining = [
@@ -243,7 +243,7 @@ class TestOneScoringPerPass:
 
     def test_one_call_when_nothing_swaps(self):
         site, spy = loaded_site(n_running=2, n_pending=3)
-        for task in site.processors.running_tasks:
+        for task in [t for t in site.processors._task_of if t is not None]:
             task.vf = LinearDecayValueFunction(1e9, 0.0)
         site._preemption_pass()
         assert site.ledger.preemptions == 0 and spy.calls == 1

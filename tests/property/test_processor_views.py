@@ -96,7 +96,6 @@ def assert_views_match_scans(pool, now, known_tasks):
     assert pool.free_count == len(free)
     assert pool.busy_count == len(running)
     assert pool.count == len(pool._task_of) == len(pool._down) == len(pool._node_ids)
-    assert pool.running_tasks == running
     for task in known_tasks:
         slots = scan_slots_of(pool, task)
         if slots:
@@ -180,7 +179,7 @@ def test_views_equal_scans_after_every_op(count, ops):
         return True
 
     for op, *args in ops:
-        running = pool.running_tasks
+        running = [t for t in pool._task_of if t is not None]
         if op == "assign_new":
             demand, runtime, factor, value, decay, bounded, swap = args
             vf = LinearDecayValueFunction(value, decay, value / 2 if bounded else None)

@@ -95,6 +95,7 @@ class TestObservedSweep:
         rows = json.loads(plain.read_text())["rows"]
         snapshot = json.loads(metrics.read_text())
         assert len(snapshot["runs"]) == len(rows) > 0  # one seed: a run per row
+        assert all(run["wall_s"] > 0 for run in snapshot["runs"])
         assert "resilience.failovers" in snapshot["metrics"]
         assert not any(
             name.startswith(("resilience.breaker", "resilience.health"))

@@ -14,7 +14,6 @@ from repro.scheduling.generic import (
     GenericTaskService,
     simulate_generic,
     task_delay_now,
-    task_yield_now,
 )
 from repro.site import simulate_site
 from repro.tasks import Task, TaskState
@@ -35,7 +34,6 @@ class TestScoring:
     def test_delay_and_yield_now(self):
         t = linear_task(0.0, 10.0, value=100.0, decay=2.0)
         assert task_delay_now(t, 5.0) == 5.0
-        assert task_yield_now(t, 5.0) == 90.0
 
     def test_firstprice_matches_vectorized_on_linear(self):
         tasks = [
@@ -131,8 +129,8 @@ def parent_score(heuristic, task, competitors, now):
     loop."""
     rpt = max(task.estimated_remaining, 1e-9)
     if isinstance(heuristic, GenericFirstPrice):
-        return task_yield_now(task, now) / rpt
-    pv = task_yield_now(task, now) / (1.0 + heuristic.discount_rate * rpt)
+        return task.vf.yield_at(task_delay_now(task, now)) / rpt
+    pv = task.vf.yield_at(task_delay_now(task, now)) / (1.0 + heuristic.discount_rate * rpt)
     if isinstance(heuristic, GenericPresentValue):
         return pv / rpt
     cost = 0.0

@@ -130,14 +130,14 @@ class TestRun:
         sim.schedule(1.0, fired.append, 0)
         sim.run(max_events=0)
         assert fired == []
-        assert sim.now == 0.0 and sim.pending_count == 1
+        assert sim.now == 0.0 and len(sim._queue) == 1
 
     def test_negative_max_events_raises(self):
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
         with pytest.raises(SimulationError):
             sim.run(max_events=-1)
-        assert sim.pending_count == 1
+        assert len(sim._queue) == 1
         sim.run()  # the refused call left the simulator runnable
         assert sim.events_fired == 1
 
@@ -159,12 +159,13 @@ class TestRun:
         assert sim.events_fired == 1
 
     def test_pending_count(self):
+        """A cancelled event stops counting as pending at once."""
         sim = Simulator()
         sim.schedule(4.0, lambda: None)
         cancelled = sim.schedule(2.0, lambda: None)
-        assert sim.pending_count == 2
+        assert len(sim._queue) == 2
         sim.cancel(cancelled)
-        assert sim.pending_count == 1
+        assert len(sim._queue) == 1
 
 
 class TestSameInstant:
@@ -194,17 +195,17 @@ class TestSameInstant:
         def first():
             order.append("first")
             sim.cancel(doomed)
-            pending.append(sim.pending_count)
+            pending.append(len(sim._queue))
 
         sim.schedule(1.0, first)
         doomed = sim.schedule(1.0, order.append, "doomed")
-        sim.schedule(1.0, lambda: pending.append(sim.pending_count))
+        sim.schedule(1.0, lambda: pending.append(len(sim._queue)))
         sim.schedule(1.0, order.append, "last")
         sim.run()
         assert order == ["first", "last"]
         assert doomed.cancelled
         assert pending == [2, 1]  # the cancelled event stopped counting at once
-        assert sim.pending_count == 0
+        assert len(sim._queue) == 0
         assert sim.events_fired == 3
 
     def test_max_events_midinstant_leaves_rest_pending_in_order(self):
@@ -216,10 +217,10 @@ class TestSameInstant:
         sim.schedule(2.0, order.append, "d")
         sim.run(max_events=1)
         assert order == ["a"]
-        assert sim.now == 1.0 and sim.pending_count == 3
+        assert sim.now == 1.0 and len(sim._queue) == 3
         sim.run()
         assert order == ["a", "c", "b", "d"]
-        assert sim.pending_count == 0
+        assert len(sim._queue) == 0
 
 
 class TestDaemonEvents:

@@ -31,7 +31,7 @@ class TestAssignment:
         pool.assign(t, now=0.0)
         assert pool.free_count == 1
         assert pool.busy_count == 1
-        assert pool.running_tasks == [t]
+        assert pool.slots_of(t) == [0]
 
     def test_assign_when_full_raises(self):
         pool = ProcessorPool(1)
@@ -140,7 +140,7 @@ class TestElasticCapacity:
         removed = pool.shrink_idle(3)
         assert removed == 2  # busy node survives
         assert pool.count == 1
-        assert pool.running_tasks == [t]
+        assert pool.slots_of(t) == [0]
 
     def test_shrink_never_below_one(self):
         pool = ProcessorPool(3)

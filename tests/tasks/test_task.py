@@ -76,8 +76,8 @@ class TestYieldArithmetic:
     def test_delay_if_started_uses_remaining_time(self):
         t = make_task(arrival=0.0, runtime=10.0, decay=1.0)
         # Eq. 2: start + RPT - (arrival + runtime)
-        assert t.delay_if_started_at(4.0) == 4.0
-        assert t.yield_if_started_at(4.0) == 96.0
+        assert t.delay_if_completed_at(4.0 + t.estimated_remaining) == 4.0
+        assert t.yield_if_completed_at(4.0 + t.estimated_remaining) == 96.0
 
     def test_delay_after_partial_execution(self):
         t = make_task(arrival=0.0, runtime=10.0, decay=1.0)
@@ -85,7 +85,7 @@ class TestYieldArithmetic:
         t.preempt(6.0)  # 6 units done, 4 remain
         assert t.remaining == pytest.approx(4.0)
         # restarting at t=20 completes at 24 => delay 14
-        assert t.delay_if_started_at(20.0) == pytest.approx(14.0)
+        assert t.delay_if_completed_at(20.0 + t.estimated_remaining) == pytest.approx(14.0)
 
 
 class TestStateMachine:

@@ -50,6 +50,12 @@ class TestRunExperiment:
         with pytest.raises(SystemExit):
             main(["figure-nine"])
 
+    def test_lint_is_an_unknown_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lint"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'lint'" in capsys.readouterr().err
+
     def test_reps_mode(self, capsys):
         code = main(["fig4", "--reps", "2", "--n-jobs", "120"])
         assert code == 0

@@ -61,7 +61,8 @@ class TestParse:
             lines, seed=0, value=BimodalSpec(low_mean=2.0, skew=5.0, cv=0.1)
         )
         unit = trace.value / trace.runtime
-        expected = BimodalSpec(low_mean=2.0, skew=5.0, cv=0.1).mixture_mean
+        spec = BimodalSpec(low_mean=2.0, skew=5.0, cv=0.1)
+        expected = (1 - spec.high_fraction) * spec.low_mean + spec.high_fraction * spec.high_mean
         assert unit.mean() == pytest.approx(expected, rel=0.1)
 
     def test_synthesis_reproducible(self):

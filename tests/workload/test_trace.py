@@ -73,7 +73,6 @@ class TestAccess:
         empty = Trace.empty()
         assert len(empty) == 0
         assert empty.span == 0.0
-        assert empty.realized_load_factor(4) == 0.0
 
 
 class TestStatistics:
@@ -104,9 +103,3 @@ class TestTasks:
         assert tasks[1].linear_vf.penalty_bound == 0.0
         assert all(t.state is TaskState.CREATED for t in tasks)
 
-    def test_from_tasks_roundtrip(self):
-        original = small_trace()
-        rebuilt = Trace.from_tasks(original.to_tasks())
-        assert np.allclose(rebuilt.arrival, original.arrival)
-        assert np.allclose(rebuilt.value, original.value)
-        assert np.array_equal(np.isinf(rebuilt.bound), np.isinf(original.bound))
