@@ -10,6 +10,7 @@ and checks, by module identity taken from the path, who may do what:
 | DET001 | a call into ``random.*`` / ``numpy.random.*`` | every ``repro.*`` module | ``repro.sim.rng``, which owns the seeded streams |
 | DET002 | a wall-clock read (``time.time``, ``perf_counter``, ``datetime.now``, …) | every ``repro.*`` module | ``repro.obs`` (measurement), ``repro.live`` (the live service *is* the wall clock), ``repro.cli`` (times its commands) |
 | OBS002 | a wall-clock read | the timestamp-passive modules ``repro.obs.flight``, ``repro.obs.prom``, ``repro.audit``, ``repro.replay``, ``repro.live.recovery``: they take ``t`` from the caller's ``clock.now``, so a journal replays in either clock domain | — |
+| DET003 | a ``for`` or comprehension over a set: a set literal, ``set()``/``frozenset()``, set algebra, or a name or ``self.X`` bound to one or annotated as one. Object and ``str`` hashes differ between processes, so a tie-break would too; iterate ``sorted(...)`` | the sim-path modules (``repro.sim``, ``scheduling``, ``market``, ``site``, ``tasks``, …) | — |
 | DET005 | ``import heapq`` or a ``heapq.*`` call | ``repro.sim.*`` | ``repro.sim.queue``: the EventQueue's sorted lane and lazy cancellation are invariants a raw heap would bypass |
 | OBS001 | a bare ``print()`` outside ``if __name__ == "__main__"`` | every ``repro.*`` module | the layers whose output is stdout: ``repro.cli``, ``repro.__main__``, ``repro.analysis`` (ASCII renderers), ``repro.metrics.tables``, ``repro.live.serve``, ``repro.audit``, ``repro.replay`` |
 | ASY002 | in an ``async def``, ``self.X`` read in an ``if``/``while`` test, then an ``await``, then ``self.X`` written: another task can change ``X`` while the loop is yielded | ``repro.live.*`` | — |
@@ -172,6 +173,60 @@ def heap_uses(tree: ast.AST) -> list[int]:
     return sorted(lines)
 
 
+SET_TYPES = frozenset({"set", "frozenset", "Set", "FrozenSet", "AbstractSet", "MutableSet"})
+
+
+def _bound_name(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if _is_self_attr(node):
+        return "self." + node.attr
+    return None
+
+
+def _is_set_annotation(node: ast.AST) -> bool:
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in SET_TYPES
+
+
+def set_iterations(tree: ast.AST) -> list[int]:
+    """Lines of a ``for`` or comprehension whose iterable is a set.  A name
+    counts as a set once any assignment in the file binds it to one."""
+    bound = {
+        _bound_name(node.target)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.AnnAssign) and _is_set_annotation(node.annotation)
+    } | {
+        node.arg
+        for node in ast.walk(tree)
+        if isinstance(node, ast.arg) and node.annotation and _is_set_annotation(node.annotation)
+    }
+    bound.discard(None)
+
+    def is_set(node: ast.AST) -> bool:
+        if isinstance(node, (ast.Set, ast.SetComp)):
+            return True
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            return node.func.id in ("set", "frozenset")
+        if isinstance(node, ast.BinOp) and isinstance(
+            node.op, (ast.BitAnd, ast.BitOr, ast.Sub, ast.BitXor)
+        ):
+            return is_set(node.left) and is_set(node.right)
+        name = _bound_name(node)
+        return name is not None and name in bound
+
+    assigns = [(t, n.value) for n in ast.walk(tree) if isinstance(n, ast.Assign) for t in n.targets]
+    while new := {_bound_name(t) for t, value in assigns if is_set(value)} - bound - {None}:
+        bound |= new
+    return sorted(
+        node.iter.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)) and is_set(node.iter)
+    )
+
+
 def check_then_act(tree: ast.AST) -> list[int]:
     """Writes of ``self.X`` that follow a test of ``self.X`` across an
     ``await`` in the same ``async def`` (nested defs are their own)."""
@@ -268,6 +323,13 @@ GUARDS = {
         "repro.live.service",
         "import datetime\nstamp = datetime.datetime.now()\n",
     ),
+    "DET003": Guard(
+        is_sim_path,
+        set_iterations,
+        "repro.site.service",
+        "repro.live.executor",
+        "ready = {first, second}\norder = [task.tid for task in ready]\n",
+    ),
     "DET005": Guard(
         lambda module: _under(module, ("repro.sim",)) and module != EVENT_QUEUE_MODULE,
         heap_uses,
@@ -363,6 +425,8 @@ def test_policy_predicates():
     assert not is_print_allowed("repro.site.engine")
     assert GUARDS["DET001"].applies("repro.obs.instrument")
     assert not GUARDS["DET005"].applies("repro.scheduling.pool")
+    assert GUARDS["DET003"].applies("repro.scheduling.generic")
+    assert not GUARDS["DET003"].applies("repro.live.executor")
 
 
 def test_live_mode_scoping():

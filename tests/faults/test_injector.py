@@ -12,6 +12,8 @@ from repro.site import TaskServiceSite
 from repro.tasks import Task, TaskState
 from repro.valuefn import LinearDecayValueFunction
 
+from tests.oracles import pending_events
+
 
 def make_task(arrival, runtime, value=100.0, decay=0.0, bound=None):
     return Task(arrival, runtime, LinearDecayValueFunction(value, decay, bound))
@@ -91,11 +93,11 @@ class TestCycles:
         sim.schedule_at(120.0, lambda: None, tag="horizon")
         sim.run()
         assert inj.active_count > 0
-        pending = len(sim._queue)
+        pending = pending_events(sim)
         assert inj.stop() == 2
         # a cancel, not a delivery: nothing is left to run
         assert inj.active_count == 0
-        assert len(sim._queue) == pending - 2
+        assert pending_events(sim) == pending - 2
 
 
 class TestLiveness:

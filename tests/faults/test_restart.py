@@ -17,6 +17,8 @@ from repro.site import TaskServiceSite
 from repro.tasks import Task, TaskState
 from repro.valuefn import LinearDecayValueFunction
 
+from tests.oracles import pending_events, running_tasks
+
 
 def make_task(arrival, runtime, value=100.0, decay=0.0, bound=None, estimate=None):
     return Task(
@@ -160,13 +162,13 @@ class TestOneFailurePath:
             "ledger": site.ledger.summary(),
             "records": site.ledger.records,
             "queue": [t.tid for t in site.pool.tasks],
-            "running": [t.tid for t in site.processors._task_of if t is not None],
+            "running": [t.tid for t in running_tasks(site.processors)],
             "calls": calls,
             "tasks": [
                 (t.state, t.restarts, t.remaining, t.estimated_remaining, t.completion)
                 for t in tasks
             ],
-            "pending_events": len(sim._queue),
+            "pending_events": pending_events(sim),
         }
 
     @pytest.mark.parametrize(

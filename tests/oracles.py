@@ -1,7 +1,8 @@
 """Slow reference implementations the tests hold the engine against.
 
 Nothing outside ``tests/`` calls these: each is the plainest statement
-of a quantity the engine computes a faster way.
+of a quantity the engine computes a faster way.  The last two are the
+tests' one read of state the engine keeps private.
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ import numpy as np
 from repro.errors import SchedulingError
 from repro.scheduling.base import PoolColumns, current_delays
 from repro.scheduling.cost import saturating_costs
+from repro.sim import Simulator
+from repro.site import ProcessorPool
+from repro.tasks import Task
 
 
 def opportunity_costs_naive(
@@ -184,3 +188,14 @@ def project_start_times(
         starts[pos] = t
         heapq.heappush(heap, t + float(rpt))
     return starts
+
+
+def pending_events(sim: Simulator) -> int:
+    """Live events in *sim*'s queue: a cancelled one stops counting at once."""
+    return len(sim._queue)
+
+
+def running_tasks(pool: ProcessorPool) -> list[Task]:
+    """The occupant of each busy slot of *pool*, in slot order (a gang
+    task once per slot it holds)."""
+    return [t for t in pool._task_of if t is not None]

@@ -33,7 +33,8 @@ from repro.scheduling.pool import _OPEN
 from repro.site import ProcessorPool
 from repro.tasks import Task
 from repro.valuefn import LinearDecayValueFunction
-from tests.oracles import current_yields
+
+from tests.oracles import current_yields, running_tasks
 from tests.property.test_bounded_scores import general_copy, oracle_scores
 
 RATE = 0.01
@@ -141,7 +142,7 @@ def test_a_stream_across_the_floor_scores_the_oracle_bytes(name, bounds, data):
             assert_oracle_bytes(heuristic, pool.probe_block(block), now)
         now += data.draw(st.sampled_from([0.0, 0.5, 3.0, 20.0, 200.0]))
         # a running task never outlives its believed RPT
-        for task in [t for t in processors._task_of if t is not None]:
+        for task in running_tasks(processors):
             if task.last_start + task.estimated_remaining < now:
                 processors.vacate(task, now)
         if pool:

@@ -22,6 +22,9 @@ from repro.site.service import _PREEMPT_EPS
 from repro.tasks import Task
 from repro.valuefn import LinearDecayValueFunction
 
+from tests.oracles import running_tasks
+
+
 HEURISTICS = {
     "firstprice": FirstPrice,
     "pv": lambda: PresentValue(0.02),
@@ -52,7 +55,7 @@ class LoggedSite(TaskServiceSite):
         super()._schedule_pass()
         self.log.append((
             "pass", self.clock.now,
-            [t.tid for t in self.processors._task_of if t is not None],
+            [t.tid for t in running_tasks(self.processors)],
             [t.tid for t in self.pool],
         ))
 
@@ -64,7 +67,7 @@ class RescoringSite(LoggedSite):
         now = self.clock.now
         guard = len(self.pool) + self.processors.count + 1
         while self.pool:
-            running = [t for t in self.processors._task_of if t is not None]
+            running = running_tasks(self.processors)
             if not running:
                 return
             remaining = [
@@ -243,7 +246,7 @@ class TestOneScoringPerPass:
 
     def test_one_call_when_nothing_swaps(self):
         site, spy = loaded_site(n_running=2, n_pending=3)
-        for task in [t for t in site.processors._task_of if t is not None]:
+        for task in running_tasks(site.processors):
             task.vf = LinearDecayValueFunction(1e9, 0.0)
         site._preemption_pass()
         assert site.ledger.preemptions == 0 and spy.calls == 1

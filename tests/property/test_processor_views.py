@@ -24,6 +24,8 @@ from repro.site import ProcessorPool
 from repro.tasks import Task
 from repro.valuefn import LinearDecayValueFunction
 
+from tests.oracles import running_tasks
+
 
 # ----------------------------------------------------------------------
 # The oracle: every answer by a scan over the slots
@@ -92,7 +94,7 @@ def assert_block_holds_the_occupants(pool):
 
 def assert_views_match_scans(pool, now, known_tasks):
     free = scan_free(pool)
-    running = [t for t in pool._task_of if t is not None]
+    running = running_tasks(pool)
     assert pool.free_count == len(free)
     assert pool.busy_count == len(running)
     assert pool.count == len(pool._task_of) == len(pool._down) == len(pool._node_ids)
@@ -179,7 +181,7 @@ def test_views_equal_scans_after_every_op(count, ops):
         return True
 
     for op, *args in ops:
-        running = [t for t in pool._task_of if t is not None]
+        running = running_tasks(pool)
         if op == "assign_new":
             demand, runtime, factor, value, decay, bounded, swap = args
             vf = LinearDecayValueFunction(value, decay, value / 2 if bounded else None)

@@ -15,6 +15,8 @@ from repro.errors import SimulationError
 from repro.live.clock import WallClock
 from repro.sim import Coroutine, SimClock, Simulator, Sleep
 
+from tests.oracles import pending_events
+
 
 class TestStepping:
     def test_sleep_resumes_after_delay(self):
@@ -44,7 +46,7 @@ class TestStepping:
         Coroutine(sim, worker())
         sim.run()
         assert sim.events_fired == 1 + 4  # the start, then one per sleep
-        assert len(sim._queue) == 0
+        assert pending_events(sim) == 0
 
     def test_a_coroutine_that_never_sleeps_finishes_inside_its_start_event(self):
         sim = Simulator()
@@ -55,7 +57,7 @@ class TestStepping:
 
         worker_ = Coroutine(sim, worker())
         sim.step()
-        assert done == [0.0] and not worker_.alive and len(sim._queue) == 0
+        assert done == [0.0] and not worker_.alive and pending_events(sim) == 0
 
     def test_start_runs_after_events_already_pending_at_this_instant(self):
         sim = Simulator()
@@ -118,10 +120,10 @@ class TestStop:
 
         worker_ = Coroutine(sim, worker())
         sim.run(until=5.0)
-        assert len(sim._queue) == 1
+        assert pending_events(sim) == 1
         worker_.stop()
         assert log == ["closed"] and not worker_.alive
-        assert len(sim._queue) == 0  # a cancel: nothing is delivered later
+        assert pending_events(sim) == 0  # a cancel: nothing is delivered later
         sim.run()
         assert log == ["closed"] and sim.now == 5.0
 
@@ -163,7 +165,7 @@ class TestFailure:
             sim.run()
         assert sim.now == 2.0 and not worker_.alive
         sim.run()  # the kernel is not wedged, and nothing is left of the coroutine
-        assert len(sim._queue) == 0
+        assert pending_events(sim) == 0
 
     def test_only_a_kernel_sleep_can_be_awaited(self):
         sim = Simulator()
@@ -174,7 +176,7 @@ class TestFailure:
         worker_ = Coroutine(sim, worker())
         with pytest.raises(SimulationError, match="only Sleep"):
             sim.run()
-        assert not worker_.alive and len(sim._queue) == 0
+        assert not worker_.alive and pending_events(sim) == 0
 
     def test_a_coroutine_object_is_required(self):
         sim = Simulator()
@@ -189,7 +191,7 @@ class TestFailure:
             Coroutine(sim, worker)
         with pytest.raises(SimulationError, match="coroutine object"):
             Coroutine(sim, generator())
-        assert len(sim._queue) == 0
+        assert pending_events(sim) == 0
 
     def test_negative_delay_raises(self):
         for delay in (-1.0, float("nan")):

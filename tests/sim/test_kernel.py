@@ -5,6 +5,8 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim import Simulator
 
+from tests.oracles import pending_events
+
 
 class TestScheduling:
     def test_schedule_and_run_single_event(self):
@@ -130,14 +132,14 @@ class TestRun:
         sim.schedule(1.0, fired.append, 0)
         sim.run(max_events=0)
         assert fired == []
-        assert sim.now == 0.0 and len(sim._queue) == 1
+        assert sim.now == 0.0 and pending_events(sim) == 1
 
     def test_negative_max_events_raises(self):
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
         with pytest.raises(SimulationError):
             sim.run(max_events=-1)
-        assert len(sim._queue) == 1
+        assert pending_events(sim) == 1
         sim.run()  # the refused call left the simulator runnable
         assert sim.events_fired == 1
 
@@ -163,9 +165,9 @@ class TestRun:
         sim = Simulator()
         sim.schedule(4.0, lambda: None)
         cancelled = sim.schedule(2.0, lambda: None)
-        assert len(sim._queue) == 2
+        assert pending_events(sim) == 2
         sim.cancel(cancelled)
-        assert len(sim._queue) == 1
+        assert pending_events(sim) == 1
 
 
 class TestSameInstant:
@@ -195,17 +197,17 @@ class TestSameInstant:
         def first():
             order.append("first")
             sim.cancel(doomed)
-            pending.append(len(sim._queue))
+            pending.append(pending_events(sim))
 
         sim.schedule(1.0, first)
         doomed = sim.schedule(1.0, order.append, "doomed")
-        sim.schedule(1.0, lambda: pending.append(len(sim._queue)))
+        sim.schedule(1.0, lambda: pending.append(pending_events(sim)))
         sim.schedule(1.0, order.append, "last")
         sim.run()
         assert order == ["first", "last"]
         assert doomed.cancelled
         assert pending == [2, 1]  # the cancelled event stopped counting at once
-        assert len(sim._queue) == 0
+        assert pending_events(sim) == 0
         assert sim.events_fired == 3
 
     def test_max_events_midinstant_leaves_rest_pending_in_order(self):
@@ -217,10 +219,10 @@ class TestSameInstant:
         sim.schedule(2.0, order.append, "d")
         sim.run(max_events=1)
         assert order == ["a"]
-        assert sim.now == 1.0 and len(sim._queue) == 3
+        assert sim.now == 1.0 and pending_events(sim) == 3
         sim.run()
         assert order == ["a", "c", "b", "d"]
-        assert len(sim._queue) == 0
+        assert pending_events(sim) == 0
 
 
 class TestDaemonEvents:
