@@ -28,7 +28,7 @@ The coefficient rows belong to the never-expires regime.  They are
 bound lazily: the first heuristic that scores a never-expires view fixes
 the ``(alpha, discount_rate)`` key they are written for (``_Rows``), and
 a heuristic with another key takes the row form.  While they are
-*fresh* every write (``add``, ``probe``, ``probe_block``) fills them and
+*fresh* every write (``add``, ``probe``, ``probe_running``) fills them and
 ``remove_at`` shifts them with the rest.  Queuing an expiring row makes
 them stale: from then on they are neither written nor shifted — the
 bounded-penalty regime pays nothing for them — and the first
@@ -67,10 +67,9 @@ kept — the first mark sets every flag — so a pool that never expires
 never writes or shifts floor state.
 
 Eq. 4's inputs need no check here: every RPT a row can hold is
-non-negative by construction (``Task.estimated_remaining``, or
-:meth:`ProcessorPool.running_rows
-<repro.site.processors.ProcessorPool.running_rows>`), and a value
-function refuses a negative decay.
+non-negative by construction (``Task.estimated_remaining``, or the
+clamp of :meth:`PendingPool.probe_running`), and a value function
+refuses a negative decay.
 
 Determinism contract: removals preserve pool order.  Swap-delete would
 be O(1) but reorders the index space, which changes ``argmax``
@@ -83,11 +82,17 @@ read-only slices of the pool's backing storage, valid until the next
 mutation.  Consumers must not hold a view across ``add``/``remove`` —
 every caller in the engine re-reads ``columns()`` after mutating, and
 the read-only flag turns accidental writes into hard errors.  A
-``probe()`` / ``probe_block()`` view additionally shows candidate rows
+``probe()`` / ``probe_running()`` view additionally shows candidate rows
 written into the spare columns after the last row; the next probe or
 ``add()`` overwrites those columns, so a probe view is valid until
-either.  The preemption pass scores its block view once and must not
-read the view after its first swap (the swap re-adds the victim).
+either.  The preemption pass scores its union view once and must not
+read the view after its first swap (the swap re-adds the victim).  The
+running rows reach the spare columns in one write: the processor pool
+keeps them as a block (:meth:`ProcessorPool.union
+<repro.site.processors.ProcessorPool.union>`) with the count of them
+that can expire, and :meth:`PendingPool.probe_running` copies the block
+in and brings its RPT row to the one believed now, in place, so no copy
+of the block and no census of its ``expiration`` row is taken per pass.
 """
 
 from __future__ import annotations
@@ -405,29 +410,38 @@ class PendingPool:
         cost.append(d)
         return late, head, slope, cost, rpt, rate
 
-    def probe_block(self, rows: np.ndarray) -> PoolColumns:
-        """:meth:`probe` for a ``(7, k)`` block of rows in column-field
-        order, ``expiration`` included.
+    def probe_running(
+        self, rows: np.ndarray, starts: np.ndarray, expiring: int, now: float
+    ) -> PoolColumns:
+        """:meth:`probe` for the running tasks' rows: the preemption pass's
+        pending ∪ running union.
 
-        The preemption pass's pending ∪ running union: the running tasks'
-        rows (:meth:`ProcessorPool.running_rows
-        <repro.site.processors.ProcessorPool.running_rows>`, which keeps
-        their ``expiration``) land in the spare columns after the last
-        pending row, so the union is scored without copying the pool.
+        *rows* is a ``(7, k)`` block in column-field order, ``expiration``
+        included, whose RPT row holds each task's estimated remaining time
+        at its last start *starts*; *expiring* of its rows can expire.
+        It is written once, into the spare columns after the last pending
+        row, so the union is scored without copying the pool, and the RPT
+        is taken there, in place, to the one believed at *now*: ``max(0,
+        estimated_remaining − (now − last_start))``, the expression of
+        :meth:`ProcessorPool.free_times
+        <repro.site.processors.ProcessorPool.free_times>`.  What
+        :meth:`ProcessorPool.union
+        <repro.site.processors.ProcessorPool.union>` hands over.
         """
         state = self._rows
         n = len(self._tasks)
-        k = rows.shape[1]
-        end = n + k
+        end = n + rows.shape[1]
         data = self._data
         if end > data.shape[1]:
             data = self._grow(n, end)
         data[_COLUMN_ROWS, n:end] = rows
-        # the block's last row is expiration; the five before bound feed
-        # the coefficients
-        expiring = self._expiring + k - int(np.count_nonzero(rows[-1] == math.inf))
+        believed = data[_REMAINING, n:end]
+        believed -= now - starts
+        np.maximum(0.0, believed, out=believed)
+        expiring += self._expiring
         if not expiring and state.fresh:
-            data[_LATE:, n:end] = affine_coefficients(*rows[:-2], *state.key)
+            # the five view rows before bound feed the coefficients
+            data[_LATE:, n:end] = affine_coefficients(*data[_ARRIVAL:_BOUND, n:end], *state.key)
         return self._view(end, expiring)
 
     def remove_at(self, index: int) -> Task:

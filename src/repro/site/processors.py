@@ -10,18 +10,22 @@ cumulative busy time for utilization reporting.
 from __future__ import annotations
 
 import math
-from bisect import insort
-from typing import Optional
+from bisect import bisect_left, insort
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.errors import SchedulingError
 from repro.tasks.task import Task
 
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.scheduling.base import PoolColumns
+    from repro.scheduling.pool import PendingPool
+
 #: Rows of the running block: the seven ``PoolColumns`` fields in field
 #: order (the RPT's row holds the estimated remaining time at the last
 #: start), then that start.
-_REMAINING, _LAST_START = 2, 7
+_EXPIRATION, _LAST_START = 6, 7
 _BLOCK_ROWS = 8
 
 
@@ -31,10 +35,14 @@ class ProcessorPool:
     ``_task_of`` and ``_down`` are the state; ``_free``, ``_busy`` and
     ``_slots_of`` are views of it that every transition keeps current, so
     the questions asked several times per event (is a node free, which
-    one, where does this task run) are answered without a scan.
-    ``_block`` holds, per slot, the occupant's clock-free scalars for
-    :meth:`running_rows`, written at the first pass after ``assign`` put
-    it there (``_filled``).
+    one, where does this task run) are answered without a scan.  So are
+    the preemption pass's, from the first time it asks on (a site without
+    preemption never does): the occupants in slot order (:attr:`running`,
+    beside their slots), and ``_block``, per slot, the occupant's
+    clock-free scalars for :meth:`union`.  A slot's column is written at
+    the first union after ``assign`` put its task there (``_unfilled``
+    lists the busy slots still waiting, ``_filled`` flags the written
+    ones), and ``_expiring`` counts the written columns that can expire.
     """
 
     __slots__ = (
@@ -48,8 +56,12 @@ class ProcessorPool:
         "_free",
         "_busy",
         "_slots_of",
+        "_running",
+        "_running_slots",
         "_block",
         "_filled",
+        "_unfilled",
+        "_expiring",
     )
 
     def __init__(self, count: int) -> None:
@@ -71,10 +83,17 @@ class ProcessorPool:
         self._free: list[int] = list(range(count))
         self._busy = 0  # slots holding a task
         self._slots_of: dict[Task, list[int]] = {}  # by identity; ascending
-        # per slot, the occupant's clock-free running_rows scalars, and
-        # whether they are written for the task that holds the slot now
+        # the preemption pass's state, kept from the first ``running`` on
+        # (None until then): the busy slots' occupants and the slots,
+        # ascending; per slot, the occupant's clock-free union scalars and
+        # whether they are written for the task that holds the slot now;
+        # the busy slots whose are not; how many written ones can expire
+        self._running: Optional[list[Task]] = None
+        self._running_slots: list[int] = []
         self._block = np.empty((_BLOCK_ROWS, count))
         self._filled: list[bool] = [False] * count
+        self._unfilled: list[int] = []
+        self._expiring = 0
 
     # ------------------------------------------------------------------
     @property
@@ -85,6 +104,20 @@ class ProcessorPool:
     @property
     def busy_count(self) -> int:
         return self._busy
+
+    @property
+    def running(self) -> list[Task]:
+        """The occupant of each busy slot, in slot order (a gang task once
+        per slot it holds).  The pool's own list, kept current by every
+        transition from the first time it is read: read it, do not edit
+        it."""
+        if self._running is None:
+            # nothing is written before the first union, which reads this
+            slots = [i for i, t in enumerate(self._task_of) if t is not None]
+            self._running_slots = slots
+            self._running = [self._task_of[i] for i in slots]
+            self._unfilled = list(slots)
+        return self._running
 
     def slots_of(self, task: Task) -> list[int]:
         """All slots held by *task* (gang-scheduled tasks hold several)."""
@@ -115,10 +148,15 @@ class ProcessorPool:
             )
         slots = free[:demand]
         del free[:demand]
+        running = self._running
         for i in slots:
             self._task_of[i] = task
             self._busy_since[i] = now
-            self._filled[i] = False
+            if running is not None:
+                at = bisect_left(self._running_slots, i)
+                self._running_slots.insert(at, i)
+                running.insert(at, task)
+                self._unfilled.append(i)
         self._slots_of[task] = slots
         self._busy += demand
         return slots[0]
@@ -128,11 +166,22 @@ class ProcessorPool:
         slots = self._slots_of.pop(task, None)
         if slots is None:
             raise SchedulingError(f"task {task.tid} is not running on any node")
+        running = self._running
         for i in slots:
             self._task_of[i] = None
             self._busy_accum += now - self._busy_since[i]
             if not self._down[i]:  # a crashed node stays out until repaired
                 insort(self._free, i)
+            if running is not None:
+                at = bisect_left(self._running_slots, i)
+                del self._running_slots[at]
+                del running[at]
+                if self._filled[i]:
+                    self._filled[i] = False
+                    if self._block[_EXPIRATION, i] != math.inf:
+                        self._expiring -= 1
+                else:
+                    self._unfilled.remove(i)
         self._busy -= len(slots)
         return slots[0]
 
@@ -192,6 +241,12 @@ class ProcessorPool:
             for i, t in enumerate(self._task_of):
                 if t is not None:
                     self._slots_of.setdefault(t, []).append(i)
+            if self._running is not None:
+                # only idle slots went: the occupants keep their order
+                self._running_slots = [
+                    i for i, t in enumerate(self._task_of) if t is not None
+                ]
+                self._unfilled = [i for i in self._running_slots if not self._filled[i]]
         return len(removed)
 
     # ------------------------------------------------------------------
@@ -241,9 +296,11 @@ class ProcessorPool:
         (now − last_start))``: derived from the declared estimate, not
         the true completion — with accurate predictions they coincide;
         under runtime misestimation the engine must plan on what it was
-        told.  :meth:`running_rows` spells the same float expression over
-        a block; neither may be rearranged (``last_start +
-        estimated_remaining`` differs in the last bit).
+        told.  :meth:`PendingPool.probe_running
+        <repro.scheduling.pool.PendingPool.probe_running>` spells the same
+        float expression over the running block; neither may be
+        rearranged (``last_start + estimated_remaining`` differs in the
+        last bit).
 
         Down nodes project ``inf`` — the site does not know the repair
         time, so candidate schedules place no work on them; when every
@@ -263,50 +320,55 @@ class ProcessorPool:
                 times.append(now + (x if x > 0.0 else 0.0))
         return times
 
-    def running_rows(self, now: float) -> tuple[list[Task], np.ndarray]:
-        """The running tasks in slot order (one entry per busy node) and
-        their scheduler-visible scalars as one ``(7, k)`` block in
-        :class:`~repro.scheduling.base.PoolColumns` field order: arrival,
+    def union(self, pool: "PendingPool", now: float) -> "PoolColumns":
+        """*pool*'s columns with the running tasks' rows after them, in
+        slot order (:attr:`running`): the pending ∪ running view the
+        preemption pass scores, in
+        :class:`~repro.scheduling.base.PoolColumns` field order (arrival,
         estimate, believed RPT measured from *now*, value, decay, bound,
-        expiration.
+        expiration).
 
-        What :meth:`PendingPool.probe_block
-        <repro.scheduling.pool.PendingPool.probe_block>` takes to put
-        pending and running tasks in one scoring space.  Everything but
-        the believed RPT is clock-free and stays in the pool's block from
-        the first pass after ``assign`` until the slot changes hands; a
-        running task's estimated remaining time and last start do not
-        move until it leaves its node, so they are kept there too.
+        Everything but the believed RPT is clock-free and stays in the
+        block from the first union after ``assign`` until the slot changes
+        hands; a running task's estimated remaining time and last start do
+        not move until it leaves its node, so they are kept there too.
+        The block goes to :meth:`PendingPool.probe_running
+        <repro.scheduling.pool.PendingPool.probe_running>` as one slice
+        when every slot is busy, as one ``take`` of the busy slots
+        otherwise, with the count of its rows that can expire.
         """
+        k = len(self.running)
         block = self._block
-        filled = self._filled
-        tasks: list[Task] = []
-        slots: list[int] = []
-        for i, t in enumerate(self._task_of):
-            if t is None:
-                continue
-            if not filled[i]:  # first pass since assign put t here
-                vf = t.linear_vf
-                value, decay, bound = vf.value, vf.decay, vf.bound_or_inf()
-                block[:, i] = (
-                    t.arrival,
-                    t.estimate,
-                    t.estimated_remaining,
-                    value,
-                    decay,
-                    bound,
-                    # the scalar twin of expiration_delays, as the
-                    # pending pool writes it
-                    (value + bound) / decay if decay > 0.0 else 0.0,
-                    t.last_start,
-                )
-                filled[i] = True
-            tasks.append(t)
-            slots.append(i)
-        rows = block[:, slots]
-        believed = rows[_REMAINING]
-        np.maximum(0.0, believed - (now - rows[_LAST_START]), out=believed)
-        return tasks, rows[:_LAST_START]
+        unfilled = self._unfilled
+        # the slots assigned since the last union; each leaves the list once
+        # written, so a value function refused here leaves its slot listed
+        while unfilled:
+            i = unfilled[-1]
+            t = self._task_of[i]
+            vf = t.linear_vf
+            value, decay, bound = vf.value, vf.decay, vf.bound_or_inf()
+            # the scalar twin of expiration_delays, as the pending pool
+            # writes it
+            expiration = (value + bound) / decay if decay > 0.0 else 0.0
+            block[:, i] = (
+                t.arrival,
+                t.estimate,
+                t.estimated_remaining,
+                value,
+                decay,
+                bound,
+                expiration,
+                t.last_start,
+            )
+            self._filled[i] = True
+            if expiration != math.inf:
+                self._expiring += 1
+            unfilled.pop()
+        if k < self.count:
+            block = block.take(self._running_slots, axis=1)
+        return pool.probe_running(
+            block[:_LAST_START], block[_LAST_START], self._expiring, now
+        )
 
     def utilization(self, now: float) -> float:
         """Fraction of node-time spent busy over [0, now]."""

@@ -51,6 +51,17 @@ from repro.tasks.task import Task
 _PREEMPT_EPS = 1e-9
 
 
+def _argmin(values: list[float]) -> int:
+    """``np.argmin`` of a list: the first NaN if there is one, else the
+    first minimum."""
+    total = sum(values)
+    if total != total:  # a NaN, or infinities of both signs
+        for i, value in enumerate(values):
+            if value != value:
+                return i
+    return values.index(min(values))
+
+
 class KernelExecutor:
     """Runs a started task as one completion event on the DES kernel."""
 
@@ -323,41 +334,40 @@ class TaskServiceSite:
         the pass a top-k selection that provably terminates.
         """
         pool = self.pool
-        if not pool:
+        processors = self.processors
+        if not pool or not processors.busy_count:
             return
         now = self.clock.now
-        running, rows = self.processors.running_rows(now)
-        if not running:
-            return
         n_pending = len(pool)
-        # an owned copy: the swaps below edit it in place, and the probe
+        # an owned copy: the swaps below edit it in place, and the union
         # view it was scored from is dead after the first pool.add
-        scores = np.array(self.heuristic.scores(pool.probe_block(rows), now))
+        scores = np.array(self.heuristic.scores(processors.union(pool, now), now))
         pending_scores = scores[:n_pending]  # pool order
-        running_scores = scores[n_pending:]  # slot order
+        running_scores = scores[n_pending:].tolist()  # slot order
+        # the processors' own occupant list: each swap vacates the victim's
+        # node, the one free node, and the winner takes it, so the list
+        # stays in slot order, which breaks ties, with the winner where
+        # the victim was
+        running = processors.running
         # on fixed finite scores the worst running score only rises, so an
         # evicted task never returns; the swap budget is for scores that do
         # not order (NaN)
-        for _ in range(n_pending + self.processors.count + 1):
-            best_pending = int(np.argmax(pending_scores))
-            worst_running = int(np.argmin(running_scores))
-            winner_score = pending_scores[best_pending]
+        for _ in range(n_pending + processors.count + 1):
+            best_pending = int(pending_scores.argmax())
+            worst_running = _argmin(running_scores)
+            winner_score = pending_scores.item(best_pending)
             victim_score = running_scores[worst_running]
             if winner_score <= victim_score + _PREEMPT_EPS * (1.0 + abs(victim_score)):
                 return
             self._preempt(running[worst_running])
             # the vacated node goes to the pending task chosen above (the
             # preempted task was appended after it, so the index is stable)
-            winner = pool.remove_at(best_pending)
-            self._start(winner)
+            self._start(pool.remove_at(best_pending))
             # the scores move with the tasks: the victim is now the pool's
             # last row and the winner holds the victim's node
             pending_scores[best_pending:-1] = pending_scores[best_pending + 1 :]
             pending_scores[-1] = victim_score
-            # the winner took the victim's slot, so *running* stays in slot
-            # order, which breaks ties
             running_scores[worst_running] = winner_score
-            running[worst_running] = winner
         raise SchedulingError(
             "preemption pass failed to converge — heuristic scores are not "
             "comparable (NaN?)"

@@ -25,7 +25,7 @@ from repro.scheduling import FirstPrice, FirstReward, PendingPool, PoolColumns, 
 from repro.scheduling.base import MIN_REMAINING, affine_coefficients
 from repro.tasks import Task, TaskState
 from repro.valuefn import LinearDecayValueFunction
-from tests.property.test_pool_incremental import block_rows
+from tests.property.test_pool_incremental import running_union
 
 ALPHAS = (0.0, 0.3, 1.0)
 RATES = (0.0, 0.01)
@@ -195,8 +195,8 @@ class AffineScores(RuleBasedStateMachine):
             check_affine(view, self.now, self.heuristic, self.alpha, self.rate)
 
     @rule(data=st.data(), count=st.integers(min_value=1, max_value=20))
-    def probe_block(self, data, count):
-        view = self.pool.probe_block(block_rows([self.task(data) for _ in range(count)]))
+    def union(self, data, count):
+        view = running_union(self.pool, [self.task(data) for _ in range(count)], self.now)
         if view.never_expires:
             check_affine(view, self.now, self.heuristic, self.alpha, self.rate)
 

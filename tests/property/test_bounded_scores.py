@@ -11,8 +11,8 @@ value less the plain Eq. 4 kernel of ``tests/oracles.py``, its checks included, 
 hand-built copy of the view) by ``.tobytes()``, not to a tolerance.  The pools draw α ∈ {0, 0.3, 1}, penalty bounds 0,
 25 or a mix with unbounded rows, and clocks at which every row, no row
 or some rows still decay; each is scored through ``columns()``, a
-candidate ``probe()``, the preemption pass's ``probe_block()`` of a
-processor pool's running block and a hand-built copy.
+candidate ``probe()``, the preemption pass's ``union()`` of the pool
+with a processor pool's running tasks and a hand-built copy.
 
 FirstPrice and PresentValue are FirstReward at ``(1, 0)`` and ``(1, r)``
 and score through its body, so at ``α = 1`` each must score
@@ -164,13 +164,12 @@ def test_columns_probe_and_block_views_score_the_oracle_bytes(alpha, bounds, clo
     processors = ProcessorPool(len(running))
     for task in running:
         processors.assign(task, task.last_start)
-    _, block = processors.running_rows(now)
     candidate = data.draw(tasks(BOUNDS[bounds], decays))
 
     views = {
         "columns": pool.columns,
         "probe": lambda: pool.probe(candidate),
-        "probe_block": lambda: pool.probe_block(block),
+        "union": lambda: processors.union(pool, now),
         "hand_built": lambda: general_copy(pool.columns()),
     }
     # which view binds the write-time check to the pool varies
@@ -235,7 +234,7 @@ def test_a_second_keys_never_expires_view_scores_the_oracle_bytes(alpha, data, r
     """A never-expires pool whose affine rows are bound to another key:
     FirstReward at ``(alpha, rate)`` scores its views by the row form with
     every decay as the unbounded weight — Eq. 5 — and so the oracle's
-    bytes, through ``columns()``, ``probe()`` and ``probe_block()``."""
+    bytes, through ``columns()``, ``probe()`` and the ``union()``."""
     decays = st.sampled_from([0.05, 2.0, 100.0])
     pool = PendingPool()
     for task in data.draw(st.lists(tasks(st.none(), decays), min_size=1, max_size=40)):
@@ -247,9 +246,8 @@ def test_a_second_keys_never_expires_view_scores_the_oracle_bytes(alpha, data, r
     processors = ProcessorPool(len(running))
     for task in running:
         processors.assign(task, task.last_start)
-    _, block = processors.running_rows(now)
     candidate = data.draw(tasks(st.none(), decays))
-    for view in (pool.columns(), pool.probe(candidate), pool.probe_block(block)):
+    for view in (pool.columns(), pool.probe(candidate), processors.union(pool, now)):
         assert view.never_expires and view.affine((alpha, rate)) is None
         assert_bit_equal(view, now, alpha, rate)
     assert pool._rows.key == first.affine_key

@@ -34,7 +34,7 @@ from repro.scheduling.pool import _FLOOR_SCORE, _OPEN
 from repro.tasks import Task
 from repro.valuefn import LinearDecayValueFunction
 from tests.property.test_bounded_scores import general_copy
-from tests.property.test_pool_incremental import block_rows
+from tests.property.test_pool_incremental import running_union
 
 KEYED = FirstReward(0.3, 0.01)
 OTHER = FirstPrice()
@@ -145,9 +145,9 @@ class FloorCensus(RuleBasedStateMachine):
 
     @precondition(lambda self: len(self.pool) > 0)
     @rule(rows=st.lists(specs(), min_size=1, max_size=5))
-    def probe_block(self, rows):
-        block = block_rows([make(spec, self.now) for spec in rows])
-        self.score(KEYED, self.pool.probe_block(block))
+    def union(self, rows):
+        running = [make(spec, self.now) for spec in rows]
+        self.score(KEYED, running_union(self.pool, running, self.now))
 
     @precondition(lambda self: len(self.pool) > 0)
     @rule()
@@ -238,7 +238,7 @@ def test_a_pool_that_never_expires_writes_and_shifts_no_floor_state():
         for heuristic in heuristics:
             heuristic.scores(pool.columns(), now)
             heuristic.scores(pool.probe(task), now)
-            heuristic.scores(pool.probe_block(block_rows([task, moved if step > 2 else task])), now)
+            heuristic.scores(running_union(pool, [task, moved if step > 2 else task], now), now)
         assert pool._data.shape[1] == poison.shape[1]  # no growth: the bytes are comparable
         assert pool._data[: _FLOOR_SCORE + 1].tobytes() == poison.tobytes()
         assert not pool._rows.count and not pool._rows.order.size

@@ -112,7 +112,7 @@ def test_a_stream_across_the_floor_scores_the_oracle_bytes(name, bounds, data):
     now = 0.0
     for _ in range(data.draw(st.integers(min_value=5, max_value=30))):
         op = data.draw(st.sampled_from(
-            ["add", "burst", "remove", "preempt", "crash", "run", "probe", "block", "wait"]
+            ["add", "burst", "remove", "preempt", "crash", "run", "probe", "union", "wait"]
         ))
         if op == "add" or not pool:
             pool.add(data.draw(tasks(BOUNDS[bounds], now)))
@@ -137,9 +137,8 @@ def test_a_stream_across_the_floor_scores_the_oracle_bytes(name, bounds, data):
         elif op == "probe":
             candidate = data.draw(tasks(BOUNDS[bounds], now))
             assert_oracle_bytes(heuristic, pool.probe(candidate), now)
-        elif op == "block" and processors.busy_count:
-            _, block = processors.running_rows(now)
-            assert_oracle_bytes(heuristic, pool.probe_block(block), now)
+        elif op == "union" and processors.busy_count:
+            assert_oracle_bytes(heuristic, processors.union(pool, now), now)
         now += data.draw(st.sampled_from([0.0, 0.5, 3.0, 20.0, 200.0]))
         # a running task never outlives its believed RPT
         for task in running_tasks(processors):
@@ -288,7 +287,7 @@ def test_a_mixed_pool_marks_its_floor_rows(alpha, data):
     unbounded rows always decay, so a cost is computed and a full batch
     of candidates is needed), and every view scores the oracle's bytes
     before and after — ``columns()``, a candidate ``probe()`` and the
-    preemption pass's ``probe_block()``."""
+    preemption pass's ``union()``."""
     heuristic = FirstReward(alpha, RATE)
     now = 1000.0
     grid = dict(
@@ -316,7 +315,6 @@ def test_a_mixed_pool_marks_its_floor_rows(alpha, data):
     for task in running:
         task.start(now)
         processors.assign(task, now)
-    _, block = processors.running_rows(now)
     candidate = drawn(now, st.sampled_from([0.0, None]), 1)[0]
 
     view = pool.columns()
@@ -327,4 +325,4 @@ def test_a_mixed_pool_marks_its_floor_rows(alpha, data):
     for later in (now, now + 5.0):
         assert_oracle_bytes(heuristic, pool.columns(), later)
         assert_oracle_bytes(heuristic, pool.probe(candidate), later)
-        assert_oracle_bytes(heuristic, pool.probe_block(block), later)
+        assert_oracle_bytes(heuristic, processors.union(pool, later), later)

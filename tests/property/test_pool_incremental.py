@@ -7,12 +7,14 @@ the surviving tasks' attributes would produce — the invariant every
 heuristic's scoring depends on.
 """
 
+import copy
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.scheduling import PendingPool, PoolColumns, decay_horizons
-from repro.scheduling.base import expiration_delays
+from repro.site import ProcessorPool
 from repro.tasks import Task
 from repro.valuefn import LinearDecayValueFunction
 
@@ -38,11 +40,17 @@ def rebuilt_columns(tasks: list) -> list:
     ]
 
 
-def block_rows(tasks: list) -> np.ndarray:
-    """``(7, k)`` rows in column-field order, ``expiration`` included: the
-    block the preemption pass hands ``probe_block``."""
-    columns = rebuilt_columns(tasks)
-    return np.array([*columns, expiration_delays(*columns[3:])])
+def running_union(pool: PendingPool, tasks: list, now: float) -> PoolColumns:
+    """The preemption pass's pending ∪ running view of *pool* with *tasks*
+    running (:meth:`ProcessorPool.union`): a copy of each, started at
+    *now* on a node of its own, so its row's believed RPT is the task's
+    own ``estimated_remaining`` (``max(0, x − 0.0)`` is ``x``)."""
+    processors = ProcessorPool(max(1, len(tasks)))
+    for task in tasks:
+        running = copy.copy(task)
+        running.last_start = now
+        processors.assign(running, now)
+    return processors.union(pool, now)
 
 
 def assert_matches(pool: PendingPool, shadow: list) -> None:
@@ -224,10 +232,9 @@ def test_expiration_column_equals_the_vector_expression(tasks, removals, candida
     probed = pool.probe(candidate)
     assert len(probed) == len(pool) + 1
     assert_expiration_matches(probed, now)
-    # a block of rows in field order, as the preemption pass hands over
-    block = block_rows(tasks[:17])
-    union = pool.probe_block(block)
-    assert len(union) == len(pool) + block.shape[1]
+    # running rows after the pool's, as the preemption pass scores them
+    union = running_union(pool, tasks[:17], now)
+    assert len(union) == len(pool) + len(tasks[:17])
     assert_expiration_matches(union, now)
     assert_expiration_matches(pool.columns(), now)
 

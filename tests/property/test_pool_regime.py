@@ -24,7 +24,7 @@ from repro.scheduling.base import decay_horizons, effective_decay
 from repro.tasks import Task, TaskState
 from repro.valuefn import LinearDecayValueFunction
 from tests.property.test_affine_scores import assert_same_scores, term_scale
-from tests.property.test_pool_incremental import block_rows, rebuilt_columns
+from tests.property.test_pool_incremental import rebuilt_columns, running_union
 
 HEURISTICS = [
     FirstReward(alpha=0.0, discount_rate=0.01),
@@ -121,8 +121,8 @@ class PoolRegime(RuleBasedStateMachine):
         assert self.pool.columns() is before
 
     @rule(rows=st.lists(tasks(), min_size=1, max_size=80))
-    def probe_block(self, rows):
-        view = self.pool.probe_block(block_rows(rows))
+    def union(self, rows):
+        view = running_union(self.pool, rows, self.now)
         assert len(view) == len(self.pool) + len(rows)
         check_view(view, self.now)
 

@@ -23,6 +23,7 @@ from repro.tasks import Task
 from repro.valuefn import LinearDecayValueFunction
 
 from tests.oracles import running_tasks
+from tests.property.test_pool_incremental import running_union
 
 
 HEURISTICS = {
@@ -195,8 +196,9 @@ class TestAgainstTheRescoringLoop:
             pool.add(Task(float(i), 3.0, LinearDecayValueFunction(10.0, 1.0)))
         before = [np.array(col) for col in
                   (pool.columns().arrival, pool.columns().remaining)]
-        block = np.arange(14.0).reshape(7, 2)  # expiration included
-        union = pool.probe_block(block)
+        running = [Task(float(i), 2.0, LinearDecayValueFunction(6.0, 8.0, 10.0 + i))
+                   for i in range(2)]
+        union = running_union(pool, running, 1.0)
         assert len(union) == capacity + 2 and len(pool) == capacity
         assert union.arrival[-2:].tolist() == [0.0, 1.0]
         assert union.bound[-2:].tolist() == [10.0, 11.0]
@@ -268,3 +270,70 @@ class TestOneScoringPerPass:
         site.heuristic = NaNScores()
         with pytest.raises(SchedulingError, match="failed to converge"):
             site._preemption_pass()
+
+
+class SomeNaNScores(SchedulingHeuristic):
+    """FirstPrice, but NaN for the tasks whose value is one of *values*:
+    the NaN rows move with their tasks between pool and nodes."""
+
+    name = "some-nan"
+
+    def __init__(self, values):
+        self.inner = FirstPrice()
+        self.values = values
+
+    def scores(self, cols, now):
+        scores = np.array(self.inner.scores(cols, now))
+        scores[np.isin(cols.value, self.values)] = np.nan
+        return scores
+
+
+#: (NaN values, the (victim, winner) value of every swap, running values in
+#: slot order, pool values in order), as the rescoring-era loop left them
+#: on 3 running tasks (values 10, 11, 12, one node down) and 5 queued
+#: ones (500-504)
+MIXED_NAN = [
+    (
+        (11.0, 502.0),
+        [(11.0, 502.0), (502.0, 11.0)] * 5,
+        [10.0, 11.0, 12.0],
+        [500.0, 501.0, 503.0, 504.0, 502.0],
+    ),
+    (
+        (502.0, 504.0),
+        [(10.0, 502.0)] + [(502.0, 504.0), (504.0, 502.0)] * 4 + [(502.0, 504.0)],
+        [504.0, 11.0, 12.0],
+        [500.0, 501.0, 503.0, 10.0, 502.0],
+    ),
+    (
+        (10.0, 12.0),
+        [(10.0, 504.0)] + [(12.0, 10.0), (10.0, 12.0)] * 4 + [(12.0, 10.0)],
+        [504.0, 11.0, 10.0],
+        [500.0, 501.0, 502.0, 503.0, 12.0],
+    ),
+    (
+        (10.0, 501.0, 503.0),
+        [(10.0, 501.0), (501.0, 503.0), (503.0, 10.0)] * 3 + [(10.0, 501.0)],
+        [501.0, 11.0, 12.0],
+        [500.0, 502.0, 504.0, 503.0, 10.0],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "values,swaps,running,pool", MIXED_NAN, ids=["both", "pending", "running", "three"]
+)
+def test_some_nan_scores_swap_as_argmax_and_argmin_pick(values, swaps, running, pool):
+    # argmax and argmin both take the first NaN when there is one; a NaN on
+    # either side never passes the swap test, so the guard ends the pass
+    site, _ = loaded_site(n_running=3, n_pending=5, processors=4)
+    site.heuristic = SomeNaNScores(values)
+    log = []
+    preempt, start = site._preempt, site._start
+    site._preempt = lambda task: (log.append(task.value), preempt(task))
+    site._start = lambda task: (log.append(task.value), start(task))
+    with pytest.raises(SchedulingError, match="failed to converge"):
+        site._preemption_pass()
+    assert list(zip(log[::2], log[1::2])) == swaps
+    assert [t.value for t in running_tasks(site.processors)] == running
+    assert [t.value for t in site.pool] == pool

@@ -1,16 +1,20 @@
 """``ProcessorPool``'s maintained views against the scans they replaced.
 
-The pool answers ``free_count``, ``busy_count``, ``slots_of`` and "which
-node is free" from structures it keeps current across every transition,
-and ``running_rows`` from a maintained running block (per slot, the
-occupant's clock-free scalars, written at the first pass after
-``assign``).  The scans those replaced live on here as the oracle, over
-the pool's own ``_task_of``/``_down`` state: after every operation of an
-arbitrary stream — ``grow``, ``shrink_idle``, ``fail``/``repair`` and a
-value function swapped between ``assign`` and the first pass included —
-each view must equal its recomputation, the floats bit for bit.
+The pool answers ``free_count``, ``busy_count``, ``slots_of``, "which
+node is free" and the running tasks in slot order from structures it
+keeps current across every transition, and ``union`` from a maintained
+running block (per slot, the occupant's clock-free scalars, written at
+the first union after ``assign``) with a kept count of its rows that can
+expire.  The scans those replaced live on here as the oracle, over the
+pool's own ``_task_of``/``_down`` state: after every operation of an
+arbitrary stream — ``grow``, ``shrink_idle``, ``fail``/``repair``, a
+value function swapped between ``assign`` and the first pass, and
+passes at random points, so that a slot can change hands several times
+between two of them — each view must equal its recomputation, the
+floats bit for bit.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -19,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SchedulingError
+from repro.scheduling import PendingPool
 from repro.scheduling.base import expiration_delays
 from repro.site import ProcessorPool
 from repro.tasks import Task
@@ -56,6 +61,9 @@ def scan_free_times(pool, now):
 
 
 def scan_running_rows(pool, now):
+    """The running tasks in slot order and their ``(7, k)`` rows, the RPT
+    believed at *now*, ``expiration`` by the vector expression the
+    pending pool's columns are held to."""
     tasks, rows = [], []
     for t in pool._task_of:
         if t is None:
@@ -73,23 +81,67 @@ def scan_running_rows(pool, now):
             )
         )
     block = np.array(rows).reshape(-1, 6).T
-    # the vector expression the pending pool's columns are held to
     return tasks, np.concatenate([block, [expiration_delays(*block[3:])]])
 
 
+class HandedOver(PendingPool):
+    """A pending pool that keeps what ``union`` hands its spare columns."""
+
+    def probe_running(self, rows, starts, expiring, now):
+        self.handed = (rows.copy(), starts.copy(), expiring)
+        return super().probe_running(rows, starts, expiring, now)
+
+
+def assert_union_is_the_scan(pool, now):
+    """``union`` hands the pool the scan's rows, their starts and the
+    census of the rows that can expire, and the view shows them after the
+    pool's own rows with the RPT believed at *now*, by the bytes."""
+    tasks, expected = scan_running_rows(pool, now)
+    pending = HandedOver()
+    view = pool.union(pending, now)
+    rows, starts, expiring = pending.handed
+    assert pool.running == tasks
+    assert rows.shape == expected.shape
+    estimated = np.array([t.estimated_remaining for t in tasks])
+    assert rows[2].tobytes() == estimated.tobytes()
+    assert np.delete(rows, 2, axis=0).tobytes() == np.delete(expected, 2, axis=0).tobytes()
+    assert starts.tobytes() == np.array([t.last_start for t in tasks]).tobytes()
+    assert expiring == view.expiring == int(np.count_nonzero(expected[6] != math.inf))
+    columns = np.array([view.arrival, view.runtime, view.remaining, view.value,
+                        view.decay, view.bound, view.expiration])
+    assert columns.tobytes() == expected.tobytes()
+    assert_block_holds_the_occupants(pool)
+    assert not pool._unfilled
+
+
 def assert_block_holds_the_occupants(pool):
-    """Every busy slot's column of the maintained block is its occupant's:
-    the clock-free scalars, the estimated remaining time and the last start."""
+    """Before the first ``running`` nothing of the preemption pass's state
+    is kept or written.  From then on the kept occupants and slots are the
+    busy ones in slot order, every written column of the maintained block
+    is its occupant's (the clock-free scalars, the estimated remaining
+    time and the last start), the busy slots not written are the ones
+    listed, once each, and the kept count of expiring rows is the written
+    columns' census."""
+    if pool._running is None:
+        assert not any(pool._filled) and not pool._unfilled and pool._expiring == 0
+        return
+    written = []
     for i, t in enumerate(pool._task_of):
-        if t is None:
+        if t is None or not pool._filled[i]:
             continue
-        assert pool._filled[i]  # running_rows has just run
+        written.append(i)
         vf = t.linear_vf
         expected = [t.arrival, t.estimate, t.estimated_remaining, vf.value, vf.decay,
                     vf.bound_or_inf()]
         expected.append(float(expiration_delays(*np.array([expected[3:]]).T)[0]))
         expected.append(t.last_start)
         assert pool._block[:, i].tobytes() == np.array(expected).tobytes()
+    busy = [i for i, t in enumerate(pool._task_of) if t is not None]
+    assert not any(pool._filled[i] for i, t in enumerate(pool._task_of) if t is None)
+    assert sorted(pool._unfilled) == [i for i in busy if not pool._filled[i]]
+    assert pool._running_slots == busy
+    assert pool._running == [pool._task_of[i] for i in busy]
+    assert pool._expiring == int(np.count_nonzero(pool._block[6, written] != math.inf))
 
 
 def assert_views_match_scans(pool, now, known_tasks):
@@ -109,13 +161,12 @@ def assert_views_match_scans(pool, now, known_tasks):
     free_times = pool.free_times(now)
     assert free_times == scan_free_times(pool, now)
     assert np.array(free_times).tobytes() == np.array(scan_free_times(pool, now)).tobytes()
-    tasks, block = pool.running_rows(now)
-    expected_tasks, expected_block = scan_running_rows(pool, now)
-    assert tasks == expected_tasks
-    assert block.shape == expected_block.shape
-    assert block.tobytes() == expected_block.tobytes()
     assert len(pool._filled) == pool._block.shape[1] == pool.count
     assert_block_holds_the_occupants(pool)
+    # the union a pass would take now, on a copy: the pool's own state is
+    # kept from its first pass op on, and its slots stay unwritten until
+    # the next one
+    assert_union_is_the_scan(copy.deepcopy(pool), now)
 
 
 # ----------------------------------------------------------------------
@@ -148,6 +199,7 @@ ops = st.lists(
         st.tuples(st.just("grow"), st.integers(0, 3)),
         st.tuples(st.just("shrink"), st.integers(0, 4)),
         st.tuples(st.just("tick"), awkward),
+        st.tuples(st.just("pass")),  # the preemption pass's union
     ),
     min_size=12,  # long enough for slots to change hands
     max_size=60,
@@ -232,6 +284,8 @@ def test_views_equal_scans_after_every_op(count, ops):
             idle_up = len(scan_free(pool))
             removed = pool.shrink_idle(args[0])
             assert removed == min(args[0], idle_up, pool.count + removed - 1)
+        elif op == "pass":
+            assert_union_is_the_scan(pool, now)
         else:  # tick
             now += args[0]
         assert_views_match_scans(pool, now, known)
@@ -272,3 +326,26 @@ def test_shrink_below_a_busy_slot_moves_its_task_down():
     assert pool.slots_of(task) == [0] and pool.node_ids_of(task) == [1]
     assert pool.vacate(task, 2.0) == 0
     assert pool.free_count == 1
+
+
+def test_a_slot_reassigned_twice_between_passes():
+    # slot 0 changes hands twice before the second pass, and each of its
+    # occupants differs from the last in whether its row can expire
+    pool = ProcessorPool(2)
+    first, other = started(0.0, 9.0), started(0.0, 9.0)
+    pool.assign(first, 0.0)
+    pool.assign(other, 0.0)
+    assert_block_holds_the_occupants(pool)  # nothing kept yet
+    assert_union_is_the_scan(pool, 1.0)
+    assert pool._expiring == 0
+    for at, bound in ((2.0, 5.0), (3.0, None), (4.0, 0.0)):
+        pool.vacate(pool.running[0], at)
+        task = Task(at, 4.0, LinearDecayValueFunction(100.0, 1.0, bound))
+        task.submit()
+        task.accept()
+        task.start(at)
+        assert pool.assign(task, at) == 0
+        assert_block_holds_the_occupants(pool)
+    assert pool.running == [task, other]
+    assert_union_is_the_scan(pool, 5.0)
+    assert pool._expiring == 1

@@ -11,6 +11,7 @@ from repro.scheduling.pool import PendingPool
 from repro.tasks import Task
 from repro.valuefn import LinearDecayValueFunction
 from tests.oracles import project_start_times
+from tests.property.test_pool_incremental import running_union
 from tests.property.strategies import pool_columns
 
 rpts = st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=50)
@@ -86,7 +87,7 @@ class TestHeuristicScores:
     @settings(max_examples=80)
     def test_population_independent_scores_stable_under_block_probe(self, cols, now):
         """FirstPrice/PV scores must not change when the tail of the pool
-        arrives as a probed block instead (the preemption pass's pending ∪
+        arrives as running tasks instead (the preemption pass's pending ∪
         running union) — they depend only on the task itself.  Bit for bit
         against the pool that holds every row (the same scoring path: the
         first heuristic of each pool scores from its affine rows, the
@@ -94,10 +95,8 @@ class TestHeuristicScores:
         view (always the row form)."""
         now = now + float(cols.arrival.max())
         half = len(cols) // 2
-        fields = (
-            "arrival", "runtime", "remaining", "value", "decay", "bound", "expiration",
-        )
         pool, full = PendingPool(), PendingPool()
+        running = []
         for i in range(len(cols)):
             vf = LinearDecayValueFunction(
                 cols.value[i], cols.decay[i],
@@ -106,10 +105,8 @@ class TestHeuristicScores:
             task = Task(cols.arrival[i], cols.runtime[i], vf)
             task.estimated_remaining = cols.remaining[i]
             full.add(task)
-            if i < half:
-                pool.add(task)
-        block = np.array([getattr(cols, f)[half:] for f in fields])
-        rebuilt = pool.probe_block(block)
+            (pool.add if i < half else running.append)(task)
+        rebuilt = running_union(pool, running, now)
         assert len(rebuilt) == len(cols) and len(pool) == half
         for heuristic in (FirstPrice(), PresentValue(0.02)):
             scores = heuristic.scores(rebuilt, now)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SchedulingError
+from repro.scheduling import PendingPool
 from repro.site import ProcessorPool
 from repro.tasks import Task
 from repro.valuefn import LinearDecayValueFunction
@@ -103,17 +104,19 @@ class TestFreeTimes:
         b.submit(); b.accept(); b.start(1.0)
         pool.assign(a, 0.0)
         pool.assign(b, 1.0)
-        tasks, rows = pool.running_rows(3.0)
-        assert tasks == [a, b]  # slot order; the idle node has no row
+        union = pool.union(PendingPool(), 3.0)
+        assert pool.running == [a, b]  # slot order; the idle node has no row
         # PoolColumns field order; the RPT is the believed one (estimate 6,
         # ran 2); expiration (50 + 5) / 2 last
-        assert rows.shape == (7, 2)
+        rows = np.array([union.arrival, union.runtime, union.remaining, union.value,
+                         union.decay, union.bound, union.expiration])
+        assert rows.shape == (7, 2) and union.expiring == 1
         assert rows[:, 0].tolist() == [0.0, 10.0, 7.0, 100.0, 1.0, np.inf, np.inf]
         assert rows[:, 1].tolist() == [1.0, 6.0, 4.0, 50.0, 2.0, 5.0, 27.5]
 
     def test_running_rows_of_an_idle_pool(self):
-        tasks, rows = ProcessorPool(2).running_rows(3.0)
-        assert tasks == [] and rows.shape == (7, 0)
+        pool = ProcessorPool(2)
+        assert pool.running == [] and len(pool.union(PendingPool(), 3.0)) == 0
 
     def test_running_rows_keep_the_linear_value_function_check(self):
         from repro.valuefn import PiecewiseLinearValueFunction
@@ -123,7 +126,7 @@ class TestFreeTimes:
         t.submit(); t.accept(); t.start(0.0)
         pool.assign(t, 0.0)
         with pytest.raises(SchedulingError, match="LinearDecayValueFunction"):
-            pool.running_rows(1.0)
+            pool.union(PendingPool(), 1.0)
 
 
 class TestElasticCapacity:
