@@ -28,6 +28,8 @@ Violation codes::
     contract_count_mismatch  site summary contract count != awards seen
     recovery_without_award   crash recovery re-settled an unknown contract
     bid_before_intent        bid negotiated before its ``accept`` intent
+    invalid_bid              bid tuple no market accepts (e.g. past the
+                             domain, ``repro.domain.MAX_MAGNITUDE``)
 
 Durability records (the live service's write-ahead journal) are part of
 the ledger too: ``intent``/``shed``/``recovery`` records are counted,
@@ -48,7 +50,9 @@ import os
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+from repro.errors import MarketError, ValueFunctionError
 from repro.obs.flight import Recording, read_recording
+from repro.tasks.bid import TaskBid
 
 #: Bump when the violation-report layout changes incompatibly.
 AUDIT_SCHEMA = 1
@@ -105,18 +109,6 @@ class AuditReport:
                 suffix = f"  {context}" if context else ""
                 lines.append(f"  [{violation['code']}] {violation['message']}{suffix}")
         return "\n".join(lines)
-
-
-def _price_of(bid: dict, completion: float, release: float) -> float:
-    """Recompute the contract price from the bid's value function."""
-    from repro.valuefn.linear import LinearDecayValueFunction
-
-    bound = bid.get("bound")
-    vf = LinearDecayValueFunction(
-        bid["value"], bid["decay"], None if bound is None else bound
-    )
-    delay = max(0.0, completion - release - bid["runtime"])
-    return vf.yield_at(delay)
 
 
 @dataclass
@@ -202,11 +194,24 @@ def audit_recording(recording: Recording) -> AuditReport:
     books = fold_books(recording)
     bids = books.bids
 
+    # the bid tuple each booked bid id spells, where a market accepts it
+    tuples: dict[int, TaskBid] = {}
     for event in books.records["bid"]:
         if books.is_repeat(event):
             report.add(
                 "duplicate_bid",
                 f"bid {event['bid_id']} recorded twice — task value created twice",
+                bid_id=event["bid_id"],
+                seq=event["seq"],
+            )
+            continue
+        try:
+            tuples[event["bid_id"]] = TaskBid(event["runtime"], event["value"], event["decay"],
+                                              event.get("bound"), bid_id=event["bid_id"])
+        except (MarketError, ValueFunctionError) as exc:
+            report.add(
+                "invalid_bid",
+                f"bid {event['bid_id']} is no market's bid: {exc}",
                 bid_id=event["bid_id"],
                 seq=event["seq"],
             )
@@ -293,10 +298,14 @@ def audit_recording(recording: Recording) -> AuditReport:
                 seq=event["seq"],
             )
         if event["outcome"] == "completed":
+            terms = tuples.get(event["bid_id"])
+            if terms is None:
+                continue  # already reported as an invalid bid
             release = bid.get("released_at")
             if release is None:
                 release = bid["t"]
-            expected = _price_of(bid, event["completion"], release)
+            delay = max(0.0, event["completion"] - release - terms.runtime)
+            expected = terms.value_function().yield_at(delay)
             if abs(price - expected) > tolerance:
                 report.add(
                     "settlement_price_drift",

@@ -20,10 +20,10 @@ which is the honest default for a service whose contracts price
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.domain import MAX_MAGNITUDE
 from repro.errors import LiveServiceError, ValueFunctionError
 from repro.valuefn.linear import LinearDecayValueFunction
 
@@ -112,15 +112,12 @@ def _number(payload: dict, key: str, *, required: bool = True) -> Optional[float
     raw = payload[key]
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ApiError(f"bid field {key!r} must be a number, got {raw!r}")
-    try:
-        value = float(raw)
-    except OverflowError:  # a JSON integer past the float range
-        raise ApiError(
-            f"bid field {key!r} must be finite, got an integer past the float range"
-        ) from None
-    if not math.isfinite(value):
-        raise ApiError(f"bid field {key!r} must be finite, got {raw!r}")
-    return value
+    # the market's domain, checked before any bid of a batch is negotiated;
+    # an int compares exactly, so one past the float range is refused too
+    if not -MAX_MAGNITUDE <= raw <= MAX_MAGNITUDE:
+        raise ApiError(f"bid field {key!r} must be finite and within ±{MAX_MAGNITUDE:g}, "
+                       f"got {raw!r:.40}")
+    return float(raw)
 
 
 def parse_bid(payload: object) -> BidRequest:

@@ -49,10 +49,6 @@ def project_next_start(
     if not 0 <= position < n:
         raise SchedulingError(f"position {position} out of range for {n} tasks")
     remaining = np.asarray(remaining_in_order, dtype=np.float64)
-    negative = remaining < 0
-    if negative.any():
-        pos = int(np.argmax(negative))
-        raise _negative_rpt(remaining[pos], pos)
     if position and len(free_times) == 1:
         acc = np.empty(position + 1)
         acc[0] = free_times[0]
@@ -79,20 +75,13 @@ def _walk(ahead: list[float], free_times: Sequence[float]) -> float:
     return heap[0]
 
 
-def _negative_rpt(rpt: float, position: int) -> SchedulingError:
-    return SchedulingError(f"negative RPT {float(rpt)!r} at position {position}")
-
-
-def project_lone_start(remaining: float, free_times: Sequence[float]) -> float:
+def project_lone_start(free_times: Sequence[float]) -> float:
     """Projected start of a task that is the whole candidate schedule.
 
-    ``project_next_start([remaining], free_times, 0)`` in closed form:
-    with nothing ahead of it the task takes the earliest-free processor
-    (the heap's root before any walk), so no array is built.  The same
-    inputs are refused.
+    ``project_next_start([rpt], free_times, 0)`` in closed form: with
+    nothing ahead of it the task takes the earliest-free processor (the
+    heap's root before any walk), so no array is built.
     """
     if len(free_times) == 0:
         raise SchedulingError("project_lone_start requires at least one processor")
-    if remaining < 0:
-        raise _negative_rpt(remaining, 0)
     return float(min(free_times))

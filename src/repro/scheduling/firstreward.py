@@ -20,6 +20,7 @@ All three score through one body,
 
 from __future__ import annotations
 
+from repro.domain import checked_rate
 from repro.errors import SchedulingError
 from repro.scheduling.base import RewardHeuristic
 
@@ -42,10 +43,8 @@ class FirstReward(RewardHeuristic):
     def __init__(self, alpha: float = 0.3, discount_rate: float = 0.01) -> None:
         if not 0.0 <= alpha <= 1.0:
             raise SchedulingError(f"alpha must be in [0, 1], got {alpha!r}")
-        if not discount_rate >= 0:
-            raise SchedulingError(f"discount_rate must be >= 0, got {discount_rate!r}")
         self.alpha = float(alpha)
-        self.discount_rate = float(discount_rate)
+        self.discount_rate = checked_rate(discount_rate, SchedulingError)
         self.affine_key = (self.alpha, self.discount_rate)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro.domain import checked_rate
 from repro.errors import SchedulingError
 from repro.sim.kernel import Simulator
 from repro.site.accounting import YieldLedger
@@ -45,10 +46,8 @@ class GenericFirstReward:
     def __init__(self, alpha: float = 0.3, discount_rate: float = 0.01) -> None:
         if not 0.0 <= alpha <= 1.0:
             raise SchedulingError(f"alpha must be in [0, 1], got {alpha!r}")
-        if not discount_rate >= 0:
-            raise SchedulingError(f"discount_rate must be >= 0, got {discount_rate!r}")
         self.alpha = float(alpha)
-        self.discount_rate = float(discount_rate)
+        self.discount_rate = checked_rate(discount_rate, SchedulingError)
 
     def scores(self, tasks: Sequence[Task], now: float) -> list[float]:
         """The score of every task of *tasks*, each among all of them.

@@ -13,6 +13,7 @@ such (:class:`~repro.scheduling.base.RewardHeuristic` at ``(1, r)``).
 
 from __future__ import annotations
 
+from repro.domain import checked_rate
 from repro.errors import SchedulingError
 from repro.scheduling.base import RewardHeuristic
 
@@ -24,16 +25,14 @@ class PresentValue(RewardHeuristic):
     ----------
     discount_rate:
         Simple-interest rate per time unit (a *fraction*, not a percent:
-        the paper's "1%" is ``0.01``).  Must be ≥ 0; 0 reduces to
-        FirstPrice.
+        the paper's "1%" is ``0.01``).  In ``[0, MAX_MAGNITUDE]``; 0
+        reduces to FirstPrice.
     """
 
     name = "pv"
 
     def __init__(self, discount_rate: float = 0.01) -> None:
-        if not discount_rate >= 0:
-            raise SchedulingError(f"discount_rate must be >= 0, got {discount_rate!r}")
-        self.discount_rate = float(discount_rate)
+        self.discount_rate = checked_rate(discount_rate, SchedulingError)
         self.affine_key = (1.0, self.discount_rate)
 
 

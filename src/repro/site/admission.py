@@ -21,14 +21,10 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from repro.domain import checked_rate
 from repro.errors import AdmissionError, SchedulingError
 from repro.scheduling.base import effective_decay
-from repro.scheduling.candidate import (
-    _negative_rpt,
-    _walk,
-    project_lone_start,
-    project_next_start,
-)
+from repro.scheduling.candidate import _walk, project_lone_start, project_next_start
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.site.service import TaskServiceSite
@@ -85,14 +81,12 @@ class SlackAdmission:
     ) -> None:
         if math.isnan(threshold):
             raise AdmissionError("slack threshold must not be NaN")
-        if not discount_rate >= 0:
-            raise AdmissionError(f"discount_rate must be >= 0, got {discount_rate!r}")
         if not slack_inflation >= 0:
             raise AdmissionError(
                 f"slack_inflation must be >= 0, got {slack_inflation!r}"
             )
         self.threshold = float(threshold)
-        self.discount_rate = float(discount_rate)
+        self.discount_rate = checked_rate(discount_rate, AdmissionError)
         self.slack_inflation = float(slack_inflation)
 
     def evaluate(self, site: "TaskServiceSite", task: "Task") -> AdmissionDecision:
@@ -113,12 +107,11 @@ class SlackAdmission:
         # nothing to rank against: the candidate is the whole schedule, so
         # it takes the earliest-free node and displaces nobody (the empty
         # Eq. 8 sum).  An idle node is free now and no node is free
-        # earlier, so a free node answers without the free-time vector;
-        # a negative RPT still takes project_lone_start's refusal
-        if site.processors.free_count > 0 and task.estimated_remaining >= 0:
+        # earlier, so a free node answers without the free-time vector
+        if site.processors.free_count > 0:
             return self._decide(task, now, 0.0)
         free_times = site.processors.free_times(now)
-        return self._decide(task, project_lone_start(task.estimated_remaining, free_times), 0.0)
+        return self._decide(task, project_lone_start(free_times), 0.0)
 
     @staticmethod
     def _place(
@@ -134,9 +127,9 @@ class SlackAdmission:
         last = len(cols) - 1  # the candidate's row
         scores = site.heuristic.scores(cols, now)
         # one stable descending sort feeds everything: the candidate's
-        # rank (it is the last row, so every tie sorts ahead of it, NaN
-        # rows — which sort last — included), the projection (everything
-        # ahead, in sequence) and the Eq. 8 sum (everything behind)
+        # rank (it is the last row, so every tie sorts ahead of it), the
+        # projection (everything ahead, in sequence) and the Eq. 8 sum
+        # (everything behind)
         order = np.argsort(-scores, kind="stable")
         position = order.tolist().index(last)
         # only the candidate's own start is consumed, so project just
@@ -200,13 +193,14 @@ def _place_shallow(
     of ~20 NumPy calls on a handful of elements.
 
     Each step is the vector path's own float operations in its order:
-    :func:`~repro.scheduling.base.affine_scores` (whose ``np.maximum``
-    clamp keeps a NaN lag), the stable descending sort with NaN last
-    (every tie, ``±0.0`` included, ahead of the candidate),
-    :func:`~repro.scheduling.candidate.project_next_start`'s refusals
-    and heap walk, and Eq. 8.  Every sum runs left to right, which is
-    NumPy's association below ``SCALAR_PROBE_ROWS`` rows — as explicit
-    loops, since the builtin ``sum`` compensates from Python 3.12 on.
+    :func:`~repro.scheduling.base.affine_scores`, the stable descending
+    sort (every tie, ``±0.0`` included, ahead of the candidate),
+    :func:`~repro.scheduling.candidate.project_next_start`'s heap walk,
+    and Eq. 8.  The rows are a pool's under a shipped affine heuristic,
+    so every score is finite (:mod:`repro.domain`) and every RPT
+    non-negative.  Every sum runs left to right, which is NumPy's
+    association below ``SCALAR_PROBE_ROWS`` rows — as explicit loops,
+    since the builtin ``sum`` compensates from Python 3.12 on.
     """
     late, head, slope, cost, remaining, decay = rows
     if alpha != 1.0:
@@ -219,20 +213,10 @@ def _place_shallow(
         x = h - (0.0 if lag <= 0.0 else lag) * s
         scores.append(x if alpha == 1.0 else x - c * total)
     last = len(scores) - 1
-    if any(map(math.isnan, scores)):
-        nan = [i for i, x in enumerate(scores) if x != x]
-        ranked = [i for i, x in enumerate(scores) if x == x]
-        order = sorted(ranked, key=scores.__getitem__, reverse=True) + nan
-    else:
-        order = sorted(range(last + 1), key=scores.__getitem__, reverse=True)
+    order = sorted(range(last + 1), key=scores.__getitem__, reverse=True)
     position = order.index(last)
-    # the projection: project_next_start's checks, in its order
     if not free_times:
         raise SchedulingError("project_next_start requires at least one processor")
-    if not min(remaining) >= 0.0:  # a negative RPT, or a NaN that hides one
-        for pos, i in enumerate(order):
-            if remaining[i] < 0:
-                raise _negative_rpt(remaining[i], pos)
     start = _walk([remaining[i] for i in order[:position]], free_times)
     if position == last:
         return start, 0.0  # nobody behind: the empty Eq. 8 sum

@@ -51,17 +51,6 @@ from repro.tasks.task import Task
 _PREEMPT_EPS = 1e-9
 
 
-def _argmin(values: list[float]) -> int:
-    """``np.argmin`` of a list: the first NaN if there is one, else the
-    first minimum."""
-    total = sum(values)
-    if total != total:  # a NaN, or infinities of both signs
-        for i, value in enumerate(values):
-            if value != value:
-                return i
-    return values.index(min(values))
-
-
 class KernelExecutor:
     """Runs a started task as one completion event on the DES kernel."""
 
@@ -331,7 +320,8 @@ class TaskServiceSite:
         population.  A swap moves one task each way, so the union — and
         with it every score — is fixed for the whole pass: it is scored
         once, and the swaps are replayed on that one vector, which makes
-        the pass a top-k selection that provably terminates.
+        the pass a top-k selection that provably terminates on finite
+        scores (:mod:`repro.domain`); any other vector is refused first.
         """
         pool = self.pool
         processors = self.processors
@@ -342,6 +332,8 @@ class TaskServiceSite:
         # an owned copy: the swaps below edit it in place, and the union
         # view it was scored from is dead after the first pool.add
         scores = np.array(self.heuristic.scores(processors.union(pool, now), now))
+        if not np.isfinite(scores).all():
+            raise SchedulingError(f"{self.heuristic.name} scored the preemption union non-finite")
         pending_scores = scores[:n_pending]  # pool order
         running_scores = scores[n_pending:].tolist()  # slot order
         # the processors' own occupant list: each swap vacates the victim's
@@ -350,13 +342,12 @@ class TaskServiceSite:
         # the victim was
         running = processors.running
         # on fixed finite scores the worst running score only rises, so an
-        # evicted task never returns; the swap budget is for scores that do
-        # not order (NaN)
-        for _ in range(n_pending + processors.count + 1):
+        # evicted task never returns: at most n_pending swaps
+        while True:
             best_pending = int(pending_scores.argmax())
-            worst_running = _argmin(running_scores)
+            victim_score = min(running_scores)
+            worst_running = running_scores.index(victim_score)
             winner_score = pending_scores.item(best_pending)
-            victim_score = running_scores[worst_running]
             if winner_score <= victim_score + _PREEMPT_EPS * (1.0 + abs(victim_score)):
                 return
             self._preempt(running[worst_running])
@@ -368,10 +359,6 @@ class TaskServiceSite:
             pending_scores[best_pending:-1] = pending_scores[best_pending + 1 :]
             pending_scores[-1] = victim_score
             running_scores[worst_running] = winner_score
-        raise SchedulingError(
-            "preemption pass failed to converge — heuristic scores are not "
-            "comparable (NaN?)"
-        )
 
     def _preempt(self, task: Task) -> None:
         now = self.clock.now

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.domain import MAX_MAGNITUDE
 from repro.errors import MarketError
 from repro.valuefn.linear import LinearDecayValueFunction
 
@@ -74,8 +75,8 @@ class TaskBid:
     _vf: LinearDecayValueFunction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.runtime) or self.runtime <= 0:
-            raise MarketError(f"bid runtime must be finite and > 0, got {self.runtime!r}")
+        if not 0 < self.runtime <= MAX_MAGNITUDE:
+            raise MarketError(f"runtime must be in (0, {MAX_MAGNITUDE:g}], got {self.runtime!r}")
         if self.demand < 1:
             raise MarketError(f"bid demand must be >= 1, got {self.demand!r}")
         # delegate value/decay/bound validation to the value-function model

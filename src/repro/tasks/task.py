@@ -21,6 +21,7 @@ import itertools
 import math
 from typing import Optional
 
+from repro.domain import MAX_MAGNITUDE
 from repro.errors import SchedulingError
 from repro.valuefn.base import ValueFunction
 from repro.valuefn.linear import LinearDecayValueFunction
@@ -77,6 +78,8 @@ class Task:
         Release time (the paper's ``arrive_i``).
     runtime:
         Minimum (and, per §4's assumptions, exact) processing time.
+        Arrival, runtime and estimate are at most
+        :data:`~repro.domain.MAX_MAGNITUDE`.
     vf:
         The task's value function.  The vectorized site engine requires a
         :class:`~repro.valuefn.linear.LinearDecayValueFunction`; the
@@ -116,14 +119,14 @@ class Task:
         tid: Optional[int] = None,
         estimate: Optional[float] = None,
     ) -> None:
-        if not math.isfinite(arrival) or arrival < 0:
-            raise SchedulingError(f"arrival must be finite and >= 0, got {arrival!r}")
-        if not math.isfinite(runtime) or runtime <= 0:
-            raise SchedulingError(f"runtime must be finite and > 0, got {runtime!r}")
+        if not 0 <= arrival <= MAX_MAGNITUDE:
+            raise SchedulingError(f"arrival must be in [0, {MAX_MAGNITUDE:g}], got {arrival!r}")
+        if not 0 < runtime <= MAX_MAGNITUDE:
+            raise SchedulingError(f"runtime must be in (0, {MAX_MAGNITUDE:g}], got {runtime!r}")
         if demand < 1:
             raise SchedulingError(f"demand must be >= 1, got {demand!r}")
-        if estimate is not None and (not math.isfinite(estimate) or estimate <= 0):
-            raise SchedulingError(f"estimate must be finite and > 0, got {estimate!r}")
+        if estimate is not None and not 0 < estimate <= MAX_MAGNITUDE:
+            raise SchedulingError(f"estimate must be in (0, {MAX_MAGNITUDE:g}], got {estimate!r}")
         self.tid = next(_task_ids) if tid is None else int(tid)
         self.arrival = float(arrival)
         self.runtime = float(runtime)
@@ -228,7 +231,9 @@ class Task:
         if self.last_start is None:
             raise SchedulingError(f"task {self.tid}: preempt before start")
         executed = now - self.last_start
-        if executed < -1e-12 or executed > self.remaining + 1e-9:
+        # the run ends at last_start + remaining (the kernel's float); at a
+        # late clock, now − last_start can round past remaining
+        if executed < -1e-12 or now > self.last_start + self.remaining + 1e-9:
             raise SchedulingError(
                 f"task {self.tid}: executed {executed!r} out of range "
                 f"[0, {self.remaining!r}]"

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+from repro.domain import MAX_MAGNITUDE
 from repro.errors import ValueFunctionError
 from repro.valuefn.base import ValueFunction
 
@@ -26,8 +27,8 @@ class LinearDecayValueFunction(ValueFunction):
     Parameters
     ----------
     value:
-        Maximum value, earned at zero delay.  Must be finite; may be any
-        sign (though the paper's workloads use positive values).
+        Maximum value, earned at zero delay.  Any sign (though the
+        paper's workloads use positive values).
     decay:
         Decay rate ``d_i`` ≥ 0 (value lost per unit of delay).
     penalty_bound:
@@ -36,6 +37,8 @@ class LinearDecayValueFunction(ValueFunction):
         ``0`` reproduces Millennium ("value functions are bounded at
         zero").  Must be ≥ ``−value`` so the floor is not above the
         maximum value.
+
+    Each magnitude is at most :data:`~repro.domain.MAX_MAGNITUDE`.
 
     Example
     -------
@@ -53,14 +56,14 @@ class LinearDecayValueFunction(ValueFunction):
     __slots__ = ("value", "decay", "penalty_bound")
 
     def __init__(self, value: float, decay: float, penalty_bound: Optional[float] = None) -> None:
-        if not math.isfinite(value):
-            raise ValueFunctionError(f"value must be finite, got {value!r}")
-        if not math.isfinite(decay) or decay < 0:
-            raise ValueFunctionError(f"decay must be finite and >= 0, got {decay!r}")
+        if not -MAX_MAGNITUDE <= value <= MAX_MAGNITUDE:
+            raise ValueFunctionError(f"value must be within ±{MAX_MAGNITUDE:g}, got {value!r}")
+        if not 0 <= decay <= MAX_MAGNITUDE:
+            raise ValueFunctionError(f"decay must be in [0, {MAX_MAGNITUDE:g}], got {decay!r}")
         if penalty_bound is not None:
-            if not math.isfinite(penalty_bound):
+            if not -MAX_MAGNITUDE <= penalty_bound <= MAX_MAGNITUDE:
                 raise ValueFunctionError(
-                    f"penalty_bound must be finite or None, got {penalty_bound!r}"
+                    f"penalty_bound must be within ±{MAX_MAGNITUDE:g}, got {penalty_bound!r}"
                 )
             if penalty_bound < -value:
                 raise ValueFunctionError(

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 
 import pytest
 
+from repro.domain import MAX_MAGNITUDE
 from repro.live.api import ApiError, BidRequest
 from repro.live.config import LiveConfig, LiveSiteSpec
 from repro.live.httpd import start_http
@@ -248,6 +250,35 @@ def test_status_reports_durability_counters():
         assert status["queue_watermark"] == 0
 
     _scenario(steps)
+
+
+def test_a_batch_past_the_domain_is_a_400_with_nothing_negotiated():
+    """A bid one float past ``repro.domain.MAX_MAGNITUDE`` refuses its
+    whole batch at parse: no bid of it is negotiated or journaled."""
+    flight = FlightRecorder()
+
+    async def main():
+        service, _ = scripted_service(_config(), flight=flight)
+        await service.start()
+        server, port = await start_http(service, "127.0.0.1", 0)
+        try:
+            journaled = len(flight.recording().events)
+            past = {**GOOD_BID, "value": math.nextafter(MAX_MAGNITUDE, math.inf)}
+            status_line, _, body = await _raw(port, "POST", "/bids", {"bids": [GOOD_BID, past]})
+            assert status_line.startswith("HTTP/1.1 400")
+            assert "'value' must be finite and within" in json.loads(body)["error"]
+            assert service.broker.negotiations == 0
+            assert len(flight.recording().events) == journaled
+            edge = {**GOOD_BID, "value": MAX_MAGNITUDE}
+            status_line, _, _ = await _raw(port, "POST", "/bids", {"bids": [GOOD_BID, edge]})
+            assert status_line.startswith("HTTP/1.1 200")
+            assert service.broker.negotiations == 2
+        finally:
+            server.close()
+            await server.wait_closed()
+            await service.stop()
+
+    asyncio.run(main())
 
 
 def test_oversized_idempotency_key_is_a_400():

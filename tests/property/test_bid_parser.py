@@ -7,21 +7,28 @@ through that :class:`~repro.tasks.bid.TaskBid` then refuses would fail
 the batch half-way, after the bids before it were awarded.  So the
 contract is: either :class:`~repro.live.api.ApiError`, or every request
 builds a ``TaskBid`` — and a batch is refused whole exactly when one of
-its bids is refused alone.  Bids draw finite extremes (``±1.7e308``,
-``5e-324``, ``0``), negative values with and without a ``bound``, and
+its bids is refused alone.  Bids draw the domain's edges (``±B``, with
+``B = repro.domain.MAX_MAGNITUDE``), the first floats past them,
+``5e-324`` and ``0``, negative values with and without a ``bound``, and
 missing, null and unknown fields.
 """
 
 import json
+import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.domain import MAX_MAGNITUDE as B
 from repro.live.api import ApiError, parse_bid, parse_bid_body
 from repro.tasks.bid import TaskBid
 
+#: the first float past the domain's edge: refused
+PAST_B = math.nextafter(B, math.inf)
+
 extremes = st.sampled_from(
-    [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 0.5, -80.0, 1.7e308, -1.7e308]
+    [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 0.5, -80.0, B, -B, PAST_B, -PAST_B]
 )
 numbers = st.one_of(
     extremes,
@@ -95,11 +102,24 @@ def test_a_batch_is_refused_whole_or_builds_every_bid(batch):
 @settings(max_examples=200, deadline=None)
 def test_a_negative_value_needs_a_bound_at_or_below_it(value, bound):
     """A floor above the value is refused by the value function's rule:
-    ``−bound ≤ value``, no floor at all, or an ``ApiError``."""
+    ``−bound ≤ value``, no floor at all, or an ``ApiError``; so is a
+    magnitude past ``B``."""
     payload = {"runtime": 1.0, "value": value, "decay": 1.0, "bound": bound}
     try:
         parse_bid(payload)
     except ApiError:
-        assert bound is not None and (bound < 0 or -bound > value)
+        assert abs(value) > B or bound is not None and (
+            bound > B or bound < 0 or -bound > value
+        )
         return
-    assert bound is None or -bound <= value
+    assert abs(value) <= B
+    assert bound is None or bound <= B and -bound <= value
+
+
+@pytest.mark.parametrize("field", ["runtime", "value", "decay", "bound"])
+def test_the_domain_edge_is_taken_and_the_next_float_refused(field):
+    edge = {"runtime": 1.0, "value": B, "decay": 1.0, field: B}
+    assert parse_bid(edge)
+    past = {**edge, field: PAST_B}
+    with pytest.raises(ApiError, match=f"'{field}' must be finite and within"):
+        parse_bid_body(json.dumps({"bids": [edge, past]}).encode())

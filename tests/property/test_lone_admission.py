@@ -252,20 +252,6 @@ def test_an_empty_pool_equals_the_oracle_on_idle_busy_and_down_nodes(
         assert same_bits(got.expected_start, site.clock.now)
 
 
-@pytest.mark.parametrize("processors", [1, 4])
-@pytest.mark.parametrize("nodes", EMPTY_POOL_NODES)
-def test_an_empty_pool_refuses_a_negative_rpt_as_the_oracle(processors, nodes):
-    site = build_site(FirstPrice(), processors, nodes, queued=[])
-    candidate = make_task(40.0, 10.0, 100.0, 1.0)
-    candidate.estimated_remaining = -1.0
-    messages = []
-    for admission in (SlackAdmission(0.0), OracleAdmission(0.0)):
-        with pytest.raises(SchedulingError, match=r"negative RPT -1\.0 at position 0") as info:
-            admission.evaluate(site, candidate)
-        messages.append(str(info.value))
-    assert messages[0] == messages[1]
-
-
 def test_populated_pool_is_scored_exactly_once():
     spy = SpyHeuristic(FirstReward(alpha=0.3, discount_rate=0.01))
     queued = [make_task(0.0, 50.0, 100.0, 0.2), make_task(1.0, 20.0, 400.0, 0.9)]
@@ -296,12 +282,6 @@ def test_empty_pool_keeps_the_input_checks():
     wide = Task(40.0, 10.0, LinearDecayValueFunction(100.0, 1.0), demand=2)
     with pytest.raises(AdmissionError, match="single-node"):
         admission.evaluate(site, wide)
-    negative = make_task(40.0, 10.0, 100.0, 1.0)
-    negative.estimated_remaining = -1.0
-    with pytest.raises(SchedulingError, match=r"negative RPT .*-1\.0.* at position 0"):
-        admission.evaluate(site, negative)
-    with pytest.raises(SchedulingError, match=r"negative RPT .*-1\.0.* at position 0"):
-        OracleAdmission(0.0).evaluate(site, negative)
     site.processors = type("NoNodes", (), {"free_count": 0, "free_times": lambda self, now: []})()
     with pytest.raises(SchedulingError, match="at least one processor"):
         admission.evaluate(site, make_task(40.0, 10.0, 100.0, 1.0))
@@ -371,33 +351,6 @@ def test_one_sort_places_the_candidate_where_the_count_did(ranking, processors, 
             assert got.cost == 0.0
         if ranking == "rank0" and len(site.pool) == len(queued):
             assert got.expected_start == min(site.processors.free_times(40.0))
-
-
-@pytest.mark.parametrize("processors", [1, 4])
-@pytest.mark.parametrize("ranking", ["rank0", "rank_last", "middle"])
-def test_negative_rpt_is_refused_with_the_old_message(processors, ranking):
-    scores = RANKINGS[ranking]
-    queued = [make_task(float(i), 30.0, 80.0, 0.3) for i in range(len(scores) - 1)]
-    site = fixed_scores_site(scores, processors, "busy", queued)
-    candidate = make_task(40.0, 10.0, 100.0, 1.0)
-    candidate.estimated_remaining = -1.0
-    errors = []
-    for admission in (SlackAdmission(0.0), OracleAdmission(0.0)):
-        with pytest.raises(SchedulingError, match=r"negative RPT .*-1\.0.* at position \d") as info:
-            admission.evaluate(site, candidate)
-        errors.append(str(info.value))
-    assert errors[0] == errors[1]
-    # a queued row is checked too, wherever the candidate ranks
-    queued[0].estimated_remaining = -2.0
-    site.pool.remove(queued[0])
-    site.pool.add(queued[0])
-    candidate.estimated_remaining = 10.0
-    messages = []
-    for admission in (SlackAdmission(0.0), OracleAdmission(0.0)):
-        with pytest.raises(SchedulingError, match="negative RPT") as info:
-            admission.evaluate(site, candidate)
-        messages.append(str(info.value))
-    assert messages[0] == messages[1]
 
 
 # ----------------------------------------------------------------------
@@ -541,27 +494,23 @@ def scored(site, candidate):
 
 
 #: (queued value, queued RPT) — FirstPrice scores an on-time row v / RPT
-#: on its head alone, so 0.0 and -0.0 heads tie, and a vast value over a
-#: clamped RPT is an infinite head that 0.0 · inf turns into NaN
+#: on its head alone, so 0.0 and -0.0 heads tie
 SIGNED = {
     "zero_ties_candidate": ([(0.0, None), (5.0, None), (0.0, None)], (0.0, None)),
     "negative_zero_candidate": ([(0.0, None), (0.0, None)], (-0.0, -0.0)),
     "negative_zero_queued": ([(-0.0, -0.0), (4.0, None)], (0.0, None)),
-    "nan_queued": ([(1e300, 1e-12), (4.0, None), (2.0, None)], (3.0, None)),
-    "nan_candidate": ([(4.0, None), (2.0, None)], (1e300, 1e-12)),
-    "nan_everywhere": ([(1e300, 1e-12), (1e300, 1e-12)], (1e300, 1e-12)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SIGNED))
 @pytest.mark.parametrize("processors", [1, 4])
-def test_signed_zero_and_nan_scores_rank_as_the_vector_sort(case, processors):
+def test_signed_zero_scores_rank_as_the_vector_sort(case, processors):
     queued_spec, candidate_spec = SIGNED[case]
 
     def task_of(value, rpt):
-        task = make_task(40.0, 50.0 if rpt is None else 1e-12, value, 1e300 if rpt else 0.5)
+        task = make_task(40.0, 50.0 if rpt is None else 1e-12, value, 0.5)
         if rpt == 0.0:
-            task.estimated_remaining = rpt  # -0.0: a zero the < 0 check lets through
+            task.estimated_remaining = rpt  # -0.0: RPT >= 0 holds for it
         return task
 
     def site_and_candidate():
@@ -570,12 +519,9 @@ def test_signed_zero_and_nan_scores_rank_as_the_vector_sort(case, processors):
 
     site, candidate = site_and_candidate()
     scores = scored(site, candidate)
-    if case.startswith("nan"):
-        assert np.isnan(scores).any()
-    else:
-        assert (scores == 0.0).sum() >= 2  # a tie among zeros ...
-        if "negative" in case:  # ... of both signs
-            assert np.signbit(scores[scores == 0.0]).any()
+    assert (scores == 0.0).sum() >= 2  # a tie among zeros ...
+    if "negative" in case:  # ... of both signs
+        assert np.signbit(scores[scores == 0.0]).any()
     site, candidate = site_and_candidate()
     with vector_probes() as probe:
         got = SlackAdmission(0.0).evaluate(site, candidate)
@@ -590,18 +536,6 @@ def test_the_scalar_path_keeps_the_refusals(processors):
         return build_site(FirstReward(alpha=0.3, discount_rate=0.01), processors, "busy",
                           [make_task(float(i), 30.0, 80.0, 0.3) for i in range(3)])
 
-    candidate = make_task(40.0, 10.0, 100.0, 1.0)
-    candidate.estimated_remaining = -1.0
-    messages = []
-    with vector_probes() as probe:
-        with pytest.raises(SchedulingError, match=r"negative RPT -1\.0 at position \d") as info:
-            SlackAdmission(0.0).evaluate(site(), candidate)
-    assert not probe.called  # refused on the scalar path
-    messages.append(str(info.value))
-    with pytest.raises(SchedulingError, match=r"negative RPT -1\.0 at position \d") as info:
-        OracleAdmission(0.0).evaluate(site(), candidate)
-    messages.append(str(info.value))
-    assert messages[0] == messages[1]
     wide = Task(40.0, 10.0, LinearDecayValueFunction(100.0, 1.0), demand=2)
     with pytest.raises(AdmissionError, match="single-node"):
         SlackAdmission(0.0).evaluate(site(), wide)
@@ -638,10 +572,11 @@ def vector_place(rows, alpha, estimate, now, free_times):
     return start, float(estimate * decay[order[position + 1 :]].sum())
 
 
-#: finite, signed-zero, infinite and NaN coefficients, so that scores
-#: tie, cancel to ±0.0 and go NaN
+#: signed-zero, tiny and in-domain extreme coefficients, so that scores
+#: tie and cancel to ±0.0; 1e109 is the largest head or slope an
+#: in-domain row writes (a value or decay of 1e100 over the 1e-9 RPT clamp)
 awkward = st.sampled_from(
-    [0.0, -0.0, 1.0, -1.0, 0.1, 0.7, 3.0, 1e-300, 1e300, math.inf, -math.inf, math.nan]
+    [0.0, -0.0, 1.0, -1.0, 0.1, 0.7, 3.0, 1e-300, 1e109, -1e109]
 )
 shallow_rows = st.integers(min_value=1, max_value=SCALAR_PROBE_ROWS - 1).flatmap(
     lambda n: st.tuples(
@@ -659,7 +594,7 @@ shallow_rows = st.integers(min_value=1, max_value=SCALAR_PROBE_ROWS - 1).flatmap
 @given(
     rows=shallow_rows,
     alpha=st.sampled_from([0.0, 0.3, 1.0]),
-    now=st.sampled_from([-0.0, 0.0, 5.0, 1e300]),
+    now=st.sampled_from([-0.0, 0.0, 5.0, 5e101]),
     free_times=st.lists(st.sampled_from([0.0, 3.0, 40.5, math.inf]), min_size=1, max_size=4),
 )
 def test_the_scalar_placement_is_the_vector_placement(rows, alpha, now, free_times):

@@ -8,11 +8,15 @@ heuristic's scoring depends on.
 """
 
 import copy
+import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.domain import MAX_MAGNITUDE
+from repro.errors import ValueFunctionError
 from repro.scheduling import PendingPool, PoolColumns, decay_horizons
 from repro.site import ProcessorPool
 from repro.tasks import Task
@@ -194,9 +198,10 @@ def assert_expiration_matches(cols, now: float = 0.0) -> None:
     assert decay_horizons(cols, now).tobytes() == old_decay_horizons(cols, now).tobytes()
 
 
-#: decay rates at the edges: never decays, overflows the quotient, ordinary
+#: decay rates at the edges: never decays, overflows the quotient, ordinary;
+#: values and bounds reach the domain's edge B
 edge_decay = st.sampled_from([0.0, 5e-324, 1e-300, 0.05, 2.0, 100.0])
-edge_bound = st.sampled_from([None, 0.0, 25.0, 1e308])
+edge_bound = st.sampled_from([None, 0.0, 25.0, MAX_MAGNITUDE])
 
 
 @st.composite
@@ -205,11 +210,18 @@ def edge_tasks(draw) -> Task:
         arrival=draw(st.floats(min_value=0.0, max_value=50.0)),
         runtime=draw(st.floats(min_value=0.01, max_value=500.0)),
         vf=LinearDecayValueFunction(
-            draw(st.floats(min_value=0.1, max_value=1e308)),
+            draw(st.floats(min_value=0.1, max_value=MAX_MAGNITUDE)),
             draw(edge_decay),
             draw(edge_bound),
         ),
     )
+
+
+@pytest.mark.parametrize("value,bound", [(math.nextafter(MAX_MAGNITUDE, math.inf), None),
+                                         (1.0, math.nextafter(MAX_MAGNITUDE, math.inf))])
+def test_an_edge_value_or_bound_one_float_past_b_is_refused(value, bound):
+    with pytest.raises(ValueFunctionError, match="within"):
+        LinearDecayValueFunction(value, 0.05, bound)
 
 
 @settings(max_examples=60, deadline=None)

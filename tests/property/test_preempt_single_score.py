@@ -8,6 +8,10 @@ leave the same ``(victim tid, winner tid)`` swaps, the same running set
 in slot order and the same pool order.
 """
 
+import copy
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +26,7 @@ from repro.site.service import _PREEMPT_EPS
 from repro.tasks import Task
 from repro.valuefn import LinearDecayValueFunction
 
-from tests.oracles import running_tasks
+from tests.oracles import pending_events, running_tasks
 from tests.property.test_pool_incremental import running_union
 
 
@@ -259,81 +263,70 @@ class TestOneScoringPerPass:
         site._preemption_pass()
         assert spy.calls == 0 and site.ledger.preemptions == 0
 
-    def test_nan_scores_hit_the_convergence_guard(self):
-        class NaNScores(SchedulingHeuristic):
-            name = "nan"
 
-            def scores(self, cols, now):
-                return np.full(len(cols), np.nan)
+class PoisonedScores(SchedulingHeuristic):
+    """FirstPrice, but *score* for the tasks whose value is one of
+    *values*: the poisoned rows move with their tasks between pool and
+    nodes."""
 
-        site, _ = loaded_site(n_running=2, n_pending=3)
-        site.heuristic = NaNScores()
-        with pytest.raises(SchedulingError, match="failed to converge"):
-            site._preemption_pass()
+    name = "poisoned"
 
-
-class SomeNaNScores(SchedulingHeuristic):
-    """FirstPrice, but NaN for the tasks whose value is one of *values*:
-    the NaN rows move with their tasks between pool and nodes."""
-
-    name = "some-nan"
-
-    def __init__(self, values):
+    def __init__(self, values, score):
         self.inner = FirstPrice()
         self.values = values
+        self.score = score
 
     def scores(self, cols, now):
         scores = np.array(self.inner.scores(cols, now))
-        scores[np.isin(cols.value, self.values)] = np.nan
+        scores[np.isin(cols.value, self.values)] = self.score
         return scores
 
 
-#: (NaN values, the (victim, winner) value of every swap, running values in
-#: slot order, pool values in order), as the rescoring-era loop left them
-#: on 3 running tasks (values 10, 11, 12, one node down) and 5 queued
-#: ones (500-504)
-MIXED_NAN = [
-    (
-        (11.0, 502.0),
-        [(11.0, 502.0), (502.0, 11.0)] * 5,
-        [10.0, 11.0, 12.0],
-        [500.0, 501.0, 503.0, 504.0, 502.0],
-    ),
-    (
-        (502.0, 504.0),
-        [(10.0, 502.0)] + [(502.0, 504.0), (504.0, 502.0)] * 4 + [(502.0, 504.0)],
-        [504.0, 11.0, 12.0],
-        [500.0, 501.0, 503.0, 10.0, 502.0],
-    ),
-    (
-        (10.0, 12.0),
-        [(10.0, 504.0)] + [(12.0, 10.0), (10.0, 12.0)] * 4 + [(12.0, 10.0)],
-        [504.0, 11.0, 10.0],
-        [500.0, 501.0, 502.0, 503.0, 12.0],
-    ),
-    (
-        (10.0, 501.0, 503.0),
-        [(10.0, 501.0), (501.0, 503.0), (503.0, 10.0)] * 3 + [(10.0, 501.0)],
-        [501.0, 11.0, 12.0],
-        [500.0, 502.0, 504.0, 503.0, 10.0],
-    ),
-]
+#: (poisoned task values, their score) on 3 running tasks (values 10, 11,
+#: 12, one node down) and 5 queued ones (500-504); a finite pass over
+#: them swaps all three nodes
+POISON = {
+    "nan-pending": ((502.0,), math.nan),
+    "nan-running": ((11.0,), math.nan),
+    "nan-both": ((11.0, 502.0), math.nan),
+    "nan-three": ((10.0, 501.0, 503.0), math.nan),
+    "nan-everywhere": ((10.0, 11.0, 12.0, 500.0, 501.0, 502.0, 503.0, 504.0), math.nan),
+    "inf-pending": ((503.0,), math.inf),
+    "inf-running": ((12.0,), math.inf),
+    "minus-inf-running": ((10.0,), -math.inf),
+    "minus-inf-pending": ((500.0,), -math.inf),
+}
 
 
-@pytest.mark.parametrize(
-    "values,swaps,running,pool", MIXED_NAN, ids=["both", "pending", "running", "three"]
-)
-def test_some_nan_scores_swap_as_argmax_and_argmin_pick(values, swaps, running, pool):
-    # argmax and argmin both take the first NaN when there is one; a NaN on
-    # either side never passes the swap test, so the guard ends the pass
+def site_state(site):
+    """Everything a swap touches: occupants, pool order, executor handles,
+    the kernel's queue, the ledger, and each task's own counters."""
+    tasks = running_tasks(site.processors) + list(site.pool)
+    return (
+        [t.tid for t in running_tasks(site.processors)],
+        [t.tid for t in site.pool],
+        {tid: id(handle) for tid, handle in site._runs.items()},
+        pending_events(site.sim),
+        copy.deepcopy(site.ledger),
+        [(t.tid, t.state, t.estimated_remaining, t.remaining, t.preemptions) for t in tasks],
+    )
+
+
+@pytest.mark.parametrize("case", sorted(POISON))
+def test_a_non_finite_score_refuses_the_pass_and_moves_nothing(case):
+    values, score = POISON[case]
     site, _ = loaded_site(n_running=3, n_pending=5, processors=4)
-    site.heuristic = SomeNaNScores(values)
-    log = []
-    preempt, start = site._preempt, site._start
-    site._preempt = lambda task: (log.append(task.value), preempt(task))
-    site._start = lambda task: (log.append(task.value), start(task))
-    with pytest.raises(SchedulingError, match="failed to converge"):
+    site.heuristic = PoisonedScores(values, score)
+    site.obs = mock.Mock()
+    before = site_state(site)
+    with pytest.raises(SchedulingError, match="non-finite"):
         site._preemption_pass()
-    assert list(zip(log[::2], log[1::2])) == swaps
-    assert [t.value for t in running_tasks(site.processors)] == running
-    assert [t.value for t in site.pool] == pool
+    assert site_state(site) == before
+    assert site.obs.mock_calls == []  # no event published
+
+
+def test_the_poisoned_union_would_swap_were_it_finite():
+    site, _ = loaded_site(n_running=3, n_pending=5, processors=4)
+    site.heuristic = PoisonedScores((), math.nan)
+    site._preemption_pass()
+    assert site.ledger.preemptions == 3

@@ -287,6 +287,34 @@ class TestAuditCli:
         [line] = proc.stderr.splitlines()
         assert line.startswith(f"repro: cannot recover {path}: ")
 
+    #: a journal bid no market accepts: its price cannot be recomputed
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            {"decay": -1.0},
+            {"value": 10.0, "bound": -20.0},  # a floor above the value
+            {"value": 1e101},  # past repro.domain.MAX_MAGNITUDE
+            {"runtime": 1e101},
+        ],
+        ids=["negative-decay", "floor-above-value", "value-past-b", "runtime-past-b"],
+    )
+    def test_exit_1_on_a_bid_no_market_accepts(self, tmp_path, capsys, terms):
+        settlement = {
+            "seq": 5, "kind": "settlement", "t": 4.0, "contract_id": 1, "bid_id": 1,
+            "site_id": "s0", "outcome": "completed", "price": 10.0, "agreed_price": 50.0,
+            "completion": 4.0, "on_time": True, "runtime": 4.0,
+        }
+        records = [*_JOURNAL[:2], {**_JOURNAL[2], **terms}, *_JOURNAL[3:], settlement]
+        path = tmp_path / "journal.jsonl"
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+        recording = read_recording(str(path))
+        [violation] = audit_recording(recording).violations
+        assert (violation["code"], violation["bid_id"]) == ("invalid_bid", 1)
+        assert main(["audit", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "[invalid_bid] bid 1 is no market's bid" in captured.out
+        assert captured.err == ""
+
     def test_the_hostile_corpus_damages_a_recoverable_journal(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         path.write_text("".join(json.dumps(record) + "\n" for record in _JOURNAL))

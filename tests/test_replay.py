@@ -218,6 +218,15 @@ class TestReplayCli:
         assert main(["replay", path, "--policy", "p:strategy=fastest"]) == 2
         assert "unknown strategy" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("rate", ["inf", "nan", "1e101"])
+    def test_exit_2_on_a_discount_rate_past_the_domain(self, tmp_path, capsys, recorded_market, rate):
+        flight, _ = recorded_market
+        path = self._write_recording(tmp_path, flight)
+        policy = f"p:heuristic=firstreward,discount_rate={rate}"
+        assert parse_policy(policy).discount_rate is not None  # parsed; refused at the site
+        assert main(["replay", path, "--policy", policy]) == 2
+        assert "discount_rate must be in [0, 1e+100]" in capsys.readouterr().out
+
     def test_exit_2_on_unreadable_recording(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("nope\n")
