@@ -117,7 +117,7 @@ def _journaled_market(scratch: str) -> None:
     from repro.cli import main
     from repro.market import MarketSite, run_market
     from repro.market.signals import board_from_recording
-    from repro.obs.flight import FlightRecorder, read_recording
+    from repro.obs.flight import FlightRecorder, JournalSink, read_recording
     from repro.scheduling import FirstReward
     from repro.sim import Simulator
     from repro.site import SlackAdmission
@@ -131,7 +131,7 @@ def _journaled_market(scratch: str) -> None:
                    admission=SlackAdmission(60.0))
         for i in range(2)
     ]
-    with FlightRecorder(path) as flight:
+    with FlightRecorder(sink=JournalSink(path, fsync="off")) as flight:
         run_market(trace, sites, flight=flight)
     board_from_recording(read_recording(path))
     main(["audit", path, "--out", os.path.join(scratch, "audit.json")])

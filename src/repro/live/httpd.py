@@ -80,36 +80,51 @@ def _response(
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> tuple[str, str, bytes, str, Optional[str]]:
-    """Parse the request line, headers, and body; raises ApiError."""
-    try:
-        request_line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError) as exc:
-        raise ApiError(f"unreadable request: {exc}") from exc
-    parts = request_line.decode("ascii", "replace").split()
-    if len(parts) != 3:
-        raise ApiError(f"malformed request line: {request_line[:80]!r}")
-    method, path, _version = parts
+    """Parse the request line, headers, and body; raises ApiError.
 
-    content_length = 0
+    A client that hangs up mid-body raises ``IncompleteReadError``.
+    """
+    content_length: Optional[int] = None
     accept = ""
     idempotency_key: Optional[str] = None
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        header = name.strip().lower()
-        if header == "content-length":
-            try:
-                content_length = int(value.strip())
-            except ValueError as exc:
-                raise ApiError(f"bad Content-Length: {value.strip()!r}") from exc
-            if content_length < 0:
-                raise ApiError(f"bad Content-Length: {value.strip()!r}")
-        elif header == "accept":
-            accept = value.strip()
-        elif header == "idempotency-key":
-            idempotency_key = value.strip()
+    try:
+        request_line = await reader.readline()
+        parts = request_line.decode("ascii", "replace").split()
+        if len(parts) != 3:
+            raise ApiError(f"malformed request line: {request_line[:80]!r}")
+        method, path, _version = parts
+        while True:
+            line = await reader.readline()
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            header = name.strip().lower()
+            if header == "content-length":
+                digits = value.strip()
+                # ASCII digits only: int() also takes "+3", "1_0" and other
+                # scripts' digits, and refuses past 4 300 of them
+                if not (digits.isascii() and digits.isdigit()) or len(digits) > 4300:
+                    raise ApiError(f"bad Content-Length: {digits[:80]!r}")
+                length = int(digits)
+                if content_length is not None and length != content_length:
+                    # RFC 9112 §6.3: conflicting lengths leave no framing
+                    raise ApiError("conflicting Content-Length headers")
+                content_length = length
+            elif header == "accept":
+                accept = value.strip()
+            elif header == "idempotency-key":
+                key = value.strip()
+                if idempotency_key is not None and key != idempotency_key:
+                    # a retry repeating only one of them would not replay
+                    raise ApiError("conflicting Idempotency-Key headers")
+                idempotency_key = key
+    except ConnectionError as exc:
+        raise ApiError(f"unreadable request: {exc}") from exc
+    except ValueError as exc:
+        # readline turns the reader's LimitOverrunError into a ValueError
+        raise ApiError(f"request line or header too long: {exc}") from exc
+    if content_length is None:
+        content_length = 0
     if content_length > MAX_BODY:
         raise ApiError(f"body too large ({content_length} bytes)", status=413)
     body = await reader.readexactly(content_length) if content_length else b""

@@ -32,16 +32,15 @@ is the one profiler (layer budget, per-call scoring and kernel cost).
 
 Attach with the ambient context::
 
-    from repro.obs import Observability, metrics_summary, observing
+    from repro.obs import Observability, observing, prometheus_text
 
     obs = Observability()
     with observing(obs):
         run_experiment("fig3", scale="quick")
-    print(metrics_summary(obs.registry))
+    print(prometheus_text(obs.registry.snapshot()))
 """
 
 from repro.obs.export import (
-    metrics_summary,
     spans_to_chrome,
     write_artifacts,
     write_chrome_trace,
@@ -78,7 +77,6 @@ __all__ = [
     "SpanTracker",
     "TimeWeightedGauge",
     "current",
-    "metrics_summary",
     "observing",
     "prometheus_text",
     "read_recording",

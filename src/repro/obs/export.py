@@ -1,15 +1,12 @@
-"""Exporters: Chrome/Perfetto ``trace_event`` JSON and a table.
+"""Exporters: Chrome/Perfetto ``trace_event`` JSON and the metrics JSON.
 
-Two consumers, two formats:
-
-* ``chrome://tracing`` / https://ui.perfetto.dev — :func:`spans_to_chrome`
-  emits the ``trace_event`` JSON object format (``{"traceEvents": [...]}``);
-  closed spans become complete (``"ph": "X"``) events, instants become
-  ``"ph": "i"`` marks, and each run/track pair gets thread-name metadata
-  so lifecycle trees nest per task lane.  Simulated time maps to
-  microseconds (1 sim time unit = 1 "µs").
-* humans — :func:`metrics_summary` renders a registry snapshot through
-  the repo's plain-text tables.
+``chrome://tracing`` / https://ui.perfetto.dev — :func:`spans_to_chrome`
+emits the ``trace_event`` JSON object format (``{"traceEvents": [...]}``);
+closed spans become complete (``"ph": "X"``) events, instants become
+``"ph": "i"`` marks, and each run/track pair gets thread-name metadata
+so lifecycle trees nest per task lane.  Simulated time maps to
+microseconds (1 sim time unit = 1 "µs").  :func:`write_artifacts` writes
+the trace and the observer's snapshot JSON behind the CLI's two flags.
 """
 
 from __future__ import annotations
@@ -18,12 +15,10 @@ import json
 import os
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from repro.metrics.tables import format_table
 from repro.obs.spans import Span
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.obs.instrument import Observability
-    from repro.obs.registry import MetricsRegistry
 
 #: Simulated time units per Chrome-trace microsecond tick.
 TIME_SCALE = 1.0
@@ -136,14 +131,3 @@ def write_artifacts(
             handle.write("\n")
         wrote.append(f"wrote {metrics_out}")
     return wrote
-
-
-# ----------------------------------------------------------------------
-# Human summaries
-# ----------------------------------------------------------------------
-
-def metrics_summary(registry: "MetricsRegistry", title: str = "metrics") -> str:
-    rows = registry.summary_rows()
-    if not rows:
-        return f"{title}\n(no metrics recorded)"
-    return format_table(rows, title=title)

@@ -542,20 +542,18 @@ class FlightRecorder:
 
     Parameters
     ----------
-    path:
-        When given, every record is streamed to this file as one JSON
-        line (the directory is created; the header line is written
-        immediately) and nothing is kept in memory: the file is the
-        record, and ``recording()`` reads it back.  Without a file (and
-        without a *sink*) records are buffered in :attr:`events`.
     clock_domain:
         ``"sim"`` (simulated time) or ``"wall"`` (live service time) —
         a header-level tag; every record's ``t`` is in this domain.
     sink:
-        A pre-built :class:`JournalSink` to stream through instead of
-        *path* — the live service passes one to pick the fsync policy
-        and to append to a recovered journal (no second header line is
-        written onto an appended journal).
+        When given, every record is streamed through this
+        :class:`JournalSink` as one JSON line (the header line is written
+        at once, unless the sink appends to a recovered journal) and
+        nothing is kept in memory: the file is the record, and
+        ``recording()`` reads it back.  ``JournalSink(path, fsync="off")``
+        writes each line in the kernel without an fsync; the live service
+        picks its own policy.  Without a sink records are buffered in
+        :attr:`events`.
 
     The recorder is passive: it never reads a clock (callers pass
     ``t``) and never raises into the decision path.  On a recorder that
@@ -569,19 +567,11 @@ class FlightRecorder:
     """
 
     def __init__(
-        self,
-        path: Optional[str] = None,
-        clock_domain: str = "sim",
-        sink: Optional[JournalSink] = None,
+        self, clock_domain: str = "sim", sink: Optional[JournalSink] = None
     ) -> None:
         if clock_domain not in ("sim", "wall"):
             raise ValueError(f"clock_domain must be 'sim' or 'wall', got {clock_domain!r}")
-        if path is not None and sink is not None:
-            raise ValueError("pass either path or sink, not both")
         self.clock_domain = clock_domain
-        if sink is None and path is not None:
-            # the pre-journal contract: each line in the kernel, no fsync
-            sink = JournalSink(path, fsync="off")
         self.sink = sink
         self.path = sink.path if sink is not None else None
         #: the memory-only recorder's buffer; a recorder with a sink

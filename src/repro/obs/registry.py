@@ -174,16 +174,5 @@ class MetricsRegistry:
         """``{name: instrument snapshot}`` for JSON export, sorted by name."""
         return {name: self._instruments[name].snapshot() for name in self.names()}
 
-    def summary_rows(self) -> list[dict]:
-        """Flat rows (one per metric) for ``repro.metrics.tables.format_table``."""
-        rows = []
-        for name, snap in self.snapshot().items():
-            row = {"metric": name, "type": snap["type"]}
-            for key in ("value", "count", "sum", "min", "max", "mean"):
-                if key in snap and snap[key] is not None:
-                    row[key] = snap[key]
-            rows.append(row)
-        return rows
-
     def __repr__(self) -> str:
         return f"<MetricsRegistry {len(self)} instruments>"

@@ -33,8 +33,8 @@ from repro.scheduling.base import (
     decay_horizons,
     effective_decay,
 )
-from repro.scheduling.baselines import FCFS, SRPT, SWPT, PriorityFCFS
-from repro.scheduling.candidate import project_lone_start, project_next_start
+from repro.scheduling.baselines import FCFS, SRPT, SWPT
+from repro.scheduling.candidate import project_next_start
 from repro.scheduling.firstprice import FirstPrice
 from repro.scheduling.firstreward import FirstReward
 from repro.scheduling.pool import PendingPool
@@ -51,7 +51,6 @@ __all__ = [
     "PendingPool",
     "PoolColumns",
     "PresentValue",
-    "PriorityFCFS",
     "SchedulingHeuristic",
     "SurvivalDiscount",
     "available_heuristics",
@@ -59,6 +58,5 @@ __all__ = [
     "decay_horizons",
     "effective_decay",
     "make_heuristic",
-    "project_lone_start",
     "project_next_start",
 ]

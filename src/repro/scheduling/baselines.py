@@ -1,18 +1,13 @@
-"""Baseline schedulers (§4 and §7): FCFS, SRPT, SWPT, and priority FCFS.
+"""Baseline schedulers (§4): FCFS, SRPT and SWPT.
 
 FCFS and SRPT "do not consider user-centric measures of value"; SWPT is
 "the best known heuristic for TWCT" and orders by ``d_i / RPT_i``.
-PriorityFCFS models what §7 says of conventional batch schedulers
-(GridEngine, LSF): "weighting and priority mechanisms may be viewed as
-coarse-grained assignments of value" — a handful of priority bands by
-unit value, FCFS within each band.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import SchedulingError
 from repro.scheduling.base import PoolColumns, SchedulingHeuristic, unit_denominator
 
 
@@ -45,38 +40,3 @@ class SWPT(SchedulingHeuristic):
 
     def scores(self, cols: PoolColumns, now: float) -> np.ndarray:
         return cols.decay / unit_denominator(cols)
-
-
-class PriorityFCFS(SchedulingHeuristic):
-    """Conventional batch-queue priorities: coarse value bands, FCFS within.
-
-    Tasks are banded by unit value (``value/runtime``) at fixed
-    thresholds — the administrator's "high/medium/low queue" — and the
-    scheduler drains higher bands first, oldest-first within a band.
-    This is the §7 strawman for what fine-grained value functions
-    replace.
-
-    Parameters
-    ----------
-    band_edges:
-        Ascending unit-value thresholds separating the bands; ``k``
-        edges make ``k+1`` bands.
-    """
-
-    name = "priority-fcfs"
-
-    def __init__(self, band_edges: tuple = (1.5, 3.0)) -> None:
-        edges = tuple(float(e) for e in band_edges)
-        if not edges:
-            raise SchedulingError("need at least one band edge")
-        if any(b <= a for a, b in zip(edges, edges[1:])):
-            raise SchedulingError(f"band edges must be strictly increasing: {edges}")
-        self.band_edges = edges
-
-    def scores(self, cols: PoolColumns, now: float) -> np.ndarray:
-        unit_value = cols.value / np.maximum(cols.runtime, 1e-12)
-        band = np.searchsorted(self.band_edges, unit_value, side="right")
-        # band dominates; within a band, earlier arrival wins.  Arrivals
-        # are scaled into (0, 1) so they can never cross band boundaries.
-        recency = cols.arrival / (1.0 + np.abs(cols.arrival).max(initial=0.0))
-        return band.astype(float) - recency

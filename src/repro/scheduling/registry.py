@@ -7,7 +7,7 @@ from typing import Callable, Optional
 
 from repro.errors import SchedulingError
 from repro.scheduling.base import SchedulingHeuristic
-from repro.scheduling.baselines import FCFS, SRPT, SWPT, PriorityFCFS
+from repro.scheduling.baselines import FCFS, SRPT, SWPT
 from repro.scheduling.firstprice import FirstPrice
 from repro.scheduling.firstreward import FirstReward
 from repro.scheduling.presentvalue import PresentValue
@@ -16,7 +16,6 @@ _FACTORIES: dict[str, Callable[..., SchedulingHeuristic]] = {
     "fcfs": FCFS,
     "srpt": SRPT,
     "swpt": SWPT,
-    "priority-fcfs": PriorityFCFS,
     "firstprice": FirstPrice,
     "pv": PresentValue,
     "firstreward": FirstReward,

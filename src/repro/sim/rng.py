@@ -55,20 +55,5 @@ class RandomStreams:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self._name_key(name),))
         return np.random.default_rng(seq)
 
-    def spawn(self, name: str, count: int) -> list[np.random.Generator]:
-        """*count* independent generators under a common name (for replicas)."""
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        base = np.random.SeedSequence(entropy=self.seed, spawn_key=(self._name_key(name),))
-        return [np.random.default_rng(child) for child in base.spawn(count)]
-
-    def derive(self, salt: int) -> "RandomStreams":
-        """A new RandomStreams whose root seed mixes in *salt*.
-
-        Used to derive per-replication seeds: ``streams.derive(rep_index)``.
-        """
-        mixed = (self.seed * 1_000_003 + int(salt)) % (2**63)
-        return RandomStreams(mixed)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"RandomStreams(seed={self.seed}, streams={sorted(self._cache)})"

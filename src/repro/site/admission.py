@@ -22,9 +22,9 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from repro.domain import checked_rate
-from repro.errors import AdmissionError, SchedulingError
+from repro.errors import AdmissionError
 from repro.scheduling.base import effective_decay
-from repro.scheduling.candidate import _walk, project_lone_start, project_next_start
+from repro.scheduling.candidate import project_next_start
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.site.service import TaskServiceSite
@@ -111,7 +111,7 @@ class SlackAdmission:
         if site.processors.free_count > 0:
             return self._decide(task, now, 0.0)
         free_times = site.processors.free_times(now)
-        return self._decide(task, project_lone_start(free_times), 0.0)
+        return self._decide(task, project_next_start((), free_times), 0.0)
 
     @staticmethod
     def _place(
@@ -134,7 +134,9 @@ class SlackAdmission:
         position = order.tolist().index(last)
         # only the candidate's own start is consumed, so project just
         # that slot (early-stopped; bit-identical to the full projection)
-        expected_start = project_next_start(cols.remaining[order], free_times, position)
+        expected_start = project_next_start(
+            cols.remaining[order[:position]].tolist(), free_times
+        )
         if position == last:
             return expected_start, 0.0  # nobody behind: the empty Eq. 8 sum
         # Eq. 8: the new task pushes back everything ordered behind it by
@@ -195,7 +197,7 @@ def _place_shallow(
     Each step is the vector path's own float operations in its order:
     :func:`~repro.scheduling.base.affine_scores`, the stable descending
     sort (every tie, ``±0.0`` included, ahead of the candidate),
-    :func:`~repro.scheduling.candidate.project_next_start`'s heap walk,
+    :func:`~repro.scheduling.candidate.project_next_start`,
     and Eq. 8.  The rows are a pool's under a shipped affine heuristic,
     so every score is finite (:mod:`repro.domain`) and every RPT
     non-negative.  Every sum runs left to right, which is NumPy's
@@ -215,9 +217,7 @@ def _place_shallow(
     last = len(scores) - 1
     order = sorted(range(last + 1), key=scores.__getitem__, reverse=True)
     position = order.index(last)
-    if not free_times:
-        raise SchedulingError("project_next_start requires at least one processor")
-    start = _walk([remaining[i] for i in order[:position]], free_times)
+    start = project_next_start([remaining[i] for i in order[:position]], free_times)
     if position == last:
         return start, 0.0  # nobody behind: the empty Eq. 8 sum
     behind = 0.0

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.errors import SchedulingError
+from repro.scheduling.pool import _scalars
 from repro.tasks.task import Task
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -345,23 +346,10 @@ class ProcessorPool:
         while unfilled:
             i = unfilled[-1]
             t = self._task_of[i]
-            vf = t.linear_vf
-            value, decay, bound = vf.value, vf.decay, vf.bound_or_inf()
-            # the scalar twin of expiration_delays, as the pending pool
-            # writes it
-            expiration = (value + bound) / decay if decay > 0.0 else 0.0
-            block[:, i] = (
-                t.arrival,
-                t.estimate,
-                t.estimated_remaining,
-                value,
-                decay,
-                bound,
-                expiration,
-                t.last_start,
-            )
+            # the row as the pending pool writes it, then the last start
+            block[:, i] = (*_scalars(t), t.last_start)
             self._filled[i] = True
-            if expiration != math.inf:
+            if block[_EXPIRATION, i] != math.inf:
                 self._expiring += 1
             unfilled.pop()
         if k < self.count:

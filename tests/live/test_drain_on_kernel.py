@@ -19,7 +19,7 @@ from repro.live.api import ApiError, BidRequest
 from repro.live.config import LiveConfig, LiveSiteSpec
 from repro.live.executor import POLL_INTERVAL
 from repro.live.service import LiveService
-from repro.obs.flight import FlightRecorder, read_recording
+from repro.obs.flight import FlightRecorder, JournalSink, read_recording
 from repro.sim import Coroutine, SimClock, Simulator
 from repro.site.service import KernelExecutor
 
@@ -81,7 +81,7 @@ def _bid(runtime, bound):
 def _drained(journal, drain_grace, runtimes, drain_at=50.0):
     """Bids at t=0,10,20,…; SIGTERM at *drain_at*; run the kernel dry."""
     sim = Simulator()
-    flight = FlightRecorder(journal, clock_domain="wall")
+    flight = FlightRecorder(sink=JournalSink(journal, fsync="off"), clock_domain="wall")
     service = LiveService(
         LiveConfig(sites=SPECS, rate=RATE, drain_grace=drain_grace),
         clock=SimClock(sim),

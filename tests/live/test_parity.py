@@ -23,7 +23,7 @@ from repro.live.service import LiveService
 from repro.live.site import ALPHA, DISCOUNT_RATE
 from repro.market import MarketSite, run_market
 from repro.obs import Observability
-from repro.obs.flight import FlightRecorder, read_recording
+from repro.obs.flight import FlightRecorder, JournalSink, read_recording
 from repro.scheduling.firstreward import FirstReward
 from repro.sim import Coroutine, SimClock, Simulator
 from repro.site.admission import SlackAdmission
@@ -69,7 +69,7 @@ def _simulated():
 
 def _served(journal):
     sim = Simulator()
-    flight = FlightRecorder(journal, clock_domain="wall")
+    flight = FlightRecorder(sink=JournalSink(journal, fsync="off"), clock_domain="wall")
     obs = Observability(spans=False)  # what `repro serve` builds with no --trace-out
     service = LiveService(
         LiveConfig(sites=SPECS),

@@ -15,7 +15,7 @@ from repro.audit import audit_recording
 from repro.live.api import BidRequest
 from repro.live.config import LiveConfig, LiveSiteSpec
 from repro.live.service import LiveService
-from repro.obs.flight import FlightRecorder, read_recording
+from repro.obs.flight import FlightRecorder, JournalSink, read_recording
 from repro.replay import PolicySpec, replay_recording
 
 
@@ -39,7 +39,7 @@ def _run_recorded(tmp_path, requests):
         # loaded host forks it late; these tests are about the record
         timeout_factor=100.0,
     )
-    flight = FlightRecorder(path, clock_domain="wall")
+    flight = FlightRecorder(sink=JournalSink(path, fsync="off"), clock_domain="wall")
     service = LiveService(config, flight=flight)
 
     async def scenario():

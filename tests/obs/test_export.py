@@ -1,12 +1,10 @@
-"""Tests for the exporters: Chrome trace_event JSON, summaries."""
+"""Tests for the exporters: Chrome trace_event JSON and the snapshot."""
 
 import json
 
 from repro.obs import (
-    MetricsRegistry,
     Observability,
     SpanTracker,
-    metrics_summary,
     spans_to_chrome,
     write_chrome_trace,
 )
@@ -74,17 +72,6 @@ class TestChromeTrace:
         write_chrome_trace(t.finished, str(path))
         loaded = json.loads(path.read_text())
         assert len(loaded["traceEvents"]) > 0
-
-
-class TestSummaries:
-    def test_metrics_summary_renders_table(self):
-        reg = MetricsRegistry()
-        reg.counter("tasks.completed").inc(12)
-        text = metrics_summary(reg)
-        assert "tasks.completed" in text and "12" in text
-
-    def test_empty_registry_summary(self):
-        assert "(no metrics recorded)" in metrics_summary(MetricsRegistry())
 
 
 class TestSnapshotExport:

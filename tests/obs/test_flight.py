@@ -10,6 +10,7 @@ from repro.obs.flight import (
     RECORD_KINDS,
     SETTLEMENT_OUTCOMES,
     FlightRecorder,
+    JournalSink,
     Recording,
     _jsonable,
     read_recording,
@@ -61,7 +62,7 @@ class TestRecorderCore:
 class TestFileRoundtrip:
     def test_header_then_events_roundtrip(self, tmp_path):
         path = str(tmp_path / "flight.jsonl")
-        with FlightRecorder(path, clock_domain="wall") as rec:
+        with FlightRecorder(sink=JournalSink(path, fsync="off"), clock_domain="wall") as rec:
             rec.record("bid", 2.0, bid_id=11, runtime=1.0, value=40.0, decay=0.0)
             rec.record("quote", 2.0, site_id="s0", bid_id=11, verdict="declined")
         lines = (tmp_path / "flight.jsonl").read_text().splitlines()
@@ -81,7 +82,7 @@ class TestFileRoundtrip:
         ``recording()`` reads the file back, mid-run included."""
         path = str(tmp_path / "flight.jsonl")
         memory = FlightRecorder(clock_domain="wall")
-        with FlightRecorder(path, clock_domain="wall") as journaled:
+        with FlightRecorder(sink=JournalSink(path, fsync="off"), clock_domain="wall") as journaled:
             for rec in (journaled, memory):
                 row = rec.record("bid", 2.0, bid_id=11, runtime=1.0, value=40.0, decay=0.0)
                 assert row == {
@@ -95,7 +96,7 @@ class TestFileRoundtrip:
 
     def test_infinities_survive_the_json_roundtrip(self, tmp_path):
         path = str(tmp_path / "inf.jsonl")
-        with FlightRecorder(path) as rec:
+        with FlightRecorder(sink=JournalSink(path, fsync="off")) as rec:
             rec.record(
                 "bid", 0.0, bid_id=1, runtime=1.0, value=1.0, decay=0.0,
                 bound=math.inf, slack=-math.inf,
@@ -120,7 +121,7 @@ class TestFileRoundtrip:
         # a journaled recorder keeps no copy: a memory-only twin fed the
         # same calls holds the rows as they were before encoding
         memory = FlightRecorder()
-        with FlightRecorder(path) as journaled:
+        with FlightRecorder(sink=JournalSink(path, fsync="off")) as journaled:
             for rec in (journaled, memory):
                 for name, bid in bids.items():
                     rec.bid(0.0, bid)
@@ -161,7 +162,7 @@ class TestFileRoundtrip:
             ("settlement", 3.0, {"on_time": False, "price": -0.0, "completion": 1e22}),
         ]
         path = tmp_path / "new.jsonl"
-        with FlightRecorder(str(path)) as rec:
+        with FlightRecorder(sink=JournalSink(str(path), fsync="off")) as rec:
             events = [rec.record(kind, t, **fields) for kind, t, fields in rows]
         header = {"kind": "header", "schema": FLIGHT_SCHEMA, "clock": "sim"}
         old = "".join(
@@ -172,7 +173,7 @@ class TestFileRoundtrip:
 
     def test_torn_final_line_is_tolerated(self, tmp_path):
         path = str(tmp_path / "torn.jsonl")
-        with FlightRecorder(path) as rec:
+        with FlightRecorder(sink=JournalSink(path, fsync="off")) as rec:
             rec.record("bid", 0.0, bid_id=1, runtime=1.0, value=1.0, decay=0.0)
             rec.record("bid", 1.0, bid_id=2, runtime=1.0, value=1.0, decay=0.0)
         with open(path, "a", encoding="utf-8") as handle:
@@ -182,7 +183,7 @@ class TestFileRoundtrip:
 
     def test_torn_interior_line_is_an_error(self, tmp_path):
         path = str(tmp_path / "bad.jsonl")
-        with FlightRecorder(path) as rec:
+        with FlightRecorder(sink=JournalSink(path, fsync="off")) as rec:
             rec.record("shed", 0.0)
         text = (tmp_path / "bad.jsonl").read_text()
         (tmp_path / "bad.jsonl").write_text(text + "not json\n" + '{"seq": 2, "kind": "shed", "t": 1.0}\n')
@@ -247,7 +248,7 @@ class TestMarketIntegration:
         path = str(tmp_path / "hostile.jsonl")
         trace = generate_trace(economy_spec(n_jobs=60, load_factor=1.5, processors=8), seed=3)
         sim = Simulator()
-        with FlightRecorder(path) as flight:
+        with FlightRecorder(sink=JournalSink(path, fsync="off")) as flight:
             sites = [
                 MarketSite(sim, site_id, 4, FirstReward(0.3, 0.01),
                            admission=SlackAdmission(60.0))
@@ -326,7 +327,7 @@ class TestMarketIntegration:
         flight, _ = recorded_market
         path = tmp_path / "breaker.jsonl"
         tripped = False
-        with FlightRecorder(str(path), clock_domain="wall") as rec:
+        with FlightRecorder(sink=JournalSink(str(path), fsync="off"), clock_domain="wall") as rec:
             for event in flight.recording().events:
                 fields = {k: v for k, v in event.items() if k not in ("seq", "kind", "t")}
                 rec.record(event["kind"], event["t"], **fields)

@@ -62,13 +62,3 @@ class TestMetricsRegistry:
         assert list(snap) == ["a", "b"]
         assert snap["a"]["type"] == "histogram"
         assert snap["b"]["type"] == "counter"
-
-    def test_summary_rows_fit_format_table(self):
-        from repro.metrics.tables import format_table
-
-        reg = MetricsRegistry()
-        reg.counter("tasks").inc(5)
-        reg.histogram("wait").observe(2.0)
-        rows = reg.summary_rows()
-        assert {r["metric"] for r in rows} == {"tasks", "wait"}
-        assert "tasks" in format_table(rows)

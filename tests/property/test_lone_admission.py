@@ -6,7 +6,8 @@ node, zero displacement cost; with a node free that is *now*, read off
 vector as a plain list, and ranks a shallow never-expires probe in Python floats from the
 pool's coefficient rows.  The body it replaced — probe, score, sort,
 project, gather, on NumPy vectors, for every pool depth including zero —
-lives on here as the oracle, and every :class:`AdmissionDecision` field
+lives on here as the oracle (its start read off the full projection,
+``tests.oracles.project_start_times``), and every :class:`AdmissionDecision` field
 must be equal bit for bit: on an empty pool, on a populated one, and on
 both sides of the eight-row limit of the scalar path.
 """
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import AdmissionError, SchedulingError
+from repro.errors import AdmissionError
 from repro.faults.survival import ExponentialSurvival
 from repro.scheduling import (
     FirstPrice,
@@ -29,7 +30,6 @@ from repro.scheduling import (
     SchedulingHeuristic,
     SurvivalDiscount,
     effective_decay,
-    project_next_start,
 )
 from repro.scheduling.base import PoolColumns, affine_coefficients, affine_scores
 from repro.scheduling.pool import _ARRIVAL, _BOUND, _LATE, SCALAR_PROBE_ROWS
@@ -39,6 +39,7 @@ from repro.site import SlackAdmission, TaskServiceSite
 from repro.site.admission import AdmissionDecision
 from repro.tasks import Task
 from repro.valuefn import LinearDecayValueFunction
+from tests.oracles import project_start_times
 
 HEURISTICS = {
     "firstprice": FirstPrice,
@@ -68,8 +69,8 @@ class OracleAdmission(SlackAdmission):
         else:
             position = int(np.count_nonzero(scores >= own)) - 1
         order = np.argsort(-scores, kind="stable")
-        expected_start = project_next_start(
-            cols.remaining[order], np.array(site.processors.free_times(now)), position
+        expected_start = float(
+            project_start_times(cols.remaining[order], site.processors.free_times(now))[position]
         )
         expected_completion = expected_start + task.estimated_remaining
         expected_delay = max(0.0, expected_completion - task.arrival - task.estimate)
@@ -282,9 +283,6 @@ def test_empty_pool_keeps_the_input_checks():
     wide = Task(40.0, 10.0, LinearDecayValueFunction(100.0, 1.0), demand=2)
     with pytest.raises(AdmissionError, match="single-node"):
         admission.evaluate(site, wide)
-    site.processors = type("NoNodes", (), {"free_count": 0, "free_times": lambda self, now: []})()
-    with pytest.raises(SchedulingError, match="at least one processor"):
-        admission.evaluate(site, make_task(40.0, 10.0, 100.0, 1.0))
 
 
 # ----------------------------------------------------------------------
@@ -539,10 +537,6 @@ def test_the_scalar_path_keeps_the_refusals(processors):
     wide = Task(40.0, 10.0, LinearDecayValueFunction(100.0, 1.0), demand=2)
     with pytest.raises(AdmissionError, match="single-node"):
         SlackAdmission(0.0).evaluate(site(), wide)
-    nodeless = site()
-    nodeless.processors = type("NoNodes", (), {"free_count": 0, "free_times": lambda self, now: []})()
-    with pytest.raises(SchedulingError, match="at least one processor"):
-        SlackAdmission(0.0).evaluate(nodeless, make_task(40.0, 10.0, 100.0, 1.0))
 
 
 class HandRows:
@@ -566,7 +560,7 @@ def vector_place(rows, alpha, estimate, now, free_times):
     scores = affine_scores(cols, now, (alpha, 0.0))
     order = np.argsort(-scores, kind="stable")
     position = order.tolist().index(n - 1)
-    start = project_next_start(remaining[order], free_times, position)
+    start = float(project_start_times(remaining[order], free_times)[position])
     if position == n - 1:
         return start, 0.0
     return start, float(estimate * decay[order[position + 1 :]].sum())

@@ -29,7 +29,7 @@ from repro.errors import LiveServiceError
 from repro.live.api import parse_bid_body
 from repro.live.config import LiveConfig, LiveSiteSpec
 from repro.live.recovery import plan_recovery
-from repro.obs.flight import FlightRecorder, Recording, read_recording
+from repro.obs.flight import FlightRecorder, JournalSink, Recording, read_recording
 from repro.replay import parse_policy, replay_recording
 from repro.sim import SimClock, Simulator
 
@@ -170,7 +170,7 @@ def _market_journal() -> bytes:
     ]
     with tempfile.TemporaryDirectory() as scratch:
         path = os.path.join(scratch, "market.jsonl")
-        with FlightRecorder(path) as flight:
+        with FlightRecorder(sink=JournalSink(path, fsync="off")) as flight:
             run_market(trace, sites, flight=flight)
         with open(path, "rb") as handle:
             return handle.read()

@@ -38,7 +38,6 @@ from repro.scheduling import (
     FirstReward,
     PendingPool,
     PresentValue,
-    PriorityFCFS,
     SurvivalDiscount,
 )
 from repro.scheduling.generic import GenericFirstReward, GenericPresentValue
@@ -68,7 +67,6 @@ SCORERS = {
     "fcfs": FCFS,
     "srpt": SRPT,
     "swpt": SWPT,
-    "priority-fcfs": PriorityFCFS,
     "survival": lambda: SurvivalDiscount(
         FirstReward(alpha=0.3, discount_rate=0.01), ExponentialSurvival(400.0)
     ),

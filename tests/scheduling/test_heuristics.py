@@ -51,50 +51,6 @@ class TestBaselines:
         assert ranking(SWPT(), BASIC) == [2, 1, 0]
 
 
-class TestPriorityFCFS:
-    def test_bands_dominate_arrival_order(self):
-        from repro.scheduling import PriorityFCFS
-
-        # unit values: 10 (high band), 1 (low band, earliest arrival)
-        cols = cols_of([
-            (0.0, 10.0, 10.0, 10.0, 0.0, np.inf),    # low band, arrived first
-            (50.0, 10.0, 10.0, 100.0, 0.0, np.inf),  # high band, arrived later
-        ])
-        assert ranking(PriorityFCFS(band_edges=(5.0,)), cols, now=60.0) == [1, 0]
-
-    def test_fcfs_within_band(self):
-        from repro.scheduling import PriorityFCFS
-
-        cols = cols_of([
-            (5.0, 10.0, 10.0, 10.0, 0.0, np.inf),
-            (1.0, 10.0, 10.0, 11.0, 0.0, np.inf),  # same band, earlier
-        ])
-        assert ranking(PriorityFCFS(band_edges=(100.0,)), cols, now=10.0) == [1, 0]
-
-    def test_band_edge_validation(self):
-        from repro.scheduling import PriorityFCFS
-
-        with pytest.raises(SchedulingError):
-            PriorityFCFS(band_edges=())
-        with pytest.raises(SchedulingError):
-            PriorityFCFS(band_edges=(3.0, 1.0))
-
-    def test_loses_to_firstprice_under_decay(self):
-        # the §7 point: coarse bands leave value on the table
-        from repro.scheduling import PriorityFCFS
-        from repro.site import simulate_site
-        from repro.workload import economy_spec, generate_trace
-
-        trace = generate_trace(
-            economy_spec(n_jobs=400, load_factor=1.5, value_skew=3.0,
-                         penalty_bound=0.0),
-            seed=6,
-        )
-        coarse = simulate_site(trace, PriorityFCFS(), 16, keep_records=False)
-        fine = simulate_site(trace, FirstPrice(), 16, keep_records=False)
-        assert fine.total_yield > coarse.total_yield
-
-
 class TestFirstPrice:
     def test_unit_gain_ranking(self):
         # at now=10: delays 10, 10, 10 -> yields 90, 20, -30
@@ -193,8 +149,7 @@ class TestFirstReward:
 class TestRegistry:
     def test_all_names_available(self):
         assert set(available_heuristics()) == {
-            "fcfs", "srpt", "swpt", "priority-fcfs", "firstprice", "pv",
-            "firstreward",
+            "fcfs", "srpt", "swpt", "firstprice", "pv", "firstreward",
         }
 
     def test_make_with_params(self):

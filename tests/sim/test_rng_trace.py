@@ -37,28 +37,6 @@ class TestRandomStreams:
         again = streams.fresh("s").random(5)
         assert np.array_equal(first, again)
 
-    def test_spawn_children_mutually_independent(self):
-        children = RandomStreams(7).spawn("reps", 3)
-        draws = [c.random(8) for c in children]
-        assert not np.array_equal(draws[0], draws[1])
-        assert not np.array_equal(draws[1], draws[2])
-
-    def test_spawn_reproducible(self):
-        a = [g.random(4) for g in RandomStreams(7).spawn("reps", 2)]
-        b = [g.random(4) for g in RandomStreams(7).spawn("reps", 2)]
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
-
-    def test_derive_changes_seed_deterministically(self):
-        base = RandomStreams(5)
-        d1 = base.derive(1)
-        d2 = base.derive(1)
-        assert d1.seed == d2.seed != base.seed
-
     def test_non_int_seed_rejected(self):
         with pytest.raises(TypeError):
             RandomStreams("abc")
-
-    def test_spawn_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            RandomStreams(0).spawn("x", -1)

@@ -142,7 +142,7 @@ class TestCandidatePosition:
         order = np.argsort(-heuristic.values, kind="stable")
         position = int(np.nonzero(order == len(scores) - 1)[0][0])
         start = project_next_start(
-            cols.remaining[order], site.processors.free_times(0.0), position
+            cols.remaining[order[:position]].tolist(), site.processors.free_times(0.0)
         )
         behind = order[position + 1 :]
         cost = float(candidate.estimate * effective_decay(cols, 0.0)[behind].sum())

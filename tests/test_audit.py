@@ -11,7 +11,7 @@ import pytest
 from repro.audit import AUDIT_SCHEMA, audit_recording
 from repro.cli import main
 from repro.live.recovery import plan_recovery
-from repro.obs.flight import FlightRecorder, read_recording
+from repro.obs.flight import FlightRecorder, JournalSink, read_recording
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -230,7 +230,9 @@ class TestAuditCli:
     def _record_to(self, tmp_path, recorded_market):
         source, _ = recorded_market
         path = str(tmp_path / "flight.jsonl")
-        sink = FlightRecorder(path, clock_domain=source.clock_domain)
+        sink = FlightRecorder(
+            sink=JournalSink(path, fsync="off"), clock_domain=source.clock_domain
+        )
         for event in source.events:
             sink.record(event["kind"], event["t"], **{
                 k: v for k, v in event.items() if k not in ("seq", "kind", "t")

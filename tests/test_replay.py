@@ -7,7 +7,7 @@ import pytest
 
 from repro.audit import audit_recording
 from repro.cli import main
-from repro.obs.flight import FlightRecorder, Recording
+from repro.obs.flight import FlightRecorder, JournalSink, Recording
 from repro.replay import (
     PolicySpec,
     format_table,
@@ -182,7 +182,9 @@ class TestReplay:
 class TestReplayCli:
     def _write_recording(self, tmp_path, flight):
         path = str(tmp_path / "flight.jsonl")
-        sink = FlightRecorder(path, clock_domain=flight.clock_domain)
+        sink = FlightRecorder(
+            sink=JournalSink(path, fsync="off"), clock_domain=flight.clock_domain
+        )
         for event in flight.events:
             sink.record(event["kind"], event["t"], **{
                 k: v for k, v in event.items() if k not in ("seq", "kind", "t")
