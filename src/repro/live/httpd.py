@@ -15,7 +15,8 @@ Routes::
     GET  /metrics       observability snapshot + windowed rates; served
                         as Prometheus text when the client sends
                         ``Accept: text/plain``, JSON otherwise
-    GET  /healthz       liveness probe
+    GET  /healthz       liveness probe: 503 once a journal write has
+                        failed and intake is closed
 
 All request handling runs on the service's event loop, so handlers may
 touch service state without locks.
@@ -170,6 +171,8 @@ def _route(
             return 200, _PlainText(prometheus_text(instruments, extra_gauges=gauges)), {}
         return 200, {"metrics": snapshot, "rates": rates}, {}
     if method == "GET" and path == "/healthz":
+        if service.journal_error is not None:
+            return 503, {"ok": False, "journal_error": str(service.journal_error)}, {}
         return 200, {"ok": True}, {}
     if path in ("/bids", "/tasks", "/status", "/metrics", "/healthz") or path.startswith(
         "/tasks/"

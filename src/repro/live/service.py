@@ -205,6 +205,10 @@ class LiveService:
         #: bids refused at the queue watermark (429 answers)
         self.sheds = 0
         self.draining = False
+        #: the first journal write that failed on the intake path.  Once
+        #: set, every new bid answers 503: the journal no longer holds
+        #: what the service would do, and a retry could be awarded twice
+        self.journal_error: Optional[OSError] = None
         #: exceptions raised by execution tasks (executor bugs, not task
         #: failures — those settle normally); surfaced via GET /status
         self.errors: list[str] = []
@@ -220,13 +224,16 @@ class LiveService:
         return sum(site.engine.queue_length for site in self.sites)
 
     def _check_intake(self, client_id: Optional[str] = None) -> None:
-        """Admission control: draining → 503, over the watermark → 429.
+        """Admission control: a failed journal or draining → 503, over
+        the watermark → 429.
 
         Checked once per request (not per bid within a batch) so a
         batch is admitted or refused atomically — a mid-batch refusal
         would discard negotiated awards from the response and make the
         client's retry double-award them.
         """
+        if self.journal_error is not None:
+            raise self._close_intake(self.journal_error)
         if self.draining:
             raise ApiError(
                 "service is draining; not accepting bids",
@@ -253,8 +260,7 @@ class LiveService:
 
     def submit_bid(self, request: BidRequest) -> LiveRecord:
         """Negotiate one bid with every site; returns its record."""
-        self._check_intake(request.client_id)
-        return self._negotiate_bid(request)
+        return self.submit_bids([request])[0]
 
     def _negotiate_bid(self, request: BidRequest) -> LiveRecord:
         now = self.clock.now
@@ -309,8 +315,20 @@ class LiveService:
         return record
 
     def submit_bids(self, requests: list[BidRequest]) -> list[LiveRecord]:
-        self._check_intake(requests[0].client_id if requests else None)
-        return [self._negotiate_bid(r) for r in requests]
+        """Negotiate a batch; a journal write that fails closes intake (503)."""
+        try:
+            self._check_intake(requests[0].client_id if requests else None)
+            return [self._negotiate_bid(r) for r in requests]
+        except OSError as exc:
+            raise self._close_intake(exc) from exc
+
+    def _close_intake(self, exc: OSError) -> ApiError:
+        """Keep the first journal write error; the 503 its request answers."""
+        if self.journal_error is None:
+            self.journal_error = exc
+        return ApiError(
+            f"the journal cannot be written ({exc}); not accepting bids", status=503
+        )
 
     def handle_bids(
         self,
@@ -323,8 +341,8 @@ class LiveService:
         known ``Idempotency-Key`` gets the stored response document
         back — no second negotiation, so a retried award stays one
         award.  Fresh keyed responses are journaled (``intent`` record,
-        action ``response``) before the reply leaves the socket, so the
-        dedup table survives a crash.
+        action ``response``) before they enter the dedup table, so a
+        replay always has its record and the table survives a crash.
         """
         if idempotency_key is not None:
             stored = self.idempotency.get(idempotency_key)
@@ -334,14 +352,17 @@ class LiveService:
         docs = [bid_result_doc(r) for r in records]
         doc: object = docs[0] if len(docs) == 1 else {"results": docs}
         if idempotency_key is not None:
-            self.idempotency.put(idempotency_key, doc)
             if self.flight is not None:
-                self.flight.intent(
-                    self.clock.now,
-                    "response",
-                    idempotency_key=idempotency_key,
-                    response=doc,
-                )
+                try:
+                    self.flight.intent(
+                        self.clock.now,
+                        "response",
+                        idempotency_key=idempotency_key,
+                        response=doc,
+                    )
+                except OSError as exc:
+                    raise self._close_intake(exc) from exc
+            self.idempotency.put(idempotency_key, doc)
         return doc, False
 
     def restore_response(self, idempotency_key: str, doc: object) -> None:
@@ -473,6 +494,9 @@ class LiveService:
             "now": self.clock.now,
             "rate": self.config.rate,
             "draining": self.draining,
+            "journal_error": (
+                None if self.journal_error is None else str(self.journal_error)
+            ),
             "errors": list(self.errors),
             "negotiations": self.broker.negotiations,
             "rejections": self.broker.rejections,

@@ -7,8 +7,8 @@ kernel built for that purpose — no external simulation framework is used.
 Layers, lowest to highest:
 
 * :mod:`repro.sim.events` / :mod:`repro.sim.queue` — timestamped events
-  and a heap-ordered pending-event set with O(log n) insert/pop and lazy
-  cancellation.
+  and the pending-event set: one binary heap of ``(time, priority, seq,
+  event)`` tuples, O(log n) push/pop, lazy cancellation.
 * :mod:`repro.sim.kernel` — the :class:`Simulator`: clock, scheduling
   primitives, run loop.
 * :mod:`repro.sim.coroutine` — ``async def`` code on the kernel: the one

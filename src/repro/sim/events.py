@@ -1,9 +1,10 @@
 """Simulation events.
 
 An :class:`Event` is a callback scheduled to fire at a simulated time.
-Events are ordered by ``(time, priority, seq)``: earlier time first, then
-lower priority number, then insertion order — so simultaneous events fire
-deterministically in the order they were scheduled.
+The event queue fires events in ``(time, priority, seq)`` order: earlier
+time first, then lower priority number, then insertion order — so
+simultaneous events fire deterministically in the order they were
+scheduled.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ class Event:
         "time",
         "priority",
         "seq",
-        "key",
         "callback",
         "args",
         "state",
@@ -65,8 +65,6 @@ class Event:
     ) -> None:
         self.time = float(time)
         self.priority = priority
-        #: ``seq`` and ``key`` — the ``(time, priority, seq)`` ordering
-        #: tuple, so queue comparisons are plain tuple compares — are
         #: assigned by the queue on push
         self.seq = -1
         self.callback = callback
@@ -89,9 +87,6 @@ class Event:
     @property
     def fired(self) -> bool:
         return self.state is EventState.FIRED
-
-    def __lt__(self, other: "Event") -> bool:
-        return self.key < other.key
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         name = getattr(self.callback, "__name__", repr(self.callback))

@@ -9,7 +9,6 @@ may schedule further events; time never moves backwards.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
@@ -58,18 +57,7 @@ class Simulator:
         ``daemon=True`` marks housekeeping events (periodic recharges,
         crash timers) that should not keep :meth:`run` alive on their own.
         """
-        # mirrors schedule_at, unrolled: this is the hottest scheduling
-        # entry point, and the extra frame + keyword re-packing showed up
-        # in the cascade benchmarks
-        now = self.now
-        at = now + delay
-        if at != at:  # NaN never compares equal to itself
-            raise SimulationError("cannot schedule event at NaN time")
-        if at < now:
-            raise SimulationError(
-                f"cannot schedule event in the past: t={at!r} < now={now!r}"
-            )
-        return self._queue.push(Event(at, callback, args, priority, tag, daemon))
+        return self._push(self.now + delay, callback, args, priority, tag, daemon)
 
     def schedule_at(
         self,
@@ -81,14 +69,26 @@ class Simulator:
         daemon: bool = False,
     ) -> Event:
         """Schedule ``callback(*args)`` at absolute simulated *time*."""
-        if math.isnan(time):
+        return self._push(time, callback, args, priority, tag, daemon)
+
+    def _push(
+        self,
+        at: float,
+        callback: Callable[..., Any],
+        args: tuple[Any, ...],
+        priority: int,
+        tag: Optional[str],
+        daemon: bool,
+    ) -> Event:
+        # the one check-and-push body; schedule must not go through
+        # schedule_at, which a subclass may override (bench/tracing.py)
+        if at != at:  # NaN never compares equal to itself
             raise SimulationError("cannot schedule event at NaN time")
-        if time < self.now:
+        if at < self.now:
             raise SimulationError(
-                f"cannot schedule event in the past: t={time!r} < now={self.now!r}"
+                f"cannot schedule event in the past: t={at!r} < now={self.now!r}"
             )
-        event = Event(time, callback, args, priority=priority, tag=tag, daemon=daemon)
-        return self._queue.push(event)
+        return self._queue.push(Event(at, callback, args, priority, tag, daemon))
 
     def cancel(self, event: Event) -> None:
         """Cancel a pending event (error if it already fired/was cancelled).

@@ -11,7 +11,7 @@ and checks, by module identity taken from the path, who may do what:
 | DET002 | a wall-clock read (``time.time``, ``perf_counter``, ``datetime.now``, …) | every ``repro.*`` module | ``repro.obs`` (measurement), ``repro.live`` (the live service *is* the wall clock), ``repro.cli`` (times its commands) |
 | OBS002 | a wall-clock read | the timestamp-passive modules ``repro.obs.flight``, ``repro.obs.prom``, ``repro.audit``, ``repro.replay``, ``repro.live.recovery``: they take ``t`` from the caller's ``clock.now``, so a journal replays in either clock domain | — |
 | DET003 | a ``for`` or comprehension over a set: a set literal, ``set()``/``frozenset()``, set algebra, or a name or ``self.X`` bound to one or annotated as one. Object and ``str`` hashes differ between processes, so a tie-break would too; iterate ``sorted(...)`` | the sim-path modules (``repro.sim``, ``scheduling``, ``market``, ``site``, ``tasks``, …) | — |
-| DET005 | ``import heapq`` or a ``heapq.*`` call | ``repro.sim.*`` | ``repro.sim.queue``: the EventQueue's sorted lane and lazy cancellation are invariants a raw heap would bypass |
+| DET005 | ``import heapq`` or a ``heapq.*`` call | ``repro.sim.*`` | ``repro.sim.queue``: the EventQueue's lazy cancellation, its essential count and its state check on push are invariants a raw heap would bypass |
 | OBS001 | a bare ``print()`` outside ``if __name__ == "__main__"`` | every ``repro.*`` module | the layers whose output is stdout: ``repro.cli``, ``repro.__main__``, ``repro.analysis`` (ASCII renderers), ``repro.metrics.tables``, ``repro.live.serve``, ``repro.audit``, ``repro.replay`` |
 | ASY002 | in an ``async def``, ``self.X`` read in an ``if``/``while`` test, then an ``await``, then ``self.X`` written: another task can change ``X`` while the loop is yielded | ``repro.live.*`` | — |
 

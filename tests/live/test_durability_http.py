@@ -1,4 +1,5 @@
-"""Idempotent intake and overload shedding, service- and HTTP-level.
+"""Idempotent intake, overload shedding and a failing journal,
+service- and HTTP-level.
 
 The service half drives ``handle_bids`` / ``_check_intake`` directly;
 the HTTP half reads raw response bytes off a loopback socket so the
@@ -9,6 +10,7 @@ the 429 status line are asserted verbatim.
 from __future__ import annotations
 
 import asyncio
+import errno
 import json
 import math
 
@@ -16,10 +18,12 @@ import pytest
 
 from repro.domain import MAX_MAGNITUDE
 from repro.live.api import ApiError, BidRequest
+from repro.live.clock import FrozenClock
 from repro.live.config import LiveConfig, LiveSiteSpec
 from repro.live.httpd import start_http
+from repro.live.recovery import plan_recovery
 from repro.live.service import RETRY_AFTER_S, IdempotencyTable, LiveService
-from repro.obs.flight import FlightRecorder
+from repro.obs.flight import FlightRecorder, JournalSink, read_recording
 from repro.sim import SimClock, Simulator
 
 from tests.live.scripted import scripted_service
@@ -139,6 +143,86 @@ def test_zero_watermark_disables_shedding():
 
 
 # ----------------------------------------------------------------------
+# A journal that cannot be written closes intake
+# ----------------------------------------------------------------------
+
+#: journal lines a two-bid keyed batch writes on one site: per bid an
+#: ``accept`` intent, ``bid``, ``quote`` and ``award``; then the
+#: ``response`` intent
+BATCH_WRITES = 9
+
+
+class FullDisk(JournalSink):
+    """A journal whose *k*-th line after :meth:`arm` fails with ``ENOSPC``,
+    once: the disk has room again for every later line."""
+
+    def __init__(self, path: str) -> None:
+        super().__init__(path, fsync="off")
+        self.fail_at = 0
+
+    def arm(self, k: int) -> None:
+        self.fail_at = self.lines + k
+
+    def write_line(self, text: str) -> None:
+        if self.fail_at == self.lines + 1:
+            self.fail_at = 0
+            raise OSError(errno.ENOSPC, "No space left on device")
+        super().write_line(text)
+
+
+def _full_disk_service(path):
+    sink = FullDisk(path)
+    flight = FlightRecorder(clock_domain="wall", sink=sink)
+    service, _ = scripted_service(_config(), clock=FrozenClock(0.0), flight=flight)
+    return service, sink
+
+
+def _contracts(service):
+    return sum(len(site.contracts) for site in service.sites)
+
+
+def test_a_keyed_two_bid_batch_writes_nine_lines(tmp_path):
+    service, sink = _full_disk_service(str(tmp_path / "journal.jsonl"))
+    before = sink.lines
+    service.handle_bids([_bid(0), _bid(1)], idempotency_key="k")
+    assert sink.lines - before == BATCH_WRITES
+
+
+@pytest.mark.parametrize("k", range(1, BATCH_WRITES + 1))
+def test_a_failed_journal_write_closes_intake_and_the_retry_awards_nothing(tmp_path, k):
+    """Whichever line of the batch fails, the request answers 503 and so
+    does its retry once the disk has room: an award the journal may not
+    hold, or a response it does not hold, is never made twice or replayed."""
+    path = str(tmp_path / "journal.jsonl")
+    service, sink = _full_disk_service(path)
+
+    def attempt():
+        # an escaping OSError is kept too, so that the ledger checks
+        # below run before the status check
+        try:
+            service.handle_bids([_bid(0), _bid(1)], idempotency_key="k")
+        except (ApiError, OSError) as exc:
+            return exc
+        return None
+
+    sink.arm(k)
+    first = attempt()
+    contracts, negotiations = _contracts(service), service.broker.negotiations
+    retry = attempt()  # the disk has room again
+    assert service.broker.negotiations == negotiations, "the retry negotiated"
+    assert _contracts(service) == contracts <= 2
+    assert "k" not in service.idempotency, "a replay with no response record"
+    assert first.status == 503 and retry.status == 503
+    assert "journal" in str(retry)
+    assert service.journal_error.errno == errno.ENOSPC
+    assert service.status()["journal_error"] == str(service.journal_error)
+
+    plan = plan_recovery(read_recording(path))
+    assert "k" not in plan.responses
+    assert len(plan.open_contracts) <= contracts
+
+
+# ----------------------------------------------------------------------
 # HTTP headers, read raw off the socket
 # ----------------------------------------------------------------------
 
@@ -250,6 +334,32 @@ def test_status_reports_durability_counters():
         assert status["queue_watermark"] == 0
 
     _scenario(steps)
+
+
+def test_a_failed_journal_write_is_a_503_and_healthz_says_so(tmp_path):
+    async def steps(service, port):
+        service.flight.sink.arm(1)
+        status_line, _, body = await _raw(port, "POST", "/bids", GOOD_BID)
+        assert status_line.startswith("HTTP/1.1 503")
+        assert "No space left" in json.loads(body)["error"]
+        status_line, _, _ = await _raw(port, "POST", "/bids", GOOD_BID)
+        assert status_line.startswith("HTTP/1.1 503")
+        status_line, _, body = await _raw(port, "GET", "/healthz")
+        assert status_line.startswith("HTTP/1.1 503")
+        assert json.loads(body)["ok"] is False
+        _, _, body = await _raw(port, "GET", "/status")
+        assert "No space left" in json.loads(body)["journal_error"]
+
+    async def main():
+        service, _ = _full_disk_service(str(tmp_path / "journal.jsonl"))
+        server, port = await start_http(service, "127.0.0.1", 0)
+        try:
+            await steps(service, port)
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    asyncio.run(main())
 
 
 def test_a_batch_past_the_domain_is_a_400_with_nothing_negotiated():

@@ -191,8 +191,13 @@ def project_start_times(
 
 
 def pending_events(sim: Simulator) -> int:
-    """Live events in *sim*'s queue: a cancelled one stops counting at once."""
-    return len(sim._queue)
+    """Live events in *sim*'s queue: a cancelled one stops counting at once.
+
+    Counted off the heap itself, daemons included: the queue keeps only
+    the essential count, and a cancelled entry stays in the heap until
+    it reaches the head.
+    """
+    return sum(event.pending for *_, event in sim._queue._heap)
 
 
 def running_tasks(pool: ProcessorPool) -> list[Task]:

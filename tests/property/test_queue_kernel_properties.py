@@ -32,8 +32,9 @@ class TestQueueOrdering:
                 q.cancel(event)
             else:
                 survivors.append(event.time)
-        popped = [q.pop().time for _ in range(len(q))]
+        popped = [q.pop().time for _ in range(len(survivors))]
         assert popped == sorted(survivors)
+        assert q.peek() is None
 
     @given(ts=st.lists(times, min_size=2, max_size=50))
     def test_fifo_among_equal_times(self, ts):

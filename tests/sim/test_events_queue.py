@@ -17,35 +17,15 @@ class TestEvent:
         assert e.pending and not e.fired and not e.cancelled
         assert e.state is EventState.PENDING
 
-    # the ordering key is assigned on push: only queued events compare
-
-    def test_ordering_by_time(self):
-        q = EventQueue()
-        late, early = q.push(make(2.0)), q.push(make(1.0))
-        assert early < late
-        assert not (late < early)
-
-    def test_ordering_by_priority_at_same_time(self):
-        q = EventQueue()
-        hi = q.push(Event(1.0, lambda: None, priority=5))
-        lo = q.push(Event(1.0, lambda: None, priority=-1))
-        assert lo < hi
-
-    def test_ordering_by_seq_as_final_tiebreak(self):
-        q = EventQueue()
-        first = q.push(make(1.0))
-        second = q.push(make(1.0))
-        assert first < second
-
     def test_time_coerced_to_float(self):
         assert isinstance(make(3).time, float)
 
 
 class TestEventQueue:
-    def test_len_and_bool_empty(self):
+    def test_empty_queue_has_no_head(self):
         q = EventQueue()
-        assert len(q) == 0
-        assert not q
+        assert q.peek() is None
+        assert q.essential_count == 0
 
     def test_push_pop_orders_by_time(self):
         q = EventQueue()
@@ -69,7 +49,8 @@ class TestEventQueue:
         q = EventQueue()
         e = q.push(make(1.0))
         assert q.peek() is e
-        assert len(q) == 1
+        assert q.essential_count == 1
+        assert q.pop() is e
 
     def test_peek_empty_returns_none(self):
         assert EventQueue().peek() is None
@@ -79,7 +60,7 @@ class TestEventQueue:
         e = q.push(make(1.0))
         q.push(make(2.0))
         q.cancel(e)
-        assert len(q) == 1
+        assert q.essential_count == 1
         assert q.pop().time == 2.0
 
     def test_cancelled_head_skipped_by_peek(self):
@@ -121,7 +102,7 @@ class TestEventQueue:
             else:
                 kept.append(e)
         popped = [q.pop() for _ in range(len(kept))]
-        assert not q
+        assert q.peek() is None
         assert sorted(e.tag for e in popped) == sorted(e.tag for e in kept)
         times = [e.time for e in popped]
         assert times == sorted(times)

@@ -28,11 +28,15 @@ class TestScheduling:
         sim = Simulator(start=10.0)
         with pytest.raises(SimulationError):
             sim.schedule_at(9.0, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule(-1.0, lambda: None)
 
     def test_schedule_nan_raises(self):
         sim = Simulator()
         with pytest.raises(SimulationError):
             sim.schedule(float("nan"), lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("nan"), lambda: None)
 
     def test_zero_delay_event_fires_at_now(self):
         sim = Simulator(start=3.0)
@@ -87,6 +91,23 @@ class TestScheduling:
         sim.run()
         assert fired == ["keep"]
         assert keep.fired and drop.cancelled
+
+    def test_schedule_does_not_go_through_schedule_at(self):
+        """A subclass that wraps both entry points wraps each callback once."""
+        seen = []
+
+        class Watching(Simulator):
+            def schedule_at(self, time, callback, *args, **kwargs):
+                seen.append(time)
+                return super().schedule_at(time, callback, *args, **kwargs)
+
+        sim = Watching(start=1.0)
+        fired = []
+        sim.schedule(2.0, fired.append, "a", priority=1, tag="t", daemon=False)
+        sim.schedule_at(4.0, fired.append, "b")
+        sim.run()
+        assert seen == [4.0]
+        assert fired == ["a", "b"] and sim.now == 4.0
 
 
 class TestRun:
