@@ -116,8 +116,8 @@ class Broker:
     vickrey: bool = False
     negotiations: int = 0
     rejections: int = 0
-    #: the recorder :meth:`open_books` attached: bids and awards (the
-    #: sites record their quotes and settlements)
+    #: the recorder :meth:`open_books` attached: bids (the sites record
+    #: their quotes, awards and settlements)
     flight: Optional[FlightRecorder] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -167,9 +167,10 @@ class Broker:
         *sites* restricts the round to a subset of the broker's sites
         (default: all of them) — a failover re-bid skips the site that
         just failed its task this way.  This is the market's only
-        negotiation: every quote is gathered, every award made, every
-        ``bid``/``award`` record written and every negotiation hook of
-        the sites' observer called here (span id: the round's ordinal).
+        negotiation: every quote is gathered, every award made (the
+        winning site journals it), every ``bid`` record written and every
+        negotiation hook of the sites' observer called here (span id: the
+        round's ordinal).
         """
         nid = self.negotiations
         self.negotiations += 1
@@ -209,8 +210,6 @@ class Broker:
                 expected_slack=winner.expected_slack,
             )
         contract = quote_sites[index].award(bid, winner)
-        if self.flight is not None:
-            self.flight.award(contract.signed_at, bid, winner, contract)
         if obs is not None:
             obs.negotiation_finished(
                 nid, clock.now, contracted=True, task_id=contract.task_tid, site_id=winner.site_id

@@ -90,7 +90,7 @@ class MarketSite:
         #: "publish summaries of recent contracts")
         self.price_board = price_board
         #: the market's FlightRecorder, attached by ``Broker.open_books``;
-        #: receives this site's quote/settlement events
+        #: receives this site's quote, award and settlement events
         self.flight = None
         #: callbacks invoked as fn(contract, task) after each settlement —
         #: the resilience layer re-bids breached tasks through these and
@@ -138,7 +138,13 @@ class MarketSite:
     # Phase 2: award and execution
     # ------------------------------------------------------------------
     def award(self, bid: TaskBid, server_bid: ServerBid) -> Contract:
-        """Form the contract and start executing the task."""
+        """Form the contract, journal it, and start executing the task.
+
+        The ``award`` record is written before the site acts on the
+        contract: a write that fails (``OSError``) leaves no contract
+        here and no task to run, so the market never executes an award
+        its journal does not hold.
+        """
         if server_bid.site_id != self.site_id:
             raise MarketError(
                 f"server bid for site {server_bid.site_id!r} awarded to {self.site_id!r}"
@@ -147,6 +153,8 @@ class MarketSite:
         task = self._task_for(bid)
         contract.task_tid = task.tid
         contract.task = task
+        if self.flight is not None:
+            self.flight.award(contract.signed_at, bid, server_bid, contract)
         self._contract_of[task.tid] = contract
         self.contracts.append(contract)
         self.contracts_signed += 1

@@ -33,6 +33,7 @@ import io
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -765,6 +766,22 @@ class FlightRecorder:
 # Reader
 # ----------------------------------------------------------------------
 
+#: Where a JSON value could run on past its own line: a line that does
+#: not open with ``{`` (a blank one too), a ``{`` that does not open its
+#: line, and any ``[``.  One inside a string counts as well; it only sends
+#: its line to be decoded on its own.
+_BARE_LINE = re.compile(r"\n[^{]")
+_NESTED = (re.compile(r"\{(?<=[^\n]\{)"), re.compile(r"\["))
+
+#: The line breaks ``str.splitlines`` honours that JSON lets a string hold
+#: unescaped (every other one besides ``\n`` is no JSON anywhere).
+_STRING_BREAKS = re.compile("[\x85\u2028\u2029]")
+
+#: The fields whose values repeat across a journal: a journal read back
+#: holds one string per kind, site, verdict, outcome, client and action.
+_NAMES = ("kind", "site_id", "verdict", "outcome", "client_id", "action")
+
+
 def read_recording(path: str) -> Recording:
     """Parse a JSONL flight recording written by :class:`FlightRecorder`.
 
@@ -773,7 +790,94 @@ def read_recording(path: str) -> Recording:
     that is not a JSON object of a known kind carrying the fields
     :data:`RECORD_FIELDS` lists for it.  Only an undecodable final line
     (a crashed writer's torn record) is tolerated, and dropped.
+
+    The records are :func:`_read_by_line`'s, which is the reference; a
+    journal :func:`_read_at_once` cannot vouch for goes to it, and so
+    does any record a check refuses, so that the error names its line.
     """
+    recording = _read_at_once(path)
+    return recording if recording is not None else _read_by_line(path)
+
+
+def _read_at_once(path: str) -> Optional[Recording]:
+    """The recording at *path* from one ``json.loads`` call, or None.
+
+    The lines are decoded as one array, ``[line,\\n line,\\n …]``, so
+    every record shares the decoder's one string per key, and the values
+    of :data:`_NAMES` are shared after it.  The call reads each line as
+    the per-line reader does only if no value spans two lines.  A string
+    cannot: strict JSON refuses a raw newline in one.  An object cannot
+    when its line opens with its ``{`` and holds no other ``{`` and no
+    ``[``; every other line must decode on its own first.  Each line then
+    holds at least one value, so a line holding two shows as a count one
+    too high.  None when the call cannot vouch for the journal (a torn
+    or unterminated final line, a blank or damaged one) or a record
+    fails a check.
+    """
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    lines = text.count("\n")
+    if (
+        not text.endswith("\n")
+        or (not text.isascii() and _STRING_BREAKS.search(text))
+        or not _lines_stand_alone(text)
+    ):
+        return None
+    # a sentinel may be in there ("inf", "-inf", "nan"); spelled with an
+    # escape it is one the per-line reader leaves a string
+    sentinels = 'inf"' in text or 'nan"' in text
+    escaped = sentinels and "\\" in text
+    # one copy of the text at a time beside the one being built; the
+    # last newline stays, as whitespace before the closing bracket
+    text = "[" + text
+    text = text.replace("\n", ",\n", lines - 1)
+    text += "]"
+    try:
+        rows = json.loads(text)
+    except (ValueError, RecursionError):
+        return None
+    del text
+    if len(rows) != lines:
+        return None
+    schema, clock = _header(path, rows[0])
+    del rows[0]
+    names: dict[str, str] = {}
+    for index, raw in enumerate(rows):
+        if type(raw) is not dict:
+            return None
+        if sentinels and any(
+            type(v) is str and k in _FLOAT_FIELDS and v in _SENTINELS
+            for k, v in raw.items()
+        ):
+            if escaped:
+                return None
+            raw = rows[index] = _unsentinel(raw)
+        if _malformed(raw) is not None:
+            return None
+        for name in _NAMES:
+            value = raw.get(name)
+            if type(value) is str:
+                raw[name] = names.setdefault(value, value)
+    return Recording(schema=schema, clock=clock, events=rows)
+
+
+def _lines_stand_alone(text: str) -> bool:
+    """Whether every line of *text* that could let a value run on decodes alone."""
+    starts = {m.start() + 1 for m in _BARE_LINE.finditer(text)}
+    if not text.startswith("{"):
+        starts.add(0)
+    for pattern in _NESTED:
+        starts.update(text.rfind("\n", 0, m.start()) + 1 for m in pattern.finditer(text))
+    for start in starts:
+        try:
+            json.loads(text[start:text.index("\n", start)])
+        except (ValueError, RecursionError):
+            return False
+    return True
+
+
+def _read_by_line(path: str) -> Recording:
+    """:func:`read_recording` one line at a time: the reference and the error path."""
     with open(path, encoding="utf-8") as handle:
         lines = handle.read().splitlines()
     if not lines:
@@ -782,16 +886,7 @@ def read_recording(path: str) -> Recording:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: unreadable header line: {exc}") from exc
-    if not isinstance(header, dict) or header.get("kind") != "header":
-        raise ValueError(f"{path}: first line is not a flight-recorder header")
-    schema = header.get("schema")
-    if schema != FLIGHT_SCHEMA:
-        raise ValueError(
-            f"{path}: recording schema {schema!r} != supported {FLIGHT_SCHEMA}"
-        )
-    clock = header.get("clock")
-    if clock not in ("sim", "wall"):
-        raise ValueError(f"{path}: bad clock domain {clock!r}")
+    schema, clock = _header(path, header)
     events: list[dict] = []
     for index, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -806,15 +901,35 @@ def read_recording(path: str) -> Recording:
             raise ValueError(f"{path}:{index}: record is not a JSON object")
         if 'inf"' in line or 'nan"' in line:
             # a sentinel may be in there ("inf", "-inf", "nan")
-            raw = {
-                k: _SENTINELS.get(v, v) if type(v) is str and k in _FLOAT_FIELDS else v
-                for k, v in raw.items()
-            }
+            raw = _unsentinel(raw)
         problem = _malformed(raw)
         if problem is not None:
             raise ValueError(f"{path}:{index}: {problem}")
         events.append(raw)
     return Recording(schema=schema, clock=clock, events=events)
+
+
+def _unsentinel(raw: dict) -> dict:
+    """*raw* with each float field the writer spelled as a sentinel undone."""
+    return {
+        k: _SENTINELS.get(v, v) if type(v) is str and k in _FLOAT_FIELDS else v
+        for k, v in raw.items()
+    }
+
+
+def _header(path: str, header: object) -> tuple[int, str]:
+    """The schema and clock of a decoded header line, which must be one."""
+    if not isinstance(header, dict) or header.get("kind") != "header":
+        raise ValueError(f"{path}: first line is not a flight-recorder header")
+    schema = header.get("schema")
+    if schema != FLIGHT_SCHEMA:
+        raise ValueError(
+            f"{path}: recording schema {schema!r} != supported {FLIGHT_SCHEMA}"
+        )
+    clock = header.get("clock")
+    if clock not in ("sim", "wall"):
+        raise ValueError(f"{path}: bad clock domain {clock!r}")
+    return schema, clock
 
 
 def _malformed(event: dict) -> Optional[str]:

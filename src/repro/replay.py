@@ -209,6 +209,18 @@ def _build_site(sim, config: dict, policy: PolicySpec):
 # Replay + A/B analysis
 # ----------------------------------------------------------------------
 
+class _ShadowRecorder(FlightRecorder):
+    """The counterfactual market's recorder, which keeps no quote rows.
+
+    A replayed market is read only through :func:`_ledger_row` and
+    :func:`_fates`, which take bids, awards and settlements; a quote
+    takes its ``seq`` and nothing else.
+    """
+
+    def quote(self, t: float, site_id: str, bid, decision, server_bid) -> None:
+        self.seq += 1
+
+
 def _fates(bid_events: Sequence[dict], books: Books) -> list[dict]:
     """Per-ordinal fate (accepted? by which site? outcome?) of each bid."""
     fates = []
@@ -287,7 +299,7 @@ def replay_recording(
             strategy=strategy_fns[policy.strategy],
             vickrey=policy.vickrey,
         )
-        shadow = FlightRecorder(clock_domain="sim")
+        shadow = _ShadowRecorder(clock_domain="sim")
         run_market(trace, sites, broker=broker, flight=shadow)
         replayed = fold_books(shadow.recording())
         rows.append(_ledger_row(policy.name, replayed, offered_value))

@@ -16,6 +16,7 @@ import math
 
 import pytest
 
+from repro.audit import audit_recording
 from repro.domain import MAX_MAGNITUDE
 from repro.live.api import ApiError, BidRequest
 from repro.live.clock import FrozenClock
@@ -173,8 +174,8 @@ class FullDisk(JournalSink):
 def _full_disk_service(path):
     sink = FullDisk(path)
     flight = FlightRecorder(clock_domain="wall", sink=sink)
-    service, _ = scripted_service(_config(), clock=FrozenClock(0.0), flight=flight)
-    return service, sink
+    service, executors = scripted_service(_config(), clock=FrozenClock(0.0), flight=flight)
+    return service, sink, executors
 
 
 def _contracts(service):
@@ -182,7 +183,7 @@ def _contracts(service):
 
 
 def test_a_keyed_two_bid_batch_writes_nine_lines(tmp_path):
-    service, sink = _full_disk_service(str(tmp_path / "journal.jsonl"))
+    service, sink, _ = _full_disk_service(str(tmp_path / "journal.jsonl"))
     before = sink.lines
     service.handle_bids([_bid(0), _bid(1)], idempotency_key="k")
     assert sink.lines - before == BATCH_WRITES
@@ -192,9 +193,11 @@ def test_a_keyed_two_bid_batch_writes_nine_lines(tmp_path):
 def test_a_failed_journal_write_closes_intake_and_the_retry_awards_nothing(tmp_path, k):
     """Whichever line of the batch fails, the request answers 503 and so
     does its retry once the disk has room: an award the journal may not
-    hold, or a response it does not hold, is never made twice or replayed."""
+    hold, or a response it does not hold, is never made twice or replayed.
+    And no contract runs that the journal does not hold: the finished
+    session's journal audits clean, its books those of the sites."""
     path = str(tmp_path / "journal.jsonl")
-    service, sink = _full_disk_service(path)
+    service, sink, executors = _full_disk_service(path)
 
     def attempt():
         # an escaping OSError is kept too, so that the ledger checks
@@ -220,6 +223,19 @@ def test_a_failed_journal_write_closes_intake_and_the_retry_awards_nothing(tmp_p
     plan = plan_recovery(read_recording(path))
     assert "k" not in plan.responses
     assert len(plan.open_contracts) <= contracts
+
+    # finish the session: every run exits cleanly, and the sites close
+    # their books onto the journal
+    for executor in executors:
+        while executor.running:
+            task, _ = next(iter(executor.running.values()))
+            executor.end(task)
+    service.broker.close_books()
+    recording = read_recording(path)
+    assert audit_recording(recording).violations == []
+    awarded = {award["task_tid"] for award in recording.of_kind("award")}
+    assert {task.tid for e in executors for task in e.launched} == awarded
+    assert len(awarded) == _contracts(service)
 
 
 # ----------------------------------------------------------------------
@@ -351,7 +367,7 @@ def test_a_failed_journal_write_is_a_503_and_healthz_says_so(tmp_path):
         assert "No space left" in json.loads(body)["journal_error"]
 
     async def main():
-        service, _ = _full_disk_service(str(tmp_path / "journal.jsonl"))
+        service, _, _ = _full_disk_service(str(tmp_path / "journal.jsonl"))
         server, port = await start_http(service, "127.0.0.1", 0)
         try:
             await steps(service, port)

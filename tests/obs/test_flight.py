@@ -207,6 +207,42 @@ class TestFileRoundtrip:
             read_recording(str(path))
 
 
+def test_a_market_journal_read_back_holds_each_name_once(tmp_path):
+    """A 1 500-bid market journal read back holds at most 700 bytes of
+    heap a record (about 1 180 while every record held its own copy of
+    every field name): the records share the decoder's key strings and
+    one string per repeated name."""
+    import tracemalloc
+
+    from repro.market import MarketSite, run_market
+    from repro.scheduling import FirstReward
+    from repro.sim import Simulator
+    from repro.site import SlackAdmission
+    from repro.workload import economy_spec, generate_trace
+
+    spec = economy_spec(
+        n_jobs=1500, value_skew=3, decay_skew=5, load_factor=2.0,
+        processors=16, penalty_bound=None,
+    )
+    sim = Simulator()
+    sites = [
+        MarketSite(sim, f"site-{i}", 4, FirstReward(0.3, 0.01), admission=SlackAdmission(180.0))
+        for i in range(4)
+    ]
+    path = str(tmp_path / "market.jsonl")
+    with FlightRecorder(sink=JournalSink(path, fsync="off")) as flight:
+        run_market(generate_trace(spec, seed=0), sites, flight=flight)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        recording = read_recording(path)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(recording) > 8000
+    assert held / len(recording) <= 700
+
+
 class TestMarketIntegration:
     def test_recorded_run_covers_the_decision_chain(self, recorded_market):
         flight, result = recorded_market

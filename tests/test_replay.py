@@ -5,9 +5,10 @@ import math
 
 import pytest
 
+from repro import replay
 from repro.audit import audit_recording
 from repro.cli import main
-from repro.obs.flight import FlightRecorder, JournalSink, Recording
+from repro.obs.flight import FlightRecorder, JournalSink, Recording, read_recording
 from repro.replay import (
     PolicySpec,
     format_table,
@@ -234,3 +235,41 @@ class TestReplayCli:
         bad.write_text("nope\n")
         assert main(["replay", str(bad)]) == 2
         assert "cannot read recording" in capsys.readouterr().out
+
+
+class TestShadowRecorder:
+    """The counterfactual market's recorder keeps no quote rows, and no
+    row of the report moves: replay reads only bids, awards and
+    settlements of it."""
+
+    def test_a_quote_takes_its_seq_and_nothing_else(self):
+        shadow = replay._ShadowRecorder()
+        shadow.quote(0.0, "s0", None, None, None)
+        assert shadow.seq == 1 and shadow.events == []
+
+    @staticmethod
+    def _live(tmp_path):
+        # a drained session of the service on the kernel, every other bid
+        # with a bounded penalty, as the live smoke submits them
+        from tests.live.test_drain_on_kernel import _drained
+
+        path = str(tmp_path / "live.jsonl")
+        _drained(path, drain_grace=30.0, runtimes=[120.0, 90.0, 200.0, 60.0, 150.0])
+        return read_recording(path)
+
+    @staticmethod
+    def _chaos(tmp_path):
+        from tests.resilience.chaos_cell import journaled_chaos_cell
+
+        flight = FlightRecorder()
+        journaled_chaos_cell(seed=0, budget=1, flight=flight)
+        return flight.recording()
+
+    @pytest.mark.parametrize("journal", ["live", "chaos"])
+    def test_the_report_is_the_full_recorders(self, tmp_path, monkeypatch, journal):
+        recording = getattr(self, f"_{journal}")(tmp_path)
+        policies = [parse_policy("recorded"), parse_policy("risky:threshold=0")]
+        doc = replay_recording(recording, policies)
+        assert doc["table"][1]["accepted"] > 0
+        monkeypatch.setattr(replay, "_ShadowRecorder", FlightRecorder)
+        assert replay_recording(recording, policies) == doc
